@@ -2,10 +2,12 @@
 
 The mixed Steklov-Neumann spectrum of the warped product equals the union
 over fiber eigenvalues of the spectra of auxiliary base operators, one per
-fiber eigenvalue. For a collar base every auxiliary operator reduces to 1D
-problems over cross-section modes, so the whole spectrum comes from small
-endpoint Schur complements. Multiplicities follow the tensor basis count:
-fiber multiplicity times cross-section multiplicity per source.
+fiber eigenvalue. For a collar base every auxiliary operator splits into 1D
+problems over cross-section modes. The collar's coefficients are evaluated
+once per metric and mesh; each fiber branch then reduces all its modes at
+once by the two-port ladder reduction of `sturm`, which gives the known
+zero eigenvalue as exactly 0.0. Multiplicities follow the tensor basis
+count: fiber multiplicity times cross-section multiplicity per source.
 """
 
 from __future__ import annotations
@@ -13,13 +15,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from . import sturm
 from .errors import DomainError, HypothesisViolationError, NumericError
-from .profiles import CoefficientFn, WarpedMetricSpec, power_fn, transition_spans, value_fn
+from .profiles import CoefficientFn, WarpedMetricSpec, power_fn, transition_spans
 from .provenance import EigenSource, SpectrumWithProvenance, merge_tagged
 from .spectra import extend, iter_entries
-from .sturm import base_dtn_spectrum
-
-ZERO_EIGENVALUE_TOL = 1e-8
+from .sturm import SturmProblem, collar_branch, discretize_collar, end_conditions, graded_mesh
 
 
 @dataclass(frozen=True)
@@ -77,39 +80,26 @@ def steklov_spectrum_warped(
     Fiber eigenvalues are consumed in ascending order; since the smallest
     auxiliary eigenvalue is nondecreasing in the fiber eigenvalue, iteration
     stops at the first fiber branch whose spectrum starts above top, and the
-    union collected so far is complete below top.
+    union collected so far is complete below top. The collar is discretized
+    once, and every branch reduces its cross-section modes on it.
     """
     if top <= 0.0:
         raise DomainError("top must be positive")
     recipes = metric_recipes(spec)
+    collar = discretize_collar(
+        spec.base,
+        recipes.grad_weight,
+        recipes.inv_sq_weight,
+        n_elements=n_elements,
+        boundary_weights=recipes.boundary_weights,
+        transition_spans=recipes.spans,
+    )
     tagged: list[tuple[float, EigenSource]] = []
     for fiber_value, fiber_mult in iter_entries(spec.fiber):
-        branch = base_dtn_spectrum(
-            spec.base,
-            recipes.grad_weight,
-            float(fiber_value),
-            recipes.inv_sq_weight,
-            top,
-            n_elements=n_elements,
-            boundary_weights=recipes.boundary_weights,
-            transition_spans=recipes.spans,
-        )
-        if len(branch) == 0:
+        branch = collar_branch(collar, float(fiber_value), int(fiber_mult), top)
+        if not branch:
             break  # smallest eigenvalue of this and every later branch exceeds top
-        for entry in branch.entries:
-            for source in entry.sources:
-                tagged.append(
-                    (
-                        entry.value,
-                        EigenSource(
-                            fiber_value=source.fiber_value,
-                            fiber_mult=int(fiber_mult),
-                            cross_value=source.cross_value,
-                            cross_mult=source.cross_mult,
-                            branch=source.branch,
-                        ),
-                    )
-                )
+        tagged += branch
     return merge_tagged(tagged)
 
 
@@ -147,54 +137,47 @@ class Sigma1Result:
     branch_lambda1: float
 
 
-def sigma1_construction(
-    spec: WarpedMetricSpec, *, n_elements: int = 400, zero_tol: float = ZERO_EIGENVALUE_TOL
-) -> Sigma1Result:
+def sigma1_construction(spec: WarpedMetricSpec, *, n_elements: int = 400) -> Sigma1Result:
     """Spectral gap of the warped metric as the minimum over the two candidate branches.
 
     The gap is min of (a) the first nonzero eigenvalue of the fiber-constant
     branch and (b) the smallest eigenvalue of the first-fiber-mode branch.
-    Branch (a) needs only the zero cross-section mode's nonzero eigenvalue
-    and the first positive mode's smallest one; branch (b) only the zero
-    mode of the fiber eigenvalue, because eigenvalues are nondecreasing in
-    both mode parameters.
+    Eigenvalues are nondecreasing in both mode parameters, so three 1D
+    solves decide it. Branch (a) is the smaller of the nonzero eigenvalue of
+    mode (0, 0), which exists when both ends are Steklov and sits at index 1
+    behind the exact zero, and the smallest eigenvalue at (lambda = 0, mu1),
+    when the cross-section has a mu1. Branch (b) is the smallest eigenvalue
+    at (lambda1, mu = 0).
     """
     if spec.mode != "volume_preserving":
         raise DomainError("sigma1_construction expects a volume_preserving metric")
     recipes = metric_recipes(spec)
-    fiber = extend(spec.fiber, 2)
-    lambda1 = float(fiber.entries[1][0])
+    base = spec.base
+    w, v = recipes.grad_weight, recipes.inv_sq_weight
+    left, right = end_conditions(base.steklov_ends, recipes.boundary_weights)
+    nodes = graded_mesh(base.collar_length, n_elements, recipes.spans)
+    lambda1 = float(extend(spec.fiber, 2).entries[1][0])
 
-    def aux(fiber_value: float, top: float) -> SpectrumWithProvenance:
-        return base_dtn_spectrum(
-            spec.base,
-            recipes.grad_weight,
-            fiber_value,
-            recipes.inv_sq_weight,
-            top,
-            n_elements=n_elements,
-            boundary_weights=recipes.boundary_weights,
+    def solve(potential: CoefficientFn) -> np.ndarray:
+        problem = SturmProblem(
+            length=base.collar_length,
+            grad_weight=w,
+            potential=potential,
+            left_bc=left,
+            right_bc=right,
+            nodes=nodes,
             transition_spans=recipes.spans,
         )
+        return sturm.dtn_eigenvalues(problem)
 
-    def first_above(fiber_value: float, floor: float) -> float:
-        top = 1.0
-        for _ in range(60):
-            for entry in aux(fiber_value, top).entries:
-                if entry.value > floor:
-                    return entry.value
-            top *= 2.0
-        raise NumericError(
-            f"no eigenvalue above {floor} found below top={top} "
-            f"for fiber eigenvalue {fiber_value}"
-        )
-
-    # branch (a): first nonzero of the fiber-constant auxiliary spectrum; an
-    # interval base with a single Steklov end has only the zero eigenvalue there
-    degenerate = spec.base.cross_section.kind == "point" and spec.base.steklov_ends != "both"
-    branch_a = math.inf if degenerate else first_above(0.0, zero_tol)
-    # branch (b): smallest eigenvalue of the first-fiber-mode auxiliary spectrum
-    branch_b = first_above(lambda1, -math.inf)
+    candidates = []
+    if base.steklov_ends == "both":
+        candidates.append(float(solve(lambda t: 0.0)[1]))
+    if base.cross_section.kind != "point":
+        mu1 = float(extend(base.cross_section, 2).entries[1][0])
+        candidates.append(float(solve(lambda t: mu1 * w(t))[0]))
+    branch_a = min(candidates, default=math.inf)
+    branch_b = float(solve(lambda t: lambda1 * v(t))[0])
 
     if branch_a <= branch_b:
         return Sigma1Result(branch_a, "lambda0", branch_a, branch_b)

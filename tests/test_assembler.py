@@ -10,10 +10,12 @@ from steklovwarp import (
     DomainError,
     HypothesisViolationError,
     WarpedMetricSpec,
+    WarpProfile,
     base_dtn_spectrum,
     build_profile,
     circle_spectrum,
     first_eigenvalues,
+    graded_mesh,
     lower_bound_C,
     metric_recipes,
     point_spectrum,
@@ -36,6 +38,19 @@ def cylinder_spec(length=2.0, fiber_length=TWO_PI, steklov_ends="both", warp=Non
         base=BaseGeometry(point_spectrum(), length, steklov_ends),
         fiber=circle_spectrum(fiber_length, 8),
         mode=mode,
+    )
+
+
+def sweep_spec(eps):
+    """(n, k) = (2, 1) volume-preserving metric, delta = 2/3, circle fiber and cross-section."""
+    circle = circle_spectrum(TWO_PI, 4)
+    return WarpedMetricSpec(
+        base_dim=2,
+        fiber_dim=1,
+        warp=WarpProfile(eps, 2.0 / 3.0, 1.0, symmetric=True),
+        base=BaseGeometry(circle, 1.0, "both"),
+        fiber=circle,
+        mode="volume_preserving",
     )
 
 
@@ -66,6 +81,20 @@ class TestSteklovSpectrumWarped:
         zeros = [e for e in spectrum.entries if abs(e.value) <= 1e-8]
         assert len(zeros) == 1
         assert zeros[0].multiplicity == 1
+
+    def test_known_zero_is_exact_at_small_epsilon(self):
+        spec = sweep_spec(1e-3)
+        spectrum = steklov_spectrum_warped(spec, top=5.0, n_elements=1600)
+        zero = spectrum.entries[0]
+        assert zero.value == 0.0
+        assert [(s.fiber_value, s.cross_value, s.branch) for s in zero.sources] == [(0.0, 0.0, 0)]
+        recipes = metric_recipes(spec)
+        branch = base_dtn_spectrum(
+            spec.base, recipes.grad_weight, 0.0, recipes.inv_sq_weight, top=5.0,
+            n_elements=1600, boundary_weights=recipes.boundary_weights,
+            transition_spans=recipes.spans,
+        )
+        assert branch.entries[0].value == 0.0
 
     def test_provenance_multiplicity_identity(self):
         spectrum = steklov_spectrum_warped(cylinder_spec(), top=3.0, n_elements=200)
@@ -184,6 +213,41 @@ class TestSigma1Construction:
     def test_value_is_min_of_branches(self):
         result = sigma1_construction(self._mixed_spec(), n_elements=300)
         assert result.value == min(result.branch_lambda0, result.branch_lambda1)
+
+
+class TestSmallEpsilonGate:
+    """sigma1 of the (n, k) = (2, 1) sweep metric in the paper's regime eps -> 0.
+
+    It must lie above the paper's divergent constant lower_bound_C and below
+    the nonzero eigenvalue G (1/b0 + 1/b1) of mode (0, 0), which is a
+    candidate of branch (a); G = 1 / sum(dt / w_mid) on the mesh, w = h and
+    b = h^(1/2) = 1 at the ends. The upper bound is hit exactly when that
+    mode is the minimizer, so it allows the roundoff of the reduction.
+    """
+
+    EPSILONS = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
+
+    @staticmethod
+    def _mode00_value(spec, n_elements):
+        warp = spec.warp
+        nodes = graded_mesh(1.0, n_elements, warp.transition_intervals())
+        mid = 0.5 * (nodes[:-1] + nodes[1:])
+        w_mid = np.array([warp.eval_power(x, 1.0) for x in mid])
+        conductance = 1.0 / np.sum(np.diff(nodes) / w_mid)
+        b0, b1 = warp.eval_power(0.0, 0.5), warp.eval_power(1.0, 0.5)
+        return conductance * (1.0 / b0 + 1.0 / b1)
+
+    @pytest.mark.parametrize("n_elements", [400, 1600, 6400])
+    def test_gap_bounded_and_rising(self, n_elements):
+        sigmas = []
+        for eps in self.EPSILONS:
+            spec = sweep_spec(eps)
+            sigma1 = sigma1_construction(spec, n_elements=n_elements).value
+            low = lower_bound_C(eps, 2.0 / 3.0, 2, 1, 1.0)
+            high = self._mode00_value(spec, n_elements) * (1.0 + 1e-12)
+            assert low <= sigma1 <= high, (eps, sigma1, low, high)
+            sigmas.append(sigma1)
+        assert all(b > a for a, b in zip(sigmas, sigmas[1:])), sigmas
 
 
 class TestLowerBoundC:

@@ -16,20 +16,25 @@ from steklovwarp import (
     BaseGeometry,
     CompletenessError,
     DomainError,
+    EigenSource,
     MeshResolutionError,
     NeumannEnd,
     SteklovEnd,
     SturmProblem,
+    WarpProfile,
     assemble,
     base_dtn_spectrum,
     build_profile,
     circle_spectrum,
     dtn_eigenvalues,
+    dtn_matrix,
     explicit_spectrum,
     graded_mesh,
     point_spectrum,
     rayleigh_quotient,
+    sym_eig,
 )
+from steklovwarp.provenance import merge_tagged
 from steklovwarp.sturm import minimizing_extension
 
 TANH1 = math.tanh(1.0)
@@ -153,7 +158,7 @@ class TestDtnEigenvalues:
     def test_zero_mode_constant_eigenvector(self):
         p = uniform_problem(1.5, lambda t: 1.0, lambda t: 0.0)
         values = dtn_eigenvalues(p)
-        assert abs(values[0]) <= 1e-8
+        assert values[0] == 0.0
         extension = minimizing_extension(p, np.array([1.0, 1.0]))
         assert np.abs(extension - 1.0).max() <= 1e-6
 
@@ -173,6 +178,125 @@ class TestDtnEigenvalues:
             if previous is not None:
                 assert np.all(values >= previous - 1e-12)
             previous = values
+
+
+def plateau_problem(eps, mu, lam, steklov_ends="both", n_elements=400):
+    """Mode (mu, lam) of the (n, k) = (2, 1) volume-preserving plateau warp, ends weighted 0.5, 2."""
+    profile = WarpProfile(eps, 2.0 / 3.0, 1.0, symmetric=True)
+    spans = profile.transition_intervals()
+
+    def w(t):
+        return profile.eval_power(t, 1.0)
+
+    def q(t):
+        return mu * w(t) + lam * profile.eval_power(t, -2.0)
+
+    return SturmProblem(
+        length=1.0,
+        grad_weight=w,
+        potential=q,
+        left_bc=SteklovEnd(0.5) if steklov_ends in ("both", "left") else NeumannEnd(),
+        right_bc=SteklovEnd(2.0) if steklov_ends in ("both", "right") else NeumannEnd(),
+        nodes=graded_mesh(1.0, n_elements, spans),
+        transition_spans=spans,
+    )
+
+
+class TestLadderReduction:
+    """The two-port ladder reduction behind dtn_eigenvalues.
+
+    Without potential the discrete solutions with constant boundary data are
+    constant, so 0 is an exact eigenvalue; with both ends spectral the other
+    one is G (1/b0 + 1/b1), G = 1 / sum(dt / w_mid) the series conductance.
+    The partitioned matrix of `assemble` with its boundary Schur complement
+    is the independent reference for every other mode.
+    """
+
+    @pytest.mark.parametrize("steklov_ends", ["both", "left", "right"])
+    def test_known_zero_is_exact_on_small_epsilon_plateau(self, steklov_ends):
+        p = plateau_problem(1e-4, 0.0, 0.0, steklov_ends)
+        values = dtn_eigenvalues(p)
+        assert values[0] == 0.0
+        if steklov_ends == "both":
+            mid = 0.5 * (p.nodes[:-1] + p.nodes[1:])
+            w_mid = np.array([p.grad_weight(x) for x in mid])
+            conductance = 1.0 / np.sum(np.diff(p.nodes) / w_mid)
+            expected = conductance * (1.0 / 0.5 + 1.0 / 2.0)
+            assert values[1] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("steklov_ends", ["both", "left", "right"])
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    @pytest.mark.parametrize("mu", [0.0, 1.0, 16.0])
+    def test_matches_schur_complement(self, mu, lam, steklov_ends):
+        p = plateau_problem(0.05, mu, lam, steklov_ends)
+        values = dtn_eigenvalues(p)
+        system = assemble(p)
+        reference, _ = sym_eig(dtn_matrix(system))
+        if mu == lam == 0.0:
+            # the Schur complement cancels the end stiffness down to the zero
+            # and keeps only its roundoff
+            assert values[0] == 0.0
+            assert abs(reference[0]) <= 1e-9 * system.a_bb.max()
+            values, reference = values[1:], reference[1:]
+        np.testing.assert_allclose(values, reference, rtol=1e-9, atol=0.0)
+
+    def test_small_eigenvalue_keeps_relative_precision(self):
+        # q = mu -> 0: the constant has energy mu * sum(lump) = mu L against
+        # the boundary mass 2, so sigma_0 = mu L / 2 up to a relative O(mu),
+        # far below sigma_1 ~ 2 / L; a trace-minus-sigma_max form loses it
+        mu = 1e-12
+        values = dtn_eigenvalues(uniform_problem(1.0, lambda t: 1.0, lambda t: mu))
+        assert values[0] == pytest.approx(mu / 2.0, rel=1e-9, abs=0.0)
+
+    def test_blocks_match_per_mode_solves(self):
+        # top = 10 stops at the 17th mode, in the second block of modes
+        profile = WarpProfile(0.05, 2.0 / 3.0, 1.0, symmetric=True)
+        spans = profile.transition_intervals()
+        geom = BaseGeometry(circle_spectrum(2 * math.pi, 4), 1.0, "both")
+        lam, top = 1.0, 10.0
+
+        def w(t):
+            return profile.eval_power(t, 1.0)
+
+        def v(t):
+            return profile.eval_power(t, -2.0)
+
+        spectrum = base_dtn_spectrum(
+            geom, w, lam, v, top, n_elements=400, transition_spans=spans
+        )
+        tagged = []
+        for j, (mu, mult) in enumerate(circle_spectrum(2 * math.pi, 100).entries):
+            values = dtn_eigenvalues(
+                SturmProblem(
+                    length=1.0,
+                    grad_weight=w,
+                    potential=lambda t, mu=mu: mu * w(t) + lam * v(t),
+                    left_bc=SteklovEnd(),
+                    right_bc=SteklovEnd(),
+                    nodes=graded_mesh(1.0, 400, spans),
+                    transition_spans=spans,
+                )
+            )
+            if values[0] > top:
+                break
+            tagged += [
+                (float(value), EigenSource(lam, 1, mu, mult, branch))
+                for branch, value in enumerate(values)
+                if value <= top
+            ]
+        expected = merge_tagged(tagged)
+        assert j > 8
+        assert [e.sources for e in spectrum.entries] == [e.sources for e in expected.entries]
+        np.testing.assert_allclose(spectrum.values(), expected.values(), rtol=1e-12, atol=0.0)
+
+    def test_explicit_stream_ending_after_the_stop_is_complete(self):
+        # sqrt(400) tanh(sqrt(400)) = 20 > top: the walk stops inside the block
+        geom = BaseGeometry(explicit_spectrum([(0.0, 1), (1.0, 2), (400.0, 2)]), 2.0, "both")
+        spectrum = base_dtn_spectrum(
+            geom, lambda t: 1.0, 0.0, lambda t: 1.0, top=5.0, n_elements=200
+        )
+        assert spectrum.total_multiplicity == 6
+        assert spectrum.entries[0].value == 0.0
 
 
 class TestBaseDtnSpectrum:
