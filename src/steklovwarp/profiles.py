@@ -93,14 +93,28 @@ class WarpProfile:
         return self._log_far
 
     def eval(self, t: float) -> float:
-        """h(t), bit-exact on the closed plateau intervals."""
+        """h(t), bit-exact on the closed plateau intervals.
+
+        On the right half of a symmetric collar the plateau ends are the
+        points L - c·ε, and t is compared with them directly: the rounded
+        distance L - t can fall an ulp short of c·ε at t = L - c·ε.
+        """
         s = self._distance_to_boundary(t)
         eps = self.epsilon
-        if s <= eps / 2.0:
+        if s < t:
+            ell = self.collar_length
+            near = t >= ell - eps / 2.0
+            mid = ell - 2.0 * eps <= t <= ell - eps
+            far = t <= ell - 3.0 * eps
+        else:
+            near = s <= eps / 2.0
+            mid = eps <= s <= 2.0 * eps
+            far = s >= 3.0 * eps
+        if near:
             return 1.0
-        if eps <= s <= 2.0 * eps:
+        if mid:
             return self.mid_value
-        if s >= 3.0 * eps:
+        if far:
             return self.far_value
         return math.exp(self.log_eval(t))
 

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from steklovwarp import (
@@ -76,6 +76,7 @@ class TestConstruction:
 
 class TestPlateaus:
     @given(params=profile_params, x=st.floats(0.0, 1.0))
+    @example(params=(0.011690028519680791, 0.5, True), x=1.0)  # 1 - (1 - 3ε) < 3ε
     @settings(max_examples=200, deadline=None)
     def test_plateau_exactness(self, params, x):
         eps, delta, symmetric = params
