@@ -28,10 +28,8 @@ from .experiments import (
 )
 from .oracle import compare_with_assembler, make_grid
 from .profiles import WarpedMetricSpec, build_profile, volume_element_ratio
-from .spectra import circle_spectrum, point_spectrum
+from .spectra import TWO_PI, circle_spectrum, point_spectrum
 from .sturm import BaseGeometry, NeumannEnd, SteklovEnd, SturmProblem, dtn_eigenvalues, graded_mesh
-
-TWO_PI = 2.0 * math.pi
 
 # Default growth-sweep exponent. The two branch rates eps^(delta-1) and
 # eps^(1-delta*n/k) coincide at delta = 2k/... the equalizer of (1-delta)

@@ -19,6 +19,7 @@ from .errors import ConfigError, DomainError, InfeasibleError, NumericError, Ste
 from .profiles import Warp, WarpedMetricSpec, build_profile, power_fn, value_fn
 from .provenance import SpectrumWithProvenance
 from .spectra import (
+    TWO_PI,
     ClosedSpectrum,
     circle_spectrum,
     explicit_spectrum,
@@ -26,8 +27,6 @@ from .spectra import (
     point_spectrum,
 )
 from .sturm import BaseGeometry, graded_mesh
-
-TWO_PI = 2.0 * math.pi
 
 EXPERIMENT_KINDS = (
     "spectrum",

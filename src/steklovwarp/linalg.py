@@ -3,8 +3,8 @@
 The discrete Dirichlet-to-Neumann matrix of a partitioned stiffness system
 is the boundary Schur complement, symmetrized by the inverse square root of
 the (diagonal, positive) boundary mass. Interior blocks are stored in
-symmetric banded form so tensor-grid problems stay cheap; eigensolves and
-factorizations are delegated to LAPACK via numpy/scipy.
+symmetric banded form; eigensolves and factorizations are delegated to
+LAPACK via numpy/scipy.
 """
 
 from __future__ import annotations

@@ -3,10 +3,23 @@
 The surface [0, L] x S^1 with metric dt^2 + h(t)^2 dtheta^2 is discretized
 on a tensor grid by conservative finite differences in the weighted energy
 form: axial fluxes carry h at element midpoints, fiber differences carry
-1/h, and the boundary circles carry the measure h dtheta. The boundary
-Schur complement then yields the Steklov eigenvalues without ever
-separating variables, which makes this a genuine cross-check of the
-warped-product assembly.
+1/h, and the boundary circles carry the measure h dtheta. Ordered ring by
+ring (one ring of n_theta nodes per axial node), the energy is
+block-tridiagonal: ring j has the block K_j = diag_ring[j] I - cfib[j] N,
+with N the periodic neighbour matrix, and rings j and j+1 couple through
+-cax[j] I.
+
+revolution_spectrum computes the boundary Schur complement by block
+Gaussian elimination, one interior ring at a time (Golub & Van Loan,
+Matrix Computations, 4.5), so nothing larger than a few n_theta x n_theta
+blocks is formed, and then solves the dense boundary eigenproblem. Each K_j
+is treated as a general SPD block. Its circulant structure is deliberately
+left unused: separating Fourier modes would reduce the grid to the same
+per-mode 1D problems the decomposition solves, and the oracle would check
+the decomposition against itself.
+
+assemble_revolution builds the same energy as a banded partitioned system,
+the reference the ring elimination is tested against.
 """
 
 from __future__ import annotations
@@ -14,9 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
-from .errors import DomainError, MeshResolutionError
-from .linalg import PartitionedSystem, dtn_matrix, sym_eig
+from .errors import DomainError, MeshResolutionError, NumericError
+from .linalg import PartitionedSystem, SymMatrix, sym_eig
 from .profiles import Warp, WarpedMetricSpec, transition_spans, value_fn
 from .spectra import circle_spectrum, point_spectrum
 from .sturm import BaseGeometry, elements_inside, graded_mesh
@@ -77,25 +91,45 @@ def make_grid(
     return RevolutionGrid(nodes, n_theta, length, fiber_length, warp, steklov_ends)
 
 
-def assemble_revolution(grid: RevolutionGrid) -> PartitionedSystem:
-    """Partitioned discrete energy of the warped cylinder, boundary = Steklov circles."""
+def _ring_coefficients(
+    grid: RevolutionGrid,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+    """Warp at the rings, axial and fiber conductances, ring diagonals, angle step.
+
+    Ring i couples to ring i+1 by -cax[i] per angle and to its own angular
+    neighbours by -cfib[i]; diag_ring[i] is the matching diagonal entry.
+    """
     t = grid.axial_nodes
-    n_t = len(t)
-    n_th = grid.n_theta
-    dth = grid.fiber_length / n_th
+    dth = grid.fiber_length / grid.n_theta
     h = value_fn(grid.warp)
     hv = np.array([h(x) for x in t])
     if np.any(hv <= 0.0):
         raise DomainError("warp must be positive along the axis")
     dt = np.diff(t)
-    hm = np.array([h(0.5 * (t[i] + t[i + 1])) for i in range(n_t - 1)])
+    hm = np.array([h(0.5 * (t[i] + t[i + 1])) for i in range(len(t) - 1)])
 
     # axial conductance between rings i and i+1, fiber conductance within ring i
     cax = hm * dth / dt
-    wax = np.zeros(n_t)
+    wax = np.zeros(len(t))
     wax[:-1] += 0.5 * dt
     wax[1:] += 0.5 * dt
     cfib = wax / (hv * dth)
+
+    diag_ring = np.zeros(len(t))
+    diag_ring[:-1] += cax
+    diag_ring[1:] += cax
+    diag_ring += 2.0 * cfib
+    return hv, cax, cfib, diag_ring, dth
+
+
+def assemble_revolution(grid: RevolutionGrid) -> PartitionedSystem:
+    """Partitioned discrete energy of the warped cylinder, boundary = Steklov circles.
+
+    The banded reference form of what revolution_spectrum reduces ring by ring.
+    """
+    hv, cax, cfib, diag_ring, dth = _ring_coefficients(grid)
+    n_t = grid.n_axial
+    n_th = grid.n_theta
 
     left_st = grid.steklov_ends in ("both", "left")
     right_st = grid.steklov_ends in ("both", "right")
@@ -104,11 +138,6 @@ def assemble_revolution(grid: RevolutionGrid) -> PartitionedSystem:
     rings = np.arange(i0, i1 + 1)
     n_rings = len(rings)
     n_i = n_rings * n_th
-
-    diag_ring = np.zeros(n_t)
-    diag_ring[:-1] += cax
-    diag_ring[1:] += cax
-    diag_ring += 2.0 * cfib
 
     ab = np.zeros((n_th + 1, n_i))
     ab[0] = np.repeat(diag_ring[rings], n_th)
@@ -153,9 +182,73 @@ def assemble_revolution(grid: RevolutionGrid) -> PartitionedSystem:
     return PartitionedSystem(ab, a_ib, a_bb, b_bb)
 
 
+def _neighbour_matrix(n: int) -> np.ndarray:
+    """Adjacency of n points on a circle: ones at angular distance 1, periodically."""
+    idx = np.arange(n)
+    nbr = np.zeros((n, n))
+    nbr[idx, (idx + 1) % n] = 1.0
+    nbr[idx, (idx - 1) % n] = 1.0
+    return nbr
+
+
+def _ring_schur(
+    cax: np.ndarray, cfib: np.ndarray, diag_ring: np.ndarray, n_theta: int, both: bool
+) -> np.ndarray:
+    """Schur complement of the grid energy onto ring 0, and onto the last ring if `both`.
+
+    Eliminates rings 1, 2, ... one at a time. The state is the two-port
+    [[P, Q], [Q^T, R]] on ring 0 and the frontier ring; eliminating the
+    frontier ring j, which couples to ring j+1 by -cax[j] I, gives
+    P - Q R^-1 Q^T, cax[j] Q R^-1 and K_{j+1} - cax[j]^2 R^-1.
+    """
+    nbr = _neighbour_matrix(n_theta)
+    lower = np.tri(n_theta, dtype=bool)
+
+    def ring_block(j: int) -> np.ndarray:
+        block = -cfib[j] * nbr
+        block.flat[:: n_theta + 1] += diag_ring[j]
+        return block
+
+    n_t = len(diag_ring)
+    last_eliminated = n_t - 2 if both else n_t - 1
+    p = ring_block(0)
+    q = -cax[0] * np.eye(n_theta)
+    r = ring_block(1)
+    for j in range(1, last_eliminated + 1):
+        factor, info = lapack.dpotrf(r, lower=1)
+        if info != 0:
+            raise NumericError(
+                f"interior block is not positive definite: ring {j}, LAPACK info {info}"
+            )
+        r_inv, info = lapack.dpotri(factor, lower=1)
+        if info != 0:
+            raise NumericError(f"inverse of ring block {j} failed, LAPACK info {info}")
+        r_inv = np.where(lower, r_inv, r_inv.T)  # dpotri fills the lower triangle only
+        z = q @ r_inv
+        p -= z @ q.T
+        if j < n_t - 1:
+            q = cax[j] * z
+            r = ring_block(j + 1) - cax[j] ** 2 * r_inv
+    if not both:
+        return p
+    return np.block([[p, q], [q.T, r]])
+
+
 def revolution_spectrum(grid: RevolutionGrid) -> np.ndarray:
-    """All discrete Steklov eigenvalues of the grid, ascending."""
-    values, _ = sym_eig(dtn_matrix(assemble_revolution(grid)))
+    """All discrete Steklov eigenvalues of the grid, ascending.
+
+    The rings are eliminated from the left; with only the right end
+    Steklov they are numbered from the right instead.
+    """
+    hv, cax, cfib, diag_ring, dth = _ring_coefficients(grid)
+    if grid.steklov_ends == "right":
+        hv, cax, cfib, diag_ring = hv[::-1], cax[::-1], cfib[::-1], diag_ring[::-1]
+    both = grid.steklov_ends == "both"
+    schur = _ring_schur(cax, cfib, diag_ring, grid.n_theta, both)
+    ends = hv[[0, -1]] if both else hv[:1]
+    inv_sqrt_mass = 1.0 / np.sqrt(np.repeat(ends * dth, grid.n_theta))
+    d = schur * inv_sqrt_mass[None, :] * inv_sqrt_mass[:, None]
+    values, _ = sym_eig(SymMatrix(0.5 * (d + d.T)))
     scale = max(abs(values).max(), 1.0)
     values = np.where((values < 0) & (values > -_NEG_EIG_TOL * scale), 0.0, values)
     return np.sort(values)

@@ -51,10 +51,6 @@ class WarpProfile:
             )
 
     @cached_property
-    def near_value(self) -> float:
-        return 1.0
-
-    @cached_property
     def mid_value(self) -> float:
         return self.epsilon**self.delta
 

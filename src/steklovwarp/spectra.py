@@ -194,3 +194,33 @@ def iter_entries(spec: ClosedSpectrum) -> Iterator[tuple[float, int]]:
             raise CompletenessError(
                 "explicit spectrum exhausted before the stopping criterion was met"
             )
+
+
+class CachedEntries:
+    """One iter_entries stream of a spectrum, read once and replayed to every reader.
+
+    Readers ask for blocks by position, so a generated spectrum is extended
+    once however many readers walk it, exactly as a single stream would be.
+    """
+
+    def __init__(self, spec: ClosedSpectrum) -> None:
+        self._stream = iter_entries(spec)
+        self._entries: list[tuple[float, int]] = []
+        self._end: Exception | None = None
+
+    def take(
+        self, start: int, count: int
+    ) -> tuple[list[tuple[float, int]], Exception | None]:
+        """Up to `count` entries from position `start`, and why the stream ended.
+
+        The reason is None while the block is full; for a short block it is
+        StopIteration (a complete stream) or CompletenessError (an exhausted
+        explicit list).
+        """
+        while len(self._entries) < start + count and self._end is None:
+            try:
+                self._entries.append(next(self._stream))
+            except (StopIteration, CompletenessError) as exc:
+                self._end = exc
+        block = self._entries[start : start + count]
+        return block, (self._end if len(block) < count else None)

@@ -34,7 +34,7 @@ from .errors import CompletenessError, DomainError, MeshResolutionError
 from .linalg import PartitionedSystem, harmonic_extension
 from .profiles import CoefficientFn
 from .provenance import EigenSource, SpectrumWithProvenance, merge_tagged
-from .spectra import ClosedSpectrum, iter_entries
+from .spectra import CachedEntries, ClosedSpectrum
 
 # cross-section modes reduced together: the first block, and the cap that
 # bounds the arrays of a block as it doubles
@@ -111,14 +111,12 @@ class BaseGeometry:
     """Collar base: cross-section spectrum, collar length, and endpoint roles.
 
     steklov_ends is "both", "left" or "right"; the remaining end, if any,
-    carries the Neumann condition. component_count records the number of
-    Steklov boundary components when known (informational).
+    carries the Neumann condition.
     """
 
     cross_section: ClosedSpectrum
     collar_length: float
     steklov_ends: str = "both"
-    component_count: int | None = None
 
     def __post_init__(self) -> None:
         if self.collar_length <= 0.0:
@@ -382,13 +380,14 @@ def minimizing_extension(p: SturmProblem, boundary_values: np.ndarray) -> np.nda
 class DiscreteCollar:
     """A collar base discretized once for all its auxiliary problems.
 
-    Holds the graded mesh, the edge conductances w(t_mid)/dt, the lumped
+    Holds the cross-section modes, read once and shared by every fiber
+    branch, the graded mesh, the edge conductances w(t_mid)/dt, the lumped
     node masses, the gradient weight w and the fiber weight v at the nodes,
     and the endpoint conditions. Cross-section mode mu under fiber
     eigenvalue lambda has node shunts (mu w + lambda v) lump.
     """
 
-    cross_section: ClosedSpectrum
+    modes: CachedEntries
     nodes: np.ndarray
     cond: np.ndarray
     lump: np.ndarray
@@ -412,7 +411,7 @@ def discretize_collar(
     _check_mesh(nodes, transition_spans)
     left, right = end_conditions(geom.steklov_ends, boundary_weights)
     return DiscreteCollar(
-        cross_section=geom.cross_section,
+        modes=CachedEntries(geom.cross_section),
         nodes=nodes,
         cond=_conductances(nodes, grad_weight),
         lump=_lumped_mass(nodes),
@@ -436,16 +435,11 @@ def collar_branch(
     the point spectrum; an explicit list raises CompletenessError.
     """
     tagged: list[tuple[float, EigenSource]] = []
-    modes = iter_entries(collar.cross_section)
-    size = _FIRST_BLOCK
+    start, size = 0, _FIRST_BLOCK
     end: Exception | None = None
     while end is None:
-        block: list[tuple[float, int]] = []
-        try:
-            while len(block) < size:
-                block.append(next(modes))
-        except (StopIteration, CompletenessError) as exc:
-            end = exc
+        block, end = collar.modes.take(start, size)
+        start += size
         mu = np.array([value for value, _ in block])
         shunt = (mu[:, None] * collar.w_node + fiber_value * collar.v_node) * collar.lump
         values = _ladder_eigenvalues(collar.cond, shunt, collar.left_bc, collar.right_bc)

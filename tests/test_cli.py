@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from steklovwarp.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -16,6 +18,17 @@ def test_small_spectrum_run_succeeds(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "value,multiplicity,lambda_fiber,mu_mode,branch"
     assert lines[1] == "0,1,0,0,0"
+
+
+def test_small_oracle_run_succeeds(capsys):
+    assert main(["oracle", "--count", "4", "--mesh", "64"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "value"
+    values = [float(line) for line in lines[1:]]
+    assert len(values) == 4
+    assert abs(values[0]) <= 1e-8
+    # the +-1 Fourier pair of the circle fiber stays degenerate
+    assert values[2] == pytest.approx(values[1], rel=1e-9)
 
 
 def test_solver_domain_error_exits_one(capsys):

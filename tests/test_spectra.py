@@ -15,7 +15,7 @@ from steklovwarp import (
     point_spectrum,
     truncate_below,
 )
-from steklovwarp.spectra import extend, iter_entries
+from steklovwarp.spectra import CachedEntries, extend, iter_entries
 
 TWO_PI = 2.0 * math.pi
 
@@ -167,6 +167,22 @@ class TestTruncateAndIterate:
         assert next(it) == (3.0, 2)
         with pytest.raises(CompletenessError):
             next(it)
+
+    def test_cached_entries_replay_one_stream(self):
+        cache = CachedEntries(circle_spectrum(TWO_PI, 2))
+        first, end = cache.take(0, 5)
+        again, _ = cache.take(2, 3)
+        assert end is None
+        assert again == first[2:]
+        assert cache.take(0, 9)[0] == list(circle_spectrum(TWO_PI, 9).entries)
+
+    def test_cached_entries_report_the_end(self):
+        block, end = CachedEntries(point_spectrum()).take(0, 4)
+        assert block == [(0.0, 1)] and isinstance(end, StopIteration)
+        cache = CachedEntries(explicit_spectrum([(0.0, 1), (3.0, 2)]))
+        assert cache.take(0, 2) == ([(0.0, 1), (3.0, 2)], None)
+        block, end = cache.take(1, 2)
+        assert block == [(3.0, 2)] and isinstance(end, CompletenessError)
 
 
 class TestExplicit:
