@@ -26,7 +26,7 @@ from .errors import (
     SteklovError,
     UnsupportedModeError,
 )
-from .linalg import PartitionedSystem, SymMatrix, dtn_matrix, harmonic_extension, sym_eig
+from .linalg import PartitionedSystem, dtn_matrix, harmonic_extension, sym_eig
 from .oracle import (
     ComparisonReport,
     RevolutionGrid,
@@ -34,13 +34,7 @@ from .oracle import (
     make_grid,
     revolution_steklov,
 )
-from .profiles import (
-    WarpedMetricSpec,
-    WarpProfile,
-    build_profile,
-    profile_from_record,
-    volume_element_ratio,
-)
+from .profiles import WarpedMetricSpec, WarpProfile, volume_element_ratio
 from .provenance import EigenSource, SpectrumEntry, SpectrumWithProvenance
 from .spectra import (
     ClosedSpectrum,
@@ -48,7 +42,6 @@ from .spectra import (
     explicit_spectrum,
     flat_torus_spectrum,
     point_spectrum,
-    truncate_below,
 )
 from .sturm import (
     BaseGeometry,
@@ -83,13 +76,11 @@ __all__ = [
     "SteklovEnd",
     "SteklovError",
     "SturmProblem",
-    "SymMatrix",
     "UnsupportedModeError",
     "WarpProfile",
     "WarpedMetricSpec",
     "assemble",
     "base_dtn_spectrum",
-    "build_profile",
     "circle_spectrum",
     "compare_with_assembler",
     "dtn_eigenvalues",
@@ -103,13 +94,11 @@ __all__ = [
     "make_grid",
     "metric_recipes",
     "point_spectrum",
-    "profile_from_record",
     "rayleigh_quotient",
     "revolution_steklov",
     "sigma1_construction",
     "steklov_spectrum_warped",
     "sym_eig",
-    "truncate_below",
     "volume_element_ratio",
 ]
 

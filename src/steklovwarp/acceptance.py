@@ -27,7 +27,7 @@ from .experiments import (
     run_sweep,
 )
 from .oracle import compare_with_assembler, make_grid
-from .profiles import WarpedMetricSpec, build_profile, volume_element_ratio
+from .profiles import WarpedMetricSpec, WarpProfile, volume_element_ratio
 from .spectra import TWO_PI, circle_spectrum, point_spectrum
 from .sturm import BaseGeometry, NeumannEnd, SteklovEnd, SturmProblem, dtn_eigenvalues, graded_mesh
 
@@ -196,9 +196,9 @@ def criterion_4_lambda_monotonicity() -> CriterionResult:
     def body():
         lambdas = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0]
         profiles = [
-            build_profile(0.10, 0.75, 1.0, True),
-            build_profile(0.05, 0.60, 1.0, True),
-            build_profile(0.08, 0.90, 1.0, True),
+            WarpProfile(0.10, 0.75, 1.0, True),
+            WarpProfile(0.05, 0.60, 1.0, True),
+            WarpProfile(0.08, 0.90, 1.0, True),
         ]
         worst = 0.0
         for profile in profiles:
@@ -229,7 +229,7 @@ def criterion_5_volume_element() -> CriterionResult:
     def body():
         worst = 0.0
         for eps in DEFAULT_SWEEP_EPSILONS:
-            profile = build_profile(eps, DEFAULT_SWEEP_DELTA, 1.0, True)
+            profile = WarpProfile(eps, DEFAULT_SWEEP_DELTA, 1.0, True)
             spec = WarpedMetricSpec(
                 base_dim=2,
                 fiber_dim=1,

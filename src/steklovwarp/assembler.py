@@ -72,21 +72,14 @@ def metric_recipes(spec: WarpedMetricSpec) -> MetricRecipes:
     )
 
 
-def steklov_spectrum_warped(
-    spec: WarpedMetricSpec, top: float, *, n_elements: int = 400
-) -> SpectrumWithProvenance:
-    """All warped-product Steklov eigenvalues <= top, with multiplicity and sources.
+# first_eigenvalues starts its cutoff here and doubles it at most this often
+_START_TOP = 1.0
+_MAX_DOUBLINGS = 60
 
-    Fiber eigenvalues are consumed in ascending order; since the smallest
-    auxiliary eigenvalue is nondecreasing in the fiber eigenvalue, iteration
-    stops at the first fiber branch whose spectrum starts above top, and the
-    union collected so far is complete below top. The collar is discretized
-    once, and every branch reduces its cross-section modes on it.
-    """
-    if top <= 0.0:
-        raise DomainError("top must be positive")
+
+def _discretize(spec: WarpedMetricSpec, n_elements: int) -> sturm.DiscreteCollar:
     recipes = metric_recipes(spec)
-    collar = discretize_collar(
+    return discretize_collar(
         spec.base,
         recipes.grad_weight,
         recipes.inv_sq_weight,
@@ -94,6 +87,18 @@ def steklov_spectrum_warped(
         boundary_weights=recipes.boundary_weights,
         transition_spans=recipes.spans,
     )
+
+
+def _union_below(
+    spec: WarpedMetricSpec, collar: sturm.DiscreteCollar, top: float
+) -> SpectrumWithProvenance:
+    """Merged union over fiber branches of the collar's eigenvalues <= top.
+
+    Fiber eigenvalues are consumed in ascending order; since the smallest
+    auxiliary eigenvalue is nondecreasing in the fiber eigenvalue, iteration
+    stops at the first fiber branch whose spectrum starts above top, and the
+    union collected so far is complete below top.
+    """
     tagged: list[tuple[float, EigenSource]] = []
     for fiber_value, fiber_mult in iter_entries(spec.fiber):
         branch = collar_branch(collar, float(fiber_value), int(fiber_mult), top)
@@ -103,24 +108,32 @@ def steklov_spectrum_warped(
     return merge_tagged(tagged)
 
 
-def first_eigenvalues(
-    spec: WarpedMetricSpec,
-    count: int,
-    *,
-    n_elements: int = 400,
-    start_top: float = 1.0,
-    max_doublings: int = 60,
-):
+def steklov_spectrum_warped(
+    spec: WarpedMetricSpec, top: float, *, n_elements: int = 400
+) -> SpectrumWithProvenance:
+    """All warped-product Steklov eigenvalues <= top, with multiplicity and sources.
+
+    The collar is discretized once, and every fiber branch reduces its
+    cross-section modes on it.
+    """
+    if top <= 0.0:
+        raise DomainError("top must be positive")
+    return _union_below(spec, _discretize(spec, n_elements), top)
+
+
+def first_eigenvalues(spec: WarpedMetricSpec, count: int, *, n_elements: int = 400):
     """First `count` eigenvalues (with multiplicity), found by doubling the cutoff.
 
     Returns (values, spectrum) where values has length `count`; the cutoff
-    grows until at least count + 1 eigenvalues are certified below it.
+    starts at 1 and doubles, on one discretized collar, until at least
+    count + 1 eigenvalues are certified below it.
     """
     if count < 1:
         raise DomainError("count must be positive")
-    top = start_top
-    for _ in range(max_doublings):
-        spectrum = steklov_spectrum_warped(spec, top, n_elements=n_elements)
+    collar = _discretize(spec, n_elements)
+    top = _START_TOP
+    for _ in range(_MAX_DOUBLINGS):
+        spectrum = _union_below(spec, collar, top)
         if spectrum.total_multiplicity >= count + 1:
             return spectrum.flatten()[:count], spectrum
         top *= 2.0
@@ -156,7 +169,10 @@ def sigma1_construction(spec: WarpedMetricSpec, *, n_elements: int = 400) -> Sig
     w, v = recipes.grad_weight, recipes.inv_sq_weight
     left, right = end_conditions(base.steklov_ends, recipes.boundary_weights)
     nodes = graded_mesh(base.collar_length, n_elements, recipes.spans)
-    lambda1 = float(extend(spec.fiber, 2).entries[1][0])
+    fiber = extend(spec.fiber, 2).entries
+    if len(fiber) < 2:
+        raise DomainError("the fiber spectrum has no nonzero eigenvalue lambda1")
+    lambda1 = float(fiber[1][0])
 
     def solve(potential: CoefficientFn) -> np.ndarray:
         problem = SturmProblem(
@@ -173,8 +189,9 @@ def sigma1_construction(spec: WarpedMetricSpec, *, n_elements: int = 400) -> Sig
     candidates = []
     if base.steklov_ends == "both":
         candidates.append(float(solve(lambda t: 0.0)[1]))
-    if base.cross_section.kind != "point":
-        mu1 = float(extend(base.cross_section, 2).entries[1][0])
+    cross = extend(base.cross_section, 2).entries
+    if len(cross) > 1:
+        mu1 = float(cross[1][0])
         candidates.append(float(solve(lambda t: mu1 * w(t))[0]))
     branch_a = min(candidates, default=math.inf)
     branch_b = float(solve(lambda t: lambda1 * v(t))[0])

@@ -140,10 +140,10 @@ _COMMANDS = {
     "spectrum": _cmd_spectrum,
     "oracle": _cmd_oracle,
     "sweep": _cmd_sweep,
+    "verify": _cmd_verify,
     "kokarev": _cmd_kokarev,
     "quasi_iso": _cmd_quasi_iso,
     "normalize_volume": _cmd_normalize_volume,
-    "verify": _cmd_verify,
 }
 
 
@@ -153,9 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Steklov spectra of warped products: experiments and checks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("spectrum", "oracle", "sweep", "verify", "kokarev", "quasi-iso",
-                 "normalize-volume"):
-        p = sub.add_parser(name)
+    for name in _COMMANDS:
+        p = sub.add_parser(name.replace("_", "-"))
         p.add_argument("--config", help="path to a JSON experiment config")
         p.add_argument("--out", help="output CSV path (default: stdout)")
         p.add_argument("--mesh", type=int, help="mesh resolution override")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .assembler import first_eigenvalues, lower_bound_C, sigma1_construction
 from .errors import ConfigError, DomainError, InfeasibleError, NumericError, SteklovError
-from .profiles import Warp, WarpedMetricSpec, build_profile, power_fn, value_fn
+from .profiles import Warp, WarpedMetricSpec, WarpProfile, power_fn, value_fn
 from .provenance import SpectrumWithProvenance
 from .spectra import (
     TWO_PI,
@@ -27,16 +27,6 @@ from .spectra import (
     point_spectrum,
 )
 from .sturm import BaseGeometry, graded_mesh
-
-EXPERIMENT_KINDS = (
-    "spectrum",
-    "oracle",
-    "sweep",
-    "verify",
-    "kokarev",
-    "quasi_iso",
-    "normalize_volume",
-)
 
 SPECTRUM_CSV_HEADER = "value,multiplicity,lambda_fiber,mu_mode,branch"
 SWEEP_CSV_HEADER = "epsilon,sigma1,active_branch,lower_bound_C,mesh_size,runtime_ms"
@@ -107,10 +97,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown config field(s): {', '.join(unknown)}")
     if "experiment" not in raw:
         raise ConfigError("missing required field 'experiment'")
-    if raw["experiment"] not in EXPERIMENT_KINDS:
-        raise ConfigError(
-            f"experiment: expected one of {EXPERIMENT_KINDS}, got {raw['experiment']!r}"
-        )
+    kinds = tuple(_REQUIRED)
+    if raw["experiment"] not in kinds:
+        raise ConfigError(f"experiment: expected one of {kinds}, got {raw['experiment']!r}")
     coerced = dict(raw)
     for name in _NUMERIC_FIELDS:
         if coerced.get(name) is not None:
@@ -169,7 +158,7 @@ def build_warp(desc: dict, collar_length: float, path: str = "coefficient") -> W
         return lambda t: 1.0 + t * (collar_length - t)
     if kind == "plateau":
         try:
-            return build_profile(
+            return WarpProfile(
                 float(desc["epsilon"]),
                 float(desc["delta"]),
                 collar_length,
@@ -210,10 +199,6 @@ class SweepRow:
     runtime_ms: float
 
 
-def _sweep_profile(eps: float, delta: float, collar_length: float):
-    return build_profile(eps, delta, collar_length, symmetric=True)
-
-
 def run_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     """Spectral gap of the volume-preserving construction for each epsilon.
 
@@ -240,7 +225,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     for eps in eps_list:
         started = time.perf_counter()
         try:
-            profile = _sweep_profile(eps, cfg.delta, cfg.collar_length)
+            profile = WarpProfile(eps, cfg.delta, cfg.collar_length, symmetric=True)
             spec = metric_spec_from_config(cfg, warp=profile)
             result = sigma1_construction(spec, n_elements=cfg.mesh)
             bound = lower_bound_C(eps, cfg.delta, cfg.n, cfg.k, lambda1)
@@ -314,7 +299,7 @@ def run_kokarev_sweep(cfg: ExperimentConfig) -> list[KokarevRow]:
     fiber_length = float(fiber_desc["length"])
     rows = []
     for eps in eps_list:
-        profile = _sweep_profile(eps, cfg.delta, cfg.collar_length)
+        profile = WarpProfile(eps, cfg.delta, cfg.collar_length, symmetric=True)
         spec = WarpedMetricSpec(
             base_dim=1,
             fiber_dim=1,
@@ -421,7 +406,7 @@ def random_profile_pairs(cfg: ExperimentConfig):
         for _ in range(2):
             eps = float(rng.uniform(0.08, 0.15))
             delta = float(rng.uniform(0.55, 0.9))
-            profile = build_profile(eps, delta, cfg.collar_length, symmetric=True)
+            profile = WarpProfile(eps, delta, cfg.collar_length, symmetric=True)
             pair.append(
                 WarpedMetricSpec(
                     base_dim=1,

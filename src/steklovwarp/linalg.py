@@ -16,28 +16,6 @@ import scipy.linalg as sla
 
 from .errors import DomainError, NumericError
 
-_SYM_RTOL = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class SymMatrix:
-    """Dense real symmetric matrix; symmetry is checked on construction."""
-
-    a: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DomainError(f"expected a square matrix, got shape {a.shape}")
-        scale = np.abs(a).max() if a.size else 0.0
-        if a.size and np.abs(a - a.T).max() > _SYM_RTOL * max(scale, 1.0):
-            raise DomainError("matrix is not symmetric within 1e-12 relative")
-        object.__setattr__(self, "a", 0.5 * (a + a.T))
-
-    @property
-    def order(self) -> int:
-        return self.a.shape[0]
-
 
 @dataclass(frozen=True, eq=False)
 class PartitionedSystem:
@@ -115,12 +93,12 @@ def banded_to_dense(ab: np.ndarray) -> np.ndarray:
     return a
 
 
-def sym_eig(m: SymMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and orthonormal eigenvectors (columns) of m."""
+def sym_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and orthonormal eigenvectors (columns) of symmetric a."""
     try:
-        values, vectors = np.linalg.eigh(m.a)
+        values, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
-        residual = float(np.abs(m.a).max()) if m.order else 0.0
+        residual = float(np.abs(a).max()) if a.size else 0.0
         raise NumericError(
             f"symmetric eigensolve failed to converge (scale {residual:.3e})"
         ) from exc
@@ -128,22 +106,17 @@ def sym_eig(m: SymMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _interior_solve(sys: PartitionedSystem, rhs: np.ndarray) -> np.ndarray:
-    """Solve A_II X = rhs via Cholesky, banded when the band is worth exploiting."""
-    n = sys.n_interior
-    if n == 0:
+    """Solve A_II X = rhs by banded Cholesky."""
+    if sys.n_interior == 0:
         return rhs
     try:
-        if sys.bandwidth < max(n - 1, 1) and n > 8:
-            factor = sla.cholesky_banded(sys.a_ii_banded, lower=True)
-            return sla.cho_solve_banded((factor, True), rhs)
-        dense = sys.interior_dense()
-        factor = sla.cho_factor(dense, lower=True)
-        return sla.cho_solve(factor, rhs)
+        factor = sla.cholesky_banded(sys.a_ii_banded, lower=True)
+        return sla.cho_solve_banded((factor, True), rhs)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"interior block is not positive definite: {exc}") from exc
 
 
-def dtn_matrix(sys: PartitionedSystem) -> SymMatrix:
+def dtn_matrix(sys: PartitionedSystem) -> np.ndarray:
     """Symmetrized discrete Dirichlet-to-Neumann matrix of the partitioned system.
 
     D = B^(-1/2) (A_BB - A_IB^T A_II^(-1) A_IB) B^(-1/2); its eigenvalues
@@ -156,7 +129,7 @@ def dtn_matrix(sys: PartitionedSystem) -> SymMatrix:
         schur = sys.a_bb.copy()
     scale = 1.0 / np.sqrt(sys.b_bb)
     d = schur * scale[None, :] * scale[:, None]
-    return SymMatrix(0.5 * (d + d.T))
+    return 0.5 * (d + d.T)
 
 
 def harmonic_extension(sys: PartitionedSystem, boundary_values: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import DomainError, MeshResolutionError, NumericError
-from .linalg import PartitionedSystem, SymMatrix, sym_eig
+from .linalg import PartitionedSystem, sym_eig
 from .profiles import Warp, WarpedMetricSpec, transition_spans, value_fn
 from .spectra import circle_spectrum, point_spectrum
 from .sturm import BaseGeometry, elements_inside, graded_mesh
@@ -248,7 +248,7 @@ def revolution_spectrum(grid: RevolutionGrid) -> np.ndarray:
     ends = hv[[0, -1]] if both else hv[:1]
     inv_sqrt_mass = 1.0 / np.sqrt(np.repeat(ends * dth, grid.n_theta))
     d = schur * inv_sqrt_mass[None, :] * inv_sqrt_mass[:, None]
-    values, _ = sym_eig(SymMatrix(0.5 * (d + d.T)))
+    values, _ = sym_eig(0.5 * (d + d.T))
     scale = max(abs(values).max(), 1.0)
     values = np.where((values < 0) & (values > -_NEG_EIG_TOL * scale), 0.0, values)
     return np.sort(values)

@@ -22,8 +22,6 @@ from .spectra import ClosedSpectrum
 
 CoefficientFn = Callable[[float], float]
 
-SERIAL_FIELDS = ("epsilon", "delta", "collar_length", "symmetric")
-
 
 def _smoothstep(x: float) -> float:
     """Quintic ramp with vanishing first and second derivatives at 0 and 1."""
@@ -125,32 +123,6 @@ class WarpProfile:
         if self.symmetric:
             spans += [(ell - 3.0 * eps, ell - 2.0 * eps), (ell - eps, ell - eps / 2.0)]
         return tuple(spans)
-
-    def to_record(self) -> dict:
-        """Serializable record {epsilon, delta, collar_length, symmetric}."""
-        return {name: getattr(self, name) for name in SERIAL_FIELDS}
-
-
-def build_profile(
-    epsilon: float, delta: float, collar_length: float, symmetric: bool
-) -> WarpProfile:
-    """Construct the plateau profile; see WarpProfile for the shape."""
-    return WarpProfile(epsilon, delta, collar_length, symmetric)
-
-
-def profile_from_record(record: dict) -> WarpProfile:
-    unknown = set(record) - set(SERIAL_FIELDS)
-    if unknown:
-        raise DomainError(f"unknown profile fields: {sorted(unknown)}")
-    missing = set(SERIAL_FIELDS) - set(record)
-    if missing:
-        raise DomainError(f"missing profile fields: {sorted(missing)}")
-    return WarpProfile(
-        float(record["epsilon"]),
-        float(record["delta"]),
-        float(record["collar_length"]),
-        bool(record["symmetric"]),
-    )
 
 
 Warp = Union[WarpProfile, CoefficientFn]

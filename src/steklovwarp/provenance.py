@@ -14,7 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MERGE_RTOL = 1e-7
+# The ladder reduction has no cancellation, so values that coincide
+# mathematically agree to roundoff; a wider tolerance folds distinct
+# eigenvalues into the smallest of their group.
+MERGE_RTOL = 1e-12
 MERGE_ATOL = 1e-12
 
 

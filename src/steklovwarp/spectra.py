@@ -2,9 +2,9 @@
 
 Spectra are closed forms with multiplicity bookkeeping, stored as distinct
 ascending (value, multiplicity) pairs. Generated kinds (circle, flat torus)
-can be extended on demand; explicit lists are trusted complete only up to
-their last stored value. The degenerate "point" kind models a 0-dimensional
-cross-section (an interval base) and is complete by construction.
+can be extended on demand. An explicit list is either complete (it holds
+every eigenvalue, like the spectrum {0} of a 0-dimensional cross-section)
+or trusted only up to its last stored value.
 """
 
 from __future__ import annotations
@@ -26,17 +26,19 @@ _MERGE_RTOL = 1e-12
 class ClosedSpectrum:
     """Sorted eigenvalue/multiplicity stream of a closed manifold.
 
-    kind is one of "circle", "flat_torus", "point", "explicit"; params holds
-    the geometric data (circle length, torus side lengths). entries is the
-    cached ascending list of (value, multiplicity) pairs.
+    kind is one of "circle", "flat_torus", "explicit"; params holds the
+    geometric data (circle length, torus side lengths). entries is the
+    cached ascending list of (value, multiplicity) pairs, and complete says
+    that it holds every eigenvalue of the manifold.
     """
 
     kind: str
     params: tuple[float, ...]
     entries: tuple[tuple[float, int], ...]
+    complete: bool = False
 
     def __post_init__(self) -> None:
-        if self.kind not in ("circle", "flat_torus", "point", "explicit"):
+        if self.kind not in ("circle", "flat_torus", "explicit"):
             raise DomainError(f"unknown spectrum kind {self.kind!r}")
         if not self.entries:
             raise DomainError("spectrum must contain at least one entry")
@@ -53,10 +55,6 @@ class ClosedSpectrum:
     @property
     def last_value(self) -> float:
         return self.entries[-1][0]
-
-    def count_with_multiplicity(self, bound: float) -> int:
-        """Number of eigenvalues <= bound counted with multiplicity."""
-        return sum(m for v, m in self.entries if v <= bound)
 
 
 def circle_spectrum(length: float, count: int) -> ClosedSpectrum:
@@ -126,59 +124,43 @@ def flat_torus_spectrum(l1: float, l2: float, count: int) -> ClosedSpectrum:
 def point_spectrum() -> ClosedSpectrum:
     """Spectrum of a 0-dimensional connected cross-section: {0} and nothing else.
 
-    Used when the base is an interval; unlike an explicit list this stream
-    is complete, so mode iteration may stop after the zero mode without a
-    completeness failure.
+    Used when the base is an interval; the list is complete, so mode
+    iteration may stop after the zero mode without a completeness failure.
     """
-    return ClosedSpectrum("point", (), ((0.0, 1),))
+    return explicit_spectrum([(0.0, 1)], complete=True)
 
 
-def explicit_spectrum(entries) -> ClosedSpectrum:
-    """Spectrum given as a literal (value, multiplicity) list, possibly incomplete."""
-    return ClosedSpectrum("explicit", (), tuple((float(v), int(m)) for v, m in entries))
+def explicit_spectrum(entries, complete: bool = False) -> ClosedSpectrum:
+    """Spectrum given as a literal (value, multiplicity) list, complete or not."""
+    return ClosedSpectrum(
+        "explicit", (), tuple((float(v), int(m)) for v, m in entries), complete
+    )
 
 
 def extend(spec: ClosedSpectrum, count: int) -> ClosedSpectrum:
     """Return a spectrum of the same manifold with at least `count` cached entries.
 
-    Only the generated kinds can grow; explicit lists raise CompletenessError
-    and the point spectrum is already complete.
+    A complete spectrum is returned unchanged, since it has no more entries.
+    Only the generated kinds can grow; an incomplete explicit list raises
+    CompletenessError.
     """
-    if len(spec.entries) >= count:
+    if spec.complete or len(spec.entries) >= count:
         return spec
     if spec.kind == "circle":
         return circle_spectrum(spec.params[0], count)
     if spec.kind == "flat_torus":
         return flat_torus_spectrum(spec.params[0], spec.params[1], count)
-    if spec.kind == "point":
-        raise CompletenessError("point spectrum has a single eigenvalue")
     raise CompletenessError(
         f"explicit spectrum holds {len(spec.entries)} entries, cannot extend to {count}"
     )
 
 
-def truncate_below(spec: ClosedSpectrum, bound: float) -> ClosedSpectrum:
-    """All cached entries with value <= bound, certified complete.
-
-    Completeness requires bound not to exceed the last cached value, since
-    nothing is known beyond the cache; the result is an explicit spectrum.
-    """
-    if bound < 0:
-        raise DomainError("bound must be nonnegative")
-    if bound > spec.last_value and spec.kind != "point":
-        raise CompletenessError(
-            f"bound {bound} exceeds last cached eigenvalue {spec.last_value}"
-        )
-    kept = tuple(e for e in spec.entries if e[0] <= bound)
-    return ClosedSpectrum("explicit", (), kept)
-
-
 def iter_entries(spec: ClosedSpectrum) -> Iterator[tuple[float, int]]:
     """Yield (value, multiplicity) in ascending order, extending on demand.
 
-    Generated kinds never run out. The point spectrum ends after the zero
-    mode (a complete stream). An exhausted explicit spectrum raises
-    CompletenessError, since eigenvalues may be missing beyond the cache.
+    Generated kinds never run out. A complete spectrum ends after its last
+    entry; an exhausted incomplete one raises CompletenessError, since
+    eigenvalues may be missing beyond the cache.
     """
     if spec.kind in ("circle", "flat_torus"):
         current = spec
@@ -190,7 +172,7 @@ def iter_entries(spec: ClosedSpectrum) -> Iterator[tuple[float, int]]:
             i += 1
     else:
         yield from spec.entries
-        if spec.kind == "explicit":
+        if not spec.complete:
             raise CompletenessError(
                 "explicit spectrum exhausted before the stopping criterion was met"
             )
@@ -201,26 +183,20 @@ class CachedEntries:
 
     Readers ask for blocks by position, so a generated spectrum is extended
     once however many readers walk it, exactly as a single stream would be.
+    A block comes back short only when the stream has ended: at the last
+    eigenvalue if the spectrum is complete, and at the last known one if not.
     """
 
     def __init__(self, spec: ClosedSpectrum) -> None:
+        self.complete = spec.complete
         self._stream = iter_entries(spec)
         self._entries: list[tuple[float, int]] = []
-        self._end: Exception | None = None
 
-    def take(
-        self, start: int, count: int
-    ) -> tuple[list[tuple[float, int]], Exception | None]:
-        """Up to `count` entries from position `start`, and why the stream ended.
-
-        The reason is None while the block is full; for a short block it is
-        StopIteration (a complete stream) or CompletenessError (an exhausted
-        explicit list).
-        """
-        while len(self._entries) < start + count and self._end is None:
+    def take(self, start: int, count: int) -> list[tuple[float, int]]:
+        """Up to `count` entries from position `start`."""
+        while len(self._entries) < start + count:
             try:
                 self._entries.append(next(self._stream))
-            except (StopIteration, CompletenessError) as exc:
-                self._end = exc
-        block = self._entries[start : start + count]
-        return block, (self._end if len(block) < count else None)
+            except (StopIteration, CompletenessError):
+                break
+        return self._entries[start : start + count]

@@ -95,16 +95,6 @@ class SturmProblem:
             raise DomainError("mesh nodes must be strictly increasing")
         object.__setattr__(self, "nodes", nodes)
 
-    @property
-    def n_elements(self) -> int:
-        return len(self.nodes) - 1
-
-    @property
-    def steklov_side(self) -> str:
-        left = isinstance(self.left_bc, SteklovEnd)
-        right = isinstance(self.right_bc, SteklovEnd)
-        return "both" if left and right else ("left" if left else "right")
-
 
 @dataclass(frozen=True)
 class BaseGeometry:
@@ -431,15 +421,14 @@ def collar_branch(
     double up to 64, and each block is reduced as one array. Since every
     eigenvalue is nondecreasing in mu, the walk stops at the first mode
     whose smallest eigenvalue exceeds top, and the union collected so far
-    is complete below top. A stream that ends first is complete if it is
-    the point spectrum; an explicit list raises CompletenessError.
+    is complete below top. If the cross-section spectrum ends first, the
+    union is complete when the spectrum is; an incomplete list raises
+    CompletenessError.
     """
     tagged: list[tuple[float, EigenSource]] = []
     start, size = 0, _FIRST_BLOCK
-    end: Exception | None = None
-    while end is None:
-        block, end = collar.modes.take(start, size)
-        start += size
+    while True:
+        block = collar.modes.take(start, size)
         mu = np.array([value for value, _ in block])
         shunt = (mu[:, None] * collar.w_node + fiber_value * collar.v_node) * collar.lump
         values = _ladder_eigenvalues(collar.cond, shunt, collar.left_bc, collar.right_bc)
@@ -451,9 +440,15 @@ def collar_branch(
                 for branch, value in enumerate(row)
                 if value <= top
             ]
+        if len(block) < size:
+            break
+        start += size
         size = min(2 * size, _MAX_BLOCK)
-    if isinstance(end, CompletenessError):
-        raise end
+    if not collar.modes.complete:
+        raise CompletenessError(
+            f"cross-section spectrum ends after {start + len(block)} entries, "
+            f"before a mode exceeds top={top}"
+        )
     return tagged
 
 

@@ -1,5 +1,6 @@
 """Warped-product spectrum assembly: closed forms, truncation, gap construction."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,6 @@ from steklovwarp import (
     WarpedMetricSpec,
     WarpProfile,
     base_dtn_spectrum,
-    build_profile,
     circle_spectrum,
     first_eigenvalues,
     graded_mesh,
@@ -169,8 +169,7 @@ class TestSteklovSpectrumWarped:
 
 class TestFirstEigenvalues:
     def test_doubles_until_enough(self):
-        values, _ = first_eigenvalues(cylinder_spec(), 9, n_elements=300,
-                                      start_top=0.01)
+        values, _ = first_eigenvalues(cylinder_spec(), 9, n_elements=300)
         expected = sorted(
             [0.0, 1.0, TANH1, TANH1, COTH1, COTH1, TANH2X2, TANH2X2,
              2.0 / math.tanh(2.0)]
@@ -198,7 +197,7 @@ class TestSigma1Construction:
         assert result.branch_lambda1 == pytest.approx(TANH1, abs=1e-4)
 
     def test_profile_run_deterministic(self):
-        profile = build_profile(0.1, 0.75, 1.0, True)
+        profile = WarpProfile(0.1, 0.75, 1.0, True)
         spec = self._mixed_spec(warp=profile)
         a = sigma1_construction(spec, n_elements=400)
         b = sigma1_construction(spec, n_elements=400)
@@ -209,6 +208,11 @@ class TestSigma1Construction:
     def test_plain_warp_rejected(self):
         with pytest.raises(DomainError):
             sigma1_construction(cylinder_spec(mode="plain_warp"))
+
+    def test_fiber_without_lambda1_rejected(self):
+        spec = dataclasses.replace(self._mixed_spec(), fiber=point_spectrum())
+        with pytest.raises(DomainError):
+            sigma1_construction(spec, n_elements=300)
 
     def test_value_is_min_of_branches(self):
         result = sigma1_construction(self._mixed_spec(), n_elements=300)

@@ -9,7 +9,6 @@ from steklovwarp import (
     DomainError,
     NumericError,
     PartitionedSystem,
-    SymMatrix,
     dtn_matrix,
     harmonic_extension,
     sym_eig,
@@ -33,27 +32,17 @@ def laplacian_1d_system(n_nodes, q=0.0, mass_scale=1.0):
     )
 
 
-class TestSymMatrix:
-    def test_rejects_asymmetric(self):
-        with pytest.raises(DomainError):
-            SymMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(DomainError):
-            SymMatrix(np.zeros((2, 3)))
-
-
 class TestSymEig:
     def test_identity(self):
-        w, _ = sym_eig(SymMatrix(np.eye(4)))
+        w, _ = sym_eig(np.eye(4))
         assert w == pytest.approx([1.0, 1.0, 1.0, 1.0])
 
     def test_diagonal_sorted(self):
-        w, _ = sym_eig(SymMatrix(np.diag([3.0, 1.0, 2.0])))
+        w, _ = sym_eig(np.diag([3.0, 1.0, 2.0]))
         assert w == pytest.approx([1.0, 2.0, 3.0])
 
     def test_two_by_two(self):
-        w, _ = sym_eig(SymMatrix(np.array([[2.0, 1.0], [1.0, 2.0]])))
+        w, _ = sym_eig(np.array([[2.0, 1.0], [1.0, 2.0]]))
         assert w == pytest.approx([1.0, 3.0])
 
     @given(seed=st.integers(0, 10_000), n=st.integers(2, 24))
@@ -61,11 +50,11 @@ class TestSymEig:
     def test_residual_and_orthonormality(self, seed, n):
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((n, n))
-        m = SymMatrix(a + a.T)
+        m = a + a.T
         w, v = sym_eig(m)
-        scale = np.linalg.norm(m.a)
+        scale = np.linalg.norm(m)
         for j in range(n):
-            assert np.linalg.norm(m.a @ v[:, j] - w[j] * v[:, j]) <= 1e-10 * max(scale, 1.0)
+            assert np.linalg.norm(m @ v[:, j] - w[j] * v[:, j]) <= 1e-10 * max(scale, 1.0)
         assert np.abs(v.T @ v - np.eye(n)).max() <= 1e-10
 
     @given(seed=st.integers(0, 10_000), n=st.integers(2, 24))
@@ -73,9 +62,9 @@ class TestSymEig:
     def test_trace_identity(self, seed, n):
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((n, n))
-        m = SymMatrix(a + a.T)
+        m = a + a.T
         w, _ = sym_eig(m)
-        trace = np.trace(m.a)
+        trace = np.trace(m)
         assert abs(w.sum() - trace) <= 1e-9 * max(abs(trace), 1.0)
 
 
@@ -101,8 +90,7 @@ class TestDtnMatrix:
         system = PartitionedSystem.from_dense(
             np.zeros((0, 0)), np.zeros((0, 2)), a_bb, np.array([4.0, 4.0])
         )
-        d = dtn_matrix(system)
-        assert np.allclose(d.a, a_bb / 4.0)
+        assert np.allclose(dtn_matrix(system), a_bb / 4.0)
 
     def test_boundary_mass_scaling(self):
         w1, _ = sym_eig(dtn_matrix(laplacian_1d_system(64, mass_scale=1.0)))

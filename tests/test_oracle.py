@@ -1,11 +1,22 @@
-"""Tensor-grid oracle: ring-by-ring elimination against the banded Schur reference."""
+"""Tensor-grid oracle: ring-by-ring elimination against the banded Schur reference,
+and against the decomposition given the grid's own discrete fiber."""
 
 import math
 
 import numpy as np
 import pytest
 
-from steklovwarp import DomainError, WarpProfile, dtn_matrix, sym_eig
+from steklovwarp import (
+    BaseGeometry,
+    DomainError,
+    WarpedMetricSpec,
+    WarpProfile,
+    dtn_matrix,
+    explicit_spectrum,
+    point_spectrum,
+    steklov_spectrum_warped,
+    sym_eig,
+)
 from steklovwarp.oracle import (
     assemble_revolution,
     make_grid,
@@ -46,6 +57,42 @@ class TestRingElimination:
         near_zero = np.abs(values) <= 1e-8 * np.abs(values).max()
         assert np.count_nonzero(near_zero) == 1
         assert near_zero[0]
+
+
+def discrete_circle(fiber_length, n_theta):
+    """Complete spectrum of the n_theta-point periodic Laplacian on a circle.
+
+    Its eigenvalues are (4/dth^2) sin^2(pi j/n_theta) for j = 0 ... n_theta/2,
+    with multiplicity 1 at both ends of that range and 2 between.
+    """
+    dth = fiber_length / n_theta
+    half = n_theta // 2
+    values = [(4.0 / dth**2) * math.sin(math.pi * j / n_theta) ** 2 for j in range(half + 1)]
+    mults = [1] + [2] * (half - 1) + [1]
+    return explicit_spectrum(zip(values, mults), complete=True)
+
+
+@pytest.mark.parametrize("ends", ENDS)
+@pytest.mark.parametrize("shape", GRIDS + [(256, 64)])
+@pytest.mark.parametrize("warp_name", ["bump", "ramp"])
+def test_decomposition_matches_grid_with_its_discrete_fiber(warp_name, shape, ends):
+    # Given the grid's fiber spectrum and axial nodes, each fiber mode's 1D
+    # problem is the grid problem restricted to one Fourier mode, so the
+    # assembled union is the whole grid spectrum up to roundoff.
+    grid = grid_for(warp_name, shape, ends)
+    spec = WarpedMetricSpec(
+        base_dim=1,
+        fiber_dim=1,
+        warp=grid.warp,
+        base=BaseGeometry(point_spectrum(), grid.length, ends),
+        fiber=discrete_circle(grid.fiber_length, grid.n_theta),
+        mode="plain_warp",
+    )
+    assembled = steklov_spectrum_warped(spec, math.inf, n_elements=grid.n_axial - 1).flatten()
+    direct = revolution_spectrum(grid)
+    assert assembled.shape == direct.shape
+    dev = np.abs(assembled - direct) / np.maximum(np.abs(direct), 1.0)
+    assert dev.max() <= 1e-9
 
 
 @pytest.mark.parametrize("count", [0, 33])

@@ -12,10 +12,9 @@ from steklovwarp import (
     HypothesisViolationError,
     UnsupportedModeError,
     WarpedMetricSpec,
-    build_profile,
+    WarpProfile,
     circle_spectrum,
     point_spectrum,
-    profile_from_record,
     volume_element_ratio,
 )
 
@@ -27,7 +26,7 @@ profile_params = st.tuples(
 
 
 def make(eps, delta, symmetric, ell=1.0):
-    return build_profile(eps, delta, ell, symmetric)
+    return WarpProfile(eps, delta, ell, symmetric)
 
 
 class TestConstruction:
@@ -39,14 +38,14 @@ class TestConstruction:
 
     def test_epsilon_hypothesis(self):
         with pytest.raises(HypothesisViolationError):
-            build_profile(0.2, 0.75, 1.0, False)  # 0.2 >= 1/6
+            WarpProfile(0.2, 0.75, 1.0, False)  # 0.2 >= 1/6
         with pytest.raises(HypothesisViolationError):
-            build_profile(1.0 / 6.0, 0.75, 1.0, False)
+            WarpProfile(1.0 / 6.0, 0.75, 1.0, False)
 
     def test_delta_domain(self):
         for bad in (0.0, 1.0, -0.5, 1.5):
             with pytest.raises(DomainError):
-                build_profile(0.1, bad, 1.0, False)
+                WarpProfile(0.1, bad, 1.0, False)
 
     def test_eval_outside_domain(self):
         p = make(0.1, 0.75, False)
@@ -54,24 +53,6 @@ class TestConstruction:
             p.eval(-0.01)
         with pytest.raises(DomainError):
             p.eval(1.01)
-
-    def test_record_round_trip(self):
-        p = make(0.07, 0.6, True)
-        rec = p.to_record()
-        assert rec == {
-            "epsilon": 0.07,
-            "delta": 0.6,
-            "collar_length": 1.0,
-            "symmetric": True,
-        }
-        assert profile_from_record(rec) == p
-
-    def test_record_rejects_unknown_and_missing(self):
-        with pytest.raises(DomainError):
-            profile_from_record({"epsilon": 0.1, "delta": 0.5, "collar_length": 1.0,
-                                 "symmetric": False, "extra": 1})
-        with pytest.raises(DomainError):
-            profile_from_record({"epsilon": 0.1})
 
 
 class TestPlateaus:

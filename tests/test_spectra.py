@@ -13,7 +13,6 @@ from steklovwarp import (
     explicit_spectrum,
     flat_torus_spectrum,
     point_spectrum,
-    truncate_below,
 )
 from steklovwarp.spectra import CachedEntries, extend, iter_entries
 
@@ -63,7 +62,7 @@ class TestCircle:
         # eigenvalues <= bound, with multiplicity: 1 + 2*floor(length*sqrt(bound)/(2 pi))
         spec = circle_spectrum(length, count)
         bound = spec.entries[-1][0]
-        got = spec.count_with_multiplicity(bound)
+        got = sum(m for v, m in spec.entries if v <= bound)
         expected = 1 + 2 * math.floor(length * math.sqrt(bound) / (2 * math.pi) + 1e-9)
         assert got == expected
 
@@ -123,26 +122,6 @@ class TestFlatTorus:
 
 
 class TestTruncateAndIterate:
-    def test_truncate_circle(self):
-        spec = circle_spectrum(TWO_PI, 3)
-        cut = truncate_below(spec, 2.0)
-        assert cut.entries == ((0.0, 1), (1.0, 2))
-
-    def test_truncate_to_zero(self):
-        assert truncate_below(circle_spectrum(TWO_PI, 5), 0.0).entries == ((0.0, 1),)
-
-    def test_truncate_beyond_cache_fails(self):
-        spec = circle_spectrum(TWO_PI, 3)
-        with pytest.raises(CompletenessError):
-            truncate_below(spec, 100.0)
-
-    def test_truncate_negative_bound(self):
-        with pytest.raises(DomainError):
-            truncate_below(circle_spectrum(TWO_PI, 3), -1.0)
-
-    def test_point_truncates_anywhere(self):
-        assert truncate_below(point_spectrum(), 100.0).entries == ((0.0, 1),)
-
     def test_extend_regenerates(self):
         spec = circle_spectrum(TWO_PI, 2)
         bigger = extend(spec, 6)
@@ -153,6 +132,13 @@ class TestTruncateAndIterate:
         with pytest.raises(CompletenessError):
             extend(explicit_spectrum([(0.0, 1), (2.0, 3)]), 5)
 
+    def test_extend_returns_complete_unchanged(self):
+        spec = explicit_spectrum([(0.0, 1), (2.0, 3)], complete=True)
+        assert extend(spec, 5) is spec
+        point = point_spectrum()
+        assert point.complete
+        assert extend(point, 2) is point
+
     def test_iter_circle_unbounded(self):
         it = iter_entries(circle_spectrum(TWO_PI, 2))
         got = [next(it) for _ in range(7)]
@@ -160,6 +146,10 @@ class TestTruncateAndIterate:
 
     def test_iter_point_completes(self):
         assert list(iter_entries(point_spectrum())) == [(0.0, 1)]
+
+    def test_iter_complete_explicit_ends(self):
+        entries = [(0.0, 1), (3.0, 2), (5.0, 1)]
+        assert list(iter_entries(explicit_spectrum(entries, complete=True))) == entries
 
     def test_iter_explicit_raises_on_exhaustion(self):
         it = iter_entries(explicit_spectrum([(0.0, 1), (3.0, 2)]))
@@ -170,19 +160,20 @@ class TestTruncateAndIterate:
 
     def test_cached_entries_replay_one_stream(self):
         cache = CachedEntries(circle_spectrum(TWO_PI, 2))
-        first, end = cache.take(0, 5)
-        again, _ = cache.take(2, 3)
-        assert end is None
+        first = cache.take(0, 5)
+        again = cache.take(2, 3)
+        assert len(first) == 5
         assert again == first[2:]
-        assert cache.take(0, 9)[0] == list(circle_spectrum(TWO_PI, 9).entries)
+        assert cache.take(0, 9) == list(circle_spectrum(TWO_PI, 9).entries)
 
     def test_cached_entries_report_the_end(self):
-        block, end = CachedEntries(point_spectrum()).take(0, 4)
-        assert block == [(0.0, 1)] and isinstance(end, StopIteration)
+        # a short block marks the end; completeness says what the end means
+        point = CachedEntries(point_spectrum())
+        assert point.take(0, 4) == [(0.0, 1)] and point.complete
         cache = CachedEntries(explicit_spectrum([(0.0, 1), (3.0, 2)]))
-        assert cache.take(0, 2) == ([(0.0, 1), (3.0, 2)], None)
-        block, end = cache.take(1, 2)
-        assert block == [(3.0, 2)] and isinstance(end, CompletenessError)
+        assert cache.take(0, 2) == [(0.0, 1), (3.0, 2)]
+        assert cache.take(1, 2) == [(3.0, 2)] and not cache.complete
+        assert cache.take(2, 2) == []
 
 
 class TestExplicit:

@@ -24,7 +24,6 @@ from steklovwarp import (
     WarpProfile,
     assemble,
     base_dtn_spectrum,
-    build_profile,
     circle_spectrum,
     dtn_eigenvalues,
     dtn_matrix,
@@ -327,6 +326,21 @@ class TestBaseDtnSpectrum:
             [TANH1, COTH1], abs=1e-4
         )
 
+    def test_close_eigenvalues_are_not_merged(self):
+        # with lambda = 400 the tanh and coth values of the unit collar differ
+        # by 8e-9 relative: two eigenvalues, each reported as computed
+        geom = BaseGeometry(point_spectrum(), 1.0, "both")
+        spectrum = base_dtn_spectrum(
+            geom, lambda t: 1.0, 400.0, lambda t: 1.0, top=math.inf, n_elements=400
+        )
+        problem = uniform_problem(1.0, lambda t: 1.0, lambda t: 400.0, n_elements=400)
+        expected = dtn_eigenvalues(problem)
+        assert [(e.value, e.multiplicity) for e in spectrum.entries] == [
+            (expected[0], 1),
+            (expected[1], 1),
+        ]
+        assert expected[0] < expected[1]
+
     def test_explicit_cross_section_exhaustion(self):
         geom = BaseGeometry(explicit_spectrum([(0.0, 1), (1.0, 2)]), 2.0, "both")
         with pytest.raises(CompletenessError):
@@ -340,7 +354,7 @@ class TestBaseDtnSpectrum:
             base_dtn_spectrum(geom, lambda t: 1.0, 0.0, lambda t: 1.0, top=0.0)
 
     def test_profile_transitions_are_meshed(self):
-        profile = build_profile(0.05, 0.7, 1.0, True)
+        profile = WarpProfile(0.05, 0.7, 1.0, True)
         geom = BaseGeometry(point_spectrum(), 1.0, "both")
         spectrum = base_dtn_spectrum(
             geom,
@@ -354,7 +368,7 @@ class TestBaseDtnSpectrum:
         assert spectrum.entries[0].value == pytest.approx(0.0, abs=1e-8)
 
     def test_lambda_monotonicity_on_sampled_grid(self):
-        profile = build_profile(0.1, 0.75, 1.0, True)
+        profile = WarpProfile(0.1, 0.75, 1.0, True)
         geom = BaseGeometry(circle_spectrum(2 * math.pi, 8), 1.0, "both")
         spans = profile.transition_intervals()
         w = lambda t: profile.eval(t)  # noqa: E731
