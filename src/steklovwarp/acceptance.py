@@ -27,7 +27,7 @@ from .experiments import (
     run_sweep,
 )
 from .oracle import compare_with_assembler, make_grid
-from .profiles import WarpedMetricSpec, WarpProfile, volume_element_ratio
+from .profiles import WarpedMetricSpec, WarpProfile, power_fn, volume_element_ratio
 from .spectra import TWO_PI, circle_spectrum, point_spectrum
 from .sturm import BaseGeometry, NeumannEnd, SteklovEnd, SturmProblem, dtn_eigenvalues, graded_mesh
 
@@ -204,8 +204,8 @@ def criterion_4_lambda_monotonicity() -> CriterionResult:
         for profile in profiles:
             spans = profile.transition_intervals()
             nodes = graded_mesh(1.0, 400, spans)
-            w = lambda t: profile.eval_power(t, 1.0)  # noqa: E731 (2k/n = 1 here)
-            v = lambda t: profile.eval_power(t, -2.0)  # noqa: E731
+            w = power_fn(profile, 1.0)  # 2k/n = 1 here
+            v = power_fn(profile, -2.0)
             previous = -math.inf
             for lam in lambdas:
                 problem = SturmProblem(
@@ -238,11 +238,12 @@ def criterion_5_volume_element() -> CriterionResult:
                 fiber=circle_spectrum(TWO_PI, 4),
                 mode="volume_preserving",
             )
-            for t in np.linspace(0.0, 1.0, 1000):
-                worst = max(worst, abs(volume_element_ratio(spec, float(t)) - 1.0))
-            for t in np.linspace(0.0, eps / 2.0, 64):
-                if profile.eval(float(t)) != 1.0:
-                    return False, f"h not bit-exactly 1 at t={t} for eps={eps}"
+            ratio = volume_element_ratio(spec, np.linspace(0.0, 1.0, 1000))
+            worst = max(worst, float(np.abs(ratio - 1.0).max()))
+            near = np.linspace(0.0, eps / 2.0, 64)
+            off = near[profile.eval(near) != 1.0]
+            if off.size:
+                return False, f"h not bit-exactly 1 at t={off[0]} for eps={eps}"
         return worst <= 1e-12, f"max |ratio - 1| = {worst:.2e} at 1000 points per profile"
 
     return _timed(5, "volume element preserved and boundary metric fixed", body)

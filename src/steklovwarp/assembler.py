@@ -62,12 +62,11 @@ def metric_recipes(spec: WarpedMetricSpec) -> MetricRecipes:
         grad_p, inv_p, bw_p = k, k - 2.0, k
     else:
         grad_p, inv_p, bw_p = 2.0 * k / n, -2.0, k / n
-    h_pow = power_fn(spec.warp, bw_p)
-    ell = spec.base.collar_length
+    ends = np.array([0.0, spec.base.collar_length])
     return MetricRecipes(
         grad_weight=power_fn(spec.warp, grad_p),
         inv_sq_weight=power_fn(spec.warp, inv_p),
-        boundary_weights=(h_pow(0.0), h_pow(ell)),
+        boundary_weights=tuple(power_fn(spec.warp, bw_p)(ends)),
         spans=transition_spans(spec.warp),
     )
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .assembler import first_eigenvalues, lower_bound_C, sigma1_construction
 from .errors import ConfigError, DomainError, InfeasibleError, NumericError, SteklovError
-from .profiles import Warp, WarpedMetricSpec, WarpProfile, power_fn, value_fn
+from .profiles import Warp, WarpedMetricSpec, WarpProfile, log_value
 from .provenance import SpectrumWithProvenance
 from .spectra import (
     TWO_PI,
@@ -44,7 +44,13 @@ def sig12(x: float) -> str:
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment description; see README for the JSON schema."""
+    """Validated experiment description, read from a flat JSON record.
+
+    "experiment" names the driver, which requires the fields _REQUIRED lists:
+    top (spectrum), count (oracle), epsilon_list and delta (sweep, kokarev),
+    target and dim (normalize_volume), none (quasi_iso, verify). fiber and
+    cross_section are spectrum descriptors, coefficient a warp descriptor.
+    """
 
     experiment: str
     n: int = 1
@@ -309,9 +315,9 @@ def run_kokarev_sweep(cfg: ExperimentConfig) -> list[KokarevRow]:
             mode="volume_preserving",
         )
         result = sigma1_construction(spec, n_elements=cfg.mesh)
-        h = value_fn(profile)
-        ends = {"both": (0.0, cfg.collar_length), "left": (0.0,), "right": (cfg.collar_length,)}
-        boundary_length = sum(h(t) * fiber_length for t in ends[cfg.steklov_ends])
+        ends = {"both": [0.0, cfg.collar_length], "left": [0.0], "right": [cfg.collar_length]}
+        circles = profile.eval(np.array(ends[cfg.steklov_ends])) * fiber_length
+        boundary_length = float(np.sum(circles))
         rows.append(
             KokarevRow(eps, result.value, boundary_length,
                        kokarev_check(result.value, boundary_length, cfg.genus))
@@ -335,26 +341,21 @@ class QuasiIsoResult:
 def metric_coefficient_ratio(
     spec1: WarpedMetricSpec, spec2: WarpedMetricSpec, samples: int = 512
 ) -> float:
-    """Max pointwise ratio of corresponding metric coefficients over sampled t."""
+    """Max pointwise ratio of corresponding metric coefficients over sampled t.
+
+    The coefficients are powers h^p (p = 2 on the fiber, -2k/n or 0 on the
+    base), so the ratio is exp(max |p| * max_t |ln h1 - ln h2|).
+    """
     if spec1.base.collar_length != spec2.base.collar_length:
         raise DomainError("specs must live on the same base interval")
     if spec1.mode != spec2.mode or spec1.base_dim != spec2.base_dim \
             or spec1.fiber_dim != spec2.fiber_dim:
         raise DomainError("specs must describe metrics on the same underlying product")
     n, k = spec1.base_dim, spec1.fiber_dim
-    axial_pow = -2.0 * k / n if spec1.mode == "volume_preserving" else 0.0
-    coefficient_pairs = []
-    for p in (axial_pow, 2.0):
-        if p == 0.0:
-            continue
-        coefficient_pairs.append((power_fn(spec1.warp, p), power_fn(spec2.warp, p)))
-    ratio = 1.0
+    top_power = max(2.0, 2.0 * k / n) if spec1.mode == "volume_preserving" else 2.0
     ts = np.linspace(0.0, spec1.base.collar_length, samples)
-    for f1, f2 in coefficient_pairs:
-        for t in ts:
-            a, b = f1(float(t)), f2(float(t))
-            ratio = max(ratio, a / b, b / a)
-    return ratio
+    gap = np.abs(log_value(spec1.warp, ts) - log_value(spec2.warp, ts))
+    return float(np.exp(top_power * gap.max()))
 
 
 def quasi_iso_check(

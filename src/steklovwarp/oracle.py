@@ -33,10 +33,8 @@ from .errors import DomainError, MeshResolutionError, NumericError
 from .linalg import PartitionedSystem, sym_eig
 from .profiles import Warp, WarpedMetricSpec, transition_spans, value_fn
 from .spectra import circle_spectrum, point_spectrum
-from .sturm import BaseGeometry, elements_inside, graded_mesh
+from .sturm import BaseGeometry, elements_inside, graded_mesh, lumped_mass
 from .assembler import steklov_spectrum_warped
-
-_NEG_EIG_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,18 +100,14 @@ def _ring_coefficients(
     t = grid.axial_nodes
     dth = grid.fiber_length / grid.n_theta
     h = value_fn(grid.warp)
-    hv = np.array([h(x) for x in t])
+    hv = h(t)
     if np.any(hv <= 0.0):
         raise DomainError("warp must be positive along the axis")
-    dt = np.diff(t)
-    hm = np.array([h(0.5 * (t[i] + t[i + 1])) for i in range(len(t) - 1)])
+    hm = h(0.5 * (t[:-1] + t[1:]))
 
     # axial conductance between rings i and i+1, fiber conductance within ring i
-    cax = hm * dth / dt
-    wax = np.zeros(len(t))
-    wax[:-1] += 0.5 * dt
-    wax[1:] += 0.5 * dt
-    cfib = wax / (hv * dth)
+    cax = hm * dth / np.diff(t)
+    cfib = lumped_mass(t) / (hv * dth)
 
     diag_ring = np.zeros(len(t))
     diag_ring[:-1] += cax
@@ -235,7 +229,7 @@ def _ring_schur(
 
 
 def revolution_spectrum(grid: RevolutionGrid) -> np.ndarray:
-    """All discrete Steklov eigenvalues of the grid, ascending.
+    """All discrete Steklov eigenvalues of the grid, ascending, the first an exact 0.0.
 
     The rings are eliminated from the left; with only the right end
     Steklov they are numbered from the right instead.
@@ -246,12 +240,16 @@ def revolution_spectrum(grid: RevolutionGrid) -> np.ndarray:
     both = grid.steklov_ends == "both"
     schur = _ring_schur(cax, cfib, diag_ring, grid.n_theta, both)
     ends = hv[[0, -1]] if both else hv[:1]
-    inv_sqrt_mass = 1.0 / np.sqrt(np.repeat(ends * dth, grid.n_theta))
-    d = schur * inv_sqrt_mass[None, :] * inv_sqrt_mass[:, None]
-    values, _ = sym_eig(0.5 * (d + d.T))
-    scale = max(abs(values).max(), 1.0)
-    values = np.where((values < 0) & (values > -_NEG_EIG_TOL * scale), 0.0, values)
-    return np.sort(values)
+    sqrt_mass = np.sqrt(np.repeat(ends * dth, grid.n_theta))
+    d = schur / sqrt_mass[None, :] / sqrt_mass[:, None]
+    # B^(1/2) 1 spans the kernel of d, as the constants span that of the Schur
+    # complement; a Householder reflection onto the first axis splits it off
+    v = sqrt_mass / np.linalg.norm(sqrt_mass)
+    v[0] += 1.0
+    reflect = np.eye(len(v)) - np.outer(v, v) / v[0]
+    deflated = (reflect @ d @ reflect)[1:, 1:]
+    values, _ = sym_eig(0.5 * (deflated + deflated.T))
+    return np.concatenate(([0.0], values))
 
 
 def revolution_steklov(grid: RevolutionGrid, count: int) -> np.ndarray:

@@ -6,7 +6,10 @@ from the collar, and is glued with quintic C^2 transitions in log h. A
 symmetric profile is a function of the distance min(t, L - t) to the
 boundary, so both collar ends look the same.
 
-Solvers accept either a WarpProfile or any positive callable h(t); the
+Coefficients are array functions, so a whole mesh costs one call: an
+ndarray of points in, the values there out, and a float in, a float out.
+Solvers accept a WarpProfile or any positive callable h(t) of that kind; a
+scalar return, as from lambda t: 1.0, is broadcast over the points. The
 helpers at the bottom give a uniform view of both.
 """
 
@@ -17,15 +20,30 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Union
 
+import numpy as np
+
 from .errors import DomainError, HypothesisViolationError, UnsupportedModeError
 from .spectra import ClosedSpectrum
 
-CoefficientFn = Callable[[float], float]
+# ndarray of points -> ndarray of values; a scalar return is broadcast
+CoefficientFn = Callable[[np.ndarray], np.ndarray]
 
 
-def _smoothstep(x: float) -> float:
-    """Quintic ramp with vanishing first and second derivatives at 0 and 1."""
+def _smoothstep(x: np.ndarray) -> np.ndarray:
+    """Quintic ramp, flat to second order at 0 and 1; x is clipped to [0, 1] so it stays finite."""
+    x = np.clip(x, 0.0, 1.0)
     return x * x * x * (10.0 + x * (-15.0 + 6.0 * x))
+
+
+# h's pieces end at distance c·ε from the boundary, in the piece before (<=) or after (<)
+_PIECE_ENDS = ((0.5, np.less_equal), (1.0, np.less), (2.0, np.less_equal), (3.0, np.less))
+
+
+def _select(conditions: list[np.ndarray], choices: list, default: float):
+    """np.select by np.where, which costs less on small arrays; a 0-d result is a float."""
+    for condition, choice in zip(conditions[::-1], choices[::-1]):
+        default = np.where(condition, choice, default)
+    return default[()]
 
 
 @dataclass(frozen=True)
@@ -64,57 +82,36 @@ class WarpProfile:
     def _log_far(self) -> float:
         return -2.0 * math.log(self.epsilon)
 
-    def _distance_to_boundary(self, t: float) -> float:
-        if t < 0.0 or t > self.collar_length:
-            raise DomainError(
-                f"t={t} outside the collar [0, {self.collar_length}]"
-            )
-        return min(t, self.collar_length - t) if self.symmetric else t
+    def _pieces(self, t: np.ndarray) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+        """Where the distance s to the boundary is <= ε/2, < ε, <= 2ε, < 3ε; ln h on the ramps.
 
-    def log_eval(self, t: float) -> float:
-        """ln h(t); plateau values are exact constants, transitions quintic in log."""
-        s = self._distance_to_boundary(t)
-        eps = self.epsilon
-        if s <= eps / 2.0:
-            return 0.0
-        if s < eps:
-            return self._log_mid * _smoothstep((s - eps / 2.0) / (eps / 2.0))
-        if s <= 2.0 * eps:
-            return self._log_mid
-        if s < 3.0 * eps:
-            rise = self._log_far - self._log_mid
-            return self._log_mid + rise * _smoothstep((s - 2.0 * eps) / eps)
-        return self._log_far
-
-    def eval(self, t: float) -> float:
-        """h(t), bit-exact on the closed plateau intervals.
-
-        On the right half of a symmetric collar the plateau ends are the
-        points L - c·ε, and t is compared with them directly: the rounded
-        distance L - t can fall an ulp short of c·ε at t = L - c·ε.
+        A symmetric collar compares t with its right-hand ends L - c·ε directly
+        (3ε < L/2 keeps each test to one half): the rounded distance L - t can
+        fall an ulp short of c·ε at t = L - c·ε.
         """
-        s = self._distance_to_boundary(t)
-        eps = self.epsilon
-        if s < t:
-            ell = self.collar_length
-            near = t >= ell - eps / 2.0
-            mid = ell - 2.0 * eps <= t <= ell - eps
-            far = t <= ell - 3.0 * eps
-        else:
-            near = s <= eps / 2.0
-            mid = eps <= s <= 2.0 * eps
-            far = s >= 3.0 * eps
-        if near:
-            return 1.0
-        if mid:
-            return self.mid_value
-        if far:
-            return self.far_value
-        return math.exp(self.log_eval(t))
+        eps, ell, log_mid = self.epsilon, self.collar_length, self._log_mid
+        outside = (t < 0.0) | (t > ell)
+        if outside.any():
+            raise DomainError(f"t={np.extract(outside, t)[0]} outside the collar [0, {ell}]")
+        ends = [(c * eps, below) for c, below in _PIECE_ENDS]
+        pieces = [below(t, end) for end, below in ends]
+        s = np.minimum(t, ell - t) if self.symmetric else t
+        if self.symmetric:
+            pieces = [left | below(ell - end, t) for left, (end, below) in zip(pieces, ends)]
+        first = log_mid * _smoothstep((s - eps / 2.0) / (eps / 2.0))
+        second = log_mid + (self._log_far - log_mid) * _smoothstep((s - 2.0 * eps) / eps)
+        return pieces, first, second
 
-    def eval_power(self, t: float, p: float) -> float:
-        """h(t)^p computed in log space for stability across the plateau range."""
-        return math.exp(p * self.log_eval(t))
+    def log_eval(self, t):
+        """ln h(t); plateau values are exact constants, transitions quintic in log."""
+        pieces, first, second = self._pieces(np.asarray(t, dtype=float))
+        return _select(pieces, [0.0, first, self._log_mid, second], self._log_far)
+
+    def eval(self, t):
+        """h(t), bit-exact on the closed plateau intervals."""
+        pieces, first, second = self._pieces(np.asarray(t, dtype=float))
+        values = [1.0, np.exp(first), self.mid_value, np.exp(second)]
+        return _select(pieces, values, self.far_value)
 
     def transition_intervals(self) -> tuple[tuple[float, float], ...]:
         """Intervals where h is not constant; meshes must resolve each of them."""
@@ -128,26 +125,26 @@ class WarpProfile:
 Warp = Union[WarpProfile, CoefficientFn]
 
 
-def log_value(warp: Warp, t: float) -> float:
+def log_value(warp: Warp, t):
+    """ln h at the points t; a callable's scalar return is broadcast over them."""
     if isinstance(warp, WarpProfile):
         return warp.log_eval(t)
-    value = warp(t)
-    if value <= 0.0:
-        raise DomainError(f"warp function must be positive, got {value} at t={t}")
-    return math.log(value)
+    value = np.broadcast_to(warp(np.asarray(t, dtype=float)), np.shape(t))
+    if np.any(value <= 0.0):
+        raise DomainError(f"warp function must be positive, got {value.min()}")
+    return np.log(value)[()]
 
 
 def value_fn(warp: Warp) -> CoefficientFn:
+    """h as an array function: a profile's exact plateau values, or a callable's, broadcast."""
     if isinstance(warp, WarpProfile):
         return warp.eval
-    return warp
+    return lambda t: np.broadcast_to(warp(t), np.shape(t))
 
 
 def power_fn(warp: Warp, p: float) -> CoefficientFn:
-    """Coefficient closure t -> h(t)^p, exact 1.0 wherever h = 1."""
-    if isinstance(warp, WarpProfile):
-        return lambda t: warp.eval_power(t, p)
-    return lambda t: math.exp(p * log_value(warp, t))
+    """Array function t -> h(t)^p, computed in log space; exact 1.0 wherever h = 1."""
+    return lambda t: np.exp(p * log_value(warp, t))
 
 
 def transition_spans(warp: Warp) -> tuple[tuple[float, float], ...]:
@@ -179,8 +176,11 @@ class WarpedMetricSpec:
             raise DomainError("base and fiber dimensions must be at least 1")
 
 
-def volume_element_ratio(spec: WarpedMetricSpec, t: float) -> float:
-    """Warped over product volume density, computed as h^-k * h^k without simplification.
+def volume_element_ratio(spec: WarpedMetricSpec, t):
+    """Warped over product volume density at the points t, computed as h^-k * h^k.
+
+    The product is formed without simplification, so it shows the roundoff
+    of the two powers.
 
     Only meaningful in volume_preserving mode; the plain warp scales the
     density by h^k and is rejected so callers cannot assume preservation.
@@ -191,6 +191,4 @@ def volume_element_ratio(spec: WarpedMetricSpec, t: float) -> float:
             "only volume_preserving mode is supported"
         )
     k = float(spec.fiber_dim)
-    down = power_fn(spec.warp, -k)
-    up = power_fn(spec.warp, k)
-    return down(t) * up(t)
+    return power_fn(spec.warp, -k)(t) * power_fn(spec.warp, k)(t)

@@ -66,6 +66,8 @@ class SturmProblem:
     """Weighted 1D problem -(w a')' + q a = 0 with endpoint conditions and a mesh.
 
     grad_weight w must be positive and potential q nonnegative on [0, length].
+    Both are array functions, called once per mesh; a scalar return, such
+    as that of lambda t: 0.0, is broadcast over the points.
     transition_spans lists intervals that the mesh must resolve with at
     least 8 elements each (coefficient plateaus changing by orders of
     magnitude live there).
@@ -185,7 +187,7 @@ def _check_mesh(nodes: np.ndarray, spans: tuple[tuple[float, float], ...]) -> No
             )
 
 
-def _lumped_mass(nodes: np.ndarray) -> np.ndarray:
+def lumped_mass(nodes: np.ndarray) -> np.ndarray:
     dt = np.diff(nodes)
     lump = np.zeros(len(nodes))
     lump[:-1] += 0.5 * dt
@@ -196,14 +198,14 @@ def _lumped_mass(nodes: np.ndarray) -> np.ndarray:
 def _conductances(nodes: np.ndarray, grad_weight: CoefficientFn) -> np.ndarray:
     """Edge conductances w(t_mid)/dt of the ladder."""
     mid = 0.5 * (nodes[:-1] + nodes[1:])
-    w_mid = np.array([grad_weight(x) for x in mid])
+    w_mid = np.broadcast_to(grad_weight(mid), mid.shape)
     if np.any(w_mid <= 0.0):
         raise DomainError("gradient weight must be positive on the interval")
     return w_mid / np.diff(nodes)
 
 
 def _nonnegative_samples(fn: CoefficientFn, nodes: np.ndarray) -> np.ndarray:
-    values = np.array([fn(x) for x in nodes])
+    values = np.broadcast_to(fn(nodes), nodes.shape)
     if np.any(values < 0.0):
         raise DomainError("potential must be nonnegative on the interval")
     return values
@@ -213,7 +215,7 @@ def _ladder(p: SturmProblem) -> tuple[np.ndarray, np.ndarray]:
     """Edge conductances and node shunts of the problem's resistor ladder."""
     _check_mesh(p.nodes, p.transition_spans)
     cond = _conductances(p.nodes, p.grad_weight)
-    shunt = _nonnegative_samples(p.potential, p.nodes) * _lumped_mass(p.nodes)
+    shunt = _nonnegative_samples(p.potential, p.nodes) * lumped_mass(p.nodes)
     return cond, shunt
 
 
@@ -404,7 +406,7 @@ def discretize_collar(
         modes=CachedEntries(geom.cross_section),
         nodes=nodes,
         cond=_conductances(nodes, grad_weight),
-        lump=_lumped_mass(nodes),
+        lump=lumped_mass(nodes),
         w_node=_nonnegative_samples(grad_weight, nodes),
         v_node=_nonnegative_samples(inv_sq_weight, nodes),
         left_bc=left,

@@ -22,6 +22,7 @@ from steklovwarp import (
     sigma1_construction,
     steklov_spectrum_warped,
 )
+from steklovwarp.profiles import power_fn
 
 TWO_PI = 2.0 * math.pi
 TANH1 = math.tanh(1.0)
@@ -138,10 +139,10 @@ class TestSteklovSpectrumWarped:
         # eigenvalue is nondecreasing. Unequal end values change the
         # denominator and can lower sigma (see the constant-warp closed form).
         def small(t):
-            return 1.0 + 0.2 * math.sin(math.pi * t)
+            return 1.0 + 0.2 * np.sin(np.pi * t)
 
         def large(t):
-            return 1.0 + 0.3 * math.sin(math.pi * t)
+            return 1.0 + 0.3 * np.sin(np.pi * t)
 
         for fiber_dim in (2, 3):
             for lam in (1.0, 4.0):
@@ -236,9 +237,9 @@ class TestSmallEpsilonGate:
         warp = spec.warp
         nodes = graded_mesh(1.0, n_elements, warp.transition_intervals())
         mid = 0.5 * (nodes[:-1] + nodes[1:])
-        w_mid = np.array([warp.eval_power(x, 1.0) for x in mid])
+        w_mid = power_fn(warp, 1.0)(mid)
         conductance = 1.0 / np.sum(np.diff(nodes) / w_mid)
-        b0, b1 = warp.eval_power(0.0, 0.5), warp.eval_power(1.0, 0.5)
+        b0, b1 = power_fn(warp, 0.5)(np.array([0.0, 1.0]))
         return conductance * (1.0 / b0 + 1.0 / b1)
 
     @pytest.mark.parametrize("n_elements", [400, 1600, 6400])

@@ -1,7 +1,8 @@
-"""Plateau profiles: exact plateau values, smooth monotone transitions, powers."""
+"""Plateau profiles: exact plateau values, smooth monotone transitions, powers, arrays."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,9 +15,11 @@ from steklovwarp import (
     WarpedMetricSpec,
     WarpProfile,
     circle_spectrum,
+    graded_mesh,
     point_spectrum,
     volume_element_ratio,
 )
+from steklovwarp.profiles import power_fn
 
 profile_params = st.tuples(
     st.floats(0.01, 0.15),   # epsilon
@@ -108,18 +111,68 @@ class TestPowers:
     def test_power_arithmetic(self):
         p = make(0.1, 0.75, False)
         # 2k/n with n = 3, k = 1 applied on the mid plateau
-        assert p.eval_power(0.15, 2.0 / 3.0) == pytest.approx(0.1**0.5, rel=1e-12)
-        assert p.eval_power(0.02, 5.0) == 1.0
-        assert p.eval_power(0.5, -2.0) == pytest.approx(1e-4, rel=1e-12)
+        assert power_fn(p, 2.0 / 3.0)(0.15) == pytest.approx(0.1**0.5, rel=1e-12)
+        assert power_fn(p, 5.0)(0.02) == 1.0
+        assert power_fn(p, -2.0)(0.5) == pytest.approx(1e-4, rel=1e-12)
 
     @given(params=profile_params, t=st.floats(0.0, 1.0), power=st.floats(-4.0, 4.0))
     @settings(max_examples=200, deadline=None)
     def test_power_inverse_identity(self, params, t, power):
         eps, delta, symmetric = params
         p = make(eps, delta, symmetric)
-        assert p.eval_power(t, power) * p.eval_power(t, -power) == pytest.approx(
+        assert power_fn(p, power)(t) * power_fn(p, -power)(t) == pytest.approx(
             1.0, rel=1e-12
         )
+
+
+MIRRORED_EPS = 0.011690028519680791  # 1 - (1 - 3ε) < 3ε in floating point
+
+
+class TestArrayEvaluation:
+    """One call on an array gives, bit for bit, the values of one call per point."""
+
+    @given(
+        params=profile_params,
+        points=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+        n_elements=st.integers(16, 64),
+        power=st.floats(-4.0, 4.0),
+    )
+    @example(
+        params=(MIRRORED_EPS, 0.5, True),
+        points=[1.0 - c * MIRRORED_EPS for c in (3.0, 2.0, 1.0, 0.5)],
+        n_elements=400,
+        power=2.0 / 3.0,
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_array_matches_pointwise(self, params, points, n_elements, power):
+        p = make(*params)
+        nodes = graded_mesh(1.0, n_elements, p.transition_intervals())
+        t = np.concatenate((points, nodes, 0.5 * (nodes[:-1] + nodes[1:])))
+        for fn in (p.eval, p.log_eval, power_fn(p, power)):
+            values = fn(t)
+            pointwise = [fn(float(x)) for x in t]
+            assert all(isinstance(v, float) for v in pointwise)
+            assert values.shape == t.shape
+            assert values.tobytes() == np.array(pointwise).tobytes()
+
+    def test_mirrored_plateau_ends_in_an_array(self):
+        p = make(MIRRORED_EPS, 0.5, True)
+        t = np.array([1.0 - c * MIRRORED_EPS for c in (3.0, 2.0, 1.0, 0.5)])
+        assert list(p.eval(t)) == [p.far_value, p.mid_value, p.mid_value, 1.0]
+
+    @pytest.mark.parametrize("outside", [-1e-12, 1.0 + 1e-12])
+    def test_array_outside_collar_rejected(self, outside):
+        p = make(0.05, 0.7, True)
+        t = np.array([0.0, 0.5, outside, 1.0])
+        for fn in (p.eval, p.log_eval, power_fn(p, 2.0)):
+            with pytest.raises(DomainError):
+                fn(t)
+
+    def test_constant_callable_is_broadcast(self):
+        t = np.linspace(0.0, 1.0, 5)
+        assert power_fn(lambda t: 4.0, 0.5)(t).tolist() == [2.0] * 5
+        with pytest.raises(DomainError):
+            power_fn(lambda t: 0.0, 1.0)(t)
 
 
 class TestVolumeElement:

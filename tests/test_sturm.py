@@ -33,6 +33,7 @@ from steklovwarp import (
     rayleigh_quotient,
     sym_eig,
 )
+from steklovwarp.profiles import power_fn
 from steklovwarp.provenance import merge_tagged
 from steklovwarp.sturm import minimizing_extension
 
@@ -184,11 +185,11 @@ def plateau_problem(eps, mu, lam, steklov_ends="both", n_elements=400):
     profile = WarpProfile(eps, 2.0 / 3.0, 1.0, symmetric=True)
     spans = profile.transition_intervals()
 
-    def w(t):
-        return profile.eval_power(t, 1.0)
+    w = power_fn(profile, 1.0)
+    v = power_fn(profile, -2.0)
 
     def q(t):
-        return mu * w(t) + lam * profile.eval_power(t, -2.0)
+        return mu * w(t) + lam * v(t)
 
     return SturmProblem(
         length=1.0,
@@ -254,11 +255,8 @@ class TestLadderReduction:
         geom = BaseGeometry(circle_spectrum(2 * math.pi, 4), 1.0, "both")
         lam, top = 1.0, 10.0
 
-        def w(t):
-            return profile.eval_power(t, 1.0)
-
-        def v(t):
-            return profile.eval_power(t, -2.0)
+        w = power_fn(profile, 1.0)
+        v = power_fn(profile, -2.0)
 
         spectrum = base_dtn_spectrum(
             geom, w, lam, v, top, n_elements=400, transition_spans=spans
@@ -358,9 +356,9 @@ class TestBaseDtnSpectrum:
         geom = BaseGeometry(point_spectrum(), 1.0, "both")
         spectrum = base_dtn_spectrum(
             geom,
-            lambda t: profile.eval(t),
+            profile.eval,
             0.0,
-            lambda t: profile.eval_power(t, -2.0),
+            power_fn(profile, -2.0),
             top=20.0,
             n_elements=64,
             transition_spans=profile.transition_intervals(),
@@ -371,8 +369,8 @@ class TestBaseDtnSpectrum:
         profile = WarpProfile(0.1, 0.75, 1.0, True)
         geom = BaseGeometry(circle_spectrum(2 * math.pi, 8), 1.0, "both")
         spans = profile.transition_intervals()
-        w = lambda t: profile.eval(t)  # noqa: E731
-        v = lambda t: profile.eval_power(t, -2.0)  # noqa: E731
+        w = profile.eval
+        v = power_fn(profile, -2.0)
         previous = None
         for lam in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0):
             spectrum = base_dtn_spectrum(
