@@ -4,10 +4,11 @@ The mixed Steklov-Neumann spectrum of the warped product equals the union
 over fiber eigenvalues of the spectra of auxiliary base operators, one per
 fiber eigenvalue. For a collar base every auxiliary operator splits into 1D
 problems over cross-section modes. The collar's coefficients are evaluated
-once per metric and mesh; each fiber branch then reduces all its modes at
-once by the two-port ladder reduction of `sturm`, which gives the known
-zero eigenvalue as exactly 0.0. Multiplicities follow the tensor basis
-count: fiber multiplicity times cross-section multiplicity per source.
+once per metric and mesh, as one `sturm.SturmProblem`; each fiber branch
+then reduces its modes in blocks by the two-port ladder reduction of
+`sturm`, which gives the known zero eigenvalue as exactly 0.0.
+Multiplicities follow the tensor basis count: fiber multiplicity times
+cross-section multiplicity per source.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from . import sturm
 from .errors import DomainError, HypothesisViolationError, NumericError
 from .profiles import CoefficientFn, WarpedMetricSpec, power_fn, transition_spans
 from .provenance import EigenSource, SpectrumWithProvenance, merge_tagged
-from .spectra import extend, iter_entries
-from .sturm import SturmProblem, collar_branch, discretize_collar, end_conditions, graded_mesh
+from .spectra import CachedEntries, extend, iter_entries
+from .sturm import SturmProblem, collar_branch, collar_problem
 
 
 @dataclass(frozen=True)
@@ -76,9 +77,10 @@ _START_TOP = 1.0
 _MAX_DOUBLINGS = 60
 
 
-def _discretize(spec: WarpedMetricSpec, n_elements: int) -> sturm.DiscreteCollar:
+def _discretize(spec: WarpedMetricSpec, n_elements: int) -> SturmProblem:
+    """The collar's 1D family: q is the fiber weight, so lambda is the fiber eigenvalue."""
     recipes = metric_recipes(spec)
-    return discretize_collar(
+    return collar_problem(
         spec.base,
         recipes.grad_weight,
         recipes.inv_sq_weight,
@@ -89,7 +91,7 @@ def _discretize(spec: WarpedMetricSpec, n_elements: int) -> sturm.DiscreteCollar
 
 
 def _union_below(
-    spec: WarpedMetricSpec, collar: sturm.DiscreteCollar, top: float
+    spec: WarpedMetricSpec, problem: SturmProblem, modes: CachedEntries, top: float
 ) -> SpectrumWithProvenance:
     """Merged union over fiber branches of the collar's eigenvalues <= top.
 
@@ -100,7 +102,7 @@ def _union_below(
     """
     tagged: list[tuple[float, EigenSource]] = []
     for fiber_value, fiber_mult in iter_entries(spec.fiber):
-        branch = collar_branch(collar, float(fiber_value), int(fiber_mult), top)
+        branch = collar_branch(problem, modes, float(fiber_value), int(fiber_mult), top)
         if not branch:
             break  # smallest eigenvalue of this and every later branch exceeds top
         tagged += branch
@@ -117,7 +119,8 @@ def steklov_spectrum_warped(
     """
     if top <= 0.0:
         raise DomainError("top must be positive")
-    return _union_below(spec, _discretize(spec, n_elements), top)
+    modes = CachedEntries(spec.base.cross_section)
+    return _union_below(spec, _discretize(spec, n_elements), modes, top)
 
 
 def first_eigenvalues(spec: WarpedMetricSpec, count: int, *, n_elements: int = 400):
@@ -129,10 +132,11 @@ def first_eigenvalues(spec: WarpedMetricSpec, count: int, *, n_elements: int = 4
     """
     if count < 1:
         raise DomainError("count must be positive")
-    collar = _discretize(spec, n_elements)
+    problem = _discretize(spec, n_elements)
+    modes = CachedEntries(spec.base.cross_section)
     top = _START_TOP
     for _ in range(_MAX_DOUBLINGS):
-        spectrum = _union_below(spec, collar, top)
+        spectrum = _union_below(spec, problem, modes, top)
         if spectrum.total_multiplicity >= count + 1:
             return spectrum.flatten()[:count], spectrum
         top *= 2.0
@@ -154,46 +158,31 @@ def sigma1_construction(spec: WarpedMetricSpec, *, n_elements: int = 400) -> Sig
 
     The gap is min of (a) the first nonzero eigenvalue of the fiber-constant
     branch and (b) the smallest eigenvalue of the first-fiber-mode branch.
-    Eigenvalues are nondecreasing in both mode parameters, so three 1D
-    solves decide it. Branch (a) is the smaller of the nonzero eigenvalue of
-    mode (0, 0), which exists when both ends are Steklov and sits at index 1
-    behind the exact zero, and the smallest eigenvalue at (lambda = 0, mu1),
-    when the cross-section has a mu1. Branch (b) is the smallest eigenvalue
-    at (lambda1, mu = 0).
+    Eigenvalues are nondecreasing in both mode parameters, so one reduction
+    of three (lambda, mu) pairs decides it. Branch (a) is the smaller of the
+    nonzero eigenvalue of mode (0, 0), which exists when both ends are
+    Steklov and sits at index 1 behind the exact zero, and the smallest
+    eigenvalue at (0, mu1), when the cross-section has a mu1. Branch (b) is
+    the smallest eigenvalue at (lambda1, 0).
     """
     if spec.mode != "volume_preserving":
         raise DomainError("sigma1_construction expects a volume_preserving metric")
-    recipes = metric_recipes(spec)
-    base = spec.base
-    w, v = recipes.grad_weight, recipes.inv_sq_weight
-    left, right = end_conditions(base.steklov_ends, recipes.boundary_weights)
-    nodes = graded_mesh(base.collar_length, n_elements, recipes.spans)
+    problem = _discretize(spec, n_elements)
     fiber = extend(spec.fiber, 2).entries
     if len(fiber) < 2:
         raise DomainError("the fiber spectrum has no nonzero eigenvalue lambda1")
     lambda1 = float(fiber[1][0])
-
-    def solve(potential: CoefficientFn) -> np.ndarray:
-        problem = SturmProblem(
-            length=base.collar_length,
-            grad_weight=w,
-            potential=potential,
-            left_bc=left,
-            right_bc=right,
-            nodes=nodes,
-            transition_spans=recipes.spans,
-        )
-        return sturm.dtn_eigenvalues(problem)
+    cross = extend(spec.base.cross_section, 2).entries
+    mu1 = float(cross[1][0]) if len(cross) > 1 else 0.0
+    rows = sturm.dtn_eigenvalues(problem, [lambda1, 0.0, 0.0], [0.0, 0.0, mu1])
 
     candidates = []
-    if base.steklov_ends == "both":
-        candidates.append(float(solve(lambda t: 0.0)[1]))
-    cross = extend(base.cross_section, 2).entries
+    if spec.base.steklov_ends == "both":
+        candidates.append(float(rows[1, 1]))
     if len(cross) > 1:
-        mu1 = float(cross[1][0])
-        candidates.append(float(solve(lambda t: mu1 * w(t))[0]))
+        candidates.append(float(rows[2, 0]))
     branch_a = min(candidates, default=math.inf)
-    branch_b = float(solve(lambda t: lambda1 * v(t))[0])
+    branch_b = float(rows[0, 0])
 
     if branch_a <= branch_b:
         return Sigma1Result(branch_a, "lambda0", branch_a, branch_b)
@@ -203,10 +192,21 @@ def sigma1_construction(spec: WarpedMetricSpec, *, n_elements: int = 400) -> Sig
 def lower_bound_C(
     epsilon: float, delta: float, n: int, k: int, lambda1_fiber: float
 ) -> float:
-    """Divergent lower-bound constant min(eps^(delta-1)/8, lambda1 * eps^(1-delta*n/k)/4).
+    """Measured lower bound min(eps^(2 delta k/n - 1)/8, lambda1 * eps^(1 - 2 delta)/4) on sigma1.
 
-    Requires k/n < delta < 1 and n > k >= 1; below delta = k/n the second
-    exponent is nonnegative and the bound no longer diverges as eps -> 0.
+    This is a measured bound, not the paper's constant: sigma1 / C was at
+    least 3.9 on the nine (n, k, delta) families of
+    tests/test_assembler.py::TestLowerBoundC, at eps = 1e-2 ... 1e-10 on
+    400 elements. It needs n > k >= 1 and 1/2 < delta < min(1, n/(2k)),
+    a window that is nonempty exactly when n > k. Outside it sigma1 does
+    not diverge, whatever the mesh, since two test functions in the Rayleigh
+    quotient of metric_recipes bound it from above. The fiber-lambda1 mode,
+    constant along the base, gives
+    sigma1 <= lambda1 * int h^-2 dt / (b0 + b1) ~ eps^(1 - 2 delta), and
+    the (0, 0) mode gives
+    sigma1 <= (1/b0 + 1/b1) / int dt / h^(2k/n) ~ eps^(2 delta k/n - 1).
+    The bound's exponents are those two rates; at n = 2k it is
+    min(eps^(delta-1)/8, lambda1 * eps^(1-2 delta)/4).
     """
     if epsilon <= 0.0:
         raise DomainError("epsilon must be positive")
@@ -216,10 +216,10 @@ def lower_bound_C(
         raise DomainError("lambda1 of the fiber must be positive")
     if delta >= 1.0:
         raise DomainError("delta must be below 1")
-    if delta <= k / n:
+    if not 0.5 < delta < n / (2.0 * k):
         raise HypothesisViolationError(
-            f"delta must exceed k/n = {k}/{n}; got delta={delta}"
+            f"delta must lie in (1/2, min(1, n/(2k))) with n/(2k) = {n}/{2 * k}; got delta={delta}"
         )
-    first = epsilon ** (delta - 1.0) / 8.0
-    second = lambda1_fiber * epsilon ** (1.0 - delta * n / k) / 4.0
+    first = epsilon ** (delta * (2.0 * k / n) - 1.0) / 8.0
+    second = lambda1_fiber * epsilon ** (1.0 - 2.0 * delta) / 4.0
     return min(first, second)

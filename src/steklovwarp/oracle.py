@@ -29,11 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import DomainError, MeshResolutionError, NumericError
+from .errors import DomainError, NumericError
 from .linalg import PartitionedSystem, sym_eig
 from .profiles import Warp, WarpedMetricSpec, transition_spans, value_fn
 from .spectra import circle_spectrum, point_spectrum
-from .sturm import BaseGeometry, elements_inside, graded_mesh, lumped_mass
+from .sturm import BaseGeometry, check_mesh, graded_mesh, lumped_mass
 from .assembler import steklov_spectrum_warped
 
 
@@ -58,13 +58,7 @@ class RevolutionGrid:
             raise DomainError("fiber length must be positive")
         if self.steklov_ends not in ("both", "left", "right"):
             raise DomainError(f"bad steklov_ends {self.steklov_ends!r}")
-        for a, b in transition_spans(self.warp):
-            inside = elements_inside(nodes, a, b)
-            if inside < 8:
-                raise MeshResolutionError(
-                    f"axial grid resolves transition ({a:.6g}, {b:.6g}) "
-                    f"with only {inside} elements, need at least 8"
-                )
+        check_mesh(nodes, transition_spans(self.warp))
         object.__setattr__(self, "axial_nodes", nodes)
 
     @property

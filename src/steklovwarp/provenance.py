@@ -74,11 +74,7 @@ class SpectrumWithProvenance:
         return self.entries[0].value
 
 
-def merge_tagged(
-    tagged: list[tuple[float, EigenSource]],
-    rel_tol: float = MERGE_RTOL,
-    abs_tol: float = MERGE_ATOL,
-) -> SpectrumWithProvenance:
+def merge_tagged(tagged: list[tuple[float, EigenSource]]) -> SpectrumWithProvenance:
     """Sort tagged eigenvalues and merge coincident values into single entries.
 
     Grouping is anchored at the first (smallest) value of each group so a
@@ -92,7 +88,7 @@ def merge_tagged(
     group_sources: list[EigenSource] = []
 
     def close(a: float, b: float) -> bool:
-        return abs(a - b) <= max(rel_tol * max(abs(a), abs(b)), abs_tol)
+        return abs(a - b) <= max(MERGE_RTOL * max(abs(a), abs(b)), MERGE_ATOL)
 
     for value, source in ordered:
         if group_value is not None and close(value, group_value):

@@ -1,34 +1,41 @@
 """Weighted 1D Steklov/Neumann boundary problems on a collar interval.
 
-The separated form of the auxiliary base problem is a weighted equation
--(w a')' + q a = 0 on [0, L] with a spectral (Steklov) condition at one or
-both endpoints; its Dirichlet-to-Neumann eigenvalues feed the warped
-product assembly. Discretization is by piecewise-linear elements with
-midpoint quadrature for the gradient weight and trapezoidal (lumped)
-quadrature for the zeroth-order term, which keeps the system symmetric
-positive and second-order accurate.
+Separating a collar base over its cross-section modes and the fiber over
+its eigenvalues leaves one family of 1D problems,
+
+    -(w a')' + (lambda q + mu w) a = 0 on [0, L],
+
+indexed by a fiber eigenvalue lambda and a cross-section mode mu, with a
+spectral (Steklov) condition at one or both endpoints; their
+Dirichlet-to-Neumann eigenvalues feed the warped product assembly.
+Discretization is by piecewise-linear elements with midpoint quadrature for
+the gradient weight w and trapezoidal (lumped) quadrature for the
+zeroth-order term, which keeps the system symmetric positive and
+second-order accurate.
 
 The discrete problem is a resistor ladder: element e is a conductance
-c_e = w(t_mid)/dt_e between its nodes and node i a shunt s_i = q(t_i) lump_i
-to ground. Its Dirichlet-to-Neumann map is the admittance of the two-port
-seen from the end nodes (a Stieltjes continued fraction; Curtis & Morrow,
-Inverse Problems for Electrical Networks, 2000). The interior nodes are
-eliminated pairwise, as a tree of star-mesh steps, in which every term is
-positive: nothing cancels, and a problem without potential has the exact
-eigenvalue 0.0. The reduction runs on a 2-D array with one row per
-cross-section mode, so a whole auxiliary base spectrum costs a few array
-operations per block of modes, on coefficients evaluated once per collar
-(DiscreteCollar). `assemble` builds the same form as a partitioned matrix;
-it serves the Rayleigh quotient, the minimizing extension, and as the
-reference the reduction is tested against.
+c_e = w(t_mid)/dt_e between its nodes and node i a shunt
+s_i = (mu w(t_i) + lambda q(t_i)) lump_i to ground. A SturmProblem samples
+the ladder of its family once. Its Dirichlet-to-Neumann map is the
+admittance of the two-port seen from the end nodes (a Stieltjes continued
+fraction; Curtis & Morrow, Inverse Problems for Electrical Networks, 2000).
+The interior nodes are eliminated pairwise, as a tree of star-mesh steps,
+in which every term is positive: nothing cancels, and a problem without
+potential has the exact eigenvalue 0.0. The reduction runs on a 2-D array
+with one row per (lambda, mu) pair, so a block of modes costs a few array
+operations. `assemble` builds the same form as a partitioned matrix; it
+serves the minimizing extension, and as the reference the reduction is
+tested against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .errors import CompletenessError, DomainError, MeshResolutionError
 from .linalg import PartitionedSystem, harmonic_extension
@@ -40,6 +47,10 @@ from .spectra import CachedEntries, ClosedSpectrum
 # bounds the arrays of a block as it doubles
 _FIRST_BLOCK = 8
 _MAX_BLOCK = 64
+
+# elements that every transition span of a mesh must hold: coefficient
+# plateaus changing by orders of magnitude meet there
+MIN_ELEMENTS_PER_SPAN = 8
 
 
 @dataclass(frozen=True)
@@ -63,14 +74,17 @@ BoundaryCondition = SteklovEnd | NeumannEnd
 
 @dataclass(frozen=True, eq=False)
 class SturmProblem:
-    """Weighted 1D problem -(w a')' + q a = 0 with endpoint conditions and a mesh.
+    """The family -(w a')' + (lambda q + mu w) a = 0 on a mesh, with endpoint conditions.
 
-    grad_weight w must be positive and potential q nonnegative on [0, length].
-    Both are array functions, called once per mesh; a scalar return, such
-    as that of lambda t: 0.0, is broadcast over the points.
+    grad_weight w must be positive and potential q nonnegative on
+    [0, length]. Both are array functions; a scalar return, such as that of
+    lambda t: 0.0, is broadcast over the points. The ladder is sampled once
+    per problem, on first use: the edge conductances `cond`, the lumped node
+    masses `lump` and q at the nodes `q_node`, and w at the nodes `w_node`
+    only when some mu is nonzero. dtn_eigenvalues reduces any (lambda, mu)
+    pairs on it; lambda = 1, mu = 0 is the single problem -(w a')' + q a = 0.
     transition_spans lists intervals that the mesh must resolve with at
-    least 8 elements each (coefficient plateaus changing by orders of
-    magnitude live there).
+    least MIN_ELEMENTS_PER_SPAN elements each.
     """
 
     length: float
@@ -97,6 +111,28 @@ class SturmProblem:
             raise DomainError("mesh nodes must be strictly increasing")
         object.__setattr__(self, "nodes", nodes)
 
+    @cached_property
+    def cond(self) -> np.ndarray:
+        """Edge conductances w(t_mid)/dt, on a mesh checked first."""
+        check_mesh(self.nodes, self.transition_spans)
+        mid = 0.5 * (self.nodes[:-1] + self.nodes[1:])
+        w_mid = np.broadcast_to(self.grad_weight(mid), mid.shape)
+        if np.any(w_mid <= 0.0):
+            raise DomainError("gradient weight must be positive on the interval")
+        return w_mid / np.diff(self.nodes)
+
+    @cached_property
+    def lump(self) -> np.ndarray:
+        return lumped_mass(self.nodes)
+
+    @cached_property
+    def q_node(self) -> np.ndarray:
+        return _nonnegative_samples(self.potential, self.nodes)
+
+    @cached_property
+    def w_node(self) -> np.ndarray:
+        return _nonnegative_samples(self.grad_weight, self.nodes)
+
 
 @dataclass(frozen=True)
 class BaseGeometry:
@@ -120,12 +156,9 @@ class BaseGeometry:
 
 
 def graded_mesh(
-    length: float,
-    n_elements: int,
-    spans: tuple[tuple[float, float], ...] = (),
-    min_per_span: int = 8,
+    length: float, n_elements: int, spans: tuple[tuple[float, float], ...] = ()
 ) -> np.ndarray:
-    """Mesh of [0, length] refined so each span gets at least min_per_span elements.
+    """Mesh of [0, length] refined so each span gets at least MIN_ELEMENTS_PER_SPAN elements.
 
     Elements are distributed across the segments cut by the span endpoints
     in proportion to segment length, with the per-span minimum enforced, and
@@ -147,7 +180,7 @@ def graded_mesh(
     for a, b in zip(breaks[:-1], breaks[1:]):
         seg = max(1, round(n_elements * (b - a) / length))
         if (a, b) in span_set:
-            seg = max(seg, min_per_span)
+            seg = max(seg, MIN_ELEMENTS_PER_SPAN)
         step = (b - a) / seg
         for i in range(1, seg):
             nodes.append(a + i * step)
@@ -155,36 +188,43 @@ def graded_mesh(
     return np.array(nodes)
 
 
-def elements_inside(nodes: np.ndarray, a: float, b: float) -> int:
-    tol = 1e-12 * max(nodes[-1], 1.0)
-    left = nodes[:-1]
-    right = nodes[1:]
-    return int(np.count_nonzero((left >= a - tol) & (right <= b + tol)))
-
-
-def end_conditions(
-    steklov_ends: str, boundary_weights: tuple[float, float]
-) -> tuple[BoundaryCondition, BoundaryCondition]:
-    """Left and right conditions of a collar whose Steklov ends carry the given weights."""
-    left = steklov_ends in ("both", "left")
-    right = steklov_ends in ("both", "right")
-    return (
-        SteklovEnd(boundary_weights[0]) if left else NeumannEnd(),
-        SteklovEnd(boundary_weights[1]) if right else NeumannEnd(),
-    )
-
-
-def _check_mesh(nodes: np.ndarray, spans: tuple[tuple[float, float], ...]) -> None:
+def check_mesh(nodes: np.ndarray, spans: tuple[tuple[float, float], ...]) -> None:
+    """Check that the mesh has at least 16 elements, and MIN_ELEMENTS_PER_SPAN in every span."""
     n_elements = len(nodes) - 1
     if n_elements < 16:
         raise DomainError(f"mesh must have at least 16 elements, got {n_elements}")
+    tol = 1e-12 * max(nodes[-1], 1.0)
     for a, b in spans:
-        inside = elements_inside(nodes, a, b)
-        if inside < 8:
+        inside = int(np.count_nonzero((nodes[:-1] >= a - tol) & (nodes[1:] <= b + tol)))
+        if inside < MIN_ELEMENTS_PER_SPAN:
             raise MeshResolutionError(
                 f"transition interval ({a:.6g}, {b:.6g}) resolved by only "
-                f"{inside} elements, need at least 8"
+                f"{inside} elements, need at least {MIN_ELEMENTS_PER_SPAN}"
             )
+
+
+def collar_problem(
+    geom: BaseGeometry,
+    grad_weight: CoefficientFn,
+    potential: CoefficientFn,
+    *,
+    n_elements: int,
+    boundary_weights: tuple[float, float],
+    transition_spans: tuple[tuple[float, float], ...],
+) -> SturmProblem:
+    """The 1D family of a collar base on its graded mesh; its Steklov ends carry the weights."""
+    ends = geom.steklov_ends
+    left = SteklovEnd(boundary_weights[0]) if ends in ("both", "left") else NeumannEnd()
+    right = SteklovEnd(boundary_weights[1]) if ends in ("both", "right") else NeumannEnd()
+    return SturmProblem(
+        length=geom.collar_length,
+        grad_weight=grad_weight,
+        potential=potential,
+        left_bc=left,
+        right_bc=right,
+        nodes=graded_mesh(geom.collar_length, n_elements, transition_spans),
+        transition_spans=transition_spans,
+    )
 
 
 def lumped_mass(nodes: np.ndarray) -> np.ndarray:
@@ -195,15 +235,6 @@ def lumped_mass(nodes: np.ndarray) -> np.ndarray:
     return lump
 
 
-def _conductances(nodes: np.ndarray, grad_weight: CoefficientFn) -> np.ndarray:
-    """Edge conductances w(t_mid)/dt of the ladder."""
-    mid = 0.5 * (nodes[:-1] + nodes[1:])
-    w_mid = np.broadcast_to(grad_weight(mid), mid.shape)
-    if np.any(w_mid <= 0.0):
-        raise DomainError("gradient weight must be positive on the interval")
-    return w_mid / np.diff(nodes)
-
-
 def _nonnegative_samples(fn: CoefficientFn, nodes: np.ndarray) -> np.ndarray:
     values = np.broadcast_to(fn(nodes), nodes.shape)
     if np.any(values < 0.0):
@@ -211,12 +242,11 @@ def _nonnegative_samples(fn: CoefficientFn, nodes: np.ndarray) -> np.ndarray:
     return values
 
 
-def _ladder(p: SturmProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Edge conductances and node shunts of the problem's resistor ladder."""
-    _check_mesh(p.nodes, p.transition_spans)
-    cond = _conductances(p.nodes, p.grad_weight)
-    shunt = _nonnegative_samples(p.potential, p.nodes) * lumped_mass(p.nodes)
-    return cond, shunt
+def _steklov_nodes(p: SturmProblem) -> tuple[list[int], list[float]]:
+    """Indices and boundary weights of the Steklov end nodes."""
+    ends = ((0, p.left_bc), (len(p.nodes) - 1, p.right_bc))
+    spectral = [(i, bc.weight) for i, bc in ends if isinstance(bc, SteklovEnd)]
+    return [i for i, _ in spectral], [weight for _, weight in spectral]
 
 
 def assemble(p: SturmProblem) -> PartitionedSystem:
@@ -226,22 +256,15 @@ def assemble(p: SturmProblem) -> PartitionedSystem:
     the potential is lumped at the nodes with trapezoidal weights, and
     Neumann endpoints are treated as interior unknowns (natural condition).
     """
-    cond, shunt = _ladder(p)
+    cond = p.cond
     n = len(p.nodes)
     diag = np.zeros(n)
     diag[:-1] += cond
     diag[1:] += cond
-    diag += shunt
+    diag += p.q_node * p.lump
     off = -cond  # coupling between consecutive nodes
 
-    boundary: list[int] = []
-    weights: list[float] = []
-    if isinstance(p.left_bc, SteklovEnd):
-        boundary.append(0)
-        weights.append(p.left_bc.weight)
-    if isinstance(p.right_bc, SteklovEnd):
-        boundary.append(n - 1)
-        weights.append(p.right_bc.weight)
+    boundary, weights = _steklov_nodes(p)
     interior = [i for i in range(n) if i not in boundary]
 
     n_i = len(interior)
@@ -322,45 +345,49 @@ def _ladder_eigenvalues(
     return np.stack((sigma_min, sigma_max), axis=1)
 
 
-def dtn_eigenvalues(p: SturmProblem) -> np.ndarray:
-    """Ascending Dirichlet-to-Neumann eigenvalues: one per Steklov endpoint."""
-    cond, shunt = _ladder(p)
-    return _ladder_eigenvalues(cond, shunt[None, :], p.left_bc, p.right_bc)[0]
+def dtn_eigenvalues(
+    p: SturmProblem, fiber_value: ArrayLike = 1.0, mu: ArrayLike = 0.0
+) -> np.ndarray:
+    """Ascending Dirichlet-to-Neumann eigenvalues of -(w a')' + (lambda q + mu w) a = 0.
+
+    fiber_value (lambda) and mu broadcast against each other, and the result
+    holds one row per pair, with one eigenvalue per Steklov endpoint; two
+    scalars, such as the defaults lambda = 1, mu = 0, give a single row.
+    """
+    lam, mu = np.asarray(fiber_value, float), np.asarray(mu, float)
+    pairs = np.broadcast(lam, mu).shape
+    cond = p.cond  # checks the mesh before any coefficient is sampled at the nodes
+    shunt = lam[..., None] * p.q_node
+    if mu.any():  # else mu w vanishes, and 0 + x is x exactly
+        shunt = mu[..., None] * p.w_node + shunt
+    shunt = np.multiply(shunt, p.lump, out=np.empty(pairs + p.nodes.shape))
+    values = _ladder_eigenvalues(cond, shunt.reshape(-1, len(p.nodes)), p.left_bc, p.right_bc)
+    return values.reshape(pairs + values.shape[1:])
 
 
 def rayleigh_quotient(p: SturmProblem, samples: np.ndarray) -> float:
     """Discrete energy quotient of nodal values against the Steklov boundary mass.
 
-    Always at least the smallest Dirichlet-to-Neumann eigenvalue up to
-    roundoff; equality holds for the discrete energy-minimizing extension
-    of the minimizing boundary data.
+    The energy is sum_e c_e (a_(e+1) - a_e)^2 + sum_i s_i a_i^2 on the
+    problem's ladder (lambda = 1, mu = 0). It is always at least the smallest
+    Dirichlet-to-Neumann eigenvalue up to roundoff; equality holds for the
+    discrete energy-minimizing extension of the minimizing boundary data.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.shape != p.nodes.shape:
         raise DomainError("samples must match mesh nodes")
-    system = assemble(p)
-    boundary = [0] if isinstance(p.left_bc, SteklovEnd) else []
-    if isinstance(p.right_bc, SteklovEnd):
-        boundary.append(len(p.nodes) - 1)
-    interior = [i for i in range(len(p.nodes)) if i not in boundary]
-    x_b = samples[boundary]
-    x_i = samples[interior]
-    denom = float(x_b @ (system.b_bb * x_b))
+    boundary, weights = _steklov_nodes(p)
+    denom = float(np.dot(weights, samples[boundary] ** 2))
     if denom <= 0.0:
         raise DomainError("test function vanishes on all Steklov nodes")
-    a_ii = system.interior_dense()
-    num = float(
-        x_i @ (a_ii @ x_i) + 2.0 * x_i @ (system.a_ib @ x_b) + x_b @ (system.a_bb @ x_b)
-    )
-    return num / denom
+    energy = p.cond @ np.diff(samples) ** 2 + (p.q_node * p.lump) @ samples**2
+    return float(energy) / denom
 
 
 def minimizing_extension(p: SturmProblem, boundary_values: np.ndarray) -> np.ndarray:
     """Nodal values of the discrete energy-minimizing extension of endpoint data."""
     system = assemble(p)
-    boundary = [0] if isinstance(p.left_bc, SteklovEnd) else []
-    if isinstance(p.right_bc, SteklovEnd):
-        boundary.append(len(p.nodes) - 1)
+    boundary, _ = _steklov_nodes(p)
     interior = [i for i in range(len(p.nodes)) if i not in boundary]
     full = np.zeros(len(p.nodes))
     full[boundary] = boundary_values
@@ -368,72 +395,29 @@ def minimizing_extension(p: SturmProblem, boundary_values: np.ndarray) -> np.nda
     return full
 
 
-@dataclass(frozen=True, eq=False)
-class DiscreteCollar:
-    """A collar base discretized once for all its auxiliary problems.
-
-    Holds the cross-section modes, read once and shared by every fiber
-    branch, the graded mesh, the edge conductances w(t_mid)/dt, the lumped
-    node masses, the gradient weight w and the fiber weight v at the nodes,
-    and the endpoint conditions. Cross-section mode mu under fiber
-    eigenvalue lambda has node shunts (mu w + lambda v) lump.
-    """
-
-    modes: CachedEntries
-    nodes: np.ndarray
-    cond: np.ndarray
-    lump: np.ndarray
-    w_node: np.ndarray
-    v_node: np.ndarray
-    left_bc: BoundaryCondition
-    right_bc: BoundaryCondition
-
-
-def discretize_collar(
-    geom: BaseGeometry,
-    grad_weight: CoefficientFn,
-    inv_sq_weight: CoefficientFn,
-    *,
-    n_elements: int,
-    boundary_weights: tuple[float, float],
-    transition_spans: tuple[tuple[float, float], ...],
-) -> DiscreteCollar:
-    """Evaluate the coefficients of a collar's auxiliary problems on its graded mesh."""
-    nodes = graded_mesh(geom.collar_length, n_elements, transition_spans)
-    _check_mesh(nodes, transition_spans)
-    left, right = end_conditions(geom.steklov_ends, boundary_weights)
-    return DiscreteCollar(
-        modes=CachedEntries(geom.cross_section),
-        nodes=nodes,
-        cond=_conductances(nodes, grad_weight),
-        lump=lumped_mass(nodes),
-        w_node=_nonnegative_samples(grad_weight, nodes),
-        v_node=_nonnegative_samples(inv_sq_weight, nodes),
-        left_bc=left,
-        right_bc=right,
-    )
-
-
 def collar_branch(
-    collar: DiscreteCollar, fiber_value: float, fiber_mult: int, top: float
+    problem: SturmProblem,
+    modes: CachedEntries,
+    fiber_value: float,
+    fiber_mult: int,
+    top: float,
 ) -> list[tuple[float, EigenSource]]:
     """Tagged eigenvalues <= top of the auxiliary operator of one fiber eigenvalue.
 
-    Cross-section modes are read in ascending mu, in blocks of 8 that
-    double up to 64, and each block is reduced as one array. Since every
-    eigenvalue is nondecreasing in mu, the walk stops at the first mode
-    whose smallest eigenvalue exceeds top, and the union collected so far
-    is complete below top. If the cross-section spectrum ends first, the
-    union is complete when the spectrum is; an incomplete list raises
-    CompletenessError.
+    The cross-section modes mu are read in ascending order, in blocks of 8
+    that double up to 64, and each block is reduced by one dtn_eigenvalues
+    call. Since every eigenvalue is nondecreasing in mu, the walk stops at
+    the first mode whose smallest eigenvalue exceeds top, and the union
+    collected so far is complete below top. If the cross-section spectrum
+    ends first, the union is complete when the spectrum is; an incomplete
+    list raises CompletenessError.
     """
     tagged: list[tuple[float, EigenSource]] = []
     start, size = 0, _FIRST_BLOCK
     while True:
-        block = collar.modes.take(start, size)
+        block = modes.take(start, size)
         mu = np.array([value for value, _ in block])
-        shunt = (mu[:, None] * collar.w_node + fiber_value * collar.v_node) * collar.lump
-        values = _ladder_eigenvalues(collar.cond, shunt, collar.left_bc, collar.right_bc)
+        values = dtn_eigenvalues(problem, fiber_value, mu)
         for (cross_value, cross_mult), row in zip(block, values):
             if row[0] > top:
                 return tagged
@@ -446,7 +430,7 @@ def collar_branch(
             break
         start += size
         size = min(2 * size, _MAX_BLOCK)
-    if not collar.modes.complete:
+    if not modes.complete:
         raise CompletenessError(
             f"cross-section spectrum ends after {start + len(block)} entries, "
             f"before a mode exceeds top={top}"
@@ -467,16 +451,15 @@ def base_dtn_spectrum(
 ) -> SpectrumWithProvenance:
     """Mixed Steklov-Neumann spectrum of one auxiliary base operator, up to `top`.
 
-    Each cross-section mode mu reduces the base problem to a 1D problem with
-    potential q = mu * w + fiber_eigenvalue * inv_sq_weight; see
-    collar_branch for how the modes are walked and when the union is
-    complete below top.
+    Each cross-section mode mu reduces the base problem to the 1D problem
+    with lambda = fiber_eigenvalue and q = inv_sq_weight; see collar_branch
+    for how the modes are walked and when the union is complete below top.
     """
     if top <= 0.0:
         raise DomainError("top must be positive")
     if fiber_eigenvalue < 0.0:
         raise DomainError("fiber eigenvalue must be nonnegative")
-    collar = discretize_collar(
+    problem = collar_problem(
         geom,
         grad_weight,
         inv_sq_weight,
@@ -484,4 +467,5 @@ def base_dtn_spectrum(
         boundary_weights=boundary_weights,
         transition_spans=transition_spans,
     )
-    return merge_tagged(collar_branch(collar, fiber_eigenvalue, 1, top))
+    modes = CachedEntries(geom.cross_section)
+    return merge_tagged(collar_branch(problem, modes, fiber_eigenvalue, 1, top))

@@ -15,6 +15,7 @@ from steklovwarp import (
     base_dtn_spectrum,
     circle_spectrum,
     first_eigenvalues,
+    flat_torus_spectrum,
     graded_mesh,
     lower_bound_C,
     metric_recipes,
@@ -42,13 +43,18 @@ def cylinder_spec(length=2.0, fiber_length=TWO_PI, steklov_ends="both", warp=Non
     )
 
 
-def sweep_spec(eps):
-    """(n, k) = (2, 1) volume-preserving metric, delta = 2/3, circle fiber and cross-section."""
+def sweep_spec(eps, n=2, k=1, delta=2.0 / 3.0):
+    """Volume-preserving metric with unit circle fiber and cross-section (lambda1 = mu1 = 1).
+
+    The defaults are the (n, k) = (2, 1), delta = 2/3 sweep metric. The 1D
+    problems see the cross-section only through its spectrum, so the circle
+    stands in for the (n - 1)-dimensional cross-section of any n.
+    """
     circle = circle_spectrum(TWO_PI, 4)
     return WarpedMetricSpec(
-        base_dim=2,
-        fiber_dim=1,
-        warp=WarpProfile(eps, 2.0 / 3.0, 1.0, symmetric=True),
+        base_dim=n,
+        fiber_dim=k,
+        warp=WarpProfile(eps, delta, 1.0, symmetric=True),
         base=BaseGeometry(circle, 1.0, "both"),
         fiber=circle,
         mode="volume_preserving",
@@ -219,6 +225,32 @@ class TestSigma1Construction:
         result = sigma1_construction(self._mixed_spec(), n_elements=300)
         assert result.value == min(result.branch_lambda0, result.branch_lambda1)
 
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["plateau", "ramp"])
+    @pytest.mark.parametrize("cross", ["point", "circle", "torus"])
+    @pytest.mark.parametrize("steklov_ends", ["both", "left", "right"])
+    def test_equals_first_nonzero_eigenvalue_of_the_spectrum(self, steklov_ends, cross, symmetric):
+        # sigma1_construction reduces three (lambda, mu) pairs; the spectrum
+        # walks every pair below its top, and must find the same value
+        # behind the exact zero
+        n, cross_section = {
+            "point": (1, point_spectrum()),
+            "circle": (2, circle_spectrum(TWO_PI, 8)),
+            "torus": (3, flat_torus_spectrum(1.0, 1.3, 8)),
+        }[cross]
+        for eps in (5e-2, 1e-2, 1e-3):
+            spec = WarpedMetricSpec(
+                base_dim=n,
+                fiber_dim=1,
+                warp=WarpProfile(eps, 0.75, 1.0, symmetric),
+                base=BaseGeometry(cross_section, 1.0, steklov_ends),
+                fiber=circle_spectrum(TWO_PI, 8),
+                mode="volume_preserving",
+            )
+            sigma1 = sigma1_construction(spec).value
+            entries = steklov_spectrum_warped(spec, 1.5 * sigma1).entries
+            assert entries[0].value == 0.0
+            assert entries[1].value == sigma1, eps
+
 
 class TestSmallEpsilonGate:
     """sigma1 of the (n, k) = (2, 1) sweep metric in the paper's regime eps -> 0.
@@ -280,3 +312,23 @@ class TestLowerBoundC:
     def test_delta_above_one_rejected(self):
         with pytest.raises(DomainError):
             lower_bound_C(0.1, 1.0, 2, 1, 1.0)
+
+    @pytest.mark.parametrize("n, k, delta", [(3, 1, 0.383), (3, 2, 0.8)])
+    def test_outside_growth_window_rejected(self, n, k, delta):
+        # delta <= 1/2 or delta >= n/(2k): sigma1 does not diverge there but
+        # falls as eps -> 0, so no divergent lower bound can hold
+        with pytest.raises(HypothesisViolationError):
+            lower_bound_C(1e-3, delta, n, k, 1.0)
+        late, early = (sigma1_construction(sweep_spec(eps, n, k, delta)).value
+                       for eps in (1e-10, 1e-4))
+        assert late < 0.5 * early
+
+    @pytest.mark.parametrize(
+        "n, k, delta",
+        [(2, 1, 0.55), (2, 1, 0.9), (3, 1, 0.55), (3, 1, 0.75), (3, 1, 0.95),
+         (3, 2, 0.6), (3, 2, 0.7), (4, 1, 0.8), (5, 2, 0.7)],
+    )
+    def test_holds_down_to_small_epsilon(self, n, k, delta):
+        for eps in 10.0 ** -np.arange(2, 11):
+            sigma1 = sigma1_construction(sweep_spec(eps, n, k, delta), n_elements=400).value
+            assert sigma1 >= lower_bound_C(eps, delta, n, k, 1.0), eps

@@ -43,6 +43,17 @@ def test_unknown_config_field_exits_two(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n, k, delta", [(3, 1, 0.383), (3, 2, 0.8)])
+def test_sweep_outside_growth_window_exits_two(tmp_path, capsys, n, k, delta):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "experiment": "sweep", "n": n, "k": k, "delta": delta, "mode": "volume_preserving",
+        "epsilon_list": [0.1, 0.01], "cross_section": {"kind": "circle", "length": 6.283},
+    }))
+    assert main(["sweep", "--config", str(config)]) == 2
+    assert "delta must lie in (1/2, min(1, n/(2k)))" in capsys.readouterr().err
+
+
 def test_module_entry_point_prints_help():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))

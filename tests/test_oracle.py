@@ -9,6 +9,8 @@ import pytest
 from steklovwarp import (
     BaseGeometry,
     DomainError,
+    MeshResolutionError,
+    RevolutionGrid,
     WarpedMetricSpec,
     WarpProfile,
     dtn_matrix,
@@ -100,3 +102,9 @@ def test_count_outside_boundary_nodes_rejected(count):
     assert grid.n_boundary == 32
     with pytest.raises(DomainError):
         revolution_steklov(grid, count)
+
+
+def test_directly_built_grid_must_resolve_transitions():
+    # 40 uniform elements put about one element in each plateau transition
+    with pytest.raises(MeshResolutionError):
+        RevolutionGrid(np.linspace(0.0, 1.0, 41), 16, 1.0, 2.0 * math.pi, WARPS["plateau"])

@@ -7,6 +7,7 @@ the single value sqrt(mu) tanh(sqrt(mu) L) when one endpoint is Neumann;
 for mu = 0 the eigenvalues are 0 and 2 / L.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -294,6 +295,71 @@ class TestLadderReduction:
         )
         assert spectrum.total_multiplicity == 6
         assert spectrum.entries[0].value == 0.0
+
+
+class TestModePairs:
+    """dtn_eigenvalues(p, lambda, mu) reduces -(w a')' + (lambda q + mu w) a = 0.
+
+    Each row of a broadcast call must equal, bit for bit, the call for its
+    own pair, and that the single problem whose potential is the closure
+    mu w + lambda q: the shunts are the same products in the same order.
+    """
+
+    LAMS = np.array([0.0, 0.5, 3.0])
+    MUS = np.array([0.0, 1.0, 16.0])
+    PROFILE = WarpProfile(0.05, 2.0 / 3.0, 1.0, symmetric=True)
+
+    @classmethod
+    def _family(cls, steklov_ends, potential=None):
+        """The plateau problem of plateau_problem with q = h^-2, the fiber weight."""
+        return dataclasses.replace(
+            plateau_problem(0.05, 0.0, 0.0, steklov_ends),
+            potential=potential or power_fn(cls.PROFILE, -2.0),
+        )
+
+    @pytest.mark.parametrize("steklov_ends", ["both", "left", "right"])
+    def test_rows_equal_per_pair_calls(self, steklov_ends):
+        p = self._family(steklov_ends)
+        ends = 2 if steklov_ends == "both" else 1
+        by_lam = dtn_eigenvalues(p, self.LAMS, 1.0)
+        by_mu = dtn_eigenvalues(p, 0.5, self.MUS)
+        grid = dtn_eigenvalues(p, self.LAMS[:, None], self.MUS[None, :])
+        assert by_lam.shape == by_mu.shape == (3, ends)
+        assert grid.shape == (3, 3, ends)
+        for i, (lam, mu) in enumerate(zip(self.LAMS, self.MUS)):
+            assert np.array_equal(by_lam[i], dtn_eigenvalues(p, lam, 1.0))
+            assert np.array_equal(by_mu[i], dtn_eigenvalues(p, 0.5, mu))
+            for j, mu_j in enumerate(self.MUS):
+                assert np.array_equal(grid[i, j], dtn_eigenvalues(p, lam, mu_j))
+
+    @pytest.mark.parametrize("steklov_ends", ["both", "left", "right"])
+    def test_pairs_equal_single_problem_with_closure_potential(self, steklov_ends):
+        family = self._family(steklov_ends)
+        w, q = family.grad_weight, family.potential
+        for lam in self.LAMS:
+            for mu in self.MUS:
+
+                def closure(t, lam=lam, mu=mu):
+                    return mu * w(t) + lam * q(t)
+
+                single = self._family(steklov_ends, closure)
+                expected = dtn_eigenvalues(single)
+                assert np.array_equal(dtn_eigenvalues(family, lam, mu), expected)
+                assert np.array_equal(dtn_eigenvalues(single, 1.0, 0.0), expected)
+
+    def test_gradient_weight_sampled_at_nodes_only_for_nonzero_mu(self):
+        calls = []
+        w = power_fn(self.PROFILE, 1.0)
+        def counted(t):
+            calls.append(t)
+            return w(t)
+
+        p = dataclasses.replace(self._family("both"), grad_weight=counted)
+        dtn_eigenvalues(p, self.LAMS, 0.0)
+        assert len(calls) == 1  # midpoints, for the conductances
+        dtn_eigenvalues(p, 1.0, self.MUS)
+        dtn_eigenvalues(p, 2.0, self.MUS)
+        assert len(calls) == 2 and len(calls[1]) == len(p.nodes)
 
 
 class TestBaseDtnSpectrum:
