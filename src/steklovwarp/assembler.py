@@ -4,9 +4,12 @@ The mixed Steklov-Neumann spectrum of the warped product equals the union
 over fiber eigenvalues of the spectra of auxiliary base operators, one per
 fiber eigenvalue. For a collar base every auxiliary operator splits into 1D
 problems over cross-section modes. The collar's coefficients are evaluated
-once per metric and mesh, as one `sturm.SturmProblem`; each fiber branch
-then reduces its modes in blocks by the two-port ladder reduction of
-`sturm`, which gives the known zero eigenvalue as exactly 0.0.
+once per metric and mesh, as one `sturm.SturmProblem`. The fiber branches
+are then walked in blocks of 8, and each block reduces the (fiber, mode)
+rows still needed, a block of modes at a time, by the two-port ladder
+reduction of `sturm`, which gives the known zero eigenvalue as exactly 0.0.
+Reduced rows are kept for the length of one call, so the cutoff doublings
+of `first_eigenvalues` reduce no row twice.
 Multiplicities follow the tensor basis count: fiber multiplicity times
 cross-section multiplicity per source.
 """
@@ -19,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sturm
-from .errors import DomainError, HypothesisViolationError, NumericError
+from .errors import CompletenessError, DomainError, HypothesisViolationError, NumericError
 from .profiles import CoefficientFn, WarpedMetricSpec, power_fn, transition_spans
 from .provenance import EigenSource, SpectrumWithProvenance, merge_tagged
-from .spectra import CachedEntries, extend, iter_entries
+from .spectra import CachedEntries, extend
 from .sturm import SturmProblem, collar_branch, collar_problem
 
 
@@ -76,6 +79,10 @@ def metric_recipes(spec: WarpedMetricSpec) -> MetricRecipes:
 _START_TOP = 1.0
 _MAX_DOUBLINGS = 60
 
+# fiber eigenvalues walked together: with the first block of 8 modes, one
+# dtn_eigenvalues call of at most 64 rows
+_FIBER_BLOCK = 8
+
 
 def _discretize(spec: WarpedMetricSpec, n_elements: int) -> SturmProblem:
     """The collar's 1D family: q is the fiber weight, so lambda is the fiber eigenvalue."""
@@ -91,21 +98,36 @@ def _discretize(spec: WarpedMetricSpec, n_elements: int) -> SturmProblem:
 
 
 def _union_below(
-    spec: WarpedMetricSpec, problem: SturmProblem, modes: CachedEntries, top: float
+    problem: SturmProblem,
+    fibers: CachedEntries,
+    modes: CachedEntries,
+    top: float,
+    rows: dict[tuple[int, int], np.ndarray],
 ) -> SpectrumWithProvenance:
     """Merged union over fiber branches of the collar's eigenvalues <= top.
 
-    Fiber eigenvalues are consumed in ascending order; since the smallest
-    auxiliary eigenvalue is nondecreasing in the fiber eigenvalue, iteration
-    stops at the first fiber branch whose spectrum starts above top, and the
-    union collected so far is complete below top.
+    Fiber eigenvalues are read in ascending order, in blocks of
+    _FIBER_BLOCK, and each block is walked by collar_branch on the shared
+    row cache. Since the smallest auxiliary eigenvalue is nondecreasing in
+    the fiber eigenvalue, the walk stops at the first fiber branch whose
+    spectrum starts above top, and the union collected so far is complete
+    below top. An incomplete fiber spectrum that ends first raises
+    CompletenessError.
     """
     tagged: list[tuple[float, EigenSource]] = []
-    for fiber_value, fiber_mult in iter_entries(spec.fiber):
-        branch = collar_branch(problem, modes, float(fiber_value), int(fiber_mult), top)
-        if not branch:
-            break  # smallest eigenvalue of this and every later branch exceeds top
-        tagged += branch
+    start = 0
+    while True:
+        block = fibers.take(start, _FIBER_BLOCK)
+        branches, stopped = collar_branch(problem, block, modes, top, rows, start)
+        tagged += branches
+        if stopped or len(block) < _FIBER_BLOCK:
+            break
+        start += _FIBER_BLOCK
+    if not stopped and not fibers.complete:
+        raise CompletenessError(
+            f"fiber spectrum ends after {start + len(block)} entries, "
+            f"before a branch starts above top={top}"
+        )
     return merge_tagged(tagged)
 
 
@@ -114,13 +136,14 @@ def steklov_spectrum_warped(
 ) -> SpectrumWithProvenance:
     """All warped-product Steklov eigenvalues <= top, with multiplicity and sources.
 
-    The collar is discretized once, and every fiber branch reduces its
-    cross-section modes on it.
+    The collar is discretized once, and the fiber branches are walked in
+    blocks on it; see _union_below and sturm.collar_branch.
     """
-    if top <= 0.0:
+    if not top > 0.0:  # NaN too: no eigenvalue would exceed it, and no walk would stop
         raise DomainError("top must be positive")
+    fibers = CachedEntries(spec.fiber)
     modes = CachedEntries(spec.base.cross_section)
-    return _union_below(spec, _discretize(spec, n_elements), modes, top)
+    return _union_below(_discretize(spec, n_elements), fibers, modes, top, {})
 
 
 def first_eigenvalues(spec: WarpedMetricSpec, count: int, *, n_elements: int = 400):
@@ -128,15 +151,19 @@ def first_eigenvalues(spec: WarpedMetricSpec, count: int, *, n_elements: int = 4
 
     Returns (values, spectrum) where values has length `count`; the cutoff
     starts at 1 and doubles, on one discretized collar, until at least
-    count + 1 eigenvalues are certified below it.
+    count + 1 eigenvalues are certified below it. Each walk reads the same
+    fiber and cross-section streams and one row cache, so a (lambda, mu)
+    row reduced below one cutoff is reused, not reduced again, above it.
     """
     if count < 1:
         raise DomainError("count must be positive")
     problem = _discretize(spec, n_elements)
+    fibers = CachedEntries(spec.fiber)
     modes = CachedEntries(spec.base.cross_section)
+    rows: dict[tuple[int, int], np.ndarray] = {}
     top = _START_TOP
     for _ in range(_MAX_DOUBLINGS):
-        spectrum = _union_below(spec, problem, modes, top)
+        spectrum = _union_below(problem, fibers, modes, top, rows)
         if spectrum.total_multiplicity >= count + 1:
             return spectrum.flatten()[:count], spectrum
         top *= 2.0

@@ -22,10 +22,10 @@ fraction; Curtis & Morrow, Inverse Problems for Electrical Networks, 2000).
 The interior nodes are eliminated pairwise, as a tree of star-mesh steps,
 in which every term is positive: nothing cancels, and a problem without
 potential has the exact eigenvalue 0.0. The reduction runs on a 2-D array
-with one row per (lambda, mu) pair, so a block of modes costs a few array
-operations. `assemble` builds the same form as a partitioned matrix; it
-serves the minimizing extension, and as the reference the reduction is
-tested against.
+with one row per (lambda, mu) pair, so a block of fibers and modes costs a
+few array operations. `assemble` builds the same form as a partitioned
+matrix; it serves the minimizing extension, and as the reference the
+reduction is tested against.
 """
 
 from __future__ import annotations
@@ -44,7 +44,8 @@ from .provenance import EigenSource, SpectrumWithProvenance, merge_tagged
 from .spectra import CachedEntries, ClosedSpectrum
 
 # cross-section modes reduced together: the first block, and the cap that
-# bounds the arrays of a block as it doubles
+# bounds the arrays of a block as it doubles; no dtn_eigenvalues call of a
+# walk reduces more than _MAX_BLOCK (lambda, mu) rows
 _FIRST_BLOCK = 8
 _MAX_BLOCK = 64
 
@@ -395,47 +396,96 @@ def minimizing_extension(p: SturmProblem, boundary_values: np.ndarray) -> np.nda
     return full
 
 
+def _reduce_rows(
+    problem: SturmProblem,
+    live: list[tuple[int, tuple[float, int]]],
+    start: int,
+    block: list[tuple[float, int]],
+    rows: dict[tuple[int, int], np.ndarray],
+) -> None:
+    """Put in rows, under (fiber position, start), the mode block's rows of each live fiber.
+
+    live holds (position, (lambda, multiplicity)) entries; those already in
+    rows are skipped. The missing (lambda, mu) pairs are reduced fiber by
+    fiber, mode by mode, through dtn_eigenvalues, at most _MAX_BLOCK rows
+    per call.
+    """
+    todo = [(position, lam) for position, (lam, _) in live if (position, start) not in rows]
+    if not todo:
+        return
+    lam = np.repeat([lam for _, lam in todo], len(block))
+    mu = np.tile([value for value, _ in block], len(todo))
+    values = np.concatenate([
+        dtn_eigenvalues(problem, lam[i : i + _MAX_BLOCK], mu[i : i + _MAX_BLOCK])
+        for i in range(0, len(lam), _MAX_BLOCK)
+    ])
+    for (position, _), fiber_rows in zip(todo, np.split(values, len(todo))):
+        rows[position, start] = fiber_rows
+
+
 def collar_branch(
     problem: SturmProblem,
+    fibers: list[tuple[float, int]],
     modes: CachedEntries,
-    fiber_value: float,
-    fiber_mult: int,
     top: float,
-) -> list[tuple[float, EigenSource]]:
-    """Tagged eigenvalues <= top of the auxiliary operator of one fiber eigenvalue.
+    rows: dict[tuple[int, int], np.ndarray],
+    first: int = 0,
+) -> tuple[list[tuple[float, EigenSource]], bool]:
+    """Tagged eigenvalues <= top of the auxiliary operators of a block of fiber eigenvalues.
 
-    The cross-section modes mu are read in ascending order, in blocks of 8
-    that double up to 64, and each block is reduced by one dtn_eigenvalues
-    call. Since every eigenvalue is nondecreasing in mu, the walk stops at
-    the first mode whose smallest eigenvalue exceeds top, and the union
-    collected so far is complete below top. If the cross-section spectrum
-    ends first, the union is complete when the spectrum is; an incomplete
-    list raises CompletenessError.
+    fibers holds ascending (lambda, multiplicity) entries; the first sits
+    at position `first` of its stream. The cross-section modes mu are read
+    in ascending order, in blocks of 8 that double up to 64, and each mode
+    block is reduced for the fibers whose walk is still live, as flat
+    (lambda, mu) pairs in calls of at most 64 rows. Reduced rows are kept in
+    `rows` under (fiber position, mode-block start), so a later walk over
+    the same problem and streams, such as one at a doubled top, reuses them.
+
+    Every eigenvalue is nondecreasing in lambda and in mu. So a fiber's
+    walk stops at its first mode whose smallest eigenvalue exceeds top, and
+    the fiber walk stops at the first fiber whose mode 0 starts above top;
+    the second value returned says whether that fiber is in the block. The
+    union collected so far is complete below top. If the cross-section
+    spectrum ends first, the union is complete when the spectrum is; an
+    incomplete list raises CompletenessError.
     """
     tagged: list[tuple[float, EigenSource]] = []
+    live = list(enumerate(fibers, first))
+    stopped = False
     start, size = 0, _FIRST_BLOCK
-    while True:
+    while live:
         block = modes.take(start, size)
-        mu = np.array([value for value, _ in block])
-        values = dtn_eigenvalues(problem, fiber_value, mu)
-        for (cross_value, cross_mult), row in zip(block, values):
-            if row[0] > top:
-                return tagged
-            tagged += [
-                (float(value), EigenSource(fiber_value, fiber_mult, cross_value, cross_mult, branch))
-                for branch, value in enumerate(row)
-                if value <= top
-            ]
+        if not block:  # the stream ended at the last block's end
+            break
+        _reduce_rows(problem, live, start, block, rows)
+        walking = []
+        for position, (fiber_value, fiber_mult) in live:
+            for j, ((cross_value, cross_mult), row) in enumerate(zip(block, rows[position, start])):
+                if row[0] > top:
+                    break
+                tagged += [
+                    (float(value),
+                     EigenSource(fiber_value, fiber_mult, cross_value, cross_mult, branch))
+                    for branch, value in enumerate(row)
+                    if value <= top
+                ]
+            else:
+                walking.append((position, (fiber_value, fiber_mult)))
+                continue
+            if start == j == 0:  # this branch and every later one start above top
+                stopped = True
+                break
+        live = walking
         if len(block) < size:
             break
         start += size
         size = min(2 * size, _MAX_BLOCK)
-    if not modes.complete:
+    if live and not modes.complete:
         raise CompletenessError(
             f"cross-section spectrum ends after {start + len(block)} entries, "
             f"before a mode exceeds top={top}"
         )
-    return tagged
+    return tagged, stopped
 
 
 def base_dtn_spectrum(
@@ -455,7 +505,7 @@ def base_dtn_spectrum(
     with lambda = fiber_eigenvalue and q = inv_sq_weight; see collar_branch
     for how the modes are walked and when the union is complete below top.
     """
-    if top <= 0.0:
+    if not top > 0.0:  # NaN too: no eigenvalue would exceed it, and no walk would stop
         raise DomainError("top must be positive")
     if fiber_eigenvalue < 0.0:
         raise DomainError("fiber eigenvalue must be nonnegative")
@@ -468,4 +518,5 @@ def base_dtn_spectrum(
         transition_spans=transition_spans,
     )
     modes = CachedEntries(geom.cross_section)
-    return merge_tagged(collar_branch(problem, modes, fiber_eigenvalue, 1, top))
+    tagged, _ = collar_branch(problem, [(fiber_eigenvalue, 1)], modes, top, {})
+    return merge_tagged(tagged)

@@ -8,12 +8,16 @@ import pytest
 
 from steklovwarp import (
     BaseGeometry,
+    CompletenessError,
     DomainError,
+    EigenSource,
     HypothesisViolationError,
     WarpedMetricSpec,
     WarpProfile,
     base_dtn_spectrum,
     circle_spectrum,
+    dtn_eigenvalues,
+    explicit_spectrum,
     first_eigenvalues,
     flat_torus_spectrum,
     graded_mesh,
@@ -23,7 +27,10 @@ from steklovwarp import (
     sigma1_construction,
     steklov_spectrum_warped,
 )
+from steklovwarp import sturm
 from steklovwarp.profiles import power_fn
+from steklovwarp.provenance import merge_tagged
+from steklovwarp.spectra import extend, iter_entries
 
 TWO_PI = 2.0 * math.pi
 TANH1 = math.tanh(1.0)
@@ -173,6 +180,11 @@ class TestSteklovSpectrumWarped:
         with pytest.raises(DomainError):
             steklov_spectrum_warped(cylinder_spec(), top=0.0)
 
+    def test_nan_top_rejected(self):
+        # no eigenvalue exceeds a NaN top, so the fiber walk would not stop
+        with pytest.raises(DomainError):
+            steklov_spectrum_warped(cylinder_spec(), top=math.nan)
+
 
 class TestFirstEigenvalues:
     def test_doubles_until_enough(self):
@@ -182,6 +194,187 @@ class TestFirstEigenvalues:
              2.0 / math.tanh(2.0)]
         )
         assert values == pytest.approx(expected, abs=3e-4)
+
+
+def collar_of(spec, n_elements):
+    recipes = metric_recipes(spec)
+    return sturm.collar_problem(
+        spec.base, recipes.grad_weight, recipes.inv_sq_weight, n_elements=n_elements,
+        boundary_weights=recipes.boundary_weights, transition_spans=recipes.spans,
+    )
+
+
+def per_pair_walk(spec, top, n_elements):
+    """Reference walk: one dtn_eigenvalues call per (lambda, mu) pair, under the same stop rules.
+
+    A fiber's modes are read until the first whose smallest eigenvalue
+    exceeds top, and fibers until the first whose mode 0 does; a stream that
+    runs out early ends the walk if it is complete, and raises
+    CompletenessError from iter_entries if not. Returns the merged spectrum,
+    the number of fiber branches below top and the last mode position read
+    below top.
+    """
+    problem = collar_of(spec, n_elements)
+    tagged, branches, last_mode = [], 0, 0
+    for fiber_value, fiber_mult in iter_entries(spec.fiber):
+        branch = []
+        for j, (cross_value, cross_mult) in enumerate(iter_entries(spec.base.cross_section)):
+            row = dtn_eigenvalues(problem, fiber_value, cross_value)
+            if row[0] > top:
+                break
+            last_mode = max(last_mode, j)
+            branch += [
+                (float(value), EigenSource(fiber_value, fiber_mult, cross_value, cross_mult, b))
+                for b, value in enumerate(row)
+                if value <= top
+            ]
+        if not branch:
+            break
+        tagged += branch
+        branches += 1
+    return merge_tagged(tagged), branches, last_mode
+
+
+class TestBlockedWalk:
+    """Fibers and modes are walked in blocks, on one row cache per call.
+
+    steklov_spectrum_warped and first_eigenvalues must equal the per-pair
+    reference walk bit for bit, with every source. The cross-sections are
+    dense enough that top = 10 and 16 read past mode 24, into the third
+    block of modes; top = 1.5 stops inside the first block of 8 fibers and
+    top = 16 needs the second. On them one more top, one ulp below the
+    smallest eigenvalue of fiber 5 at mode 24, ends that fiber's walk
+    exactly at the start of the third mode block while fiber 8, in the
+    second fiber block, still starts below top.
+    """
+
+    TOPS = (1.5, 10.0, 16.0)
+    N_ELEMENTS = 200
+
+    @staticmethod
+    def _spec(steklov_ends, cross):
+        n, cross_section = {
+            "point": (1, point_spectrum()),
+            "circle": (2, circle_spectrum(2.0 * TWO_PI, 8)),
+            "torus": (3, flat_torus_spectrum(2.0, 2.6, 8)),
+        }[cross]
+        return WarpedMetricSpec(
+            base_dim=n,
+            fiber_dim=1,
+            warp=WarpProfile(0.05, 0.75, 1.0, True),
+            base=BaseGeometry(cross_section, 1.0, steklov_ends),
+            fiber=circle_spectrum(TWO_PI, 8),
+            mode="volume_preserving",
+        )
+
+    @pytest.mark.parametrize("cross", ["point", "circle", "torus"])
+    @pytest.mark.parametrize("steklov_ends", ["both", "left", "right"])
+    def test_spectrum_equals_per_pair_walk(self, steklov_ends, cross):
+        spec = self._spec(steklov_ends, cross)
+        tops = list(self.TOPS)
+        if cross != "point":
+            fiber_5 = extend(spec.fiber, 6).entries[5][0]
+            mode_24 = extend(spec.base.cross_section, 25).entries[24][0]
+            edge = dtn_eigenvalues(collar_of(spec, self.N_ELEMENTS), fiber_5, mode_24)[0]
+            tops.append(float(np.nextafter(edge, 0.0)))
+        walks = {}
+        for top in tops:
+            expected, branches, last_mode = per_pair_walk(spec, top, self.N_ELEMENTS)
+            got = steklov_spectrum_warped(spec, top, n_elements=self.N_ELEMENTS)
+            assert got.entries == expected.entries, top
+            walks[top] = branches, last_mode
+        assert walks[1.5][0] < 8 <= walks[16.0][0]
+        if cross != "point":
+            assert walks[16.0][1] >= 24
+            assert walks[tops[-1]][0] > 8
+
+    @pytest.mark.parametrize("cross", ["point", "circle", "torus"])
+    @pytest.mark.parametrize("steklov_ends", ["both", "left", "right"])
+    def test_first_eigenvalues_equal_per_pair_walk(self, steklov_ends, cross):
+        spec = self._spec(steklov_ends, cross)
+        count, top = 40, 1.0
+        expected = per_pair_walk(spec, top, self.N_ELEMENTS)[0]
+        while expected.total_multiplicity <= count:
+            top *= 2.0
+            expected = per_pair_walk(spec, top, self.N_ELEMENTS)[0]
+        assert top >= 4.0  # the walk ran at two or more cutoffs
+        values, spectrum = first_eigenvalues(spec, count, n_elements=self.N_ELEMENTS)
+        assert spectrum.entries == expected.entries
+        assert np.array_equal(values, expected.flatten()[:count])
+
+
+class TestRowReuse:
+    """Each (lambda, mu) pair is reduced once per call, in calls of at most 64 rows."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = []
+        original = sturm.dtn_eigenvalues
+
+        def spy(p, fiber_value=1.0, mu=0.0):
+            lam, mu_b = np.broadcast_arrays(np.asarray(fiber_value, float), np.asarray(mu, float))
+            calls.append(list(zip(lam.ravel().tolist(), mu_b.ravel().tolist())))
+            return original(p, fiber_value, mu)
+
+        monkeypatch.setattr(sturm, "dtn_eigenvalues", spy)
+        return calls
+
+    @staticmethod
+    def _assert_each_pair_once(calls):
+        pairs = [pair for call in calls for pair in call]
+        assert len(pairs) == len(set(pairs))
+        assert max(len(call) for call in calls) <= 64
+
+    def test_point_cross_section_across_doublings(self, monkeypatch):
+        # the shape of the quasi-isometry criterion: interval base, circle fiber
+        spec = WarpedMetricSpec(
+            base_dim=1,
+            fiber_dim=1,
+            warp=WarpProfile(0.1, 0.7, 1.0, symmetric=True),
+            base=BaseGeometry(point_spectrum(), 1.0, "both"),
+            fiber=circle_spectrum(TWO_PI, 8),
+            mode="volume_preserving",
+        )
+        calls = self._spy(monkeypatch)
+        _, spectrum = first_eigenvalues(spec, 40, n_elements=300)
+        self._assert_each_pair_once(calls)
+        # fiber 9 (lambda = 81) is reached, past the first block of 8 fibers
+        assert max(s.fiber_value for e in spectrum.entries for s in e.sources) > 64.0
+
+    def test_circle_cross_section_at_top_30(self, monkeypatch):
+        # the spectrum benchmark's metric; first_eigenvalues doubles its
+        # cutoff to 32 to certify every eigenvalue below 30
+        spec = sweep_spec(0.05)
+        count = steklov_spectrum_warped(spec, 30.0).total_multiplicity
+        calls = self._spy(monkeypatch)
+        steklov_spectrum_warped(spec, 30.0)
+        self._assert_each_pair_once(calls)
+        calls.clear()
+        _, spectrum = first_eigenvalues(spec, count)
+        self._assert_each_pair_once(calls)
+        assert spectrum.total_multiplicity > count
+
+
+class TestIncompleteFiber:
+    """An incomplete explicit fiber list that ends before a branch starts above top raises."""
+
+    @pytest.mark.parametrize("length", [2, 8], ids=["short-block", "full-block"])
+    def test_stream_ending_first_raises(self, length):
+        fiber = explicit_spectrum([(float(j * j), 2 if j else 1) for j in range(length)])
+        spec = dataclasses.replace(cylinder_spec(), fiber=fiber)
+        with pytest.raises(CompletenessError):
+            steklov_spectrum_warped(spec, top=100.0, n_elements=200)
+        with pytest.raises(CompletenessError):
+            first_eigenvalues(spec, 200, n_elements=200)
+
+    def test_stream_ending_after_the_stop_is_complete(self):
+        # the lambda = 400 branch starts near 20 > top, so the list suffices
+        fiber = explicit_spectrum([(0.0, 1), (1.0, 2), (400.0, 2)])
+        spec = dataclasses.replace(cylinder_spec(), fiber=fiber)
+        spectrum = steklov_spectrum_warped(spec, top=5.0, n_elements=200)
+        assert {s.fiber_value for e in spectrum.entries for s in e.sources} == {0.0, 1.0}
+        values, _ = first_eigenvalues(spec, 4, n_elements=200)
+        assert len(values) == 4
 
 
 class TestSigma1Construction:
@@ -323,12 +516,43 @@ class TestLowerBoundC:
                        for eps in (1e-10, 1e-4))
         assert late < 0.5 * early
 
-    @pytest.mark.parametrize(
-        "n, k, delta",
-        [(2, 1, 0.55), (2, 1, 0.9), (3, 1, 0.55), (3, 1, 0.75), (3, 1, 0.95),
-         (3, 2, 0.6), (3, 2, 0.7), (4, 1, 0.8), (5, 2, 0.7)],
-    )
+    FAMILIES = [(2, 1, 0.55), (2, 1, 0.9), (3, 1, 0.55), (3, 1, 0.75), (3, 1, 0.95),
+                (3, 2, 0.6), (3, 2, 0.7), (4, 1, 0.8), (5, 2, 0.7)]
+
+    @pytest.mark.parametrize("n, k, delta", FAMILIES)
     def test_holds_down_to_small_epsilon(self, n, k, delta):
         for eps in 10.0 ** -np.arange(2, 11):
             sigma1 = sigma1_construction(sweep_spec(eps, n, k, delta), n_elements=400).value
             assert sigma1 >= lower_bound_C(eps, delta, n, k, 1.0), eps
+
+    @pytest.mark.parametrize("n, k, delta", FAMILIES)
+    def test_rayleigh_upper_bounds_and_their_rates(self, n, k, delta):
+        # The two test functions of lower_bound_C's docstring, evaluated here
+        # from the mesh and the warp: the (0, 0) mode gives
+        #   U_a = (1/b0 + 1/b1) / sum_e dt_e / h(t_mid)^(2k/n),
+        # the nonzero eigenvalue of that mode on the discrete ladder, and the
+        # fiber-lambda1 mode, constant along the base, has the quotient
+        #   U_b = lambda1 sum_i h(t_i)^-2 lump_i / (b0 + b1),
+        # with b = h^(k/n) at the ends and lambda1 = 1. Their rates in eps
+        # are the exponents of lower_bound_C.
+        epsilons = 10.0 ** -np.arange(4, 11)
+        bounds = []
+        for eps in epsilons:
+            spec = sweep_spec(eps, n, k, delta)
+            warp = spec.warp
+            nodes = graded_mesh(1.0, 400, warp.transition_intervals())
+            dt = np.diff(nodes)
+            lump = np.concatenate((dt / 2.0, [0.0])) + np.concatenate(([0.0], dt / 2.0))
+            b0, b1 = power_fn(warp, k / n)(np.array([0.0, 1.0]))
+            h_mid = power_fn(warp, 1.0)(0.5 * (nodes[:-1] + nodes[1:]))
+            u_a = (1.0 / b0 + 1.0 / b1) / np.sum(dt / h_mid ** (2.0 * k / n))
+            u_b = np.sum(power_fn(warp, -2.0)(nodes) * lump) / (b0 + b1)
+            sigma1 = sigma1_construction(spec, n_elements=400).value
+            assert sigma1 <= u_a * (1.0 + 1e-12), eps
+            assert sigma1 <= u_b * (1.0 + 1e-12), eps
+            bounds.append((u_a, u_b))
+        slope_a, slope_b = (
+            np.polyfit(np.log(epsilons), np.log(column), 1)[0] for column in np.transpose(bounds)
+        )
+        assert slope_a == pytest.approx(2.0 * delta * k / n - 1.0, abs=0.01)
+        assert slope_b == pytest.approx(1.0 - 2.0 * delta, abs=0.01)

@@ -417,6 +417,23 @@ class TestBaseDtnSpectrum:
         with pytest.raises(DomainError):
             base_dtn_spectrum(geom, lambda t: 1.0, 0.0, lambda t: 1.0, top=0.0)
 
+    @pytest.mark.parametrize("complete", [True, False])
+    def test_cross_section_ending_at_a_block_end(self, complete):
+        # eight modes fill the first block exactly, so the next one is empty
+        cross = explicit_spectrum([(float(j * j), 2 if j else 1) for j in range(8)], complete)
+        geom = BaseGeometry(cross, 1.0, "both")
+        if not complete:
+            with pytest.raises(CompletenessError):
+                base_dtn_spectrum(geom, lambda t: 1.0, 0.0, lambda t: 1.0, top=1e6)
+            return
+        spectrum = base_dtn_spectrum(geom, lambda t: 1.0, 0.0, lambda t: 1.0, top=1e6)
+        assert spectrum.total_multiplicity == 2 * 15  # two branches per mode
+
+    def test_nan_top_rejected(self):
+        geom = BaseGeometry(point_spectrum(), 1.0, "both")
+        with pytest.raises(DomainError):
+            base_dtn_spectrum(geom, lambda t: 1.0, 0.0, lambda t: 1.0, top=math.nan)
+
     def test_profile_transitions_are_meshed(self):
         profile = WarpProfile(0.05, 0.7, 1.0, True)
         geom = BaseGeometry(point_spectrum(), 1.0, "both")
