@@ -139,8 +139,7 @@ def steklov_spectrum_warped(
     The collar is discretized once, and the fiber branches are walked in
     blocks on it; see _union_below and sturm.collar_branch.
     """
-    if not top > 0.0:  # NaN too: no eigenvalue would exceed it, and no walk would stop
-        raise DomainError("top must be positive")
+    sturm.check_top(top, spec.fiber, spec.base.cross_section)
     fibers = CachedEntries(spec.fiber)
     modes = CachedEntries(spec.base.cross_section)
     return _union_below(_discretize(spec, n_elements), fibers, modes, top, {})

@@ -11,12 +11,14 @@ with N the periodic neighbour matrix, and rings j and j+1 couple through
 
 revolution_spectrum computes the boundary Schur complement by block
 Gaussian elimination, one interior ring at a time (Golub & Van Loan,
-Matrix Computations, 4.5), so nothing larger than a few n_theta x n_theta
-blocks is formed, and then solves the dense boundary eigenproblem. Each K_j
-is treated as a general SPD block. Its circulant structure is deliberately
-left unused: separating Fourier modes would reduce the grid to the same
-per-mode 1D problems the decomposition solves, and the oracle would check
-the decomposition against itself.
+Matrix Computations, 4.5), and then solves the dense boundary
+eigenproblem. A ring costs one Cholesky factor of its frontier block, the
+factor's triangular inverse and triangular BLAS-3 updates, in place on a
+few n_theta x n_theta blocks. Each K_j is treated as a general SPD block.
+Its circulant structure is deliberately left unused: separating Fourier
+modes would reduce the grid to the same per-mode 1D problems the
+decomposition solves, and the oracle would check the decomposition
+against itself.
 
 assemble_revolution builds the same energy as a banded partitioned system,
 the reference the ring elimination is tested against.
@@ -27,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, block_diag, circulant, lapack
 
 from .errors import DomainError, NumericError
 from .linalg import PartitionedSystem, sym_eig
@@ -143,40 +145,19 @@ def assemble_revolution(grid: RevolutionGrid) -> PartitionedSystem:
     boundary_rings = ([0] if left_st else []) + ([n_t - 1] if right_st else [])
     n_b = len(boundary_rings) * n_th
     a_ib = np.zeros((n_i, n_b))
-    col = 0
-    for ring in boundary_rings:
-        if ring == 0:
-            rows = np.arange(n_th)  # interior ring 1 is the first block
-            a_ib[rows, col + rows] = -cax[0]
-        else:
-            rows = (n_rings - 1) * n_th + np.arange(n_th)
-            a_ib[rows, col + np.arange(n_th)] = -cax[-1]
-        col += n_th
+    if left_st:  # ring 0 couples to interior ring 1, the first block
+        a_ib[:n_th, :n_th] = -cax[0] * np.eye(n_th)
+    if right_st:
+        a_ib[n_i - n_th :, n_b - n_th :] = -cax[-1] * np.eye(n_th)
 
-    a_bb = np.zeros((n_b, n_b))
-    col = 0
-    for ring in boundary_rings:
-        block = np.zeros((n_th, n_th))
-        np.fill_diagonal(block, diag_ring[ring])
-        idx = np.arange(n_th - 1)
-        block[idx, idx + 1] = -cfib[ring]
-        block[idx + 1, idx] = -cfib[ring]
-        block[0, n_th - 1] = -cfib[ring]
-        block[n_th - 1, 0] = -cfib[ring]
-        a_bb[col : col + n_th, col : col + n_th] = block
-        col += n_th
+    def ring_block(ring: int) -> np.ndarray:  # K_ring, a symmetric circulant
+        column = np.zeros(n_th)
+        column[[0, 1, -1]] = diag_ring[ring], -cfib[ring], -cfib[ring]
+        return circulant(column)
 
+    a_bb = block_diag(*[ring_block(ring) for ring in boundary_rings])
     b_bb = np.repeat(hv[boundary_rings] * dth, n_th)
     return PartitionedSystem(ab, a_ib, a_bb, b_bb)
-
-
-def _neighbour_matrix(n: int) -> np.ndarray:
-    """Adjacency of n points on a circle: ones at angular distance 1, periodically."""
-    idx = np.arange(n)
-    nbr = np.zeros((n, n))
-    nbr[idx, (idx + 1) % n] = 1.0
-    nbr[idx, (idx - 1) % n] = 1.0
-    return nbr
 
 
 def _ring_schur(
@@ -188,37 +169,47 @@ def _ring_schur(
     [[P, Q], [Q^T, R]] on ring 0 and the frontier ring; eliminating the
     frontier ring j, which couples to ring j+1 by -cax[j] I, gives
     P - Q R^-1 Q^T, cax[j] Q R^-1 and K_{j+1} - cax[j]^2 R^-1.
-    """
-    nbr = _neighbour_matrix(n_theta)
-    lower = np.tri(n_theta, dtype=bool)
 
-    def ring_block(j: int) -> np.ndarray:
-        block = -cfib[j] * nbr
-        block.flat[:: n_theta + 1] += diag_ring[j]
+    Each step uses one Cholesky factor R = L L^T and M = L^-1 (dtrtri), so
+    R^-1 = M^T M. With W = Q M^T (dtrmm), P loses W W^T (dsyrk), Q becomes
+    cax[j] W M (dtrmm) and R becomes K_{j+1} - cax[j]^2 M^T M (dlauum):
+    4 n_theta^3 flops per ring, in place. P and R are kept as lower
+    triangles in Fortran order and mirrored once, at the end.
+    """
+
+    def add_ring(block: np.ndarray, j: int) -> np.ndarray:
+        # adds K_j = diag_ring[j] I - cfib[j] N to the lower triangle, in place
+        flat = block.ravel(order="F")  # a view: LAPACK returns Fortran-order arrays
+        flat[:: n_theta + 1] += diag_ring[j]
+        flat[1 :: n_theta + 1] -= cfib[j]
+        flat[n_theta - 1] -= cfib[j]  # the wrap pair (n_theta - 1, 0)
         return block
 
     n_t = len(diag_ring)
     last_eliminated = n_t - 2 if both else n_t - 1
-    p = ring_block(0)
-    q = -cax[0] * np.eye(n_theta)
-    r = ring_block(1)
+    p = add_ring(np.zeros((n_theta, n_theta), order="F"), 0)
+    q = np.asfortranarray(-cax[0] * np.eye(n_theta))
+    r = add_ring(np.zeros((n_theta, n_theta), order="F"), 1)
     for j in range(1, last_eliminated + 1):
-        factor, info = lapack.dpotrf(r, lower=1)
+        factor, info = lapack.dpotrf(r, lower=1, clean=0, overwrite_a=1)
         if info != 0:
             raise NumericError(
                 f"interior block is not positive definite: ring {j}, LAPACK info {info}"
             )
-        r_inv, info = lapack.dpotri(factor, lower=1)
+        m, info = lapack.dtrtri(factor, lower=1, overwrite_c=1)
         if info != 0:
             raise NumericError(f"inverse of ring block {j} failed, LAPACK info {info}")
-        r_inv = np.where(lower, r_inv, r_inv.T)  # dpotri fills the lower triangle only
-        z = q @ r_inv
-        p -= z @ q.T
+        w = blas.dtrmm(1.0, m, q, side=1, lower=1, trans_a=1, overwrite_b=1)
+        p = blas.dsyrk(-1.0, w, beta=1.0, c=p, lower=1, overwrite_c=1)
         if j < n_t - 1:
-            q = cax[j] * z
-            r = ring_block(j + 1) - cax[j] ** 2 * r_inv
+            q = blas.dtrmm(cax[j], m, w, side=1, lower=1, overwrite_b=1)
+            r, _ = lapack.dlauum(m, lower=1, overwrite_c=1)
+            r *= -cax[j] ** 2
+            add_ring(r, j + 1)
+    p += np.tril(p, -1).T  # the upper triangles were never written, so they hold 0
     if not both:
         return p
+    r += np.tril(r, -1).T
     return np.block([[p, q], [q.T, r]])
 
 

@@ -488,6 +488,17 @@ def collar_branch(
     return tagged, stopped
 
 
+def check_top(top: float, *walked: ClosedSpectrum) -> None:
+    """Reject a cutoff at which a walk over the `walked` spectra would never stop.
+
+    No branch starts above inf, so top = inf needs every walked spectrum complete.
+    """
+    if not top > 0.0:  # NaN too: no eigenvalue would exceed it, and no walk would stop
+        raise DomainError("top must be positive")
+    if top == math.inf and not all(spectrum.complete for spectrum in walked):
+        raise DomainError("top = inf needs complete spectra; a generated spectrum never ends")
+
+
 def base_dtn_spectrum(
     geom: BaseGeometry,
     grad_weight: CoefficientFn,
@@ -505,8 +516,7 @@ def base_dtn_spectrum(
     with lambda = fiber_eigenvalue and q = inv_sq_weight; see collar_branch
     for how the modes are walked and when the union is complete below top.
     """
-    if not top > 0.0:  # NaN too: no eigenvalue would exceed it, and no walk would stop
-        raise DomainError("top must be positive")
+    check_top(top, geom.cross_section)
     if fiber_eigenvalue < 0.0:
         raise DomainError("fiber eigenvalue must be nonnegative")
     problem = collar_problem(

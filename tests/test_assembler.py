@@ -185,6 +185,19 @@ class TestSteklovSpectrumWarped:
         with pytest.raises(DomainError):
             steklov_spectrum_warped(cylinder_spec(), top=math.nan)
 
+    def test_infinite_top_rejected_on_a_generated_stream(self):
+        # no branch starts above inf, so a circle fiber or cross-section
+        # would be walked forever
+        with pytest.raises(DomainError, match="top = inf"):
+            steklov_spectrum_warped(cylinder_spec(), top=math.inf)
+        spec = dataclasses.replace(
+            cylinder_spec(),
+            fiber=point_spectrum(),
+            base=BaseGeometry(circle_spectrum(TWO_PI, 8), 2.0, "both"),
+        )
+        with pytest.raises(DomainError, match="top = inf"):
+            steklov_spectrum_warped(spec, top=math.inf)
+
 
 class TestFirstEigenvalues:
     def test_doubles_until_enough(self):

@@ -13,6 +13,16 @@ from steklovwarp.cli import main
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def run_module(*args):
+    """Run `python -m steklovwarp` with the source tree on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "steklovwarp", *args],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
 def test_small_spectrum_run_succeeds(capsys):
     assert main(["spectrum", "--top", "2", "--mesh", "100"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -36,6 +46,13 @@ def test_solver_domain_error_exits_one(capsys):
     assert "count must lie in [1, 128]" in capsys.readouterr().err
 
 
+def test_infinite_top_exits_one():
+    # the default fiber is a circle, whose walk never ends below an infinite top
+    done = run_module("spectrum", "--top", "inf")
+    assert done.returncode == 1
+    assert "error: top = inf needs complete spectra" in done.stderr
+
+
 def test_unknown_config_field_exits_two(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"experiment": "spectrum", "bogus": 1}))
@@ -55,11 +72,6 @@ def test_sweep_outside_growth_window_exits_two(tmp_path, capsys, n, k, delta):
 
 
 def test_module_entry_point_prints_help():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "steklovwarp", "--help"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    done = run_module("--help")
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: steklovwarp")

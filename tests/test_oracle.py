@@ -10,6 +10,7 @@ from steklovwarp import (
     BaseGeometry,
     DomainError,
     MeshResolutionError,
+    NumericError,
     RevolutionGrid,
     WarpedMetricSpec,
     WarpProfile,
@@ -20,6 +21,8 @@ from steklovwarp import (
     sym_eig,
 )
 from steklovwarp.oracle import (
+    _ring_coefficients,
+    _ring_schur,
     assemble_revolution,
     make_grid,
     revolution_spectrum,
@@ -58,6 +61,41 @@ class TestRingElimination:
         values = revolution_spectrum(grid_for(warp_name, shape, ends))
         assert values[0] == 0.0
         assert np.all(values[1:] > 1e-8 * values.max())
+
+
+@pytest.mark.parametrize("ends", ENDS)
+def test_benchmark_ring_width_matches_banded_reference(ends):
+    # n_theta = 128, the ring width of the benchmark's oracle grid, on few rings
+    grid = grid_for("plateau", (64, 128), ends)
+    values = revolution_spectrum(grid)
+    reference = np.sort(sym_eig(dtn_matrix(assemble_revolution(grid)))[0])
+    assert values[0] == 0.0
+    dev = np.abs(values - reference) / np.maximum(np.abs(reference), 1.0)
+    assert dev.max() <= 1e-8
+
+
+@pytest.mark.parametrize("both", [True, False])
+@pytest.mark.parametrize("shape", GRIDS + [(256, 64)])
+@pytest.mark.parametrize("warp_name", sorted(WARPS))
+def test_ring_schur_is_symmetric_and_annihilates_constants(warp_name, shape, both):
+    grid = grid_for(warp_name, shape, "both" if both else "left")
+    _, cax, cfib, diag_ring, _ = _ring_coefficients(grid)
+    schur = _ring_schur(cax, cfib, diag_ring, grid.n_theta, both)
+    assert np.array_equal(schur, schur.T)
+    assert np.abs(schur.sum(axis=1)).max() <= 1e-9 * np.abs(schur).max()
+
+
+@pytest.mark.parametrize("both", [True, False])
+@pytest.mark.parametrize("bad_ring", [1, 2])
+def test_indefinite_ring_block_is_named(bad_ring, both):
+    # with cax = cfib = 1, K_j = diag_ring[j] I - N, and N has the eigenvalue
+    # 2: diag_ring[j] = 1 makes K_j indefinite, and so the frontier block
+    # K_j - R^-1 of ring j; diag_ring = 5 keeps the other rings definite
+    n_t = 5
+    diag_ring = np.full(n_t, 5.0)
+    diag_ring[bad_ring] = 1.0
+    with pytest.raises(NumericError, match=f"not positive definite: ring {bad_ring},"):
+        _ring_schur(np.ones(n_t - 1), np.ones(n_t), diag_ring, 16, both)
 
 
 def discrete_circle(fiber_length, n_theta):

@@ -434,6 +434,12 @@ class TestBaseDtnSpectrum:
         with pytest.raises(DomainError):
             base_dtn_spectrum(geom, lambda t: 1.0, 0.0, lambda t: 1.0, top=math.nan)
 
+    def test_infinite_top_rejected_on_a_circle_cross_section(self):
+        # the circle's modes never end, so the mode walk would never stop
+        geom = BaseGeometry(circle_spectrum(2 * math.pi, 8), 1.0, "both")
+        with pytest.raises(DomainError, match="top = inf"):
+            base_dtn_spectrum(geom, lambda t: 1.0, 0.0, lambda t: 1.0, top=math.inf)
+
     def test_profile_transitions_are_meshed(self):
         profile = WarpProfile(0.05, 0.7, 1.0, True)
         geom = BaseGeometry(point_spectrum(), 1.0, "both")
