@@ -5,11 +5,13 @@ over fiber eigenvalues of the spectra of auxiliary base operators, one per
 fiber eigenvalue. For a collar base every auxiliary operator splits into 1D
 problems over cross-section modes. The collar's coefficients are evaluated
 once per metric and mesh, as one `sturm.SturmProblem`. The fiber branches
-are then walked in blocks of 8, and each block reduces the (fiber, mode)
-rows still needed, a block of modes at a time, by the two-port ladder
-reduction of `sturm`, which gives the known zero eigenvalue as exactly 0.0.
-Reduced rows are kept for the length of one call, so the cutoff doublings
-of `first_eigenvalues` reduce no row twice.
+are then walked in blocks of 8. Each block reads the cross-section modes in
+8-aligned sub-blocks, doubling the sub-blocks per step while the fibers
+still live fit one reduction of 64 (fiber, mode) rows, and reduces the rows
+still needed by the two-port ladder reduction of `sturm`, which gives the
+known zero eigenvalue as exactly 0.0. Reduced rows are kept for the length
+of one call, under (fiber position, sub-block start), so the cutoff
+doublings of `first_eigenvalues` reduce no row twice.
 Multiplicities follow the tensor basis count: fiber multiplicity times
 cross-section multiplicity per source.
 """
@@ -79,7 +81,7 @@ def metric_recipes(spec: WarpedMetricSpec) -> MetricRecipes:
 _START_TOP = 1.0
 _MAX_DOUBLINGS = 60
 
-# fiber eigenvalues walked together: with the first block of 8 modes, one
+# fiber eigenvalues walked together: with one sub-block of 8 modes, one
 # dtn_eigenvalues call of at most 64 rows
 _FIBER_BLOCK = 8
 
@@ -102,7 +104,7 @@ def _union_below(
     fibers: CachedEntries,
     modes: CachedEntries,
     top: float,
-    rows: dict[tuple[int, int], np.ndarray],
+    rows: dict[tuple[int, int], list[list[float]]],
 ) -> SpectrumWithProvenance:
     """Merged union over fiber branches of the collar's eigenvalues <= top.
 
@@ -159,7 +161,7 @@ def first_eigenvalues(spec: WarpedMetricSpec, count: int, *, n_elements: int = 4
     problem = _discretize(spec, n_elements)
     fibers = CachedEntries(spec.fiber)
     modes = CachedEntries(spec.base.cross_section)
-    rows: dict[tuple[int, int], np.ndarray] = {}
+    rows: dict[tuple[int, int], list[list[float]]] = {}
     top = _START_TOP
     for _ in range(_MAX_DOUBLINGS):
         spectrum = _union_below(problem, fibers, modes, top, rows)

@@ -48,8 +48,10 @@ class ExperimentConfig:
 
     "experiment" names the driver, which requires the fields _REQUIRED lists:
     top (spectrum), count (oracle), epsilon_list and delta (sweep, kokarev),
-    target and dim (normalize_volume), none (quasi_iso, verify). fiber and
-    cross_section are spectrum descriptors, coefficient a warp descriptor.
+    target and dim (normalize_volume), none (quasi_iso, verify). samples and
+    collar_fraction are read by normalize_volume alone, and rejected for any
+    other experiment. fiber and cross_section are spectrum descriptors,
+    coefficient a warp descriptor.
     """
 
     experiment: str
@@ -94,6 +96,10 @@ _NUMERIC_FIELDS = {
 _INT_FIELDS = {"n", "k", "mesh", "n_theta", "count", "seed", "dim", "samples",
                "pairs", "k_max", "genus"}
 
+# read by normalize_volume alone; set for another experiment they would be
+# silently ignored, so they are rejected
+_NORMALIZE_VOLUME_FIELDS = ("samples", "collar_fraction")
+
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build a config from a JSON record, rejecting unknown fields by path."""
@@ -106,6 +112,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     kinds = tuple(_REQUIRED)
     if raw["experiment"] not in kinds:
         raise ConfigError(f"experiment: expected one of {kinds}, got {raw['experiment']!r}")
+    for name in _NORMALIZE_VOLUME_FIELDS:
+        if name in raw and raw["experiment"] != "normalize_volume":
+            raise ConfigError(
+                f"{name}: read only by experiment 'normalize_volume', not '{raw['experiment']}'"
+            )
     coerced = dict(raw)
     for name in _NUMERIC_FIELDS:
         if coerced.get(name) is not None:

@@ -35,9 +35,6 @@ class EigenSource:
     def multiplicity(self) -> int:
         return self.fiber_mult * self.cross_mult
 
-    def sort_key(self) -> tuple:
-        return (self.fiber_value, self.cross_value, self.branch)
-
 
 @dataclass(frozen=True)
 class SpectrumEntry:
@@ -80,29 +77,25 @@ def merge_tagged(tagged: list[tuple[float, EigenSource]]) -> SpectrumWithProvena
     Grouping is anchored at the first (smallest) value of each group so a
     chain of nearly equal values cannot drift across the tolerance. The
     output order is deterministic: by value, then fiber eigenvalue, then
-    cross-section mode, then branch index.
+    cross-section mode, then branch index, then input order.
     """
-    ordered = sorted(tagged, key=lambda vs: (vs[0], vs[1].sort_key()))
+    ordered = sorted(
+        (value, source.fiber_value, source.cross_value, source.branch, i)
+        for i, (value, source) in enumerate(tagged)
+    )
     entries: list[SpectrumEntry] = []
-    group_value = None
-    group_sources: list[EigenSource] = []
-
-    def close(a: float, b: float) -> bool:
-        return abs(a - b) <= max(MERGE_RTOL * max(abs(a), abs(b)), MERGE_ATOL)
-
-    for value, source in ordered:
-        if group_value is not None and close(value, group_value):
-            group_sources.append(source)
-        else:
-            if group_value is not None:
-                entries.append(_entry(group_value, group_sources))
-            group_value = value
-            group_sources = [source]
-    if group_value is not None:
-        entries.append(_entry(group_value, group_sources))
+    anchor, group, mult = 0.0, [], 0
+    for value, _, _, _, i in ordered:
+        source = tagged[i][1]
+        # value >= anchor, so |value - anchor| = value - anchor and
+        # max(|value|, |anchor|) = max(value, -anchor)
+        if group and value - anchor <= max(MERGE_RTOL * max(value, -anchor), MERGE_ATOL):
+            group.append(source)
+            mult += source.multiplicity
+            continue
+        if group:
+            entries.append(SpectrumEntry(anchor, mult, tuple(group)))
+        anchor, group, mult = value, [source], source.multiplicity
+    if group:
+        entries.append(SpectrumEntry(anchor, mult, tuple(group)))
     return SpectrumWithProvenance(tuple(entries))
-
-
-def _entry(value: float, sources: list[EigenSource]) -> SpectrumEntry:
-    mult = sum(s.multiplicity for s in sources)
-    return SpectrumEntry(value, mult, tuple(sources))

@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -43,10 +44,10 @@ from .profiles import CoefficientFn
 from .provenance import EigenSource, SpectrumWithProvenance, merge_tagged
 from .spectra import CachedEntries, ClosedSpectrum
 
-# cross-section modes reduced together: the first block, and the cap that
-# bounds the arrays of a block as it doubles; no dtn_eigenvalues call of a
-# walk reduces more than _MAX_BLOCK (lambda, mu) rows
-_FIRST_BLOCK = 8
+# cross-section modes are read in aligned sub-blocks of _SUB_BLOCK, the unit
+# of the row cache; no dtn_eigenvalues call of a walk reduces more than
+# _MAX_BLOCK (lambda, mu) rows
+_SUB_BLOCK = 8
 _MAX_BLOCK = 64
 
 # elements that every transition span of a mesh must hold: coefficient
@@ -177,16 +178,14 @@ def graded_mesh(
         cuts.add(b)
     breaks = sorted(cuts)
     span_set = {(a, b) for a, b in spans}
-    nodes = [0.0]
+    pieces = [[0.0]]
     for a, b in zip(breaks[:-1], breaks[1:]):
         seg = max(1, round(n_elements * (b - a) / length))
         if (a, b) in span_set:
             seg = max(seg, MIN_ELEMENTS_PER_SPAN)
         step = (b - a) / seg
-        for i in range(1, seg):
-            nodes.append(a + i * step)
-        nodes.append(b)
-    return np.array(nodes)
+        pieces += [a + np.arange(1, seg) * step, [b]]
+    return np.concatenate(pieces)
 
 
 def check_mesh(nodes: np.ndarray, spans: tuple[tuple[float, float], ...]) -> None:
@@ -296,13 +295,25 @@ def _reduce_ladder(
 
         y <- y_A y_B / d,  g1 <- g1_A + y_A m / d,  g2 <- g2_B + y_B m / d.
 
-    The shunts of the two end nodes are left out of g1 and g2.
+    The first level merges elements 2i and 2i + 1, whose g1 and g2 are 0,
+    so it is built from cond and the odd nodes' shunts alone: m = s, and
+    g1 = y_A share, g2 = y_B share with share = m / d, as the general step
+    gives them exactly. The shunts of the two end nodes are left out of g1
+    and g2.
     """
-    rows = shunt.shape[0]
-    y = np.broadcast_to(cond, (rows, len(cond)))
-    g1 = np.zeros_like(y)
-    g2 = np.zeros_like(y)
-    junction = shunt[:, 1:-1]
+    rows, n = shunt.shape[0], len(cond)
+    paired = n - n % 2
+    ya, yb = cond[0:paired:2], cond[1:paired:2]
+    m = shunt[:, 1:paired:2]
+    d = ya + yb + m
+    share = m / d
+    g1, y, g2 = ya * share, ya * yb / d, yb * share
+    if paired < n:  # odd count: the last element, (0, c_e, 0), waits for the next level
+        g1, y, g2 = (
+            np.concatenate((new, np.broadcast_to(old, (rows, 1))), axis=1)
+            for new, old in zip((g1, y, g2), (0.0, cond[-1], 0.0))
+        )
+    junction = shunt[:, 2:-1:2]
     while y.shape[1] > 1:
         paired = y.shape[1] - y.shape[1] % 2
         ya, yb = y[:, 0:paired:2], y[:, 1:paired:2]
@@ -401,26 +412,36 @@ def _reduce_rows(
     live: list[tuple[int, tuple[float, int]]],
     start: int,
     block: list[tuple[float, int]],
-    rows: dict[tuple[int, int], np.ndarray],
+    rows: dict[tuple[int, int], list[list[float]]],
 ) -> None:
-    """Put in rows, under (fiber position, start), the mode block's rows of each live fiber.
+    """Put in rows, under (fiber position, sub-block start), each live fiber's rows of a mode block.
 
-    live holds (position, (lambda, multiplicity)) entries; those already in
-    rows are skipped. The missing (lambda, mu) pairs are reduced fiber by
-    fiber, mode by mode, through dtn_eigenvalues, at most _MAX_BLOCK rows
-    per call.
+    block holds the modes from position `start`, a multiple of _SUB_BLOCK,
+    and is cut into sub-blocks of _SUB_BLOCK modes; live holds
+    (position, (lambda, multiplicity)) entries. The (fiber, sub-block)
+    pairs already in rows are skipped, and the (lambda, mu) pairs of the
+    rest are reduced through dtn_eigenvalues, at most _MAX_BLOCK rows per
+    call. A row is stored as a list of Python floats.
     """
-    todo = [(position, lam) for position, (lam, _) in live if (position, start) not in rows]
+    todo = [
+        (position, lam, sub, block[sub - start : sub - start + _SUB_BLOCK])
+        for position, (lam, _) in live
+        for sub in range(start, start + len(block), _SUB_BLOCK)
+        if (position, sub) not in rows
+    ]
     if not todo:
         return
-    lam = np.repeat([lam for _, lam in todo], len(block))
-    mu = np.tile([value for value, _ in block], len(todo))
-    values = np.concatenate([
-        dtn_eigenvalues(problem, lam[i : i + _MAX_BLOCK], mu[i : i + _MAX_BLOCK])
+    lam = [fiber_value for _, fiber_value, _, sub_block in todo for _ in sub_block]
+    mu = [value for *_, sub_block in todo for value, _ in sub_block]
+    values = [
+        row
         for i in range(0, len(lam), _MAX_BLOCK)
-    ])
-    for (position, _), fiber_rows in zip(todo, np.split(values, len(todo))):
-        rows[position, start] = fiber_rows
+        for row in dtn_eigenvalues(problem, lam[i : i + _MAX_BLOCK], mu[i : i + _MAX_BLOCK]).tolist()
+    ]
+    at = 0
+    for position, _, sub, sub_block in todo:
+        rows[position, sub] = values[at : at + len(sub_block)]
+        at += len(sub_block)
 
 
 def collar_branch(
@@ -428,18 +449,22 @@ def collar_branch(
     fibers: list[tuple[float, int]],
     modes: CachedEntries,
     top: float,
-    rows: dict[tuple[int, int], np.ndarray],
+    rows: dict[tuple[int, int], list[list[float]]],
     first: int = 0,
 ) -> tuple[list[tuple[float, EigenSource]], bool]:
     """Tagged eigenvalues <= top of the auxiliary operators of a block of fiber eigenvalues.
 
     fibers holds ascending (lambda, multiplicity) entries; the first sits
     at position `first` of its stream. The cross-section modes mu are read
-    in ascending order, in blocks of 8 that double up to 64, and each mode
-    block is reduced for the fibers whose walk is still live, as flat
-    (lambda, mu) pairs in calls of at most 64 rows. Reduced rows are kept in
-    `rows` under (fiber position, mode-block start), so a later walk over
-    the same problem and streams, such as one at a doubled top, reuses them.
+    in ascending order, in sub-blocks of 8 aligned to the stream's start.
+    The first step reads one sub-block and each later step twice as many
+    modes as the last, but never more sub-blocks than keep the fibers whose
+    walk is still live within one dtn_eigenvalues call of 64 rows: a lone
+    fiber reads 8, 16, 32 and then 64 modes, a block of 8 fibers 8 at a
+    time. Each step's modes are reduced for the live fibers as flat
+    (lambda, mu) pairs. Reduced rows are kept in `rows` under (fiber
+    position, sub-block start), so a later walk over the same problem and
+    streams, such as one at a doubled top, reuses them.
 
     Every eigenvalue is nondecreasing in lambda and in mu. So a fiber's
     walk stops at its first mode whose smallest eigenvalue exceeds top, and
@@ -452,23 +477,25 @@ def collar_branch(
     tagged: list[tuple[float, EigenSource]] = []
     live = list(enumerate(fibers, first))
     stopped = False
-    start, size = 0, _FIRST_BLOCK
+    start, size = 0, _SUB_BLOCK
     while live:
+        size = min(size, _SUB_BLOCK * max(1, _MAX_BLOCK // (_SUB_BLOCK * len(live))))
         block = modes.take(start, size)
         if not block:  # the stream ended at the last block's end
             break
         _reduce_rows(problem, live, start, block, rows)
+        subs = range(start, start + len(block), _SUB_BLOCK)
         walking = []
         for position, (fiber_value, fiber_mult) in live:
-            for j, ((cross_value, cross_mult), row) in enumerate(zip(block, rows[position, start])):
+            fiber_rows = chain.from_iterable(rows[position, sub] for sub in subs)
+            for j, ((cross_value, cross_mult), row) in enumerate(zip(block, fiber_rows)):
                 if row[0] > top:
                     break
-                tagged += [
-                    (float(value),
-                     EigenSource(fiber_value, fiber_mult, cross_value, cross_mult, branch))
-                    for branch, value in enumerate(row)
-                    if value <= top
-                ]
+                for branch, value in enumerate(row):
+                    if value <= top:
+                        tagged.append((value, EigenSource(
+                            fiber_value, fiber_mult, cross_value, cross_mult, branch
+                        )))
             else:
                 walking.append((position, (fiber_value, fiber_mult)))
                 continue
@@ -479,7 +506,7 @@ def collar_branch(
         if len(block) < size:
             break
         start += size
-        size = min(2 * size, _MAX_BLOCK)
+        size *= 2
     if live and not modes.complete:
         raise CompletenessError(
             f"cross-section spectrum ends after {start + len(block)} entries, "

@@ -253,11 +253,11 @@ class TestBlockedWalk:
 
     steklov_spectrum_warped and first_eigenvalues must equal the per-pair
     reference walk bit for bit, with every source. The cross-sections are
-    dense enough that top = 10 and 16 read past mode 24, into the third
-    block of modes; top = 1.5 stops inside the first block of 8 fibers and
-    top = 16 needs the second. On them one more top, one ulp below the
-    smallest eigenvalue of fiber 5 at mode 24, ends that fiber's walk
-    exactly at the start of the third mode block while fiber 8, in the
+    dense enough that top = 10 and 16 read past mode 24, into the fourth
+    sub-block of 8 modes; top = 1.5 stops inside the first block of 8
+    fibers and top = 16 needs the second. On them one more top, one ulp
+    below the smallest eigenvalue of fiber 5 at mode 24, ends that fiber's
+    walk exactly at the start of a step (mode 24) while fiber 8, in the
     second fiber block, still starts below top.
     """
 
@@ -366,6 +366,26 @@ class TestRowReuse:
         _, spectrum = first_eigenvalues(spec, count)
         self._assert_each_pair_once(calls)
         assert spectrum.total_multiplicity > count
+
+    def test_spectrum_walk_reads_modes_in_sub_blocks(self, monkeypatch):
+        # on the spectrum benchmark's metric at top 30, steps of 8-aligned
+        # sub-blocks capped by the live fibers reduce 928 rows; blocks of
+        # modes doubling from 8 to 64 whatever the live fibers reduced 1 296
+        spec, top = sweep_spec(0.05), 30.0
+        calls = self._spy(monkeypatch)
+        steklov_spectrum_warped(spec, top)
+        self._assert_each_pair_once(calls)
+        pairs = [pair for call in calls for pair in call]
+        assert len(pairs) <= 1100
+        problem = collar_of(spec, 400)
+        modes = [value for value, _ in extend(spec.base.cross_section, 200).entries]
+        position = {mu: j for j, mu in enumerate(modes)}
+        read = {}
+        for lam, mu in pairs:
+            read.setdefault(lam, []).append(position[mu])
+        for lam, positions in read.items():
+            stop = next(j for j, mu in enumerate(modes) if dtn_eigenvalues(problem, lam, mu)[0] > top)
+            assert max(positions) - stop < 64, lam
 
 
 class TestIncompleteFiber:

@@ -60,6 +60,14 @@ def test_unknown_config_field_exits_two(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+def test_quasi_iso_samples_exits_two(tmp_path, capsys):
+    # quasi-iso never read samples; a config that sets it is refused, not ignored
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": "quasi_iso", "samples": 64}))
+    assert main(["quasi-iso", "--config", str(config)]) == 2
+    assert "samples: read only by experiment 'normalize_volume'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("n, k, delta", [(3, 1, 0.383), (3, 2, 0.8)])
 def test_sweep_outside_growth_window_exits_two(tmp_path, capsys, n, k, delta):
     config = tmp_path / "config.json"

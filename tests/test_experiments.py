@@ -1,4 +1,4 @@
-"""Experiment drivers: the metric coefficient ratio of the quasi-isometry check."""
+"""Experiment drivers: the metric coefficient ratio of the quasi-isometry check, and config fields."""
 
 import math
 
@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from steklovwarp import BaseGeometry, WarpedMetricSpec, WarpProfile, circle_spectrum, point_spectrum
-from steklovwarp.experiments import metric_coefficient_ratio
+from steklovwarp.errors import ConfigError
+from steklovwarp.experiments import config_from_dict, metric_coefficient_ratio
 from steklovwarp.profiles import power_fn
 
 
@@ -64,3 +65,20 @@ def test_matches_pointwise_ratio(mode, n, k, warps, samples):
 def test_identical_warps_give_one():
     spec = spec_for(PLATEAU_A, "volume_preserving", 2, 1)
     assert metric_coefficient_ratio(spec, spec) == 1.0
+
+
+@pytest.mark.parametrize("field, value", [("samples", 64), ("collar_fraction", 0.5)])
+@pytest.mark.parametrize("experiment", ["quasi_iso", "spectrum", "verify"])
+def test_normalize_volume_fields_rejected_elsewhere(experiment, field, value):
+    # normalize_volume is their only reader; anywhere else they would be ignored
+    raw = {"experiment": experiment, "top": 2.0, field: value}
+    with pytest.raises(ConfigError, match=f"{field}: read only by experiment 'normalize_volume'"):
+        config_from_dict(raw)
+
+
+def test_normalize_volume_reads_its_fields():
+    cfg = config_from_dict({
+        "experiment": "normalize_volume", "target": 2.0, "dim": 2,
+        "samples": 64, "collar_fraction": 0.5,
+    })
+    assert (cfg.samples, cfg.collar_fraction) == (64, 0.5)

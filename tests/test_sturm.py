@@ -36,7 +36,7 @@ from steklovwarp import (
 )
 from steklovwarp.profiles import power_fn
 from steklovwarp.provenance import merge_tagged
-from steklovwarp.sturm import minimizing_extension
+from steklovwarp.sturm import _reduce_ladder, minimizing_extension
 
 TANH1 = math.tanh(1.0)
 COTH1 = 1.0 / math.tanh(1.0)
@@ -295,6 +295,66 @@ class TestLadderReduction:
         )
         assert spectrum.total_multiplicity == 6
         assert spectrum.entries[0].value == 0.0
+
+
+def generic_tree(cond, shunt):
+    """The ladder reduction with every level, the first included, run as the general step.
+
+    Each element starts as (0, c_e, 0) and neighbours merge by eliminating
+    their shared node, as in _reduce_ladder's docstring.
+    """
+    rows = shunt.shape[0]
+    y = np.broadcast_to(cond, (rows, len(cond)))
+    g1 = np.zeros_like(y)
+    g2 = np.zeros_like(y)
+    junction = shunt[:, 1:-1]
+    while y.shape[1] > 1:
+        paired = y.shape[1] - y.shape[1] % 2
+        ya, yb = y[:, 0:paired:2], y[:, 1:paired:2]
+        m = g2[:, 0:paired:2] + junction[:, 0:paired:2] + g1[:, 1:paired:2]
+        d = ya + yb + m
+        share = m / d
+        merged = (g1[:, 0:paired:2] + ya * share, ya * yb / d, g2[:, 1:paired:2] + yb * share)
+        if paired < y.shape[1]:  # odd count: the last segment waits for the next level
+            merged = tuple(
+                np.concatenate((new, old[:, -1:]), axis=1)
+                for new, old in zip(merged, (g1, y, g2))
+            )
+        g1, y, g2 = merged
+        junction = junction[:, 1::2]
+    return g1[:, 0], y[:, 0], g2[:, 0]
+
+
+class TestFirstLadderLevel:
+    """_reduce_ladder builds its first level from cond and the odd nodes' shunts.
+
+    With g1 = g2 = 0 the general step gives m = s, g1 = y_A share and
+    g2 = y_B share exactly, so the result must equal the generic tree bit
+    for bit: on even and odd element counts, one to 64 rows, conductances
+    and shunts over eight orders of magnitude, and shunts that are exactly
+    zero (the mode-0 row of a problem without potential).
+    """
+
+    @pytest.mark.parametrize("n_elements", [16, 17, 31, 400, 401])
+    @pytest.mark.parametrize("rows", [1, 3, 64])
+    @pytest.mark.parametrize("zeros", ["none", "some", "all"])
+    def test_equals_generic_tree(self, n_elements, rows, zeros):
+        rng = np.random.default_rng(1000 * n_elements + rows)
+        cond = 10.0 ** rng.uniform(-4.0, 4.0, n_elements)
+        shunt = 10.0 ** rng.uniform(-4.0, 4.0, (rows, n_elements + 1))
+        if zeros == "some":
+            shunt[:, ::3] = 0.0
+            shunt[0] = 0.0
+        elif zeros == "all":
+            shunt[:] = 0.0
+        got = _reduce_ladder(cond, shunt)
+        expected = generic_tree(cond, shunt)
+        for g, e in zip(got, expected):
+            assert g.shape == e.shape == (rows,)
+            assert g.tobytes() == e.tobytes()
+        if zeros != "none":  # no potential on row 0: g1 = g2 = 0 and y the series conductance
+            assert got[0][0] == got[2][0] == 0.0
+            assert got[1][0] == pytest.approx(1.0 / np.sum(1.0 / cond), rel=1e-12)
 
 
 class TestModePairs:
