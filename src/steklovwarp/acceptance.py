@@ -45,10 +45,8 @@ def default_sweep_config(mesh: int = 400) -> ExperimentConfig:
         experiment="sweep",
         n=2,
         k=1,
-        collar_length=1.0,
         fiber={"kind": "circle", "length": TWO_PI},
         cross_section={"kind": "circle", "length": TWO_PI},
-        steklov_ends="both",
         mode="volume_preserving",
         epsilon_list=list(DEFAULT_SWEEP_EPSILONS),
         delta=DEFAULT_SWEEP_DELTA,
@@ -57,14 +55,9 @@ def default_sweep_config(mesh: int = 400) -> ExperimentConfig:
 
 
 def default_kokarev_config(mesh: int = 400) -> ExperimentConfig:
+    # n = k = 1 on [0, 1] with a circle fiber of length 2 pi, the config's defaults
     return ExperimentConfig(
         experiment="kokarev",
-        n=1,
-        k=1,
-        collar_length=1.0,
-        fiber={"kind": "circle", "length": TWO_PI},
-        steklov_ends="both",
-        mode="volume_preserving",
         epsilon_list=list(DEFAULT_SWEEP_EPSILONS),
         delta=DEFAULT_SWEEP_DELTA,
         mesh=mesh,
@@ -85,13 +78,19 @@ class CriterionResult:
         return f"[{status}] criterion {self.index}: {self.name} ({self.seconds:.1f}s) {self.detail}"
 
 
-def _timed(index: int, name: str, body: Callable[[], tuple[bool, str]]) -> CriterionResult:
+def _timed(
+    index: int, name: str, body: Callable[[], tuple[bool, str]], limit_s: float = math.inf
+) -> CriterionResult:
+    """Run body; a criterion that raises, or runs limit_s or longer, fails."""
     started = time.perf_counter()
     try:
         passed, detail = body()
     except Exception as exc:  # a crash is a failure, not an abort of the gate
         passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-    return CriterionResult(index, name, passed, detail, time.perf_counter() - started)
+    seconds = time.perf_counter() - started
+    if seconds >= limit_s:
+        passed, detail = False, f"{detail}; runtime {seconds:.1f}s exceeded {limit_s:g}s"
+    return CriterionResult(index, name, passed, detail, seconds)
 
 
 def cylinder_closed_spectrum(
@@ -144,11 +143,7 @@ def criterion_1_cylinder_closed_form() -> CriterionResult:
         dev = _max_rel_dev(computed, expected)
         return dev <= 1e-3, f"max relative deviation {dev:.2e} over first 9 (tol 1e-3)"
 
-    result = _timed(1, "cylinder closed form", body)
-    if result.seconds >= 5.0:
-        result.passed = False
-        result.detail += f"; runtime {result.seconds:.1f}s exceeded 5s"
-    return result
+    return _timed(1, "cylinder closed form", body, limit_s=5.0)
 
 
 def criterion_2_decomposition_vs_oracle() -> CriterionResult:
@@ -174,11 +169,7 @@ def criterion_2_decomposition_vs_oracle() -> CriterionResult:
         ok = report.passed and report.oracle_count >= 15
         return ok, detail
 
-    result = _timed(2, "decomposition theorem vs direct oracle", body)
-    if result.seconds >= 60.0:
-        result.passed = False
-        result.detail += f"; runtime {result.seconds:.1f}s exceeded 60s"
-    return result
+    return _timed(2, "decomposition theorem vs direct oracle", body, limit_s=60.0)
 
 
 def criterion_3_mixed_closed_form() -> CriterionResult:
@@ -256,11 +247,7 @@ def criterion_6_growth_sweep(mesh: int = 400) -> CriterionResult:
         )
         return increasing and ratio >= 2.0 and positive, detail
 
-    result = _timed(6, "growth of the spectral gap under the default sweep", body)
-    if result.seconds >= 600.0:
-        result.passed = False
-        result.detail += f"; runtime {result.seconds:.1f}s exceeded 600s"
-    return result
+    return _timed(6, "growth of the spectral gap under the default sweep", body, limit_s=600.0)
 
 
 def criterion_7_kokarev_dimension_necessity(mesh: int = 400) -> CriterionResult:
@@ -327,13 +314,7 @@ def criterion_10_convergence_order() -> CriterionResult:
             for n_el in (100, 200):
                 spec = _cylinder_spec(length, TWO_PI, steklov_ends)
                 computed, _ = first_eigenvalues(spec, count, n_elements=n_el)
-                errs.append(
-                    float(
-                        np.max(
-                            np.abs(computed[keep] - expected[keep]) / expected[keep]
-                        )
-                    )
-                )
+                errs.append(float(np.max(np.abs(computed[keep] - expected[keep]) / expected[keep])))
             ratios.append(errs[0] / errs[1])
         ok = all(r >= 3.0 for r in ratios)
         return ok, f"halving ratios {', '.join(f'{r:.2f}' for r in ratios)} (need >= 3)"

@@ -25,10 +25,10 @@ import numpy as np
 
 from . import sturm
 from .errors import CompletenessError, DomainError, HypothesisViolationError, NumericError
-from .profiles import CoefficientFn, WarpedMetricSpec, power_fn, transition_spans
+from .profiles import CoefficientFn, WarpedMetricSpec, log_value, power_fn, transition_spans
 from .provenance import EigenSource, SpectrumWithProvenance, merge_tagged
 from .spectra import CachedEntries, extend
-from .sturm import SturmProblem, collar_branch, collar_problem
+from .sturm import SturmProblem, collar_branch
 
 
 @dataclass(frozen=True)
@@ -62,12 +62,7 @@ def metric_recipes(spec: WarpedMetricSpec) -> MetricRecipes:
     grows. Only when k >= 2 and the warps agree at the Steklov ends does a
     pointwise larger warp give eigenvalues that are all at least as large.
     """
-    n = float(spec.base_dim)
-    k = float(spec.fiber_dim)
-    if spec.mode == "plain_warp":
-        grad_p, inv_p, bw_p = k, k - 2.0, k
-    else:
-        grad_p, inv_p, bw_p = 2.0 * k / n, -2.0, k / n
+    grad_p, inv_p, bw_p = _powers(spec)
     ends = np.array([0.0, spec.base.collar_length])
     return MetricRecipes(
         grad_weight=power_fn(spec.warp, grad_p),
@@ -75,6 +70,15 @@ def metric_recipes(spec: WarpedMetricSpec) -> MetricRecipes:
         boundary_weights=tuple(power_fn(spec.warp, bw_p)(ends)),
         spans=transition_spans(spec.warp),
     )
+
+
+def _powers(spec: WarpedMetricSpec) -> tuple[float, float, float]:
+    """Powers of h in the gradient weight, the fiber term and the endpoint measure."""
+    n = float(spec.base_dim)
+    k = float(spec.fiber_dim)
+    if spec.mode == "plain_warp":
+        return k, k - 2.0, k
+    return 2.0 * k / n, -2.0, k / n
 
 
 # first_eigenvalues starts its cutoff here and doubles it at most this often
@@ -87,16 +91,26 @@ _FIBER_BLOCK = 8
 
 
 def _discretize(spec: WarpedMetricSpec, n_elements: int) -> SturmProblem:
-    """The collar's 1D family: q is the fiber weight, so lambda is the fiber eigenvalue."""
-    recipes = metric_recipes(spec)
-    return collar_problem(
+    """The collar's 1D family: q is the fiber weight, so lambda is the fiber eigenvalue.
+
+    ln h is sampled once at the nodes; q, w and the boundary weights are
+    exp(p ln h), bit for bit what the closures of metric_recipes give there
+    (graded_mesh puts 0 and L exactly at the ends). w at the element
+    midpoints is the problem's own grad_weight call.
+    """
+    warp, (grad_p, inv_p, bw_p) = spec.warp, _powers(spec)
+    spans = transition_spans(warp)
+    nodes = sturm.graded_mesh(spec.base.collar_length, n_elements, spans)
+    log_h = log_value(warp, nodes)
+    problem = sturm.collar_problem(
         spec.base,
-        recipes.grad_weight,
-        recipes.inv_sq_weight,
-        n_elements=n_elements,
-        boundary_weights=recipes.boundary_weights,
-        transition_spans=recipes.spans,
+        power_fn(warp, grad_p),
+        power_fn(warp, inv_p),
+        nodes=nodes,
+        boundary_weights=tuple(np.exp(bw_p * log_h[[0, -1]])),
+        transition_spans=spans,
     )
+    return problem.prime(np.exp(inv_p * log_h), np.exp(grad_p * log_h))
 
 
 def _union_below(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, fields as dataclass_fields
+from itertools import chain
 
 import numpy as np
 
@@ -46,12 +47,12 @@ def sig12(x: float) -> str:
 class ExperimentConfig:
     """Validated experiment description, read from a flat JSON record.
 
-    "experiment" names the driver, which requires the fields _REQUIRED lists:
-    top (spectrum), count (oracle), epsilon_list and delta (sweep, kokarev),
-    target and dim (normalize_volume), none (quasi_iso, verify). samples and
-    collar_fraction are read by normalize_volume alone, and rejected for any
-    other experiment. fiber and cross_section are spectrum descriptors,
-    coefficient a warp descriptor.
+    "experiment" names the driver. _READS lists the fields each driver
+    reads: it requires top (spectrum), count (oracle), epsilon_list and
+    delta (sweep, kokarev), target and dim (normalize_volume), none
+    (quasi_iso, verify), and rejects any set field it does not read, such as
+    genus outside kokarev or samples outside normalize_volume. fiber and
+    cross_section are spectrum descriptors, coefficient a warp descriptor.
     """
 
     experiment: str
@@ -80,25 +81,28 @@ class ExperimentConfig:
     genus: int = 0
 
 
-_REQUIRED = {
-    "spectrum": ("top",),
-    "oracle": ("count",),
-    "sweep": ("epsilon_list", "delta"),
-    "kokarev": ("epsilon_list", "delta"),
-    "quasi_iso": (),
-    "normalize_volume": ("target", "dim"),
-    "verify": (),
+# (required, optional) fields that each experiment reads. Every other field
+# set for it would be silently ignored, so it is rejected.
+_METRIC_FIELDS = ("n", "k", "collar_length", "fiber", "cross_section", "steklov_ends", "mode")
+_READS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
+    "spectrum": (("top",), _METRIC_FIELDS + ("coefficient", "mesh", "out")),
+    "oracle": (
+        ("count",),
+        ("collar_length", "fiber", "steklov_ends", "coefficient", "mesh", "n_theta", "out"),
+    ),
+    "sweep": (("epsilon_list", "delta"), _METRIC_FIELDS + ("mesh", "out")),
+    "kokarev": (
+        ("epsilon_list", "delta"),
+        ("n", "k", "collar_length", "fiber", "steklov_ends", "mesh", "genus", "out"),
+    ),
+    "quasi_iso": ((), ("collar_length", "seed", "pairs", "k_max", "mesh", "out")),
+    "normalize_volume": (("target", "dim"), ("samples", "collar_fraction")),
+    "verify": ((), ("seed", "mesh")),
 }
 
-_NUMERIC_FIELDS = {
-    "collar_length", "delta", "top", "target", "collar_fraction",
-}
-_INT_FIELDS = {"n", "k", "mesh", "n_theta", "count", "seed", "dim", "samples",
-               "pairs", "k_max", "genus"}
-
-# read by normalize_volume alone; set for another experiment they would be
-# silently ignored, so they are rejected
-_NORMALIZE_VOLUME_FIELDS = ("samples", "collar_fraction")
+# coerced by their declared type; epsilon_list is checked on its own
+_NUMERIC_FIELDS = {f.name for f in dataclass_fields(ExperimentConfig) if f.type.startswith("float")}
+_INT_FIELDS = {f.name for f in dataclass_fields(ExperimentConfig) if f.type.startswith("int")}
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -109,14 +113,14 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown config field(s): {', '.join(unknown)}")
     if "experiment" not in raw:
         raise ConfigError("missing required field 'experiment'")
-    kinds = tuple(_REQUIRED)
-    if raw["experiment"] not in kinds:
-        raise ConfigError(f"experiment: expected one of {kinds}, got {raw['experiment']!r}")
-    for name in _NORMALIZE_VOLUME_FIELDS:
-        if name in raw and raw["experiment"] != "normalize_volume":
-            raise ConfigError(
-                f"{name}: read only by experiment 'normalize_volume', not '{raw['experiment']}'"
-            )
+    experiment = raw["experiment"]
+    if experiment not in _READS:
+        raise ConfigError(f"experiment: expected one of {tuple(_READS)}, got {experiment!r}")
+    unread = sorted(set(raw) - {"experiment"} - set(chain.from_iterable(_READS[experiment])))
+    if unread:
+        raise ConfigError(
+            "; ".join(f"{name}: {_readers(name)}, not '{experiment}'" for name in unread)
+        )
     coerced = dict(raw)
     for name in _NUMERIC_FIELDS:
         if coerced.get(name) is not None:
@@ -137,10 +141,15 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         except (TypeError, ValueError):
             raise ConfigError("epsilon_list: expected a nonempty list of numbers") from None
     cfg = ExperimentConfig(**coerced)
-    for name in _REQUIRED[cfg.experiment]:
+    for name in _READS[cfg.experiment][0]:
         if getattr(cfg, name) is None:
             raise ConfigError(f"{name}: required for experiment '{cfg.experiment}'")
     return cfg
+
+
+def _readers(name: str) -> str:
+    readers = [f"'{e}'" for e, fields in _READS.items() if name in chain.from_iterable(fields)]
+    return f"read only by experiment{'s' if len(readers) > 1 else ''} {', '.join(readers)}"
 
 
 def build_spectrum(desc: dict | None, path: str, count: int = 16) -> ClosedSpectrum:
@@ -522,60 +531,29 @@ def ramp_phi_instance(samples: int, collar_fraction: float):
 
 def spectrum_csv_lines(spectrum: SpectrumWithProvenance) -> list[str]:
     """One row per source: value, source multiplicity, fiber eigenvalue, mode, branch."""
-    lines = [SPECTRUM_CSV_HEADER]
-    for entry in spectrum.entries:
-        for s in entry.sources:
-            lines.append(
-                ",".join(
-                    (
-                        sig12(entry.value),
-                        str(s.multiplicity),
-                        sig12(s.fiber_value),
-                        sig12(s.cross_value),
-                        str(s.branch),
-                    )
-                )
-            )
-    return lines
+    return [SPECTRUM_CSV_HEADER] + [
+        f"{sig12(e.value)},{s.multiplicity},{sig12(s.fiber_value)},"
+        f"{sig12(s.cross_value)},{s.branch}"
+        for e in spectrum.entries
+        for s in e.sources
+    ]
 
 
 def sweep_csv_lines(rows: list[SweepRow]) -> list[str]:
-    lines = [SWEEP_CSV_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                (
-                    sig12(r.epsilon),
-                    sig12(r.sigma1),
-                    r.active_branch,
-                    sig12(r.lower_bound),
-                    str(r.mesh_size),
-                    sig12(r.runtime_ms),
-                )
-            )
-        )
-    return lines
+    return [SWEEP_CSV_HEADER] + [
+        f"{sig12(r.epsilon)},{sig12(r.sigma1)},{r.active_branch},{sig12(r.lower_bound)},"
+        f"{r.mesh_size},{sig12(r.runtime_ms)}"
+        for r in rows
+    ]
 
 
 def kokarev_csv_lines(rows: list[KokarevRow]) -> list[str]:
-    lines = [KOKAREV_CSV_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                (
-                    sig12(r.epsilon),
-                    sig12(r.sigma1),
-                    sig12(r.boundary_length),
-                    sig12(r.check.product),
-                    sig12(r.check.bound),
-                    "1" if r.check.passed else "0",
-                )
-            )
-        )
-    return lines
+    return [KOKAREV_CSV_HEADER] + [
+        f"{sig12(r.epsilon)},{sig12(r.sigma1)},{sig12(r.boundary_length)},"
+        f"{sig12(r.check.product)},{sig12(r.check.bound)},{int(r.check.passed)}"
+        for r in rows
+    ]
 
 
 def oracle_csv_lines(values: np.ndarray) -> list[str]:
-    lines = ["value"]
-    lines.extend(sig12(v) for v in values)
-    return lines
+    return ["value"] + [sig12(v) for v in values]

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import DomainError, NumericError
 
@@ -107,6 +106,8 @@ def sym_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _interior_solve(sys: PartitionedSystem, rhs: np.ndarray) -> np.ndarray:
     """Solve A_II X = rhs by banded Cholesky."""
+    import scipy.linalg as sla  # here, so the package imports without it
+
     if sys.n_interior == 0:
         return rhs
     try:

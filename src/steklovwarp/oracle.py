@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas, block_diag, circulant, lapack
 
 from .errors import DomainError, NumericError
 from .linalg import PartitionedSystem, sym_eig
@@ -117,6 +116,7 @@ def assemble_revolution(grid: RevolutionGrid) -> PartitionedSystem:
 
     The banded reference form of what revolution_spectrum reduces ring by ring.
     """
+    from scipy.linalg import block_diag, circulant  # here, so the package imports without it
     hv, cax, cfib, diag_ring, dth = _ring_coefficients(grid)
     n_t = grid.n_axial
     n_th = grid.n_theta
@@ -176,6 +176,7 @@ def _ring_schur(
     4 n_theta^3 flops per ring, in place. P and R are kept as lower
     triangles in Fortran order and mirrored once, at the end.
     """
+    from scipy.linalg import blas, lapack  # here, so the package imports without it
 
     def add_ring(block: np.ndarray, j: int) -> np.ndarray:
         # adds K_j = diag_ring[j] I - cfib[j] N to the lower triangle, in place
@@ -272,16 +273,11 @@ class ComparisonReport:
 
 def matching_metric_spec(grid: RevolutionGrid) -> WarpedMetricSpec:
     """The warped-product description of the same surface the grid discretizes."""
-    base = BaseGeometry(
-        cross_section=point_spectrum(),
-        collar_length=grid.length,
-        steklov_ends=grid.steklov_ends,
-    )
     return WarpedMetricSpec(
         base_dim=1,
         fiber_dim=1,
         warp=grid.warp,
-        base=base,
+        base=BaseGeometry(point_spectrum(), grid.length, grid.steklov_ends),
         fiber=circle_spectrum(grid.fiber_length, 8),
         mode="plain_warp",
     )

@@ -8,9 +8,12 @@ boundary, so both collar ends look the same.
 
 Coefficients are array functions, so a whole mesh costs one call: an
 ndarray of points in, the values there out, and a float in, a float out.
-Solvers accept a WarpProfile or any positive callable h(t) of that kind; a
-scalar return, as from lambda t: 1.0, is broadcast over the points. The
-helpers at the bottom give a uniform view of both.
+A profile finds each point's piece by two binary searches against its
+piece ends and computes the quintic ramp on ramp points only. Solvers
+accept a WarpProfile or any positive callable h(t) of that kind; a scalar
+return, as from lambda t: 1.0, is broadcast over the points. The helpers
+at the bottom give a uniform view of both. A collar problem samples ln h
+once per point set and takes every power h^p from those samples.
 """
 
 from __future__ import annotations
@@ -31,19 +34,8 @@ CoefficientFn = Callable[[np.ndarray], np.ndarray]
 
 def _smoothstep(x: np.ndarray) -> np.ndarray:
     """Quintic ramp, flat to second order at 0 and 1; x is clipped to [0, 1] so it stays finite."""
-    x = np.clip(x, 0.0, 1.0)
+    x = np.minimum(np.maximum(x, 0.0), 1.0)
     return x * x * x * (10.0 + x * (-15.0 + 6.0 * x))
-
-
-# h's pieces end at distance c·ε from the boundary, in the piece before (<=) or after (<)
-_PIECE_ENDS = ((0.5, np.less_equal), (1.0, np.less), (2.0, np.less_equal), (3.0, np.less))
-
-
-def _select(conditions: list[np.ndarray], choices: list, default: float):
-    """np.select by np.where, which costs less on small arrays; a 0-d result is a float."""
-    for condition, choice in zip(conditions[::-1], choices[::-1]):
-        default = np.where(condition, choice, default)
-    return default[()]
 
 
 @dataclass(frozen=True)
@@ -82,36 +74,57 @@ class WarpProfile:
     def _log_far(self) -> float:
         return -2.0 * math.log(self.epsilon)
 
-    def _pieces(self, t: np.ndarray) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-        """Where the distance s to the boundary is <= ε/2, < ε, <= 2ε, < 3ε; ln h on the ramps.
+    @cached_property
+    def _pieces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Left and right piece ends, and the (start, width, low, rise) columns of the ramps.
 
-        A symmetric collar compares t with its right-hand ends L - c·ε directly
-        (3ε < L/2 keeps each test to one half): the rounded distance L - t can
-        fall an ulp short of c·ε at t = L - c·ε.
+        The distance s to the boundary lies in piece 0 (h = 1) for s <= ε/2,
+        1 (first ramp) for s < ε, 2 (mid plateau) for s <= 2ε, 3 (second
+        ramp) for s < 3ε and 4 (far plateau) beyond. t is past an end e when
+        t > e, so an end that belongs to the piece after it moves to the float
+        below. Right ends are L - c·ε, compared with t directly since L - t can
+        fall an ulp short of c·ε; 3ε < L/2 keeps them apart from the left ends.
+        The accumulations keep the ends sorted, and each piece the same, where
+        ends round together (ε near an ulp of L). On a ramp
+        ln h = low + rise·ramp((s - start)/width); -0.0 adds as an exact no-op.
         """
         eps, ell, log_mid = self.epsilon, self.collar_length, self._log_mid
-        outside = (t < 0.0) | (t > ell)
-        if outside.any():
-            raise DomainError(f"t={np.extract(outside, t)[0]} outside the collar [0, {ell}]")
-        ends = [(c * eps, below) for c, below in _PIECE_ENDS]
-        pieces = [below(t, end) for end, below in ends]
-        s = np.minimum(t, ell - t) if self.symmetric else t
+        left = np.array([0.5, 1.0, 2.0, 3.0]) * eps
+        right = ell - left[::-1]
+        for ends in (left, right):  # ε, 3ε, L - 2ε and L - ε/2 belong to the piece after
+            ends[1::2] = np.nextafter(ends[1::2], -np.inf)
+        ramps = np.array([[eps / 2.0, 2.0 * eps], [eps / 2.0, eps], [-0.0, log_mid],
+                          [log_mid, self._log_far - log_mid]])
+        return np.maximum.accumulate(left), np.minimum.accumulate(right[::-1])[::-1], ramps
+
+    def _eval(self, t, plateaus: tuple[float, float, float], ramp_map: Callable):
+        """plateaus on pieces 0, 2 and 4, found by index; ramp_map of ln h on the ramps."""
+        t = np.asarray(t, dtype=float)
+        flat, ell = t.reshape(-1), self.collar_length
+        if flat.size and not (flat.min() >= 0.0 and flat.max() <= ell):  # NaN fails too
+            bad = np.extract(~((flat >= 0.0) & (flat <= ell)), flat)[0]
+            raise DomainError(f"t={bad} outside the collar [0, {ell}]")
+        left, right, ramps = self._pieces
+        piece = np.searchsorted(left, flat)
         if self.symmetric:
-            pieces = [left | below(ell - end, t) for left, (end, below) in zip(pieces, ends)]
-        first = log_mid * _smoothstep((s - eps / 2.0) / (eps / 2.0))
-        second = log_mid + (self._log_far - log_mid) * _smoothstep((s - 2.0 * eps) / eps)
-        return pieces, first, second
+            piece -= np.searchsorted(right, flat)
+        out = np.array([plateaus[0], math.nan, plateaus[1], math.nan, plateaus[2]])[piece]
+        on = (piece & 1).astype(bool)
+        if on.any():
+            s = flat[on]
+            if self.symmetric:
+                s = np.minimum(s, ell - s)
+            start, width, low, rise = ramps[:, piece[on] >> 1]
+            out[on] = ramp_map(low + rise * _smoothstep((s - start) / width))
+        return out.reshape(t.shape)[()]
 
     def log_eval(self, t):
         """ln h(t); plateau values are exact constants, transitions quintic in log."""
-        pieces, first, second = self._pieces(np.asarray(t, dtype=float))
-        return _select(pieces, [0.0, first, self._log_mid, second], self._log_far)
+        return self._eval(t, (0.0, self._log_mid, self._log_far), lambda x: x)
 
     def eval(self, t):
         """h(t), bit-exact on the closed plateau intervals."""
-        pieces, first, second = self._pieces(np.asarray(t, dtype=float))
-        values = [1.0, np.exp(first), self.mid_value, np.exp(second)]
-        return _select(pieces, values, self.far_value)
+        return self._eval(t, (1.0, self.mid_value, self.far_value), np.exp)
 
     def transition_intervals(self) -> tuple[tuple[float, float], ...]:
         """Intervals where h is not constant; meshes must resolve each of them."""

@@ -11,6 +11,7 @@ fiber multiplicity times cross-section multiplicity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,8 +22,7 @@ MERGE_RTOL = 1e-12
 MERGE_ATOL = 1e-12
 
 
-@dataclass(frozen=True)
-class EigenSource:
+class EigenSource(NamedTuple):  # a walk builds one per tagged eigenvalue; a tuple is cheap
     """One branch eigenvalue of one (fiber eigenvalue, cross-section mode) problem."""
 
     fiber_value: float

@@ -83,8 +83,10 @@ class SturmProblem:
     lambda t: 0.0, is broadcast over the points. The ladder is sampled once
     per problem, on first use: the edge conductances `cond`, the lumped node
     masses `lump` and q at the nodes `q_node`, and w at the nodes `w_node`
-    only when some mu is nonzero. dtn_eigenvalues reduces any (lambda, mu)
-    pairs on it; lambda = 1, mu = 0 is the single problem -(w a')' + q a = 0.
+    only when some mu is nonzero; `prime` hands over q and w at the nodes
+    from one evaluation, such as a collar's powers of one ln h sample.
+    dtn_eigenvalues reduces any (lambda, mu) pairs on it; lambda = 1,
+    mu = 0 is the single problem -(w a')' + q a = 0.
     transition_spans lists intervals that the mesh must resolve with at
     least MIN_ELEMENTS_PER_SPAN elements each.
     """
@@ -135,6 +137,11 @@ class SturmProblem:
     def w_node(self) -> np.ndarray:
         return _nonnegative_samples(self.grad_weight, self.nodes)
 
+    def prime(self, q_node: np.ndarray, w_node: np.ndarray) -> "SturmProblem":
+        """Take q and w at the nodes, which must be what potential and grad_weight give there."""
+        vars(self).update(q_node=q_node, w_node=w_node)
+        return self
+
 
 @dataclass(frozen=True)
 class BaseGeometry:
@@ -174,18 +181,22 @@ def graded_mesh(
     for a, b in spans:
         if not 0.0 <= a < b <= length:
             raise DomainError(f"span ({a}, {b}) outside [0, {length}]")
-        cuts.add(a)
-        cuts.add(b)
-    breaks = sorted(cuts)
-    span_set = {(a, b) for a, b in spans}
-    pieces = [[0.0]]
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        seg = max(1, round(n_elements * (b - a) / length))
-        if (a, b) in span_set:
-            seg = max(seg, MIN_ELEMENTS_PER_SPAN)
-        step = (b - a) / seg
-        pieces += [a + np.arange(1, seg) * step, [b]]
-    return np.concatenate(pieces)
+        cuts.update((a, b))
+    breaks = np.array(sorted(cuts))
+    a, b = breaks[:-1], breaks[1:]
+    seg = np.maximum(1, np.rint(n_elements * (b - a) / length)).astype(int)
+    if spans:  # the segments that are whole spans; a span cut by another one is none
+        start, stop = np.array(spans).T
+        at = np.searchsorted(breaks, start)
+        whole = at[breaks[at + 1] == stop]
+        seg[whole] = np.maximum(seg[whole], MIN_ELEMENTS_PER_SPAN)
+    step = (b - a) / seg
+    ends = np.cumsum(seg)  # one past each segment's last node, the node at 0 left out
+    which = np.repeat(np.arange(len(seg)), seg)
+    k = np.arange(1, ends[-1] + 1) - (ends - seg)[which]  # 1 ... seg within each segment
+    nodes = a[which] + k * step[which]
+    nodes[ends - 1] = b  # each segment ends exactly at its cut
+    return np.concatenate(([0.0], nodes))
 
 
 def check_mesh(nodes: np.ndarray, spans: tuple[tuple[float, float], ...]) -> None:
@@ -208,11 +219,11 @@ def collar_problem(
     grad_weight: CoefficientFn,
     potential: CoefficientFn,
     *,
-    n_elements: int,
+    nodes: np.ndarray,
     boundary_weights: tuple[float, float],
     transition_spans: tuple[tuple[float, float], ...],
 ) -> SturmProblem:
-    """The 1D family of a collar base on its graded mesh; its Steklov ends carry the weights."""
+    """The 1D family of a collar base on a mesh of it; its Steklov ends carry the weights."""
     ends = geom.steklov_ends
     left = SteklovEnd(boundary_weights[0]) if ends in ("both", "left") else NeumannEnd()
     right = SteklovEnd(boundary_weights[1]) if ends in ("both", "right") else NeumannEnd()
@@ -222,7 +233,7 @@ def collar_problem(
         potential=potential,
         left_bc=left,
         right_bc=right,
-        nodes=graded_mesh(geom.collar_length, n_elements, transition_spans),
+        nodes=nodes,
         transition_spans=transition_spans,
     )
 
@@ -298,8 +309,8 @@ def _reduce_ladder(
     The first level merges elements 2i and 2i + 1, whose g1 and g2 are 0,
     so it is built from cond and the odd nodes' shunts alone: m = s, and
     g1 = y_A share, g2 = y_B share with share = m / d, as the general step
-    gives them exactly. The shunts of the two end nodes are left out of g1
-    and g2.
+    gives them exactly. Later levels update m and d in place and turn m
+    into the share. The end nodes' shunts are left out of g1 and g2.
     """
     rows, n = shunt.shape[0], len(cond)
     paired = n - n % 2
@@ -317,10 +328,16 @@ def _reduce_ladder(
     while y.shape[1] > 1:
         paired = y.shape[1] - y.shape[1] % 2
         ya, yb = y[:, 0:paired:2], y[:, 1:paired:2]
-        m = g2[:, 0:paired:2] + junction[:, 0:paired:2] + g1[:, 1:paired:2]
-        d = ya + yb + m
-        share = m / d
-        merged = (g1[:, 0:paired:2] + ya * share, ya * yb / d, g2[:, 1:paired:2] + yb * share)
+        m = g2[:, 0:paired:2] + junction[:, 0:paired:2]
+        m += g1[:, 1:paired:2]
+        d = ya + yb
+        d += m
+        m /= d  # now the share
+        new_g1, new_y, new_g2 = ya * m, ya * yb, yb * m
+        new_g1 += g1[:, 0:paired:2]
+        new_y /= d
+        new_g2 += g2[:, 1:paired:2]
+        merged = new_g1, new_y, new_g2
         if paired < y.shape[1]:  # odd count: the last segment waits for the next level
             merged = tuple(
                 np.concatenate((new, old[:, -1:]), axis=1)
@@ -550,7 +567,7 @@ def base_dtn_spectrum(
         geom,
         grad_weight,
         inv_sq_weight,
-        n_elements=n_elements,
+        nodes=graded_mesh(geom.collar_length, n_elements, transition_spans),
         boundary_weights=boundary_weights,
         transition_spans=transition_spans,
     )

@@ -27,7 +27,7 @@ from steklovwarp import (
     sigma1_construction,
     steklov_spectrum_warped,
 )
-from steklovwarp import sturm
+from steklovwarp import assembler, sturm
 from steklovwarp.profiles import power_fn
 from steklovwarp.provenance import merge_tagged
 from steklovwarp.spectra import extend, iter_entries
@@ -212,9 +212,83 @@ class TestFirstEigenvalues:
 def collar_of(spec, n_elements):
     recipes = metric_recipes(spec)
     return sturm.collar_problem(
-        spec.base, recipes.grad_weight, recipes.inv_sq_weight, n_elements=n_elements,
+        spec.base, recipes.grad_weight, recipes.inv_sq_weight,
+        nodes=graded_mesh(spec.base.collar_length, n_elements, recipes.spans),
         boundary_weights=recipes.boundary_weights, transition_spans=recipes.spans,
     )
+
+
+class TestCollarSampling:
+    """A collar problem samples ln h once at its nodes and once at its element midpoints.
+
+    Its w, q and boundary weights are powers of those samples, and must equal
+    bit for bit what the closures of metric_recipes give at the same points.
+    """
+
+    @staticmethod
+    def _counted_bump(length=1.0):
+        calls = []
+
+        def warp(t):
+            calls.append(np.array(t, copy=True))
+            return 1.0 + t * (length - t)
+
+        return warp, calls
+
+    @staticmethod
+    def _spec(warp, mode="volume_preserving", steklov_ends="both", n=2, k=1):
+        circle = circle_spectrum(TWO_PI, 4)
+        return WarpedMetricSpec(
+            base_dim=n, fiber_dim=k, warp=warp,
+            base=BaseGeometry(circle, 1.0, steklov_ends), fiber=circle, mode=mode,
+        )
+
+    @pytest.mark.parametrize("solve", [
+        lambda spec: sigma1_construction(spec, n_elements=120),
+        lambda spec: first_eigenvalues(spec, 12, n_elements=120),
+        lambda spec: steklov_spectrum_warped(spec, 6.0, n_elements=120),
+    ], ids=["sigma1", "first", "spectrum"])
+    def test_one_evaluation_per_point_set(self, solve):
+        warp, calls = self._counted_bump()
+        solve(self._spec(warp))
+        nodes = graded_mesh(1.0, 120)
+        assert len(calls) == 2
+        assert calls[0].tobytes() == nodes.tobytes()
+        assert calls[1].tobytes() == (0.5 * (nodes[:-1] + nodes[1:])).tobytes()
+
+    def test_plain_closures_sample_the_same(self, monkeypatch):
+        # a tracer that wraps power_fn hands back plain closures; the collar
+        # must not depend on what power_fn returns
+        spec = sweep_spec(1e-3)
+        expected = sigma1_construction(spec, n_elements=400)
+        original = assembler.power_fn
+        monkeypatch.setattr(
+            assembler, "power_fn", lambda warp, p: (lambda t, fn=original(warp, p): fn(t))
+        )
+        assert sigma1_construction(spec, n_elements=400) == expected
+        warp, calls = self._counted_bump()
+        sigma1_construction(self._spec(warp), n_elements=120)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("warp", [
+        WarpProfile(0.05, 2.0 / 3.0, 1.0, symmetric=True),
+        WarpProfile(0.01, 0.8, 1.0, symmetric=False),
+        lambda t: 1.0 + t * (1.0 - t),
+        lambda t: 1.0,
+    ], ids=["symmetric", "one-sided", "bump", "unit"])
+    @pytest.mark.parametrize("mode", ["plain_warp", "volume_preserving"])
+    @pytest.mark.parametrize("steklov_ends", ["both", "left", "right"])
+    def test_samples_equal_closure_samples(self, warp, mode, steklov_ends):
+        spec = self._spec(warp, mode, steklov_ends, n=3, k=2)
+        got = assembler._discretize(spec, 400)
+        expected = collar_of(spec, 400)
+        assert got.nodes.tobytes() == expected.nodes.tobytes()
+        for name in ("cond", "q_node", "w_node", "lump"):
+            assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
+        assert (got.left_bc, got.right_bc) == (expected.left_bc, expected.right_bc)
+        for bc in (got.left_bc, got.right_bc):
+            if isinstance(bc, sturm.SteklovEnd):
+                assert isinstance(bc.weight, float)
 
 
 def per_pair_walk(spec, top, n_elements):

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from steklovwarp.cli import main
+from steklovwarp.experiments import SPECTRUM_CSV_HEADER
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -83,3 +84,41 @@ def test_module_entry_point_prints_help():
     done = run_module("--help")
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: steklovwarp")
+
+
+def test_import_and_spectrum_run_without_scipy():
+    # only the oracle's ring step and the banded reference helpers import scipy
+    probe = (
+        "import runpy, sys\n"
+        "import steklovwarp\n"
+        "assert 'scipy' not in sys.modules, 'import steklovwarp'\n"
+        "sys.argv = ['steklovwarp', 'spectrum', '--top', '40']\n"
+        "try:\n"
+        "    runpy.run_module('steklovwarp', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "assert 'scipy' not in sys.modules, 'spectrum --top 40'\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith(SPECTRUM_CSV_HEADER)
+
+
+@pytest.mark.parametrize("field, value, reader", [
+    ("genus", 2, "kokarev"), ("pairs", 3, "quasi_iso"), ("k_max", 4, "quasi_iso"),
+])
+def test_field_the_experiment_never_reads_exits_two(tmp_path, capsys, field, value, reader):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": "spectrum", "top": 2, field: value}))
+    assert main(["spectrum", "--config", str(config)]) == 2
+    assert f"{field}: read only by experiment '{reader}', not 'spectrum'" in capsys.readouterr().err
+
+
+def test_flag_the_experiment_never_reads_exits_two(capsys):
+    # verify writes no CSV, so --out would be silently ignored
+    assert main(["verify", "--out", "never-written.csv"]) == 2
+    assert "out: read only by experiments" in capsys.readouterr().err

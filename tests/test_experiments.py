@@ -7,7 +7,12 @@ import pytest
 
 from steklovwarp import BaseGeometry, WarpedMetricSpec, WarpProfile, circle_spectrum, point_spectrum
 from steklovwarp.errors import ConfigError
-from steklovwarp.experiments import config_from_dict, metric_coefficient_ratio
+from steklovwarp.experiments import (
+    _READS,
+    ExperimentConfig,
+    config_from_dict,
+    metric_coefficient_ratio,
+)
 from steklovwarp.profiles import power_fn
 
 
@@ -82,3 +87,46 @@ def test_normalize_volume_reads_its_fields():
         "samples": 64, "collar_fraction": 0.5,
     })
     assert (cfg.samples, cfg.collar_fraction) == (64, 0.5)
+
+
+REQUIRED_VALUES = {
+    "top": 2.0, "count": 4, "epsilon_list": [0.1, 0.01], "delta": 0.6, "target": 2.0, "dim": 2,
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(_READS))
+def test_each_read_field_accepted(experiment):
+    required, optional = _READS[experiment]
+    defaults = ExperimentConfig(experiment="verify")
+    base = {"experiment": experiment, **{name: REQUIRED_VALUES[name] for name in required}}
+    for name in optional:
+        cfg = config_from_dict({**base, name: getattr(defaults, name)})
+        assert getattr(cfg, name) == getattr(defaults, name)
+
+
+@pytest.mark.parametrize("field, value, reader", [
+    ("genus", 2, "kokarev"), ("pairs", 3, "quasi_iso"), ("k_max", 4, "quasi_iso"),
+])
+def test_experiment_specific_field_rejected_elsewhere(field, value, reader):
+    for experiment in sorted(set(_READS) - {reader}):
+        required, _ = _READS[experiment]
+        raw = {"experiment": experiment, field: value,
+               **{name: REQUIRED_VALUES[name] for name in required}}
+        with pytest.raises(ConfigError, match=f"{field}: read only by experiment '{reader}', "
+                           f"not '{experiment}'"):
+            config_from_dict(raw)
+    required, _ = _READS[reader]
+    raw = {"experiment": reader, field: value, **{n: REQUIRED_VALUES[n] for n in required}}
+    assert getattr(config_from_dict(raw), field) == value
+
+
+def test_every_unread_field_named():
+    with pytest.raises(ConfigError) as info:
+        config_from_dict({"experiment": "spectrum", "top": 2.0, "genus": 3, "k_max": 9})
+    assert str(info.value).startswith("genus: read only by experiment 'kokarev', not 'spectrum'; "
+                                      "k_max: read only by experiment 'quasi_iso'")
+
+
+def test_every_config_field_has_a_reader():
+    read = {name for fields in _READS.values() for names in fields for name in names}
+    assert read | {"experiment"} == set(ExperimentConfig.__dataclass_fields__)

@@ -175,6 +175,95 @@ class TestArrayEvaluation:
             power_fn(lambda t: 0.0, 1.0)(t)
 
 
+def reference_eval(p, t):
+    """(ln h, h) at t by np.select over the piece conditions: the reference for the index search.
+
+    The distance s to the boundary picks the piece: s <= ε/2, s < ε, s <= 2ε,
+    s < 3ε, else the far plateau. A symmetric profile also tests t against
+    L - c·ε directly, and np.select takes the first piece whose test holds.
+    """
+    t = np.asarray(t, dtype=float)
+    eps, ell = p.epsilon, p.collar_length
+    log_mid, log_far = p.delta * math.log(eps), -2.0 * math.log(eps)
+    ends = [(c * eps, below) for c, below in (
+        (0.5, np.less_equal), (1.0, np.less), (2.0, np.less_equal), (3.0, np.less)
+    )]
+    pieces = [below(t, end) for end, below in ends]
+    if p.symmetric:
+        pieces = [left | below(ell - end, t) for left, (end, below) in zip(pieces, ends)]
+    s = np.minimum(t, ell - t) if p.symmetric else t
+
+    def ramp(x):
+        x = np.clip(x, 0.0, 1.0)
+        return x * x * x * (10.0 + x * (-15.0 + 6.0 * x))
+
+    first = log_mid * ramp((s - eps / 2.0) / (eps / 2.0))
+    second = log_mid + (log_far - log_mid) * ramp((s - 2.0 * eps) / eps)
+    log_h = np.select(pieces, [0.0, first, log_mid, second], log_far)
+    h = np.select(pieces, [1.0, np.exp(first), eps**p.delta, np.exp(second)], eps**-2.0)
+    return log_h[()], h[()]
+
+
+def piece_end_points(p):
+    """Every piece end c·ε and L - c·ε, its float neighbours, and the collar ends."""
+    eps, ell = p.epsilon, p.collar_length
+    ends = [c * eps for c in (0.5, 1.0, 2.0, 3.0)] + [ell - c * eps for c in (0.5, 1.0, 2.0, 3.0)]
+    points = [0.0, ell]
+    for end in ends:
+        points += [np.nextafter(end, -np.inf), end, np.nextafter(end, np.inf)]
+    return np.clip(points, 0.0, ell)
+
+
+# one-sided and symmetric, the mirrored-end case, and one where ε is near an ulp of L,
+# so that the right-hand ends L - c·ε round together
+REFERENCE_PROFILES = [
+    (eps, delta, symmetric)
+    for eps, delta in ((0.05, 2.0 / 3.0), (MIRRORED_EPS, 0.5), (1e-3, 0.8), (1e-17, 0.6))
+    for symmetric in (False, True)
+]
+
+
+class TestAgainstSelectReference:
+    """log_eval and eval equal the np.select formulation bit for bit, arrays and scalars."""
+
+    @staticmethod
+    def _assert_same(p, t):
+        log_h, h = reference_eval(p, t)
+        assert np.asarray(p.log_eval(t)).tobytes() == np.asarray(log_h).tobytes()
+        assert np.asarray(p.eval(t)).tobytes() == np.asarray(h).tobytes()
+
+    @pytest.mark.parametrize("params", REFERENCE_PROFILES)
+    def test_piece_ends_and_neighbours(self, params):
+        p = make(*params)
+        points = piece_end_points(p)
+        self._assert_same(p, points)
+        self._assert_same(p, points[::-1].reshape(-1, 2))
+        for x in points:
+            for t in (float(x), np.float64(x), np.array(x)):
+                value = p.log_eval(t)
+                assert isinstance(value, float) and np.ndim(value) == 0
+                self._assert_same(p, t)
+
+    @given(
+        params=st.sampled_from(REFERENCE_PROFILES) | profile_params,
+        unit=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_points(self, params, unit):
+        p = make(*params)
+        self._assert_same(p, np.array(unit) * p.collar_length)
+        self._assert_same(p, unit[0] * p.collar_length)
+
+    def test_empty_input(self):
+        p = make(0.05, 0.7, True)
+        assert p.eval(np.zeros(0)).shape == (0,)
+
+    def test_nan_rejected(self):
+        p = make(0.05, 0.7, True)
+        with pytest.raises(DomainError):
+            p.log_eval(np.array([0.5, math.nan]))
+
+
 class TestVolumeElement:
     def _spec(self, mode):
         return WarpedMetricSpec(

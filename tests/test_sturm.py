@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steklovwarp import (
     BaseGeometry,
@@ -36,7 +38,7 @@ from steklovwarp import (
 )
 from steklovwarp.profiles import power_fn
 from steklovwarp.provenance import merge_tagged
-from steklovwarp.sturm import _reduce_ladder, minimizing_extension
+from steklovwarp.sturm import MIN_ELEMENTS_PER_SPAN, _reduce_ladder, minimizing_extension
 
 TANH1 = math.tanh(1.0)
 COTH1 = 1.0 / math.tanh(1.0)
@@ -69,6 +71,36 @@ class TestGradedMesh:
     def test_bad_span_rejected(self):
         with pytest.raises(DomainError):
             graded_mesh(1.0, 20, ((0.5, 1.5),))
+
+    @given(
+        length=st.floats(0.1, 10.0),
+        n_elements=st.integers(1, 2000),
+        cuts=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), max_size=6),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_segment_loop(self, length, n_elements, cuts, data):
+        # spans may overlap, nest, share ends or repeat; an end may sit at 0 or L
+        spans = tuple(
+            span for span in ((min(a, b) * length, max(a, b) * length) for a, b in cuts)
+            if span[0] < span[1]
+        )
+        spans += tuple(data.draw(st.sampled_from([(), spans[:1], ((0.0, length),)])))
+        nodes = graded_mesh(length, n_elements, spans)
+        assert nodes.tobytes() == segment_loop_mesh(length, n_elements, spans).tobytes()
+
+
+def segment_loop_mesh(length, n_elements, spans):
+    """graded_mesh as a loop over the segments cut by the span ends: the reference."""
+    breaks = sorted({0.0, length, *(x for span in spans for x in span)})
+    pieces = [[0.0]]
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        seg = max(1, round(n_elements * (b - a) / length))
+        if (a, b) in set(spans):
+            seg = max(seg, MIN_ELEMENTS_PER_SPAN)
+        step = (b - a) / seg
+        pieces += [a + np.arange(1, seg) * step, [b]]
+    return np.concatenate(pieces)
 
 
 class TestAssemble:
