@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .assembler import first_eigenvalues, lower_bound_C, sigma1_construction
+from .assembler import first_eigenvalues, surface_spec
 from .experiments import (
     ExperimentConfig,
     normalize_volume,
@@ -28,7 +28,7 @@ from .experiments import (
 )
 from .oracle import compare_with_assembler, make_grid
 from .profiles import WarpedMetricSpec, WarpProfile, power_fn, volume_element_ratio
-from .spectra import TWO_PI, circle_spectrum, point_spectrum
+from .spectra import TWO_PI, circle_spectrum
 from .sturm import BaseGeometry, SteklovEnd, SturmProblem, dtn_eigenvalues, graded_mesh
 
 # Default growth-sweep exponent. sigma1 grows like eps^-r with
@@ -118,26 +118,13 @@ def cylinder_closed_spectrum(
     return np.sort(np.array(values))[:count]
 
 
-def _cylinder_spec(
-    length: float, fiber_length: float, steklov_ends: str, warp=None
-) -> WarpedMetricSpec:
-    return WarpedMetricSpec(
-        base_dim=1,
-        fiber_dim=1,
-        warp=warp if warp is not None else (lambda t: 1.0),
-        base=BaseGeometry(point_spectrum(), length, steklov_ends),
-        fiber=circle_spectrum(fiber_length, 8),
-        mode="plain_warp",
-    )
-
-
 def _max_rel_dev(computed: np.ndarray, expected: np.ndarray) -> float:
     return float(np.max(np.abs(computed - expected) / np.maximum(np.abs(expected), 1.0)))
 
 
 def criterion_1_cylinder_closed_form() -> CriterionResult:
     def body():
-        spec = _cylinder_spec(2.0, TWO_PI, "both")
+        spec = surface_spec(lambda t: 1.0, 2.0, TWO_PI, "both", "plain_warp")
         computed, _ = first_eigenvalues(spec, 9, n_elements=400)
         expected = cylinder_closed_spectrum(2.0, TWO_PI, "both", 9)
         dev = _max_rel_dev(computed, expected)
@@ -152,7 +139,7 @@ def criterion_2_decomposition_vs_oracle() -> CriterionResult:
         bump = lambda t: 1.0 + t * (length - t)
         grid = make_grid(length, TWO_PI, bump, n_axial=256, n_theta=64)
         # place the cutoff in a spectral gap past the 15th eigenvalue
-        spec = _cylinder_spec(length, TWO_PI, "both", warp=bump)
+        spec = surface_spec(bump, length, TWO_PI, "both", "plain_warp")
         probe, spectrum = first_eigenvalues(spec, 16, n_elements=800)
         cumulative = 0
         top = None
@@ -174,7 +161,7 @@ def criterion_2_decomposition_vs_oracle() -> CriterionResult:
 
 def criterion_3_mixed_closed_form() -> CriterionResult:
     def body():
-        spec = _cylinder_spec(1.0, TWO_PI, "left")
+        spec = surface_spec(lambda t: 1.0, 1.0, TWO_PI, "left", "plain_warp")
         computed, _ = first_eigenvalues(spec, 6, n_elements=400)
         expected = cylinder_closed_spectrum(1.0, TWO_PI, "left", 6)
         dev = _max_rel_dev(computed, expected)
@@ -312,7 +299,7 @@ def criterion_10_convergence_order() -> CriterionResult:
             keep = ~np.isin(expected, (0.0, 2.0 / length))  # linear modes are exact
             errs = []
             for n_el in (100, 200):
-                spec = _cylinder_spec(length, TWO_PI, steklov_ends)
+                spec = surface_spec(lambda t: 1.0, length, TWO_PI, steklov_ends, "plain_warp")
                 computed, _ = first_eigenvalues(spec, count, n_elements=n_el)
                 errs.append(float(np.max(np.abs(computed[keep] - expected[keep]) / expected[keep])))
             ratios.append(errs[0] / errs[1])

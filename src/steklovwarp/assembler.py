@@ -25,9 +25,9 @@ import numpy as np
 
 from . import sturm
 from .errors import CompletenessError, DomainError, HypothesisViolationError, NumericError
-from .profiles import CoefficientFn, WarpedMetricSpec, log_value, power_fn, transition_spans
+from .profiles import CoefficientFn, Warp, WarpedMetricSpec, log_value, power_fn, transition_spans
 from .provenance import EigenSource, SpectrumWithProvenance, merge_tagged
-from .spectra import CachedEntries, extend
+from .spectra import CachedEntries, circle_spectrum, extend, point_spectrum
 from .sturm import SturmProblem, collar_branch
 
 
@@ -69,6 +69,20 @@ def metric_recipes(spec: WarpedMetricSpec) -> MetricRecipes:
         inv_sq_weight=power_fn(spec.warp, inv_p),
         boundary_weights=tuple(power_fn(spec.warp, bw_p)(ends)),
         spans=transition_spans(spec.warp),
+    )
+
+
+def surface_spec(
+    warp: Warp, length: float, fiber_length: float, steklov_ends: str, mode: str
+) -> WarpedMetricSpec:
+    """The warped surface [0, length] x S^1(fiber_length): n = k = 1, a point cross-section."""
+    return WarpedMetricSpec(
+        base_dim=1,
+        fiber_dim=1,
+        warp=warp,
+        base=sturm.BaseGeometry(point_spectrum(), length, steklov_ends),
+        fiber=circle_spectrum(fiber_length, 2),
+        mode=mode,
     )
 
 

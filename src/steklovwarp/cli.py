@@ -19,6 +19,7 @@ from .assembler import steklov_spectrum_warped
 from .errors import ConfigError, SteklovError
 from .experiments import (
     ExperimentConfig,
+    build_spectrum,
     build_warp,
     config_from_dict,
     kokarev_csv_lines,
@@ -78,12 +79,12 @@ def _cmd_spectrum(cfg: ExperimentConfig) -> int:
 
 def _cmd_oracle(cfg: ExperimentConfig) -> int:
     warp = build_warp(cfg.coefficient, cfg.collar_length)
-    fiber = cfg.fiber or {}
-    if fiber.get("kind") != "circle":
+    fiber = build_spectrum(cfg.fiber, "fiber")
+    if fiber.kind != "circle":
         raise ConfigError("fiber.kind: the direct oracle needs a circle fiber")
     grid = make_grid(
         cfg.collar_length,
-        float(fiber["length"]),
+        fiber.params[0],
         warp,
         n_axial=cfg.mesh,
         n_theta=cfg.n_theta,

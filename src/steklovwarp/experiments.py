@@ -15,7 +15,7 @@ from itertools import chain
 
 import numpy as np
 
-from .assembler import first_eigenvalues, lower_bound_C, sigma1_construction
+from .assembler import first_eigenvalues, lower_bound_C, sigma1_construction, surface_spec
 from .errors import ConfigError, DomainError, InfeasibleError, NumericError, SteklovError
 from .profiles import Warp, WarpedMetricSpec, WarpProfile, log_value
 from .provenance import SpectrumWithProvenance
@@ -152,8 +152,15 @@ def _readers(name: str) -> str:
     return f"read only by experiment{'s' if len(readers) > 1 else ''} {', '.join(readers)}"
 
 
-def build_spectrum(desc: dict | None, path: str, count: int = 16) -> ClosedSpectrum:
-    """Spectrum from a descriptor like {"kind": "circle", "length": 6.283}."""
+def build_spectrum(desc: dict | None, path: str) -> ClosedSpectrum:
+    """Spectrum from a descriptor like {"kind": "circle", "length": 6.283}.
+
+    Kinds and their fields: circle (length), flat_torus (l1, l2), point (no
+    fields; None gives it too) and explicit (entries, a list of [value,
+    multiplicity] pairs, read as incomplete). A generated kind caches its
+    first two entries, the sweep's lambda1 among them; readers take the
+    rest from its stream.
+    """
     if desc is None:
         return point_spectrum()
     if not isinstance(desc, dict) or "kind" not in desc:
@@ -161,9 +168,9 @@ def build_spectrum(desc: dict | None, path: str, count: int = 16) -> ClosedSpect
     kind = desc["kind"]
     try:
         if kind == "circle":
-            return circle_spectrum(float(desc["length"]), count)
+            return circle_spectrum(float(desc["length"]), 2)
         if kind == "flat_torus":
-            return flat_torus_spectrum(float(desc["l1"]), float(desc["l2"]), count)
+            return flat_torus_spectrum(float(desc["l1"]), float(desc["l2"]), 2)
         if kind == "point":
             return point_spectrum()
         if kind == "explicit":
@@ -239,8 +246,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
         raise ConfigError("epsilon_list: must be strictly descending")
     if any(e >= cfg.collar_length / 6.0 for e in eps_list):
         raise ConfigError("epsilon_list: every epsilon must be below collar_length/6")
-    fiber = build_spectrum(cfg.fiber, "fiber", count=4)
-    lambda1 = fiber.entries[1][0]
+    lambda1 = build_spectrum(cfg.fiber, "fiber").entries[1][0]
     try:
         bounds = [lower_bound_C(eps, cfg.delta, cfg.n, cfg.k, lambda1) for eps in eps_list]
     except SteklovError as exc:
@@ -316,20 +322,15 @@ def run_kokarev_sweep(cfg: ExperimentConfig) -> list[KokarevRow]:
         raise ConfigError("n, k: the surface check runs with n = k = 1")
     if not 0.0 < (cfg.delta or 0.0) < 1.0:
         raise ConfigError("delta: must lie in (0, 1)")
-    fiber_desc = cfg.fiber or {}
-    if fiber_desc.get("kind") != "circle":
+    fiber = build_spectrum(cfg.fiber, "fiber")
+    if fiber.kind != "circle":
         raise ConfigError("fiber.kind: the surface check needs a circle fiber")
-    fiber_length = float(fiber_desc["length"])
+    fiber_length = fiber.params[0]
     rows = []
     for eps in eps_list:
         profile = WarpProfile(eps, cfg.delta, cfg.collar_length, symmetric=True)
-        spec = WarpedMetricSpec(
-            base_dim=1,
-            fiber_dim=1,
-            warp=profile,
-            base=BaseGeometry(point_spectrum(), cfg.collar_length, cfg.steklov_ends),
-            fiber=circle_spectrum(fiber_length, 8),
-            mode="volume_preserving",
+        spec = surface_spec(
+            profile, cfg.collar_length, fiber_length, cfg.steklov_ends, "volume_preserving"
         )
         result = sigma1_construction(spec, n_elements=cfg.mesh)
         ends = {"both": [0.0, cfg.collar_length], "left": [0.0], "right": [cfg.collar_length]}
@@ -418,7 +419,6 @@ def quasi_iso_check(
 def random_profile_pairs(cfg: ExperimentConfig):
     """Seeded random plateau-profile pairs on the 2D cylinder for the ratio check."""
     rng = np.random.default_rng(cfg.seed)
-    fiber = circle_spectrum(TWO_PI, 8)
     for _ in range(cfg.pairs):
         pair = []
         for _ in range(2):
@@ -426,14 +426,7 @@ def random_profile_pairs(cfg: ExperimentConfig):
             delta = float(rng.uniform(0.55, 0.9))
             profile = WarpProfile(eps, delta, cfg.collar_length, symmetric=True)
             pair.append(
-                WarpedMetricSpec(
-                    base_dim=1,
-                    fiber_dim=1,
-                    warp=profile,
-                    base=BaseGeometry(point_spectrum(), cfg.collar_length, "both"),
-                    fiber=fiber,
-                    mode="volume_preserving",
-                )
+                surface_spec(profile, cfg.collar_length, TWO_PI, "both", "volume_preserving")
             )
         yield tuple(pair)
 

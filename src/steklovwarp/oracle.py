@@ -32,10 +32,9 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .linalg import PartitionedSystem, sym_eig
-from .profiles import Warp, WarpedMetricSpec, transition_spans, value_fn
-from .spectra import circle_spectrum, point_spectrum
-from .sturm import BaseGeometry, check_mesh, graded_mesh, lumped_mass
-from .assembler import steklov_spectrum_warped
+from .profiles import Warp, transition_spans, value_fn
+from .sturm import check_mesh, graded_mesh, lumped_mass
+from .assembler import steklov_spectrum_warped, surface_spec
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,18 +270,6 @@ class ComparisonReport:
         return line
 
 
-def matching_metric_spec(grid: RevolutionGrid) -> WarpedMetricSpec:
-    """The warped-product description of the same surface the grid discretizes."""
-    return WarpedMetricSpec(
-        base_dim=1,
-        fiber_dim=1,
-        warp=grid.warp,
-        base=BaseGeometry(point_spectrum(), grid.length, grid.steklov_ends),
-        fiber=circle_spectrum(grid.fiber_length, 8),
-        mode="plain_warp",
-    )
-
-
 def compare_with_assembler(
     grid: RevolutionGrid, top: float, tol: float, *, n_elements: int = 800
 ) -> ComparisonReport:
@@ -294,9 +281,8 @@ def compare_with_assembler(
     """
     direct = revolution_spectrum(grid)
     direct = direct[direct <= top]
-    assembled = steklov_spectrum_warped(
-        matching_metric_spec(grid), top, n_elements=n_elements
-    ).flatten()
+    spec = surface_spec(grid.warp, grid.length, grid.fiber_length, grid.steklov_ends, "plain_warp")
+    assembled = steklov_spectrum_warped(spec, top, n_elements=n_elements).flatten()
 
     n_pairs = min(len(direct), len(assembled))
     max_dev = 0.0

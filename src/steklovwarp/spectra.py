@@ -1,17 +1,19 @@
 """Exact eigenvalue sequences of the closed manifolds used as fibers and cross-sections.
 
-Spectra are closed forms with multiplicity bookkeeping, stored as distinct
-ascending (value, multiplicity) pairs. Generated kinds (circle, flat torus)
-can be extended on demand. An explicit list is either complete (it holds
-every eigenvalue, like the spectrum {0} of a 0-dimensional cross-section)
-or trusted only up to its last stored value.
+Spectra are closed forms with multiplicity bookkeeping, as distinct
+ascending (value, multiplicity) pairs. Each generated kind (circle, flat
+torus) has one exact lazy stream in _STREAMS; a ClosedSpectrum caches its
+first entries, and iter_entries reads the stream itself. An explicit list
+is either complete (it holds every eigenvalue, like the spectrum {0} of a
+0-dimensional cross-section) or trusted only up to its last stored value.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator
 
 from .errors import CompletenessError, DomainError
@@ -24,12 +26,12 @@ _MERGE_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class ClosedSpectrum:
-    """Sorted eigenvalue/multiplicity stream of a closed manifold.
+    """Sorted eigenvalue/multiplicity sequence of a closed manifold.
 
-    kind is one of "circle", "flat_torus", "explicit"; params holds the
-    geometric data (circle length, torus side lengths). entries is the
-    cached ascending list of (value, multiplicity) pairs, and complete says
-    that it holds every eigenvalue of the manifold.
+    kind is "explicit" or a key of _STREAMS, whose stream takes params as
+    arguments (circle length, torus side lengths). entries is the cached
+    ascending head of (value, multiplicity) pairs, and complete says that it
+    holds every eigenvalue of the manifold.
     """
 
     kind: str
@@ -38,7 +40,7 @@ class ClosedSpectrum:
     complete: bool = False
 
     def __post_init__(self) -> None:
-        if self.kind not in ("circle", "flat_torus", "explicit"):
+        if self.kind not in (*_STREAMS, "explicit"):
             raise DomainError(f"unknown spectrum kind {self.kind!r}")
         if not self.entries:
             raise DomainError("spectrum must contain at least one entry")
@@ -57,6 +59,52 @@ class ClosedSpectrum:
         return self.entries[-1][0]
 
 
+def _circle_stream(length: float) -> Iterator[tuple[float, int]]:
+    """(2 pi j / length)^2 for j = 0, 1, ..., with multiplicity 1 at j = 0 and 2 after."""
+    yield 0.0, 1
+    for j in itertools.count(1):
+        yield (TWO_PI * j / length) ** 2, 2
+
+
+def _torus_stream(l1: float, l2: float) -> Iterator[tuple[float, int]]:
+    """Distinct eigenvalues of the flat torus with sides l1, l2, ascending.
+
+    A heap walks the quadrant a, b >= 0 in order of the exact key
+    a^2/l1^2 + b^2/l2^2, pushing (a, b + 1) after (a, b) and (a + 1, 0)
+    after (a, 0); each point counts for its 1, 2 or 4 sign copies. With
+    l = p/q exactly, the key is an integer over den = (p1 p2)^2, and
+    key / den is correctly rounded. A value within _MERGE_RTOL of its
+    group's first value joins that group.
+    """
+    (p1, q1), (p2, q2) = l1.as_integer_ratio(), l2.as_integer_ratio()
+    wa, wb, den = (q1 * p2) ** 2, (q2 * p1) ** 2, (p1 * p2) ** 2
+    heap = [(0, 0, 0)]
+    group_value, group_mult = 0.0, 0
+    while True:
+        key, a, b = heapq.heappop(heap)
+        heapq.heappush(heap, (key + (2 * b + 1) * wb, a, b + 1))
+        if b == 0:
+            heapq.heappush(heap, (key + (2 * a + 1) * wa, a + 1, 0))
+        value = TWO_PI * TWO_PI * (key / den)
+        mult = (2 if a else 1) * (2 if b else 1)
+        if value - group_value <= _MERGE_RTOL * max(value, group_value):
+            group_mult += mult
+        else:
+            yield group_value, group_mult
+            group_value, group_mult = value, mult
+
+
+# the lazy stream of each generated kind, called with the kind's params
+_STREAMS = {"circle": _circle_stream, "flat_torus": _torus_stream}
+
+
+def _head(kind: str, params: tuple[float, ...], count: int) -> ClosedSpectrum:
+    """The first `count` entries of a generated kind's stream."""
+    if count < 1:
+        raise DomainError("count must be at least 1")
+    return ClosedSpectrum(kind, params, tuple(itertools.islice(_STREAMS[kind](*params), count)))
+
+
 def circle_spectrum(length: float, count: int) -> ClosedSpectrum:
     """First `count` distinct Laplace eigenvalues of a circle of given circumference.
 
@@ -65,60 +113,20 @@ def circle_spectrum(length: float, count: int) -> ClosedSpectrum:
     """
     if length <= 0:
         raise DomainError("circle length must be positive")
-    if count < 1:
-        raise DomainError("count must be at least 1")
-    entries = [(0.0, 1)]
-    for j in range(1, count):
-        entries.append(((TWO_PI * j / length) ** 2, 2))
-    return ClosedSpectrum("circle", (length,), tuple(entries))
-
-
-def _torus_keys(l1: float, l2: float, bound: float) -> dict[Fraction, int]:
-    """Exact lattice enumeration of a^2/l1^2 + b^2/l2^2 <= bound."""
-    q1 = Fraction(l1) * Fraction(l1)
-    q2 = Fraction(l2) * Fraction(l2)
-    fb = Fraction(bound)
-    amax = int(math.isqrt(math.floor(bound * l1 * l1 + 1)) + 1)
-    bmax = int(math.isqrt(math.floor(bound * l2 * l2 + 1)) + 1)
-    counts: dict[Fraction, int] = {}
-    for a in range(-amax, amax + 1):
-        ka = Fraction(a * a) / q1
-        if ka > fb:
-            continue
-        for b in range(-bmax, bmax + 1):
-            key = ka + Fraction(b * b) / q2
-            if key <= fb:
-                counts[key] = counts.get(key, 0) + 1
-    return counts
+    return _head("circle", (length,), count)
 
 
 def flat_torus_spectrum(l1: float, l2: float, count: int) -> ClosedSpectrum:
     """First `count` distinct eigenvalues of the flat torus with side lengths l1, l2.
 
     Values are (2 pi a / l1)^2 + (2 pi b / l2)^2 over integer (a, b), with
-    multiplicity the number of lattice representations. Coincidence of
-    lattice values is decided by exact rational comparison of the scaled
-    keys; residual float noise is merged at 1e-12 relative.
+    multiplicity the number of lattice representations. Each value is
+    rounded once from an exact lattice key, and values within 1e-12
+    relative of a group's first value are merged.
     """
     if l1 <= 0 or l2 <= 0:
         raise DomainError("torus side lengths must be positive")
-    if count < 1:
-        raise DomainError("count must be at least 1")
-    bound = count * (1.0 / (l1 * l1) + 1.0 / (l2 * l2)) + 1.0
-    while True:
-        counts = _torus_keys(l1, l2, bound)
-        if len(counts) >= count:
-            break
-        bound *= 2.0
-    keys = sorted(counts)
-    merged: list[tuple[float, int]] = []
-    for key in keys:
-        value = TWO_PI * TWO_PI * float(key)
-        if merged and value - merged[-1][0] <= _MERGE_RTOL * max(value, merged[-1][0]):
-            merged[-1] = (merged[-1][0], merged[-1][1] + counts[key])
-        else:
-            merged.append((value, counts[key]))
-    return ClosedSpectrum("flat_torus", (l1, l2), tuple(merged[:count]))
+    return _head("flat_torus", (l1, l2), count)
 
 
 def point_spectrum() -> ClosedSpectrum:
@@ -141,35 +149,27 @@ def extend(spec: ClosedSpectrum, count: int) -> ClosedSpectrum:
     """Return a spectrum of the same manifold with at least `count` cached entries.
 
     A complete spectrum is returned unchanged, since it has no more entries.
-    Only the generated kinds can grow; an incomplete explicit list raises
-    CompletenessError.
+    A generated kind takes the first `count` entries of its stream; an
+    incomplete explicit list raises CompletenessError.
     """
     if spec.complete or len(spec.entries) >= count:
         return spec
-    if spec.kind == "circle":
-        return circle_spectrum(spec.params[0], count)
-    if spec.kind == "flat_torus":
-        return flat_torus_spectrum(spec.params[0], spec.params[1], count)
+    if spec.kind in _STREAMS:
+        return _head(spec.kind, spec.params, count)
     raise CompletenessError(
         f"explicit spectrum holds {len(spec.entries)} entries, cannot extend to {count}"
     )
 
 
 def iter_entries(spec: ClosedSpectrum) -> Iterator[tuple[float, int]]:
-    """Yield (value, multiplicity) in ascending order, extending on demand.
+    """Yield (value, multiplicity) in ascending order.
 
-    Generated kinds never run out. A complete spectrum ends after its last
-    entry; an exhausted incomplete one raises CompletenessError, since
-    eigenvalues may be missing beyond the cache.
+    A generated kind yields from its stream, which never runs out. An
+    explicit list ends after its entries if complete, and raises
+    CompletenessError if not, since eigenvalues may be missing beyond it.
     """
-    if spec.kind in ("circle", "flat_torus"):
-        current = spec
-        i = 0
-        while True:
-            if i >= len(current.entries):
-                current = extend(current, 2 * len(current.entries))
-            yield current.entries[i]
-            i += 1
+    if spec.kind in _STREAMS:
+        yield from _STREAMS[spec.kind](*spec.params)
     else:
         yield from spec.entries
         if not spec.complete:
@@ -181,8 +181,8 @@ def iter_entries(spec: ClosedSpectrum) -> Iterator[tuple[float, int]]:
 class CachedEntries:
     """One iter_entries stream of a spectrum, read once and replayed to every reader.
 
-    Readers ask for blocks by position, so a generated spectrum is extended
-    once however many readers walk it, exactly as a single stream would be.
+    Readers ask for blocks by position, so each entry of a generated
+    spectrum is computed once however many readers walk it.
     A block comes back short only when the stream has ended: at the last
     eigenvalue if the spectrum is complete, and at the last known one if not.
     """

@@ -120,10 +120,7 @@ class SturmProblem:
         """Edge conductances w(t_mid)/dt, on a mesh checked first."""
         check_mesh(self.nodes, self.transition_spans)
         mid = 0.5 * (self.nodes[:-1] + self.nodes[1:])
-        w_mid = np.broadcast_to(self.grad_weight(mid), mid.shape)
-        if np.any(w_mid <= 0.0):
-            raise DomainError("gradient weight must be positive on the interval")
-        return w_mid / np.diff(self.nodes)
+        return self._grad_weight_at(mid) / np.diff(self.nodes)
 
     @cached_property
     def lump(self) -> np.ndarray:
@@ -131,11 +128,20 @@ class SturmProblem:
 
     @cached_property
     def q_node(self) -> np.ndarray:
-        return _nonnegative_samples(self.potential, self.nodes)
+        q = np.broadcast_to(self.potential(self.nodes), self.nodes.shape)
+        if np.any(q < 0.0):
+            raise DomainError("potential must be nonnegative on the interval")
+        return q
 
     @cached_property
     def w_node(self) -> np.ndarray:
-        return _nonnegative_samples(self.grad_weight, self.nodes)
+        return self._grad_weight_at(self.nodes)
+
+    def _grad_weight_at(self, points: np.ndarray) -> np.ndarray:
+        w = np.broadcast_to(self.grad_weight(points), points.shape)
+        if np.any(w <= 0.0):
+            raise DomainError("gradient weight must be positive on the interval")
+        return w
 
     def prime(self, q_node: np.ndarray, w_node: np.ndarray) -> "SturmProblem":
         """Take q and w at the nodes, which must be what potential and grad_weight give there."""
@@ -244,13 +250,6 @@ def lumped_mass(nodes: np.ndarray) -> np.ndarray:
     lump[:-1] += 0.5 * dt
     lump[1:] += 0.5 * dt
     return lump
-
-
-def _nonnegative_samples(fn: CoefficientFn, nodes: np.ndarray) -> np.ndarray:
-    values = np.broadcast_to(fn(nodes), nodes.shape)
-    if np.any(values < 0.0):
-        raise DomainError("potential must be nonnegative on the interval")
-    return values
 
 
 def _steklov_nodes(p: SturmProblem) -> tuple[list[int], list[float]]:

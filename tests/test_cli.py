@@ -8,8 +8,15 @@ from pathlib import Path
 
 import pytest
 
+from steklovwarp import (
+    BaseGeometry,
+    WarpedMetricSpec,
+    WarpProfile,
+    flat_torus_spectrum,
+    steklov_spectrum_warped,
+)
 from steklovwarp.cli import main
-from steklovwarp.experiments import SPECTRUM_CSV_HEADER
+from steklovwarp.experiments import SPECTRUM_CSV_HEADER, spectrum_csv_lines
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -52,6 +59,41 @@ def test_infinite_top_exits_one():
     done = run_module("spectrum", "--top", "inf")
     assert done.returncode == 1
     assert "error: top = inf needs complete spectra" in done.stderr
+
+
+def test_flat_torus_spectrum_config_matches_the_solver(tmp_path, capsys):
+    # T^2 cross-section and T^2 fiber: both closed spectra are torus streams
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "experiment": "spectrum", "top": 30, "n": 3, "k": 2, "mode": "volume_preserving",
+        "mesh": 200, "cross_section": {"kind": "flat_torus", "l1": 1.0, "l2": 7.3},
+        "fiber": {"kind": "flat_torus", "l1": 2.0, "l2": 2.6},
+        "coefficient": {"kind": "plateau", "epsilon": 0.05, "delta": 0.6},
+    }))
+    assert main(["spectrum", "--config", str(config)]) == 0
+    spec = WarpedMetricSpec(
+        base_dim=3,
+        fiber_dim=2,
+        warp=WarpProfile(0.05, 0.6, 1.0, symmetric=True),
+        base=BaseGeometry(flat_torus_spectrum(1.0, 7.3, 1), 1.0, "both"),
+        fiber=flat_torus_spectrum(2.0, 2.6, 1),
+        mode="volume_preserving",
+    )
+    expected = spectrum_csv_lines(steklov_spectrum_warped(spec, 30.0, n_elements=200))
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == expected
+    rows = [line.split(",") for line in lines[1:]]
+    assert any(float(lam) > 0.0 and float(mu) > 0.0 for _, _, lam, mu, _ in rows)
+
+
+@pytest.mark.parametrize("experiment, fields", [
+    ("kokarev", {"epsilon_list": [0.1], "delta": 0.6}), ("oracle", {"count": 4}),
+])
+def test_circle_fiber_without_length_exits_two(tmp_path, capsys, experiment, fields):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": experiment, "fiber": {"kind": "circle"}, **fields}))
+    assert main([experiment, "--config", str(config)]) == 2
+    assert "fiber.length: missing" in capsys.readouterr().err
 
 
 def test_unknown_config_field_exits_two(tmp_path, capsys):

@@ -14,6 +14,7 @@ from steklovwarp import (
     flat_torus_spectrum,
     point_spectrum,
 )
+from steklovwarp import spectra
 from steklovwarp.spectra import CachedEntries, extend, iter_entries
 
 TWO_PI = 2.0 * math.pi
@@ -113,6 +114,29 @@ class TestFlatTorus:
         for v, m in spec.entries[1:]:
             assert m % 4 == 0
 
+    def test_near_coincident_values_merge_into_whole_groups(self):
+        # l2 is one ulp-scale step from l1, so lattice values that coincide
+        # on the square torus differ by about 1e-13 relative: each group
+        # must hold all of its lattice points, and every head its full count
+        l1, l2 = 1.0, 1.0000000000001
+        values = sorted(
+            (TWO_PI * a / l1) ** 2 + (TWO_PI * b / l2) ** 2
+            for a in range(-12, 13)
+            for b in range(-12, 13)
+        )
+        groups = []
+        for v in values:
+            if groups and v - groups[-1][0] <= 1e-12 * v:
+                groups[-1][1] += 1
+            else:
+                groups.append([v, 1])
+        for count in (24, 40):
+            spec = flat_torus_spectrum(l1, l2, count)
+            assert len(spec.entries) == count
+            for (v, m), (ev, em) in zip(spec.entries, groups):
+                assert v == pytest.approx(ev, rel=1e-12)
+                assert m == em
+
     def test_axis_swap(self):
         a = flat_torus_spectrum(1.0, 2.5, 9)
         b = flat_torus_spectrum(2.5, 1.0, 9)
@@ -165,6 +189,30 @@ class TestTruncateAndIterate:
         assert len(first) == 5
         assert again == first[2:]
         assert cache.take(0, 9) == list(circle_spectrum(TWO_PI, 9).entries)
+
+    def test_cached_entries_read_the_torus_stream_once(self, monkeypatch):
+        cache = CachedEntries(flat_torus_spectrum(1.0, 7.3, 4))
+        calls = []
+
+        def spy(name):
+            original = getattr(spectra, name)
+
+            def wrapped(*args):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(spectra, name, wrapped)
+
+        spy("flat_torus_spectrum")
+        spy("extend")
+        heads = [cache.take(0, n) for n in (1, 3, 8, 64, 200)]
+        assert calls == []  # no head is regenerated to reach a longer one
+        expected = brute_force_torus(1.0, 7.3, 200)
+        assert [m for _, m in heads[-1]] == [m for _, m in expected]
+        assert [v for v, _ in heads[-1]] == pytest.approx([v for v, _ in expected], abs=1e-8)
+        for shorter, longer in zip(heads, heads[1:]):
+            assert longer[: len(shorter)] == shorter
+        assert tuple(heads[2]) == flat_torus_spectrum(1.0, 7.3, 8).entries
 
     def test_cached_entries_report_the_end(self):
         # a short block marks the end; completeness says what the end means

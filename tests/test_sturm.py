@@ -453,6 +453,18 @@ class TestModePairs:
         dtn_eigenvalues(p, 2.0, self.MUS)
         assert len(calls) == 2 and len(calls[1]) == len(p.nodes)
 
+    @pytest.mark.parametrize("index,value", [(0, -1.0), (3, 0.0)])
+    def test_gradient_weight_must_be_positive_at_the_nodes(self, index, value):
+        nodes = graded_mesh(1.0, 16)
+
+        def w(t):
+            return np.where(t == nodes[index], value, 1.0)
+
+        p = uniform_problem(1.0, w, lambda t: 1.0, n_elements=16)
+        assert dtn_eigenvalues(p, 1.0, 0.0).size == 2  # every midpoint sees w = 1
+        with pytest.raises(DomainError, match="gradient weight must be positive"):
+            dtn_eigenvalues(p, 1.0, 1.0)
+
 
 class TestBaseDtnSpectrum:
     def test_circle_cross_section_union(self):
