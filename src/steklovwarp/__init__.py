@@ -27,13 +27,7 @@ from .errors import (
     UnsupportedModeError,
 )
 from .linalg import PartitionedSystem, dtn_matrix, harmonic_extension, sym_eig
-from .oracle import (
-    ComparisonReport,
-    RevolutionGrid,
-    compare_with_assembler,
-    make_grid,
-    revolution_steklov,
-)
+from .oracle import RevolutionGrid, make_grid, revolution_steklov
 from .profiles import WarpedMetricSpec, WarpProfile, volume_element_ratio
 from .provenance import EigenSource, SpectrumEntry, SpectrumWithProvenance
 from .spectra import (
@@ -58,7 +52,6 @@ from .sturm import (
 __all__ = [
     "BaseGeometry",
     "ClosedSpectrum",
-    "ComparisonReport",
     "CompletenessError",
     "ConfigError",
     "DomainError",
@@ -82,7 +75,6 @@ __all__ = [
     "assemble",
     "base_dtn_spectrum",
     "circle_spectrum",
-    "compare_with_assembler",
     "dtn_eigenvalues",
     "dtn_matrix",
     "explicit_spectrum",

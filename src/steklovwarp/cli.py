@@ -104,7 +104,7 @@ def _cmd_sweep(cfg: ExperimentConfig) -> int:
 def _cmd_kokarev(cfg: ExperimentConfig) -> int:
     rows = run_kokarev_sweep(cfg)
     _emit(kokarev_csv_lines(rows), cfg.out)
-    return 0 if all(r.check.passed for r in rows) else 1
+    return 0 if all(r.passed for r in rows) else 1
 
 
 def _cmd_quasi_iso(cfg: ExperimentConfig) -> int:

@@ -18,7 +18,8 @@ few n_theta x n_theta blocks. Each K_j is treated as a general SPD block.
 Its circulant structure is deliberately left unused: separating Fourier
 modes would reduce the grid to the same per-mode 1D problems the
 decomposition solves, and the oracle would check the decomposition
-against itself.
+against itself. This module imports nothing from the assembler; acceptance
+criterion 2 pairs revolution_spectrum with the assembled spectrum.
 
 assemble_revolution builds the same energy as a banded partitioned system,
 the reference the ring elimination is tested against.
@@ -34,7 +35,6 @@ from .errors import DomainError, NumericError
 from .linalg import PartitionedSystem, sym_eig
 from .profiles import Warp, transition_spans, value_fn
 from .sturm import check_mesh, graded_mesh, lumped_mass
-from .assembler import steklov_spectrum_warped, surface_spec
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,67 +244,3 @@ def revolution_steklov(grid: RevolutionGrid, count: int) -> np.ndarray:
             f"count must lie in [1, {grid.n_boundary}] (boundary nodes), got {count}"
         )
     return revolution_spectrum(grid)[:count]
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Pairing of oracle and assembler spectra below a cutoff."""
-
-    passed: bool
-    top: float
-    tol: float
-    oracle_count: int
-    assembler_count: int
-    max_rel_dev: float
-    first_mismatch: str | None
-
-    def summary(self) -> str:
-        status = "pass" if self.passed else "FAIL"
-        line = (
-            f"{status}: {self.oracle_count} oracle vs {self.assembler_count} assembler "
-            f"eigenvalues <= {self.top:.6g}, max relative deviation {self.max_rel_dev:.3e} "
-            f"(tol {self.tol:.1e})"
-        )
-        if self.first_mismatch:
-            line += f"; first mismatch: {self.first_mismatch}"
-        return line
-
-
-def compare_with_assembler(
-    grid: RevolutionGrid, top: float, tol: float, *, n_elements: int = 800
-) -> ComparisonReport:
-    """Check the decomposition: direct grid spectrum against the assembled union.
-
-    Passes when the eigenvalue counts below `top` agree exactly (with
-    multiplicity) and the paired sorted values deviate by at most `tol`
-    relatively. Near-zero values are compared with `tol` absolutely.
-    """
-    direct = revolution_spectrum(grid)
-    direct = direct[direct <= top]
-    spec = surface_spec(grid.warp, grid.length, grid.fiber_length, grid.steklov_ends, "plain_warp")
-    assembled = steklov_spectrum_warped(spec, top, n_elements=n_elements).flatten()
-
-    n_pairs = min(len(direct), len(assembled))
-    max_dev = 0.0
-    first_bad = None
-    for i in range(n_pairs):
-        a, b = float(direct[i]), float(assembled[i])
-        dev = abs(a - b) / max(abs(a), abs(b), 1.0)
-        max_dev = max(max_dev, dev)
-        if dev > tol and first_bad is None:
-            first_bad = f"index {i}: oracle {a:.8g} vs assembler {b:.8g}"
-    if len(direct) != len(assembled) and first_bad is None:
-        i = n_pairs
-        extra = direct if len(direct) > len(assembled) else assembled
-        side = "oracle" if len(direct) > len(assembled) else "assembler"
-        first_bad = f"count mismatch at index {i}: unmatched {side} value {float(extra[i]):.8g}"
-    passed = len(direct) == len(assembled) and max_dev <= tol
-    return ComparisonReport(
-        passed=passed,
-        top=top,
-        tol=tol,
-        oracle_count=len(direct),
-        assembler_count=len(assembled),
-        max_rel_dev=max_dev,
-        first_mismatch=first_bad,
-    )

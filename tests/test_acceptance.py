@@ -1,5 +1,7 @@
 """The acceptance gate of `steklovwarp verify`, run under pytest."""
 
+import numpy as np
+
 from steklovwarp import acceptance
 
 
@@ -10,3 +12,30 @@ def test_all_criteria_pass():
     failed = [r.line() for r in results if not r.passed]
     assert not failed, "\n".join(failed)
     assert len(lines) == 10
+
+
+def oracle_with(monkeypatch, change):
+    """Make criterion 2 read the grid spectrum passed through `change`."""
+    exact = acceptance.revolution_spectrum
+    monkeypatch.setattr(acceptance, "revolution_spectrum", lambda grid: change(exact(grid)))
+    return acceptance.criterion_2_decomposition_vs_oracle()
+
+
+def test_oracle_missing_a_value_below_the_cutoff_fails(monkeypatch):
+    # 16 grid eigenvalues lie below the cutoff; the 16th is dropped
+    result = oracle_with(monkeypatch, lambda values: np.delete(values, 15))
+    assert not result.passed
+    assert result.detail.startswith("FAIL: 15 oracle vs 16 assembler eigenvalues")
+    assert "first mismatch: count mismatch at index 15: unmatched assembler value" in result.detail
+
+
+def test_oracle_value_off_by_ten_percent_fails(monkeypatch):
+    def scale_fourth(values):
+        values = values.copy()
+        values[3] *= 1.1
+        return values
+
+    result = oracle_with(monkeypatch, scale_fourth)
+    assert not result.passed
+    assert result.detail.startswith("FAIL: 16 oracle vs 16 assembler eigenvalues")
+    assert "; first mismatch: index 3: oracle " in result.detail

@@ -15,6 +15,7 @@ from steklovwarp import (
     flat_torus_spectrum,
     steklov_spectrum_warped,
 )
+from steklovwarp import experiments
 from steklovwarp.cli import main
 from steklovwarp.experiments import SPECTRUM_CSV_HEADER, spectrum_csv_lines
 
@@ -94,6 +95,46 @@ def test_circle_fiber_without_length_exits_two(tmp_path, capsys, experiment, fie
     config.write_text(json.dumps({"experiment": experiment, "fiber": {"kind": "circle"}, **fields}))
     assert main([experiment, "--config", str(config)]) == 2
     assert "fiber.length: missing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fiber", [{"kind": "point"}, {"kind": "explicit", "entries": [[0, 1]]}])
+def test_sweep_fiber_without_lambda1_exits_two(tmp_path, capsys, fiber):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "experiment": "sweep", "n": 2, "k": 1, "mode": "volume_preserving",
+        "epsilon_list": [0.1], "delta": 0.6, "fiber": fiber,
+    }))
+    assert main(["sweep", "--config", str(config)]) == 2
+    assert "fiber: the sweep needs a first nonzero eigenvalue" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, desc, message", [
+    ("fiber", {"kind": "circle", "length": "abc"}, "could not convert string to float"),
+    ("fiber", {"kind": "circle", "length": -1}, "circle length must be positive"),
+    ("fiber", {"kind": "explicit", "entries": 5}, "not iterable"),
+    ("coefficient", {"kind": "plateau", "epsilon": "x", "delta": 0.6},
+     "could not convert string to float"),
+    ("coefficient", {"kind": "plateau", "epsilon": 0.2, "delta": 0.6}, "epsilon"),
+])
+def test_descriptor_value_its_constructor_rejects_exits_two(tmp_path, capsys, field, desc, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": "spectrum", "top": 2, field: desc}))
+    assert main(["spectrum", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}: ")
+    assert message in err
+
+
+def test_negative_genus_exits_two_before_any_solve(tmp_path, capsys, monkeypatch):
+    solves = []
+    monkeypatch.setattr(experiments, "sigma1_construction", lambda *a, **kw: solves.append(a))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "experiment": "kokarev", "epsilon_list": [0.1], "delta": 0.6, "genus": -1,
+    }))
+    assert main(["kokarev", "--config", str(config)]) == 2
+    assert "genus: must be nonnegative" in capsys.readouterr().err
+    assert solves == []
 
 
 def test_unknown_config_field_exits_two(tmp_path, capsys):

@@ -1,17 +1,27 @@
-"""Experiment drivers: the metric coefficient ratio of the quasi-isometry check, and config fields."""
+"""Experiment drivers: the metric coefficient ratio of the quasi-isometry check, the
+Kokarev bound check, and config fields."""
 
 import math
 
 import numpy as np
 import pytest
 
-from steklovwarp import BaseGeometry, WarpedMetricSpec, WarpProfile, circle_spectrum, point_spectrum
+from steklovwarp import (
+    BaseGeometry,
+    Sigma1Result,
+    WarpedMetricSpec,
+    WarpProfile,
+    circle_spectrum,
+    point_spectrum,
+)
+from steklovwarp import experiments
 from steklovwarp.errors import ConfigError
 from steklovwarp.experiments import (
     _READS,
     ExperimentConfig,
     config_from_dict,
     metric_coefficient_ratio,
+    run_kokarev_sweep,
 )
 from steklovwarp.profiles import power_fn
 
@@ -70,6 +80,23 @@ def test_matches_pointwise_ratio(mode, n, k, warps, samples):
 def test_identical_warps_give_one():
     spec = spec_for(PLATEAU_A, "volume_preserving", 2, 1)
     assert metric_coefficient_ratio(spec, spec) == 1.0
+
+
+@pytest.mark.parametrize("genus", [0, 2])
+def test_kokarev_bound_allows_only_its_slack(monkeypatch, genus):
+    # one Steklov circle of length 1 where h = 1, so sigma1 * L(boundary) is sigma1 itself
+    cfg = ExperimentConfig(
+        experiment="kokarev", epsilon_list=[0.1], delta=0.6, steklov_ends="left",
+        fiber={"kind": "circle", "length": 1.0}, genus=genus,
+    )
+    bound = 8.0 * math.pi * (genus + 1)
+    edge = bound * (1.0 + 1e-6)
+    for sigma1, passed in ((edge, True), (math.nextafter(edge, math.inf), False)):
+        stub = Sigma1Result(sigma1, "lambda0", sigma1, sigma1)
+        monkeypatch.setattr(experiments, "sigma1_construction", lambda spec, n_elements: stub)
+        (row,) = run_kokarev_sweep(cfg)
+        assert (row.boundary_length, row.product, row.bound) == (1.0, sigma1, bound)
+        assert row.passed is passed
 
 
 @pytest.mark.parametrize("field, value", [("samples", 64), ("collar_fraction", 0.5)])
