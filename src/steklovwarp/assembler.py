@@ -3,15 +3,10 @@
 The mixed Steklov-Neumann spectrum of the warped product equals the union
 over fiber eigenvalues of the spectra of auxiliary base operators, one per
 fiber eigenvalue. For a collar base every auxiliary operator splits into 1D
-problems over cross-section modes. The collar's coefficients are evaluated
-once per metric and mesh, as one `sturm.SturmProblem`. The fiber branches
-are then walked in blocks of 8. Each block reads the cross-section modes in
-8-aligned sub-blocks, doubling the sub-blocks per step while the fibers
-still live fit one reduction of 64 (fiber, mode) rows, and reduces the rows
-still needed by the two-port ladder reduction of `sturm`, which gives the
-known zero eigenvalue as exactly 0.0. Reduced rows are kept for the length
-of one call, under (fiber position, sub-block start), so the cutoff
-doublings of `first_eigenvalues` reduce no row twice.
+problems over cross-section modes. This module holds the coefficients of
+those problems for a metric, their discretization, evaluated once per
+metric and mesh as one `sturm.SturmProblem`, and the public entry points;
+`sturm.walk_below` walks the (fiber, mode) pairs of that problem.
 Multiplicities follow the tensor basis count: fiber multiplicity times
 cross-section multiplicity per source.
 """
@@ -24,11 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sturm
-from .errors import CompletenessError, DomainError, HypothesisViolationError, NumericError
+from .errors import DomainError, HypothesisViolationError, NumericError
 from .profiles import CoefficientFn, Warp, WarpedMetricSpec, log_value, power_fn, transition_spans
-from .provenance import EigenSource, SpectrumWithProvenance, merge_tagged
-from .spectra import CachedEntries, circle_spectrum, extend, point_spectrum
-from .sturm import SturmProblem, collar_branch
+from .provenance import SpectrumWithProvenance
+from .spectra import CachedEntries, circle_spectrum, extend, iter_entries, point_spectrum
+from .sturm import SturmProblem
 
 
 @dataclass(frozen=True)
@@ -99,10 +94,6 @@ def _powers(spec: WarpedMetricSpec) -> tuple[float, float, float]:
 _START_TOP = 1.0
 _MAX_DOUBLINGS = 60
 
-# fiber eigenvalues walked together: with one sub-block of 8 modes, one
-# dtn_eigenvalues call of at most 64 rows
-_FIBER_BLOCK = 8
-
 
 def _discretize(spec: WarpedMetricSpec, n_elements: int) -> SturmProblem:
     """The collar's 1D family: q is the fiber weight, so lambda is the fiber eigenvalue.
@@ -127,38 +118,12 @@ def _discretize(spec: WarpedMetricSpec, n_elements: int) -> SturmProblem:
     return problem.prime(np.exp(inv_p * log_h), np.exp(grad_p * log_h))
 
 
-def _union_below(
-    problem: SturmProblem,
-    fibers: CachedEntries,
-    modes: CachedEntries,
-    top: float,
-    rows: dict[tuple[int, int], list[list[float]]],
-) -> SpectrumWithProvenance:
-    """Merged union over fiber branches of the collar's eigenvalues <= top.
-
-    Fiber eigenvalues are read in ascending order, in blocks of
-    _FIBER_BLOCK, and each block is walked by collar_branch on the shared
-    row cache. Since the smallest auxiliary eigenvalue is nondecreasing in
-    the fiber eigenvalue, the walk stops at the first fiber branch whose
-    spectrum starts above top, and the union collected so far is complete
-    below top. An incomplete fiber spectrum that ends first raises
-    CompletenessError.
-    """
-    tagged: list[tuple[float, EigenSource]] = []
-    start = 0
-    while True:
-        block = fibers.take(start, _FIBER_BLOCK)
-        branches, stopped = collar_branch(problem, block, modes, top, rows, start)
-        tagged += branches
-        if stopped or len(block) < _FIBER_BLOCK:
-            break
-        start += _FIBER_BLOCK
-    if not stopped and not fibers.complete:
-        raise CompletenessError(
-            f"fiber spectrum ends after {start + len(block)} entries, "
-            f"before a branch starts above top={top}"
-        )
-    return merge_tagged(tagged)
+def _streams(spec: WarpedMetricSpec) -> tuple[CachedEntries, CachedEntries]:
+    """The fiber and cross-section streams that sturm.walk_below reads."""
+    return tuple(
+        CachedEntries(iter_entries(spectrum), spectrum.complete)
+        for spectrum in (spec.fiber, spec.base.cross_section)
+    )
 
 
 def steklov_spectrum_warped(
@@ -166,13 +131,11 @@ def steklov_spectrum_warped(
 ) -> SpectrumWithProvenance:
     """All warped-product Steklov eigenvalues <= top, with multiplicity and sources.
 
-    The collar is discretized once, and the fiber branches are walked in
-    blocks on it; see _union_below and sturm.collar_branch.
+    The collar is discretized once, and sturm.walk_below walks its fiber
+    branches on it.
     """
     sturm.check_top(top, spec.fiber, spec.base.cross_section)
-    fibers = CachedEntries(spec.fiber)
-    modes = CachedEntries(spec.base.cross_section)
-    return _union_below(_discretize(spec, n_elements), fibers, modes, top, {})
+    return sturm.walk_below(_discretize(spec, n_elements), *_streams(spec), top, {})
 
 
 def first_eigenvalues(spec: WarpedMetricSpec, count: int, *, n_elements: int = 400):
@@ -187,12 +150,11 @@ def first_eigenvalues(spec: WarpedMetricSpec, count: int, *, n_elements: int = 4
     if count < 1:
         raise DomainError("count must be positive")
     problem = _discretize(spec, n_elements)
-    fibers = CachedEntries(spec.fiber)
-    modes = CachedEntries(spec.base.cross_section)
-    rows: dict[tuple[int, int], list[list[float]]] = {}
+    fibers, modes = _streams(spec)
+    rows: dict[int, list[list[float]]] = {}
     top = _START_TOP
     for _ in range(_MAX_DOUBLINGS):
-        spectrum = _union_below(problem, fibers, modes, top, rows)
+        spectrum = sturm.walk_below(problem, fibers, modes, top, rows)
         if spectrum.total_multiplicity >= count + 1:
             return spectrum.flatten()[:count], spectrum
         top *= 2.0

@@ -192,12 +192,12 @@ def build_warp(desc: dict, collar_length: float, path: str = "coefficient") -> W
     if kind == "bump":
         return lambda t: 1.0 + t * (collar_length - t)
     if kind == "plateau":
+        symmetric = desc.get("symmetric", True)
+        if not isinstance(symmetric, bool):  # a string such as "false" is truthy
+            raise ConfigError(f"{path}.symmetric: expected true or false")
         try:
             return WarpProfile(
-                float(desc["epsilon"]),
-                float(desc["delta"]),
-                collar_length,
-                bool(desc.get("symmetric", True)),
+                float(desc["epsilon"]), float(desc["delta"]), collar_length, symmetric
             )
         except KeyError as exc:
             raise ConfigError(f"{path}.{exc.args[0]}: missing") from None
@@ -239,7 +239,7 @@ class SweepRow:
 def run_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     """Spectral gap of the volume-preserving construction for each epsilon.
 
-    Epsilons must be descending and below collar_length/6; n, k and delta
+    Epsilons must be descending and lie in (0, collar_length/6); n, k and delta
     must lie where lower_bound_C holds, so the gap diverges. One row per
     epsilon, in input order.
     """
@@ -248,8 +248,8 @@ def run_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     eps_list = cfg.epsilon_list or []
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ConfigError("epsilon_list: must be strictly descending")
-    if any(e >= cfg.collar_length / 6.0 for e in eps_list):
-        raise ConfigError("epsilon_list: every epsilon must be below collar_length/6")
+    if not all(0.0 < e < cfg.collar_length / 6.0 for e in eps_list):
+        raise ConfigError("epsilon_list: every epsilon must lie in (0, collar_length/6)")
     fiber = build_spectrum(cfg.fiber, "fiber")
     if len(fiber.entries) < 2:
         raise ConfigError("fiber: the sweep needs a first nonzero eigenvalue lambda1")
@@ -305,8 +305,8 @@ def run_kokarev_sweep(cfg: ExperimentConfig) -> list[KokarevRow]:
     diverge; every row is expected to satisfy the bound.
     """
     eps_list = cfg.epsilon_list or []
-    if any(e >= cfg.collar_length / 6.0 for e in eps_list):
-        raise ConfigError("epsilon_list: every epsilon must be below collar_length/6")
+    if not all(0.0 < e < cfg.collar_length / 6.0 for e in eps_list):
+        raise ConfigError("epsilon_list: every epsilon must lie in (0, collar_length/6)")
     if cfg.n != 1 or cfg.k != 1:
         raise ConfigError("n, k: the surface check runs with n = k = 1")
     if not 0.0 < (cfg.delta or 0.0) < 1.0:
@@ -383,8 +383,11 @@ def quasi_iso_check(
     """Eigenvalue-ratio bound for quasi-isometric metrics: ratios within C^(2m+1).
 
     C is metric_coefficient_ratio at its default sampling. The zero
-    eigenvalue (index 0) is excluded; indices 1..k_max are compared.
+    eigenvalue (index 0) is excluded; indices 1..k_max are compared, so
+    k_max must be at least 1.
     """
+    if k_max < 1:
+        raise DomainError("k_max must be at least 1")
     C = metric_coefficient_ratio(spec1, spec2)
     power = C ** (2 * dim_m + 1)
     v1, _ = first_eigenvalues(spec1, k_max + 1, n_elements=n_elements)
@@ -451,6 +454,8 @@ def normalize_volume(
         raise DomainError("phi must be nonnegative")
     if target <= 0.0:
         raise DomainError("target volume must be positive")
+    if dim < 1:
+        raise DomainError("dim must be at least 1")
     dv = integrand * weights
     floor = float(dv[phi == 0.0].sum())
 
@@ -497,6 +502,8 @@ def ramp_phi_instance(samples: int, collar_fraction: float):
     Mirrors the conformal-normalization setup: phi vanishes on [0, a] and
     grows quadratically beyond, with unit integrand.
     """
+    if samples < 2:
+        raise DomainError("samples must be at least 2")
     if not 0.0 < collar_fraction < 1.0:
         raise DomainError("collar_fraction must lie in (0, 1)")
     x = np.linspace(0.0, 1.0, samples)

@@ -14,7 +14,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import CompletenessError, DomainError
 
@@ -179,17 +179,18 @@ def iter_entries(spec: ClosedSpectrum) -> Iterator[tuple[float, int]]:
 
 
 class CachedEntries:
-    """One iter_entries stream of a spectrum, read once and replayed to every reader.
+    """One ascending (value, multiplicity) stream, read once and replayed to every reader.
 
     Readers ask for blocks by position, so each entry of a generated
-    spectrum is computed once however many readers walk it.
-    A block comes back short only when the stream has ended: at the last
-    eigenvalue if the spectrum is complete, and at the last known one if not.
+    spectrum is computed once however many readers walk it; a spectrum's
+    stream is iter_entries(spec), complete as spec.complete. A block comes
+    back short only when the stream has ended: at the last eigenvalue if
+    complete is true, and at the last known one if not.
     """
 
-    def __init__(self, spec: ClosedSpectrum) -> None:
-        self.complete = spec.complete
-        self._stream = iter_entries(spec)
+    def __init__(self, entries: Iterable[tuple[float, int]], complete: bool) -> None:
+        self.complete = complete
+        self._stream = iter(entries)
         self._entries: list[tuple[float, int]] = []
 
     def take(self, start: int, count: int) -> list[tuple[float, int]]:

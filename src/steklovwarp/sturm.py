@@ -26,6 +26,19 @@ with one row per (lambda, mu) pair, so a block of fibers and modes costs a
 few array operations. `assemble` builds the same form as a partitioned
 matrix; it serves the minimizing extension, and as the reference the
 reduction is tested against.
+
+`walk_below` collects every eigenvalue <= top of a family, over the
+ascending streams of fiber eigenvalues lambda and cross-section modes mu.
+It reads the fibers in blocks of 8. For each block it reads the modes in
+steps of whole 8-aligned sub-blocks: the first step reads 8 modes, and each
+later one twice as many as the last, but never more than keep the fibers
+still live within one reduction of 64 rows. So a lone fiber reads 8, 16, 32
+and then 64 modes, and a block of 8 fibers 8 at a time. Each step reduces
+the (lambda, mu) pairs that no earlier step or walk reduced, fiber by
+fiber, in calls of at most 64 rows. Every eigenvalue is nondecreasing in
+lambda and in mu. So a fiber's walk stops at its first mode whose smallest
+eigenvalue exceeds top, and the whole walk stops at the first fiber whose
+mode 0 starts above top: the union collected so far is complete below top.
 """
 
 from __future__ import annotations
@@ -33,7 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -42,11 +55,14 @@ from .errors import CompletenessError, DomainError, MeshResolutionError
 from .linalg import PartitionedSystem, harmonic_extension
 from .profiles import CoefficientFn
 from .provenance import EigenSource, SpectrumWithProvenance, merge_tagged
-from .spectra import CachedEntries, ClosedSpectrum
+from .spectra import CachedEntries, ClosedSpectrum, iter_entries
 
-# cross-section modes are read in aligned sub-blocks of _SUB_BLOCK, the unit
-# of the row cache; no dtn_eigenvalues call of a walk reduces more than
-# _MAX_BLOCK (lambda, mu) rows
+# fiber eigenvalues walked together: with one sub-block of 8 modes, one
+# dtn_eigenvalues call of at most 64 rows
+_FIBER_BLOCK = 8
+# cross-section modes are read in steps of whole sub-blocks of _SUB_BLOCK,
+# aligned to the stream's start; no dtn_eigenvalues call of a walk reduces
+# more than _MAX_BLOCK (lambda, mu) rows
 _SUB_BLOCK = 8
 _MAX_BLOCK = 64
 
@@ -423,112 +439,85 @@ def minimizing_extension(p: SturmProblem, boundary_values: np.ndarray) -> np.nda
     return full
 
 
-def _reduce_rows(
+def walk_below(
     problem: SturmProblem,
-    live: list[tuple[int, tuple[float, int]]],
-    start: int,
-    block: list[tuple[float, int]],
-    rows: dict[tuple[int, int], list[list[float]]],
-) -> None:
-    """Put in rows, under (fiber position, sub-block start), each live fiber's rows of a mode block.
-
-    block holds the modes from position `start`, a multiple of _SUB_BLOCK,
-    and is cut into sub-blocks of _SUB_BLOCK modes; live holds
-    (position, (lambda, multiplicity)) entries. The (fiber, sub-block)
-    pairs already in rows are skipped, and the (lambda, mu) pairs of the
-    rest are reduced through dtn_eigenvalues, at most _MAX_BLOCK rows per
-    call. A row is stored as a list of Python floats.
-    """
-    todo = [
-        (position, lam, sub, block[sub - start : sub - start + _SUB_BLOCK])
-        for position, (lam, _) in live
-        for sub in range(start, start + len(block), _SUB_BLOCK)
-        if (position, sub) not in rows
-    ]
-    if not todo:
-        return
-    lam = [fiber_value for _, fiber_value, _, sub_block in todo for _ in sub_block]
-    mu = [value for *_, sub_block in todo for value, _ in sub_block]
-    values = [
-        row
-        for i in range(0, len(lam), _MAX_BLOCK)
-        for row in dtn_eigenvalues(problem, lam[i : i + _MAX_BLOCK], mu[i : i + _MAX_BLOCK]).tolist()
-    ]
-    at = 0
-    for position, _, sub, sub_block in todo:
-        rows[position, sub] = values[at : at + len(sub_block)]
-        at += len(sub_block)
-
-
-def collar_branch(
-    problem: SturmProblem,
-    fibers: list[tuple[float, int]],
+    fibers: CachedEntries,
     modes: CachedEntries,
     top: float,
-    rows: dict[tuple[int, int], list[list[float]]],
-    first: int = 0,
-) -> tuple[list[tuple[float, EigenSource]], bool]:
-    """Tagged eigenvalues <= top of the auxiliary operators of a block of fiber eigenvalues.
+    rows: dict[int, list[list[float]]],
+) -> SpectrumWithProvenance:
+    """Merged union of the collar's eigenvalues <= top over its (lambda, mu) pairs.
 
-    fibers holds ascending (lambda, multiplicity) entries; the first sits
-    at position `first` of its stream. The cross-section modes mu are read
-    in ascending order, in sub-blocks of 8 aligned to the stream's start.
-    The first step reads one sub-block and each later step twice as many
-    modes as the last, but never more sub-blocks than keep the fibers whose
-    walk is still live within one dtn_eigenvalues call of 64 rows: a lone
-    fiber reads 8, 16, 32 and then 64 modes, a block of 8 fibers 8 at a
-    time. Each step's modes are reduced for the live fibers as flat
-    (lambda, mu) pairs. Reduced rows are kept in `rows` under (fiber
-    position, sub-block start), so a later walk over the same problem and
-    streams, such as one at a doubled top, reuses them.
-
-    Every eigenvalue is nondecreasing in lambda and in mu. So a fiber's
-    walk stops at its first mode whose smallest eigenvalue exceeds top, and
-    the fiber walk stops at the first fiber whose mode 0 starts above top;
-    the second value returned says whether that fiber is in the block. The
-    union collected so far is complete below top. If the cross-section
-    spectrum ends first, the union is complete when the spectrum is; an
-    incomplete list raises CompletenessError.
+    fibers and modes are the ascending (value, multiplicity) streams of
+    lambda and mu; the module docstring says in what order they are walked
+    and why the union is complete below top when the walk stops. rows[i]
+    holds the reduced rows of the fiber at position i from mode 0 on, as
+    lists of Python floats, so a later walk over the same problem and
+    streams, such as one at a doubled top, reduces no row twice. A stream
+    that ends before the walk stops raises CompletenessError, unless it is
+    complete.
     """
     tagged: list[tuple[float, EigenSource]] = []
-    live = list(enumerate(fibers, first))
-    stopped = False
-    start, size = 0, _SUB_BLOCK
-    while live:
-        size = min(size, _SUB_BLOCK * max(1, _MAX_BLOCK // (_SUB_BLOCK * len(live))))
-        block = modes.take(start, size)
-        if not block:  # the stream ended at the last block's end
-            break
-        _reduce_rows(problem, live, start, block, rows)
-        subs = range(start, start + len(block), _SUB_BLOCK)
-        walking = []
-        for position, (fiber_value, fiber_mult) in live:
-            fiber_rows = chain.from_iterable(rows[position, sub] for sub in subs)
-            for j, ((cross_value, cross_mult), row) in enumerate(zip(block, fiber_rows)):
-                if row[0] > top:
-                    break
-                for branch, value in enumerate(row):
-                    if value <= top:
-                        tagged.append((value, EigenSource(
-                            fiber_value, fiber_mult, cross_value, cross_mult, branch
-                        )))
-            else:
-                walking.append((position, (fiber_value, fiber_mult)))
-                continue
-            if start == j == 0:  # this branch and every later one start above top
-                stopped = True
+    start, stopped = 0, False
+    while not stopped:
+        block = fibers.take(start, _FIBER_BLOCK)
+        live = [
+            (rows.setdefault(position, []), fiber) for position, fiber in enumerate(block, start)
+        ]
+        first, size = 0, _SUB_BLOCK  # the step's first mode and its length
+        while live:
+            size = min(size, _SUB_BLOCK * max(1, _MAX_BLOCK // (_SUB_BLOCK * len(live))))
+            step = modes.take(first, size)
+            if not step:  # the stream ended at the last step's end
                 break
-        live = walking
-        if len(block) < size:
+            # a live fiber's rows reach the step's first mode; the rest are missing
+            missing = [
+                (known, fiber_value, step[len(known) - first :])
+                for known, (fiber_value, _) in live
+            ]
+            lam = [fiber_value for _, fiber_value, new in missing for _ in new]
+            mu = [value for *_, new in missing for value, _ in new]
+            reduced = chain.from_iterable(
+                dtn_eigenvalues(problem, lam[i : i + _MAX_BLOCK], mu[i : i + _MAX_BLOCK]).tolist()
+                for i in range(0, len(lam), _MAX_BLOCK)
+            )
+            for known, _, new in missing:
+                known += islice(reduced, len(new))
+            walking = []
+            for known, (fiber_value, fiber_mult) in live:
+                for j, ((cross_value, cross_mult), row) in enumerate(zip(step, known[first:])):
+                    if row[0] > top:
+                        break
+                    for branch, value in enumerate(row):
+                        if value <= top:
+                            tagged.append((value, EigenSource(
+                                fiber_value, fiber_mult, cross_value, cross_mult, branch
+                            )))
+                else:
+                    walking.append((known, (fiber_value, fiber_mult)))
+                    continue
+                if first == j == 0:  # this fiber and every later one start above top
+                    stopped = True
+                    break
+            live = walking
+            if len(step) < size:
+                break
+            first += size
+            size *= 2
+        if live and not modes.complete:
+            raise CompletenessError(
+                f"cross-section spectrum ends after {first + len(step)} entries, "
+                f"before a mode exceeds top={top}"
+            )
+        if len(block) < _FIBER_BLOCK:
             break
-        start += size
-        size *= 2
-    if live and not modes.complete:
+        start += _FIBER_BLOCK
+    if not stopped and not fibers.complete:
         raise CompletenessError(
-            f"cross-section spectrum ends after {start + len(block)} entries, "
-            f"before a mode exceeds top={top}"
+            f"fiber spectrum ends after {start + len(block)} entries, "
+            f"before a branch starts above top={top}"
         )
-    return tagged, stopped
+    return merge_tagged(tagged)
 
 
 def check_top(top: float, *walked: ClosedSpectrum) -> None:
@@ -556,8 +545,8 @@ def base_dtn_spectrum(
     """Mixed Steklov-Neumann spectrum of one auxiliary base operator, up to `top`.
 
     Each cross-section mode mu reduces the base problem to the 1D problem
-    with lambda = fiber_eigenvalue and q = inv_sq_weight; see collar_branch
-    for how the modes are walked and when the union is complete below top.
+    with lambda = fiber_eigenvalue and q = inv_sq_weight; walk_below walks
+    the modes as those of a one-entry complete fiber stream.
     """
     check_top(top, geom.cross_section)
     if fiber_eigenvalue < 0.0:
@@ -570,6 +559,6 @@ def base_dtn_spectrum(
         boundary_weights=boundary_weights,
         transition_spans=transition_spans,
     )
-    modes = CachedEntries(geom.cross_section)
-    tagged, _ = collar_branch(problem, [(fiber_eigenvalue, 1)], modes, top, {})
-    return merge_tagged(tagged)
+    fibers = CachedEntries([(fiber_eigenvalue, 1)], True)
+    modes = CachedEntries(iter_entries(geom.cross_section), geom.cross_section.complete)
+    return walk_below(problem, fibers, modes, top, {})

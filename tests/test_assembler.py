@@ -390,6 +390,51 @@ class TestBlockedWalk:
         assert np.array_equal(values, expected.flatten()[:count])
 
 
+class TestDecomposition:
+    """The discrete spectrum is the union of the auxiliary base spectra over the fiber.
+
+    The sources of steklov_spectrum_warped(spec, top) with fiber value
+    lambda_j are those of base_dtn_spectrum at lambda_j, on the same recipes
+    and mesh, with each multiplicity scaled by the fiber multiplicity; each
+    value agrees within the merge tolerance, as merging may anchor it at a
+    coincident value of another branch. The fiber walk ends at the first
+    lambda_j whose base spectrum is empty below top.
+    """
+
+    @pytest.mark.parametrize("cross", ["circle", "torus"])
+    @pytest.mark.parametrize("steklov_ends", ["both", "left"])
+    def test_fiber_branches_are_base_spectra(self, steklov_ends, cross):
+        spec, top, n_elements = TestBlockedWalk._spec(steklov_ends, cross), 16.0, 200
+        by_fiber = {}
+        for entry in steklov_spectrum_warped(spec, top, n_elements=n_elements).entries:
+            for s in entry.sources:
+                by_fiber.setdefault((s.fiber_value, s.fiber_mult), []).append(
+                    (s.cross_value, s.branch, s.multiplicity, entry.value)
+                )
+        recipes = metric_recipes(spec)
+        walked = 0
+        for lam, fiber_mult in iter_entries(spec.fiber):
+            branch = base_dtn_spectrum(
+                spec.base, recipes.grad_weight, lam, recipes.inv_sq_weight, top,
+                n_elements=n_elements, boundary_weights=recipes.boundary_weights,
+                transition_spans=recipes.spans,
+            )
+            expected = sorted(
+                (s.cross_value, s.branch, s.multiplicity * fiber_mult, entry.value)
+                for entry in branch.entries
+                for s in entry.sources
+            )
+            got = sorted(by_fiber.pop((lam, fiber_mult), []))
+            assert [g[:3] for g in got] == [e[:3] for e in expected], lam
+            for g, e in zip(got, expected):
+                assert g[3] == pytest.approx(e[3], rel=1e-12, abs=1e-12), (lam, e[:2])
+            if not branch.entries:
+                break
+            walked += 1
+        assert by_fiber == {}  # no source from a fiber past the first empty branch
+        assert walked > 8  # the walk reached the second block of fibers
+
+
 class TestRowReuse:
     """Each (lambda, mu) pair is reduced once per call, in calls of at most 64 rows."""
 

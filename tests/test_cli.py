@@ -15,7 +15,7 @@ from steklovwarp import (
     flat_torus_spectrum,
     steklov_spectrum_warped,
 )
-from steklovwarp import experiments
+from steklovwarp import cli, experiments
 from steklovwarp.cli import main
 from steklovwarp.experiments import SPECTRUM_CSV_HEADER, spectrum_csv_lines
 
@@ -205,3 +205,74 @@ def test_flag_the_experiment_never_reads_exits_two(capsys):
     # verify writes no CSV, so --out would be silently ignored
     assert main(["verify", "--out", "never-written.csv"]) == 2
     assert "out: read only by experiments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("symmetric", ["false", 0])
+def test_plateau_symmetric_must_be_a_boolean(tmp_path, capsys, symmetric):
+    # the string "false" is truthy: read as bool it gave a symmetric warp
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": "spectrum", "top": 2, "coefficient": {
+        "kind": "plateau", "epsilon": 0.1, "delta": 0.6, "symmetric": symmetric,
+    }}))
+    assert main(["spectrum", "--config", str(config)]) == 2
+    assert "config error: coefficient.symmetric: expected true or false" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["pairs", "k_max"])
+def test_quasi_iso_that_compares_nothing_exits_two(tmp_path, capsys, monkeypatch, field):
+    solves = []
+    monkeypatch.setattr(cli, "quasi_iso_check", lambda *a, **kw: solves.append(a))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": "quasi_iso", field: 0}))
+    assert main(["quasi-iso", "--config", str(config)]) == 2
+    assert f"config error: {field}: must be at least 1" in capsys.readouterr().err
+    assert solves == []
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("samples", 1, "samples: must be at least 2"),
+    ("dim", 0, "dim: must be at least 1"),
+    ("collar_fraction", 1.5, "collar_fraction: must lie in (0, 1)"),
+    ("collar_fraction", 0.0, "collar_fraction: must lie in (0, 1)"),
+])
+def test_normalize_volume_bad_value_exits_two(tmp_path, capsys, field, value, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "experiment": "normalize_volume", "target": 1.5, "dim": 2, field: value,
+    }))
+    assert main(["normalize-volume", "--config", str(config)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment", ["sweep", "kokarev"])
+@pytest.mark.parametrize("epsilon_list", [[-0.05], [0.1, 0.0], [0.1, -0.05]])
+def test_nonpositive_epsilon_exits_two_before_any_solve(
+    tmp_path, capsys, monkeypatch, experiment, epsilon_list
+):
+    solves = []
+    monkeypatch.setattr(experiments, "sigma1_construction", lambda *a, **kw: solves.append(a))
+    fields = {"n": 2, "mode": "volume_preserving"} if experiment == "sweep" else {}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "experiment": experiment, "epsilon_list": epsilon_list, "delta": 0.6, **fields,
+    }))
+    assert main([experiment, "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: epsilon_list: every epsilon must lie in (0, collar_length/6)" in err
+    assert solves == []
+
+
+@pytest.mark.parametrize("command, fields, header", [
+    ("sweep", {"n": 2, "mode": "volume_preserving", "epsilon_list": [0.1, 0.05], "delta": 0.6,
+               "mesh": 100}, experiments.SWEEP_CSV_HEADER),
+    ("kokarev", {"epsilon_list": [0.1], "delta": 0.6, "mesh": 100},
+     experiments.KOKAREV_CSV_HEADER),
+    ("quasi-iso", {"pairs": 2, "k_max": 2, "mesh": 100},
+     "pair,coefficient_ratio,ratio_bound,passed"),
+    ("normalize-volume", {"target": 1.5, "dim": 2, "samples": 64}, "c = "),
+])
+def test_small_experiment_run_succeeds(tmp_path, capsys, command, fields, header):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": command.replace("-", "_"), **fields}))
+    assert main([command, "--config", str(config)]) == 0
+    assert capsys.readouterr().out.startswith(header)

@@ -15,12 +15,15 @@ from steklovwarp import (
     point_spectrum,
 )
 from steklovwarp import experiments
-from steklovwarp.errors import ConfigError
+from steklovwarp.errors import ConfigError, DomainError
 from steklovwarp.experiments import (
     _READS,
     ExperimentConfig,
     config_from_dict,
     metric_coefficient_ratio,
+    normalize_volume,
+    quasi_iso_check,
+    ramp_phi_instance,
     run_kokarev_sweep,
 )
 from steklovwarp.profiles import power_fn
@@ -97,6 +100,24 @@ def test_kokarev_bound_allows_only_its_slack(monkeypatch, genus):
         (row,) = run_kokarev_sweep(cfg)
         assert (row.boundary_length, row.product, row.bound) == (1.0, sigma1, bound)
         assert row.passed is passed
+
+
+def test_quasi_iso_check_compares_at_least_one_eigenvalue(monkeypatch):
+    solves = []
+    monkeypatch.setattr(experiments, "first_eigenvalues", lambda *a, **kw: solves.append(a))
+    spec = spec_for(PLATEAU_A, "volume_preserving", 2, 1)
+    with pytest.raises(DomainError, match="k_max must be at least 1"):
+        quasi_iso_check(spec, spec, dim_m=2, k_max=0)
+    assert solves == []
+
+
+def test_volume_instance_refuses_values_without_a_meaning():
+    # one sample has no trapezoid step; at dim 0 the volume does not depend on c
+    with pytest.raises(DomainError, match="samples must be at least 2"):
+        ramp_phi_instance(1, 0.25)
+    integrand, weights, phi = ramp_phi_instance(2, 0.25)
+    with pytest.raises(DomainError, match="dim must be at least 1"):
+        normalize_volume(integrand, weights, phi, 0, 1.5)
 
 
 @pytest.mark.parametrize("field, value", [("samples", 64), ("collar_fraction", 0.5)])

@@ -20,6 +20,10 @@ from steklovwarp.spectra import CachedEntries, extend, iter_entries
 TWO_PI = 2.0 * math.pi
 
 
+def cached(spec):
+    return CachedEntries(iter_entries(spec), spec.complete)
+
+
 def brute_force_torus(l1, l2, count):
     """Independent lattice enumeration used as the oracle for the generator."""
     bound = 10.0 * (count + 1) * ((2 * math.pi / l1) ** 2 + (2 * math.pi / l2) ** 2)
@@ -183,7 +187,7 @@ class TestTruncateAndIterate:
             next(it)
 
     def test_cached_entries_replay_one_stream(self):
-        cache = CachedEntries(circle_spectrum(TWO_PI, 2))
+        cache = cached(circle_spectrum(TWO_PI, 2))
         first = cache.take(0, 5)
         again = cache.take(2, 3)
         assert len(first) == 5
@@ -191,7 +195,7 @@ class TestTruncateAndIterate:
         assert cache.take(0, 9) == list(circle_spectrum(TWO_PI, 9).entries)
 
     def test_cached_entries_read_the_torus_stream_once(self, monkeypatch):
-        cache = CachedEntries(flat_torus_spectrum(1.0, 7.3, 4))
+        cache = cached(flat_torus_spectrum(1.0, 7.3, 4))
         calls = []
 
         def spy(name):
@@ -216,9 +220,9 @@ class TestTruncateAndIterate:
 
     def test_cached_entries_report_the_end(self):
         # a short block marks the end; completeness says what the end means
-        point = CachedEntries(point_spectrum())
+        point = cached(point_spectrum())
         assert point.take(0, 4) == [(0.0, 1)] and point.complete
-        cache = CachedEntries(explicit_spectrum([(0.0, 1), (3.0, 2)]))
+        cache = cached(explicit_spectrum([(0.0, 1), (3.0, 2)]))
         assert cache.take(0, 2) == [(0.0, 1), (3.0, 2)]
         assert cache.take(1, 2) == [(3.0, 2)] and not cache.complete
         assert cache.take(2, 2) == []
