@@ -106,7 +106,7 @@ _INT_FIELDS = {f.name for f in dataclass_fields(ExperimentConfig) if f.type.star
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Build a config from a JSON record, rejecting unknown fields by path."""
+    """Build a config from a JSON record, rejecting unknown fields and refused values by path."""
     known = {f.name for f in dataclass_fields(ExperimentConfig)}
     unknown = sorted(set(raw) - known)
     if unknown:
@@ -144,7 +144,39 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     for name in _READS[cfg.experiment][0]:
         if getattr(cfg, name) is None:
             raise ConfigError(f"{name}: required for experiment '{cfg.experiment}'")
+    _check_values(cfg)
     return cfg
+
+
+def _check_values(cfg: ExperimentConfig) -> None:
+    """Refuse, by field name, values that the solvers would reject after set-up."""
+    if cfg.steklov_ends not in ("both", "left", "right"):
+        raise ConfigError("steklov_ends: expected 'both', 'left' or 'right'")
+    if cfg.experiment == "oracle":
+        if cfg.n_theta < 16 or cfg.n_theta % 2 != 0:
+            raise ConfigError("n_theta: must be an even integer of at least 16")
+        if cfg.mesh < 32:
+            raise ConfigError("mesh: must be at least 32 axial nodes")
+        n_boundary = cfg.n_theta * (2 if cfg.steklov_ends == "both" else 1)
+        if not 1 <= cfg.count <= n_boundary:
+            raise ConfigError(f"count: must lie in [1, {n_boundary}] (boundary nodes)")
+    elif "mesh" in _READS[cfg.experiment][1] and cfg.mesh < 16:
+        raise ConfigError("mesh: must be at least 16 elements")
+    if cfg.experiment == "quasi_iso":
+        # no pair, or no eigenvalue compared, would pass without checking anything
+        if cfg.pairs < 1:
+            raise ConfigError("pairs: must be at least 1")
+        if cfg.k_max < 1:
+            raise ConfigError("k_max: must be at least 1")
+    if cfg.experiment == "normalize_volume":
+        if cfg.target <= 0.0:
+            raise ConfigError("target: must be positive")
+        if cfg.samples < 2:
+            raise ConfigError("samples: must be at least 2")
+        if cfg.dim < 1:
+            raise ConfigError("dim: must be at least 1")
+        if not 0.0 < cfg.collar_fraction < 1.0:
+            raise ConfigError("collar_fraction: must lie in (0, 1)")
 
 
 def _readers(name: str) -> str:
@@ -346,6 +378,7 @@ class QuasiIsoResult:
     ratio_bound: float  # C^(2m+1)
     coefficient_ratio: float  # C
     first_violation: str | None
+    max_ratio: float  # the largest max(r, 1/r) over the compared eigenvalue ratios r
 
 
 def metric_coefficient_ratio(
@@ -393,8 +426,10 @@ def quasi_iso_check(
     v1, _ = first_eigenvalues(spec1, k_max + 1, n_elements=n_elements)
     v2, _ = first_eigenvalues(spec2, k_max + 1, n_elements=n_elements)
     first_violation = None
+    max_ratio = 1.0
     for idx in range(1, k_max + 1):
         r = float(v1[idx] / v2[idx])
+        max_ratio = max(max_ratio, r, 1.0 / r)
         ok = 1.0 / power - _QUASI_ISO_SLACK <= r <= power + _QUASI_ISO_SLACK
         if not ok and first_violation is None:
             first_violation = (
@@ -405,6 +440,7 @@ def quasi_iso_check(
         ratio_bound=power,
         coefficient_ratio=C,
         first_violation=first_violation,
+        max_ratio=max_ratio,
     )
 
 

@@ -39,3 +39,13 @@ def test_oracle_value_off_by_ten_percent_fails(monkeypatch):
     assert not result.passed
     assert result.detail.startswith("FAIL: 16 oracle vs 16 assembler eigenvalues")
     assert "; first mismatch: index 3: oracle " in result.detail
+
+
+def test_quasi_isometry_detail_names_its_tightest_pair():
+    result = acceptance.criterion_8_quasi_isometry(seed=0)
+    assert result.passed
+    head, tail = result.detail.split("; smallest bound ")
+    assert head == "20 random pairs within C^5 bounds"
+    bound, ratio = tail.split(" (pair ")[0], tail.split("its largest ratio ")[1]
+    # the pair with the smallest bound is the one the check constrains most
+    assert 1.0 <= float(ratio) <= float(bound)

@@ -50,11 +50,6 @@ def test_small_oracle_run_succeeds(capsys):
     assert values[2] == pytest.approx(values[1], rel=1e-9)
 
 
-def test_solver_domain_error_exits_one(capsys):
-    assert main(["oracle", "--count", "100000"]) == 1
-    assert "count must lie in [1, 128]" in capsys.readouterr().err
-
-
 def test_infinite_top_exits_one():
     # the default fiber is a circle, whose walk never ends below an infinite top
     done = run_module("spectrum", "--top", "inf")
@@ -276,3 +271,66 @@ def test_small_experiment_run_succeeds(tmp_path, capsys, command, fields, header
     config.write_text(json.dumps({"experiment": command.replace("-", "_"), **fields}))
     assert main([command, "--config", str(config)]) == 0
     assert capsys.readouterr().out.startswith(header)
+
+
+def refused_before_any_solve(tmp_path, capsys, monkeypatch, command, fields, message):
+    """Run `command` on a config of `fields`: it must exit 2 with `message`, solving nothing."""
+    experiment = command.replace("-", "_")
+    solves = []
+    monkeypatch.setitem(cli._COMMANDS, experiment, lambda cfg: solves.append(cfg))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": experiment, **fields}))
+    assert main([command, "--config", str(config)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert solves == []
+
+
+@pytest.mark.parametrize("target", [0, -1])
+def test_normalize_volume_nonpositive_target_exits_two(tmp_path, capsys, monkeypatch, target):
+    fields = {"target": target, "dim": 2}
+    refused_before_any_solve(
+        tmp_path, capsys, monkeypatch, "normalize-volume", fields, "target: must be positive"
+    )
+
+
+@pytest.mark.parametrize("command, fields", [
+    ("spectrum", {"top": 2}),
+    ("sweep", {"n": 2, "mode": "volume_preserving", "epsilon_list": [0.1], "delta": 0.6}),
+    ("kokarev", {"epsilon_list": [0.1], "delta": 0.6}),
+    ("quasi-iso", {}),
+    ("verify", {}),
+])
+def test_mesh_below_sixteen_elements_exits_two(tmp_path, capsys, monkeypatch, command, fields):
+    refused_before_any_solve(
+        tmp_path, capsys, monkeypatch, command, {"mesh": 15, **fields},
+        "mesh: must be at least 16 elements",
+    )
+
+
+@pytest.mark.parametrize("command, fields", [("spectrum", {"top": 2}), ("oracle", {"count": 100})])
+def test_unknown_steklov_ends_exits_two(tmp_path, capsys, monkeypatch, command, fields):
+    refused_before_any_solve(
+        tmp_path, capsys, monkeypatch, command, {"steklov_ends": "middle", **fields},
+        "steklov_ends: expected 'both', 'left' or 'right'",
+    )
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"n_theta": 17}, "n_theta: must be an even integer of at least 16"),
+    ({"n_theta": 14}, "n_theta: must be an even integer of at least 16"),
+    ({"mesh": 31}, "mesh: must be at least 32 axial nodes"),
+    ({"count": 0}, "count: must lie in [1, 128] (boundary nodes)"),
+    ({"count": 129}, "count: must lie in [1, 128] (boundary nodes)"),
+    ({"count": 65, "steklov_ends": "left"}, "count: must lie in [1, 64] (boundary nodes)"),
+])
+def test_oracle_grid_the_solver_refuses_exits_two(tmp_path, capsys, monkeypatch, fields, message):
+    refused_before_any_solve(
+        tmp_path, capsys, monkeypatch, "oracle", {"count": 4, **fields}, message
+    )
+
+
+def test_smallest_accepted_values_run(capsys):
+    assert main(["spectrum", "--top", "2", "--mesh", "16"]) == 0
+    assert capsys.readouterr().out.startswith(SPECTRUM_CSV_HEADER)
+    assert main(["oracle", "--count", "128", "--mesh", "32"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 128

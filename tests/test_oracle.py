@@ -23,6 +23,7 @@ from steklovwarp import (
 from steklovwarp.oracle import (
     _ring_coefficients,
     _ring_schur,
+    _uniform_runs,
     assemble_revolution,
     make_grid,
     revolution_spectrum,
@@ -30,11 +31,14 @@ from steklovwarp.oracle import (
 )
 
 # plateau and bump are mirror-symmetric; the ramp is not, so "left" and
-# "right" differ and the reversed elimination of "right" is checked
+# "right" differ and the reversed elimination of "right" is checked. The
+# ring elimination folds runs of uniform sections on the plateau and
+# constant grids, and none on the bump and ramp grids.
 WARPS = {
     "plateau": WarpProfile(0.05, 2.0 / 3.0, 1.0, symmetric=True),
     "bump": lambda t: 1.0 + t * (1.0 - t),
     "ramp": lambda t: 1.0 + 0.5 * t,
+    "constant": lambda t: 1.5,
 }
 GRIDS = [(64, 16), (128, 32)]
 ENDS = ["both", "left", "right"]
@@ -88,14 +92,158 @@ def test_ring_schur_is_symmetric_and_annihilates_constants(warp_name, shape, bot
 @pytest.mark.parametrize("both", [True, False])
 @pytest.mark.parametrize("bad_ring", [1, 2])
 def test_indefinite_ring_block_is_named(bad_ring, both):
-    # with cax = cfib = 1, K_j = diag_ring[j] I - N, and N has the eigenvalue
-    # 2: diag_ring[j] = 1 makes K_j indefinite, and so the frontier block
-    # K_j - R^-1 of ring j; diag_ring = 5 keeps the other rings definite
+    # with cax = 1, K_j = (2 + 2 cfib[j]) I - cfib[j] N, and N has the
+    # eigenvalues 2 cos(theta): cfib[j] = -2 makes K_j indefinite, and so the
+    # frontier block K_j - R^-1 of ring j; cfib = 1 keeps the other rings
+    # definite, and no run of uniform sections is long enough to fold
     n_t = 5
-    diag_ring = np.full(n_t, 5.0)
-    diag_ring[bad_ring] = 1.0
+    cax = np.ones(n_t - 1)
+    cfib = np.ones(n_t)
+    cfib[bad_ring] = -2.0
+    diag_ring = 2.0 + 2.0 * cfib
+    diag_ring[[0, -1]] -= 1.0
+    assert _uniform_runs(cax, cfib) == {}
     with pytest.raises(NumericError, match=f"not positive definite: ring {bad_ring},"):
-        _ring_schur(np.ones(n_t - 1), np.ones(n_t), diag_ring, 16, both)
+        _ring_schur(cax, cfib, diag_ring, 16, both)
+
+
+def test_indefinite_block_in_a_folded_run_is_named():
+    # a negative fiber conductance on every ring: the first squaring of the
+    # run that spans the axis eliminates ring 1 and finds it indefinite
+    n_t = 12
+    cax = np.ones(n_t - 1)
+    cfib = np.full(n_t, -2.0)
+    diag_ring = 2.0 + 2.0 * cfib
+    diag_ring[[0, -1]] -= 1.0
+    assert _uniform_runs(cax, cfib) == {0: n_t - 1}
+    with pytest.raises(NumericError, match="not positive definite: ring 1,"):
+        _ring_schur(cax, cfib, diag_ring, 16, True)
+
+
+def per_ring_schur(cax, cfib, diag_ring, n_theta, both):
+    """The ring elimination without folding: every interior ring takes one step."""
+    from scipy.linalg import blas, lapack
+
+    def add_ring(block, j):
+        flat = block.ravel(order="F")
+        flat[:: n_theta + 1] += diag_ring[j]
+        flat[1 :: n_theta + 1] -= cfib[j]
+        flat[n_theta - 1] -= cfib[j]
+        return block
+
+    n_t = len(diag_ring)
+    p = add_ring(np.zeros((n_theta, n_theta), order="F"), 0)
+    q = np.asfortranarray(-cax[0] * np.eye(n_theta))
+    r = add_ring(np.zeros((n_theta, n_theta), order="F"), 1)
+    for j in range(1, n_t - 1 if both else n_t):
+        factor, info = lapack.dpotrf(r, lower=1, clean=0, overwrite_a=1)
+        assert info == 0
+        m, info = lapack.dtrtri(factor, lower=1, overwrite_c=1)
+        assert info == 0
+        w = blas.dtrmm(1.0, m, q, side=1, lower=1, trans_a=1, overwrite_b=1)
+        p = blas.dsyrk(-1.0, w, beta=1.0, c=p, lower=1, overwrite_c=1)
+        if j < n_t - 1:
+            q = blas.dtrmm(cax[j], m, w, side=1, lower=1, overwrite_b=1)
+            r, _ = lapack.dlauum(m, lower=1, overwrite_c=1)
+            r *= -cax[j] ** 2
+            add_ring(r, j + 1)
+    p += np.tril(p, -1).T
+    if not both:
+        return p
+    r += np.tril(r, -1).T
+    return np.block([[p, q], [q.T, r]])
+
+
+@pytest.mark.parametrize("ends", ENDS)
+@pytest.mark.parametrize("shape", GRIDS + [(256, 64)])
+@pytest.mark.parametrize("warp_name", ["bump", "ramp"])
+def test_grid_without_runs_is_eliminated_ring_by_ring(warp_name, shape, ends):
+    grid = grid_for(warp_name, shape, ends)
+    _, cax, cfib, diag_ring, _ = _ring_coefficients(grid)
+    if ends == "right":  # the order revolution_spectrum eliminates them in
+        cax, cfib, diag_ring = cax[::-1], cfib[::-1], diag_ring[::-1]
+    assert _uniform_runs(cax, cfib) == {}
+    both = ends == "both"
+    schur = _ring_schur(cax, cfib, diag_ring, grid.n_theta, both)
+    assert np.array_equal(schur, per_ring_schur(cax, cfib, diag_ring, grid.n_theta, both))
+
+
+@pytest.mark.parametrize("shape", GRIDS + [(256, 64)])
+def test_constant_warp_folds_one_run_along_the_axis(shape):
+    # the end ring's half mass ends the run one section before the last ring
+    grid = grid_for("constant", shape, "both")
+    _, cax, cfib, _, _ = _ring_coefficients(grid)
+    runs = _uniform_runs(cax, cfib)
+    assert runs == {0: grid.n_axial - 2}
+
+
+def test_plateau_grid_folds_its_plateaus():
+    grid = grid_for("plateau", (256, 64), "both")
+    _, cax, cfib, _, _ = _ring_coefficients(grid)
+    runs = _uniform_runs(cax, cfib)
+    assert sum(runs.values()) >= 0.8 * (grid.n_axial - 1)
+    sections = np.column_stack([cax, cfib[1:]])
+    for start, length in runs.items():
+        run = sections[start : start + length]
+        assert np.all(np.abs(run - run[0]) <= 1e-12 * run[0])
+
+
+def longdouble_cholesky(a):
+    low = np.zeros_like(a)
+    for k in range(len(a)):
+        low[k, k] = np.sqrt(a[k, k] - low[k, :k] @ low[k, :k])
+        low[k + 1 :, k] = (a[k + 1 :, k] - low[k + 1 :, :k] @ low[k, :k]) / low[k, k]
+    return low
+
+
+def longdouble_lower_inverse(low):
+    inv = np.zeros_like(low)
+    for i in range(len(low)):
+        inv[i, :i] = -(low[i, :i] @ inv[:i, :i]) / low[i, i]
+        inv[i, i] = 1.0 / low[i, i]
+    return inv
+
+
+def longdouble_schur(cax, cfib, diag_ring, n_theta, both):
+    """The per-ring elimination of the same float64 coefficients in numpy.longdouble."""
+    cax, cfib, diag_ring = (np.asarray(x, dtype=np.longdouble) for x in (cax, cfib, diag_ring))
+    eye = np.eye(n_theta, dtype=np.longdouble)
+    neighbours = np.roll(eye, 1, axis=0) + np.roll(eye, -1, axis=0)
+    n_t = len(diag_ring)
+    p, q = diag_ring[0] * eye - cfib[0] * neighbours, -cax[0] * eye
+    r = diag_ring[1] * eye - cfib[1] * neighbours
+    for j in range(1, n_t - 1 if both else n_t):
+        m = longdouble_lower_inverse(longdouble_cholesky(r))
+        r_inv = m.T @ m
+        p = p - q @ r_inv @ q.T
+        if j < n_t - 1:
+            q = cax[j] * (q @ r_inv)
+            r = diag_ring[j + 1] * eye - cfib[j + 1] * neighbours - cax[j] ** 2 * r_inv
+    return np.block([[p, q], [q.T, r]]) if both else p
+
+
+@pytest.mark.parametrize("ends", ["both", "left"])
+@pytest.mark.parametrize("epsilon", [0.01, 0.05])
+def test_ring_elimination_matches_extended_precision(epsilon, ends):
+    # the far plateau's axial conductances are up to 6e10 times the fiber
+    # ones; the reference eliminates the grid's own float64 coefficients in
+    # extended precision and takes the eigenvalues as revolution_spectrum does
+    warp = WarpProfile(epsilon, 2.0 / 3.0, 1.0, symmetric=True)
+    grid = make_grid(1.0, 2.0 * math.pi, warp, 128, 32, ends)
+    hv, cax, cfib, diag_ring, dth = _ring_coefficients(grid)
+    assert _uniform_runs(cax, cfib)
+    schur = longdouble_schur(cax, cfib, diag_ring, grid.n_theta, ends == "both").astype(float)
+    ends_h = hv[[0, -1]] if ends == "both" else hv[:1]
+    sqrt_mass = np.sqrt(np.repeat(ends_h * dth, grid.n_theta))
+    d = schur / sqrt_mass[None, :] / sqrt_mass[:, None]
+    v = sqrt_mass / np.linalg.norm(sqrt_mass)
+    v[0] += 1.0
+    reflect = np.eye(len(v)) - np.outer(v, v) / v[0]
+    deflated = (reflect @ d @ reflect)[1:, 1:]
+    reference = np.concatenate(([0.0], np.linalg.eigvalsh(0.5 * (deflated + deflated.T))))
+    values = revolution_spectrum(grid)
+    dev = np.abs(values - reference) / np.maximum(np.abs(reference), 1.0)
+    assert dev.max() <= 1e-8
 
 
 def discrete_circle(fiber_length, n_theta):
