@@ -2,7 +2,7 @@
 
 Subcommands: spectrum, oracle, sweep, verify, kokarev, quasi-iso,
 normalize-volume. Exit codes: 0 success, 1 verification or solver failure,
-2 configuration error.
+2 configuration error: the config was refused before any solve.
 """
 
 from __future__ import annotations
@@ -148,6 +148,10 @@ _COMMANDS = {
 }
 
 
+# the config fields that a flag of the same name overrides, and their types
+_FLAGS = (("out", str), ("mesh", int), ("top", float), ("count", int), ("seed", int))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="steklovwarp",
@@ -157,24 +161,15 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name.replace("_", "-"))
         p.add_argument("--config", help="path to a JSON experiment config")
-        p.add_argument("--out", help="output CSV path (default: stdout)")
-        p.add_argument("--mesh", type=int, help="mesh resolution override")
-        p.add_argument("--top", type=float, help="spectrum cutoff override")
-        p.add_argument("--count", type=int, help="eigenvalue count override")
-        p.add_argument("--seed", type=int, help="seed for randomized checks")
+        for flag, kind in _FLAGS:
+            p.add_argument(f"--{flag}", type=kind, help=f"override the config's {flag}")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     experiment = args.command.replace("-", "_")
-    overrides = {
-        "out": args.out,
-        "mesh": args.mesh,
-        "top": args.top,
-        "count": args.count,
-        "seed": args.seed,
-    }
+    overrides = {name: getattr(args, name) for name, _ in _FLAGS}
     try:
         cfg = _load_config(args.config, experiment, overrides)
         return _COMMANDS[experiment](cfg)

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, fields as dataclass_fields
-from itertools import chain
+from dataclasses import Field, dataclass, field, fields as dataclass_fields
 
 import numpy as np
 
@@ -42,146 +41,166 @@ def sig12(x: float) -> str:
 # ---------------------------------------------------------------------------
 # configuration
 
+EXPERIMENTS = ("spectrum", "oracle", "sweep", "kokarev", "quasi_iso", "normalize_volume", "verify")
+
+
+def _row(default, readers: str, rule=None, *, required: bool = False):
+    """A row of the config table: the field's default, the experiments that read it, its rule.
+
+    The rule maps a config whose fields have their declared types to the
+    refusal message, or to None to accept.
+    """
+    metadata = {"readers": tuple(readers.split()), "required": required, "rule": rule}
+    if isinstance(default, dict):
+        return field(default_factory=lambda: dict(default), metadata=metadata)
+    return field(default=default, metadata=metadata)
+
+
+def _unless(ok: bool, message: str) -> str | None:
+    return None if ok else message
+
+
+def _n_rule(cfg: ExperimentConfig) -> str | None:
+    if cfg.experiment == "kokarev":
+        return _unless((cfg.n, cfg.k) == (1, 1), "n, k: the surface check runs with n = k = 1")
+    return _unless(cfg.n >= 1, "n: must be at least 1")
+
+
+def _mode_rule(cfg: ExperimentConfig) -> str | None:
+    if cfg.experiment == "sweep":
+        return _unless(cfg.mode == "volume_preserving", "mode: sweep requires 'volume_preserving'")
+    return _unless(cfg.mode in ("plain_warp", "volume_preserving"),
+                   "mode: expected 'plain_warp' or 'volume_preserving'")
+
+
+def _epsilon_rule(cfg: ExperimentConfig) -> str | None:
+    eps = cfg.epsilon_list
+    if cfg.experiment == "sweep" and any(b >= a for a, b in zip(eps, eps[1:])):
+        return "epsilon_list: must be strictly descending"
+    return _unless(all(0.0 < e < cfg.collar_length / 6.0 for e in eps),
+                   "epsilon_list: every epsilon must lie in (0, collar_length/6)")
+
+
+def _mesh_rule(cfg: ExperimentConfig) -> str | None:
+    if cfg.experiment == "oracle":
+        return _unless(cfg.mesh >= 32, "mesh: must be at least 32 axial nodes")
+    return _unless(cfg.mesh >= 16, "mesh: must be at least 16 elements")
+
+
+def _count_rule(cfg: ExperimentConfig) -> str | None:
+    n_boundary = cfg.n_theta * (2 if cfg.steklov_ends == "both" else 1)
+    return _unless(1 <= cfg.count <= n_boundary,
+                   f"count: must lie in [1, {n_boundary}] (boundary nodes)")
+
 
 @dataclass
 class ExperimentConfig:
     """Validated experiment description, read from a flat JSON record.
 
-    "experiment" names the driver. _READS lists the fields each driver
-    reads: it requires top (spectrum), count (oracle), epsilon_list and
-    delta (sweep, kokarev), target and dim (normalize_volume), none
-    (quasi_iso, verify), and rejects any set field it does not read, such as
-    genus outside kokarev or samples outside normalize_volume. fiber and
-    cross_section are spectrum descriptors, coefficient a warp descriptor.
+    Its fields are the config table, one _row each; __post_init__ applies it.
+    fiber and cross_section are spectrum descriptors and coefficient a warp
+    descriptor; build_spectrum and build_warp check them.
     """
 
     experiment: str
-    n: int = 1
-    k: int = 1
-    collar_length: float = 1.0
-    fiber: dict = field(default_factory=lambda: {"kind": "circle", "length": TWO_PI})
-    cross_section: dict | None = None
-    steklov_ends: str = "both"
-    mode: str = "plain_warp"
-    coefficient: dict = field(default_factory=lambda: {"kind": "unit"})
-    epsilon_list: list[float] | None = None
-    delta: float | None = None
-    mesh: int = 400
-    n_theta: int = 64
-    top: float | None = None
-    count: int | None = None
-    seed: int = 0
-    out: str | None = None
-    target: float | None = None
-    dim: int | None = None
-    samples: int = 512
-    collar_fraction: float = 0.25
-    pairs: int = 20
-    k_max: int = 5
-    genus: int = 0
+    n: int = _row(1, "spectrum sweep kokarev", _n_rule)
+    k: int = _row(1, "spectrum sweep kokarev", lambda c: _unless(c.k >= 1, "k: must be at least 1"))
+    collar_length: float = _row(1.0, "spectrum oracle sweep kokarev quasi_iso", lambda c: _unless(
+        0.0 < c.collar_length < math.inf, "collar_length: must be positive and finite"))
+    fiber: dict = _row({"kind": "circle", "length": TWO_PI}, "spectrum oracle sweep kokarev")
+    cross_section: dict | None = _row(None, "spectrum sweep")
+    steklov_ends: str = _row("both", "spectrum oracle sweep kokarev", lambda c: _unless(
+        c.steklov_ends in ("both", "left", "right"),
+        "steklov_ends: expected 'both', 'left' or 'right'"))
+    mode: str = _row("plain_warp", "spectrum sweep", _mode_rule)
+    coefficient: dict = _row({"kind": "unit"}, "spectrum oracle")
+    epsilon_list: list[float] | None = _row(None, "sweep kokarev", _epsilon_rule, required=True)
+    # the sweep's window for delta depends on n and k; run_sweep's lower_bound_C checks it
+    delta: float | None = _row(None, "sweep kokarev", lambda c: _unless(
+        c.experiment != "kokarev" or 0.0 < c.delta < 1.0, "delta: must lie in (0, 1)"),
+        required=True)
+    mesh: int = _row(400, "spectrum oracle sweep kokarev quasi_iso verify", _mesh_rule)
+    n_theta: int = _row(64, "oracle", lambda c: _unless(
+        c.n_theta >= 16 and c.n_theta % 2 == 0,
+        "n_theta: must be an even integer of at least 16"))
+    top: float | None = _row(None, "spectrum", lambda c: _unless(
+        c.top > 0.0, "top: must be positive"), required=True)
+    count: int | None = _row(None, "oracle", _count_rule, required=True)
+    seed: int = _row(0, "quasi_iso verify", lambda c: _unless(
+        c.seed >= 0, "seed: must be nonnegative"))
+    out: str | None = _row(None, "spectrum oracle sweep kokarev quasi_iso")
+    target: float | None = _row(None, "normalize_volume", lambda c: _unless(
+        c.target > 0.0, "target: must be positive"), required=True)
+    dim: int | None = _row(None, "normalize_volume", lambda c: _unless(
+        c.dim >= 1, "dim: must be at least 1"), required=True)
+    samples: int = _row(512, "normalize_volume", lambda c: _unless(
+        c.samples >= 2, "samples: must be at least 2"))
+    collar_fraction: float = _row(0.25, "normalize_volume", lambda c: _unless(
+        0.0 < c.collar_fraction < 1.0, "collar_fraction: must lie in (0, 1)"))
+    # no pair, or no eigenvalue compared, would pass without checking anything
+    pairs: int = _row(20, "quasi_iso", lambda c: _unless(c.pairs >= 1, "pairs: must be at least 1"))
+    k_max: int = _row(5, "quasi_iso", lambda c: _unless(c.k_max >= 1, "k_max: must be at least 1"))
+    genus: int = _row(0, "kokarev", lambda c: _unless(c.genus >= 0, "genus: must be nonnegative"))
+
+    def __post_init__(self) -> None:
+        """Coerce each typed field, check the required ones, then run the rules of the read ones."""
+        if self.experiment not in EXPERIMENTS:
+            raise ConfigError(f"experiment: expected one of {EXPERIMENTS}, got {self.experiment!r}")
+        rows = [f for f in dataclass_fields(self) if f.metadata]
+        for f in rows:
+            setattr(self, f.name, _coerce(f, getattr(self, f.name)))
+        read = [f for f in rows if self.experiment in f.metadata["readers"]]
+        for f in read:
+            if f.metadata["required"] and getattr(self, f.name) is None:
+                raise ConfigError(f"{f.name}: required for experiment '{self.experiment}'")
+        for rule in [f.metadata["rule"] for f in read if f.metadata["rule"]]:
+            message = rule(self)
+            if message is not None:
+                raise ConfigError(message)
 
 
-# (required, optional) fields that each experiment reads. Every other field
-# set for it would be silently ignored, so it is rejected.
-_METRIC_FIELDS = ("n", "k", "collar_length", "fiber", "cross_section", "steklov_ends", "mode")
-_READS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
-    "spectrum": (("top",), _METRIC_FIELDS + ("coefficient", "mesh", "out")),
-    "oracle": (
-        ("count",),
-        ("collar_length", "fiber", "steklov_ends", "coefficient", "mesh", "n_theta", "out"),
-    ),
-    "sweep": (("epsilon_list", "delta"), _METRIC_FIELDS + ("mesh", "out")),
-    "kokarev": (
-        ("epsilon_list", "delta"),
-        ("n", "k", "collar_length", "fiber", "steklov_ends", "mesh", "genus", "out"),
-    ),
-    "quasi_iso": ((), ("collar_length", "seed", "pairs", "k_max", "mesh", "out")),
-    "normalize_volume": (("target", "dim"), ("samples", "collar_fraction")),
-    "verify": ((), ("seed", "mesh")),
-}
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, not a bool and not NaN."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and not math.isnan(value)
 
-# coerced by their declared type; epsilon_list is checked on its own
-_NUMERIC_FIELDS = {f.name for f in dataclass_fields(ExperimentConfig) if f.type.startswith("float")}
-_INT_FIELDS = {f.name for f in dataclass_fields(ExperimentConfig) if f.type.startswith("int")}
+
+def _coerce(f: Field, value):
+    """`value` as field `f`'s declared type; descriptor and string fields pass unchecked."""
+    kind, _, optional = f.type.partition(" | ")
+    if value is None and optional:
+        return value
+    if kind == "float":
+        if not _is_number(value):
+            raise ConfigError(f"{f.name}: expected a number")
+        return float(value)
+    if kind == "int" and (isinstance(value, bool) or not isinstance(value, int)):
+        raise ConfigError(f"{f.name}: expected an integer")
+    if kind == "list[float]":
+        if not (isinstance(value, list) and value and all(map(_is_number, value))):
+            raise ConfigError(f"{f.name}: expected a nonempty list of numbers")
+        return [float(e) for e in value]
+    return value
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Build a config from a JSON record, rejecting unknown fields and refused values by path."""
-    known = {f.name for f in dataclass_fields(ExperimentConfig)}
-    unknown = sorted(set(raw) - known)
+    """Build a config from a JSON record, refusing any field its experiment does not read."""
+    readers = {f.name: f.metadata.get("readers") for f in dataclass_fields(ExperimentConfig)}
+    unknown = sorted(set(raw) - set(readers))
     if unknown:
         raise ConfigError(f"unknown config field(s): {', '.join(unknown)}")
     if "experiment" not in raw:
         raise ConfigError("missing required field 'experiment'")
     experiment = raw["experiment"]
-    if experiment not in _READS:
-        raise ConfigError(f"experiment: expected one of {tuple(_READS)}, got {experiment!r}")
-    unread = sorted(set(raw) - {"experiment"} - set(chain.from_iterable(_READS[experiment])))
+    # ExperimentConfig names an unknown experiment; a field set for a known one and never
+    # read by it would be silently ignored
+    unread = sorted(name for name in set(raw) - {"experiment"}
+                    if experiment in EXPERIMENTS and experiment not in readers[name])
     if unread:
-        raise ConfigError(
-            "; ".join(f"{name}: {_readers(name)}, not '{experiment}'" for name in unread)
-        )
-    coerced = dict(raw)
-    for name in _NUMERIC_FIELDS:
-        if coerced.get(name) is not None:
-            try:
-                coerced[name] = float(coerced[name])
-            except (TypeError, ValueError):
-                raise ConfigError(f"{name}: expected a number") from None
-    for name in _INT_FIELDS:
-        if coerced.get(name) is not None:
-            if isinstance(coerced[name], bool) or not isinstance(coerced[name], int):
-                raise ConfigError(f"{name}: expected an integer")
-    if coerced.get("epsilon_list") is not None:
-        eps = coerced["epsilon_list"]
-        if not isinstance(eps, list) or not eps:
-            raise ConfigError("epsilon_list: expected a nonempty list of numbers")
-        try:
-            coerced["epsilon_list"] = [float(e) for e in eps]
-        except (TypeError, ValueError):
-            raise ConfigError("epsilon_list: expected a nonempty list of numbers") from None
-    cfg = ExperimentConfig(**coerced)
-    for name in _READS[cfg.experiment][0]:
-        if getattr(cfg, name) is None:
-            raise ConfigError(f"{name}: required for experiment '{cfg.experiment}'")
-    _check_values(cfg)
-    return cfg
-
-
-def _check_values(cfg: ExperimentConfig) -> None:
-    """Refuse, by field name, values that the solvers would reject after set-up."""
-    if cfg.steklov_ends not in ("both", "left", "right"):
-        raise ConfigError("steklov_ends: expected 'both', 'left' or 'right'")
-    if cfg.experiment == "oracle":
-        if cfg.n_theta < 16 or cfg.n_theta % 2 != 0:
-            raise ConfigError("n_theta: must be an even integer of at least 16")
-        if cfg.mesh < 32:
-            raise ConfigError("mesh: must be at least 32 axial nodes")
-        n_boundary = cfg.n_theta * (2 if cfg.steklov_ends == "both" else 1)
-        if not 1 <= cfg.count <= n_boundary:
-            raise ConfigError(f"count: must lie in [1, {n_boundary}] (boundary nodes)")
-    elif "mesh" in _READS[cfg.experiment][1] and cfg.mesh < 16:
-        raise ConfigError("mesh: must be at least 16 elements")
-    if cfg.experiment == "quasi_iso":
-        # no pair, or no eigenvalue compared, would pass without checking anything
-        if cfg.pairs < 1:
-            raise ConfigError("pairs: must be at least 1")
-        if cfg.k_max < 1:
-            raise ConfigError("k_max: must be at least 1")
-    if cfg.experiment == "normalize_volume":
-        if cfg.target <= 0.0:
-            raise ConfigError("target: must be positive")
-        if cfg.samples < 2:
-            raise ConfigError("samples: must be at least 2")
-        if cfg.dim < 1:
-            raise ConfigError("dim: must be at least 1")
-        if not 0.0 < cfg.collar_fraction < 1.0:
-            raise ConfigError("collar_fraction: must lie in (0, 1)")
-
-
-def _readers(name: str) -> str:
-    readers = [f"'{e}'" for e, fields in _READS.items() if name in chain.from_iterable(fields)]
-    return f"read only by experiment{'s' if len(readers) > 1 else ''} {', '.join(readers)}"
+        raise ConfigError("; ".join(
+            f"{name}: read only by experiment{'s' if len(readers[name]) > 1 else ''} "
+            f"{', '.join(repr(e) for e in readers[name])}, not '{experiment}'" for name in unread
+        ))
+    return ExperimentConfig(**raw)
 
 
 def build_spectrum(desc: dict | None, path: str) -> ClosedSpectrum:
@@ -271,27 +290,21 @@ class SweepRow:
 def run_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     """Spectral gap of the volume-preserving construction for each epsilon.
 
-    Epsilons must be descending and lie in (0, collar_length/6); n, k and delta
-    must lie where lower_bound_C holds, so the gap diverges. One row per
-    epsilon, in input order.
+    The config's rules hold the epsilons descending in (0, collar_length/6);
+    n, k and delta must lie where lower_bound_C holds, so the gap diverges.
+    One row per epsilon, in input order.
     """
-    if cfg.mode != "volume_preserving":
-        raise ConfigError("mode: sweep requires 'volume_preserving'")
-    eps_list = cfg.epsilon_list or []
-    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ConfigError("epsilon_list: must be strictly descending")
-    if not all(0.0 < e < cfg.collar_length / 6.0 for e in eps_list):
-        raise ConfigError("epsilon_list: every epsilon must lie in (0, collar_length/6)")
     fiber = build_spectrum(cfg.fiber, "fiber")
     if len(fiber.entries) < 2:
         raise ConfigError("fiber: the sweep needs a first nonzero eigenvalue lambda1")
     lambda1 = fiber.entries[1][0]
     try:
-        bounds = [lower_bound_C(eps, cfg.delta, cfg.n, cfg.k, lambda1) for eps in eps_list]
+        bounds = [lower_bound_C(eps, cfg.delta, cfg.n, cfg.k, lambda1)
+                  for eps in cfg.epsilon_list]
     except SteklovError as exc:
         raise ConfigError(f"n, k, delta: {exc}") from None
     rows = []
-    for eps, bound in zip(eps_list, bounds):
+    for eps, bound in zip(cfg.epsilon_list, bounds):
         started = time.perf_counter()
         try:
             profile = WarpProfile(eps, cfg.delta, cfg.collar_length, symmetric=True)
@@ -336,22 +349,13 @@ def run_kokarev_sweep(cfg: ExperimentConfig) -> list[KokarevRow]:
     The warped surfaces here have n = k = 1, where the construction must not
     diverge; every row is expected to satisfy the bound.
     """
-    eps_list = cfg.epsilon_list or []
-    if not all(0.0 < e < cfg.collar_length / 6.0 for e in eps_list):
-        raise ConfigError("epsilon_list: every epsilon must lie in (0, collar_length/6)")
-    if cfg.n != 1 or cfg.k != 1:
-        raise ConfigError("n, k: the surface check runs with n = k = 1")
-    if not 0.0 < (cfg.delta or 0.0) < 1.0:
-        raise ConfigError("delta: must lie in (0, 1)")
-    if cfg.genus < 0:
-        raise ConfigError("genus: must be nonnegative")
     bound = 8.0 * math.pi * (cfg.genus + 1)
     fiber = build_spectrum(cfg.fiber, "fiber")
     if fiber.kind != "circle":
         raise ConfigError("fiber.kind: the surface check needs a circle fiber")
     fiber_length = fiber.params[0]
     rows = []
-    for eps in eps_list:
+    for eps in cfg.epsilon_list:
         profile = WarpProfile(eps, cfg.delta, cfg.collar_length, symmetric=True)
         spec = surface_spec(
             profile, cfg.collar_length, fiber_length, cfg.steklov_ends, "volume_preserving"

@@ -1,6 +1,8 @@
 """Exit codes of the command-line harness: 0 success, 1 solver failure, 2 bad config."""
 
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,7 +19,7 @@ from steklovwarp import (
 )
 from steklovwarp import cli, experiments
 from steklovwarp.cli import main
-from steklovwarp.experiments import SPECTRUM_CSV_HEADER, spectrum_csv_lines
+from steklovwarp.experiments import SPECTRUM_CSV_HEADER, ExperimentConfig, spectrum_csv_lines
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -334,3 +336,84 @@ def test_smallest_accepted_values_run(capsys):
     assert capsys.readouterr().out.startswith(SPECTRUM_CSV_HEADER)
     assert main(["oracle", "--count", "128", "--mesh", "32"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 128
+
+
+SWEEP = {"n": 2, "mode": "volume_preserving", "epsilon_list": [0.1, 0.05], "delta": 0.6}
+KOKAREV = {"epsilon_list": [0.1, 0.05], "delta": 0.6}
+# one refused value for each branch of each rule in the config table
+RULE_CASES = [
+    ("n", "spectrum", {"top": 2, "n": 0}, "n: must be at least 1"),
+    ("n", "kokarev", {**KOKAREV, "n": 2}, "n, k: the surface check runs with n = k = 1"),
+    ("k", "spectrum", {"top": 2, "k": 0}, "k: must be at least 1"),
+    ("collar_length", "spectrum", {"top": 2, "collar_length": -1},
+     "collar_length: must be positive and finite"),
+    ("collar_length", "oracle", {"count": 4, "collar_length": math.inf},
+     "collar_length: must be positive and finite"),
+    ("steklov_ends", "kokarev", {**KOKAREV, "steklov_ends": "middle"},
+     "steklov_ends: expected 'both', 'left' or 'right'"),
+    ("mode", "spectrum", {"top": 2, "mode": "bogus"},
+     "mode: expected 'plain_warp' or 'volume_preserving'"),
+    ("mode", "sweep", {**SWEEP, "mode": "plain_warp"}, "mode: sweep requires 'volume_preserving'"),
+    ("epsilon_list", "sweep", {**SWEEP, "epsilon_list": [0.05, 0.1]},
+     "epsilon_list: must be strictly descending"),
+    ("epsilon_list", "kokarev", {**KOKAREV, "collar_length": 0.6},
+     "epsilon_list: every epsilon must lie in (0, collar_length/6)"),
+    ("delta", "kokarev", {**KOKAREV, "delta": 1.0}, "delta: must lie in (0, 1)"),
+    ("mesh", "sweep", {**SWEEP, "mesh": 15}, "mesh: must be at least 16 elements"),
+    ("mesh", "oracle", {"count": 4, "mesh": 31}, "mesh: must be at least 32 axial nodes"),
+    ("n_theta", "oracle", {"count": 4, "n_theta": 14},
+     "n_theta: must be an even integer of at least 16"),
+    ("top", "spectrum", {"top": 0}, "top: must be positive"),
+    ("count", "oracle", {"count": 0}, "count: must lie in [1, 128] (boundary nodes)"),
+    ("seed", "quasi-iso", {"seed": -1}, "seed: must be nonnegative"),
+    ("seed", "verify", {"seed": -1}, "seed: must be nonnegative"),
+    ("target", "normalize-volume", {"target": -1, "dim": 2}, "target: must be positive"),
+    ("dim", "normalize-volume", {"target": 1.5, "dim": 0}, "dim: must be at least 1"),
+    ("samples", "normalize-volume", {"target": 1.5, "dim": 2, "samples": 1},
+     "samples: must be at least 2"),
+    ("collar_fraction", "normalize-volume", {"target": 1.5, "dim": 2, "collar_fraction": 1.0},
+     "collar_fraction: must lie in (0, 1)"),
+    ("pairs", "quasi-iso", {"pairs": 0}, "pairs: must be at least 1"),
+    ("k_max", "quasi-iso", {"k_max": 0}, "k_max: must be at least 1"),
+    ("genus", "kokarev", {**KOKAREV, "genus": -1}, "genus: must be nonnegative"),
+]
+
+
+@pytest.mark.parametrize("field, command, fields, message", RULE_CASES)
+def test_each_rule_refuses_before_any_solve(
+    tmp_path, capsys, monkeypatch, field, command, fields, message
+):
+    refused_before_any_solve(tmp_path, capsys, monkeypatch, command, fields, message)
+
+
+def test_every_rule_has_a_refused_case():
+    ruled = {f.name for f in dataclasses.fields(ExperimentConfig) if f.metadata.get("rule")}
+    assert ruled == {field for field, *_ in RULE_CASES}
+
+
+@pytest.mark.parametrize("command, fields, message", [
+    ("spectrum", {"top": True}, "top: expected a number"),
+    ("spectrum", {"top": "2"}, "top: expected a number"),
+    ("spectrum", {"top": "nan"}, "top: expected a number"),
+    ("spectrum", {"top": math.nan}, "top: expected a number"),
+    ("oracle", {"count": 4, "collar_length": "nan"}, "collar_length: expected a number"),
+    ("normalize-volume", {"target": 1.5, "dim": 2, "collar_fraction": False},
+     "collar_fraction: expected a number"),
+    ("sweep", {**SWEEP, "epsilon_list": [0.1, True]},
+     "epsilon_list: expected a nonempty list of numbers"),
+    ("kokarev", {**KOKAREV, "epsilon_list": ["0.1"]},
+     "epsilon_list: expected a nonempty list of numbers"),
+    ("kokarev", {**KOKAREV, "epsilon_list": [math.nan]},
+     "epsilon_list: expected a nonempty list of numbers"),
+])
+def test_number_field_takes_only_a_json_number(tmp_path, capsys, monkeypatch, command, fields,
+                                                message):
+    # a bool or a string used to pass through float(); NaN passes every comparison test
+    refused_before_any_solve(tmp_path, capsys, monkeypatch, command, fields, message)
+
+
+def test_negative_seed_flag_exits_two(capsys, monkeypatch):
+    # criterion 8 used to report the seed's ValueError as a failed gate
+    monkeypatch.setitem(cli._COMMANDS, "verify", lambda cfg: pytest.fail("verify ran"))
+    assert main(["verify", "--seed", "-1"]) == 2
+    assert "config error: seed: must be nonnegative" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Experiment drivers: the metric coefficient ratio of the quasi-isometry check, the
 Kokarev bound check, and config fields."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from steklovwarp import (
 from steklovwarp import experiments
 from steklovwarp.errors import ConfigError, DomainError
 from steklovwarp.experiments import (
-    _READS,
+    EXPERIMENTS,
     ExperimentConfig,
     config_from_dict,
     metric_coefficient_ratio,
@@ -137,33 +138,44 @@ def test_normalize_volume_reads_its_fields():
     assert (cfg.samples, cfg.collar_fraction) == (64, 0.5)
 
 
+def reads(experiment):
+    """(required, optional) fields that the config table says `experiment` reads."""
+    rows = [f for f in dataclasses.fields(ExperimentConfig)
+            if experiment in f.metadata.get("readers", ())]
+    return (tuple(f.name for f in rows if f.metadata["required"]),
+            tuple(f.name for f in rows if not f.metadata["required"]))
+
+
 REQUIRED_VALUES = {
     "top": 2.0, "count": 4, "epsilon_list": [0.1, 0.01], "delta": 0.6, "target": 2.0, "dim": 2,
 }
 
 
-@pytest.mark.parametrize("experiment", sorted(_READS))
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
 def test_each_read_field_accepted(experiment):
-    required, optional = _READS[experiment]
+    required, optional = reads(experiment)
     defaults = ExperimentConfig(experiment="verify")
     base = {"experiment": experiment, **{name: REQUIRED_VALUES[name] for name in required}}
+    if experiment == "sweep":  # the sweep refuses the default plain_warp mode
+        base["mode"] = "volume_preserving"
     for name in optional:
-        cfg = config_from_dict({**base, name: getattr(defaults, name)})
-        assert getattr(cfg, name) == getattr(defaults, name)
+        value = base.get(name, getattr(defaults, name))
+        cfg = config_from_dict({**base, name: value})
+        assert getattr(cfg, name) == value
 
 
 @pytest.mark.parametrize("field, value, reader", [
     ("genus", 2, "kokarev"), ("pairs", 3, "quasi_iso"), ("k_max", 4, "quasi_iso"),
 ])
 def test_experiment_specific_field_rejected_elsewhere(field, value, reader):
-    for experiment in sorted(set(_READS) - {reader}):
-        required, _ = _READS[experiment]
+    for experiment in sorted(set(EXPERIMENTS) - {reader}):
+        required, _ = reads(experiment)
         raw = {"experiment": experiment, field: value,
                **{name: REQUIRED_VALUES[name] for name in required}}
         with pytest.raises(ConfigError, match=f"{field}: read only by experiment '{reader}', "
                            f"not '{experiment}'"):
             config_from_dict(raw)
-    required, _ = _READS[reader]
+    required, _ = reads(reader)
     raw = {"experiment": reader, field: value, **{n: REQUIRED_VALUES[n] for n in required}}
     assert getattr(config_from_dict(raw), field) == value
 
@@ -176,5 +188,25 @@ def test_every_unread_field_named():
 
 
 def test_every_config_field_has_a_reader():
-    read = {name for fields in _READS.values() for names in fields for name in names}
+    read = {name for e in EXPERIMENTS for names in reads(e) for name in names}
     assert read | {"experiment"} == set(ExperimentConfig.__dataclass_fields__)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"experiment": "quasi_iso", "seed": -1}, "seed: must be nonnegative"),
+    ({"experiment": "kokarev", "epsilon_list": [0.1], "delta": 1.5}, "delta: must lie in (0, 1)"),
+    ({"experiment": "spectrum", "top": "2"}, "top: expected a number"),
+    ({"experiment": "oracle"}, "count: required for experiment 'oracle'"),
+])
+def test_directly_built_config_is_checked(fields, message):
+    # acceptance builds its configs without config_from_dict
+    with pytest.raises(ConfigError) as info:
+        ExperimentConfig(**fields)
+    assert str(info.value) == message
+
+
+def test_each_row_names_known_readers_in_experiment_order():
+    # the refusal "read only by experiments ..." lists a row's readers as written
+    for f in dataclasses.fields(ExperimentConfig)[1:]:
+        readers = f.metadata["readers"]
+        assert readers == tuple(e for e in EXPERIMENTS if e in readers), f.name
