@@ -160,15 +160,22 @@ class ExperimentConfig:
 
 
 def _is_number(value) -> bool:
-    """A JSON number: an int or a float, not a bool and not NaN."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and not math.isnan(value)
+    """A JSON number that a float holds: an int or a float, not a bool, not NaN."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return not math.isnan(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _coerce(f: Field, value):
-    """`value` as field `f`'s declared type; descriptor and string fields pass unchecked."""
+    """`value` as field `f`'s declared type; descriptor fields pass unchecked."""
     kind, _, optional = f.type.partition(" | ")
     if value is None and optional:
         return value
+    if kind == "str" and not isinstance(value, str):
+        raise ConfigError(f"{f.name}: expected a string")
     if kind == "float":
         if not _is_number(value):
             raise ConfigError(f"{f.name}: expected a number")
@@ -228,7 +235,7 @@ def build_spectrum(desc: dict | None, path: str) -> ClosedSpectrum:
             return explicit_spectrum(desc["entries"])
     except KeyError as exc:
         raise ConfigError(f"{path}.{exc.args[0]}: missing") from None
-    except (TypeError, ValueError) as exc:  # DomainError is a ValueError
+    except (TypeError, ValueError, OverflowError) as exc:  # DomainError is a ValueError
         raise ConfigError(f"{path}: {exc}") from None
     raise ConfigError(f"{path}.kind: unknown spectrum kind {kind!r}")
 
@@ -252,7 +259,7 @@ def build_warp(desc: dict, collar_length: float, path: str = "coefficient") -> W
             )
         except KeyError as exc:
             raise ConfigError(f"{path}.{exc.args[0]}: missing") from None
-        except (TypeError, ValueError) as exc:  # DomainError is a ValueError
+        except (TypeError, ValueError, OverflowError) as exc:  # DomainError is a ValueError
             raise ConfigError(f"{path}: {exc}") from None
     raise ConfigError(f"{path}.kind: unknown coefficient kind {kind!r}")
 
@@ -312,6 +319,8 @@ def run_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
             result = sigma1_construction(spec, n_elements=cfg.mesh)
             mesh_size = len(graded_mesh(cfg.collar_length, cfg.mesh,
                                         profile.transition_intervals())) - 1
+        except ConfigError:  # a refused descriptor, built before the first solve
+            raise
         except SteklovError as exc:
             raise NumericError(f"sweep failed at epsilon={eps}: {exc}") from exc
         rows.append(

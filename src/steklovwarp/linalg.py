@@ -92,16 +92,15 @@ def banded_to_dense(ab: np.ndarray) -> np.ndarray:
     return a
 
 
-def sym_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and orthonormal eigenvectors (columns) of symmetric a."""
+def sym_eig(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of symmetric a, read from its lower triangle; no eigenvectors."""
     try:
-        values, vectors = np.linalg.eigh(a)
+        return np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:
         residual = float(np.abs(a).max()) if a.size else 0.0
         raise NumericError(
             f"symmetric eigensolve failed to converge (scale {residual:.3e})"
         ) from exc
-    return values, vectors
 
 
 def _interior_solve(sys: PartitionedSystem, rhs: np.ndarray) -> np.ndarray:

@@ -11,19 +11,23 @@ with N the periodic neighbour matrix, and rings j and j+1 couple through
 
 revolution_spectrum computes the boundary Schur complement by block
 Gaussian elimination, one interior ring at a time (Golub & Van Loan,
-Matrix Computations, 4.5), and then solves the dense boundary
-eigenproblem. A ring costs one Cholesky factor of its frontier block, the
-factor's triangular inverse and triangular BLAS-3 updates, in place on a
-few n_theta x n_theta blocks, 4 n_theta^3 flops.
+Matrix Computations, 4.5), and then only the eigenvalues of the dense
+boundary eigenproblem. A ring costs one Cholesky factor of its frontier
+block, the factor's triangular inverse and triangular BLAS-3 updates, in
+place on a few n_theta x n_theta blocks, 4 n_theta^3 flops.
 
 On a plateau warp most axial sections agree to about 1e-13. A
 run of m sections that agree with its first to a relative 1e-12 is
 folded instead: its two-port is built from one section by repeated
 doubling, as cyclic reduction does for constant-coefficient block
-systems (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 1970), in
-about log2(m) + popcount(m) block eliminations of 9.7 n_theta^3 flops
-instead of m ring steps, and joined to the state in one more. A run is
-folded only when that takes fewer eliminations than its ring steps.
+systems (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 1970), and
+joined to the state in one block elimination of 9.7 n_theta^3 flops
+instead of m ring steps. The doubling costs about log2(m) + popcount(m)
+eliminations per distinct section, not per run: within one call, a run
+whose sections all lie within 1e-12 of an earlier run's section reuses
+that section's powers, and a run of the same length its whole two-port,
+as the mirrored runs of a symmetric plateau do. A run is folded only
+when a fresh build takes fewer eliminations than its ring steps.
 Folding moves each conductance of the run by at most 1e-12 relative,
 and so each eigenvalue by at most that factor (see _ring_schur).
 
@@ -174,6 +178,9 @@ def assemble_revolution(grid: RevolutionGrid) -> PartitionedSystem:
 
 # relative tolerance within which the sections of a run agree with its first
 _RUN_RTOL = 1e-12
+# relative step between neighbouring sections that no run crosses: 2 _RUN_RTOL
+# and a slack far above the roundoff of the comparisons
+_RUN_SPLIT = 2.5 * _RUN_RTOL
 # a join sets entries below this to zero: a product of two entries at or above
 # it is never subnormal, and subnormal operands or results take a slow path
 # in the floating-point unit, up to 100 times slower per operation
@@ -189,18 +196,27 @@ def _uniform_runs(cax: np.ndarray, cfib: np.ndarray) -> dict[int, int]:
     relative _RUN_RTOL, taken greedily from the left. A run of m sections
     replaces m ring steps (m - 1 from ring 0, whose first section costs
     none) by floor(log2 m) squarings, popcount(m) - 1 joins and one fold
-    (none from ring 0); it is kept only when that is fewer.
+    (none from ring 0); it is kept only when that is fewer, which holds
+    exactly when m >= 4.
+
+    Two neighbouring sections of one run both lie within _RUN_RTOL of its
+    first, so they differ by at most about 2 _RUN_RTOL: no run crosses a
+    step of more than _RUN_SPLIT. The greedy scan runs only inside the
+    stretches between such steps that are long enough to hold a kept run,
+    which gives the same runs as one scan along the whole axis.
     """
     sections = np.column_stack([cax, cfib[1:]])
+    steps = np.abs(np.diff(sections, axis=0)) > _RUN_SPLIT * np.abs(sections[:-1])
+    bounds = [0, *(np.flatnonzero(steps.any(axis=1)) + 1).tolist(), len(sections)]
     runs = {}
-    start = 0
-    while start < len(sections):
-        first = sections[start]
-        off = np.any(np.abs(sections[start:] - first) > _RUN_RTOL * np.abs(first), axis=1)
-        length = int(np.argmax(off)) if off.any() else len(off)
-        if length.bit_length() - 1 + length.bit_count() < length:
-            runs[start] = length
-        start += length
+    for start, end in zip(bounds, bounds[1:]):
+        while end - start >= 4:
+            first = sections[start]
+            off = np.any(np.abs(sections[start:end] - first) > _RUN_RTOL * np.abs(first), axis=1)
+            length = int(np.argmax(off)) if off.any() else len(off)
+            if length >= 4:
+                runs[start] = length
+            start += length
     return runs
 
 
@@ -221,7 +237,9 @@ def _ring_schur(
     triangles in Fortran order and mirrored once, at the end.
 
     A run of uniform sections (see _uniform_runs) is folded instead, with
-    its first section's conductances c = cax[start], f = cfib[start + 1].
+    the conductances c = cax[s], f = cfib[s + 1] of one section s: the
+    first section of the earliest run in this call such that each section
+    of this run lies within _RUN_RTOL of it, most often its own first.
     Two-ports are joined in the form (X, B, Y), X = A + B and Y = C + B^T:
     the parts of the energy that vanish on constant rings. They are small
     where the axial conductance dwarfs the fiber one (1e8 times on the
@@ -237,22 +255,27 @@ def _ring_schur(
     rounding of the grid's own ring diagonals. Binary powering builds a
     run of m sections: it squares (joins a power with itself)
     floor(log2 m) times and joins the popcount(m) powers that m's binary
-    digits select. One more join folds the run into the state, turned
-    into (X, B, Y) and back: about (log2 m + popcount m) 9.7 n_theta^3
-    flops against 4 m n_theta^3 for its ring steps. So that no edge is
-    added to a block and taken away again, a frontier ring where a run
-    starts holds only the half of its block it owns, the fiber energy and
-    the edge on its left; the run brings the edge on its right. The blocks
-    stay general SPD; their Fourier structure is not used. Rings outside
-    runs take the ring step above.
+    digits select. The powers of a section s are built once per call and
+    serve every run folded with s, and a later run of the same length
+    reuses the whole run. One more join folds the run into the state,
+    turned into (X, B, Y) and back. So the fold costs about
+    (log2 m + popcount m) 9.7 n_theta^3 flops per distinct section, not
+    per run, and 9.7 n_theta^3 per run, against 4 m n_theta^3 for the
+    ring steps of a run. So that no edge is added to a block and taken
+    away again, a frontier ring where a run starts holds only the half of
+    its block it owns, the fiber energy and the edge on its left; the run
+    brings the edge on its right. The blocks stay general SPD; their
+    Fourier structure is not used. Rings outside runs take the ring step
+    above.
 
-    Every section of a run is within _RUN_RTOL = 1e-12 of its first, so
-    folding moves each conductance by at most that factor. The grid energy
-    is a sum of conductance-weighted squared differences, and the boundary
-    mass does not change, so each eigenvalue of the Schur complement, and
-    each Steklov eigenvalue, moves by at most a factor 1e-12. A join also
-    sets entries below _FLUSH_BELOW = 1.5e-154 to zero, far below the
-    roundoff of any entry they would be added to.
+    Every section of a run is within _RUN_RTOL = 1e-12 of the section s
+    it is folded with, so folding moves each conductance by at most that
+    factor. The grid energy is a sum of conductance-weighted squared
+    differences, and the boundary mass does not change, so each
+    eigenvalue of the Schur complement, and each Steklov eigenvalue,
+    moves by at most a factor 1e-12. A join also sets entries below
+    _FLUSH_BELOW = 1.5e-154 to zero, far below the roundoff of any entry
+    they would be added to.
     """
     from scipy.linalg import blas, lapack  # here, so the package imports without it
 
@@ -298,19 +321,33 @@ def _ring_schur(
             flush(blas.dgemm(-1.0, w2, u, beta=1.0, c=y2)),
         )
 
+    sections = np.column_stack([cax, cfib[1:]])
+    # (section s, powers of s spanning 2^i sections, runs of s by length),
+    # one for each distinct section that a run is folded with in this call
+    folded = []
+
     def run_two_port(start: int, length: int) -> tuple:
-        c, f = cax[start], cfib[start + 1]
-        y = new_ring((2.0 * c + 2.0 * f) - 2.0 * c, f)
-        y += np.tril(y, -1).T
-        power, span = (np.zeros_like(y), -c * np.eye(n_theta, order="F"), y), 1
-        run, covered = None, 0
-        while covered < length:
-            if length & span:
-                run = power if run is None else join(run, power, start + covered)
-                covered += span
-            if covered < length:
-                power, span = join(power, power, start + span), 2 * span
-        return run
+        run_sections = sections[start : start + length]
+        for s, powers, by_length in folded:
+            if np.all(np.abs(run_sections - s) <= _RUN_RTOL * np.abs(s)):
+                break
+        else:
+            s = sections[start]
+            c, f = s
+            y = new_ring((2.0 * c + 2.0 * f) - 2.0 * c, f)
+            y += np.tril(y, -1).T
+            powers, by_length = [(np.zeros_like(y), -c * np.eye(n_theta, order="F"), y)], {}
+            folded.append((s, powers, by_length))
+        if length not in by_length:
+            run, covered = None, 0
+            for i in range(length.bit_length()):
+                if i == len(powers):
+                    powers.append(join(powers[-1], powers[-1], start + 2 ** (i - 1)))
+                if length >> i & 1:
+                    run = powers[i] if run is None else join(run, powers[i], start + covered)
+                    covered += 2**i
+            by_length[length] = run
+        return by_length[length]
 
     def frontier_diag(ring: int) -> float:
         # diagonal of K_ring, or of only the half it owns if a run starts there
@@ -335,6 +372,8 @@ def _ring_schur(
                 run = join((p + q, q, r + q.T), run, j)
             x, q, y = run
             p, r = np.subtract(x, q, order="F"), np.subtract(y, q.T, order="F")
+            # from ring 0 the run is a cached two-port, and the ring steps overwrite q
+            q = np.array(q, order="F")
             p[upper], r[upper] = 0.0, 0.0  # lower triangles again
             if j == 0:
                 add_ring(p, 2.0 * cfib[0], cfib[0])  # ring 0's own fiber energy
@@ -371,15 +410,18 @@ def revolution_spectrum(grid: RevolutionGrid) -> np.ndarray:
     schur = _ring_schur(cax, cfib, diag_ring, grid.n_theta, both)
     ends = hv[[0, -1]] if both else hv[:1]
     sqrt_mass = np.sqrt(np.repeat(ends * dth, grid.n_theta))
-    d = schur / sqrt_mass[None, :] / sqrt_mass[:, None]
+    d = schur / np.outer(sqrt_mass, sqrt_mass)  # as symmetric as the Schur complement
     # B^(1/2) 1 spans the kernel of d, as the constants span that of the Schur
-    # complement; a Householder reflection onto the first axis splits it off
+    # complement; a Householder reflection H = I - v v^T / v[0] onto the first
+    # axis splits it off. H d H = d - v w^T - w v^T, with p = d v / v[0] and
+    # w = p - (v^T p / 2 v[0]) v (Golub & Van Loan, 5.1.4); only the block
+    # that the kernel's axis leaves is formed
     v = sqrt_mass / np.linalg.norm(sqrt_mass)
     v[0] += 1.0
-    reflect = np.eye(len(v)) - np.outer(v, v) / v[0]
-    deflated = (reflect @ d @ reflect)[1:, 1:]
-    values, _ = sym_eig(0.5 * (deflated + deflated.T))
-    return np.concatenate(([0.0], values))
+    p = d @ v / v[0]
+    w = p - (v @ p / (2.0 * v[0])) * v
+    deflated = d[1:, 1:] - np.outer(v[1:], w[1:]) - np.outer(w[1:], v[1:])
+    return np.concatenate(([0.0], sym_eig(deflated)))
 
 
 def revolution_steklov(grid: RevolutionGrid, count: int) -> np.ndarray:

@@ -111,8 +111,8 @@ def circle_spectrum(length: float, count: int) -> ClosedSpectrum:
     Eigenvalues are (2 pi j / length)^2 with multiplicity 1 for j = 0 and 2
     for j >= 1.
     """
-    if length <= 0:
-        raise DomainError("circle length must be positive")
+    if not 0.0 < length < math.inf:  # NaN fails both comparisons
+        raise DomainError("circle length must be positive and finite")
     return _head("circle", (length,), count)
 
 
@@ -124,8 +124,8 @@ def flat_torus_spectrum(l1: float, l2: float, count: int) -> ClosedSpectrum:
     rounded once from an exact lattice key, and values within 1e-12
     relative of a group's first value are merged.
     """
-    if l1 <= 0 or l2 <= 0:
-        raise DomainError("torus side lengths must be positive")
+    if not (0.0 < l1 < math.inf and 0.0 < l2 < math.inf):  # NaN fails both comparisons
+        raise DomainError("torus side lengths must be positive and finite")
     return _head("flat_torus", (l1, l2), count)
 
 

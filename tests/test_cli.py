@@ -108,6 +108,10 @@ def test_sweep_fiber_without_lambda1_exits_two(tmp_path, capsys, fiber):
 @pytest.mark.parametrize("field, desc, message", [
     ("fiber", {"kind": "circle", "length": "abc"}, "could not convert string to float"),
     ("fiber", {"kind": "circle", "length": -1}, "circle length must be positive"),
+    ("fiber", {"kind": "circle", "length": math.inf}, "circle length must be positive and finite"),
+    ("fiber", {"kind": "circle", "length": 10**400}, "int too large to convert to float"),
+    ("cross_section", {"kind": "flat_torus", "l1": 1.0, "l2": math.nan},
+     "torus side lengths must be positive and finite"),
     ("fiber", {"kind": "explicit", "entries": 5}, "not iterable"),
     ("coefficient", {"kind": "plateau", "epsilon": "x", "delta": 0.6},
      "could not convert string to float"),
@@ -120,6 +124,25 @@ def test_descriptor_value_its_constructor_rejects_exits_two(tmp_path, capsys, fi
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {field}: ")
     assert message in err
+
+
+@pytest.mark.parametrize("length", [math.inf, math.nan])
+def test_sweep_nonfinite_cross_section_exits_two_before_any_solve(
+    tmp_path, capsys, monkeypatch, length
+):
+    # an infinite circle used to pass the config and fail inside the first solve
+    solves = []
+    monkeypatch.setattr(experiments, "sigma1_construction", lambda *a, **kw: solves.append(a))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "experiment": "sweep", "n": 2, "k": 1, "mode": "volume_preserving",
+        "epsilon_list": [0.1], "delta": 0.6,
+        "cross_section": {"kind": "circle", "length": length},
+    }))
+    assert main(["sweep", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: cross_section: circle length must be positive and finite" in err
+    assert solves == []
 
 
 def test_negative_genus_exits_two_before_any_solve(tmp_path, capsys, monkeypatch):
@@ -405,11 +428,34 @@ def test_every_rule_has_a_refused_case():
      "epsilon_list: expected a nonempty list of numbers"),
     ("kokarev", {**KOKAREV, "epsilon_list": [math.nan]},
      "epsilon_list: expected a nonempty list of numbers"),
+    # a JSON integer beyond the float range
+    ("spectrum", {"top": 10**400}, "top: expected a number"),
+    ("kokarev", {**KOKAREV, "epsilon_list": [0.1, -10**400]},
+     "epsilon_list: expected a nonempty list of numbers"),
 ])
 def test_number_field_takes_only_a_json_number(tmp_path, capsys, monkeypatch, command, fields,
                                                 message):
     # a bool or a string used to pass through float(); NaN passes every comparison test
     refused_before_any_solve(tmp_path, capsys, monkeypatch, command, fields, message)
+
+
+@pytest.mark.parametrize("command, fields, message", [
+    ("spectrum", {"top": 2, "out": 5}, "out: expected a string"),
+    ("oracle", {"count": 4, "out": ["a.csv"]}, "out: expected a string"),
+    ("spectrum", {"top": 2, "steklov_ends": 1}, "steklov_ends: expected a string"),
+    ("spectrum", {"top": 2, "mode": None}, "mode: expected a string"),
+])
+def test_string_field_takes_only_a_json_string(tmp_path, capsys, monkeypatch, command, fields,
+                                               message):
+    # a number in out used to run the whole solve and end in a TypeError from Path
+    refused_before_any_solve(tmp_path, capsys, monkeypatch, command, fields, message)
+
+
+def test_huge_json_integer_exits_two(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"experiment": "spectrum", "top": 1' + "0" * 400 + "}")
+    assert main(["spectrum", "--config", str(config)]) == 2
+    assert "config error: top: expected a number" in capsys.readouterr().err
 
 
 def test_negative_seed_flag_exits_two(capsys, monkeypatch):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steklovwarp import (
     BaseGeometry,
@@ -21,6 +23,7 @@ from steklovwarp import (
     sym_eig,
 )
 from steklovwarp.oracle import (
+    _RUN_RTOL,
     _ring_coefficients,
     _ring_schur,
     _uniform_runs,
@@ -55,7 +58,7 @@ def grid_for(warp_name, shape, ends):
 class TestRingElimination:
     def test_matches_banded_schur_reference(self, warp_name, shape, ends):
         grid = grid_for(warp_name, shape, ends)
-        reference = np.sort(sym_eig(dtn_matrix(assemble_revolution(grid)))[0])
+        reference = np.sort(sym_eig(dtn_matrix(assemble_revolution(grid))))
         values = revolution_spectrum(grid)
         assert values.shape == (grid.n_boundary,)
         dev = np.abs(values - reference) / np.maximum(np.abs(reference), 1.0)
@@ -72,7 +75,7 @@ def test_benchmark_ring_width_matches_banded_reference(ends):
     # n_theta = 128, the ring width of the benchmark's oracle grid, on few rings
     grid = grid_for("plateau", (64, 128), ends)
     values = revolution_spectrum(grid)
-    reference = np.sort(sym_eig(dtn_matrix(assemble_revolution(grid)))[0])
+    reference = np.sort(sym_eig(dtn_matrix(assemble_revolution(grid))))
     assert values[0] == 0.0
     dev = np.abs(values - reference) / np.maximum(np.abs(reference), 1.0)
     assert dev.max() <= 1e-8
@@ -186,6 +189,119 @@ def test_plateau_grid_folds_its_plateaus():
     for start, length in runs.items():
         run = sections[start : start + length]
         assert np.all(np.abs(run - run[0]) <= 1e-12 * run[0])
+
+
+def greedy_uniform_runs(cax, cfib):
+    """_uniform_runs as one greedy scan along the whole axis, a numpy pass per run."""
+    sections = np.column_stack([cax, cfib[1:]])
+    runs = {}
+    start = 0
+    while start < len(sections):
+        first = sections[start]
+        off = np.any(np.abs(sections[start:] - first) > _RUN_RTOL * np.abs(first), axis=1)
+        length = int(np.argmax(off)) if off.any() else len(off)
+        if length.bit_length() - 1 + length.bit_count() < length:
+            runs[start] = length
+        start += length
+    return runs
+
+
+def random_sections(rng, count):
+    """Sections in stretches: planted runs with offsets up to 1.5 _RUN_RTOL, some
+    exactly at it, slow drifts of 0.9 _RUN_RTOL a step, and scattered values."""
+    rows = []
+    while len(rows) < count:
+        kind = rng.integers(3)
+        first = rng.choice([-1.0, 1.0], 2) * 10.0 ** rng.uniform(-3.0, 3.0, 2)
+        if rng.random() < 0.1:
+            first[rng.integers(2)] = 0.0
+        length = int(rng.integers(1, 40))
+        if kind == 0:
+            offsets = rng.uniform(-1.5, 1.5, (length, 2))
+            at_tolerance = rng.random((length, 2)) < 0.2
+            offsets[at_tolerance] = rng.choice([-1.0, 1.0], at_tolerance.sum())
+            offsets *= rng.random((length, 1)) < 0.7  # some sections leave both in place
+            rows.extend(first * (1.0 + _RUN_RTOL * offsets))
+        elif kind == 1:
+            steps = np.cumsum(np.full((length, 2), 0.9 * _RUN_RTOL), axis=0)
+            rows.extend(first * (1.0 + steps * rng.choice([-1.0, 1.0], 2)))
+        else:
+            signs = rng.choice([-1.0, 1.0], (length, 2))
+            rows.extend(signs * 10.0 ** rng.uniform(-3.0, 3.0, (length, 2)))
+    sections = np.array(rows[:count])
+    return sections[:, 0], np.concatenate(([1.0], sections[:, 1]))
+
+
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 300))
+@settings(max_examples=300, deadline=None)
+def test_uniform_runs_match_one_greedy_scan(seed, count):
+    cax, cfib = random_sections(np.random.default_rng(seed), count)
+    assert _uniform_runs(cax, cfib) == greedy_uniform_runs(cax, cfib)
+
+
+@pytest.mark.parametrize("warp_name", sorted(WARPS))
+def test_uniform_runs_of_the_grids_match_one_greedy_scan(warp_name):
+    grid = grid_for(warp_name, (256, 64), "both")
+    _, cax, cfib, _, _ = _ring_coefficients(grid)
+    assert _uniform_runs(cax, cfib) == greedy_uniform_runs(cax, cfib)
+
+
+@pytest.mark.parametrize("ends", ["both", "left"])
+def test_later_run_reuses_a_power_from_ring_0(ends):
+    # the ring-0 run has 4 sections, a power of two, so its two-port is a
+    # cached power whose B block becomes the state's Q; the last run has the
+    # same section and length and reuses it, after the ring steps that update Q
+    warp = WarpProfile(0.15, 2.0 / 3.0, 1.0, symmetric=True)
+    grid = make_grid(1.0, 2.0 * math.pi, warp, 64, 16, ends)
+    _, cax, cfib, diag_ring, _ = _ring_coefficients(grid)
+    runs = _uniform_runs(cax, cfib)
+    last = max(runs)
+    assert runs[0] == runs[last] == 4
+    sections = np.column_stack([cax, cfib[1:]])
+    shared = sections[last : last + 4]
+    assert np.all(np.abs(shared - sections[0]) <= _RUN_RTOL * np.abs(sections[0]))
+    both = ends == "both"
+    schur = _ring_schur(cax, cfib, diag_ring, grid.n_theta, both)
+    reference = per_ring_schur(cax, cfib, diag_ring, grid.n_theta, both)
+    values, expected = np.linalg.eigvalsh(schur), np.linalg.eigvalsh(reference)
+    dev = np.abs(values - expected) / np.maximum(np.abs(expected), 1.0)
+    assert dev.max() <= 1e-8
+
+
+def count_joins(monkeypatch):
+    """Joins made from here on: each makes three dgemm calls, and nothing else makes one."""
+    from scipy.linalg import blas
+
+    calls = []
+    dgemm = blas.dgemm
+    monkeypatch.setattr(blas, "dgemm", lambda *a, **kw: calls.append(1) or dgemm(*a, **kw))
+    return lambda: len(calls) // 3
+
+
+@pytest.mark.parametrize("offsets, joins", [
+    ([0.5e-12] * 8, 3 + 1),
+    ([2e-12] * 8, 3 + 3 + 1),
+    ([0.9e-12] + [1.8e-12] * 7, 3 + 3 + 1),  # only its first section is near enough
+])
+def test_run_near_an_earlier_section_gets_its_own_powers(monkeypatch, offsets, joins):
+    # two runs of 8 sections split by 3 others: the second reuses the first's
+    # powers only when each of its sections lies within _RUN_RTOL of the first
+    # run's section; 3 squarings build a run of 8, and one join folds it in
+    section = np.array([3.0, 0.25])
+    others = np.array([[5.0, 0.5], [7.0, 0.75], [2.0, 0.125]])
+    near = section * (1.0 + np.array(offsets)[:, None])
+    sections = np.vstack([np.tile(section, (8, 1)), others, near, [[4.0, 0.2]]])
+    cax, cfib = sections[:, 0], np.concatenate(([0.125], sections[:, 1]))
+    diag_ring = 2.0 * cfib
+    diag_ring[:-1] += cax
+    diag_ring[1:] += cax
+    assert _uniform_runs(cax, cfib) == {0: 8, 11: 8}
+    joins_made = count_joins(monkeypatch)
+    schur = _ring_schur(cax, cfib, diag_ring, 16, True)
+    assert joins_made() == joins
+    reference = per_ring_schur(cax, cfib, diag_ring, 16, True)
+    expected = np.linalg.eigvalsh(reference)
+    assert np.abs(np.linalg.eigvalsh(schur) - expected).max() <= 1e-8 * np.abs(expected).max()
 
 
 def longdouble_cholesky(a):

@@ -52,11 +52,10 @@ class TestCircle:
         assert spec.entries[0] == (0.0, 1)
         assert spec.entries[1] == pytest.approx((4.0, 2))
 
-    def test_nonpositive_length_rejected(self):
-        with pytest.raises(DomainError):
-            circle_spectrum(0.0, 3)
-        with pytest.raises(DomainError):
-            circle_spectrum(-1.0, 3)
+    @pytest.mark.parametrize("length", [0.0, -1.0, math.inf, math.nan])
+    def test_nonpositive_or_nonfinite_length_rejected(self, length):
+        with pytest.raises(DomainError, match="circle length must be positive and finite"):
+            circle_spectrum(length, 3)
 
     @given(
         length=st.floats(0.3, 30.0),
@@ -93,9 +92,10 @@ class TestFlatTorus:
         spec = flat_torus_spectrum(TWO_PI, 2 * TWO_PI, 2)
         assert spec.entries[1] == pytest.approx((0.25, 2))
 
-    def test_nonpositive_rejected(self):
-        with pytest.raises(DomainError):
-            flat_torus_spectrum(0.0, 1.0, 2)
+    @pytest.mark.parametrize("l1, l2", [(0.0, 1.0), (1.0, -1.0), (math.inf, 1.0), (1.0, math.nan)])
+    def test_nonpositive_or_nonfinite_side_rejected(self, l1, l2):
+        with pytest.raises(DomainError, match="torus side lengths must be positive and finite"):
+            flat_torus_spectrum(l1, l2, 2)
 
     @pytest.mark.parametrize(
         "l1,l2,count",
