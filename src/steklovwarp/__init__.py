@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedModeError,
 )
 from .linalg import PartitionedSystem, dtn_matrix, harmonic_extension, sym_eig
-from .oracle import RevolutionGrid, make_grid, revolution_steklov
+from .oracle import RevolutionGrid, make_grid
 from .profiles import WarpedMetricSpec, WarpProfile, volume_element_ratio
 from .provenance import EigenSource, SpectrumEntry, SpectrumWithProvenance
 from .spectra import (
@@ -87,7 +87,6 @@ __all__ = [
     "metric_recipes",
     "point_spectrum",
     "rayleigh_quotient",
-    "revolution_steklov",
     "sigma1_construction",
     "steklov_spectrum_warped",
     "sym_eig",

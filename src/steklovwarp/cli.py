@@ -12,8 +12,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import acceptance
 from .assembler import steklov_spectrum_warped
 from .errors import ConfigError, SteklovError
@@ -26,16 +24,15 @@ from .experiments import (
     metric_spec_from_config,
     normalize_volume,
     oracle_csv_lines,
-    quasi_iso_check,
     ramp_phi_instance,
-    random_profile_pairs,
     run_kokarev_sweep,
+    run_quasi_iso,
     run_sweep,
     sig12,
     spectrum_csv_lines,
     sweep_csv_lines,
 )
-from .oracle import make_grid, revolution_steklov
+from .oracle import make_grid, revolution_spectrum
 
 
 def _load_config(path: str | None, experiment: str, overrides: dict) -> ExperimentConfig:
@@ -71,7 +68,7 @@ def _emit(lines: list[str], out: str | None) -> None:
 
 
 def _cmd_spectrum(cfg: ExperimentConfig) -> int:
-    spec = metric_spec_from_config(cfg)
+    spec = metric_spec_from_config(cfg, build_warp(cfg.coefficient, cfg.collar_length), cfg.mode)
     spectrum = steklov_spectrum_warped(spec, cfg.top, n_elements=cfg.mesh)
     _emit(spectrum_csv_lines(spectrum), cfg.out)
     return 0
@@ -90,7 +87,7 @@ def _cmd_oracle(cfg: ExperimentConfig) -> int:
         n_theta=cfg.n_theta,
         steklov_ends=cfg.steklov_ends,
     )
-    values = revolution_steklov(grid, cfg.count)
+    values = revolution_spectrum(grid)[:cfg.count]  # the config's rule bounds count
     _emit(oracle_csv_lines(values), cfg.out)
     return 0
 
@@ -108,23 +105,17 @@ def _cmd_kokarev(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_quasi_iso(cfg: ExperimentConfig) -> int:
-    lines = ["pair,coefficient_ratio,ratio_bound,passed"]
-    ok = True
-    for i, (s1, s2) in enumerate(random_profile_pairs(cfg)):
-        res = quasi_iso_check(s1, s2, dim_m=2, k_max=cfg.k_max, n_elements=cfg.mesh)
-        ok = ok and res.passed
-        lines.append(
-            f"{i},{sig12(res.coefficient_ratio)},{sig12(res.ratio_bound)},"
-            f"{'1' if res.passed else '0'}"
-        )
-    _emit(lines, cfg.out)
-    return 0 if ok else 1
+    results = run_quasi_iso(cfg)
+    _emit(["pair,coefficient_ratio,ratio_bound,passed"] + [
+        f"{i},{sig12(r.coefficient_ratio)},{sig12(r.ratio_bound)},{int(r.passed)}"
+        for i, r in enumerate(results)
+    ], cfg.out)
+    return 0 if all(r.passed for r in results) else 1
 
 
 def _cmd_normalize_volume(cfg: ExperimentConfig) -> int:
     integrand, weights, phi = ramp_phi_instance(cfg.samples, cfg.collar_fraction)
-    c = normalize_volume(integrand, weights, phi, cfg.dim, cfg.target)
-    achieved = float(np.sum(integrand * weights * np.exp(c * cfg.dim * phi / 2.0)))
+    c, achieved = normalize_volume(integrand, weights, phi, cfg.dim, cfg.target)
     print(f"c = {sig12(c)}")
     print(f"volume at c = {sig12(achieved)} (target {sig12(cfg.target)})")
     return 0

@@ -60,19 +60,6 @@ def _unless(ok: bool, message: str) -> str | None:
     return None if ok else message
 
 
-def _n_rule(cfg: ExperimentConfig) -> str | None:
-    if cfg.experiment == "kokarev":
-        return _unless((cfg.n, cfg.k) == (1, 1), "n, k: the surface check runs with n = k = 1")
-    return _unless(cfg.n >= 1, "n: must be at least 1")
-
-
-def _mode_rule(cfg: ExperimentConfig) -> str | None:
-    if cfg.experiment == "sweep":
-        return _unless(cfg.mode == "volume_preserving", "mode: sweep requires 'volume_preserving'")
-    return _unless(cfg.mode in ("plain_warp", "volume_preserving"),
-                   "mode: expected 'plain_warp' or 'volume_preserving'")
-
-
 def _epsilon_rule(cfg: ExperimentConfig) -> str | None:
     eps = cfg.epsilon_list
     if cfg.experiment == "sweep" and any(b >= a for a, b in zip(eps, eps[1:])):
@@ -81,10 +68,16 @@ def _epsilon_rule(cfg: ExperimentConfig) -> str | None:
                    "epsilon_list: every epsilon must lie in (0, collar_length/6)")
 
 
+# a larger size is refused by name here, not by numpy when it fails to allocate the arrays
+_MAX_MESH = 2**20
+_MAX_N_THETA = 2**12
+_MAX_SAMPLES = 2**24
+
+
 def _mesh_rule(cfg: ExperimentConfig) -> str | None:
-    if cfg.experiment == "oracle":
-        return _unless(cfg.mesh >= 32, "mesh: must be at least 32 axial nodes")
-    return _unless(cfg.mesh >= 16, "mesh: must be at least 16 elements")
+    low, unit = (32, "axial nodes") if cfg.experiment == "oracle" else (16, "elements")
+    return _unless(low <= cfg.mesh <= _MAX_MESH,
+                   f"mesh: must be at least {low} {unit} and at most {_MAX_MESH}")
 
 
 def _count_rule(cfg: ExperimentConfig) -> str | None:
@@ -103,8 +96,8 @@ class ExperimentConfig:
     """
 
     experiment: str
-    n: int = _row(1, "spectrum sweep kokarev", _n_rule)
-    k: int = _row(1, "spectrum sweep kokarev", lambda c: _unless(c.k >= 1, "k: must be at least 1"))
+    n: int = _row(1, "spectrum sweep", lambda c: _unless(c.n >= 1, "n: must be at least 1"))
+    k: int = _row(1, "spectrum sweep", lambda c: _unless(c.k >= 1, "k: must be at least 1"))
     collar_length: float = _row(1.0, "spectrum oracle sweep kokarev quasi_iso", lambda c: _unless(
         0.0 < c.collar_length < math.inf, "collar_length: must be positive and finite"))
     fiber: dict = _row({"kind": "circle", "length": TWO_PI}, "spectrum oracle sweep kokarev")
@@ -112,7 +105,9 @@ class ExperimentConfig:
     steklov_ends: str = _row("both", "spectrum oracle sweep kokarev", lambda c: _unless(
         c.steklov_ends in ("both", "left", "right"),
         "steklov_ends: expected 'both', 'left' or 'right'"))
-    mode: str = _row("plain_warp", "spectrum sweep", _mode_rule)
+    mode: str = _row("plain_warp", "spectrum", lambda c: _unless(
+        c.mode in ("plain_warp", "volume_preserving"),
+        "mode: expected 'plain_warp' or 'volume_preserving'"))
     coefficient: dict = _row({"kind": "unit"}, "spectrum oracle")
     epsilon_list: list[float] | None = _row(None, "sweep kokarev", _epsilon_rule, required=True)
     # the sweep's window for delta depends on n and k; run_sweep's lower_bound_C checks it
@@ -121,8 +116,8 @@ class ExperimentConfig:
         required=True)
     mesh: int = _row(400, "spectrum oracle sweep kokarev quasi_iso verify", _mesh_rule)
     n_theta: int = _row(64, "oracle", lambda c: _unless(
-        c.n_theta >= 16 and c.n_theta % 2 == 0,
-        "n_theta: must be an even integer of at least 16"))
+        16 <= c.n_theta <= _MAX_N_THETA and c.n_theta % 2 == 0,
+        f"n_theta: must be an even integer of at least 16 and at most {_MAX_N_THETA}"))
     top: float | None = _row(None, "spectrum", lambda c: _unless(
         c.top > 0.0, "top: must be positive"), required=True)
     count: int | None = _row(None, "oracle", _count_rule, required=True)
@@ -134,13 +129,12 @@ class ExperimentConfig:
     dim: int | None = _row(None, "normalize_volume", lambda c: _unless(
         c.dim >= 1, "dim: must be at least 1"), required=True)
     samples: int = _row(512, "normalize_volume", lambda c: _unless(
-        c.samples >= 2, "samples: must be at least 2"))
+        2 <= c.samples <= _MAX_SAMPLES, f"samples: must be at least 2 and at most {_MAX_SAMPLES}"))
     collar_fraction: float = _row(0.25, "normalize_volume", lambda c: _unless(
         0.0 < c.collar_fraction < 1.0, "collar_fraction: must lie in (0, 1)"))
     # no pair, or no eigenvalue compared, would pass without checking anything
     pairs: int = _row(20, "quasi_iso", lambda c: _unless(c.pairs >= 1, "pairs: must be at least 1"))
     k_max: int = _row(5, "quasi_iso", lambda c: _unless(c.k_max >= 1, "k_max: must be at least 1"))
-    genus: int = _row(0, "kokarev", lambda c: _unless(c.genus >= 0, "genus: must be nonnegative"))
 
     def __post_init__(self) -> None:
         """Coerce each typed field, check the required ones, then run the rules of the read ones."""
@@ -240,10 +234,10 @@ def build_spectrum(desc: dict | None, path: str) -> ClosedSpectrum:
     raise ConfigError(f"{path}.kind: unknown spectrum kind {kind!r}")
 
 
-def build_warp(desc: dict, collar_length: float, path: str = "coefficient") -> Warp:
-    """Warp from a descriptor: unit, bump (1 + t(L-t)), or a plateau profile."""
+def build_warp(desc: dict, collar_length: float) -> Warp:
+    """Warp from the config's coefficient: unit, bump (1 + t(L-t)), or a plateau profile."""
     if not isinstance(desc, dict) or "kind" not in desc:
-        raise ConfigError(f"{path}: expected an object with a 'kind' field")
+        raise ConfigError("coefficient: expected an object with a 'kind' field")
     kind = desc["kind"]
     if kind == "unit":
         return lambda t: 1.0
@@ -252,19 +246,19 @@ def build_warp(desc: dict, collar_length: float, path: str = "coefficient") -> W
     if kind == "plateau":
         symmetric = desc.get("symmetric", True)
         if not isinstance(symmetric, bool):  # a string such as "false" is truthy
-            raise ConfigError(f"{path}.symmetric: expected true or false")
+            raise ConfigError("coefficient.symmetric: expected true or false")
         try:
             return WarpProfile(
                 float(desc["epsilon"]), float(desc["delta"]), collar_length, symmetric
             )
         except KeyError as exc:
-            raise ConfigError(f"{path}.{exc.args[0]}: missing") from None
+            raise ConfigError(f"coefficient.{exc.args[0]}: missing") from None
         except (TypeError, ValueError, OverflowError) as exc:  # DomainError is a ValueError
-            raise ConfigError(f"{path}: {exc}") from None
-    raise ConfigError(f"{path}.kind: unknown coefficient kind {kind!r}")
+            raise ConfigError(f"coefficient: {exc}") from None
+    raise ConfigError(f"coefficient.kind: unknown coefficient kind {kind!r}")
 
 
-def metric_spec_from_config(cfg: ExperimentConfig, warp: Warp | None = None) -> WarpedMetricSpec:
+def metric_spec_from_config(cfg: ExperimentConfig, warp: Warp, mode: str) -> WarpedMetricSpec:
     base = BaseGeometry(
         cross_section=build_spectrum(cfg.cross_section, "cross_section"),
         collar_length=cfg.collar_length,
@@ -273,10 +267,10 @@ def metric_spec_from_config(cfg: ExperimentConfig, warp: Warp | None = None) -> 
     return WarpedMetricSpec(
         base_dim=cfg.n,
         fiber_dim=cfg.k,
-        warp=warp if warp is not None else build_warp(cfg.coefficient, cfg.collar_length),
+        warp=warp,
         base=base,
         fiber=build_spectrum(cfg.fiber, "fiber"),
-        mode=cfg.mode,
+        mode=mode,
     )
 
 
@@ -315,7 +309,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
         started = time.perf_counter()
         try:
             profile = WarpProfile(eps, cfg.delta, cfg.collar_length, symmetric=True)
-            spec = metric_spec_from_config(cfg, warp=profile)
+            spec = metric_spec_from_config(cfg, profile, "volume_preserving")
             result = sigma1_construction(spec, n_elements=cfg.mesh)
             mesh_size = len(graded_mesh(cfg.collar_length, cfg.mesh,
                                         profile.transition_intervals())) - 1
@@ -342,7 +336,10 @@ def run_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
 
 @dataclass(frozen=True)
 class KokarevRow:
-    """One surface-sweep epsilon, checked against sigma1 * L(boundary) <= 8 pi (genus + 1)."""
+    """One surface-sweep epsilon, checked against Kokarev's sigma1 * L(boundary) <= 8 pi.
+
+    Kokarev's bound is 8 pi (genus + 1); the annulus [0, L] x S^1 has genus 0.
+    """
 
     epsilon: float
     sigma1: float
@@ -358,7 +355,7 @@ def run_kokarev_sweep(cfg: ExperimentConfig) -> list[KokarevRow]:
     The warped surfaces here have n = k = 1, where the construction must not
     diverge; every row is expected to satisfy the bound.
     """
-    bound = 8.0 * math.pi * (cfg.genus + 1)
+    bound = 8.0 * math.pi
     fiber = build_spectrum(cfg.fiber, "fiber")
     if fiber.kind != "circle":
         raise ConfigError("fiber.kind: the surface check needs a circle fiber")
@@ -394,10 +391,12 @@ class QuasiIsoResult:
     max_ratio: float  # the largest max(r, 1/r) over the compared eigenvalue ratios r
 
 
-def metric_coefficient_ratio(
-    spec1: WarpedMetricSpec, spec2: WarpedMetricSpec, samples: int = 512
-) -> float:
-    """Max pointwise ratio of corresponding metric coefficients over sampled t.
+# the points of [0, L] at which metric_coefficient_ratio compares the warps
+_RATIO_SAMPLES = 512
+
+
+def metric_coefficient_ratio(spec1: WarpedMetricSpec, spec2: WarpedMetricSpec) -> float:
+    """Max pointwise ratio of corresponding metric coefficients over _RATIO_SAMPLES points t.
 
     The coefficients are powers h^p (p = 2 on the fiber, -2k/n or 0 on the
     base), so the ratio is exp(max |p| * max_t |ln h1 - ln h2|).
@@ -409,7 +408,7 @@ def metric_coefficient_ratio(
         raise DomainError("specs must describe metrics on the same underlying product")
     n, k = spec1.base_dim, spec1.fiber_dim
     top_power = max(2.0, 2.0 * k / n) if spec1.mode == "volume_preserving" else 2.0
-    ts = np.linspace(0.0, spec1.base.collar_length, samples)
+    ts = np.linspace(0.0, spec1.base.collar_length, _RATIO_SAMPLES)
     gap = np.abs(log_value(spec1.warp, ts) - log_value(spec2.warp, ts))
     return float(np.exp(top_power * gap.max()))
 
@@ -419,23 +418,19 @@ _QUASI_ISO_SLACK = 1e-9
 
 
 def quasi_iso_check(
-    spec1: WarpedMetricSpec,
-    spec2: WarpedMetricSpec,
-    dim_m: int,
-    k_max: int,
-    *,
-    n_elements: int = 400,
+    spec1: WarpedMetricSpec, spec2: WarpedMetricSpec, k_max: int, *, n_elements: int = 400
 ) -> QuasiIsoResult:
     """Eigenvalue-ratio bound for quasi-isometric metrics: ratios within C^(2m+1).
 
-    C is metric_coefficient_ratio at its default sampling. The zero
-    eigenvalue (index 0) is excluded; indices 1..k_max are compared, so
-    k_max must be at least 1.
+    C is metric_coefficient_ratio, and m = n + k the dimension of the warped
+    product the specs share (Colbois, El Soufi and Girouard, J. Funct. Anal.
+    261, 2011). The zero eigenvalue (index 0) is excluded; indices 1..k_max
+    are compared, so k_max must be at least 1.
     """
     if k_max < 1:
         raise DomainError("k_max must be at least 1")
     C = metric_coefficient_ratio(spec1, spec2)
-    power = C ** (2 * dim_m + 1)
+    power = C ** (2 * (spec1.base_dim + spec1.fiber_dim) + 1)
     v1, _ = first_eigenvalues(spec1, k_max + 1, n_elements=n_elements)
     v2, _ = first_eigenvalues(spec2, k_max + 1, n_elements=n_elements)
     first_violation = None
@@ -472,25 +467,29 @@ def random_profile_pairs(cfg: ExperimentConfig):
         yield tuple(pair)
 
 
+def run_quasi_iso(cfg: ExperimentConfig) -> list[QuasiIsoResult]:
+    """The ratio check on each of the config's random pairs, at its mesh and k_max."""
+    return [quasi_iso_check(s1, s2, cfg.k_max, n_elements=cfg.mesh)
+            for s1, s2 in random_profile_pairs(cfg)]
+
+
 # ---------------------------------------------------------------------------
 # volume normalization
 
 
 def normalize_volume(
-    integrand: np.ndarray,
-    weights: np.ndarray,
-    phi: np.ndarray,
-    dim: int,
-    target: float,
-    *,
-    c_bound: float = 1e3,
-    rel_tol: float = 1e-10,
-) -> float:
+    integrand: np.ndarray, weights: np.ndarray, phi: np.ndarray, dim: int, target: float
+) -> tuple[float, float]:
     """Conformal exponent c with quadrature of integrand * e^(c * dim * phi / 2) = target.
 
-    phi must be nonnegative and vanish on part of the domain; as c -> -inf
-    the volume tends to the measure of {phi = 0}, so targets at or below
-    that floor are infeasible. Root found by bracket expansion and bisection.
+    Returns c and the volume V(c) there. phi must be nonnegative and vanish
+    on part of the domain; as c -> -inf the volume falls to the measure of
+    {phi = 0}, so targets at or below that floor are infeasible. The excess
+    g(c) = ln(V(c) - floor) is a log-sum-exp of terms increasing and affine
+    in c, so it is increasing and convex: its tangents lie below it. Newton's
+    method on g(c) = ln(target - floor) from c = 0 therefore lands at or right
+    of the root after one step and then falls to it; it stops at the first
+    iterate that does not fall. The log-sum-exp keeps every exponential in range.
     """
     integrand = np.asarray(integrand, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -507,42 +506,31 @@ def normalize_volume(
         raise DomainError("dim must be at least 1")
     dv = integrand * weights
     floor = float(dv[phi == 0.0].sum())
-
-    def volume(c: float) -> float:
-        return float(np.sum(dv * np.exp(c * dim * phi / 2.0)))
-
-    if not np.any(phi > 0.0):
-        if abs(volume(0.0) - target) <= rel_tol * target:
-            return 0.0
+    grows = phi > 0.0
+    if not np.any(grows):
         raise InfeasibleError("phi vanishes everywhere; volume is fixed at the floor")
-    if target <= floor * (1.0 + 1e-15):
-        raise InfeasibleError(
-            f"target {target} is at or below the phi=0 floor volume {floor}"
-        )
+    if target <= floor:
+        raise InfeasibleError(f"target {target} is at or below the phi=0 floor volume {floor}")
+    log_dv, rate = np.log(dv[grows]), dim * phi[grows] / 2.0
 
-    lo, hi = 0.0, 0.0
-    if volume(0.0) < target:
-        hi = 1.0
-        while volume(hi) < target:
-            hi *= 2.0
-            if hi > c_bound:
-                raise NumericError(f"no bracket for c within |c| <= {c_bound}")
-    else:
-        lo = -1.0
-        while volume(lo) > target:
-            lo *= 2.0
-            if -lo > c_bound:
-                raise NumericError(f"no bracket for c within |c| <= {c_bound}")
-    for _ in range(400):
-        mid = 0.5 * (lo + hi)
-        value = volume(mid)
-        if abs(value - target) <= rel_tol * target:
-            return mid
-        if value < target:
-            lo = mid
-        else:
-            hi = mid
-    raise NumericError("bisection failed to reach the requested residual")
+    def excess(c: float) -> tuple[float, float]:
+        """g(c) and its slope g'(c), the softmax-weighted mean of the rates."""
+        z = log_dv + c * rate
+        top = float(z.max())
+        terms = np.exp(z - top)
+        total = float(terms.sum())
+        return top + math.log(total), float(terms @ rate) / total
+
+    goal = math.log(target - floor)
+    g, slope = excess(0.0)
+    c = (goal - g) / slope
+    while math.isfinite(c):
+        g, slope = excess(c)
+        after = c - (g - goal) / slope
+        if not after < c:
+            return c, floor + math.exp(g)
+        c = after
+    raise NumericError(f"no finite c reaches the target {target}")
 
 
 def ramp_phi_instance(samples: int, collar_fraction: float):

@@ -422,12 +422,3 @@ def revolution_spectrum(grid: RevolutionGrid) -> np.ndarray:
     w = p - (v @ p / (2.0 * v[0])) * v
     deflated = d[1:, 1:] - np.outer(v[1:], w[1:]) - np.outer(w[1:], v[1:])
     return np.concatenate(([0.0], sym_eig(deflated)))
-
-
-def revolution_steklov(grid: RevolutionGrid, count: int) -> np.ndarray:
-    """First `count` discrete Steklov eigenvalues of the warped cylinder."""
-    if count < 1 or count > grid.n_boundary:
-        raise DomainError(
-            f"count must lie in [1, {grid.n_boundary}] (boundary nodes), got {count}"
-        )
-    return revolution_spectrum(grid)[:count]

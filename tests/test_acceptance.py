@@ -49,3 +49,5 @@ def test_quasi_isometry_detail_names_its_tightest_pair():
     bound, ratio = tail.split(" (pair ")[0], tail.split("its largest ratio ")[1]
     # the pair with the smallest bound is the one the check constrains most
     assert 1.0 <= float(ratio) <= float(bound)
+    # surfaces have m = n + k = 2, so the bound is C^5
+    assert tail == "6.644 (pair 7), its largest ratio 1.432"

@@ -98,8 +98,7 @@ def test_circle_fiber_without_length_exits_two(tmp_path, capsys, experiment, fie
 def test_sweep_fiber_without_lambda1_exits_two(tmp_path, capsys, fiber):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
-        "experiment": "sweep", "n": 2, "k": 1, "mode": "volume_preserving",
-        "epsilon_list": [0.1], "delta": 0.6, "fiber": fiber,
+        "experiment": "sweep", "n": 2, "k": 1, "epsilon_list": [0.1], "delta": 0.6, "fiber": fiber,
     }))
     assert main(["sweep", "--config", str(config)]) == 2
     assert "fiber: the sweep needs a first nonzero eigenvalue" in capsys.readouterr().err
@@ -135,8 +134,7 @@ def test_sweep_nonfinite_cross_section_exits_two_before_any_solve(
     monkeypatch.setattr(experiments, "sigma1_construction", lambda *a, **kw: solves.append(a))
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
-        "experiment": "sweep", "n": 2, "k": 1, "mode": "volume_preserving",
-        "epsilon_list": [0.1], "delta": 0.6,
+        "experiment": "sweep", "n": 2, "k": 1, "epsilon_list": [0.1], "delta": 0.6,
         "cross_section": {"kind": "circle", "length": length},
     }))
     assert main(["sweep", "--config", str(config)]) == 2
@@ -145,16 +143,19 @@ def test_sweep_nonfinite_cross_section_exits_two_before_any_solve(
     assert solves == []
 
 
-def test_negative_genus_exits_two_before_any_solve(tmp_path, capsys, monkeypatch):
-    solves = []
-    monkeypatch.setattr(experiments, "sigma1_construction", lambda *a, **kw: solves.append(a))
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({
-        "experiment": "kokarev", "epsilon_list": [0.1], "delta": 0.6, "genus": -1,
-    }))
-    assert main(["kokarev", "--config", str(config)]) == 2
-    assert "genus: must be nonnegative" in capsys.readouterr().err
-    assert solves == []
+@pytest.mark.parametrize("command, fields, message", [
+    # the surface check always runs n = k = 1 on the annulus, of genus 0
+    ("kokarev", {"n": 1}, "n: read only by experiments 'spectrum', 'sweep', not 'kokarev'"),
+    ("kokarev", {"k": 2}, "k: read only by experiments 'spectrum', 'sweep', not 'kokarev'"),
+    ("kokarev", {"genus": 0}, "unknown config field(s): genus"),
+    # the sweep always runs volume_preserving
+    ("sweep", {"n": 2, "mode": "volume_preserving"},
+     "mode: read only by experiment 'spectrum', not 'sweep'"),
+])
+def test_field_the_run_fixes_exits_two_before_any_solve(tmp_path, capsys, monkeypatch, command,
+                                                         fields, message):
+    fields = {"epsilon_list": [0.1], "delta": 0.6, **fields}
+    refused_before_any_solve(tmp_path, capsys, monkeypatch, command, fields, message)
 
 
 def test_unknown_config_field_exits_two(tmp_path, capsys):
@@ -176,8 +177,8 @@ def test_quasi_iso_samples_exits_two(tmp_path, capsys):
 def test_sweep_outside_growth_window_exits_two(tmp_path, capsys, n, k, delta):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
-        "experiment": "sweep", "n": n, "k": k, "delta": delta, "mode": "volume_preserving",
-        "epsilon_list": [0.1, 0.01], "cross_section": {"kind": "circle", "length": 6.283},
+        "experiment": "sweep", "n": n, "k": k, "delta": delta, "epsilon_list": [0.1, 0.01],
+        "cross_section": {"kind": "circle", "length": 6.283},
     }))
     assert main(["sweep", "--config", str(config)]) == 2
     assert "delta must lie in (1/2, min(1, n/(2k)))" in capsys.readouterr().err
@@ -212,7 +213,7 @@ def test_import_and_spectrum_run_without_scipy():
 
 
 @pytest.mark.parametrize("field, value, reader", [
-    ("genus", 2, "kokarev"), ("pairs", 3, "quasi_iso"), ("k_max", 4, "quasi_iso"),
+    ("n_theta", 32, "oracle"), ("pairs", 3, "quasi_iso"), ("k_max", 4, "quasi_iso"),
 ])
 def test_field_the_experiment_never_reads_exits_two(tmp_path, capsys, field, value, reader):
     config = tmp_path / "config.json"
@@ -241,7 +242,7 @@ def test_plateau_symmetric_must_be_a_boolean(tmp_path, capsys, symmetric):
 @pytest.mark.parametrize("field", ["pairs", "k_max"])
 def test_quasi_iso_that_compares_nothing_exits_two(tmp_path, capsys, monkeypatch, field):
     solves = []
-    monkeypatch.setattr(cli, "quasi_iso_check", lambda *a, **kw: solves.append(a))
+    monkeypatch.setattr(cli, "run_quasi_iso", lambda *a, **kw: solves.append(a))
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"experiment": "quasi_iso", field: 0}))
     assert main(["quasi-iso", "--config", str(config)]) == 2
@@ -271,7 +272,7 @@ def test_nonpositive_epsilon_exits_two_before_any_solve(
 ):
     solves = []
     monkeypatch.setattr(experiments, "sigma1_construction", lambda *a, **kw: solves.append(a))
-    fields = {"n": 2, "mode": "volume_preserving"} if experiment == "sweep" else {}
+    fields = {"n": 2} if experiment == "sweep" else {}
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "experiment": experiment, "epsilon_list": epsilon_list, "delta": 0.6, **fields,
@@ -283,8 +284,8 @@ def test_nonpositive_epsilon_exits_two_before_any_solve(
 
 
 @pytest.mark.parametrize("command, fields, header", [
-    ("sweep", {"n": 2, "mode": "volume_preserving", "epsilon_list": [0.1, 0.05], "delta": 0.6,
-               "mesh": 100}, experiments.SWEEP_CSV_HEADER),
+    ("sweep", {"n": 2, "epsilon_list": [0.1, 0.05], "delta": 0.6, "mesh": 100},
+     experiments.SWEEP_CSV_HEADER),
     ("kokarev", {"epsilon_list": [0.1], "delta": 0.6, "mesh": 100},
      experiments.KOKAREV_CSV_HEADER),
     ("quasi-iso", {"pairs": 2, "k_max": 2, "mesh": 100},
@@ -296,6 +297,19 @@ def test_small_experiment_run_succeeds(tmp_path, capsys, command, fields, header
     config.write_text(json.dumps({"experiment": command.replace("-", "_"), **fields}))
     assert main([command, "--config", str(config)]) == 0
     assert capsys.readouterr().out.startswith(header)
+
+
+@pytest.mark.parametrize("target, dim, lines", [
+    (1.5, 2, ["c = 2.30037933722", "volume at c = 1.5 (target 1.5)"]),
+    # the bracketing solve ended in an overflow of exp, then in "no bracket for c"
+    (1e300, 9, ["c = 275.61572422", "volume at c = 1e+300 (target 1e+300)"]),
+    (1e300, 2, ["c = 1240.27075899", "volume at c = 1e+300 (target 1e+300)"]),
+])
+def test_normalize_volume_prints_the_volume_it_solved_for(tmp_path, capsys, target, dim, lines):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": "normalize_volume", "target": target, "dim": dim}))
+    assert main(["normalize-volume", "--config", str(config)]) == 0
+    assert capsys.readouterr().out.splitlines() == lines
 
 
 def refused_before_any_solve(tmp_path, capsys, monkeypatch, command, fields, message):
@@ -320,7 +334,7 @@ def test_normalize_volume_nonpositive_target_exits_two(tmp_path, capsys, monkeyp
 
 @pytest.mark.parametrize("command, fields", [
     ("spectrum", {"top": 2}),
-    ("sweep", {"n": 2, "mode": "volume_preserving", "epsilon_list": [0.1], "delta": 0.6}),
+    ("sweep", {"n": 2, "epsilon_list": [0.1], "delta": 0.6}),
     ("kokarev", {"epsilon_list": [0.1], "delta": 0.6}),
     ("quasi-iso", {}),
     ("verify", {}),
@@ -361,12 +375,11 @@ def test_smallest_accepted_values_run(capsys):
     assert len(capsys.readouterr().out.splitlines()) == 1 + 128
 
 
-SWEEP = {"n": 2, "mode": "volume_preserving", "epsilon_list": [0.1, 0.05], "delta": 0.6}
+SWEEP = {"n": 2, "epsilon_list": [0.1, 0.05], "delta": 0.6}
 KOKAREV = {"epsilon_list": [0.1, 0.05], "delta": 0.6}
 # one refused value for each branch of each rule in the config table
 RULE_CASES = [
     ("n", "spectrum", {"top": 2, "n": 0}, "n: must be at least 1"),
-    ("n", "kokarev", {**KOKAREV, "n": 2}, "n, k: the surface check runs with n = k = 1"),
     ("k", "spectrum", {"top": 2, "k": 0}, "k: must be at least 1"),
     ("collar_length", "spectrum", {"top": 2, "collar_length": -1},
      "collar_length: must be positive and finite"),
@@ -376,7 +389,6 @@ RULE_CASES = [
      "steklov_ends: expected 'both', 'left' or 'right'"),
     ("mode", "spectrum", {"top": 2, "mode": "bogus"},
      "mode: expected 'plain_warp' or 'volume_preserving'"),
-    ("mode", "sweep", {**SWEEP, "mode": "plain_warp"}, "mode: sweep requires 'volume_preserving'"),
     ("epsilon_list", "sweep", {**SWEEP, "epsilon_list": [0.05, 0.1]},
      "epsilon_list: must be strictly descending"),
     ("epsilon_list", "kokarev", {**KOKAREV, "collar_length": 0.6},
@@ -384,8 +396,20 @@ RULE_CASES = [
     ("delta", "kokarev", {**KOKAREV, "delta": 1.0}, "delta: must lie in (0, 1)"),
     ("mesh", "sweep", {**SWEEP, "mesh": 15}, "mesh: must be at least 16 elements"),
     ("mesh", "oracle", {"count": 4, "mesh": 31}, "mesh: must be at least 32 axial nodes"),
+    # sizes numpy cannot allocate, refused by field name rather than by a numpy ValueError
+    ("mesh", "spectrum", {"top": 2, "mesh": 2**20 + 1}, "mesh: must be at least 16 elements "
+     "and at most 1048576"),
+    ("mesh", "spectrum", {"top": 2, "mesh": 10**30}, "mesh: must be at least 16 elements "
+     "and at most 1048576"),
+    ("mesh", "oracle", {"count": 4, "mesh": 10**30}, "mesh: must be at least 32 axial nodes "
+     "and at most 1048576"),
     ("n_theta", "oracle", {"count": 4, "n_theta": 14},
      "n_theta: must be an even integer of at least 16"),
+    # 2**12 + 1 is odd, so the first even size past the bound checks the bound itself
+    ("n_theta", "oracle", {"count": 4, "n_theta": 2**12 + 2},
+     "n_theta: must be an even integer of at least 16 and at most 4096"),
+    ("n_theta", "oracle", {"count": 4, "n_theta": 10**30},
+     "n_theta: must be an even integer of at least 16 and at most 4096"),
     ("top", "spectrum", {"top": 0}, "top: must be positive"),
     ("count", "oracle", {"count": 0}, "count: must lie in [1, 128] (boundary nodes)"),
     ("seed", "quasi-iso", {"seed": -1}, "seed: must be nonnegative"),
@@ -394,11 +418,14 @@ RULE_CASES = [
     ("dim", "normalize-volume", {"target": 1.5, "dim": 0}, "dim: must be at least 1"),
     ("samples", "normalize-volume", {"target": 1.5, "dim": 2, "samples": 1},
      "samples: must be at least 2"),
+    ("samples", "normalize-volume", {"target": 1.5, "dim": 2, "samples": 2**24 + 1},
+     "samples: must be at least 2 and at most 16777216"),
+    ("samples", "normalize-volume", {"target": 1.5, "dim": 2, "samples": 10**30},
+     "samples: must be at least 2 and at most 16777216"),
     ("collar_fraction", "normalize-volume", {"target": 1.5, "dim": 2, "collar_fraction": 1.0},
      "collar_fraction: must lie in (0, 1)"),
     ("pairs", "quasi-iso", {"pairs": 0}, "pairs: must be at least 1"),
     ("k_max", "quasi-iso", {"k_max": 0}, "k_max: must be at least 1"),
-    ("genus", "kokarev", {**KOKAREV, "genus": -1}, "genus: must be nonnegative"),
 ]
 
 

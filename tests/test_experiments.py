@@ -1,5 +1,5 @@
 """Experiment drivers: the metric coefficient ratio of the quasi-isometry check, the
-Kokarev bound check, and config fields."""
+Kokarev bound check, the volume solve, and config fields."""
 
 import dataclasses
 import math
@@ -16,10 +16,11 @@ from steklovwarp import (
     point_spectrum,
 )
 from steklovwarp import experiments
-from steklovwarp.errors import ConfigError, DomainError
+from steklovwarp.errors import ConfigError, DomainError, InfeasibleError, NumericError
 from steklovwarp.experiments import (
     EXPERIMENTS,
     ExperimentConfig,
+    _RATIO_SAMPLES,
     config_from_dict,
     metric_coefficient_ratio,
     normalize_volume,
@@ -73,12 +74,11 @@ def bump(t):
     [(PLATEAU_A, PLATEAU_B), (PLATEAU_A, bump), (bump, lambda t: 1.0)],
     ids=["plateaus", "plateau-bump", "bump-unit"],
 )
-@pytest.mark.parametrize("samples", [2, 512])
-def test_matches_pointwise_ratio(mode, n, k, warps, samples):
+def test_matches_pointwise_ratio(mode, n, k, warps):
     # 2k/n = 6 > 2 at (n, k) = (1, 3), so the base coefficient sets the ratio there
     spec1, spec2 = (spec_for(w, mode, n, k) for w in warps)
-    expected = pointwise_ratio(spec1, spec2, samples)
-    assert metric_coefficient_ratio(spec1, spec2, samples) == pytest.approx(expected, rel=1e-12)
+    expected = pointwise_ratio(spec1, spec2, _RATIO_SAMPLES)
+    assert metric_coefficient_ratio(spec1, spec2) == pytest.approx(expected, rel=1e-12)
 
 
 def test_identical_warps_give_one():
@@ -86,14 +86,13 @@ def test_identical_warps_give_one():
     assert metric_coefficient_ratio(spec, spec) == 1.0
 
 
-@pytest.mark.parametrize("genus", [0, 2])
-def test_kokarev_bound_allows_only_its_slack(monkeypatch, genus):
+def test_kokarev_bound_allows_only_its_slack(monkeypatch):
     # one Steklov circle of length 1 where h = 1, so sigma1 * L(boundary) is sigma1 itself
     cfg = ExperimentConfig(
         experiment="kokarev", epsilon_list=[0.1], delta=0.6, steklov_ends="left",
-        fiber={"kind": "circle", "length": 1.0}, genus=genus,
+        fiber={"kind": "circle", "length": 1.0},
     )
-    bound = 8.0 * math.pi * (genus + 1)
+    bound = 8.0 * math.pi  # 8 pi (genus + 1) at the annulus's genus 0
     edge = bound * (1.0 + 1e-6)
     for sigma1, passed in ((edge, True), (math.nextafter(edge, math.inf), False)):
         stub = Sigma1Result(sigma1, "lambda0", sigma1, sigma1)
@@ -108,8 +107,61 @@ def test_quasi_iso_check_compares_at_least_one_eigenvalue(monkeypatch):
     monkeypatch.setattr(experiments, "first_eigenvalues", lambda *a, **kw: solves.append(a))
     spec = spec_for(PLATEAU_A, "volume_preserving", 2, 1)
     with pytest.raises(DomainError, match="k_max must be at least 1"):
-        quasi_iso_check(spec, spec, dim_m=2, k_max=0)
+        quasi_iso_check(spec, spec, k_max=0)
     assert solves == []
+
+
+@pytest.mark.parametrize("n, k, power", [(2, 1, 7), (1, 1, 5)])
+def test_ratio_bound_is_C_to_twice_the_dimension_plus_one(n, k, power):
+    # the warped product of an n-dimensional base and a k-dimensional fiber has m = n + k
+    spec1, spec2 = (spec_for(w, "volume_preserving", n, k) for w in (PLATEAU_A, PLATEAU_B))
+    result = quasi_iso_check(spec1, spec2, k_max=2, n_elements=100)
+    assert result.ratio_bound == result.coefficient_ratio**power
+
+
+def ramp_cases(count, seed):
+    """Seeded ramp instances with a target from just above the floor to 1e300 times the total."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        samples, dim = int(rng.integers(2, 3001)), int(rng.integers(1, 12))
+        integrand, weights, phi = ramp_phi_instance(samples, float(rng.uniform(0.05, 0.95)))
+        dv = integrand * weights
+        floor, total = float(dv[phi == 0.0].sum()), float(dv.sum())
+        if rng.uniform() < 0.5:
+            target = floor * (1.0 + 10.0 ** rng.uniform(-14.0, 0.0))
+        else:
+            target = total * 10.0 ** rng.uniform(0.0, 300.0)
+        yield integrand, weights, phi, dim, target
+
+
+def test_volume_solve_meets_each_target():
+    # pyproject turns a RuntimeWarning, such as an overflow in exp, into an error
+    for integrand, weights, phi, dim, target in ramp_cases(300, seed=18):
+        c, volume = normalize_volume(integrand, weights, phi, dim, target)
+        direct = float(np.sum(integrand * weights * np.exp(c * dim * phi / 2.0)))
+        assert volume == pytest.approx(target, rel=1e-12)
+        assert direct == pytest.approx(target, rel=1e-12)
+
+
+@pytest.mark.parametrize("dim", [9, 2])
+def test_volume_solve_reaches_a_target_of_1e300(dim):
+    # a bracket on c that doubled past |c| = 1000 overflowed exp at dim 9 and gave up at dim 2
+    integrand, weights, phi = ramp_phi_instance(512, 0.25)
+    c, volume = normalize_volume(integrand, weights, phi, dim, 1e300)
+    assert volume == pytest.approx(1e300, rel=1e-12)
+
+
+def test_volume_solve_refuses_targets_no_c_reaches():
+    integrand, weights, phi = ramp_phi_instance(64, 0.25)
+    floor = float(np.sum((integrand * weights)[phi == 0.0]))
+    for target in (floor, 0.5 * floor):
+        with pytest.raises(InfeasibleError, match="at or below the phi=0 floor"):
+            normalize_volume(integrand, weights, phi, 2, target)
+    with pytest.raises(InfeasibleError, match="phi vanishes everywhere"):
+        normalize_volume(integrand, weights, np.zeros_like(phi), 2, 2.0)
+    # at phi = 1e-320 the volume reaches 3 only at a c beyond the float range
+    with pytest.raises(NumericError, match="no finite c reaches the target"):
+        normalize_volume(np.ones(2), np.ones(2), np.array([0.0, 1e-320]), 1, 3.0)
 
 
 def test_volume_instance_refuses_values_without_a_meaning():
@@ -138,6 +190,16 @@ def test_normalize_volume_reads_its_fields():
     assert (cfg.samples, cfg.collar_fraction) == (64, 0.5)
 
 
+@pytest.mark.parametrize("fields", [
+    {"experiment": "spectrum", "top": 2.0, "mesh": 2**20},
+    {"experiment": "oracle", "count": 4, "mesh": 2**20, "n_theta": 2**12},
+    {"experiment": "normalize_volume", "target": 2.0, "dim": 2, "samples": 2**24},
+])
+def test_largest_accepted_sizes(fields):
+    cfg = config_from_dict(fields)
+    assert all(getattr(cfg, name) == value for name, value in fields.items())
+
+
 def reads(experiment):
     """(required, optional) fields that the config table says `experiment` reads."""
     rows = [f for f in dataclasses.fields(ExperimentConfig)
@@ -156,8 +218,6 @@ def test_each_read_field_accepted(experiment):
     required, optional = reads(experiment)
     defaults = ExperimentConfig(experiment="verify")
     base = {"experiment": experiment, **{name: REQUIRED_VALUES[name] for name in required}}
-    if experiment == "sweep":  # the sweep refuses the default plain_warp mode
-        base["mode"] = "volume_preserving"
     for name in optional:
         value = base.get(name, getattr(defaults, name))
         cfg = config_from_dict({**base, name: value})
@@ -165,7 +225,7 @@ def test_each_read_field_accepted(experiment):
 
 
 @pytest.mark.parametrize("field, value, reader", [
-    ("genus", 2, "kokarev"), ("pairs", 3, "quasi_iso"), ("k_max", 4, "quasi_iso"),
+    ("n_theta", 32, "oracle"), ("pairs", 3, "quasi_iso"), ("k_max", 4, "quasi_iso"),
 ])
 def test_experiment_specific_field_rejected_elsewhere(field, value, reader):
     for experiment in sorted(set(EXPERIMENTS) - {reader}):
@@ -182,8 +242,8 @@ def test_experiment_specific_field_rejected_elsewhere(field, value, reader):
 
 def test_every_unread_field_named():
     with pytest.raises(ConfigError) as info:
-        config_from_dict({"experiment": "spectrum", "top": 2.0, "genus": 3, "k_max": 9})
-    assert str(info.value).startswith("genus: read only by experiment 'kokarev', not 'spectrum'; "
+        config_from_dict({"experiment": "spectrum", "top": 2.0, "count": 3, "k_max": 9})
+    assert str(info.value).startswith("count: read only by experiment 'oracle', not 'spectrum'; "
                                       "k_max: read only by experiment 'quasi_iso'")
 
 

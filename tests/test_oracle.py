@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from steklovwarp import (
     BaseGeometry,
-    DomainError,
     MeshResolutionError,
     NumericError,
     RevolutionGrid,
@@ -30,7 +29,6 @@ from steklovwarp.oracle import (
     assemble_revolution,
     make_grid,
     revolution_spectrum,
-    revolution_steklov,
 )
 
 # plateau and bump are mirror-symmetric; the ramp is not, so "left" and
@@ -396,14 +394,6 @@ def test_decomposition_matches_grid_with_its_discrete_fiber(warp_name, shape, en
     assert assembled.shape == direct.shape
     dev = np.abs(assembled - direct) / np.maximum(np.abs(direct), 1.0)
     assert dev.max() <= 1e-9
-
-
-@pytest.mark.parametrize("count", [0, 33])
-def test_count_outside_boundary_nodes_rejected(count):
-    grid = grid_for("bump", (64, 16), "both")
-    assert grid.n_boundary == 32
-    with pytest.raises(DomainError):
-        revolution_steklov(grid, count)
 
 
 def test_directly_built_grid_must_resolve_transitions():
