@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .assembler import first_eigenvalues, surface_spec
+from .assembler import first_eigenvalues, steklov_spectrum_warped, surface_spec
 from .experiments import (
     ExperimentConfig,
     normalize_volume,
@@ -27,7 +27,7 @@ from .experiments import (
 )
 from .oracle import make_grid, revolution_spectrum
 from .profiles import WarpedMetricSpec, WarpProfile, power_fn, volume_element_ratio
-from .spectra import TWO_PI, circle_spectrum
+from .spectra import TWO_PI, circle_spectrum, discrete_circle_spectrum
 from .sturm import BaseGeometry, SteklovEnd, SturmProblem, dtn_eigenvalues, graded_mesh
 
 # Default growth-sweep exponent. sigma1 grows like eps^-r with
@@ -130,6 +130,16 @@ def criterion_1_cylinder_closed_form() -> CriterionResult:
     return _timed(1, "cylinder closed form", body, limit_s=5.0)
 
 
+def _paired_deviations(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Relative deviations of two ascending lists paired in order, over the shorter.
+
+    The floor of 1 compares near-zero values absolutely.
+    """
+    n = min(len(a), len(b))
+    a, b = a[:n], b[:n]
+    return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
+
+
 def criterion_2_decomposition_vs_oracle() -> CriterionResult:
     def body():
         length = 1.0
@@ -150,13 +160,13 @@ def criterion_2_decomposition_vs_oracle() -> CriterionResult:
         # later entry, so it holds every assembled eigenvalue below top
         assembled = spectrum.flatten()
         assembled = assembled[assembled <= top]
-        direct = revolution_spectrum(make_grid(length, TWO_PI, bump, n_axial=256, n_theta=64))
-        direct = direct[direct <= top]
-        # pair the sorted values; the floor of 1 compares near-zero values absolutely
+        grid = make_grid(length, TWO_PI, bump, n_axial=256, n_theta=64)
+        whole = revolution_spectrum(grid)
+        direct = whole[whole <= top]
         tol = 1e-2
-        n = min(len(direct), len(assembled))
+        dev = _paired_deviations(direct, assembled)
+        n = len(dev)
         a, b = direct[:n], assembled[:n]
-        dev = np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
         max_dev = float(dev.max(initial=0.0))
         matched = len(direct) == len(assembled) and max_dev <= tol
         detail = (
@@ -171,7 +181,20 @@ def criterion_2_decomposition_vs_oracle() -> CriterionResult:
             side, extra = ("oracle", direct) if len(direct) > n else ("assembler", assembled)
             detail += (f"; first mismatch: count mismatch at index {n}: "
                        f"unmatched {side} value {extra[n]:.8g}")
-        return matched and len(direct) >= 15, detail
+        # on the grid's own discretization, its discrete circle as the fiber and
+        # its axial nodes, the decomposition gives the whole grid spectrum up to
+        # roundoff
+        same_grid = replace(spec, fiber=discrete_circle_spectrum(TWO_PI, grid.n_theta))
+        same = steklov_spectrum_warped(same_grid, math.inf, n_elements=grid.n_axial - 1).flatten()
+        same_tol = 1e-9
+        same_dev = float(_paired_deviations(whole, same).max(initial=0.0))
+        same_matched = len(whole) == len(same) and same_dev <= same_tol
+        detail += (
+            f"; same grid {'pass' if same_matched else 'FAIL'}: {len(whole)} oracle vs "
+            f"{len(same)} assembler eigenvalues, max relative deviation {same_dev:.3e} "
+            f"(tol {same_tol:.1e})"
+        )
+        return matched and len(direct) >= 15 and same_matched, detail
 
     return _timed(2, "decomposition theorem vs direct oracle", body, limit_s=60.0)
 

@@ -129,6 +129,23 @@ def flat_torus_spectrum(l1: float, l2: float, count: int) -> ClosedSpectrum:
     return _head("flat_torus", (l1, l2), count)
 
 
+def discrete_circle_spectrum(length: float, n_theta: int) -> ClosedSpectrum:
+    """Complete spectrum of the n_theta-point periodic difference Laplacian on a circle.
+
+    With dth = length / n_theta, its eigenvalues are (4/dth^2) sin^2(pi j/n_theta)
+    for j = 0 ... n_theta/2, with multiplicity 1 at both ends of that range
+    and 2 between: the fiber of the oracle's tensor grid.
+    """
+    if not 0.0 < length < math.inf:  # NaN fails both comparisons
+        raise DomainError("circle length must be positive and finite")
+    if n_theta < 2 or n_theta % 2:
+        raise DomainError("n_theta must be a positive even integer")
+    dth = length / n_theta
+    half = n_theta // 2
+    values = [(4.0 / dth**2) * math.sin(math.pi * j / n_theta) ** 2 for j in range(half + 1)]
+    return explicit_spectrum(zip(values, [1] + [2] * (half - 1) + [1]), complete=True)
+
+
 def point_spectrum() -> ClosedSpectrum:
     """Spectrum of a 0-dimensional connected cross-section: {0} and nothing else.
 

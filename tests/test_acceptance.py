@@ -41,6 +41,28 @@ def test_oracle_value_off_by_ten_percent_fails(monkeypatch):
     assert "; first mismatch: index 3: oracle " in result.detail
 
 
+def test_grid_pairing_reads_the_whole_spectrum():
+    result = acceptance.criterion_2_decomposition_vs_oracle()
+    assert result.passed
+    same_grid = result.detail.split("; same grid ")[1]
+    assert same_grid.startswith("pass: 128 oracle vs 128 assembler eigenvalues")
+    assert float(same_grid.split("max relative deviation ")[1].split()[0]) <= 1e-9
+
+
+def test_oracle_value_above_the_cutoff_off_by_1e_8_fails(monkeypatch):
+    # the 100th grid eigenvalue lies above the cutoff of the first pairing,
+    # so only the pairing on the grid's own discretization sees it
+    def scale_hundredth(values):
+        values = values.copy()
+        values[99] *= 1.0 + 1e-8
+        return values
+
+    result = oracle_with(monkeypatch, scale_hundredth)
+    assert not result.passed
+    assert result.detail.startswith("pass: 16 oracle vs 16 assembler eigenvalues")
+    assert "; same grid FAIL: 128 oracle vs 128 assembler eigenvalues" in result.detail
+
+
 def test_quasi_isometry_detail_names_its_tightest_pair():
     result = acceptance.criterion_8_quasi_isometry(seed=0)
     assert result.passed

@@ -16,13 +16,14 @@ from steklovwarp import (
     WarpedMetricSpec,
     WarpProfile,
     dtn_matrix,
-    explicit_spectrum,
     point_spectrum,
     steklov_spectrum_warped,
     sym_eig,
 )
+from steklovwarp import oracle
 from steklovwarp.oracle import (
     _RUN_RTOL,
+    _mirror_symmetric,
     _ring_coefficients,
     _ring_schur,
     _uniform_runs,
@@ -30,8 +31,10 @@ from steklovwarp.oracle import (
     make_grid,
     revolution_spectrum,
 )
+from steklovwarp.spectra import discrete_circle_spectrum
 
-# plateau and bump are mirror-symmetric; the ramp is not, so "left" and
+# plateau, bump and constant are mirror-symmetric, so with both ends
+# Steklov only their left half is eliminated; the ramp is not, so "left" and
 # "right" differ and the reversed elimination of "right" is checked. The
 # ring elimination folds runs of uniform sections on the plateau and
 # constant grids, and none on the bump and ramp grids.
@@ -155,10 +158,15 @@ def per_ring_schur(cax, cfib, diag_ring, n_theta, both):
     return np.block([[p, q], [q.T, r]])
 
 
-@pytest.mark.parametrize("ends", ENDS)
+@pytest.mark.parametrize("warp_name, ends", [
+    *(("ramp", ends) for ends in ENDS),
+    ("bump", "left"),
+    ("bump", "right"),
+])
 @pytest.mark.parametrize("shape", GRIDS + [(256, 64)])
-@pytest.mark.parametrize("warp_name", ["bump", "ramp"])
 def test_grid_without_runs_is_eliminated_ring_by_ring(warp_name, shape, ends):
+    # the bump with both ends Steklov is mirror-symmetric and takes the
+    # mirrored path; see test_mirrored_grid_matches_the_whole_axis
     grid = grid_for(warp_name, shape, ends)
     _, cax, cfib, diag_ring, _ = _ring_coefficients(grid)
     if ends == "right":  # the order revolution_spectrum eliminates them in
@@ -167,6 +175,105 @@ def test_grid_without_runs_is_eliminated_ring_by_ring(warp_name, shape, ends):
     both = ends == "both"
     schur = _ring_schur(cax, cfib, diag_ring, grid.n_theta, both)
     assert np.array_equal(schur, per_ring_schur(cax, cfib, diag_ring, grid.n_theta, both))
+
+
+def whole_axis_schur(monkeypatch, cax, cfib, diag_ring, n_theta, both):
+    """_ring_schur with the mirror check switched off: every ring of the axis is eliminated."""
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_mirror_symmetric", lambda cax, cfib: False)
+        return _ring_schur(cax, cfib, diag_ring, n_theta, both)
+
+
+def deviation(values, expected):
+    return (np.abs(values - expected) / np.maximum(np.abs(expected), 1.0)).max()
+
+
+# (warp, n_axial asked of make_grid, rings it gets): each warp on both ring
+# count parities; the plateau's graded mesh adds nodes in its transitions
+MIRRORED = [
+    ("bump", 64, 64),
+    ("bump", 65, 65),
+    ("plateau", 87, 105),
+    ("plateau", 140, 150),
+    ("constant", 64, 64),
+    ("constant", 65, 65),
+]
+
+
+@pytest.mark.parametrize("warp_name, n_axial, n_rings", MIRRORED)
+def test_mirrored_grid_matches_the_whole_axis(monkeypatch, warp_name, n_axial, n_rings):
+    grid = make_grid(1.0, 2.0 * math.pi, WARPS[warp_name], n_axial, 16)
+    assert grid.n_axial == n_rings
+    _, cax, cfib, diag_ring, _ = _ring_coefficients(grid)
+    assert _mirror_symmetric(cax, cfib)
+    schur = _ring_schur(cax, cfib, diag_ring, grid.n_theta, True)
+    assert np.array_equal(schur, schur.T)
+    expected = np.linalg.eigvalsh(per_ring_schur(cax, cfib, diag_ring, grid.n_theta, True))
+    assert deviation(np.linalg.eigvalsh(schur), expected) <= 1e-10
+    values = revolution_spectrum(grid)
+    assert values[0] == 0.0
+    whole = whole_axis_schur(monkeypatch, cax, cfib, diag_ring, grid.n_theta, True)
+    assert deviation(np.linalg.eigvalsh(schur), np.linalg.eigvalsh(whole)) <= 1e-10
+    # the banded reference rounds the plateau's ring diagonals its own way and
+    # lies up to 6.5e-10 from the ring elimination on either path, so the
+    # plateau is held to the module's 1e-8 against it
+    banded = np.sort(sym_eig(dtn_matrix(assemble_revolution(grid))))
+    assert deviation(values, banded) <= (1e-8 if warp_name == "plateau" else 1e-10)
+
+
+def count_factors(monkeypatch):
+    """Cholesky factors made from here on: every ring step and every join makes one."""
+    from scipy.linalg import lapack
+
+    calls = []
+    dpotrf = lapack.dpotrf
+    monkeypatch.setattr(lapack, "dpotrf", lambda *a, **kw: calls.append(1) or dpotrf(*a, **kw))
+    return lambda: len(calls)
+
+
+@pytest.mark.parametrize("n_axial", [256, 255])
+def test_mirrored_bump_factors_half_its_rings(monkeypatch, n_axial):
+    # the whole axis takes n_axial - 2 ring steps; the mirrored path takes
+    # those of the left half and one join through the middle
+    grid = grid_for("bump", (n_axial, 64), "both")
+    _, cax, cfib, diag_ring, _ = _ring_coefficients(grid)
+    factors = count_factors(monkeypatch)
+    _ring_schur(cax, cfib, diag_ring, grid.n_theta, True)
+    mirrored = factors()
+    whole_axis_schur(monkeypatch, cax, cfib, diag_ring, grid.n_theta, True)
+    assert mirrored <= n_axial // 2 + 2
+    assert factors() - mirrored == n_axial - 2
+
+
+@pytest.mark.parametrize("warp_name", ["bump", "plateau", "constant"])
+@pytest.mark.parametrize("offset, mirrored", [(0.5e-12, True), (2e-12, False)])
+def test_mirror_check_holds_each_section_to_the_run_tolerance(
+    monkeypatch, warp_name, offset, mirrored
+):
+    # one right-half axial conductance moved by twice _RUN_RTOL makes the grid
+    # asymmetric, and the whole axis is eliminated as before
+    grid = grid_for(warp_name, (128, 32), "both")
+    _, cax, cfib, diag_ring, _ = _ring_coefficients(grid)
+    cax = cax.copy()
+    cax[len(cax) - 10] *= 1.0 + offset
+    assert _mirror_symmetric(cax, cfib) == mirrored
+    schur = _ring_schur(cax, cfib, diag_ring, grid.n_theta, True)
+    whole = whole_axis_schur(monkeypatch, cax, cfib, diag_ring, grid.n_theta, True)
+    if mirrored:
+        assert deviation(np.linalg.eigvalsh(schur), np.linalg.eigvalsh(whole)) <= 1e-10
+        return
+    assert np.array_equal(schur, whole)
+    if warp_name == "bump":  # no runs: the whole axis takes one step per ring
+        assert np.array_equal(schur, per_ring_schur(cax, cfib, diag_ring, grid.n_theta, True))
+
+
+@pytest.mark.parametrize("ends", ["left", "right"])
+@pytest.mark.parametrize("warp_name", ["bump", "plateau", "constant"])
+def test_one_ended_grid_skips_the_mirror_check(monkeypatch, warp_name, ends):
+    # the reflection of a two-port needs both ends as ports, so with one end
+    # Steklov the whole axis is eliminated, whatever the warp's symmetry
+    monkeypatch.setattr(oracle, "_mirror_symmetric", lambda cax, cfib: pytest.fail("consulted"))
+    assert revolution_spectrum(grid_for(warp_name, (128, 32), ends))[0] == 0.0
 
 
 @pytest.mark.parametrize("shape", GRIDS + [(256, 64)])
@@ -245,10 +352,12 @@ def test_uniform_runs_of_the_grids_match_one_greedy_scan(warp_name):
 
 
 @pytest.mark.parametrize("ends", ["both", "left"])
-def test_later_run_reuses_a_power_from_ring_0(ends):
+def test_later_run_reuses_a_power_from_ring_0(monkeypatch, ends):
     # the ring-0 run has 4 sections, a power of two, so its two-port is a
     # cached power whose B block becomes the state's Q; the last run has the
-    # same section and length and reuses it, after the ring steps that update Q
+    # same section and length and reuses it, after the ring steps that update
+    # Q. The grid is mirror-symmetric, so with both ends the mirror is
+    # switched off to reach the last run
     warp = WarpProfile(0.15, 2.0 / 3.0, 1.0, symmetric=True)
     grid = make_grid(1.0, 2.0 * math.pi, warp, 64, 16, ends)
     _, cax, cfib, diag_ring, _ = _ring_coefficients(grid)
@@ -259,7 +368,8 @@ def test_later_run_reuses_a_power_from_ring_0(ends):
     shared = sections[last : last + 4]
     assert np.all(np.abs(shared - sections[0]) <= _RUN_RTOL * np.abs(sections[0]))
     both = ends == "both"
-    schur = _ring_schur(cax, cfib, diag_ring, grid.n_theta, both)
+    assert _mirror_symmetric(cax, cfib)
+    schur = whole_axis_schur(monkeypatch, cax, cfib, diag_ring, grid.n_theta, both)
     reference = per_ring_schur(cax, cfib, diag_ring, grid.n_theta, both)
     values, expected = np.linalg.eigvalsh(schur), np.linalg.eigvalsh(reference)
     dev = np.abs(values - expected) / np.maximum(np.abs(expected), 1.0)
@@ -360,19 +470,6 @@ def test_ring_elimination_matches_extended_precision(epsilon, ends):
     assert dev.max() <= 1e-8
 
 
-def discrete_circle(fiber_length, n_theta):
-    """Complete spectrum of the n_theta-point periodic Laplacian on a circle.
-
-    Its eigenvalues are (4/dth^2) sin^2(pi j/n_theta) for j = 0 ... n_theta/2,
-    with multiplicity 1 at both ends of that range and 2 between.
-    """
-    dth = fiber_length / n_theta
-    half = n_theta // 2
-    values = [(4.0 / dth**2) * math.sin(math.pi * j / n_theta) ** 2 for j in range(half + 1)]
-    mults = [1] + [2] * (half - 1) + [1]
-    return explicit_spectrum(zip(values, mults), complete=True)
-
-
 @pytest.mark.parametrize("ends", ENDS)
 @pytest.mark.parametrize("shape", GRIDS + [(256, 64)])
 @pytest.mark.parametrize("warp_name", ["bump", "ramp"])
@@ -386,7 +483,7 @@ def test_decomposition_matches_grid_with_its_discrete_fiber(warp_name, shape, en
         fiber_dim=1,
         warp=grid.warp,
         base=BaseGeometry(point_spectrum(), grid.length, ends),
-        fiber=discrete_circle(grid.fiber_length, grid.n_theta),
+        fiber=discrete_circle_spectrum(grid.fiber_length, grid.n_theta),
         mode="plain_warp",
     )
     assembled = steklov_spectrum_warped(spec, math.inf, n_elements=grid.n_axial - 1).flatten()

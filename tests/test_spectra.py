@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -78,6 +79,32 @@ class TestCircle:
         assert values == sorted(values)
         assert len(set(values)) == len(values)
         assert all(m >= 1 for _, m in spec.entries)
+
+
+class TestDiscreteCircle:
+    @pytest.mark.parametrize("n_theta", [2, 4, 16, 64])
+    @pytest.mark.parametrize("length", [1.0, TWO_PI])
+    def test_matches_the_periodic_difference_laplacian(self, length, n_theta):
+        # (2 u_i - u_{i-1} - u_{i+1}) / dth^2 on n_theta points around the circle
+        dth = length / n_theta
+        eye = np.eye(n_theta)
+        laplacian = (2.0 * eye - np.roll(eye, 1, axis=0) - np.roll(eye, -1, axis=0)) / dth**2
+        spec = spectra.discrete_circle_spectrum(length, n_theta)
+        assert spec.complete
+        flat = np.repeat([v for v, _ in spec.entries], [m for _, m in spec.entries])
+        expected = np.linalg.eigvalsh(laplacian)
+        assert flat.shape == expected.shape
+        assert np.abs(flat - expected).max() <= 1e-12 * expected.max()
+
+    @pytest.mark.parametrize("length, n_theta, message", [
+        (0.0, 16, "circle length must be positive and finite"),
+        (math.nan, 16, "circle length must be positive and finite"),
+        (1.0, 0, "n_theta must be a positive even integer"),
+        (1.0, 15, "n_theta must be a positive even integer"),
+    ])
+    def test_bad_input_rejected(self, length, n_theta, message):
+        with pytest.raises(DomainError, match=message):
+            spectra.discrete_circle_spectrum(length, n_theta)
 
 
 class TestFlatTorus:
