@@ -23,22 +23,19 @@ doubling, as cyclic reduction does for constant-coefficient block
 systems (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 1970), and
 joined to the state in one block elimination of 9.7 n_theta^3 flops
 instead of m ring steps. The doubling costs about log2(m) + popcount(m)
-eliminations per distinct section, not per run: within one call, a run
-whose sections all lie within 1e-12 of an earlier run's section reuses
-that section's powers, and a run of the same length its whole two-port,
-as the mirrored runs of a symmetric plateau do. A run is folded only
-when a fresh build takes fewer eliminations than its ring steps.
-Folding moves each conductance of the run by at most 1e-12 relative,
-and so each eigenvalue by at most that factor (see _ring_schur).
+eliminations, and a run is folded only when that is fewer than its
+ring steps. Folding moves each conductance of the run by at most 1e-12
+relative, and so each eigenvalue by at most that factor (see _ring_schur).
 
 The collar warp is a function of the distance to the boundary, so a grid
-with both ends Steklov is most often mirror-symmetric about its middle.
-When each conductance lies within the same 1e-12 of its mirror image,
-only the left half is eliminated, and its two-port is joined to its own
-reflection through the middle (a symmetric two-port is fixed by its half,
-Bartlett's bisection theorem): half the ring steps plus one join. This
-moves each right-half conductance by at most 1e-12 relative, and so each
-eigenvalue by at most that factor.
+is most often mirror-symmetric about its middle, whichever ends are
+Steklov. When each conductance lies within the same 1e-12 of its mirror
+image, only the left half is eliminated, and its two-port is joined to
+its own reflection through the middle (a symmetric two-port is fixed by
+its half, Bartlett's bisection theorem): half the ring steps plus one
+join, and with one end Neumann one more join that eliminates that end
+ring. This moves each right-half conductance by at most 1e-12 relative,
+and so each eigenvalue by at most that factor.
 
 Each K_j is treated as a general SPD block.
 Its circulant structure is deliberately left unused: separating Fourier
@@ -53,6 +50,7 @@ the reference the ring elimination is tested against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +58,7 @@ import numpy as np
 from .errors import DomainError, NumericError
 from .linalg import PartitionedSystem, sym_eig
 from .profiles import Warp, transition_spans, value_fn
-from .sturm import check_mesh, graded_mesh, lumped_mass
+from .sturm import check_mesh, check_span, graded_mesh, lumped_mass
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,10 +78,11 @@ class RevolutionGrid:
             raise DomainError(f"need at least 32 axial nodes, got {len(nodes)}")
         if self.n_theta < 16 or self.n_theta % 2 != 0:
             raise DomainError("n_theta must be an even integer of at least 16")
-        if self.fiber_length <= 0.0:
-            raise DomainError("fiber length must be positive")
+        if not 0.0 < self.fiber_length < math.inf:  # NaN fails both comparisons
+            raise DomainError("circle length must be positive and finite")
         if self.steklov_ends not in ("both", "left", "right"):
             raise DomainError(f"bad steklov_ends {self.steklov_ends!r}")
+        check_span(nodes, self.length)
         check_mesh(nodes, transition_spans(self.warp))
         object.__setattr__(self, "axial_nodes", nodes)
 
@@ -128,12 +127,15 @@ def _ring_coefficients(
     # axial conductance between rings i and i+1, fiber conductance within ring i
     cax = hm * dth / np.diff(t)
     cfib = lumped_mass(t) / (hv * dth)
+    return hv, cax, cfib, _ring_diagonals(cax, cfib), dth
 
-    diag_ring = np.zeros(len(t))
+
+def _ring_diagonals(cax: np.ndarray, cfib: np.ndarray) -> np.ndarray:
+    """Diagonal entry of each ring block: its axial conductances, then twice its fiber one."""
+    diag_ring = np.zeros(len(cfib))
     diag_ring[:-1] += cax
     diag_ring[1:] += cax
-    diag_ring += 2.0 * cfib
-    return hv, cax, cfib, diag_ring, dth
+    return diag_ring + 2.0 * cfib
 
 
 def assemble_revolution(grid: RevolutionGrid) -> PartitionedSystem:
@@ -236,15 +238,14 @@ def _mirror_symmetric(cax: np.ndarray, cfib: np.ndarray) -> bool:
     )
 
 
-def _ring_schur(
-    cax: np.ndarray, cfib: np.ndarray, diag_ring: np.ndarray, n_theta: int, both: bool
-) -> np.ndarray:
+def _ring_schur(cax: np.ndarray, cfib: np.ndarray, n_theta: int, both: bool) -> np.ndarray:
     """Schur complement of the grid energy onto ring 0, and onto the last ring if `both`.
 
     Eliminates rings 1, 2, ... one at a time. The state is the two-port
     [[P, Q], [Q^T, R]] on ring 0 and the frontier ring; eliminating the
     frontier ring j, which couples to ring j+1 by -cax[j] I, gives
-    P - Q R^-1 Q^T, cax[j] Q R^-1 and K_{j+1} - cax[j]^2 R^-1.
+    P - Q R^-1 Q^T, cax[j] Q R^-1 and K_{j+1} - cax[j]^2 R^-1, where K_j
+    has the diagonal diag_ring[j] of _ring_diagonals.
 
     Each step uses one Cholesky factor R = L L^T and M = L^-1 (dtrtri), so
     R^-1 = M^T M. With W = Q M^T (dtrmm), P loses W W^T (dsyrk), Q becomes
@@ -253,9 +254,7 @@ def _ring_schur(
     triangles in Fortran order and mirrored once, at the end.
 
     A run of uniform sections (see _uniform_runs) is folded instead, with
-    the conductances c = cax[s], f = cfib[s + 1] of one section s: the
-    first section of the earliest run in this call such that each section
-    of this run lies within _RUN_RTOL of it, most often its own first.
+    the conductances c = cax[s], f = cfib[s + 1] of its first section s.
     Two-ports are joined in the form (X, B, Y), X = A + B and Y = C + B^T:
     the parts of the energy that vanish on constant rings. They are small
     where the axial conductance dwarfs the fiber one (1e8 times on the
@@ -271,21 +270,18 @@ def _ring_schur(
     rounding of the grid's own ring diagonals. Binary powering builds a
     run of m sections: it squares (joins a power with itself)
     floor(log2 m) times and joins the popcount(m) powers that m's binary
-    digits select. The powers of a section s are built once per call and
-    serve every run folded with s, and a later run of the same length
-    reuses the whole run. One more join folds the run into the state,
-    turned into (X, B, Y) and back. So the fold costs about
-    (log2 m + popcount m) 9.7 n_theta^3 flops per distinct section, not
-    per run, and 9.7 n_theta^3 per run, against 4 m n_theta^3 for the
-    ring steps of a run. So that no edge is added to a block and taken
-    away again, a frontier ring where a run starts holds only the half of
-    its block it owns, the fiber energy and the edge on its left; the run
-    brings the edge on its right. The blocks stay general SPD; their
+    digits select. One more join folds the run into the state, turned
+    into (X, B, Y) and back. So the fold costs about
+    (log2 m + popcount m) 9.7 n_theta^3 flops, against 4 m n_theta^3 for
+    the ring steps of the run. So that no edge is added to a block and
+    taken away again, a frontier ring where a run starts holds only the
+    half of its block it owns, the fiber energy and the edge on its left;
+    the run brings the edge on its right. The blocks stay general SPD; their
     Fourier structure is not used. Rings outside runs take the ring step
     above.
 
-    Every section of a run is within _RUN_RTOL = 1e-12 of the section s
-    it is folded with, so folding moves each conductance by at most that
+    Every section of a run is within _RUN_RTOL = 1e-12 of its first
+    section s, so folding moves each conductance by at most that
     factor. The grid energy is a sum of conductance-weighted squared
     differences, and the boundary mass does not change, so each
     eigenvalue of the Schur complement, and each Steklov eigenvalue,
@@ -293,36 +289,37 @@ def _ring_schur(
     _FLUSH_BELOW = 1.5e-154 to zero, far below the roundoff of any entry
     they would be added to.
 
-    With both ends kept, when each cax[j] lies within _RUN_RTOL of
-    cax[N - 1 - j] and each cfib[j] of cfib[N - j] (N = len(cax)), the
-    steps above run on the left half only, and its two-port (X, B, Y) is
-    joined to its reflection (Y, B^T, X), which eliminates the middle:
-    about half the ring steps and half the runs, plus one join of
-    9.7 n_theta^3 flops. With an odd ring count the middle ring ends the
-    half and keeps half its fiber energy (cfib scaled by 0.5, exactly).
-    With an even ring count the middle edge c becomes two edges 2c in
-    series through a ring with no fiber energy, which the join eliminates.
+    When each cax[j] lies within _RUN_RTOL of cax[N - 1 - j] and each
+    cfib[j] of cfib[N - j] (N = len(cax)), the steps above run on the
+    left half only, with the ring diagonals of the cut arrays, and its
+    two-port (X, B, Y) is joined to its reflection (Y, B^T, X), which
+    eliminates the middle: about half the ring steps and half the runs,
+    plus one join of 9.7 n_theta^3 flops. With an odd ring count the
+    middle ring ends the half and keeps half its fiber energy (cfib scaled
+    by 0.5, exactly). With an even ring count the middle edge c becomes
+    two edges 2c in series through a ring with no fiber energy, which the
+    join eliminates. Without `both`, the last ring, a Neumann end, is then
+    eliminated by one more join, against the empty two-port (0, 0, 0):
+    X - B C^-1 Y with C = Y - B^T, again no difference of large terms.
     Taking the right half as the reflection of the left moves each of its
     conductances by at most _RUN_RTOL = 1e-12 relative, and so, as for a
     run, each eigenvalue by at most that factor.
     """
     from scipy.linalg import blas, lapack  # here, so the package imports without it
 
-    n_t = len(diag_ring)
-    mirrored = both and n_t >= 3 and _mirror_symmetric(cax, cfib)
+    n_t = len(cfib)
+    mirrored = n_t >= 3 and _mirror_symmetric(cax, cfib)
     if mirrored:  # from here on, the arrays describe the left half only
-        half = n_t // 2
+        end, half = n_t - 1, n_t // 2
         if n_t % 2:  # ring `half` is the middle: it keeps half its fiber energy
             middle = half
             cax, cfib = cax[:half], np.append(cfib[:half], 0.5 * cfib[half])
-            diag_ring = np.append(diag_ring[:half], cax[-1] + 2.0 * cfib[-1])
         else:  # the middle edge c becomes 2c up to a ring with no fiber energy
             middle = half - 0.5  # an error names the new ring by where it sits
-            c2 = 2.0 * cax[half - 1]
-            cax, cfib = np.append(cax[: half - 1], c2), np.append(cfib[:half], 0.0)
-            diag_ring = np.append(diag_ring[:half], c2)
-            diag_ring[half - 1] = (c2 + cax[half - 2]) + 2.0 * cfib[half - 1]
-        n_t = len(diag_ring)
+            cax = np.append(cax[: half - 1], 2.0 * cax[half - 1])
+            cfib = np.append(cfib[:half], 0.0)
+        n_t = len(cfib)
+    diag_ring = _ring_diagonals(cax, cfib)
 
     def add_ring(block: np.ndarray, diag: float, fib: float) -> np.ndarray:
         # adds diag I - fib N to the lower triangle, in place
@@ -366,40 +363,25 @@ def _ring_schur(
             flush(blas.dgemm(-1.0, w2, u, beta=1.0, c=y2)),
         )
 
-    sections = np.column_stack([cax, cfib[1:]])
-    # (section s, powers of s spanning 2^i sections, runs of s by length),
-    # one for each distinct section that a run is folded with in this call
-    folded = []
-
     def run_two_port(start: int, length: int) -> tuple:
-        run_sections = sections[start : start + length]
-        for s, powers, by_length in folded:
-            if np.all(np.abs(run_sections - s) <= _RUN_RTOL * np.abs(s)):
-                break
-        else:
-            s = sections[start]
-            c, f = s
-            y = new_ring((2.0 * c + 2.0 * f) - 2.0 * c, f)
-            y += np.tril(y, -1).T
-            powers, by_length = [(np.zeros_like(y), -c * np.eye(n_theta, order="F"), y)], {}
-            folded.append((s, powers, by_length))
-        if length not in by_length:
-            run, covered = None, 0
-            for i in range(length.bit_length()):
-                if i == len(powers):
-                    powers.append(join(powers[-1], powers[-1], start + 2 ** (i - 1)))
-                if length >> i & 1:
-                    run = powers[i] if run is None else join(run, powers[i], start + covered)
-                    covered += 2**i
-            by_length[length] = run
-        return by_length[length]
+        c, f = cax[start], cfib[start + 1]
+        y = new_ring((2.0 * c + 2.0 * f) - 2.0 * c, f)
+        y += np.tril(y, -1).T
+        power, run, covered = (np.zeros_like(y), -c * np.eye(n_theta, order="F"), y), None, 0
+        for i in range(length.bit_length()):  # power spans 2^i sections
+            if i > 0:
+                power = join(power, power, start + 2 ** (i - 1))
+            if length >> i & 1:
+                run = power if run is None else join(run, power, start + covered)
+                covered += 2**i
+        return run
 
     def frontier_diag(ring: int) -> float:
         # diagonal of K_ring, or of only the half it owns if a run starts there
         return cax[ring - 1] + 2.0 * cfib[ring] if ring in runs else diag_ring[ring]
 
     upper = np.triu_indices(n_theta, 1)
-    last_eliminated = n_t - 2 if both else n_t - 1
+    last_eliminated = n_t - 2 if both or mirrored else n_t - 1
     runs = _uniform_runs(cax, cfib)
     j = 0  # the frontier ring; a run from ring 0 starts the state itself
     if 0 not in runs:
@@ -416,8 +398,6 @@ def _ring_schur(
                 run = join((p + q, q, r + q.T), run, j)
             x, q, y = run
             p, r = np.subtract(x, q, order="F"), np.subtract(y, q.T, order="F")
-            # from ring 0 the run is a cached two-port, and the ring steps overwrite q
-            q = np.array(q, order="F")
             p[upper], r[upper] = 0.0, 0.0  # lower triangles again
             if j == 0:
                 add_ring(p, 2.0 * cfib[0], cfib[0])  # ring 0's own fiber energy
@@ -435,29 +415,32 @@ def _ring_schur(
             add_ring(r, frontier_diag(j + 1), cfib[j + 1])
         j += 1
     p += np.tril(p, -1).T  # the upper triangles were never written, so they hold 0
-    if not both:
+    if not (both or mirrored):
         return p
     r += np.tril(r, -1).T
     if mirrored:  # the half (X, B, Y) joined to its reflection (Y, B^T, X)
         x, y = p + q, r + q.T
         x, q, y = join((x, q, y), (y, q.T, x), middle)
+        if not both:  # the Neumann end ring, joined to nothing
+            x, q, y = join((x, q, y), (np.zeros_like(x),) * 3, end)
         p, r = np.tril(x - q), np.tril(y - q.T)
         p += np.tril(p, -1).T
         r += np.tril(r, -1).T
-    return np.block([[p, q], [q.T, r]])
+    return np.block([[p, q], [q.T, r]]) if both else p
 
 
 def revolution_spectrum(grid: RevolutionGrid) -> np.ndarray:
     """All discrete Steklov eigenvalues of the grid, ascending, the first an exact 0.0.
 
     The rings are eliminated from the left; with only the right end
-    Steklov they are numbered from the right instead.
+    Steklov they are numbered from the right instead. A mirror-symmetric
+    grid, at any ends, eliminates only its left half (see _ring_schur).
     """
-    hv, cax, cfib, diag_ring, dth = _ring_coefficients(grid)
+    hv, cax, cfib, _, dth = _ring_coefficients(grid)
     if grid.steklov_ends == "right":
-        hv, cax, cfib, diag_ring = hv[::-1], cax[::-1], cfib[::-1], diag_ring[::-1]
+        hv, cax, cfib = hv[::-1], cax[::-1], cfib[::-1]
     both = grid.steklov_ends == "both"
-    schur = _ring_schur(cax, cfib, diag_ring, grid.n_theta, both)
+    schur = _ring_schur(cax, cfib, grid.n_theta, both)
     ends = hv[[0, -1]] if both else hv[:1]
     sqrt_mass = np.sqrt(np.repeat(ends * dth, grid.n_theta))
     d = schur / np.outer(sqrt_mass, sqrt_mass)  # as symmetric as the Schur complement

@@ -125,8 +125,7 @@ class SturmProblem:
         nodes = np.asarray(self.nodes, dtype=float)
         if nodes.ndim != 1 or len(nodes) < 2:
             raise DomainError("mesh must contain at least two nodes")
-        if abs(nodes[0]) > 1e-14 or abs(nodes[-1] - self.length) > 1e-12 * max(self.length, 1.0):
-            raise DomainError("mesh must span exactly [0, length]")
+        check_span(nodes, self.length)
         if np.any(np.diff(nodes) <= 0.0):
             raise DomainError("mesh nodes must be strictly increasing")
         object.__setattr__(self, "nodes", nodes)
@@ -219,6 +218,13 @@ def graded_mesh(
     nodes = a[which] + k * step[which]
     nodes[ends - 1] = b  # each segment ends exactly at its cut
     return np.concatenate(([0.0], nodes))
+
+
+def check_span(nodes: np.ndarray, length: float) -> None:
+    """Check that the mesh runs from 0 to a finite length, up to roundoff; a NaN fails."""
+    end = abs(nodes[-1] - length) <= 1e-12 * max(length, 1.0)
+    if not (math.isfinite(length) and abs(nodes[0]) <= 1e-14 and end):
+        raise DomainError("mesh must span exactly [0, length]")
 
 
 def check_mesh(nodes: np.ndarray, spans: tuple[tuple[float, float], ...]) -> None:
@@ -397,8 +403,12 @@ def dtn_eigenvalues(
     fiber_value (lambda) and mu broadcast against each other, and the result
     holds one row per pair, with one eigenvalue per Steklov endpoint; two
     scalars, such as the defaults lambda = 1, mu = 0, give a single row.
+    Both must be nonnegative, as the potential is: a negative shunt gives
+    a wrong eigenvalue, not an error.
     """
     lam, mu = np.asarray(fiber_value, float), np.asarray(mu, float)
+    if not (lam.min(initial=0.0) >= 0.0 and mu.min(initial=0.0) >= 0.0):  # min keeps a NaN
+        raise DomainError("fiber eigenvalue lambda and mode eigenvalue mu must be nonnegative")
     pairs = np.broadcast(lam, mu).shape
     cond = p.cond  # checks the mesh before any coefficient is sampled at the nodes
     shunt = lam[..., None] * p.q_node
@@ -549,8 +559,6 @@ def base_dtn_spectrum(
     the modes as those of a one-entry complete fiber stream.
     """
     check_top(top, geom.cross_section)
-    if fiber_eigenvalue < 0.0:
-        raise DomainError("fiber eigenvalue must be nonnegative")
     problem = collar_problem(
         geom,
         grad_weight,

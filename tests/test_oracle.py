@@ -10,34 +10,36 @@ from hypothesis import strategies as st
 
 from steklovwarp import (
     BaseGeometry,
+    DomainError,
     MeshResolutionError,
     NumericError,
     RevolutionGrid,
     WarpedMetricSpec,
     WarpProfile,
     dtn_matrix,
+    metric_recipes,
     point_spectrum,
-    steklov_spectrum_warped,
     sym_eig,
 )
-from steklovwarp import oracle
+from steklovwarp import oracle, sturm
 from steklovwarp.oracle import (
     _RUN_RTOL,
     _mirror_symmetric,
     _ring_coefficients,
+    _ring_diagonals,
     _ring_schur,
     _uniform_runs,
     assemble_revolution,
     make_grid,
     revolution_spectrum,
 )
-from steklovwarp.spectra import discrete_circle_spectrum
+from steklovwarp.spectra import CachedEntries, discrete_circle_spectrum, iter_entries
 
-# plateau, bump and constant are mirror-symmetric, so with both ends
-# Steklov only their left half is eliminated; the ramp is not, so "left" and
-# "right" differ and the reversed elimination of "right" is checked. The
-# ring elimination folds runs of uniform sections on the plateau and
-# constant grids, and none on the bump and ramp grids.
+# plateau, bump and constant are mirror-symmetric, so at any ends only their
+# left half is eliminated; the ramp is not, so "left" and "right" differ and
+# the reversed elimination of "right" is checked. The ring elimination folds
+# runs of uniform sections on the plateau and constant grids, and none on
+# the bump and ramp grids.
 WARPS = {
     "plateau": WarpProfile(0.05, 2.0 / 3.0, 1.0, symmetric=True),
     "bump": lambda t: 1.0 + t * (1.0 - t),
@@ -87,8 +89,8 @@ def test_benchmark_ring_width_matches_banded_reference(ends):
 @pytest.mark.parametrize("warp_name", sorted(WARPS))
 def test_ring_schur_is_symmetric_and_annihilates_constants(warp_name, shape, both):
     grid = grid_for(warp_name, shape, "both" if both else "left")
-    _, cax, cfib, diag_ring, _ = _ring_coefficients(grid)
-    schur = _ring_schur(cax, cfib, diag_ring, grid.n_theta, both)
+    _, cax, cfib, _, _ = _ring_coefficients(grid)
+    schur = _ring_schur(cax, cfib, grid.n_theta, both)
     assert np.array_equal(schur, schur.T)
     assert np.abs(schur.sum(axis=1)).max() <= 1e-9 * np.abs(schur).max()
 
@@ -104,11 +106,9 @@ def test_indefinite_ring_block_is_named(bad_ring, both):
     cax = np.ones(n_t - 1)
     cfib = np.ones(n_t)
     cfib[bad_ring] = -2.0
-    diag_ring = 2.0 + 2.0 * cfib
-    diag_ring[[0, -1]] -= 1.0
     assert _uniform_runs(cax, cfib) == {}
     with pytest.raises(NumericError, match=f"not positive definite: ring {bad_ring},"):
-        _ring_schur(cax, cfib, diag_ring, 16, both)
+        _ring_schur(cax, cfib, 16, both)
 
 
 def test_indefinite_block_in_a_folded_run_is_named():
@@ -117,11 +117,9 @@ def test_indefinite_block_in_a_folded_run_is_named():
     n_t = 12
     cax = np.ones(n_t - 1)
     cfib = np.full(n_t, -2.0)
-    diag_ring = 2.0 + 2.0 * cfib
-    diag_ring[[0, -1]] -= 1.0
     assert _uniform_runs(cax, cfib) == {0: n_t - 1}
     with pytest.raises(NumericError, match="not positive definite: ring 1,"):
-        _ring_schur(cax, cfib, diag_ring, 16, True)
+        _ring_schur(cax, cfib, 16, True)
 
 
 def per_ring_schur(cax, cfib, diag_ring, n_theta, both):
@@ -158,30 +156,32 @@ def per_ring_schur(cax, cfib, diag_ring, n_theta, both):
     return np.block([[p, q], [q.T, r]])
 
 
-@pytest.mark.parametrize("warp_name, ends", [
-    *(("ramp", ends) for ends in ENDS),
-    ("bump", "left"),
-    ("bump", "right"),
-])
-@pytest.mark.parametrize("shape", GRIDS + [(256, 64)])
-def test_grid_without_runs_is_eliminated_ring_by_ring(warp_name, shape, ends):
-    # the bump with both ends Steklov is mirror-symmetric and takes the
-    # mirrored path; see test_mirrored_grid_matches_the_whole_axis
-    grid = grid_for(warp_name, shape, ends)
+def ring_arrays(grid):
+    """cax, cfib and diag_ring in the order revolution_spectrum eliminates the rings in."""
     _, cax, cfib, diag_ring, _ = _ring_coefficients(grid)
-    if ends == "right":  # the order revolution_spectrum eliminates them in
-        cax, cfib, diag_ring = cax[::-1], cfib[::-1], diag_ring[::-1]
+    if grid.steklov_ends == "right":
+        return cax[::-1], cfib[::-1], diag_ring[::-1]
+    return cax, cfib, diag_ring
+
+
+@pytest.mark.parametrize("ends", ENDS)
+@pytest.mark.parametrize("shape", GRIDS + [(256, 64)])
+def test_grid_without_runs_is_eliminated_ring_by_ring(shape, ends):
+    # the bump has no runs either, but it is mirror-symmetric and takes the
+    # mirrored path; see test_mirrored_grid_matches_the_whole_axis
+    grid = grid_for("ramp", shape, ends)
+    cax, cfib, diag_ring = ring_arrays(grid)
     assert _uniform_runs(cax, cfib) == {}
     both = ends == "both"
-    schur = _ring_schur(cax, cfib, diag_ring, grid.n_theta, both)
+    schur = _ring_schur(cax, cfib, grid.n_theta, both)
     assert np.array_equal(schur, per_ring_schur(cax, cfib, diag_ring, grid.n_theta, both))
 
 
-def whole_axis_schur(monkeypatch, cax, cfib, diag_ring, n_theta, both):
+def whole_axis_schur(monkeypatch, cax, cfib, n_theta, both):
     """_ring_schur with the mirror check switched off: every ring of the axis is eliminated."""
     with monkeypatch.context() as patch:
         patch.setattr(oracle, "_mirror_symmetric", lambda cax, cfib: False)
-        return _ring_schur(cax, cfib, diag_ring, n_theta, both)
+        return _ring_schur(cax, cfib, n_theta, both)
 
 
 def deviation(values, expected):
@@ -200,19 +200,23 @@ MIRRORED = [
 ]
 
 
+@pytest.mark.parametrize("ends", ENDS)
 @pytest.mark.parametrize("warp_name, n_axial, n_rings", MIRRORED)
-def test_mirrored_grid_matches_the_whole_axis(monkeypatch, warp_name, n_axial, n_rings):
-    grid = make_grid(1.0, 2.0 * math.pi, WARPS[warp_name], n_axial, 16)
+def test_mirrored_grid_matches_the_whole_axis(monkeypatch, warp_name, n_axial, n_rings, ends):
+    # with one end Steklov, the join to the reflection leaves the far
+    # (Neumann) end ring, which one more join eliminates
+    grid = make_grid(1.0, 2.0 * math.pi, WARPS[warp_name], n_axial, 16, ends)
     assert grid.n_axial == n_rings
-    _, cax, cfib, diag_ring, _ = _ring_coefficients(grid)
+    cax, cfib, diag_ring = ring_arrays(grid)
     assert _mirror_symmetric(cax, cfib)
-    schur = _ring_schur(cax, cfib, diag_ring, grid.n_theta, True)
+    both = ends == "both"
+    schur = _ring_schur(cax, cfib, grid.n_theta, both)
     assert np.array_equal(schur, schur.T)
-    expected = np.linalg.eigvalsh(per_ring_schur(cax, cfib, diag_ring, grid.n_theta, True))
+    expected = np.linalg.eigvalsh(per_ring_schur(cax, cfib, diag_ring, grid.n_theta, both))
     assert deviation(np.linalg.eigvalsh(schur), expected) <= 1e-10
     values = revolution_spectrum(grid)
     assert values[0] == 0.0
-    whole = whole_axis_schur(monkeypatch, cax, cfib, diag_ring, grid.n_theta, True)
+    whole = whole_axis_schur(monkeypatch, cax, cfib, grid.n_theta, both)
     assert deviation(np.linalg.eigvalsh(schur), np.linalg.eigvalsh(whole)) <= 1e-10
     # the banded reference rounds the plateau's ring diagonals its own way and
     # lies up to 6.5e-10 from the ring elimination on either path, so the
@@ -231,49 +235,62 @@ def count_factors(monkeypatch):
     return lambda: len(calls)
 
 
+@pytest.mark.parametrize("ends", ENDS)
 @pytest.mark.parametrize("n_axial", [256, 255])
-def test_mirrored_bump_factors_half_its_rings(monkeypatch, n_axial):
-    # the whole axis takes n_axial - 2 ring steps; the mirrored path takes
-    # those of the left half and one join through the middle
-    grid = grid_for("bump", (n_axial, 64), "both")
-    _, cax, cfib, diag_ring, _ = _ring_coefficients(grid)
+def test_mirrored_bump_factors_half_its_rings(monkeypatch, n_axial, ends):
+    # the whole axis takes a ring step for each ring but the Steklov ends;
+    # the mirrored path takes those of the left half, one join through the
+    # middle and, with one end Steklov, one join that eliminates the other
+    grid = grid_for("bump", (n_axial, 64), ends)
+    cax, cfib, _ = ring_arrays(grid)
+    both = ends == "both"
     factors = count_factors(monkeypatch)
-    _ring_schur(cax, cfib, diag_ring, grid.n_theta, True)
+    _ring_schur(cax, cfib, grid.n_theta, both)
     mirrored = factors()
-    whole_axis_schur(monkeypatch, cax, cfib, diag_ring, grid.n_theta, True)
-    assert mirrored <= n_axial // 2 + 2
-    assert factors() - mirrored == n_axial - 2
+    whole_axis_schur(monkeypatch, cax, cfib, grid.n_theta, both)
+    if both:
+        assert mirrored <= n_axial // 2 + 2
+        assert factors() - mirrored == n_axial - 2
+    else:
+        assert mirrored <= n_axial // 2 + 3
+        assert factors() - mirrored == n_axial - 1
 
 
+@pytest.mark.parametrize("ends", ENDS)
 @pytest.mark.parametrize("warp_name", ["bump", "plateau", "constant"])
 @pytest.mark.parametrize("offset, mirrored", [(0.5e-12, True), (2e-12, False)])
 def test_mirror_check_holds_each_section_to_the_run_tolerance(
-    monkeypatch, warp_name, offset, mirrored
+    monkeypatch, warp_name, offset, mirrored, ends
 ):
     # one right-half axial conductance moved by twice _RUN_RTOL makes the grid
     # asymmetric, and the whole axis is eliminated as before
-    grid = grid_for(warp_name, (128, 32), "both")
-    _, cax, cfib, diag_ring, _ = _ring_coefficients(grid)
+    grid = grid_for(warp_name, (128, 32), ends)
+    cax, cfib, _ = ring_arrays(grid)
     cax = cax.copy()
     cax[len(cax) - 10] *= 1.0 + offset
+    diag_ring = _ring_diagonals(cax, cfib)
     assert _mirror_symmetric(cax, cfib) == mirrored
-    schur = _ring_schur(cax, cfib, diag_ring, grid.n_theta, True)
-    whole = whole_axis_schur(monkeypatch, cax, cfib, diag_ring, grid.n_theta, True)
+    both = ends == "both"
+    schur = _ring_schur(cax, cfib, grid.n_theta, both)
+    whole = whole_axis_schur(monkeypatch, cax, cfib, grid.n_theta, both)
     if mirrored:
         assert deviation(np.linalg.eigvalsh(schur), np.linalg.eigvalsh(whole)) <= 1e-10
         return
     assert np.array_equal(schur, whole)
     if warp_name == "bump":  # no runs: the whole axis takes one step per ring
-        assert np.array_equal(schur, per_ring_schur(cax, cfib, diag_ring, grid.n_theta, True))
+        assert np.array_equal(schur, per_ring_schur(cax, cfib, diag_ring, grid.n_theta, both))
 
 
-@pytest.mark.parametrize("ends", ["left", "right"])
-@pytest.mark.parametrize("warp_name", ["bump", "plateau", "constant"])
-def test_one_ended_grid_skips_the_mirror_check(monkeypatch, warp_name, ends):
-    # the reflection of a two-port needs both ends as ports, so with one end
-    # Steklov the whole axis is eliminated, whatever the warp's symmetry
-    monkeypatch.setattr(oracle, "_mirror_symmetric", lambda cax, cfib: pytest.fail("consulted"))
-    assert revolution_spectrum(grid_for(warp_name, (128, 32), ends))[0] == 0.0
+@pytest.mark.parametrize("ends", ENDS)
+def test_asymmetric_ramp_never_mirrors(monkeypatch, ends):
+    # the ramp has no runs, so without the mirror each ring but the
+    # Steklov ends takes one ring step, and nothing else factors a block
+    grid = grid_for("ramp", (128, 32), ends)
+    cax, cfib, _ = ring_arrays(grid)
+    assert not _mirror_symmetric(cax, cfib)
+    factors = count_factors(monkeypatch)
+    assert revolution_spectrum(grid)[0] == 0.0
+    assert factors() == grid.n_axial - (2 if ends == "both" else 1)
 
 
 @pytest.mark.parametrize("shape", GRIDS + [(256, 64)])
@@ -351,67 +368,6 @@ def test_uniform_runs_of_the_grids_match_one_greedy_scan(warp_name):
     assert _uniform_runs(cax, cfib) == greedy_uniform_runs(cax, cfib)
 
 
-@pytest.mark.parametrize("ends", ["both", "left"])
-def test_later_run_reuses_a_power_from_ring_0(monkeypatch, ends):
-    # the ring-0 run has 4 sections, a power of two, so its two-port is a
-    # cached power whose B block becomes the state's Q; the last run has the
-    # same section and length and reuses it, after the ring steps that update
-    # Q. The grid is mirror-symmetric, so with both ends the mirror is
-    # switched off to reach the last run
-    warp = WarpProfile(0.15, 2.0 / 3.0, 1.0, symmetric=True)
-    grid = make_grid(1.0, 2.0 * math.pi, warp, 64, 16, ends)
-    _, cax, cfib, diag_ring, _ = _ring_coefficients(grid)
-    runs = _uniform_runs(cax, cfib)
-    last = max(runs)
-    assert runs[0] == runs[last] == 4
-    sections = np.column_stack([cax, cfib[1:]])
-    shared = sections[last : last + 4]
-    assert np.all(np.abs(shared - sections[0]) <= _RUN_RTOL * np.abs(sections[0]))
-    both = ends == "both"
-    assert _mirror_symmetric(cax, cfib)
-    schur = whole_axis_schur(monkeypatch, cax, cfib, diag_ring, grid.n_theta, both)
-    reference = per_ring_schur(cax, cfib, diag_ring, grid.n_theta, both)
-    values, expected = np.linalg.eigvalsh(schur), np.linalg.eigvalsh(reference)
-    dev = np.abs(values - expected) / np.maximum(np.abs(expected), 1.0)
-    assert dev.max() <= 1e-8
-
-
-def count_joins(monkeypatch):
-    """Joins made from here on: each makes three dgemm calls, and nothing else makes one."""
-    from scipy.linalg import blas
-
-    calls = []
-    dgemm = blas.dgemm
-    monkeypatch.setattr(blas, "dgemm", lambda *a, **kw: calls.append(1) or dgemm(*a, **kw))
-    return lambda: len(calls) // 3
-
-
-@pytest.mark.parametrize("offsets, joins", [
-    ([0.5e-12] * 8, 3 + 1),
-    ([2e-12] * 8, 3 + 3 + 1),
-    ([0.9e-12] + [1.8e-12] * 7, 3 + 3 + 1),  # only its first section is near enough
-])
-def test_run_near_an_earlier_section_gets_its_own_powers(monkeypatch, offsets, joins):
-    # two runs of 8 sections split by 3 others: the second reuses the first's
-    # powers only when each of its sections lies within _RUN_RTOL of the first
-    # run's section; 3 squarings build a run of 8, and one join folds it in
-    section = np.array([3.0, 0.25])
-    others = np.array([[5.0, 0.5], [7.0, 0.75], [2.0, 0.125]])
-    near = section * (1.0 + np.array(offsets)[:, None])
-    sections = np.vstack([np.tile(section, (8, 1)), others, near, [[4.0, 0.2]]])
-    cax, cfib = sections[:, 0], np.concatenate(([0.125], sections[:, 1]))
-    diag_ring = 2.0 * cfib
-    diag_ring[:-1] += cax
-    diag_ring[1:] += cax
-    assert _uniform_runs(cax, cfib) == {0: 8, 11: 8}
-    joins_made = count_joins(monkeypatch)
-    schur = _ring_schur(cax, cfib, diag_ring, 16, True)
-    assert joins_made() == joins
-    reference = per_ring_schur(cax, cfib, diag_ring, 16, True)
-    expected = np.linalg.eigvalsh(reference)
-    assert np.abs(np.linalg.eigvalsh(schur) - expected).max() <= 1e-8 * np.abs(expected).max()
-
-
 def longdouble_cholesky(a):
     low = np.zeros_like(a)
     for k in range(len(a)):
@@ -446,7 +402,7 @@ def longdouble_schur(cax, cfib, diag_ring, n_theta, both):
     return np.block([[p, q], [q.T, r]]) if both else p
 
 
-@pytest.mark.parametrize("ends", ["both", "left"])
+@pytest.mark.parametrize("ends", ENDS)
 @pytest.mark.parametrize("epsilon", [0.01, 0.05])
 def test_ring_elimination_matches_extended_precision(epsilon, ends):
     # the far plateau's axial conductances are up to 6e10 times the fiber
@@ -454,7 +410,10 @@ def test_ring_elimination_matches_extended_precision(epsilon, ends):
     # extended precision and takes the eigenvalues as revolution_spectrum does
     warp = WarpProfile(epsilon, 2.0 / 3.0, 1.0, symmetric=True)
     grid = make_grid(1.0, 2.0 * math.pi, warp, 128, 32, ends)
-    hv, cax, cfib, diag_ring, dth = _ring_coefficients(grid)
+    hv, _, _, _, dth = _ring_coefficients(grid)
+    cax, cfib, diag_ring = ring_arrays(grid)
+    if ends == "right":
+        hv = hv[::-1]
     assert _uniform_runs(cax, cfib)
     schur = longdouble_schur(cax, cfib, diag_ring, grid.n_theta, ends == "both").astype(float)
     ends_h = hv[[0, -1]] if ends == "both" else hv[:1]
@@ -472,11 +431,15 @@ def test_ring_elimination_matches_extended_precision(epsilon, ends):
 
 @pytest.mark.parametrize("ends", ENDS)
 @pytest.mark.parametrize("shape", GRIDS + [(256, 64)])
-@pytest.mark.parametrize("warp_name", ["bump", "ramp"])
+@pytest.mark.parametrize("warp_name", sorted(WARPS))
 def test_decomposition_matches_grid_with_its_discrete_fiber(warp_name, shape, ends):
     # Given the grid's fiber spectrum and axial nodes, each fiber mode's 1D
     # problem is the grid problem restricted to one Fourier mode, so the
-    # assembled union is the whole grid spectrum up to roundoff.
+    # assembled union is the whole grid spectrum up to roundoff. The 1D
+    # collar is built on the grid's own nodes: a graded mesh rebuilt from
+    # n_axial - 1 elements is another mesh when the warp has transitions.
+    # The plateau's conductances span about 1e8, and it is held to the
+    # module's 1e-8.
     grid = grid_for(warp_name, shape, ends)
     spec = WarpedMetricSpec(
         base_dim=1,
@@ -486,14 +449,36 @@ def test_decomposition_matches_grid_with_its_discrete_fiber(warp_name, shape, en
         fiber=discrete_circle_spectrum(grid.fiber_length, grid.n_theta),
         mode="plain_warp",
     )
-    assembled = steklov_spectrum_warped(spec, math.inf, n_elements=grid.n_axial - 1).flatten()
+    recipes = metric_recipes(spec)
+    collar = sturm.collar_problem(
+        spec.base,
+        recipes.grad_weight,
+        recipes.inv_sq_weight,
+        nodes=grid.axial_nodes,
+        boundary_weights=recipes.boundary_weights,
+        transition_spans=recipes.spans,
+    )
+    streams = (CachedEntries(iter_entries(s), True) for s in (spec.fiber, spec.base.cross_section))
+    assembled = sturm.walk_below(collar, *streams, math.inf, {}).flatten()
     direct = revolution_spectrum(grid)
     assert assembled.shape == direct.shape
     dev = np.abs(assembled - direct) / np.maximum(np.abs(direct), 1.0)
-    assert dev.max() <= 1e-9
+    assert dev.max() <= (1e-8 if warp_name == "plateau" else 1e-9)
 
 
 def test_directly_built_grid_must_resolve_transitions():
     # 40 uniform elements put about one element in each plateau transition
     with pytest.raises(MeshResolutionError):
         RevolutionGrid(np.linspace(0.0, 1.0, 41), 16, 1.0, 2.0 * math.pi, WARPS["plateau"])
+
+
+@pytest.mark.parametrize("fiber_length", [0.0, -1.0, math.inf, math.nan])
+def test_grid_fiber_must_be_a_positive_finite_circle(fiber_length):
+    with pytest.raises(DomainError, match="circle length must be positive and finite"):
+        RevolutionGrid(np.linspace(0.0, 1.0, 65), 16, 1.0, fiber_length, WARPS["bump"])
+
+
+@pytest.mark.parametrize("length", [7.0, 0.5, math.nan, math.inf])
+def test_grid_nodes_must_span_its_length(length):
+    with pytest.raises(DomainError, match=r"mesh must span exactly \[0, length\]"):
+        RevolutionGrid(np.linspace(0.0, 1.0, 65), 16, length, 2.0 * math.pi, WARPS["bump"])

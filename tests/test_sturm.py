@@ -155,6 +155,12 @@ class TestAssemble:
         with pytest.raises(MeshResolutionError, match="0.05"):
             assemble(p)
 
+    @pytest.mark.parametrize("length", [2.0, math.nan, math.inf])
+    def test_mesh_must_span_the_length(self, length):
+        with pytest.raises(DomainError, match=r"mesh must span exactly \[0, length\]"):
+            SturmProblem(length, lambda t: 1.0, lambda t: 0.0, SteklovEnd(), SteklovEnd(),
+                         graded_mesh(1.0, 32))
+
     def test_needs_one_steklov_end(self):
         with pytest.raises(DomainError):
             SturmProblem(
@@ -211,6 +217,16 @@ class TestDtnEigenvalues:
             if previous is not None:
                 assert np.all(values >= previous - 1e-12)
             previous = values
+
+    @pytest.mark.parametrize("lam, mu", [
+        (-1.0, 0.0), (1.0, -3.0), (math.nan, 0.0), (1.0, math.nan), ([1.0, -1e-300], 0.0),
+    ])
+    def test_negative_or_nan_pair_rejected(self, lam, mu):
+        # a negative shunt would give a wrong eigenvalue (sigma = -0.546 at
+        # lambda = -1 on this problem) where a negative potential is refused
+        p = uniform_problem(1.0, lambda t: 1.0, lambda t: 1.0, n_elements=64)
+        with pytest.raises(DomainError, match="must be nonnegative"):
+            dtn_eigenvalues(p, lam, mu)
 
 
 def plateau_problem(eps, mu, lam, steklov_ends="both", n_elements=400):
@@ -532,6 +548,12 @@ class TestBaseDtnSpectrum:
             return
         spectrum = base_dtn_spectrum(geom, lambda t: 1.0, 0.0, lambda t: 1.0, top=1e6)
         assert spectrum.total_multiplicity == 2 * 15  # two branches per mode
+
+    @pytest.mark.parametrize("fiber_eigenvalue", [-1.0, math.nan])
+    def test_negative_or_nan_fiber_eigenvalue_rejected(self, fiber_eigenvalue):
+        geom = BaseGeometry(point_spectrum(), 1.0, "both")
+        with pytest.raises(DomainError, match="must be nonnegative"):
+            base_dtn_spectrum(geom, lambda t: 1.0, fiber_eigenvalue, lambda t: 1.0, top=1.0)
 
     def test_nan_top_rejected(self):
         geom = BaseGeometry(point_spectrum(), 1.0, "both")
