@@ -26,7 +26,7 @@ from .errors import (
     SteklovError,
     UnsupportedModeError,
 )
-from .linalg import PartitionedSystem, dtn_matrix, harmonic_extension, sym_eig
+from .linalg import PartitionedSystem, dtn_matrix, sym_eig
 from .oracle import RevolutionGrid, make_grid
 from .profiles import WarpedMetricSpec, WarpProfile, volume_element_ratio
 from .provenance import EigenSource, SpectrumEntry, SpectrumWithProvenance
@@ -81,7 +81,6 @@ __all__ = [
     "first_eigenvalues",
     "flat_torus_spectrum",
     "graded_mesh",
-    "harmonic_extension",
     "lower_bound_C",
     "make_grid",
     "metric_recipes",

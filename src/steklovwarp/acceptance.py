@@ -26,7 +26,9 @@ from .experiments import (
     run_sweep,
 )
 from .oracle import make_grid, revolution_spectrum
-from .profiles import WarpedMetricSpec, WarpProfile, power_fn, volume_element_ratio
+from .profiles import (
+    WarpedMetricSpec, WarpProfile, power_fn, transition_spans, volume_element_ratio
+)
 from .spectra import TWO_PI, circle_spectrum, discrete_circle_spectrum
 from .sturm import BaseGeometry, SteklovEnd, SturmProblem, dtn_eigenvalues, graded_mesh
 
@@ -183,7 +185,13 @@ def criterion_2_decomposition_vs_oracle() -> CriterionResult:
                        f"unmatched {side} value {extra[n]:.8g}")
         # on the grid's own discretization, its discrete circle as the fiber and
         # its axial nodes, the decomposition gives the whole grid spectrum up to
-        # roundoff
+        # roundoff, if the 1D mesh rebuilt from its element count is its own
+        nodes = graded_mesh(length, grid.n_axial - 1, transition_spans(bump))
+        if not np.array_equal(nodes, grid.axial_nodes):
+            first = np.argmax(np.append(nodes[: grid.n_axial] != grid.axial_nodes[: len(nodes)], 1))
+            return False, (f"{detail}; same grid FAIL: the 1D mesh of {grid.n_axial - 1} elements "
+                           f"({len(nodes)} nodes) leaves the grid's axial mesh "
+                           f"({grid.n_axial} nodes) at node {first}")
         same_grid = replace(spec, fiber=discrete_circle_spectrum(TWO_PI, grid.n_theta))
         same = steklov_spectrum_warped(same_grid, math.inf, n_elements=grid.n_axial - 1).flatten()
         same_tol = 1e-9

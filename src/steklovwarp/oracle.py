@@ -44,8 +44,9 @@ decomposition solves, and the oracle would check the decomposition
 against itself. This module imports nothing from the assembler; acceptance
 criterion 2 pairs revolution_spectrum with the assembled spectrum.
 
-assemble_revolution builds the same energy as a banded partitioned system,
-the reference the ring elimination is tested against.
+assemble_revolution builds the same energy as a banded PartitionedSystem.
+No eigenvalue path calls it. It stays because the tests compare the ring
+elimination against it, and the benchmark's tracer hooks it by name.
 """
 
 from __future__ import annotations
@@ -108,13 +109,11 @@ def make_grid(
     return RevolutionGrid(nodes, n_theta, length, fiber_length, warp, steklov_ends)
 
 
-def _ring_coefficients(
-    grid: RevolutionGrid,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
-    """Warp at the rings, axial and fiber conductances, ring diagonals, angle step.
+def _ring_coefficients(grid: RevolutionGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Warp at the rings, axial and fiber conductances, angle step.
 
     Ring i couples to ring i+1 by -cax[i] per angle and to its own angular
-    neighbours by -cfib[i]; diag_ring[i] is the matching diagonal entry.
+    neighbours by -cfib[i].
     """
     t = grid.axial_nodes
     dth = grid.fiber_length / grid.n_theta
@@ -127,7 +126,7 @@ def _ring_coefficients(
     # axial conductance between rings i and i+1, fiber conductance within ring i
     cax = hm * dth / np.diff(t)
     cfib = lumped_mass(t) / (hv * dth)
-    return hv, cax, cfib, _ring_diagonals(cax, cfib), dth
+    return hv, cax, cfib, dth
 
 
 def _ring_diagonals(cax: np.ndarray, cfib: np.ndarray) -> np.ndarray:
@@ -144,46 +143,30 @@ def assemble_revolution(grid: RevolutionGrid) -> PartitionedSystem:
     The banded reference form of what revolution_spectrum reduces ring by ring.
     """
     from scipy.linalg import block_diag, circulant  # here, so the package imports without it
-    hv, cax, cfib, diag_ring, dth = _ring_coefficients(grid)
-    n_t = grid.n_axial
-    n_th = grid.n_theta
-
-    left_st = grid.steklov_ends in ("both", "left")
-    right_st = grid.steklov_ends in ("both", "right")
-    i0 = 1 if left_st else 0
-    i1 = n_t - 2 if right_st else n_t - 1
-    rings = np.arange(i0, i1 + 1)
-    n_rings = len(rings)
-    n_i = n_rings * n_th
-
+    hv, cax, cfib, dth = _ring_coefficients(grid)
+    diag_ring = _ring_diagonals(cax, cfib)
+    n_t, n_th = grid.n_axial, grid.n_theta
+    ends = {"both": [0, n_t - 1], "left": [0], "right": [n_t - 1]}[grid.steklov_ends]
+    rings = np.delete(np.arange(n_t), ends)
+    n_i = len(rings) * n_th
     ab = np.zeros((n_th + 1, n_i))
     ab[0] = np.repeat(diag_ring[rings], n_th)
     # fiber neighbors within each ring: distance 1, except the wrap pair at distance n_th-1
-    fib = np.repeat(-cfib[rings], n_th)
-    mask = np.ones(n_i, dtype=bool)
-    mask[n_th - 1 :: n_th] = False  # no distance-1 coupling across ring ends
-    ab[1, : n_i - 1] = np.where(mask[:-1], fib[:-1], 0.0)
+    ab[1] = np.repeat(-cfib[rings], n_th)
+    ab[1, n_th - 1 :: n_th] = 0.0  # no distance-1 coupling across ring ends
     ab[n_th - 1, 0::n_th] = -cfib[rings]  # wrap: (ring, 0) with (ring, n_th-1)
     # axial neighbors between consecutive interior rings: distance n_th
-    if n_rings > 1:
-        inter_cax = cax[rings[:-1]]
-        ab[n_th, : n_i - n_th] = np.repeat(-inter_cax, n_th)
+    ab[n_th, : n_i - n_th] = np.repeat(-cax[rings[:-1]], n_th)
+    a_ib = np.zeros((n_i, len(ends) * n_th))
+    for k, ring in enumerate(ends):  # an end ring couples only to its interior neighbour
+        row, edge = (0, 0) if ring == 0 else (n_i - n_th, -1)
+        a_ib[row : row + n_th, k * n_th : (k + 1) * n_th] = -cax[edge] * np.eye(n_th)
 
-    boundary_rings = ([0] if left_st else []) + ([n_t - 1] if right_st else [])
-    n_b = len(boundary_rings) * n_th
-    a_ib = np.zeros((n_i, n_b))
-    if left_st:  # ring 0 couples to interior ring 1, the first block
-        a_ib[:n_th, :n_th] = -cax[0] * np.eye(n_th)
-    if right_st:
-        a_ib[n_i - n_th :, n_b - n_th :] = -cax[-1] * np.eye(n_th)
-
-    def ring_block(ring: int) -> np.ndarray:  # K_ring, a symmetric circulant
-        column = np.zeros(n_th)
-        column[[0, 1, -1]] = diag_ring[ring], -cfib[ring], -cfib[ring]
-        return circulant(column)
-
-    a_bb = block_diag(*[ring_block(ring) for ring in boundary_rings])
-    b_bb = np.repeat(hv[boundary_rings] * dth, n_th)
+    a_bb = block_diag(*[  # each end ring's block K_ring, a symmetric circulant
+        circulant(np.r_[diag_ring[ring], -cfib[ring], np.zeros(n_th - 3), -cfib[ring]])
+        for ring in ends
+    ])
+    b_bb = np.repeat(hv[ends] * dth, n_th)
     return PartitionedSystem(ab, a_ib, a_bb, b_bb)
 
 
@@ -436,7 +419,7 @@ def revolution_spectrum(grid: RevolutionGrid) -> np.ndarray:
     Steklov they are numbered from the right instead. A mirror-symmetric
     grid, at any ends, eliminates only its left half (see _ring_schur).
     """
-    hv, cax, cfib, _, dth = _ring_coefficients(grid)
+    hv, cax, cfib, dth = _ring_coefficients(grid)
     if grid.steklov_ends == "right":
         hv, cax, cfib = hv[::-1], cax[::-1], cfib[::-1]
     both = grid.steklov_ends == "both"

@@ -15,6 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import DomainError
+
 # The ladder reduction has no cancellation, so values that coincide
 # mathematically agree to roundoff; a wider tolerance folds distinct
 # eigenvalues into the smallest of their group.
@@ -67,7 +69,7 @@ class SpectrumWithProvenance:
 
     def min_value(self) -> float:
         if not self.entries:
-            raise ValueError("empty spectrum has no minimum")
+            raise DomainError("empty spectrum has no minimum")
         return self.entries[0].value
 
 

@@ -23,9 +23,10 @@ The interior nodes are eliminated pairwise, as a tree of star-mesh steps,
 in which every term is positive: nothing cancels, and a problem without
 potential has the exact eigenvalue 0.0. The reduction runs on a 2-D array
 with one row per (lambda, mu) pair, so a block of fibers and modes costs a
-few array operations. `assemble` builds the same form as a partitioned
-matrix; it serves the minimizing extension, and as the reference the
-reduction is tested against.
+few array operations. `assemble` builds the same form as a banded
+PartitionedSystem. No eigenvalue path calls it: it serves the minimizing
+extension, the tests compare the reduction against it, and the
+benchmark's tracer hooks it by name.
 
 `walk_below` collects every eigenvalue <= top of a family, over the
 ascending streams of fiber eigenvalues lambda and cross-section modes mu.
@@ -52,7 +53,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .errors import CompletenessError, DomainError, MeshResolutionError
-from .linalg import PartitionedSystem, harmonic_extension
+from .linalg import PartitionedSystem, _interior_solve
 from .profiles import CoefficientFn
 from .provenance import EigenSource, SpectrumWithProvenance, merge_tagged
 from .spectra import CachedEntries, ClosedSpectrum, iter_entries
@@ -177,8 +178,8 @@ class BaseGeometry:
     steklov_ends: str = "both"
 
     def __post_init__(self) -> None:
-        if self.collar_length <= 0.0:
-            raise DomainError("collar length must be positive")
+        if not 0.0 < self.collar_length < math.inf:  # NaN fails both comparisons
+            raise DomainError("collar length must be positive and finite")
         if self.steklov_ends not in ("both", "left", "right"):
             raise DomainError(
                 f"steklov_ends must be 'both', 'left' or 'right', got {self.steklov_ends!r}"
@@ -194,8 +195,8 @@ def graded_mesh(
     in proportion to segment length, with the per-span minimum enforced, and
     are uniform within each segment.
     """
-    if length <= 0.0:
-        raise DomainError("length must be positive")
+    if not 0.0 < length < math.inf:  # NaN fails both comparisons
+        raise DomainError("length must be positive and finite")
     if n_elements < 1:
         raise DomainError("element count must be positive")
     cuts = {0.0, length}
@@ -289,30 +290,24 @@ def assemble(p: SturmProblem) -> PartitionedSystem:
     Neumann endpoints are treated as interior unknowns (natural condition).
     """
     cond = p.cond
-    n = len(p.nodes)
-    diag = np.zeros(n)
+    diag = np.zeros(len(p.nodes))
     diag[:-1] += cond
     diag[1:] += cond
     diag += p.q_node * p.lump
-    off = -cond  # coupling between consecutive nodes
-
     boundary, weights = _steklov_nodes(p)
-    interior = [i for i in range(n) if i not in boundary]
-
-    n_i = len(interior)
-    ab = np.zeros((2, n_i))
-    ab[0] = diag[interior]
-    inter = np.array(interior)
-    consecutive = inter[1:] - inter[:-1] == 1
-    ab[1, : n_i - 1][consecutive] = off[inter[:-1][consecutive]]
-
-    a_ib = np.zeros((n_i, len(boundary)))
-    for col, bnode in enumerate(boundary):
-        for drow, inode in ((0, bnode - 1), (0, bnode + 1)):
-            if 0 <= inode < n and inode in interior:
-                a_ib[interior.index(inode), col] = off[min(inode, bnode)]
-    a_bb = np.diag(diag[boundary])
-    return PartitionedSystem(ab, a_ib, a_bb, np.array(weights))
+    # the Steklov nodes are end nodes: the interior nodes lo, ..., hi - 1 are
+    # one run, and a Steklov end couples only to its neighbour in it
+    lo = int(isinstance(p.left_bc, SteklovEnd))
+    hi = len(diag) - int(isinstance(p.right_bc, SteklovEnd))
+    ab = np.zeros((2, hi - lo))
+    ab[0] = diag[lo:hi]
+    ab[1, :-1] = -cond[lo : hi - 1]
+    a_ib = np.zeros((hi - lo, len(boundary)))
+    if lo:
+        a_ib[0, 0] = -cond[0]
+    if hi < len(diag):
+        a_ib[-1, -1] = -cond[-1]
+    return PartitionedSystem(ab, a_ib, np.diag(diag[boundary]), np.array(weights))
 
 
 def _reduce_ladder(
@@ -439,13 +434,13 @@ def rayleigh_quotient(p: SturmProblem, samples: np.ndarray) -> float:
 
 
 def minimizing_extension(p: SturmProblem, boundary_values: np.ndarray) -> np.ndarray:
-    """Nodal values of the discrete energy-minimizing extension of endpoint data."""
+    """Energy-minimizing nodal values for endpoint data b: interior x solves A_II x = -A_IB b."""
     system = assemble(p)
     boundary, _ = _steklov_nodes(p)
-    interior = [i for i in range(len(p.nodes)) if i not in boundary]
     full = np.zeros(len(p.nodes))
     full[boundary] = boundary_values
-    full[interior] = harmonic_extension(system, np.asarray(boundary_values, float))
+    lo = int(isinstance(p.left_bc, SteklovEnd))  # the interior nodes follow a Steklov left end
+    full[lo : lo + system.n_interior] = -_interior_solve(system, system.a_ib @ full[boundary])
     return full
 
 

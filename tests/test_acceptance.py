@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from steklovwarp import acceptance
+from steklovwarp import WarpProfile, acceptance
 
 
 def test_all_criteria_pass():
@@ -47,6 +47,24 @@ def test_grid_pairing_reads_the_whole_spectrum():
     same_grid = result.detail.split("; same grid ")[1]
     assert same_grid.startswith("pass: 128 oracle vs 128 assembler eigenvalues")
     assert float(same_grid.split("max relative deviation ")[1].split()[0]) <= 1e-9
+
+
+def test_grid_off_the_rebuilt_1d_mesh_fails(monkeypatch):
+    # a plateau grid's graded mesh of 255 elements holds 258, and the 1D mesh
+    # rebuilt from that count is uniform: the same-grid pairing cannot hold
+    plateau = WarpProfile(0.05, 2.0 / 3.0, 1.0, symmetric=True)
+    make_grid = acceptance.make_grid
+
+    def plateau_grid(length, fiber_length, warp, **shape):
+        return make_grid(length, fiber_length, plateau, **shape)
+
+    monkeypatch.setattr(acceptance, "make_grid", plateau_grid)
+    result = acceptance.criterion_2_decomposition_vs_oracle()
+    assert not result.passed
+    assert result.detail.endswith(
+        "; same grid FAIL: the 1D mesh of 258 elements (259 nodes) leaves the grid's axial "
+        "mesh (259 nodes) at node 1"
+    )
 
 
 def test_oracle_value_above_the_cutoff_off_by_1e_8_fails(monkeypatch):

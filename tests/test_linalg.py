@@ -9,27 +9,21 @@ from steklovwarp import (
     DomainError,
     NumericError,
     PartitionedSystem,
+    SteklovEnd,
+    SturmProblem,
+    assemble,
     dtn_matrix,
-    harmonic_extension,
+    graded_mesh,
     sym_eig,
 )
-from steklovwarp.linalg import banded_to_dense, dense_to_banded
 
 
 def laplacian_1d_system(n_nodes, q=0.0, mass_scale=1.0):
     """Uniform 1D stiffness on [0,1] with both endpoints in the boundary block."""
-    h = 1.0 / (n_nodes - 1)
-    main = np.full(n_nodes, 2.0 / h) + q * h
-    main[0] = 1.0 / h + q * h / 2
-    main[-1] = 1.0 / h + q * h / 2
-    full = np.diag(main) + np.diag(np.full(n_nodes - 1, -1.0 / h), 1) \
-        + np.diag(np.full(n_nodes - 1, -1.0 / h), -1)
-    b = [0, n_nodes - 1]
-    i = list(range(1, n_nodes - 1))
-    return PartitionedSystem.from_dense(
-        full[np.ix_(i, i)], full[np.ix_(i, b)], full[np.ix_(b, b)],
-        np.array([mass_scale, mass_scale]),
-    )
+    return assemble(SturmProblem(
+        1.0, lambda t: 1.0, lambda t: q, SteklovEnd(mass_scale), SteklovEnd(mass_scale),
+        graded_mesh(1.0, n_nodes - 1),
+    ))
 
 
 class TestSymEig:
@@ -69,16 +63,6 @@ class TestSymEig:
         assert abs(w.sum() - trace) <= 1e-9 * max(abs(trace), 1.0)
 
 
-class TestBandedStorage:
-    @given(seed=st.integers(0, 5000), n=st.integers(1, 20))
-    @settings(max_examples=40, deadline=None)
-    def test_round_trip(self, seed, n):
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((n, n))
-        a = a + a.T
-        assert np.allclose(banded_to_dense(dense_to_banded(a)), a)
-
-
 class TestDtnMatrix:
     def test_interval_dtn_closed_form(self):
         # continuum DtN of [0,1] has harmonic extensions a + b t: eigenvalues 0 and 2
@@ -88,9 +72,7 @@ class TestDtnMatrix:
 
     def test_empty_interior(self):
         a_bb = np.array([[2.0, -1.0], [-1.0, 2.0]])
-        system = PartitionedSystem.from_dense(
-            np.zeros((0, 0)), np.zeros((0, 2)), a_bb, np.array([4.0, 4.0])
-        )
+        system = PartitionedSystem(np.zeros((1, 0)), np.zeros((0, 2)), a_bb, np.array([4.0, 4.0]))
         assert np.allclose(dtn_matrix(system), a_bb / 4.0)
 
     def test_boundary_mass_scaling(self):
@@ -110,23 +92,12 @@ class TestDtnMatrix:
             assert all(b >= a - 1e-12 for a, b in zip(lo, hi))
 
     def test_non_positive_definite_interior_raises(self):
-        a_ii = -np.eye(4)
-        system = PartitionedSystem.from_dense(
-            a_ii, np.zeros((4, 1)), np.eye(1), np.array([1.0])
-        )
+        a_ii = -np.ones((1, 4))  # -I in banded storage
+        system = PartitionedSystem(a_ii, np.zeros((4, 1)), np.eye(1), np.array([1.0]))
         with pytest.raises(NumericError):
             dtn_matrix(system)
 
     def test_nonpositive_boundary_mass_rejected(self):
         with pytest.raises(DomainError):
-            PartitionedSystem.from_dense(
-                np.eye(2), np.zeros((2, 1)), np.eye(1), np.array([0.0])
-            )
+            PartitionedSystem(np.ones((1, 2)), np.zeros((2, 1)), np.eye(1), np.array([0.0]))
 
-
-class TestHarmonicExtension:
-    def test_linear_extension_on_interval(self):
-        system = laplacian_1d_system(51)
-        interior = harmonic_extension(system, np.array([0.0, 1.0]))
-        expected = np.linspace(0.0, 1.0, 51)[1:-1]
-        assert np.allclose(interior, expected, atol=1e-10)

@@ -10,9 +10,11 @@ multiplicities and the same sources in the same order.
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steklovwarp import DomainError
 from steklovwarp.provenance import (
     MERGE_ATOL,
     MERGE_RTOL,
@@ -122,3 +124,10 @@ def test_anchor_splits_a_run_of_near_neighbours():
 
 def test_empty():
     assert merge_tagged([]).entries == ()
+
+
+def test_empty_has_no_minimum():
+    # a typed package error, and still a ValueError
+    with pytest.raises(DomainError, match="empty spectrum has no minimum"):
+        merge_tagged([]).min_value()
+    assert issubclass(DomainError, ValueError)

@@ -72,6 +72,13 @@ class TestGradedMesh:
         with pytest.raises(DomainError):
             graded_mesh(1.0, 20, ((0.5, 1.5),))
 
+    @pytest.mark.parametrize("length", [math.nan, math.inf])
+    def test_non_finite_length_rejected(self, length):
+        with pytest.raises(DomainError, match="length must be positive and finite"):
+            graded_mesh(length, 20)
+        with pytest.raises(DomainError, match="collar length must be positive and finite"):
+            BaseGeometry(point_spectrum(), length)
+
     @given(
         length=st.floats(0.1, 10.0),
         n_elements=st.integers(1, 2000),
@@ -113,8 +120,9 @@ class TestAssemble:
         # constants lie in the kernel of the pure stiffness form
         ones_i = np.ones(99)
         ones_b = np.ones(2)
+        ab = system.a_ii_banded  # the lower banded interior block: diagonal, subdiagonal
         full_energy = (
-            ones_i @ (system.interior_dense() @ ones_i)
+            ab[0] @ ones_i**2 + 2.0 * ab[1, :-1] @ (ones_i[:-1] * ones_i[1:])
             + 2.0 * ones_i @ (system.a_ib @ ones_b)
             + ones_b @ (system.a_bb @ ones_b)
         )
@@ -595,6 +603,13 @@ class TestBaseDtnSpectrum:
             if previous is not None:
                 assert np.all(first_six >= previous - 1e-9)
             previous = first_six
+
+
+class TestMinimizingExtension:
+    def test_linear_extension_on_interval(self):
+        p = uniform_problem(1.0, lambda t: 1.0, lambda t: 0.0, n_elements=50)
+        extension = minimizing_extension(p, np.array([0.0, 1.0]))
+        assert np.allclose(extension, np.linspace(0.0, 1.0, 51), atol=1e-10)
 
 
 class TestRayleighQuotient:
