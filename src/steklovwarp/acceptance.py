@@ -261,7 +261,7 @@ def criterion_5_volume_element() -> CriterionResult:
             ratio = volume_element_ratio(spec, np.linspace(0.0, 1.0, 1000))
             worst = max(worst, float(np.abs(ratio - 1.0).max()))
             near = np.linspace(0.0, eps / 2.0, 64)
-            off = near[profile.eval(near) != 1.0]
+            off = near[profile.log_eval(near) != 0.0]
             if off.size:
                 return False, f"h not bit-exactly 1 at t={off[0]} for eps={eps}"
         return worst <= 1e-12, f"max |ratio - 1| = {worst:.2e} at 1000 points per profile"

@@ -368,7 +368,7 @@ def run_kokarev_sweep(cfg: ExperimentConfig) -> list[KokarevRow]:
         )
         result = sigma1_construction(spec, n_elements=cfg.mesh)
         ends = {"both": [0.0, cfg.collar_length], "left": [0.0], "right": [cfg.collar_length]}
-        circles = profile.eval(np.array(ends[cfg.steklov_ends])) * fiber_length
+        circles = np.exp(profile.log_eval(np.array(ends[cfg.steklov_ends]))) * fiber_length
         boundary_length = float(np.sum(circles))
         product = result.value * boundary_length
         rows.append(

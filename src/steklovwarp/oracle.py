@@ -58,7 +58,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .linalg import PartitionedSystem, sym_eig
-from .profiles import Warp, transition_spans, value_fn
+from .profiles import Warp, log_value, transition_spans
 from .sturm import check_mesh, check_span, graded_mesh, lumped_mass
 
 
@@ -112,16 +112,15 @@ def make_grid(
 def _ring_coefficients(grid: RevolutionGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Warp at the rings, axial and fiber conductances, angle step.
 
-    Ring i couples to ring i+1 by -cax[i] per angle and to its own angular
-    neighbours by -cfib[i].
+    h at the rings and at the element midpoints is exp of one ln h sample
+    on both point sets, the same bits as the 1D ladder's power_fn(warp, 1.0)
+    at those points. Ring i couples to ring i+1 by -cax[i] per angle and to
+    its own angular neighbours by -cfib[i].
     """
     t = grid.axial_nodes
     dth = grid.fiber_length / grid.n_theta
-    h = value_fn(grid.warp)
-    hv = h(t)
-    if np.any(hv <= 0.0):
-        raise DomainError("warp must be positive along the axis")
-    hm = h(0.5 * (t[:-1] + t[1:]))
+    h = np.exp(log_value(grid.warp, np.concatenate((t, 0.5 * (t[:-1] + t[1:])))))
+    hv, hm = h[: len(t)], h[len(t) :]
 
     # axial conductance between rings i and i+1, fiber conductance within ring i
     cax = hm * dth / np.diff(t)

@@ -10,10 +10,15 @@ Coefficients are array functions, so a whole mesh costs one call: an
 ndarray of points in, the values there out, and a float in, a float out.
 A profile finds each point's piece by two binary searches against its
 piece ends and computes the quintic ramp on ramp points only. Solvers
-accept a WarpProfile or any positive callable h(t) of that kind; a scalar
-return, as from lambda t: 1.0, is broadcast over the points. The helpers
-at the bottom give a uniform view of both. A collar problem samples ln h
-once per point set and takes every power h^p from those samples.
+accept a WarpProfile or any positive, finite callable h(t) of that kind;
+a scalar return, as from lambda t: 1.0, is broadcast over the points.
+
+ln h is the one evaluator: every coefficient of the auxiliary problems is
+a power h^p = exp(p ln h), so WarpProfile.log_eval and log_value, which
+reads either kind of warp, are the only ways to sample a warp, and every
+h anywhere, the oracle's and the boundary circles' included, is exp of
+ln h. A collar problem samples ln h once per point set and takes every
+power h^p from those samples.
 """
 
 from __future__ import annotations
@@ -50,8 +55,8 @@ class WarpProfile:
     def __post_init__(self) -> None:
         if not 0.0 < self.delta < 1.0:
             raise DomainError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.collar_length <= 0.0:
-            raise DomainError("collar_length must be positive")
+        if not 0.0 < self.collar_length < math.inf:  # NaN fails both comparisons
+            raise DomainError("collar_length must be positive and finite")
         if not 0.0 < self.epsilon < self.collar_length / 6.0:
             raise HypothesisViolationError(
                 f"epsilon must satisfy 0 < epsilon < collar_length/6, "
@@ -59,24 +64,8 @@ class WarpProfile:
             )
 
     @cached_property
-    def mid_value(self) -> float:
-        return self.epsilon**self.delta
-
-    @cached_property
-    def far_value(self) -> float:
-        return self.epsilon**-2.0
-
-    @cached_property
-    def _log_mid(self) -> float:
-        return self.delta * math.log(self.epsilon)
-
-    @cached_property
-    def _log_far(self) -> float:
-        return -2.0 * math.log(self.epsilon)
-
-    @cached_property
-    def _pieces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Left and right piece ends, and the (start, width, low, rise) columns of the ramps.
+    def _pieces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Left and right piece ends, ln h per piece, and the ramps' start, width, low and rise.
 
         The distance s to the boundary lies in piece 0 (h = 1) for s <= ε/2,
         1 (first ramp) for s < ε, 2 (mid plateau) for s <= 2ε, 3 (second
@@ -85,46 +74,42 @@ class WarpProfile:
         below. Right ends are L - c·ε, compared with t directly since L - t can
         fall an ulp short of c·ε; 3ε < L/2 keeps them apart from the left ends.
         The accumulations keep the ends sorted, and each piece the same, where
-        ends round together (ε near an ulp of L). On a ramp
+        ends round together (ε near an ulp of L). ln h is 0, δ ln ε and
+        -2 ln ε on the plateaus, and NaN, never read, on the ramps. On a ramp
         ln h = low + rise·ramp((s - start)/width); -0.0 adds as an exact no-op.
         """
-        eps, ell, log_mid = self.epsilon, self.collar_length, self._log_mid
+        eps, ell = self.epsilon, self.collar_length
+        log_mid, log_far = self.delta * math.log(eps), -2.0 * math.log(eps)
         left = np.array([0.5, 1.0, 2.0, 3.0]) * eps
         right = ell - left[::-1]
         for ends in (left, right):  # ε, 3ε, L - 2ε and L - ε/2 belong to the piece after
             ends[1::2] = np.nextafter(ends[1::2], -np.inf)
+        levels = np.array([0.0, math.nan, log_mid, math.nan, log_far])
         ramps = np.array([[eps / 2.0, 2.0 * eps], [eps / 2.0, eps], [-0.0, log_mid],
-                          [log_mid, self._log_far - log_mid]])
-        return np.maximum.accumulate(left), np.minimum.accumulate(right[::-1])[::-1], ramps
+                          [log_mid, log_far - log_mid]])
+        return (np.maximum.accumulate(left), np.minimum.accumulate(right[::-1])[::-1],
+                levels, ramps)
 
-    def _eval(self, t, plateaus: tuple[float, float, float], ramp_map: Callable):
-        """plateaus on pieces 0, 2 and 4, found by index; ramp_map of ln h on the ramps."""
+    def log_eval(self, t):
+        """ln h(t); plateau values are exact constants, transitions quintic in log."""
         t = np.asarray(t, dtype=float)
         flat, ell = t.reshape(-1), self.collar_length
         if flat.size and not (flat.min() >= 0.0 and flat.max() <= ell):  # NaN fails too
             bad = np.extract(~((flat >= 0.0) & (flat <= ell)), flat)[0]
             raise DomainError(f"t={bad} outside the collar [0, {ell}]")
-        left, right, ramps = self._pieces
+        left, right, levels, ramps = self._pieces
         piece = np.searchsorted(left, flat)
         if self.symmetric:
             piece -= np.searchsorted(right, flat)
-        out = np.array([plateaus[0], math.nan, plateaus[1], math.nan, plateaus[2]])[piece]
+        out = levels[piece]
         on = (piece & 1).astype(bool)
         if on.any():
             s = flat[on]
             if self.symmetric:
                 s = np.minimum(s, ell - s)
             start, width, low, rise = ramps[:, piece[on] >> 1]
-            out[on] = ramp_map(low + rise * _smoothstep((s - start) / width))
+            out[on] = low + rise * _smoothstep((s - start) / width)
         return out.reshape(t.shape)[()]
-
-    def log_eval(self, t):
-        """ln h(t); plateau values are exact constants, transitions quintic in log."""
-        return self._eval(t, (0.0, self._log_mid, self._log_far), lambda x: x)
-
-    def eval(self, t):
-        """h(t), bit-exact on the closed plateau intervals."""
-        return self._eval(t, (1.0, self.mid_value, self.far_value), np.exp)
 
     def transition_intervals(self) -> tuple[tuple[float, float], ...]:
         """Intervals where h is not constant; meshes must resolve each of them."""
@@ -143,16 +128,10 @@ def log_value(warp: Warp, t):
     if isinstance(warp, WarpProfile):
         return warp.log_eval(t)
     value = np.broadcast_to(warp(np.asarray(t, dtype=float)), np.shape(t))
-    if np.any(value <= 0.0):
-        raise DomainError(f"warp function must be positive, got {value.min()}")
+    if not (value.min(initial=math.inf) > 0.0 and value.max(initial=0.0) < math.inf):  # NaN fails
+        bad = np.extract(~((value > 0.0) & (value < math.inf)), value)[0]
+        raise DomainError(f"warp function must be positive and finite, got {bad}")
     return np.log(value)[()]
-
-
-def value_fn(warp: Warp) -> CoefficientFn:
-    """h as an array function: a profile's exact plateau values, or a callable's, broadcast."""
-    if isinstance(warp, WarpProfile):
-        return warp.eval
-    return lambda t: np.broadcast_to(warp(t), np.shape(t))
 
 
 def power_fn(warp: Warp, p: float) -> CoefficientFn:

@@ -48,8 +48,8 @@ class ClosedSpectrum:
             raise DomainError("first eigenvalue of a closed manifold is 0")
         last = -1.0
         for value, mult in self.entries:
-            if value <= last:
-                raise DomainError("spectrum values must be strictly increasing")
+            if not last < value < math.inf:  # NaN fails both comparisons
+                raise DomainError("spectrum values must be finite and strictly increasing")
             if mult < 1:
                 raise DomainError("multiplicities must be positive")
             last = value
@@ -157,9 +157,11 @@ def point_spectrum() -> ClosedSpectrum:
 
 def explicit_spectrum(entries, complete: bool = False) -> ClosedSpectrum:
     """Spectrum given as a literal (value, multiplicity) list, complete or not."""
-    return ClosedSpectrum(
-        "explicit", (), tuple((float(v), int(m)) for v, m in entries), complete
-    )
+    entries = [(float(v), m) for v, m in entries]
+    bad = [m for _, m in entries if not float(m).is_integer()]  # NaN and inf are not either
+    if bad:
+        raise DomainError(f"multiplicities must be whole numbers, got {bad[0]}")
+    return ClosedSpectrum("explicit", (), tuple((v, int(m)) for v, m in entries), complete)
 
 
 def extend(spec: ClosedSpectrum, count: int) -> ClosedSpectrum:

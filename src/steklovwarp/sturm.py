@@ -79,8 +79,8 @@ class SteklovEnd:
     weight: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.weight <= 0.0:
-            raise DomainError("Steklov boundary weight must be positive")
+        if not 0.0 < self.weight < math.inf:  # NaN fails both comparisons
+            raise DomainError("Steklov boundary weight must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -145,8 +145,8 @@ class SturmProblem:
     @cached_property
     def q_node(self) -> np.ndarray:
         q = np.broadcast_to(self.potential(self.nodes), self.nodes.shape)
-        if np.any(q < 0.0):
-            raise DomainError("potential must be nonnegative on the interval")
+        if not (q.min() >= 0.0 and q.max() < math.inf):  # NaN fails too
+            raise DomainError("potential must be nonnegative and finite on the interval")
         return q
 
     @cached_property
@@ -155,8 +155,8 @@ class SturmProblem:
 
     def _grad_weight_at(self, points: np.ndarray) -> np.ndarray:
         w = np.broadcast_to(self.grad_weight(points), points.shape)
-        if np.any(w <= 0.0):
-            raise DomainError("gradient weight must be positive on the interval")
+        if not (w.min() > 0.0 and w.max() < math.inf):  # NaN fails too
+            raise DomainError("gradient weight must be positive and finite on the interval")
         return w
 
     def prime(self, q_node: np.ndarray, w_node: np.ndarray) -> "SturmProblem":
@@ -398,12 +398,14 @@ def dtn_eigenvalues(
     fiber_value (lambda) and mu broadcast against each other, and the result
     holds one row per pair, with one eigenvalue per Steklov endpoint; two
     scalars, such as the defaults lambda = 1, mu = 0, give a single row.
-    Both must be nonnegative, as the potential is: a negative shunt gives
-    a wrong eigenvalue, not an error.
+    Both must be nonnegative and finite, as the potential is: a negative
+    shunt gives a wrong eigenvalue, not an error, and an infinite one NaN.
     """
     lam, mu = np.asarray(fiber_value, float), np.asarray(mu, float)
-    if not (lam.min(initial=0.0) >= 0.0 and mu.min(initial=0.0) >= 0.0):  # min keeps a NaN
-        raise DomainError("fiber eigenvalue lambda and mode eigenvalue mu must be nonnegative")
+    if not (lam.min(initial=0.0) >= 0.0 and mu.min(initial=0.0) >= 0.0  # min keeps a NaN
+            and lam.max(initial=0.0) < math.inf and mu.max(initial=0.0) < math.inf):
+        raise DomainError("fiber eigenvalue lambda and mode eigenvalue mu "
+                          "must be nonnegative and finite")
     pairs = np.broadcast(lam, mu).shape
     cond = p.cond  # checks the mesh before any coefficient is sampled at the nodes
     shunt = lam[..., None] * p.q_node

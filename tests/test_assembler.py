@@ -561,6 +561,14 @@ class TestSigma1Construction:
         with pytest.raises(DomainError):
             sigma1_construction(cylinder_spec(mode="plain_warp"))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_warp_rejected(self, bad):
+        # it used to give value = nan; the spectrum walks on it never stopped
+        spec = assembler.surface_spec(lambda t: np.where(t > 0.5, bad, 1.0), 1.0, TWO_PI,
+                                      "both", "volume_preserving")
+        with pytest.raises(DomainError, match="warp function must be positive and finite"):
+            sigma1_construction(spec, n_elements=64)
+
     def test_fiber_without_lambda1_rejected(self):
         spec = dataclasses.replace(self._mixed_spec(), fiber=point_spectrum())
         with pytest.raises(DomainError):

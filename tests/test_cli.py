@@ -112,6 +112,12 @@ def test_sweep_fiber_without_lambda1_exits_two(tmp_path, capsys, fiber):
     ("cross_section", {"kind": "flat_torus", "l1": 1.0, "l2": math.nan},
      "torus side lengths must be positive and finite"),
     ("fiber", {"kind": "explicit", "entries": 5}, "not iterable"),
+    ("fiber", {"kind": "explicit", "entries": [[0, 1], [math.inf, 2]]},
+     "spectrum values must be finite and strictly increasing"),
+    ("fiber", {"kind": "explicit", "entries": [[0, 1], [math.nan, 2]]},
+     "spectrum values must be finite and strictly increasing"),
+    ("fiber", {"kind": "explicit", "entries": [[0, 1], [1.5, 2.5], [40, 2]]},
+     "multiplicities must be whole numbers, got 2.5"),
     ("coefficient", {"kind": "plateau", "epsilon": "x", "delta": 0.6},
      "could not convert string to float"),
     ("coefficient", {"kind": "plateau", "epsilon": 0.2, "delta": 0.6}, "epsilon"),

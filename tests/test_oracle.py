@@ -33,6 +33,7 @@ from steklovwarp.oracle import (
     make_grid,
     revolution_spectrum,
 )
+from steklovwarp.profiles import power_fn
 from steklovwarp.spectra import CachedEntries, discrete_circle_spectrum, iter_entries
 
 # plateau, bump and constant are mirror-symmetric, so at any ends only their
@@ -483,3 +484,19 @@ def test_grid_fiber_must_be_a_positive_finite_circle(fiber_length):
 def test_grid_nodes_must_span_its_length(length):
     with pytest.raises(DomainError, match=r"mesh must span exactly \[0, length\]"):
         RevolutionGrid(np.linspace(0.0, 1.0, 65), 16, length, 2.0 * math.pi, WARPS["bump"])
+
+
+@pytest.mark.parametrize("warp_name", ["plateau", "bump"])
+def test_ring_warp_is_the_ladders_h(warp_name):
+    # one ln h sample on nodes and midpoints gives the bits of the 1D ladder's h
+    grid = grid_for(warp_name, (128, 32), "both")
+    hv, *_ = _ring_coefficients(grid)
+    assert hv.tobytes() == power_fn(grid.warp, 1.0)(grid.axial_nodes).tobytes()
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_warp_not_positive_and_finite_is_refused(bad):
+    # a NaN or infinite warp used to reach the eigensolve and fail there to converge
+    grid = make_grid(1.0, 2.0 * math.pi, lambda t: np.where(t > 0.5, bad, 1.0), 64, 16)
+    with pytest.raises(DomainError, match="warp function must be positive and finite"):
+        revolution_spectrum(grid)

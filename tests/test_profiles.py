@@ -19,7 +19,7 @@ from steklovwarp import (
     point_spectrum,
     volume_element_ratio,
 )
-from steklovwarp.profiles import power_fn
+from steklovwarp.profiles import log_value, power_fn
 
 profile_params = st.tuples(
     st.floats(0.01, 0.15),   # epsilon
@@ -34,10 +34,10 @@ def make(eps, delta, symmetric, ell=1.0):
 
 class TestConstruction:
     def test_reference_plateau_values(self):
-        p = make(0.1, 0.75, False)
-        assert p.eval(0.0) == 1.0
-        assert p.eval(0.15) == pytest.approx(0.1**0.75, rel=1e-12)
-        assert p.eval(0.5) == pytest.approx(100.0, rel=1e-12)
+        h = power_fn(make(0.1, 0.75, False), 1.0)
+        assert h(0.0) == 1.0
+        assert h(0.15) == pytest.approx(0.1**0.75, rel=1e-12)
+        assert h(0.5) == pytest.approx(100.0, rel=1e-12)
 
     def test_epsilon_hypothesis(self):
         with pytest.raises(HypothesisViolationError):
@@ -53,9 +53,14 @@ class TestConstruction:
     def test_eval_outside_domain(self):
         p = make(0.1, 0.75, False)
         with pytest.raises(DomainError):
-            p.eval(-0.01)
+            p.log_eval(-0.01)
         with pytest.raises(DomainError):
-            p.eval(1.01)
+            p.log_eval(1.01)
+
+    @pytest.mark.parametrize("length", [math.nan, math.inf])
+    def test_non_finite_collar_length_rejected(self, length):
+        with pytest.raises(DomainError, match="collar_length must be positive and finite"):
+            WarpProfile(0.05, 2.0 / 3.0, length, True)
 
 
 class TestPlateaus:
@@ -66,22 +71,22 @@ class TestPlateaus:
         eps, delta, symmetric = params
         p = make(eps, delta, symmetric)
         s = x * eps / 2.0
-        assert p.eval(s) == 1.0
+        assert p.log_eval(s) == 0.0
         mid = eps + x * eps
-        assert p.eval(mid) == p.mid_value
+        assert p.log_eval(mid) == delta * math.log(eps)
         far_hi = (1.0 - 3.0 * eps) if symmetric else 1.0
         far = 3.0 * eps + x * (far_hi - 3.0 * eps)
-        assert p.eval(far) == p.far_value
+        assert p.log_eval(far) == -2.0 * math.log(eps)
 
     @given(params=profile_params)
     @settings(max_examples=100, deadline=None)
     def test_global_lower_bound(self, params):
         eps, delta, symmetric = params
-        p = make(eps, delta, symmetric)
-        floor = min(p.mid_value, 1.0)
+        h = power_fn(make(eps, delta, symmetric), 1.0)
+        floor = min(eps**delta, 1.0)
         for i in range(257):
             t = i / 256.0
-            assert p.eval(t) >= floor * (1.0 - 1e-13)
+            assert h(t) >= floor * (1.0 - 1e-13)
 
     @given(params=profile_params)
     @settings(max_examples=100, deadline=None)
@@ -94,16 +99,16 @@ class TestPlateaus:
             assert all(d <= 1e-12 for d in diffs) or all(d >= -1e-12 for d in diffs)
 
     def test_symmetric_mirror(self):
-        p = make(0.05, 0.7, True)
+        h = power_fn(make(0.05, 0.7, True), 1.0)
         for i in range(101):
             t = i / 100.0
-            assert p.eval(t) == pytest.approx(p.eval(1.0 - t), rel=1e-14, abs=0)
+            assert h(t) == pytest.approx(h(1.0 - t), rel=1e-14, abs=0)
 
     def test_continuity_at_junctions(self):
-        p = make(0.1, 0.75, False)
+        h = power_fn(make(0.1, 0.75, False), 1.0)
         for junction in (0.05, 0.1, 0.2, 0.3):
-            left = p.eval(junction - 1e-9)
-            right = p.eval(junction + 1e-9)
+            left = h(junction - 1e-9)
+            right = h(junction + 1e-9)
             assert left == pytest.approx(right, rel=1e-6)
 
 
@@ -148,7 +153,7 @@ class TestArrayEvaluation:
         p = make(*params)
         nodes = graded_mesh(1.0, n_elements, p.transition_intervals())
         t = np.concatenate((points, nodes, 0.5 * (nodes[:-1] + nodes[1:])))
-        for fn in (p.eval, p.log_eval, power_fn(p, power)):
+        for fn in (p.log_eval, power_fn(p, 1.0), power_fn(p, power)):
             values = fn(t)
             pointwise = [fn(float(x)) for x in t]
             assert all(isinstance(v, float) for v in pointwise)
@@ -158,13 +163,14 @@ class TestArrayEvaluation:
     def test_mirrored_plateau_ends_in_an_array(self):
         p = make(MIRRORED_EPS, 0.5, True)
         t = np.array([1.0 - c * MIRRORED_EPS for c in (3.0, 2.0, 1.0, 0.5)])
-        assert list(p.eval(t)) == [p.far_value, p.mid_value, p.mid_value, 1.0]
+        log_mid, log_far = 0.5 * math.log(MIRRORED_EPS), -2.0 * math.log(MIRRORED_EPS)
+        assert list(p.log_eval(t)) == [log_far, log_mid, log_mid, 0.0]
 
     @pytest.mark.parametrize("outside", [-1e-12, 1.0 + 1e-12])
     def test_array_outside_collar_rejected(self, outside):
         p = make(0.05, 0.7, True)
         t = np.array([0.0, 0.5, outside, 1.0])
-        for fn in (p.eval, p.log_eval, power_fn(p, 2.0)):
+        for fn in (p.log_eval, power_fn(p, 1.0), power_fn(p, 2.0)):
             with pytest.raises(DomainError):
                 fn(t)
 
@@ -174,9 +180,17 @@ class TestArrayEvaluation:
         with pytest.raises(DomainError):
             power_fn(lambda t: 0.0, 1.0)(t)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_callable_sample_not_positive_and_finite_rejected(self, bad):
+        t = np.linspace(0.0, 1.0, 9)
+        with pytest.raises(DomainError, match=f"positive and finite, got {bad}"):
+            log_value(lambda t: np.where(t > 0.5, bad, 1.0), t)
+        with pytest.raises(DomainError, match="positive and finite"):
+            log_value(lambda t: bad, 0.5)
 
-def reference_eval(p, t):
-    """(ln h, h) at t by np.select over the piece conditions: the reference for the index search.
+
+def reference_log_eval(p, t):
+    """ln h at t by np.select over the piece conditions: the reference for the index search.
 
     The distance s to the boundary picks the piece: s <= ε/2, s < ε, s <= 2ε,
     s < 3ε, else the far plateau. A symmetric profile also tests t against
@@ -199,9 +213,7 @@ def reference_eval(p, t):
 
     first = log_mid * ramp((s - eps / 2.0) / (eps / 2.0))
     second = log_mid + (log_far - log_mid) * ramp((s - 2.0 * eps) / eps)
-    log_h = np.select(pieces, [0.0, first, log_mid, second], log_far)
-    h = np.select(pieces, [1.0, np.exp(first), eps**p.delta, np.exp(second)], eps**-2.0)
-    return log_h[()], h[()]
+    return np.select(pieces, [0.0, first, log_mid, second], log_far)[()]
 
 
 def piece_end_points(p):
@@ -224,13 +236,13 @@ REFERENCE_PROFILES = [
 
 
 class TestAgainstSelectReference:
-    """log_eval and eval equal the np.select formulation bit for bit, arrays and scalars."""
+    """log_eval and its exp equal the np.select formulation bit for bit, arrays and scalars."""
 
     @staticmethod
     def _assert_same(p, t):
-        log_h, h = reference_eval(p, t)
+        log_h = reference_log_eval(p, t)
         assert np.asarray(p.log_eval(t)).tobytes() == np.asarray(log_h).tobytes()
-        assert np.asarray(p.eval(t)).tobytes() == np.asarray(h).tobytes()
+        assert np.asarray(power_fn(p, 1.0)(t)).tobytes() == np.asarray(np.exp(log_h)).tobytes()
 
     @pytest.mark.parametrize("params", REFERENCE_PROFILES)
     def test_piece_ends_and_neighbours(self, params):
@@ -256,7 +268,8 @@ class TestAgainstSelectReference:
 
     def test_empty_input(self):
         p = make(0.05, 0.7, True)
-        assert p.eval(np.zeros(0)).shape == (0,)
+        assert p.log_eval(np.zeros(0)).shape == (0,)
+        assert power_fn(p, 1.0)(np.zeros(0)).shape == (0,)
 
     def test_nan_rejected(self):
         p = make(0.05, 0.7, True)

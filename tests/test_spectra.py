@@ -267,3 +267,17 @@ class TestExplicit:
     def test_positive_multiplicity_required(self):
         with pytest.raises(DomainError):
             explicit_spectrum([(0.0, 1), (1.0, 0)])
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_value_rejected(self, value):
+        with pytest.raises(DomainError, match="must be finite and strictly increasing"):
+            explicit_spectrum([(0.0, 1), (value, 2)])
+
+    @pytest.mark.parametrize("mult", [2.5, 0.5, math.nan, math.inf])
+    def test_fractional_multiplicity_rejected(self, mult):
+        # 2.5 used to be truncated to 2
+        with pytest.raises(DomainError, match="multiplicities must be whole numbers"):
+            explicit_spectrum([(0.0, 1), (1.5, mult), (40.0, 2)])
+
+    def test_whole_float_multiplicity_accepted(self):
+        assert explicit_spectrum([(0, 1.0), (1, 2.0)]).entries == ((0.0, 1), (1.0, 2))

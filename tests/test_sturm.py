@@ -169,6 +169,12 @@ class TestAssemble:
             SturmProblem(length, lambda t: 1.0, lambda t: 0.0, SteklovEnd(), SteklovEnd(),
                          graded_mesh(1.0, 32))
 
+    @pytest.mark.parametrize("weight", [0.0, math.nan, math.inf])
+    def test_steklov_weight_must_be_positive_and_finite(self, weight):
+        # an infinite weight used to give sigma = 0, a NaN one NaN eigenvalues
+        with pytest.raises(DomainError, match="weight must be positive and finite"):
+            SteklovEnd(weight)
+
     def test_needs_one_steklov_end(self):
         with pytest.raises(DomainError):
             SturmProblem(
@@ -235,6 +241,24 @@ class TestDtnEigenvalues:
         p = uniform_problem(1.0, lambda t: 1.0, lambda t: 1.0, n_elements=64)
         with pytest.raises(DomainError, match="must be nonnegative"):
             dtn_eigenvalues(p, lam, mu)
+
+    @pytest.mark.parametrize("lam, mu", [(math.inf, 0.0), (1.0, math.inf), ([1.0, math.inf], 0.0)])
+    def test_infinite_pair_rejected(self, lam, mu):
+        # an infinite shunt used to give NaN eigenvalues
+        p = uniform_problem(1.0, lambda t: 1.0, lambda t: 1.0, n_elements=64)
+        with pytest.raises(DomainError, match="must be nonnegative and finite"):
+            dtn_eigenvalues(p, lam, mu)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_coefficient_samples_rejected(self, bad):
+        # NaN conductances used to give NaN eigenvalues, which no walk's cutoff stops
+        def spoilt(t):
+            return np.where(t > 0.5, bad, 1.0)
+
+        with pytest.raises(DomainError, match="gradient weight must be positive and finite"):
+            dtn_eigenvalues(uniform_problem(1.0, spoilt, lambda t: 1.0, n_elements=64))
+        with pytest.raises(DomainError, match="potential must be nonnegative and finite"):
+            dtn_eigenvalues(uniform_problem(1.0, lambda t: 1.0, spoilt, n_elements=64))
 
 
 def plateau_problem(eps, mu, lam, steklov_ends="both", n_elements=400):
@@ -579,7 +603,7 @@ class TestBaseDtnSpectrum:
         geom = BaseGeometry(point_spectrum(), 1.0, "both")
         spectrum = base_dtn_spectrum(
             geom,
-            profile.eval,
+            power_fn(profile, 1.0),
             0.0,
             power_fn(profile, -2.0),
             top=20.0,
@@ -592,7 +616,7 @@ class TestBaseDtnSpectrum:
         profile = WarpProfile(0.1, 0.75, 1.0, True)
         geom = BaseGeometry(circle_spectrum(2 * math.pi, 8), 1.0, "both")
         spans = profile.transition_intervals()
-        w = profile.eval
+        w = power_fn(profile, 1.0)
         v = power_fn(profile, -2.0)
         previous = None
         for lam in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0):
