@@ -28,6 +28,13 @@ PartitionedSystem. No eigenvalue path calls it: it serves the minimizing
 extension, the tests compare the reduction against it, and the
 benchmark's tracer hooks it by name.
 
+A mirrored problem is a collar symmetric about its middle, with two
+Steklov ends of one weight. By Bartlett's bisection theorem (1927) its
+eigenvalues are those of its left half with the middle open (even mode) and
+grounded (odd mode): one reduction of the half gives each row as
+(sigma_even, sigma_odd). `assemble`, `rayleigh_quotient` and
+`minimizing_extension` serve whole ladders only.
+
 `walk_below` collects every eigenvalue <= top of a family, over the
 ascending streams of fiber eigenvalues lambda and cross-section modes mu.
 It reads the fibers in blocks of 8. For each block it reads the modes in
@@ -98,14 +105,17 @@ class SturmProblem:
     grad_weight w must be positive and potential q nonnegative on
     [0, length]. Both are array functions; a scalar return, such as that of
     lambda t: 0.0, is broadcast over the points. The ladder is sampled once
-    per problem, on first use: the edge conductances `cond`, the lumped node
-    masses `lump` and q at the nodes `q_node`, and w at the nodes `w_node`
-    only when some mu is nonzero; `prime` hands over q and w at the nodes
-    from one evaluation, such as a collar's powers of one ln h sample.
+    per problem, on first use: the edge conductances `cond`, the lumped
+    masses `lump` and q `q_node` at the `points`, and w there `w_node` only
+    when some mu is nonzero; `prime` hands over q and w at the points from
+    one evaluation, such as a collar's powers of one ln h sample.
     dtn_eigenvalues reduces any (lambda, mu) pairs on it; lambda = 1,
     mu = 0 is the single problem -(w a')' + q a = 0.
     transition_spans lists intervals that the mesh must resolve with at
     least MIN_ELEMENTS_PER_SPAN elements each.
+    A `mirror` problem keeps the whole mesh in `nodes` but samples its left
+    half: its points run up to the middle, with half the lumped mass of a
+    node on it, and cond takes an element that straddles the middle.
     """
 
     length: float
@@ -115,6 +125,7 @@ class SturmProblem:
     right_bc: BoundaryCondition
     nodes: np.ndarray
     transition_spans: tuple[tuple[float, float], ...] = field(default=())
+    mirror: bool = False
 
     def __post_init__(self) -> None:
         if self.length <= 0.0:
@@ -123,6 +134,8 @@ class SturmProblem:
             self.right_bc, SteklovEnd
         ):
             raise DomainError("at least one endpoint must carry a Steklov condition")
+        if self.mirror and self.left_bc != self.right_bc:  # both Neumann failed above
+            raise DomainError("a mirrored collar needs two Steklov ends of one weight")
         nodes = np.asarray(self.nodes, dtype=float)
         if nodes.ndim != 1 or len(nodes) < 2:
             raise DomainError("mesh must contain at least two nodes")
@@ -132,37 +145,51 @@ class SturmProblem:
         object.__setattr__(self, "nodes", nodes)
 
     @cached_property
+    def points(self) -> np.ndarray:
+        """The nodes that carry shunts: all, or a mirror's up to its middle."""
+        return self.nodes[: (len(self.nodes) + 1) // 2] if self.mirror else self.nodes
+
+    @cached_property
+    def _elements(self) -> np.ndarray:  # the nodes of cond's elements
+        return self.nodes[: len(self.nodes) // 2 + 1] if self.mirror else self.nodes
+
+    @cached_property
     def cond(self) -> np.ndarray:
         """Edge conductances w(t_mid)/dt, on a mesh checked first."""
-        check_mesh(self.nodes, self.transition_spans)
-        mid = 0.5 * (self.nodes[:-1] + self.nodes[1:])
-        return self._grad_weight_at(mid) / np.diff(self.nodes)
+        nodes, spans = self._elements, self.transition_spans
+        if self.mirror:  # the left half's spans; the right ones are their reflections
+            spans = tuple(s for s in spans if s[1] <= self.length / 2.0)
+        check_mesh(nodes, spans)
+        mid = 0.5 * (nodes[:-1] + nodes[1:])
+        return _checked(self.grad_weight(mid), mid.shape, False) / np.diff(nodes)
 
     @cached_property
     def lump(self) -> np.ndarray:
-        return lumped_mass(self.nodes)
+        return lumped_mass(self._elements)[: len(self.points)]
 
     @cached_property
     def q_node(self) -> np.ndarray:
-        q = np.broadcast_to(self.potential(self.nodes), self.nodes.shape)
-        if not (q.min() >= 0.0 and q.max() < math.inf):  # NaN fails too
-            raise DomainError("potential must be nonnegative and finite on the interval")
-        return q
+        return _checked(self.potential(self.points), self.points.shape, True)
 
     @cached_property
     def w_node(self) -> np.ndarray:
-        return self._grad_weight_at(self.nodes)
-
-    def _grad_weight_at(self, points: np.ndarray) -> np.ndarray:
-        w = np.broadcast_to(self.grad_weight(points), points.shape)
-        if not (w.min() > 0.0 and w.max() < math.inf):  # NaN fails too
-            raise DomainError("gradient weight must be positive and finite on the interval")
-        return w
+        return _checked(self.grad_weight(self.points), self.points.shape, False)
 
     def prime(self, q_node: np.ndarray, w_node: np.ndarray) -> "SturmProblem":
-        """Take q and w at the nodes, which must be what potential and grad_weight give there."""
-        vars(self).update(q_node=q_node, w_node=w_node)
+        """Take q and w at the points, which must be what potential and grad_weight give there."""
+        vars(self).update(q_node=_checked(q_node, self.points.shape, True),
+                          w_node=_checked(w_node, self.points.shape, False))
         return self
+
+
+def _checked(values: ArrayLike, shape: tuple[int, ...], potential: bool) -> np.ndarray:
+    """Samples over shape; a potential must be nonnegative, a gradient weight positive."""
+    values = np.broadcast_to(values, shape)
+    low = values.min()  # NaN fails the comparisons below
+    if not ((low >= 0.0 if potential else low > 0.0) and values.max() < math.inf):
+        what = "potential must be nonnegative" if potential else "gradient weight must be positive"
+        raise DomainError(f"{what} and finite on the interval")
+    return values
 
 
 @dataclass(frozen=True)
@@ -251,19 +278,14 @@ def collar_problem(
     nodes: np.ndarray,
     boundary_weights: tuple[float, float],
     transition_spans: tuple[tuple[float, float], ...],
+    mirror: bool = False,
 ) -> SturmProblem:
     """The 1D family of a collar base on a mesh of it; its Steklov ends carry the weights."""
     ends = geom.steklov_ends
     left = SteklovEnd(boundary_weights[0]) if ends in ("both", "left") else NeumannEnd()
     right = SteklovEnd(boundary_weights[1]) if ends in ("both", "right") else NeumannEnd()
     return SturmProblem(
-        length=geom.collar_length,
-        grad_weight=grad_weight,
-        potential=potential,
-        left_bc=left,
-        right_bc=right,
-        nodes=nodes,
-        transition_spans=transition_spans,
+        geom.collar_length, grad_weight, potential, left, right, nodes, transition_spans, mirror
     )
 
 
@@ -276,7 +298,9 @@ def lumped_mass(nodes: np.ndarray) -> np.ndarray:
 
 
 def _steklov_nodes(p: SturmProblem) -> tuple[list[int], list[float]]:
-    """Indices and boundary weights of the Steklov end nodes."""
+    """Indices and boundary weights of the Steklov end nodes of a whole ladder."""
+    if p.mirror:
+        raise DomainError("a mirrored collar holds only its left half's ladder")
     ends = ((0, p.left_bc), (len(p.nodes) - 1, p.right_bc))
     spectral = [(i, bc.weight) for i, bc in ends if isinstance(bc, SteklovEnd)]
     return [i for i, _ in spectral], [weight for _, weight in spectral]
@@ -289,12 +313,12 @@ def assemble(p: SturmProblem) -> PartitionedSystem:
     the potential is lumped at the nodes with trapezoidal weights, and
     Neumann endpoints are treated as interior unknowns (natural condition).
     """
+    boundary, weights = _steklov_nodes(p)
     cond = p.cond
     diag = np.zeros(len(p.nodes))
     diag[:-1] += cond
     diag[1:] += cond
     diag += p.q_node * p.lump
-    boundary, weights = _steklov_nodes(p)
     # the Steklov nodes are end nodes: the interior nodes lo, ..., hi - 1 are
     # one run, and a Steklov end couples only to its neighbour in it
     lo = int(isinstance(p.left_bc, SteklovEnd))
@@ -364,9 +388,8 @@ def _reduce_ladder(
     return g1[:, 0], y[:, 0], g2[:, 0]
 
 
-def _ladder_eigenvalues(
-    cond: np.ndarray, shunt: np.ndarray, left: BoundaryCondition, right: BoundaryCondition
-) -> np.ndarray:
+def _ladder_eigenvalues(cond: np.ndarray, shunt: np.ndarray, left: BoundaryCondition,
+                        right: BoundaryCondition, mirror: bool = False) -> np.ndarray:
     """Ascending Dirichlet-to-Neumann eigenvalues of each row's ladder, one column per Steklov end.
 
     With end admittances G1 = g1 + s_0 and G2 = g2 + s_N, both ends
@@ -374,10 +397,24 @@ def _ladder_eigenvalues(
     boundary weights; its smaller eigenvalue is taken as det / sigma_max,
     det = G1 G2 + y (G1 + G2), so it keeps full relative precision down to
     an exact 0.0. One spectral end sees the other end through y in series.
+
+    A mirror's even mode sees G2 through y, as one spectral end does. Its
+    odd mode grounds node N on the middle, giving G1 + y, or through twice
+    an element c_mid that straddles it: G1 + y G2' / (y + G2') with
+    G2' = G2 + 2 c_mid, summed as sigma_even plus the nonnegative
+    y^2 / (y + G2) * 2 c_mid / (y + G2') so that the row stays ascending.
     """
+    middle = math.inf  # the odd mode's admittance from node N to ground, beyond G2
+    if mirror and len(cond) == shunt.shape[1]:  # an element straddles the middle
+        cond, middle = cond[:-1], 2.0 * cond[-1]
     g1, y, g2 = _reduce_ladder(cond, shunt)
     end1 = g1 + shunt[:, 0]
     end2 = g2 + shunt[:, -1]
+    if mirror:
+        share = y / (y + end2)
+        even = end1 + end2 * share
+        odd = even + y * share / (1.0 + (y + end2) / middle)
+        return np.stack((even, odd), axis=1) / left.weight
     if not isinstance(right, SteklovEnd):
         return ((end1 + y * end2 / (y + end2)) / left.weight)[:, None]
     if not isinstance(left, SteklovEnd):
@@ -400,6 +437,8 @@ def dtn_eigenvalues(
     scalars, such as the defaults lambda = 1, mu = 0, give a single row.
     Both must be nonnegative and finite, as the potential is: a negative
     shunt gives a wrong eigenvalue, not an error, and an infinite one NaN.
+    A mirrored problem reduces only its left half, and its rows hold
+    (sigma_even, sigma_odd); mode (0, 0) still gives an exact 0.0.
     """
     lam, mu = np.asarray(fiber_value, float), np.asarray(mu, float)
     if not (lam.min(initial=0.0) >= 0.0 and mu.min(initial=0.0) >= 0.0  # min keeps a NaN
@@ -411,8 +450,9 @@ def dtn_eigenvalues(
     shunt = lam[..., None] * p.q_node
     if mu.any():  # else mu w vanishes, and 0 + x is x exactly
         shunt = mu[..., None] * p.w_node + shunt
-    shunt = np.multiply(shunt, p.lump, out=np.empty(pairs + p.nodes.shape))
-    values = _ladder_eigenvalues(cond, shunt.reshape(-1, len(p.nodes)), p.left_bc, p.right_bc)
+    shunt = np.multiply(shunt, p.lump, out=np.empty(pairs + p.points.shape))
+    shunt = shunt.reshape(-1, len(p.points))
+    values = _ladder_eigenvalues(cond, shunt, p.left_bc, p.right_bc, p.mirror)
     return values.reshape(pairs + values.shape[1:])
 
 

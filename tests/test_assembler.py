@@ -1,6 +1,7 @@
 """Warped-product spectrum assembly: closed forms, truncation, gap construction."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -209,12 +210,13 @@ class TestFirstEigenvalues:
         assert values == pytest.approx(expected, abs=3e-4)
 
 
-def collar_of(spec, n_elements):
+def collar_of(spec, n_elements, mirror=False):
     recipes = metric_recipes(spec)
     return sturm.collar_problem(
         spec.base, recipes.grad_weight, recipes.inv_sq_weight,
         nodes=graded_mesh(spec.base.collar_length, n_elements, recipes.spans),
         boundary_weights=recipes.boundary_weights, transition_spans=recipes.spans,
+        mirror=mirror,
     )
 
 
@@ -279,9 +281,12 @@ class TestCollarSampling:
     @pytest.mark.parametrize("mode", ["plain_warp", "volume_preserving"])
     @pytest.mark.parametrize("steklov_ends", ["both", "left", "right"])
     def test_samples_equal_closure_samples(self, warp, mode, steklov_ends):
+        # a mirrored collar samples its left half's points, the closures there
         spec = self._spec(warp, mode, steklov_ends, n=3, k=2)
         got = assembler._discretize(spec, 400)
-        expected = collar_of(spec, 400)
+        mirror = steklov_ends == "both" and getattr(warp, "symmetric", False)
+        assert got.mirror == mirror
+        expected = collar_of(spec, 400, mirror)
         assert got.nodes.tobytes() == expected.nodes.tobytes()
         for name in ("cond", "q_node", "w_node", "lump"):
             assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
@@ -301,7 +306,7 @@ def per_pair_walk(spec, top, n_elements):
     the number of fiber branches below top and the last mode position read
     below top.
     """
-    problem = collar_of(spec, n_elements)
+    problem = assembler._discretize(spec, n_elements)
     tagged, branches, last_mode = [], 0, 0
     for fiber_value, fiber_mult in iter_entries(spec.fiber):
         branch = []
@@ -362,7 +367,8 @@ class TestBlockedWalk:
         if cross != "point":
             fiber_5 = extend(spec.fiber, 6).entries[5][0]
             mode_24 = extend(spec.base.cross_section, 25).entries[24][0]
-            edge = dtn_eigenvalues(collar_of(spec, self.N_ELEMENTS), fiber_5, mode_24)[0]
+            problem = assembler._discretize(spec, self.N_ELEMENTS)
+            edge = dtn_eigenvalues(problem, fiber_5, mode_24)[0]
             tops.append(float(np.nextafter(edge, 0.0)))
         walks = {}
         for top in tops:
@@ -605,6 +611,137 @@ class TestSigma1Construction:
             assert entries[1].value == sigma1, eps
 
 
+def reflected_eigenvalues(problem, lam, mu):
+    """A mirrored problem's rows from its whole ladder: the half's samples and their reflection.
+
+    The whole path reduces that ladder, whose middle node keeps twice the
+    half's shunt and whose straddling element, if any, appears once.
+    """
+    cond = problem.cond
+    shunt = (lam[:, None] * problem.q_node + mu[:, None] * problem.w_node) * problem.lump
+    if len(cond) == shunt.shape[1]:  # an element straddles the middle
+        cond = np.concatenate((cond, cond[-2::-1]))
+        shunt = np.concatenate((shunt, shunt[:, ::-1]), axis=1)
+    else:
+        cond = np.concatenate((cond, cond[::-1]))
+        shunt = np.concatenate((shunt[:, :-1], 2.0 * shunt[:, -1:], shunt[:, -2::-1]), axis=1)
+    return sturm._ladder_eigenvalues(cond, shunt, problem.left_bc, problem.right_bc)
+
+
+class TestMirror:
+    """A symmetric profile with both ends Steklov reduces only the left half of its collar.
+
+    Its rows hold (sigma_even, sigma_odd): by Bartlett's bisection theorem
+    these are the two eigenvalues of the whole, symmetric two-port. Every
+    other warp or choice of ends keeps the whole ladder.
+    """
+
+    EPSILONS = (0.1, 0.05, 0.025, 1e-2, 1e-3, 1e-4)
+    DIMS = ((1, 1), (2, 1), (3, 2))
+    VALUES = (0.0, 1.0, 100.0, 1e4)
+    LAM, MU = (np.ravel(a) for a in np.meshgrid(VALUES, VALUES))  # row 0 is mode (0, 0)
+    # 300, 301 and 302 elements give both parities of the graded mesh at every eps
+    N_ELEMENTS = (300, 301, 302)
+
+    @classmethod
+    def _problems(cls):
+        for eps in cls.EPSILONS:
+            for (n, k), mode, n_elements in itertools.product(
+                cls.DIMS, ("plain_warp", "volume_preserving"), cls.N_ELEMENTS
+            ):
+                spec = dataclasses.replace(sweep_spec(eps, n, k), mode=mode)
+                yield eps, spec, n_elements, assembler._discretize(spec, n_elements)
+
+    def test_rows_are_the_reflected_ladders(self):
+        parities = {eps: set() for eps in self.EPSILONS}
+        for eps, _, _, problem in self._problems():
+            assert problem.mirror
+            parities[eps].add(len(problem.nodes) % 2)
+            got = dtn_eigenvalues(problem, self.LAM, self.MU)
+            assert got[0, 0] == 0.0
+            assert np.all(got[:, 0] <= got[:, 1])
+            expected = reflected_eigenvalues(problem, self.LAM, self.MU)
+            np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
+        assert all(found == {0, 1} for found in parities.values()), parities
+
+    def test_rows_match_the_whole_collar(self):
+        # The whole collar samples its right half at nodes t near L, which
+        # carry an absolute rounding of ulp(L) that its ramps read as
+        # s = L - t. On rows up to 1e4 that moved the whole collar's values
+        # by up to 7.3e-13 at eps = 1e-3 and 2.4e-12 at 1e-4, while each
+        # reduction held 2e-16 against its own ladder in long double; the
+        # mirror reads no L - t (test_rows_are_the_reflected_ladders).
+        for eps, spec, n_elements, problem in self._problems():
+            got = dtn_eigenvalues(problem, self.LAM, self.MU)
+            whole = dtn_eigenvalues(collar_of(spec, n_elements), self.LAM, self.MU)
+            assert whole[0, 0] == 0.0
+            rtol = 1e-13 if eps >= 1e-2 else 1e-11
+            np.testing.assert_allclose(got, whole, rtol=rtol, atol=0.0, err_msg=str(eps))
+
+    @pytest.mark.parametrize("n, k", DIMS)
+    def test_mode00_is_the_series_conductance(self, n, k):
+        # no potential: the interior interpolates linearly between the ends,
+        # and the odd mode's eigenvalue is 2 G / b0 for the series
+        # conductance G of the reflected half, in which an element that
+        # straddles the middle appears once
+        for eps in 10.0 ** -np.arange(1, 13):
+            spec = sweep_spec(eps, n, k)
+            problem = assembler._discretize(spec, 400)
+            nodes = problem.nodes[: len(problem.nodes) // 2 + 1]
+            weight = np.full(len(nodes) - 1, 2.0)
+            if len(problem.nodes) % 2 == 0:
+                weight[-1] = 1.0
+            mid = 0.5 * (nodes[:-1] + nodes[1:])
+            w_mid = power_fn(spec.warp, 2.0 * k / n)(mid)
+            b0 = power_fn(spec.warp, k / n)(0.0)
+            expected = 2.0 / b0 / np.sum(weight * np.diff(nodes) / w_mid)
+            zero, value = dtn_eigenvalues(problem, 0.0, 0.0)
+            assert zero == 0.0
+            assert value == pytest.approx(expected, rel=1e-13, abs=0.0), eps
+
+    @pytest.mark.parametrize("warp, steklov_ends", [
+        (WarpProfile(0.05, 2.0 / 3.0, 1.0, symmetric=True), "left"),
+        (WarpProfile(0.05, 2.0 / 3.0, 1.0, symmetric=True), "right"),
+        (WarpProfile(0.05, 2.0 / 3.0, 1.0, symmetric=False), "both"),
+        (lambda t: 1.0 + t * (1.0 - t), "both"),
+        (lambda t: 1.0, "both"),
+    ], ids=["left", "right", "one-sided", "bump", "unit"])
+    def test_other_warps_keep_the_whole_ladder(self, warp, steklov_ends):
+        spec = TestCollarSampling._spec(warp, steklov_ends=steklov_ends)
+        problem = assembler._discretize(spec, 300)
+        assert not problem.mirror
+        assert problem.points is problem.nodes
+        assert len(problem.cond) == len(problem.nodes) - 1
+        expected = dtn_eigenvalues(collar_of(spec, 300), self.LAM, self.MU)
+        assert dtn_eigenvalues(problem, self.LAM, self.MU).tobytes() == expected.tobytes()
+
+    def test_profile_on_a_shorter_collar_refused(self):
+        # its left half lies inside the profile's collar, the whole does not
+        spec = TestCollarSampling._spec(WarpProfile(0.05, 2.0 / 3.0, 0.8, symmetric=True))
+        with pytest.raises(DomainError, match="outside the collar"):
+            assembler._discretize(spec, 300)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("eps", [1e-100, 1e-160, 1e-200])
+    def test_overflowing_power_refused(self, eps):
+        # h = eps^-2 on the far plateau: h^2 overflowed, and warned, before
+        # the gradient weight check saw an inf
+        spec = assembler.surface_spec(WarpProfile(eps, 0.5, 1.0, symmetric=False), 1.0, TWO_PI,
+                                      "left", "volume_preserving")
+        with pytest.raises(DomainError, match="overflows a float"):
+            sigma1_construction(spec, n_elements=64)
+
+    @pytest.mark.parametrize("q, w, match", [
+        (np.nan, 1.0, "potential"), (-1.0, 1.0, "potential"),
+        (1.0, np.inf, "gradient weight"), (1.0, 0.0, "gradient weight"),
+    ])
+    def test_primed_samples_checked(self, q, w, match):
+        problem = collar_of(sweep_spec(0.05), 300, mirror=True)
+        points = len(problem.points)
+        with pytest.raises(DomainError, match=match):
+            problem.prime(np.full(points, q), np.full(points, w))
+
+
 class TestSmallEpsilonGate:
     """sigma1 of the (n, k) = (2, 1) sweep metric in the paper's regime eps -> 0.
 
@@ -694,19 +831,28 @@ class TestLowerBoundC:
         # fiber-lambda1 mode, constant along the base, has the quotient
         #   U_b = lambda1 sum_i h(t_i)^-2 lump_i / (b0 + b1),
         # with b = h^(k/n) at the ends and lambda1 = 1. Their rates in eps
-        # are the exponents of lower_bound_C.
+        # are the exponents of lower_bound_C. The symmetric collar's ladder
+        # is its left half and that half's reflection, so the sums run over
+        # the left half, doubled: a node or element on the middle counts once.
         epsilons = 10.0 ** -np.arange(4, 11)
         bounds = []
         for eps in epsilons:
             spec = sweep_spec(eps, n, k, delta)
             warp = spec.warp
             nodes = graded_mesh(1.0, 400, warp.transition_intervals())
+            middle = (len(nodes) - 1) / 2.0  # in node positions
+
+            def twice(positions):
+                return np.select([positions < middle, positions == middle], [2.0, 1.0])
+
             dt = np.diff(nodes)
             lump = np.concatenate((dt / 2.0, [0.0])) + np.concatenate(([0.0], dt / 2.0))
-            b0, b1 = power_fn(warp, k / n)(np.array([0.0, 1.0]))
+            b0 = b1 = power_fn(warp, k / n)(0.0)
             h_mid = power_fn(warp, 1.0)(0.5 * (nodes[:-1] + nodes[1:]))
-            u_a = (1.0 / b0 + 1.0 / b1) / np.sum(dt / h_mid ** (2.0 * k / n))
-            u_b = np.sum(power_fn(warp, -2.0)(nodes) * lump) / (b0 + b1)
+            series = twice(np.arange(len(dt)) + 0.5) * dt / h_mid ** (2.0 * k / n)
+            u_a = (1.0 / b0 + 1.0 / b1) / np.sum(series)
+            fiber_term = twice(np.arange(len(nodes))) * power_fn(warp, -2.0)(nodes) * lump
+            u_b = np.sum(fiber_term) / (b0 + b1)
             sigma1 = sigma1_construction(spec, n_elements=400).value
             assert sigma1 <= u_a * (1.0 + 1e-12), eps
             assert sigma1 <= u_b * (1.0 + 1e-12), eps

@@ -666,3 +666,45 @@ class TestRayleighQuotient:
         f[-1] = 0.0
         with pytest.raises(DomainError):
             rayleigh_quotient(p, f)
+
+
+class TestMirroredProblem:
+    """A mirrored problem reduces its left half; the whole-ladder helpers refuse it."""
+
+    @staticmethod
+    def _mirrored(n_elements=64, left=None, right=None):
+        return dataclasses.replace(
+            uniform_problem(2.0, lambda t: 1.0, lambda t: 1.0, n_elements, left, right),
+            mirror=True,
+        )
+
+    @pytest.mark.parametrize("n_elements", [64, 65])
+    def test_closed_form(self, n_elements):
+        # -a'' + mu a = 0 on [0, 2]: sqrt(mu) tanh(sqrt(mu)) and sqrt(mu) coth(sqrt(mu))
+        mirrored = self._mirrored(n_elements)
+        whole = uniform_problem(2.0, lambda t: 1.0, lambda t: 1.0, n_elements)
+        mu = np.array([0.0, 1.0, 4.0])
+        got = dtn_eigenvalues(mirrored, 0.0, mu)
+        assert got[0, 0] == 0.0
+        np.testing.assert_allclose(got, dtn_eigenvalues(whole, 0.0, mu), rtol=1e-13)
+        r = np.sqrt(mu[1:])
+        assert got[1:, 0] == pytest.approx(r * np.tanh(r), rel=1e-3)
+        assert got[1:, 1] == pytest.approx(r / np.tanh(r), rel=1e-3)
+
+    @pytest.mark.parametrize("left, right", [
+        (SteklovEnd(1.0), SteklovEnd(2.0)),
+        (SteklovEnd(), NeumannEnd()),
+        (NeumannEnd(), SteklovEnd()),
+    ])
+    def test_needs_two_steklov_ends_of_one_weight(self, left, right):
+        with pytest.raises(DomainError, match="mirrored collar"):
+            self._mirrored(left=left, right=right)
+
+    @pytest.mark.parametrize("helper", [
+        lambda p: assemble(p),
+        lambda p: minimizing_extension(p, np.array([1.0, 1.0])),
+        lambda p: rayleigh_quotient(p, np.ones(len(p.nodes))),
+    ], ids=["assemble", "minimizing_extension", "rayleigh_quotient"])
+    def test_whole_ladder_helpers_refuse(self, helper):
+        with pytest.raises(DomainError, match="mirrored collar"):
+            helper(self._mirrored())
