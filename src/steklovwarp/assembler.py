@@ -98,28 +98,27 @@ _MAX_DOUBLINGS = 60
 def _discretize(spec: WarpedMetricSpec, n_elements: int) -> SturmProblem:
     """The collar's 1D family: q is the fiber weight, so lambda is the fiber eigenvalue.
 
-    A symmetric WarpProfile on its own collar with both ends Steklov gives
-    a mirrored problem (see sturm), any other warp or ends a whole one.
-    ln h is sampled once at the problem's points; q, w and the boundary
-    weights are exp(p ln h), bit for bit what the closures of
-    metric_recipes give there (graded_mesh puts 0 and L exactly at the
-    ends), and a p ln h that would overflow is refused first. w at the
-    element midpoints is the problem's own grad_weight call.
+    A symmetric WarpProfile on its own collar asks for a mirror (see sturm).
+    ln h is sampled once at the nodes; q, w and the boundary weights are
+    exp(p ln h) at the problem's points, bit for bit what metric_recipes'
+    closures give there (graded_mesh puts 0 and L exactly at the ends), and
+    a p ln h that would overflow is refused first. w at the element
+    midpoints is the problem's own grad_weight call.
     """
     warp, (grad_p, inv_p, bw_p) = spec.warp, _powers(spec)
-    mirror = isinstance(warp, profiles.WarpProfile) and warp.symmetric and (
-        spec.base.steklov_ends == "both" and warp.collar_length == spec.base.collar_length)
     spans = transition_spans(warp)
     nodes = sturm.graded_mesh(spec.base.collar_length, n_elements, spans)
-    log_h = log_value(warp, nodes[: (len(nodes) + 1) // 2] if mirror else nodes)
-    if np.abs(log_h).max() * np.abs(_powers(spec)).max() > np.log(np.finfo(float).max):
+    log_h = log_value(warp, nodes)
+    exponents = np.multiply.outer((grad_p, inv_p, bw_p), (log_h.min(), log_h.max()))
+    if exponents.max() > np.log(np.finfo(float).max):  # one below -745 only underflows to 0
         raise DomainError("a power h^p of the warp overflows a float")
     problem = sturm.collar_problem(
         spec.base, power_fn(warp, grad_p), power_fn(warp, inv_p), nodes=nodes,
-        boundary_weights=tuple(np.exp(bw_p * log_h[[0, 0 if mirror else -1]])),
-        transition_spans=spans, mirror=mirror,
+        boundary_weights=tuple(np.exp(bw_p * log_h[[0, -1]])), transition_spans=spans,
+        mirror=isinstance(warp, profiles.WarpProfile) and warp.symmetric
+        and warp.collar_length == spec.base.collar_length,
     )
-    return problem.prime(np.exp(inv_p * log_h), np.exp(grad_p * log_h))
+    return problem.prime(*np.exp(np.multiply.outer((inv_p, grad_p), log_h[: len(problem.points)])))
 
 
 def _streams(spec: WarpedMetricSpec) -> tuple[CachedEntries, CachedEntries]:

@@ -28,12 +28,12 @@ PartitionedSystem. No eigenvalue path calls it: it serves the minimizing
 extension, the tests compare the reduction against it, and the
 benchmark's tracer hooks it by name.
 
-A mirrored problem is a collar symmetric about its middle, with two
-Steklov ends of one weight. By Bartlett's bisection theorem (1927) its
-eigenvalues are those of its left half with the middle open (even mode) and
-grounded (odd mode): one reduction of the half gives each row as
-(sigma_even, sigma_odd). `assemble`, `rayleigh_quotient` and
-`minimizing_extension` serve whole ladders only.
+A mirrored problem is a collar whose coefficients and mesh are symmetric
+about its middle, with two Steklov ends of one weight. By Bartlett's
+bisection theorem (1927) its eigenvalues are those of its left half with
+the middle open (even mode) and grounded (odd mode): one reduction of the
+half gives each row as (sigma_even, sigma_odd). `assemble`,
+`rayleigh_quotient` and `minimizing_extension` serve whole ladders only.
 
 `walk_below` collects every eigenvalue <= top of a family, over the
 ascending streams of fiber eigenvalues lambda and cross-section modes mu.
@@ -113,9 +113,9 @@ class SturmProblem:
     mu = 0 is the single problem -(w a')' + q a = 0.
     transition_spans lists intervals that the mesh must resolve with at
     least MIN_ELEMENTS_PER_SPAN elements each.
-    A `mirror` problem keeps the whole mesh in `nodes` but samples its left
-    half: its points run up to the middle, with half the lumped mass of a
-    node on it, and cond takes an element that straddles the middle.
+    A `mirror`, which only collar_problem makes, keeps the whole mesh in
+    `nodes` but samples its left half: points up to the middle, half the
+    lumped mass of a node on it, and in cond an element that straddles it.
     """
 
     length: float
@@ -125,7 +125,7 @@ class SturmProblem:
     right_bc: BoundaryCondition
     nodes: np.ndarray
     transition_spans: tuple[tuple[float, float], ...] = field(default=())
-    mirror: bool = False
+    mirror: bool = field(default=False, init=False)
 
     def __post_init__(self) -> None:
         if self.length <= 0.0:
@@ -134,8 +134,6 @@ class SturmProblem:
             self.right_bc, SteklovEnd
         ):
             raise DomainError("at least one endpoint must carry a Steklov condition")
-        if self.mirror and self.left_bc != self.right_bc:  # both Neumann failed above
-            raise DomainError("a mirrored collar needs two Steklov ends of one weight")
         nodes = np.asarray(self.nodes, dtype=float)
         if nodes.ndim != 1 or len(nodes) < 2:
             raise DomainError("mesh must contain at least two nodes")
@@ -280,13 +278,17 @@ def collar_problem(
     transition_spans: tuple[tuple[float, float], ...],
     mirror: bool = False,
 ) -> SturmProblem:
-    """The 1D family of a collar base on a mesh of it; its Steklov ends carry the weights."""
-    ends = geom.steklov_ends
+    """The 1D family of a collar base on a mesh of it; its Steklov ends carry the weights.
+
+    mirror vouches for w and q symmetric about the middle: the problem is a
+    mirror if its ends are too, and its mesh by index up to rounding."""
+    ends, length = geom.steklov_ends, geom.collar_length
     left = SteklovEnd(boundary_weights[0]) if ends in ("both", "left") else NeumannEnd()
     right = SteklovEnd(boundary_weights[1]) if ends in ("both", "right") else NeumannEnd()
-    return SturmProblem(
-        geom.collar_length, grad_weight, potential, left, right, nodes, transition_spans, mirror
-    )
+    p = SturmProblem(length, grad_weight, potential, left, right, nodes, transition_spans)
+    if mirror and left == right and np.allclose(p.nodes + p.nodes[::-1], length, 1e-12, 0.0):
+        object.__setattr__(p, "mirror", True)  # before any cached sample is taken
+    return p
 
 
 def lumped_mass(nodes: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ from steklovwarp import (
     steklov_spectrum_warped,
 )
 from steklovwarp import assembler, sturm
-from steklovwarp.profiles import power_fn
+from steklovwarp.profiles import log_value, power_fn
 from steklovwarp.provenance import merge_tagged
 from steklovwarp.spectra import extend, iter_entries
 
@@ -611,20 +611,25 @@ class TestSigma1Construction:
             assert entries[1].value == sigma1, eps
 
 
-def reflected_eigenvalues(problem, lam, mu):
-    """A mirrored problem's rows from its whole ladder: the half's samples and their reflection.
+def reflected_ladder(problem):
+    """A mirrored problem's whole ladder, from its half's samples and their reflection.
 
-    The whole path reduces that ladder, whose middle node keeps twice the
-    half's shunt and whose straddling element, if any, appears once.
+    Returns the conductances and the lumped q and w at each node. The middle
+    node keeps twice the half's shunt, and an element that straddles the
+    middle appears once.
     """
     cond = problem.cond
-    shunt = (lam[:, None] * problem.q_node + mu[:, None] * problem.w_node) * problem.lump
-    if len(cond) == shunt.shape[1]:  # an element straddles the middle
-        cond = np.concatenate((cond, cond[-2::-1]))
-        shunt = np.concatenate((shunt, shunt[:, ::-1]), axis=1)
-    else:
-        cond = np.concatenate((cond, cond[::-1]))
-        shunt = np.concatenate((shunt[:, :-1], 2.0 * shunt[:, -1:], shunt[:, -2::-1]), axis=1)
+    shunts = np.stack((problem.q_node, problem.w_node)) * problem.lump
+    if len(cond) == shunts.shape[1]:  # an element straddles the middle
+        return np.concatenate((cond, cond[-2::-1])), np.concatenate((shunts, shunts[:, ::-1]), 1)
+    return np.concatenate((cond, cond[::-1])), np.concatenate(
+        (shunts[:, :-1], 2.0 * shunts[:, -1:], shunts[:, -2::-1]), 1)
+
+
+def reflected_eigenvalues(problem, lam, mu):
+    """A mirrored problem's rows as the whole path reduces its reflected ladder."""
+    cond, (q_lump, w_lump) = reflected_ladder(problem)
+    shunt = lam[:, None] * q_lump + mu[:, None] * w_lump
     return sturm._ladder_eigenvalues(cond, shunt, problem.left_bc, problem.right_bc)
 
 
@@ -668,8 +673,8 @@ class TestMirror:
         # The whole collar samples its right half at nodes t near L, which
         # carry an absolute rounding of ulp(L) that its ramps read as
         # s = L - t. On rows up to 1e4 that moved the whole collar's values
-        # by up to 7.3e-13 at eps = 1e-3 and 2.4e-12 at 1e-4, while each
-        # reduction held 2e-16 against its own ladder in long double; the
+        # by up to 7.3e-13 at eps = 1e-3 and 2.4e-12 at 1e-4
+        # (test_whole_collar_departs_by_its_right_half_rounding); the
         # mirror reads no L - t (test_rows_are_the_reflected_ladders).
         for eps, spec, n_elements, problem in self._problems():
             got = dtn_eigenvalues(problem, self.LAM, self.MU)
@@ -677,6 +682,34 @@ class TestMirror:
             assert whole[0, 0] == 0.0
             rtol = 1e-13 if eps >= 1e-2 else 1e-11
             np.testing.assert_allclose(got, whole, rtol=rtol, atol=0.0, err_msg=str(eps))
+
+    def test_whole_collar_departs_by_its_right_half_rounding(self):
+        # The whole collar's ladder and the mirror's reflected one share the
+        # left half bit for bit. On the right half, the whole collar's nodes
+        # sit off the reflected left nodes by at most ulp(L), so each
+        # conductance and lumped q and w is off by a relative r of at most
+        # ulp(L) times the ladder's sensitivity to a node shift. Scaling
+        # every conductance and shunt by a factor in [1 - r, 1 + r] keeps
+        # each Dirichlet-to-Neumann eigenvalue in that factor, which bounds
+        # how far the whole collar's rows may depart from the mirror's.
+        worst = dict.fromkeys(self.EPSILONS, 0.0)
+        for eps, spec, n_elements, problem in self._problems():
+            whole = collar_of(spec, n_elements)
+            cond, shunts = reflected_ladder(problem)
+            left = len(problem.cond)
+            assert whole.cond[:left].tobytes() == cond[:left].tobytes()
+            assert np.abs(whole.nodes + whole.nodes[::-1] - 1.0).max() <= np.spacing(1.0)
+            r = max(np.abs(whole.cond / cond - 1.0).max(),
+                    np.abs(np.stack((whole.q_node, whole.w_node)) * whole.lump / shunts - 1.0).max())
+            dt = np.diff(whole.nodes)
+            slope = np.abs(np.diff(log_value(spec.warp, whole.nodes)) / dt).max()
+            slope *= np.abs(assembler._powers(spec)).max()
+            assert r <= np.spacing(1.0) * (slope + 1.0 / dt.min()), eps
+            got = dtn_eigenvalues(problem, self.LAM, self.MU)
+            shift = np.abs(dtn_eigenvalues(whole, self.LAM, self.MU) - got)
+            assert np.all(shift <= (r + 1e-13) * got), eps
+            worst[eps] = max(worst[eps], r)
+        assert worst[1e-3] > 1e-12 and worst[1e-4] > 1e-11, worst  # the shifts seen there
 
     @pytest.mark.parametrize("n, k", DIMS)
     def test_mode00_is_the_series_conductance(self, n, k):
@@ -715,6 +748,16 @@ class TestMirror:
         expected = dtn_eigenvalues(collar_of(spec, 300), self.LAM, self.MU)
         assert dtn_eigenvalues(problem, self.LAM, self.MU).tobytes() == expected.tobytes()
 
+    def test_asymmetric_mesh_keeps_the_whole_ladder(self):
+        # at 260 elements [eps, 2 eps] gets rint(6.5) = 6 elements, but
+        # [L - 2 eps, L - eps] gets rint(6.50000000000000577) = 7, so no
+        # node of the mesh sits on the middle of the collar
+        spec = sweep_spec(0.025)
+        problem = assembler._discretize(spec, 260)
+        assert not problem.mirror
+        expected = dtn_eigenvalues(collar_of(spec, 260), self.LAM, self.MU)
+        assert dtn_eigenvalues(problem, self.LAM, self.MU).tobytes() == expected.tobytes()
+
     def test_profile_on_a_shorter_collar_refused(self):
         # its left half lies inside the profile's collar, the whole does not
         spec = TestCollarSampling._spec(WarpProfile(0.05, 2.0 / 3.0, 0.8, symmetric=True))
@@ -730,6 +773,18 @@ class TestMirror:
                                       "left", "volume_preserving")
         with pytest.raises(DomainError, match="overflows a float"):
             sigma1_construction(spec, n_elements=64)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_underflowing_power_answered(self):
+        # (n, k) = (6, 1): h^-2 underflows to q = 0 on the far plateau, where
+        # ln h = -2 ln eps = 391, while w = h^(1/3) and h^(1/6) stay finite
+        spec = TestCollarSampling._spec(WarpProfile(1e-85, 0.5, 1.0, symmetric=False),
+                                        steklov_ends="left", n=6, k=1)
+        problem = assembler._discretize(spec, 64)
+        assert problem.q_node.min() == 0.0
+        expected = dtn_eigenvalues(collar_of(spec, 64), self.LAM, self.MU)
+        assert dtn_eigenvalues(problem, self.LAM, self.MU).tobytes() == expected.tobytes()
+        assert math.isfinite(sigma1_construction(spec, n_elements=64).value)
 
     @pytest.mark.parametrize("q, w, match", [
         (np.nan, 1.0, "potential"), (-1.0, 1.0, "potential"),

@@ -38,7 +38,12 @@ from steklovwarp import (
 )
 from steklovwarp.profiles import power_fn
 from steklovwarp.provenance import merge_tagged
-from steklovwarp.sturm import MIN_ELEMENTS_PER_SPAN, _reduce_ladder, minimizing_extension
+from steklovwarp.sturm import (
+    MIN_ELEMENTS_PER_SPAN,
+    _reduce_ladder,
+    collar_problem,
+    minimizing_extension,
+)
 
 TANH1 = math.tanh(1.0)
 COTH1 = 1.0 / math.tanh(1.0)
@@ -669,19 +674,24 @@ class TestRayleighQuotient:
 
 
 class TestMirroredProblem:
-    """A mirrored problem reduces its left half; the whole-ladder helpers refuse it."""
+    """collar_problem mirrors a collar said to be symmetric when its ends and mesh are too.
+
+    A mirrored problem reduces its left half; the whole-ladder helpers refuse it.
+    """
 
     @staticmethod
-    def _mirrored(n_elements=64, left=None, right=None):
-        return dataclasses.replace(
-            uniform_problem(2.0, lambda t: 1.0, lambda t: 1.0, n_elements, left, right),
-            mirror=True,
+    def _collar(n_elements=64, ends="both", weights=(1.0, 1.0), nodes=None):
+        return collar_problem(
+            BaseGeometry(point_spectrum(), 2.0, ends), lambda t: 1.0, lambda t: 1.0,
+            nodes=graded_mesh(2.0, n_elements) if nodes is None else nodes,
+            boundary_weights=weights, transition_spans=(), mirror=True,
         )
 
     @pytest.mark.parametrize("n_elements", [64, 65])
     def test_closed_form(self, n_elements):
         # -a'' + mu a = 0 on [0, 2]: sqrt(mu) tanh(sqrt(mu)) and sqrt(mu) coth(sqrt(mu))
-        mirrored = self._mirrored(n_elements)
+        mirrored = self._collar(n_elements)
+        assert mirrored.mirror
         whole = uniform_problem(2.0, lambda t: 1.0, lambda t: 1.0, n_elements)
         mu = np.array([0.0, 1.0, 4.0])
         got = dtn_eigenvalues(mirrored, 0.0, mu)
@@ -691,14 +701,26 @@ class TestMirroredProblem:
         assert got[1:, 0] == pytest.approx(r * np.tanh(r), rel=1e-3)
         assert got[1:, 1] == pytest.approx(r / np.tanh(r), rel=1e-3)
 
-    @pytest.mark.parametrize("left, right", [
-        (SteklovEnd(1.0), SteklovEnd(2.0)),
-        (SteklovEnd(), NeumannEnd()),
-        (NeumannEnd(), SteklovEnd()),
-    ])
-    def test_needs_two_steklov_ends_of_one_weight(self, left, right):
-        with pytest.raises(DomainError, match="mirrored collar"):
-            self._mirrored(left=left, right=right)
+    @pytest.mark.parametrize("ends, weights, offset, mirrored", [
+        ("both", (1.0, 1.0), 1e-12, True),
+        ("both", (1.0, 1.0), 3e-12, False),
+        ("both", (1.0, 2.0), 0.0, False),
+        ("left", (1.0, 1.0), 0.0, False),
+        ("right", (1.0, 1.0), 0.0, False),
+    ], ids=["mesh-off-by-rounding", "mesh-off", "weights", "left", "right"])
+    def test_needs_two_steklov_ends_of_one_weight_and_a_symmetric_mesh(
+        self, ends, weights, offset, mirrored
+    ):
+        nodes = graded_mesh(2.0, 64)
+        nodes[40] += offset  # a node right of the middle, with no mirror image
+        problem = self._collar(ends=ends, weights=weights, nodes=nodes)
+        assert problem.mirror == mirrored
+        assert (problem.points is problem.nodes) != mirrored
+
+    def test_not_a_constructor_argument(self):
+        with pytest.raises(TypeError, match="mirror"):
+            SturmProblem(2.0, lambda t: 1.0, lambda t: 1.0, SteklovEnd(), SteklovEnd(),
+                         graded_mesh(2.0, 64), mirror=True)
 
     @pytest.mark.parametrize("helper", [
         lambda p: assemble(p),
@@ -707,4 +729,4 @@ class TestMirroredProblem:
     ], ids=["assemble", "minimizing_extension", "rayleigh_quotient"])
     def test_whole_ladder_helpers_refuse(self, helper):
         with pytest.raises(DomainError, match="mirrored collar"):
-            helper(self._mirrored())
+            helper(self._collar())
