@@ -151,10 +151,11 @@ def criterion_2_decomposition_vs_oracle() -> CriterionResult:
         _, spectrum = first_eigenvalues(spec, 16, n_elements=800)
         cumulative = 0
         top = None
-        for entry, nxt in zip(spectrum.entries, spectrum.entries[1:]):
-            cumulative += entry.multiplicity
-            if cumulative >= 15 and nxt.value > entry.value * 1.05:
-                top = math.sqrt(entry.value * nxt.value)
+        values = spectrum.anchors
+        for value, nxt, mult in zip(values, values[1:], spectrum.multiplicities):
+            cumulative += mult
+            if cumulative >= 15 and nxt > value * 1.05:
+                top = math.sqrt(value * nxt)
                 break
         if top is None:
             return False, "no spectral gap found past the 15th eigenvalue"

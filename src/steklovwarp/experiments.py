@@ -557,12 +557,14 @@ def ramp_phi_instance(samples: int, collar_fraction: float):
 
 def spectrum_csv_lines(spectrum: SpectrumWithProvenance) -> list[str]:
     """One row per source: value, source multiplicity, fiber eigenvalue, mode, branch."""
-    return [SPECTRUM_CSV_HEADER] + [
-        f"{sig12(e.value)},{s.multiplicity},{sig12(s.fiber_value)},"
-        f"{sig12(s.cross_value)},{s.branch}"
-        for e in spectrum.entries
-        for s in e.sources
-    ]
+    lines = [SPECTRUM_CSV_HEADER]
+    for anchor, _, rows in spectrum.groups():
+        value = sig12(anchor)
+        lines += [
+            f"{value},{fiber_mult * cross_mult},{sig12(fiber_value)},{sig12(cross_value)},{branch}"
+            for _, fiber_value, cross_value, branch, fiber_mult, cross_mult in rows
+        ]
+    return lines
 
 
 def sweep_csv_lines(rows: list[SweepRow]) -> list[str]:

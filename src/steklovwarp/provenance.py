@@ -6,11 +6,22 @@ over cross-section modes. Every computed eigenvalue therefore carries its
 source, and coincident values (up to a relative merge tolerance) collapse
 into a single entry whose multiplicity is the sum over sources of
 fiber multiplicity times cross-section multiplicity.
+
+A walk tags each eigenvalue as a plain row (value, fiber_value,
+cross_value, branch, fiber_mult, cross_mult). merge_tagged sorts the rows
+once and groups them in one pass; the merged spectrum is that table: the
+sorted rows, where each group starts, and each group's anchor value and
+multiplicity. Values, multiplicities and the CSV rows are read from the
+table. The SpectrumEntry and EigenSource objects of `entries` are built
+only when it is first read, and then cached.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -23,8 +34,13 @@ from .errors import DomainError
 MERGE_RTOL = 1e-12
 MERGE_ATOL = 1e-12
 
+# (value, fiber_value, cross_value, branch, fiber_mult, cross_mult)
+Row = tuple[float, float, float, int, int, int]
+_ORDER = itemgetter(0, 1, 2, 3)  # the sort key: value, fiber, cross-section mode, branch
+_SOURCE = itemgetter(1, 4, 2, 5, 3)  # a row's EigenSource fields, in their order
 
-class EigenSource(NamedTuple):  # a walk builds one per tagged eigenvalue; a tuple is cheap
+
+class EigenSource(NamedTuple):
     """One branch eigenvalue of one (fiber eigenvalue, cross-section mode) problem."""
 
     fiber_value: float
@@ -47,57 +63,78 @@ class SpectrumEntry:
 
 @dataclass(frozen=True)
 class SpectrumWithProvenance:
-    """Ascending merged eigenvalues with multiplicity and source bookkeeping."""
+    """Ascending merged eigenvalues with multiplicity and source bookkeeping.
 
-    entries: tuple[SpectrumEntry, ...]
+    rows are the tagged rows in merge order; group g is
+    rows[starts[g]:starts[g + 1]], its value is anchors[g], the smallest
+    value in it, and its multiplicity multiplicities[g]. `entries` is the
+    same spectrum as SpectrumEntry objects, built on first read and cached.
+    """
+
+    rows: tuple[Row, ...]
+    starts: tuple[int, ...]
+    anchors: tuple[float, ...]
+    multiplicities: tuple[int, ...]
+
+    def groups(self) -> Iterator[tuple[float, int, tuple[Row, ...]]]:
+        """(value, multiplicity, rows) of each merged entry, ascending."""
+        ends = self.starts[1:] + (len(self.rows),)
+        for anchor, mult, start, end in zip(self.anchors, self.multiplicities, self.starts, ends):
+            yield anchor, mult, self.rows[start:end]
+
+    @cached_property
+    def entries(self) -> tuple[SpectrumEntry, ...]:
+        return tuple(
+            SpectrumEntry(anchor, mult, tuple(map(EigenSource._make, map(_SOURCE, rows))))
+            for anchor, mult, rows in self.groups()
+        )
 
     def values(self) -> np.ndarray:
-        return np.array([e.value for e in self.entries])
+        return np.array(self.anchors, dtype=float)
 
     def flatten(self) -> np.ndarray:
         """Eigenvalues repeated according to multiplicity."""
-        if not self.entries:
+        if not self.anchors:
             return np.zeros(0)
-        return np.repeat(self.values(), [e.multiplicity for e in self.entries])
+        return np.repeat(self.values(), self.multiplicities)
 
     @property
     def total_multiplicity(self) -> int:
-        return sum(e.multiplicity for e in self.entries)
+        return sum(self.multiplicities)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.anchors)
 
     def min_value(self) -> float:
-        if not self.entries:
+        if not self.anchors:
             raise DomainError("empty spectrum has no minimum")
-        return self.entries[0].value
+        return self.anchors[0]
 
 
-def merge_tagged(tagged: list[tuple[float, EigenSource]]) -> SpectrumWithProvenance:
-    """Sort tagged eigenvalues and merge coincident values into single entries.
+def merge_tagged(tagged: list[Row]) -> SpectrumWithProvenance:
+    """Sort tagged rows and merge coincident values into single entries.
 
     Grouping is anchored at the first (smallest) value of each group so a
     chain of nearly equal values cannot drift across the tolerance. The
     output order is deterministic: by value, then fiber eigenvalue, then
     cross-section mode, then branch index, then input order.
     """
-    ordered = sorted(
-        (value, source.fiber_value, source.cross_value, source.branch, i)
-        for i, (value, source) in enumerate(tagged)
-    )
-    entries: list[SpectrumEntry] = []
-    anchor, group, mult = 0.0, [], 0
-    for value, _, _, _, i in ordered:
-        source = tagged[i][1]
-        # value >= anchor, so |value - anchor| = value - anchor and
-        # max(|value|, |anchor|) = max(value, -anchor)
-        if group and value - anchor <= max(MERGE_RTOL * max(value, -anchor), MERGE_ATOL):
-            group.append(source)
-            mult += source.multiplicity
-            continue
-        if group:
-            entries.append(SpectrumEntry(anchor, mult, tuple(group)))
-        anchor, group, mult = value, [source], source.multiplicity
-    if group:
-        entries.append(SpectrumEntry(anchor, mult, tuple(group)))
-    return SpectrumWithProvenance(tuple(entries))
+    rows = sorted(tagged, key=_ORDER)  # stable: ties keep their input order
+    starts: list[int] = []
+    anchors: list[float] = []
+    mults: list[int] = []
+    # value >= anchor, so a value joins the group if value - anchor is at most
+    # max(MERGE_RTOL * max(|value|, |anchor|), MERGE_ATOL); the part of that
+    # bound fixed by the anchor is its reach. No comparison with NaN holds, so
+    # the first row opens a group.
+    anchor = reach = float("nan")
+    for i, (value, _, _, _, fiber_mult, cross_mult) in enumerate(rows):
+        gap = value - anchor
+        if gap <= reach or gap <= MERGE_RTOL * value:
+            mults[-1] += fiber_mult * cross_mult
+        else:
+            anchor, reach = value, max(-MERGE_RTOL * value, MERGE_ATOL)
+            starts.append(i)
+            anchors.append(value)
+            mults.append(fiber_mult * cross_mult)
+    return SpectrumWithProvenance(tuple(rows), tuple(starts), tuple(anchors), tuple(mults))

@@ -47,6 +47,9 @@ fiber, in calls of at most 64 rows. Every eigenvalue is nondecreasing in
 lambda and in mu. So a fiber's walk stops at its first mode whose smallest
 eigenvalue exceeds top, and the whole walk stops at the first fiber whose
 mode 0 starts above top: the union collected so far is complete below top.
+Each eigenvalue <= top is tagged as a plain row (value, lambda, mu, branch,
+fiber multiplicity, mode multiplicity), with no object per value, and
+provenance.merge_tagged sorts the rows once into the merged spectrum.
 """
 
 from __future__ import annotations
@@ -59,10 +62,10 @@ from itertools import chain, islice
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .errors import CompletenessError, DomainError, MeshResolutionError
+from .errors import CompletenessError, DomainError, MeshResolutionError, NumericError
 from .linalg import PartitionedSystem, _interior_solve
 from .profiles import CoefficientFn
-from .provenance import EigenSource, SpectrumWithProvenance, merge_tagged
+from .provenance import Row, SpectrumWithProvenance, merge_tagged
 from .spectra import CachedEntries, ClosedSpectrum, iter_entries
 
 # fiber eigenvalues walked together: with one sub-block of 8 modes, one
@@ -77,6 +80,10 @@ _MAX_BLOCK = 64
 # elements that every transition span of a mesh must hold: coefficient
 # plateaus changing by orders of magnitude meet there
 MIN_ELEMENTS_PER_SPAN = 8
+
+# about the square root of the largest float, and a power of two, so that
+# w * (1 / _MAX_COND) is exact: a product of two smaller conductances is finite
+_MAX_COND = 2.0**512
 
 
 @dataclass(frozen=True)
@@ -153,13 +160,23 @@ class SturmProblem:
 
     @cached_property
     def cond(self) -> np.ndarray:
-        """Edge conductances w(t_mid)/dt, on a mesh checked first."""
+        """Edge conductances w(t_mid)/dt, on a mesh checked first.
+
+        The reduction multiplies two conductances, so one of _MAX_COND or
+        more is refused: the product would overflow to inf and the
+        eigenvalues come out NaN.
+        """
         nodes, spans = self._elements, self.transition_spans
         if self.mirror:  # the left half's spans; the right ones are their reflections
             spans = tuple(s for s in spans if s[1] <= self.length / 2.0)
         check_mesh(nodes, spans)
         mid = 0.5 * (nodes[:-1] + nodes[1:])
-        return _checked(self.grad_weight(mid), mid.shape, False) / np.diff(nodes)
+        w_mid, dt = _checked(self.grad_weight(mid), mid.shape, False), np.diff(nodes)
+        if (w_mid * (1.0 / _MAX_COND) >= dt).any():  # w/dt >= _MAX_COND, with no w/dt to overflow
+            raise NumericError(
+                "a conductance w/dt reaches 2^512: the ladder reduction would overflow"
+            )
+        return w_mid / dt
 
     @cached_property
     def lump(self) -> np.ndarray:
@@ -218,7 +235,10 @@ def graded_mesh(
 
     Elements are distributed across the segments cut by the span endpoints
     in proportion to segment length, with the per-span minimum enforced, and
-    are uniform within each segment.
+    are uniform within each segment. When the cuts are symmetric about the
+    middle, to 1e-12 length, a segment and its mirror image both get the
+    larger of their two counts, which their lengths may round apart; the
+    mesh is then symmetric by index, as a mirrored collar needs.
     """
     if not 0.0 < length < math.inf:  # NaN fails both comparisons
         raise DomainError("length must be positive and finite")
@@ -229,7 +249,8 @@ def graded_mesh(
         if not 0.0 <= a < b <= length:
             raise DomainError(f"span ({a}, {b}) outside [0, {length}]")
         cuts.update((a, b))
-    breaks = np.array(sorted(cuts))
+    ordered = sorted(cuts)
+    breaks = np.array(ordered)
     a, b = breaks[:-1], breaks[1:]
     seg = np.maximum(1, np.rint(n_elements * (b - a) / length)).astype(int)
     if spans:  # the segments that are whole spans; a span cut by another one is none
@@ -237,6 +258,8 @@ def graded_mesh(
         at = np.searchsorted(breaks, start)
         whole = at[breaks[at + 1] == stop]
         seg[whole] = np.maximum(seg[whole], MIN_ELEMENTS_PER_SPAN)
+    if all(abs(x + y - length) <= 1e-12 * length for x, y in zip(ordered, reversed(ordered))):
+        seg = np.maximum(seg, seg[::-1])
     step = (b - a) / seg
     ends = np.cumsum(seg)  # one past each segment's last node, the node at 0 left out
     which = np.repeat(np.arange(len(seg)), seg)
@@ -506,7 +529,7 @@ def walk_below(
     that ends before the walk stops raises CompletenessError, unless it is
     complete.
     """
-    tagged: list[tuple[float, EigenSource]] = []
+    tagged: list[Row] = []
     start, stopped = 0, False
     while not stopped:
         block = fibers.take(start, _FIBER_BLOCK)
@@ -539,9 +562,9 @@ def walk_below(
                         break
                     for branch, value in enumerate(row):
                         if value <= top:
-                            tagged.append((value, EigenSource(
-                                fiber_value, fiber_mult, cross_value, cross_mult, branch
-                            )))
+                            tagged.append(
+                                (value, fiber_value, cross_value, branch, fiber_mult, cross_mult)
+                            )
                 else:
                     walking.append((known, (fiber_value, fiber_mult)))
                     continue

@@ -11,8 +11,8 @@ from steklovwarp import (
     BaseGeometry,
     CompletenessError,
     DomainError,
-    EigenSource,
     HypothesisViolationError,
+    NumericError,
     WarpedMetricSpec,
     WarpProfile,
     base_dtn_spectrum,
@@ -29,6 +29,7 @@ from steklovwarp import (
     steklov_spectrum_warped,
 )
 from steklovwarp import assembler, sturm
+from steklovwarp.experiments import SPECTRUM_CSV_HEADER, sig12, spectrum_csv_lines
 from steklovwarp.profiles import log_value, power_fn
 from steklovwarp.provenance import merge_tagged
 from steklovwarp.spectra import extend, iter_entries
@@ -316,7 +317,7 @@ def per_pair_walk(spec, top, n_elements):
                 break
             last_mode = max(last_mode, j)
             branch += [
-                (float(value), EigenSource(fiber_value, fiber_mult, cross_value, cross_mult, b))
+                (float(value), fiber_value, cross_value, b, fiber_mult, cross_mult)
                 for b, value in enumerate(row)
                 if value <= top
             ]
@@ -325,6 +326,16 @@ def per_pair_walk(spec, top, n_elements):
         tagged += branch
         branches += 1
     return merge_tagged(tagged), branches, last_mode
+
+
+def per_source_csv_lines(spectrum):
+    """The spectrum CSV formatted from the entries, one line per source: the reference."""
+    return [SPECTRUM_CSV_HEADER] + [
+        f"{sig12(e.value)},{s.multiplicity},{sig12(s.fiber_value)},"
+        f"{sig12(s.cross_value)},{s.branch}"
+        for e in spectrum.entries
+        for s in e.sources
+    ]
 
 
 class TestBlockedWalk:
@@ -394,6 +405,53 @@ class TestBlockedWalk:
         values, spectrum = first_eigenvalues(spec, count, n_elements=self.N_ELEMENTS)
         assert spectrum.entries == expected.entries
         assert np.array_equal(values, expected.flatten()[:count])
+
+    @pytest.mark.parametrize("cross", ["point", "circle", "torus"])
+    @pytest.mark.parametrize("steklov_ends", ["both", "left", "right"])
+    def test_table_reads_as_the_entries(self, steklov_ends, cross):
+        # values, multiplicities and the minimum come from the merged table;
+        # the entries, built on first read, say the same
+        values, spectrum = first_eigenvalues(self._spec(steklov_ends, cross), 40,
+                                             n_elements=self.N_ELEMENTS)
+        entries = spectrum.entries
+        assert spectrum.entries is entries  # cached
+        flat = [e.value for e in entries for _ in range(e.multiplicity)]
+        assert values.tolist() == flat[:40]
+        assert spectrum.flatten().tolist() == flat
+        assert spectrum.values().tolist() == [e.value for e in entries]
+        assert spectrum.total_multiplicity == len(flat)
+        assert len(spectrum) == len(entries)
+        assert spectrum.min_value() == entries[0].value
+
+    @pytest.mark.parametrize("cross", ["circle", "torus"])
+    @pytest.mark.parametrize("steklov_ends", ["both", "left", "right"])
+    def test_csv_matches_the_entries(self, steklov_ends, cross):
+        spectrum = steklov_spectrum_warped(self._spec(steklov_ends, cross), 30.0,
+                                           n_elements=self.N_ELEMENTS)
+        lines = spectrum_csv_lines(spectrum)
+        assert lines == per_source_csv_lines(spectrum)
+        assert len(lines) == 1 + len(spectrum.rows)
+        if steklov_ends == "both":  # the even and odd branches of a large lambda merge
+            assert len(spectrum.rows) > len(spectrum)
+
+    @pytest.mark.parametrize("cross", ["circle", "torus"])
+    def test_csv_with_top_inside_a_merge_group(self, cross):
+        # top between the anchor of a merged entry and its largest value: the
+        # walk keeps only the part of the group at or below top
+        spec = self._spec("both", cross)
+        full = steklov_spectrum_warped(spec, 30.0, n_elements=self.N_ELEMENTS)
+        spread = [
+            (anchor, max(row[0] for row in rows), len(rows))
+            for anchor, _, rows in full.groups()
+            if max(row[0] for row in rows) > anchor
+        ]
+        anchor, largest, size = spread[len(spread) // 2]
+        top = 0.5 * (anchor + largest)
+        assert anchor < top < largest
+        spectrum = steklov_spectrum_warped(spec, top, n_elements=self.N_ELEMENTS)
+        *_, (last, _, rows) = spectrum.groups()
+        assert last == anchor and 0 < len(rows) < size
+        assert spectrum_csv_lines(spectrum) == per_source_csv_lines(spectrum)
 
 
 class TestDecomposition:
@@ -749,14 +807,41 @@ class TestMirror:
         assert dtn_eigenvalues(problem, self.LAM, self.MU).tobytes() == expected.tobytes()
 
     def test_asymmetric_mesh_keeps_the_whole_ladder(self):
-        # at 260 elements [eps, 2 eps] gets rint(6.5) = 6 elements, but
-        # [L - 2 eps, L - eps] gets rint(6.50000000000000577) = 7, so no
-        # node of the mesh sits on the middle of the collar
+        # the 260-element mesh of the eps = 0.025 collar with [eps, 2 eps] cut
+        # into 6 elements, and [L - 2 eps, L - eps] into 7: no node of the
+        # mesh sits on the middle of the collar
+        spec = sweep_spec(0.025)
+        recipes = metric_recipes(spec)
+        nodes = graded_mesh(1.0, 260, recipes.spans)
+        a, b = 0.025, 0.05
+        assert np.count_nonzero((nodes > a) & (nodes < b)) == 6
+        nodes = np.concatenate((nodes[nodes <= a], np.linspace(a, b, 7)[1:-1], nodes[nodes >= b]))
+
+        def problem(mirror):
+            return sturm.collar_problem(
+                spec.base, recipes.grad_weight, recipes.inv_sq_weight, nodes=nodes,
+                boundary_weights=recipes.boundary_weights, transition_spans=recipes.spans,
+                mirror=mirror,
+            )
+
+        vouched = problem(True)
+        assert not vouched.mirror
+        expected = dtn_eigenvalues(problem(False), self.LAM, self.MU)
+        assert dtn_eigenvalues(vouched, self.LAM, self.MU).tobytes() == expected.tobytes()
+
+    def test_tied_segment_counts_keep_the_mirror(self):
+        # at 260 elements [eps, 2 eps] holds rint(6.5) = 6 elements' length and
+        # [L - 2 eps, L - eps] rint(6.50000000000000577) = 7; graded_mesh gives
+        # both 7, so the collar stays symmetric by index and mirrors
         spec = sweep_spec(0.025)
         problem = assembler._discretize(spec, 260)
-        assert not problem.mirror
-        expected = dtn_eigenvalues(collar_of(spec, 260), self.LAM, self.MU)
-        assert dtn_eigenvalues(problem, self.LAM, self.MU).tobytes() == expected.tobytes()
+        assert problem.mirror
+        got = dtn_eigenvalues(problem, self.LAM, self.MU)
+        assert got[0, 0] == 0.0
+        np.testing.assert_allclose(got, reflected_eigenvalues(problem, self.LAM, self.MU),
+                                   rtol=1e-13, atol=0.0)
+        whole = dtn_eigenvalues(collar_of(spec, 260), self.LAM, self.MU)
+        np.testing.assert_allclose(got, whole, rtol=1e-13, atol=0.0)
 
     def test_profile_on_a_shorter_collar_refused(self):
         # its left half lies inside the profile's collar, the whole does not
@@ -784,7 +869,20 @@ class TestMirror:
         assert problem.q_node.min() == 0.0
         expected = dtn_eigenvalues(collar_of(spec, 64), self.LAM, self.MU)
         assert dtn_eigenvalues(problem, self.LAM, self.MU).tobytes() == expected.tobytes()
-        assert math.isfinite(sigma1_construction(spec, n_elements=64).value)
+        assert sigma1_construction(spec, n_elements=64).value == pytest.approx(1.0964504873, 1e-9)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n, eps", [(2, 1e-60), (2, 1e-100), (2, 1e-150), (3, 1e-85),
+                                        (3, 1e-120)])
+    def test_overflowing_conductance_refused(self, n, eps):
+        # each power of h is finite, but w/dt reaches 2^512 on the far plateau
+        # (3.7e180 at n = 2, eps = 1e-60), where a product of two conductances
+        # in the reduction overflowed and sigma1 came out NaN; at n = 2,
+        # eps = 1e-150 w/dt itself overflowed
+        spec = TestCollarSampling._spec(WarpProfile(eps, 0.5, 1.0, symmetric=False),
+                                        steklov_ends="left", n=n, k=1)
+        with pytest.raises(NumericError, match="conductance"):
+            sigma1_construction(spec, n_elements=64)
 
     @pytest.mark.parametrize("q, w, match", [
         (np.nan, 1.0, "potential"), (-1.0, 1.0, "potential"),

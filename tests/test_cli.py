@@ -22,6 +22,7 @@ from steklovwarp.cli import main
 from steklovwarp.experiments import SPECTRUM_CSV_HEADER, ExperimentConfig, spectrum_csv_lines
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run_module(*args):
@@ -39,6 +40,13 @@ def test_small_spectrum_run_succeeds(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "value,multiplicity,lambda_fiber,mu_mode,branch"
     assert lines[1] == "0,1,0,0,0"
+
+
+def test_default_spectrum_csv_is_pinned(capsys):
+    # data/spectrum_top40.csv holds the output of `steklovwarp spectrum --top 40`;
+    # a change that moves these bytes regenerates the file and names the change
+    assert main(["spectrum", "--top", "40"]) == 0
+    assert capsys.readouterr().out.encode() == (DATA / "spectrum_top40.csv").read_bytes()
 
 
 def test_small_oracle_run_succeeds(capsys):

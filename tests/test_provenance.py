@@ -3,9 +3,10 @@
 The reference sorts (value, EigenSource) pairs by value and then by the
 source's (fiber value, cross-section value, branch), stably, and walks them
 once, opening a new group whenever a value is not within the merge
-tolerance of the first value of the current group. merge_tagged must give
-the same entries: the same anchor values bit for bit, the same
-multiplicities and the same sources in the same order.
+tolerance of the first value of the current group. merge_tagged, given the
+same pairs as plain rows, must give the same entries: the same anchor
+values bit for bit, the same multiplicities and the same sources in the
+same order.
 """
 
 import math
@@ -20,9 +21,14 @@ from steklovwarp.provenance import (
     MERGE_RTOL,
     EigenSource,
     SpectrumEntry,
-    SpectrumWithProvenance,
     merge_tagged,
 )
+
+
+def row(value, source):
+    """The plain row a walk tags for `value` from `source`."""
+    return (value, source.fiber_value, source.cross_value, source.branch,
+            source.fiber_mult, source.cross_mult)
 
 
 def sort_key(source):
@@ -30,6 +36,7 @@ def sort_key(source):
 
 
 def reference_merge(tagged):
+    """The merged entries of (value, EigenSource) pairs, as a tuple."""
     ordered = sorted(tagged, key=lambda vs: (vs[0], sort_key(vs[1])))
     entries = []
     group_value = None
@@ -48,7 +55,7 @@ def reference_merge(tagged):
             group_sources = [source]
     if group_value is not None:
         entries.append(reference_entry(group_value, group_sources))
-    return SpectrumWithProvenance(tuple(entries))
+    return tuple(entries)
 
 
 def reference_entry(value, sources):
@@ -106,9 +113,9 @@ def entry_key(entry):
 @settings(deadline=None)
 @given(tagged_lists())
 def test_equals_reference_merge(tagged):
-    got = merge_tagged(list(tagged))
+    got = merge_tagged([row(value, source) for value, source in tagged])
     expected = reference_merge(list(tagged))
-    assert [entry_key(e) for e in got.entries] == [entry_key(e) for e in expected.entries]
+    assert [entry_key(e) for e in got.entries] == [entry_key(e) for e in expected]
     assert got.total_multiplicity == sum(s.multiplicity for _, s in tagged)
 
 
@@ -116,8 +123,8 @@ def test_anchor_splits_a_run_of_near_neighbours():
     # each step is inside the tolerance, the run as a whole is not
     values = [1.0, 1.0 + 0.9e-12, 1.0 + 1.8e-12, 1.0 + 2.7e-12]
     tagged = [(v, EigenSource(0.0, 1, float(j), 1, 0)) for j, v in enumerate(values)]
-    got = merge_tagged(tagged[::-1])
-    assert got.entries == reference_merge(tagged).entries
+    got = merge_tagged([row(*pair) for pair in tagged[::-1]])
+    assert got.entries == reference_merge(tagged)
     assert [e.value for e in got.entries] == [1.0, 1.0 + 1.8e-12]
     assert [e.multiplicity for e in got.entries] == [2, 2]
 

@@ -19,7 +19,6 @@ from steklovwarp import (
     BaseGeometry,
     CompletenessError,
     DomainError,
-    EigenSource,
     MeshResolutionError,
     NeumannEnd,
     SteklovEnd,
@@ -101,15 +100,48 @@ class TestGradedMesh:
         nodes = graded_mesh(length, n_elements, spans)
         assert nodes.tobytes() == segment_loop_mesh(length, n_elements, spans).tobytes()
 
+    @given(
+        length=st.floats(0.1, 10.0),
+        n_elements=st.integers(1, 2000),
+        ends=st.lists(st.integers(1, 499), min_size=2, max_size=6, unique=True),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_symmetric_cuts_give_a_mesh_symmetric_by_index(self, length, n_elements, ends):
+        # spans on the left half at thousandths of the length, and their
+        # mirror images; a segment and its mirror image get one count even
+        # where their lengths, rounded apart, would round to two
+        ends = sorted(ends)
+        spans = tuple((a * length / 1000, b * length / 1000) for a, b in zip(ends[::2], ends[1::2]))
+        spans += tuple((length - b, length - a) for a, b in spans)
+        nodes = graded_mesh(length, n_elements, spans)
+        assert nodes.tobytes() == segment_loop_mesh(length, n_elements, spans).tobytes()
+        assert np.abs(nodes + nodes[::-1] - length).max() <= 1e-12 * length
+
+    def test_tied_mirror_segments_get_the_larger_count(self):
+        # 260 elements on the cuts of the eps = 0.025 collar: [0.025, 0.05] holds
+        # 6.5 elements' length and rounds to 6, its mirror image [0.95, 0.975]
+        # to 7, as 260 * (0.975 - 0.95) = 6.50000000000000577
+        spans = ((0.0125, 0.025), (0.05, 0.075), (0.925, 0.95), (0.975, 0.9875))
+        nodes = graded_mesh(1.0, 260, spans)
+        assert np.count_nonzero((nodes > 0.025) & (nodes < 0.05)) == 6
+        assert np.count_nonzero((nodes > 0.95) & (nodes < 0.975)) == 6
+        assert np.abs(nodes + nodes[::-1] - 1.0).max() <= 1e-12
+
 
 def segment_loop_mesh(length, n_elements, spans):
     """graded_mesh as a loop over the segments cut by the span ends: the reference."""
     breaks = sorted({0.0, length, *(x for span in spans for x in span)})
-    pieces = [[0.0]]
-    for a, b in zip(breaks[:-1], breaks[1:]):
+    segments = list(zip(breaks[:-1], breaks[1:]))
+    counts = []
+    for a, b in segments:
         seg = max(1, round(n_elements * (b - a) / length))
         if (a, b) in set(spans):
             seg = max(seg, MIN_ELEMENTS_PER_SPAN)
+        counts.append(seg)
+    if all(abs(x + y - length) <= 1e-12 * length for x, y in zip(breaks, reversed(breaks))):
+        counts = [max(seg, mirror) for seg, mirror in zip(counts, reversed(counts))]
+    pieces = [[0.0]]
+    for (a, b), seg in zip(segments, counts):
         step = (b - a) / seg
         pieces += [a + np.arange(1, seg) * step, [b]]
     return np.concatenate(pieces)
@@ -363,7 +395,7 @@ class TestLadderReduction:
             if values[0] > top:
                 break
             tagged += [
-                (float(value), EigenSource(lam, 1, mu, mult, branch))
+                (float(value), lam, mu, branch, 1, mult)
                 for branch, value in enumerate(values)
                 if value <= top
             ]
