@@ -20,7 +20,7 @@ import numpy as np
 
 from . import profiles, sturm
 from .errors import DomainError, HypothesisViolationError, NumericError
-from .profiles import CoefficientFn, Warp, WarpedMetricSpec, log_value, power_fn, transition_spans
+from .profiles import CoefficientFn, Warp, WarpedMetricSpec, power_fn, transition_spans
 from .provenance import SpectrumWithProvenance
 from .spectra import CachedEntries, circle_spectrum, extend, iter_entries, point_spectrum
 from .sturm import SturmProblem
@@ -99,26 +99,25 @@ def _discretize(spec: WarpedMetricSpec, n_elements: int) -> SturmProblem:
     """The collar's 1D family: q is the fiber weight, so lambda is the fiber eigenvalue.
 
     A symmetric WarpProfile on its own collar asks for a mirror (see sturm).
-    ln h is sampled once at the nodes; q, w and the boundary weights are
-    exp(p ln h) at the problem's points, bit for bit what metric_recipes'
-    closures give there (graded_mesh puts 0 and L exactly at the ends), and
-    a p ln h that would overflow is refused first. w at the element
-    midpoints is the problem's own grad_weight call.
+    One power_fn call samples ln h once, at the nodes followed by the
+    element midpoints, and refuses a power h^p there that would overflow.
+    q and w at the nodes, w at the midpoints and the boundary weights are
+    its rows, bit for bit what metric_recipes' closures give at the same
+    points (graded_mesh puts 0 and L exactly at the ends), so the problem
+    calls no closure.
     """
-    warp, (grad_p, inv_p, bw_p) = spec.warp, _powers(spec)
+    warp, powers = spec.warp, _powers(spec)
     spans = transition_spans(warp)
     nodes = sturm.graded_mesh(spec.base.collar_length, n_elements, spans)
-    log_h = log_value(warp, nodes)
-    exponents = np.multiply.outer((grad_p, inv_p, bw_p), (log_h.min(), log_h.max()))
-    if exponents.max() > np.log(np.finfo(float).max):  # one below -745 only underflows to 0
-        raise DomainError("a power h^p of the warp overflows a float")
+    n = len(nodes)
+    w, q, bw = power_fn(warp, powers)(np.concatenate((nodes, 0.5 * (nodes[:-1] + nodes[1:]))))
     problem = sturm.collar_problem(
-        spec.base, power_fn(warp, grad_p), power_fn(warp, inv_p), nodes=nodes,
-        boundary_weights=tuple(np.exp(bw_p * log_h[[0, -1]])), transition_spans=spans,
+        spec.base, power_fn(warp, powers[0]), power_fn(warp, powers[1]), nodes=nodes,
+        boundary_weights=(bw[0], bw[n - 1]), transition_spans=spans,
         mirror=isinstance(warp, profiles.WarpProfile) and warp.symmetric
         and warp.collar_length == spec.base.collar_length,
     )
-    return problem.prime(*np.exp(np.multiply.outer((inv_p, grad_p), log_h[: len(problem.points)])))
+    return problem.prime(q[:n], w[:n], w[n:])
 
 
 def _streams(spec: WarpedMetricSpec) -> tuple[CachedEntries, CachedEntries]:
@@ -155,13 +154,15 @@ def first_eigenvalues(spec: WarpedMetricSpec, count: int, *, n_elements: int = 4
     problem = _discretize(spec, n_elements)
     fibers, modes = _streams(spec)
     rows: dict[int, list[list[float]]] = {}
-    top = _START_TOP
-    for _ in range(_MAX_DOUBLINGS):
+    for doubling in range(_MAX_DOUBLINGS):
+        top = _START_TOP * 2.0**doubling
         spectrum = sturm.walk_below(problem, fibers, modes, top, rows)
         if spectrum.total_multiplicity >= count + 1:
             return spectrum.flatten()[:count], spectrum
-        top *= 2.0
-    raise NumericError(f"could not certify {count} eigenvalues below top={top}")
+    raise NumericError(
+        f"could not certify {count} eigenvalues: {spectrum.total_multiplicity} certified "
+        f"at the last cutoff walked, top={top}"
+    )
 
 
 @dataclass(frozen=True)

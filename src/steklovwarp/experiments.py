@@ -555,13 +555,26 @@ def ramp_phi_instance(samples: int, collar_fraction: float):
 # CSV serialization
 
 
+class _Sig12(dict):
+    """sig12 of each value looked up, formatted once.
+
+    -0.0 and 0.0 are one key but two texts, so a zero is formatted each time.
+    """
+
+    def __missing__(self, x: float) -> str:
+        text = sig12(x)
+        if x:
+            self[x] = text
+        return text
+
+
 def spectrum_csv_lines(spectrum: SpectrumWithProvenance) -> list[str]:
     """One row per source: value, source multiplicity, fiber eigenvalue, mode, branch."""
-    lines = [SPECTRUM_CSV_HEADER]
+    lines, text = [SPECTRUM_CSV_HEADER], _Sig12()
     for anchor, _, rows in spectrum.groups():
         value = sig12(anchor)
         lines += [
-            f"{value},{fiber_mult * cross_mult},{sig12(fiber_value)},{sig12(cross_value)},{branch}"
+            f"{value},{fiber_mult * cross_mult},{text[fiber_value]},{text[cross_value]},{branch}"
             for _, fiber_value, cross_value, branch, fiber_mult, cross_mult in rows
         ]
     return lines

@@ -17,8 +17,9 @@ ln h is the one evaluator: every coefficient of the auxiliary problems is
 a power h^p = exp(p ln h), so WarpProfile.log_eval and log_value, which
 reads either kind of warp, are the only ways to sample a warp, and every
 h anywhere, the oracle's and the boundary circles' included, is exp of
-ln h. A collar problem samples ln h once per point set and takes every
-power h^p from those samples.
+ln h. A collar problem samples ln h once, at its nodes and its element
+midpoints together, through one power_fn call that returns every power
+h^p it needs.
 """
 
 from __future__ import annotations
@@ -134,9 +135,26 @@ def log_value(warp: Warp, t):
     return np.log(value)[()]
 
 
-def power_fn(warp: Warp, p: float) -> CoefficientFn:
-    """Array function t -> h(t)^p, computed in log space; exact 1.0 wherever h = 1."""
-    return lambda t: np.exp(p * log_value(warp, t))
+# ln of the largest float: exp of more overflows, while one below -745 only underflows to 0
+_LOG_MAX = math.log(np.finfo(float).max)
+
+
+def power_fn(warp: Warp, p: float | tuple[float, ...]) -> CoefficientFn:
+    """Array function t -> h(t)^p, computed in log space; exact 1.0 wherever h = 1.
+
+    A sequence of powers p gives one row per power, all from one ln h
+    sample. A power whose p ln h would overflow is refused before exp runs.
+    """
+    powers = np.asarray(p, dtype=float)
+
+    def power(t):
+        log_h = log_value(warp, t)
+        extremes = (np.min(log_h, initial=0.0), np.max(log_h, initial=0.0))
+        if np.multiply.outer(powers, extremes).max() > _LOG_MAX:
+            raise DomainError("a power h^p of the warp overflows a float")
+        return np.exp(np.multiply.outer(powers, log_h))
+
+    return power
 
 
 def transition_spans(warp: Warp) -> tuple[tuple[float, float], ...]:

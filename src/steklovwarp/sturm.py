@@ -112,17 +112,19 @@ class SturmProblem:
     grad_weight w must be positive and potential q nonnegative on
     [0, length]. Both are array functions; a scalar return, such as that of
     lambda t: 0.0, is broadcast over the points. The ladder is sampled once
-    per problem, on first use: the edge conductances `cond`, the lumped
-    masses `lump` and q `q_node` at the `points`, and w there `w_node` only
-    when some mu is nonzero; `prime` hands over q and w at the points from
-    one evaluation, such as a collar's powers of one ln h sample.
+    per problem, on first use: w at the element midpoints `w_mid` for the
+    edge conductances `cond`, the lumped masses `lump` and q `q_node` at the
+    `points`, and w there `w_node` only when some mu is nonzero. `prime`
+    hands over all three samples instead, such as a collar's powers of one
+    ln h sample, and then no coefficient function is called.
     dtn_eigenvalues reduces any (lambda, mu) pairs on it; lambda = 1,
     mu = 0 is the single problem -(w a')' + q a = 0.
     transition_spans lists intervals that the mesh must resolve with at
     least MIN_ELEMENTS_PER_SPAN elements each.
     A `mirror`, which only collar_problem makes, keeps the whole mesh in
     `nodes` but samples its left half: points up to the middle, half the
-    lumped mass of a node on it, and in cond an element that straddles it.
+    lumped mass of a node on it, and in w_mid and cond an element that
+    straddles it.
     """
 
     length: float
@@ -145,7 +147,7 @@ class SturmProblem:
         if nodes.ndim != 1 or len(nodes) < 2:
             raise DomainError("mesh must contain at least two nodes")
         check_span(nodes, self.length)
-        if np.any(np.diff(nodes) <= 0.0):
+        if (nodes[1:] <= nodes[:-1]).any():
             raise DomainError("mesh nodes must be strictly increasing")
         object.__setattr__(self, "nodes", nodes)
 
@@ -170,13 +172,18 @@ class SturmProblem:
         if self.mirror:  # the left half's spans; the right ones are their reflections
             spans = tuple(s for s in spans if s[1] <= self.length / 2.0)
         check_mesh(nodes, spans)
-        mid = 0.5 * (nodes[:-1] + nodes[1:])
-        w_mid, dt = _checked(self.grad_weight(mid), mid.shape, False), np.diff(nodes)
+        w_mid, dt = self.w_mid, nodes[1:] - nodes[:-1]
         if (w_mid * (1.0 / _MAX_COND) >= dt).any():  # w/dt >= _MAX_COND, with no w/dt to overflow
             raise NumericError(
                 "a conductance w/dt reaches 2^512: the ladder reduction would overflow"
             )
         return w_mid / dt
+
+    @cached_property
+    def w_mid(self) -> np.ndarray:
+        nodes = self._elements
+        mid = 0.5 * (nodes[:-1] + nodes[1:])
+        return _checked(self.grad_weight(mid), mid.shape, False)
 
     @cached_property
     def lump(self) -> np.ndarray:
@@ -190,16 +197,23 @@ class SturmProblem:
     def w_node(self) -> np.ndarray:
         return _checked(self.grad_weight(self.points), self.points.shape, False)
 
-    def prime(self, q_node: np.ndarray, w_node: np.ndarray) -> "SturmProblem":
-        """Take q and w at the points, which must be what potential and grad_weight give there."""
-        vars(self).update(q_node=_checked(q_node, self.points.shape, True),
-                          w_node=_checked(w_node, self.points.shape, False))
+    def prime(self, q_node: ArrayLike, w_node: ArrayLike, w_mid: ArrayLike) -> "SturmProblem":
+        """Take q and w at every node and w at every element midpoint, each checked whole.
+
+        They must be what potential and grad_weight give there; a mirror
+        keeps those of its left half.
+        """
+        n, points, elements = len(self.nodes), len(self.points), len(self._elements) - 1
+        vars(self).update(q_node=_checked(q_node, (n,), True)[:points],
+                          w_node=_checked(w_node, (n,), False)[:points],
+                          w_mid=_checked(w_mid, (n - 1,), False)[:elements])
         return self
 
 
 def _checked(values: ArrayLike, shape: tuple[int, ...], potential: bool) -> np.ndarray:
     """Samples over shape; a potential must be nonnegative, a gradient weight positive."""
-    values = np.broadcast_to(values, shape)
+    if not (isinstance(values, np.ndarray) and values.shape == shape):
+        values = np.broadcast_to(values, shape)
     low = values.min()  # NaN fails the comparisons below
     if not ((low >= 0.0 if potential else low > 0.0) and values.max() < math.inf):
         what = "potential must be nonnegative" if potential else "gradient weight must be positive"
@@ -309,17 +323,16 @@ def collar_problem(
     left = SteklovEnd(boundary_weights[0]) if ends in ("both", "left") else NeumannEnd()
     right = SteklovEnd(boundary_weights[1]) if ends in ("both", "right") else NeumannEnd()
     p = SturmProblem(length, grad_weight, potential, left, right, nodes, transition_spans)
-    if mirror and left == right and np.allclose(p.nodes + p.nodes[::-1], length, 1e-12, 0.0):
+    nodes = p.nodes
+    if mirror and left == right and abs(nodes + nodes[::-1] - length).max() <= 1e-12 * length:
         object.__setattr__(p, "mirror", True)  # before any cached sample is taken
     return p
 
 
 def lumped_mass(nodes: np.ndarray) -> np.ndarray:
-    dt = np.diff(nodes)
-    lump = np.zeros(len(nodes))
-    lump[:-1] += 0.5 * dt
-    lump[1:] += 0.5 * dt
-    return lump
+    """Trapezoidal node weights: half of each adjacent element's length."""
+    half = 0.5 * (nodes[1:] - nodes[:-1])
+    return np.concatenate((half[:1], half[:-1] + half[1:], half[-1:]))
 
 
 def _steklov_nodes(p: SturmProblem) -> tuple[list[int], list[float]]:
@@ -471,7 +484,7 @@ def dtn_eigenvalues(
         raise DomainError("fiber eigenvalue lambda and mode eigenvalue mu "
                           "must be nonnegative and finite")
     pairs = np.broadcast(lam, mu).shape
-    cond = p.cond  # checks the mesh before any coefficient is sampled at the nodes
+    cond = p.cond  # a lazily sampled problem checks its mesh before sampling the nodes
     shunt = lam[..., None] * p.q_node
     if mu.any():  # else mu w vanishes, and 0 + x is x exactly
         shunt = mu[..., None] * p.w_node + shunt

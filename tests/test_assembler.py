@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from steklovwarp import assembler, sturm
 from steklovwarp.experiments import SPECTRUM_CSV_HEADER, sig12, spectrum_csv_lines
 from steklovwarp.profiles import log_value, power_fn
 from steklovwarp.provenance import merge_tagged
-from steklovwarp.spectra import extend, iter_entries
+from steklovwarp.spectra import discrete_circle_spectrum, extend, iter_entries
 
 TWO_PI = 2.0 * math.pi
 TANH1 = math.tanh(1.0)
@@ -210,6 +211,25 @@ class TestFirstEigenvalues:
         )
         assert values == pytest.approx(expected, abs=3e-4)
 
+    def test_uncertified_count_names_the_last_walk(self):
+        # 16 fiber values and two Steklov ends: the collar has 32 eigenvalues,
+        # and the last of the 60 walks is at 2^59
+        spec = WarpedMetricSpec(1, 1, lambda t: 1.0, BaseGeometry(point_spectrum(), 1.0, "both"),
+                                discrete_circle_spectrum(TWO_PI, 16))
+        message = ("could not certify 40 eigenvalues: 32 certified at the last cutoff walked, "
+                   f"top={2.0**59}")
+        with pytest.raises(NumericError, match=f"^{re.escape(message)}$"):
+            first_eigenvalues(spec, 40, n_elements=64)
+
+
+def _fingerprint(result):
+    """Exact text of a solver result's numbers."""
+    if isinstance(result, assembler.Sigma1Result):
+        return repr(result)
+    if isinstance(result, tuple):  # first_eigenvalues: (values, spectrum)
+        return result[0].tobytes(), _fingerprint(result[1])
+    return repr([(e.value, e.multiplicity, e.sources) for e in result.entries])
+
 
 def collar_of(spec, n_elements, mirror=False):
     recipes = metric_recipes(spec)
@@ -222,9 +242,9 @@ def collar_of(spec, n_elements, mirror=False):
 
 
 class TestCollarSampling:
-    """A collar problem samples ln h once at its nodes and once at its element midpoints.
+    """A collar problem samples ln h once, at its nodes followed by its element midpoints.
 
-    Its w, q and boundary weights are powers of those samples, and must equal
+    Its w, q and boundary weights are powers of that sample, and must equal
     bit for bit what the closures of metric_recipes give at the same points.
     """
 
@@ -251,27 +271,40 @@ class TestCollarSampling:
         lambda spec: first_eigenvalues(spec, 12, n_elements=120),
         lambda spec: steklov_spectrum_warped(spec, 6.0, n_elements=120),
     ], ids=["sigma1", "first", "spectrum"])
-    def test_one_evaluation_per_point_set(self, solve):
+    def test_one_evaluation_per_collar(self, solve):
         warp, calls = self._counted_bump()
         solve(self._spec(warp))
         nodes = graded_mesh(1.0, 120)
-        assert len(calls) == 2
-        assert calls[0].tobytes() == nodes.tobytes()
-        assert calls[1].tobytes() == (0.5 * (nodes[:-1] + nodes[1:])).tobytes()
+        assert len(calls) == 1
+        points = np.concatenate((nodes, 0.5 * (nodes[:-1] + nodes[1:])))
+        assert calls[0].tobytes() == points.tobytes()
 
-    def test_plain_closures_sample_the_same(self, monkeypatch):
-        # a tracer that wraps power_fn hands back plain closures; the collar
-        # must not depend on what power_fn returns
-        spec = sweep_spec(1e-3)
-        expected = sigma1_construction(spec, n_elements=400)
-        original = assembler.power_fn
-        monkeypatch.setattr(
-            assembler, "power_fn", lambda warp, p: (lambda t, fn=original(warp, p): fn(t))
-        )
-        assert sigma1_construction(spec, n_elements=400) == expected
-        warp, calls = self._counted_bump()
-        sigma1_construction(self._spec(warp), n_elements=120)
-        assert len(calls) == 2
+    @pytest.mark.parametrize("solve", [
+        lambda spec: sigma1_construction(spec, n_elements=400),
+        lambda spec: first_eigenvalues(spec, 12, n_elements=400),
+        lambda spec: steklov_spectrum_warped(spec, 6.0, n_elements=400),
+    ], ids=["sigma1", "first", "spectrum"])
+    @pytest.mark.parametrize("warp", [sweep_spec(1e-3).warp, lambda t: 1.0 + t * (1.0 - t)],
+                             ids=["profile", "bump"])
+    def test_collar_calls_one_closure(self, monkeypatch, solve, warp):
+        # the closures of a single power describe the problem, but its samples
+        # all come from one call of power_fn's closure with every power
+        spec = self._spec(warp)
+        expected = solve(spec)
+        calls = []
+
+        def counted(warp, p):
+            fn = power_fn(warp, p)
+
+            def power(t):
+                calls.append(np.shape(p))
+                return fn(t)
+
+            return power
+
+        monkeypatch.setattr(assembler, "power_fn", counted)
+        assert _fingerprint(solve(spec)) == _fingerprint(expected)
+        assert calls == [(3,)]
 
     @pytest.mark.parametrize("warp", [
         WarpProfile(0.05, 2.0 / 3.0, 1.0, symmetric=True),
@@ -451,6 +484,13 @@ class TestBlockedWalk:
         spectrum = steklov_spectrum_warped(spec, top, n_elements=self.N_ELEMENTS)
         *_, (last, _, rows) = spectrum.groups()
         assert last == anchor and 0 < len(rows) < size
+        assert spectrum_csv_lines(spectrum) == per_source_csv_lines(spectrum)
+
+    def test_csv_keeps_signed_zeros_apart(self):
+        # -0.0 and 0.0 are one key of a dict, but format as "-0" and "0"
+        spectrum = merge_tagged([(1.0, -0.0, 0.0, 0, 1, 1), (2.0, 0.0, -0.0, 0, 1, 1),
+                                 (3.0, -0.0, 0.0, 1, 1, 1)])
+        assert spectrum_csv_lines(spectrum)[1:] == ["1,1,-0,0,0", "2,1,0,-0,0", "3,1,-0,0,1"]
         assert spectrum_csv_lines(spectrum) == per_source_csv_lines(spectrum)
 
 
@@ -860,6 +900,17 @@ class TestMirror:
             sigma1_construction(spec, n_elements=64)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_midpoint_power_refused(self):
+        # h = 1e200 at one element midpoint only: the nodes' ln h is 0, and
+        # h^2 overflowed in w_mid, with a warning, before the test saw it
+        nodes = graded_mesh(1.0, 64)
+        spike = 0.5 * (nodes[20] + nodes[21])
+        spec = assembler.surface_spec(lambda t: np.where(t == spike, 1e200, 1.0), 1.0, TWO_PI,
+                                      "both", "volume_preserving")
+        with pytest.raises(DomainError, match="overflows a float"):
+            sigma1_construction(spec, n_elements=64)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_underflowing_power_answered(self):
         # (n, k) = (6, 1): h^-2 underflows to q = 0 on the far plateau, where
         # ln h = -2 ln eps = 391, while w = h^(1/3) and h^(1/6) stay finite
@@ -884,15 +935,22 @@ class TestMirror:
         with pytest.raises(NumericError, match="conductance"):
             sigma1_construction(spec, n_elements=64)
 
-    @pytest.mark.parametrize("q, w, match", [
-        (np.nan, 1.0, "potential"), (-1.0, 1.0, "potential"),
-        (1.0, np.inf, "gradient weight"), (1.0, 0.0, "gradient weight"),
+    @pytest.mark.parametrize("q, w, w_mid, match", [
+        (np.nan, 1.0, 1.0, "potential"), (-1.0, 1.0, 1.0, "potential"),
+        (1.0, np.inf, 1.0, "gradient weight"), (1.0, 0.0, 1.0, "gradient weight"),
+        (1.0, 1.0, np.nan, "gradient weight"), (1.0, 1.0, -1.0, "gradient weight"),
+        (1.0, 1.0, 0.0, "gradient weight"), (1.0, 1.0, np.inf, "gradient weight"),
     ])
-    def test_primed_samples_checked(self, q, w, match):
+    def test_primed_samples_checked(self, q, w, w_mid, match):
+        # each bad sample is the last one, in the right half that the mirror
+        # drops, and is refused all the same
         problem = collar_of(sweep_spec(0.05), 300, mirror=True)
-        points = len(problem.points)
+        n = len(problem.nodes)
+        samples = np.ones(n), np.ones(n), np.ones(n - 1)
+        for sample, value in zip(samples, (q, w, w_mid)):
+            sample[-1] = value
         with pytest.raises(DomainError, match=match):
-            problem.prime(np.full(points, q), np.full(points, w))
+            problem.prime(*samples)
 
 
 class TestSmallEpsilonGate:

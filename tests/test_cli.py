@@ -17,7 +17,7 @@ from steklovwarp import (
     flat_torus_spectrum,
     steklov_spectrum_warped,
 )
-from steklovwarp import cli, experiments
+from steklovwarp import acceptance, cli, experiments
 from steklovwarp.cli import main
 from steklovwarp.experiments import SPECTRUM_CSV_HEADER, ExperimentConfig, spectrum_csv_lines
 
@@ -47,6 +47,28 @@ def test_default_spectrum_csv_is_pinned(capsys):
     # a change that moves these bytes regenerates the file and names the change
     assert main(["spectrum", "--top", "40"]) == 0
     assert capsys.readouterr().out.encode() == (DATA / "spectrum_top40.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name, default", [
+    ("sweep_default", acceptance.default_sweep_config),
+    ("kokarev_default", acceptance.default_kokarev_config),
+    ("sweep_small_eps", None),
+])
+def test_sweep_csvs_are_pinned(capsys, name, default):
+    # data/<name>.csv holds the output of `steklovwarp <experiment> --config
+    # data/<name>.json`, the sweep's runtime_ms column dropped; the defaults
+    # are the configs of acceptance criteria 6 and 7, and sweep_small_eps
+    # takes eps down to 1e-4
+    config = DATA / f"{name}.json"
+    raw = json.loads(config.read_text())
+    if default is not None:
+        assert experiments.config_from_dict(raw) == default()
+    assert main([raw["experiment"], "--config", str(config)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    if raw["experiment"] == "sweep":
+        assert lines[0].endswith(",runtime_ms")
+        lines = [line.rpartition(",")[0] for line in lines]
+    assert "\n".join(lines) + "\n" == (DATA / f"{name}.csv").read_text()
 
 
 def test_small_oracle_run_succeeds(capsys):

@@ -180,6 +180,31 @@ class TestArrayEvaluation:
         with pytest.raises(DomainError):
             power_fn(lambda t: 0.0, 1.0)(t)
 
+    @pytest.mark.parametrize("warp", [make(0.05, 0.7, True), lambda t: 1.0 + t * (1.0 - t)],
+                             ids=["profile", "bump"])
+    def test_powers_are_rows_of_one_sample(self, warp):
+        t = np.linspace(0.0, 1.0, 33)
+        powers = (2.0 / 3.0, -2.0, 1.0 / 3.0)
+        rows = power_fn(warp, powers)(t)
+        assert rows.shape == (3, 33)
+        for row, p in zip(rows, powers):
+            assert row.tobytes() == power_fn(warp, p)(t).tobytes()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("spike, p", [(1e200, 2.0), (1e200, (-2.0, 2.0)), (1e-200, -2.0)])
+    def test_overflowing_power_refused(self, spike, p):
+        # h^p at the spike is past the largest float; exp warned on it before
+        t = np.linspace(0.0, 1.0, 9)
+        fn = power_fn(lambda t: np.where(t == 0.5, spike, 1.0), p)
+        with pytest.raises(DomainError, match="overflows a float"):
+            fn(t)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_underflowing_power_answered(self):
+        t = np.linspace(0.0, 1.0, 9)
+        values = power_fn(lambda t: np.where(t == 0.5, 1e200, 1.0), -2.0)(t)
+        assert values.tolist() == [1.0] * 4 + [0.0] + [1.0] * 4
+
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     def test_callable_sample_not_positive_and_finite_rejected(self, bad):
         t = np.linspace(0.0, 1.0, 9)
