@@ -22,7 +22,7 @@ from . import profiles, sturm
 from .errors import DomainError, HypothesisViolationError, NumericError
 from .profiles import CoefficientFn, Warp, WarpedMetricSpec, power_fn, transition_spans
 from .provenance import SpectrumWithProvenance
-from .spectra import CachedEntries, circle_spectrum, extend, iter_entries, point_spectrum
+from .spectra import circle_spectrum, extend, point_spectrum
 from .sturm import SturmProblem
 
 
@@ -120,14 +120,6 @@ def _discretize(spec: WarpedMetricSpec, n_elements: int) -> SturmProblem:
     return problem.prime(q[:n], w[:n], w[n:])
 
 
-def _streams(spec: WarpedMetricSpec) -> tuple[CachedEntries, CachedEntries]:
-    """The fiber and cross-section streams that sturm.walk_below reads."""
-    return tuple(
-        CachedEntries(iter_entries(spectrum), spectrum.complete)
-        for spectrum in (spec.fiber, spec.base.cross_section)
-    )
-
-
 def steklov_spectrum_warped(
     spec: WarpedMetricSpec, top: float, *, n_elements: int = 400
 ) -> SpectrumWithProvenance:
@@ -136,28 +128,41 @@ def steklov_spectrum_warped(
     The collar is discretized once, and sturm.walk_below walks its fiber
     branches on it.
     """
-    sturm.check_top(top, spec.fiber, spec.base.cross_section)
-    return sturm.walk_below(_discretize(spec, n_elements), *_streams(spec), top, {})
+    fibers, modes = spec.fiber, spec.base.cross_section
+    sturm.check_top(top, fibers, modes)
+    return sturm.walk_below(_discretize(spec, n_elements), fibers, modes, top, {})
 
 
 def first_eigenvalues(spec: WarpedMetricSpec, count: int, *, n_elements: int = 400):
     """First `count` eigenvalues (with multiplicity), found by doubling the cutoff.
 
     Returns (values, spectrum) where values has length `count`; the cutoff
-    starts at 1 and doubles, on one discretized collar, until at least
-    count + 1 eigenvalues are certified below it. Each walk reads the same
-    fiber and cross-section streams and one row cache, so a (lambda, mu)
-    row reduced below one cutoff is reused, not reduced again, above it.
+    starts at 1 and doubles, on one discretized collar, until
+    min(count + 1, size) eigenvalues are certified below it. The size of
+    the discrete spectrum is infinite unless the fiber and cross-section
+    spectra are complete, and then their multiplicity sums times the
+    Steklov ends; a larger count is refused before any walk. Each walk
+    reads the same spectra and one row cache, so a (lambda, mu) row reduced
+    below one cutoff is reused, not reduced again, above it.
     """
     if count < 1:
         raise DomainError("count must be positive")
+    fibers, modes = spec.fiber, spec.base.cross_section
+    enough = count + 1
+    if fibers.complete and modes.complete:
+        ends = 2 if spec.base.steklov_ends == "both" else 1
+        size = sum(m for _, m in fibers.entries) * sum(m for _, m in modes.entries) * ends
+        if count > size:
+            raise DomainError(
+                f"count={count} exceeds the {size} eigenvalues of the complete discrete spectrum"
+            )
+        enough = min(enough, size)
     problem = _discretize(spec, n_elements)
-    fibers, modes = _streams(spec)
     rows: dict[int, list[list[float]]] = {}
     for doubling in range(_MAX_DOUBLINGS):
         top = _START_TOP * 2.0**doubling
         spectrum = sturm.walk_below(problem, fibers, modes, top, rows)
-        if spectrum.total_multiplicity >= count + 1:
+        if spectrum.total_multiplicity >= enough:
             return spectrum.flatten()[:count], spectrum
     raise NumericError(
         f"could not certify {count} eigenvalues: {spectrum.total_multiplicity} certified "

@@ -210,8 +210,8 @@ def build_spectrum(desc: dict | None, path: str) -> ClosedSpectrum:
     Kinds and their fields: circle (length), flat_torus (l1, l2), point (no
     fields; None gives it too) and explicit (entries, a list of [value,
     multiplicity] pairs, read as incomplete). A generated kind caches its
-    first two entries, the sweep's lambda1 among them; readers take the
-    rest from its stream.
+    first two entries, the sweep's lambda1 among them; ClosedSpectrum.take
+    reads the rest from its stream.
     """
     if desc is None:
         return point_spectrum()

@@ -2,10 +2,11 @@
 
 Spectra are closed forms with multiplicity bookkeeping, as distinct
 ascending (value, multiplicity) pairs. Each generated kind (circle, flat
-torus) has one exact lazy stream in _STREAMS; a ClosedSpectrum caches its
-first entries, and iter_entries reads the stream itself. An explicit list
-is either complete (it holds every eigenvalue, like the spectrum {0} of a
-0-dimensional cross-section) or trusted only up to its last stored value.
+torus) has one exact lazy stream in _STREAMS. A ClosedSpectrum is read by
+position through its take method, which extends a generated kind's memo
+from the stream. An explicit list is either complete (it holds every
+eigenvalue, like the spectrum {0} of a 0-dimensional cross-section) or
+trusted only up to its last stored value.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import CompletenessError, DomainError
 
@@ -57,6 +58,23 @@ class ClosedSpectrum:
     @property
     def last_value(self) -> float:
         return self.entries[-1][0]
+
+    def take(self, start: int, count: int) -> tuple[tuple[float, int], ...]:
+        """Up to `count` entries from position `start`.
+
+        A generated kind reads its stream into a memo that at least doubles
+        each time it grows, so reading the first n entries costs O(n) stream
+        steps however the reads are split. The memo holds no generator and
+        is no field: the spectrum still pickles, copies, compares and hashes
+        by its fields. An explicit list comes back short only at its end,
+        which is its last eigenvalue if complete and the last one known if not.
+        """
+        stop = start + count
+        memo = vars(self).get("_memo", self.entries)
+        if len(memo) < stop and self.kind in _STREAMS:
+            stream = _STREAMS[self.kind](*self.params)
+            memo = vars(self)["_memo"] = tuple(itertools.islice(stream, max(stop, 2 * len(memo))))
+        return memo[start:stop]
 
 
 def _circle_stream(length: float) -> Iterator[tuple[float, int]]:
@@ -168,55 +186,13 @@ def extend(spec: ClosedSpectrum, count: int) -> ClosedSpectrum:
     """Return a spectrum of the same manifold with at least `count` cached entries.
 
     A complete spectrum is returned unchanged, since it has no more entries.
-    A generated kind takes the first `count` entries of its stream; an
-    incomplete explicit list raises CompletenessError.
+    A generated kind caches the first `count` entries that spec.take reads;
+    an incomplete explicit list raises CompletenessError.
     """
     if spec.complete or len(spec.entries) >= count:
         return spec
     if spec.kind in _STREAMS:
-        return _head(spec.kind, spec.params, count)
+        return ClosedSpectrum(spec.kind, spec.params, spec.take(0, count))
     raise CompletenessError(
         f"explicit spectrum holds {len(spec.entries)} entries, cannot extend to {count}"
     )
-
-
-def iter_entries(spec: ClosedSpectrum) -> Iterator[tuple[float, int]]:
-    """Yield (value, multiplicity) in ascending order.
-
-    A generated kind yields from its stream, which never runs out. An
-    explicit list ends after its entries if complete, and raises
-    CompletenessError if not, since eigenvalues may be missing beyond it.
-    """
-    if spec.kind in _STREAMS:
-        yield from _STREAMS[spec.kind](*spec.params)
-    else:
-        yield from spec.entries
-        if not spec.complete:
-            raise CompletenessError(
-                "explicit spectrum exhausted before the stopping criterion was met"
-            )
-
-
-class CachedEntries:
-    """One ascending (value, multiplicity) stream, read once and replayed to every reader.
-
-    Readers ask for blocks by position, so each entry of a generated
-    spectrum is computed once however many readers walk it; a spectrum's
-    stream is iter_entries(spec), complete as spec.complete. A block comes
-    back short only when the stream has ended: at the last eigenvalue if
-    complete is true, and at the last known one if not.
-    """
-
-    def __init__(self, entries: Iterable[tuple[float, int]], complete: bool) -> None:
-        self.complete = complete
-        self._stream = iter(entries)
-        self._entries: list[tuple[float, int]] = []
-
-    def take(self, start: int, count: int) -> list[tuple[float, int]]:
-        """Up to `count` entries from position `start`."""
-        while len(self._entries) < start + count:
-            try:
-                self._entries.append(next(self._stream))
-            except (StopIteration, CompletenessError):
-                break
-        return self._entries[start : start + count]

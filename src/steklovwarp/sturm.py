@@ -35,21 +35,22 @@ the middle open (even mode) and grounded (odd mode): one reduction of the
 half gives each row as (sigma_even, sigma_odd). `assemble`,
 `rayleigh_quotient` and `minimizing_extension` serve whole ladders only.
 
-`walk_below` collects every eigenvalue <= top of a family, over the
-ascending streams of fiber eigenvalues lambda and cross-section modes mu.
-It reads the fibers in blocks of 8. For each block it reads the modes in
-steps of whole 8-aligned sub-blocks: the first step reads 8 modes, and each
-later one twice as many as the last, but never more than keep the fibers
-still live within one reduction of 64 rows. So a lone fiber reads 8, 16, 32
-and then 64 modes, and a block of 8 fibers 8 at a time. Each step reduces
-the (lambda, mu) pairs that no earlier step or walk reduced, fiber by
-fiber, in calls of at most 64 rows. Every eigenvalue is nondecreasing in
-lambda and in mu. So a fiber's walk stops at its first mode whose smallest
-eigenvalue exceeds top, and the whole walk stops at the first fiber whose
-mode 0 starts above top: the union collected so far is complete below top.
-Each eigenvalue <= top is tagged as a plain row (value, lambda, mu, branch,
-fiber multiplicity, mode multiplicity), with no object per value, and
-provenance.merge_tagged sorts the rows once into the merged spectrum.
+`walk_below` collects every eigenvalue <= top of a family, reading the
+spectra of fiber eigenvalues lambda and cross-section modes mu through
+ClosedSpectrum.take. It reads the fibers in blocks of 8. For each block it
+reads the modes in steps of whole 8-aligned sub-blocks: the first step
+reads 8 modes, and each later one twice as many as the last, but never
+more than keep the fibers still live within one reduction of 64 rows. So
+a lone fiber reads 8, 16, 32 and then 64 modes, and a block of 8 fibers 8
+at a time. Each step reduces the (lambda, mu) pairs that no earlier step
+or walk reduced, fiber by fiber, in calls of at most 64 rows. Every
+eigenvalue is nondecreasing in lambda and in mu. So a fiber's walk stops
+at its first mode whose smallest eigenvalue exceeds top, and the whole
+walk stops at the first fiber whose mode 0 starts above top: the union
+collected so far is complete below top. Each eigenvalue <= top is tagged
+as a plain row (value, lambda, mu, branch, fiber multiplicity, mode
+multiplicity), with no object per value, and provenance.merge_tagged
+sorts the rows once into the merged spectrum.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain, count, islice
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -66,13 +67,13 @@ from .errors import CompletenessError, DomainError, MeshResolutionError, Numeric
 from .linalg import PartitionedSystem, _interior_solve
 from .profiles import CoefficientFn
 from .provenance import Row, SpectrumWithProvenance, merge_tagged
-from .spectra import CachedEntries, ClosedSpectrum, iter_entries
+from .spectra import ClosedSpectrum
 
 # fiber eigenvalues walked together: with one sub-block of 8 modes, one
 # dtn_eigenvalues call of at most 64 rows
 _FIBER_BLOCK = 8
 # cross-section modes are read in steps of whole sub-blocks of _SUB_BLOCK,
-# aligned to the stream's start; no dtn_eigenvalues call of a walk reduces
+# aligned to the spectrum's start; no dtn_eigenvalues call of a walk reduces
 # more than _MAX_BLOCK (lambda, mu) rows
 _SUB_BLOCK = 8
 _MAX_BLOCK = 64
@@ -524,85 +525,80 @@ def minimizing_extension(p: SturmProblem, boundary_values: np.ndarray) -> np.nda
     return full
 
 
-def walk_below(
-    problem: SturmProblem,
-    fibers: CachedEntries,
-    modes: CachedEntries,
-    top: float,
-    rows: dict[int, list[list[float]]],
-) -> SpectrumWithProvenance:
+def walk_below(problem: SturmProblem, fibers: ClosedSpectrum, modes: ClosedSpectrum,
+               top: float, rows: dict[int, list[list[float]]]) -> SpectrumWithProvenance:
     """Merged union of the collar's eigenvalues <= top over its (lambda, mu) pairs.
 
-    fibers and modes are the ascending (value, multiplicity) streams of
-    lambda and mu; the module docstring says in what order they are walked
-    and why the union is complete below top when the walk stops. rows[i]
-    holds the reduced rows of the fiber at position i from mode 0 on, as
-    lists of Python floats, so a later walk over the same problem and
-    streams, such as one at a doubled top, reduces no row twice. A stream
-    that ends before the walk stops raises CompletenessError, unless it is
-    complete.
+    fibers and modes are the spectra of lambda and mu; the module docstring
+    says in what order they are walked and why the union is complete below
+    top when the walk stops. rows[i] holds the reduced rows of the fiber at
+    position i from mode 0 on, as lists of Python floats, so a later walk
+    over the same problem and spectra, such as one at a doubled top,
+    reduces no row twice. A spectrum that ends before the walk stops raises
+    CompletenessError, unless it is complete.
     """
     tagged: list[Row] = []
-    start, stopped = 0, False
-    while not stopped:
+    for start in count(0, _FIBER_BLOCK):
         block = fibers.take(start, _FIBER_BLOCK)
-        live = [
-            (rows.setdefault(position, []), fiber) for position, fiber in enumerate(block, start)
-        ]
-        first, size = 0, _SUB_BLOCK  # the step's first mode and its length
-        while live:
-            size = min(size, _SUB_BLOCK * max(1, _MAX_BLOCK // (_SUB_BLOCK * len(live))))
-            step = modes.take(first, size)
-            if not step:  # the stream ended at the last step's end
-                break
-            # a live fiber's rows reach the step's first mode; the rest are missing
-            missing = [
-                (known, fiber_value, step[len(known) - first :])
-                for known, (fiber_value, _) in live
-            ]
-            lam = [fiber_value for _, fiber_value, new in missing for _ in new]
-            mu = [value for *_, new in missing for value, _ in new]
-            reduced = chain.from_iterable(
-                dtn_eigenvalues(problem, lam[i : i + _MAX_BLOCK], mu[i : i + _MAX_BLOCK]).tolist()
-                for i in range(0, len(lam), _MAX_BLOCK)
-            )
-            for known, _, new in missing:
-                known += islice(reduced, len(new))
-            walking = []
-            for known, (fiber_value, fiber_mult) in live:
-                for j, ((cross_value, cross_mult), row) in enumerate(zip(step, known[first:])):
-                    if row[0] > top:
-                        break
-                    for branch, value in enumerate(row):
-                        if value <= top:
-                            tagged.append(
-                                (value, fiber_value, cross_value, branch, fiber_mult, cross_mult)
-                            )
-                else:
-                    walking.append((known, (fiber_value, fiber_mult)))
-                    continue
-                if first == j == 0:  # this fiber and every later one start above top
-                    stopped = True
-                    break
-            live = walking
-            if len(step) < size:
-                break
-            first += size
-            size *= 2
-        if live and not modes.complete:
-            raise CompletenessError(
-                f"cross-section spectrum ends after {first + len(step)} entries, "
-                f"before a mode exceeds top={top}"
-            )
+        live = [(rows.setdefault(i, []), fiber) for i, fiber in enumerate(block, start)]
+        _walk_modes(problem, live, modes, top, tagged)
+        if any(known[0][0] > top for known, _ in live):  # so does every later fiber
+            return merge_tagged(tagged)
         if len(block) < _FIBER_BLOCK:
             break
-        start += _FIBER_BLOCK
-    if not stopped and not fibers.complete:
-        raise CompletenessError(
-            f"fiber spectrum ends after {start + len(block)} entries, "
-            f"before a branch starts above top={top}"
-        )
+    if not fibers.complete:
+        raise CompletenessError(f"fiber spectrum ends after {start + len(block)} entries, "
+                                f"before a branch starts above top={top}")
     return merge_tagged(tagged)
+
+
+def _walk_modes(problem: SturmProblem, live: list[tuple[list[list[float]], tuple[float, int]]],
+                modes: ClosedSpectrum, top: float, tagged: list[Row]) -> None:
+    """Tag the eigenvalues <= top of one block of fibers, live as (known rows, fiber entry).
+
+    A fiber that starts above top at mode 0 ends the walk of every later
+    one, while the block's earlier fibers finish theirs.
+    """
+    first, size = 0, _SUB_BLOCK  # the step's first mode and its length
+    while live:
+        size = min(size, _SUB_BLOCK * max(1, _MAX_BLOCK // (_SUB_BLOCK * len(live))))
+        step = modes.take(first, size)
+        if not step:  # the spectrum ended at the last step's end
+            break
+        # a live fiber's rows reach the step's first mode; the rest are missing
+        missing = [(known, fiber_value, step[len(known) - first :])
+                   for known, (fiber_value, _) in live]
+        lam = [fiber_value for _, fiber_value, new in missing for _ in new]
+        mu = [value for *_, new in missing for value, _ in new]
+        reduced = chain.from_iterable(
+            dtn_eigenvalues(problem, lam[i : i + _MAX_BLOCK], mu[i : i + _MAX_BLOCK]).tolist()
+            for i in range(0, len(lam), _MAX_BLOCK)
+        )
+        for known, _, new in missing:
+            known += islice(reduced, len(new))
+        walking = []
+        for known, (fiber_value, fiber_mult) in live:
+            for j, ((cross_value, cross_mult), row) in enumerate(zip(step, known[first:])):
+                if row[0] > top:
+                    break
+                for branch, value in enumerate(row):
+                    if value <= top:
+                        tagged.append(
+                            (value, fiber_value, cross_value, branch, fiber_mult, cross_mult)
+                        )
+            else:
+                walking.append((known, (fiber_value, fiber_mult)))
+                continue
+            if first == j == 0:  # this fiber and every later one start above top
+                break
+        live = walking
+        if len(step) < size:
+            break
+        first += size
+        size *= 2
+    if live and not modes.complete:
+        raise CompletenessError(f"cross-section spectrum ends after {first + len(step)} entries, "
+                                f"before a mode exceeds top={top}")
 
 
 def check_top(top: float, *walked: ClosedSpectrum) -> None:
@@ -630,8 +626,9 @@ def base_dtn_spectrum(
     """Mixed Steklov-Neumann spectrum of one auxiliary base operator, up to `top`.
 
     Each cross-section mode mu reduces the base problem to the 1D problem
-    with lambda = fiber_eigenvalue and q = inv_sq_weight; walk_below walks
-    the modes as those of a one-entry complete fiber stream.
+    with lambda = fiber_eigenvalue and q = inv_sq_weight; the modes are
+    walked as those of one fiber block of walk_below. A lone lambda is no
+    ClosedSpectrum, whose first value is 0.
     """
     check_top(top, geom.cross_section)
     problem = collar_problem(
@@ -642,6 +639,6 @@ def base_dtn_spectrum(
         boundary_weights=boundary_weights,
         transition_spans=transition_spans,
     )
-    fibers = CachedEntries([(fiber_eigenvalue, 1)], True)
-    modes = CachedEntries(iter_entries(geom.cross_section), geom.cross_section.complete)
-    return walk_below(problem, fibers, modes, top, {})
+    tagged: list[Row] = []
+    _walk_modes(problem, [([], (fiber_eigenvalue, 1))], geom.cross_section, top, tagged)
+    return merge_tagged(tagged)

@@ -29,11 +29,11 @@ from steklovwarp import (
     sigma1_construction,
     steklov_spectrum_warped,
 )
-from steklovwarp import assembler, sturm
+from steklovwarp import assembler, spectra, sturm
 from steklovwarp.experiments import SPECTRUM_CSV_HEADER, sig12, spectrum_csv_lines
 from steklovwarp.profiles import log_value, power_fn
 from steklovwarp.provenance import merge_tagged
-from steklovwarp.spectra import discrete_circle_spectrum, extend, iter_entries
+from steklovwarp.spectra import discrete_circle_spectrum, extend
 
 TWO_PI = 2.0 * math.pi
 TANH1 = math.tanh(1.0)
@@ -211,15 +211,53 @@ class TestFirstEigenvalues:
         )
         assert values == pytest.approx(expected, abs=3e-4)
 
-    def test_uncertified_count_names_the_last_walk(self):
-        # 16 fiber values and two Steklov ends: the collar has 32 eigenvalues,
-        # and the last of the 60 walks is at 2^59
-        spec = WarpedMetricSpec(1, 1, lambda t: 1.0, BaseGeometry(point_spectrum(), 1.0, "both"),
+    @staticmethod
+    def _count_walks(monkeypatch):
+        tops = []
+        original = sturm.walk_below
+
+        def spy(problem, fibers, modes, top, rows):
+            tops.append(top)
+            return original(problem, fibers, modes, top, rows)
+
+        monkeypatch.setattr(sturm, "walk_below", spy)
+        return tops
+
+    @staticmethod
+    def _discrete_surface():
+        # 16 fiber values and two Steklov ends: the collar has 32 eigenvalues
+        return WarpedMetricSpec(1, 1, lambda t: 1.0, BaseGeometry(point_spectrum(), 1.0, "both"),
                                 discrete_circle_spectrum(TWO_PI, 16))
-        message = ("could not certify 40 eigenvalues: 32 certified at the last cutoff walked, "
+
+    def test_count_above_a_complete_size_refused_before_any_walk(self, monkeypatch):
+        tops = self._count_walks(monkeypatch)
+        with pytest.raises(DomainError, match="exceeds the 32 eigenvalues"):
+            first_eigenvalues(self._discrete_surface(), 40, n_elements=64)
+        assert tops == []
+
+    def test_count_equal_to_a_complete_size_returns_all(self, monkeypatch):
+        spec = self._discrete_surface()
+        everything = steklov_spectrum_warped(spec, math.inf, n_elements=64)
+        assert everything.total_multiplicity == 32
+        tops = self._count_walks(monkeypatch)
+        values, spectrum = first_eigenvalues(spec, 32, n_elements=64)
+        assert np.array_equal(values, everything.flatten())
+        assert spectrum.total_multiplicity == 32
+        assert tops == [1.0, 2.0, 4.0, 8.0]  # all 32 are certified at top 8, and it stops
+
+    def test_uncertified_count_names_the_last_walk(self, monkeypatch):
+        # a complete fiber holding 0 once and 1e30 twice: of the collar's 6
+        # eigenvalues only the lambda = 0 pair lies below the last of the 60
+        # cutoffs, 2^59
+        fiber = explicit_spectrum([(0.0, 1), (1e30, 2)], complete=True)
+        spec = WarpedMetricSpec(1, 1, lambda t: 1.0, BaseGeometry(point_spectrum(), 1.0, "both"),
+                                fiber)
+        tops = self._count_walks(monkeypatch)
+        message = ("could not certify 3 eigenvalues: 2 certified at the last cutoff walked, "
                    f"top={2.0**59}")
         with pytest.raises(NumericError, match=f"^{re.escape(message)}$"):
-            first_eigenvalues(spec, 40, n_elements=64)
+            first_eigenvalues(spec, 3, n_elements=64)
+        assert tops == [2.0**d for d in range(60)]
 
 
 def _fingerprint(result):
@@ -330,21 +368,35 @@ class TestCollarSampling:
                 assert isinstance(bc.weight, float)
 
 
+def entries_of(spectrum):
+    """Every (value, multiplicity) of a spectrum, read without ClosedSpectrum.take.
+
+    A generated kind yields its whole stream; an explicit list ends after
+    its entries if complete, and raises CompletenessError if not.
+    """
+    if spectrum.kind in spectra._STREAMS:
+        yield from spectra._STREAMS[spectrum.kind](*spectrum.params)
+        return
+    yield from spectrum.entries
+    if not spectrum.complete:
+        raise CompletenessError("the explicit list ends before the walk stops")
+
+
 def per_pair_walk(spec, top, n_elements):
     """Reference walk: one dtn_eigenvalues call per (lambda, mu) pair, under the same stop rules.
 
     A fiber's modes are read until the first whose smallest eigenvalue
-    exceeds top, and fibers until the first whose mode 0 does; a stream that
-    runs out early ends the walk if it is complete, and raises
-    CompletenessError from iter_entries if not. Returns the merged spectrum,
+    exceeds top, and fibers until the first whose mode 0 does; a spectrum
+    that runs out early ends the walk if it is complete, and raises
+    CompletenessError from entries_of if not. Returns the merged spectrum,
     the number of fiber branches below top and the last mode position read
     below top.
     """
     problem = assembler._discretize(spec, n_elements)
     tagged, branches, last_mode = [], 0, 0
-    for fiber_value, fiber_mult in iter_entries(spec.fiber):
+    for fiber_value, fiber_mult in entries_of(spec.fiber):
         branch = []
-        for j, (cross_value, cross_mult) in enumerate(iter_entries(spec.base.cross_section)):
+        for j, (cross_value, cross_mult) in enumerate(entries_of(spec.base.cross_section)):
             row = dtn_eigenvalues(problem, fiber_value, cross_value)
             if row[0] > top:
                 break
@@ -494,6 +546,36 @@ class TestBlockedWalk:
         assert spectrum_csv_lines(spectrum) == per_source_csv_lines(spectrum)
 
 
+class TestBlockBoundaries:
+    """Complete spectra that end exactly at a fiber block or a mode step.
+
+    Fibers of 8 and 16 entries fill one and two blocks of 8, and a block of
+    8 fibers reads its modes 8 at a time, so 8 and 64 modes end with a
+    full step: each walk ends on a read that comes back empty. At top = inf
+    every pair is walked, and the walk must return the whole discrete
+    spectrum, as the per-pair reference does.
+    """
+
+    @pytest.mark.parametrize("steklov_ends", ["both", "left"])
+    @pytest.mark.parametrize("n_modes", [8, 64])
+    @pytest.mark.parametrize("n_fibers", [8, 16])
+    def test_top_inf_walks_every_pair(self, n_fibers, n_modes, steklov_ends):
+        fiber = explicit_spectrum([(j * j, 2 if j else 1) for j in range(n_fibers)],
+                                  complete=True)
+        cross = explicit_spectrum([(0.5 * j, 1 + j % 3) for j in range(n_modes)], complete=True)
+        spec = WarpedMetricSpec(2, 1, WarpProfile(0.1, 0.75, 1.0, True),
+                                BaseGeometry(cross, 1.0, steklov_ends), fiber, "volume_preserving")
+        size = ((2 * n_fibers - 1) * sum(1 + j % 3 for j in range(n_modes))
+                * (2 if steklov_ends == "both" else 1))
+        got = steklov_spectrum_warped(spec, math.inf, n_elements=100)
+        expected, branches, last_mode = per_pair_walk(spec, math.inf, 100)
+        assert (branches, last_mode) == (n_fibers, n_modes - 1)
+        assert got.entries == expected.entries
+        assert got.total_multiplicity == expected.total_multiplicity == size
+        values, _ = first_eigenvalues(spec, size, n_elements=100)
+        assert np.array_equal(values, got.flatten())
+
+
 class TestDecomposition:
     """The discrete spectrum is the union of the auxiliary base spectra over the fiber.
 
@@ -517,7 +599,7 @@ class TestDecomposition:
                 )
         recipes = metric_recipes(spec)
         walked = 0
-        for lam, fiber_mult in iter_entries(spec.fiber):
+        for lam, fiber_mult in entries_of(spec.fiber):
             branch = base_dtn_spectrum(
                 spec.base, recipes.grad_weight, lam, recipes.inv_sq_weight, top,
                 n_elements=n_elements, boundary_weights=recipes.boundary_weights,

@@ -34,7 +34,7 @@ from steklovwarp.oracle import (
     revolution_spectrum,
 )
 from steklovwarp.profiles import power_fn
-from steklovwarp.spectra import CachedEntries, discrete_circle_spectrum, iter_entries
+from steklovwarp.spectra import discrete_circle_spectrum
 
 # plateau, bump and constant are mirror-symmetric, so at any ends only their
 # left half is eliminated; the ramp is not, so "left" and "right" differ and
@@ -460,8 +460,8 @@ def test_decomposition_matches_grid_with_its_discrete_fiber(warp_name, shape, en
         boundary_weights=recipes.boundary_weights,
         transition_spans=recipes.spans,
     )
-    streams = (CachedEntries(iter_entries(s), True) for s in (spec.fiber, spec.base.cross_section))
-    assembled = sturm.walk_below(collar, *streams, math.inf, {}).flatten()
+    walked = sturm.walk_below(collar, spec.fiber, spec.base.cross_section, math.inf, {})
+    assembled = walked.flatten()
     direct = revolution_spectrum(grid)
     assert assembled.shape == direct.shape
     dev = np.abs(assembled - direct) / np.maximum(np.abs(direct), 1.0)

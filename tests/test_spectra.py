@@ -1,6 +1,9 @@
 """Closed-manifold spectrum generators against brute-force enumeration."""
 
+import copy
 import math
+import pickle
+import types
 
 import numpy as np
 import pytest
@@ -8,21 +11,50 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steklovwarp import (
+    BaseGeometry,
     CompletenessError,
     DomainError,
+    WarpedMetricSpec,
+    WarpProfile,
     circle_spectrum,
     explicit_spectrum,
     flat_torus_spectrum,
     point_spectrum,
+    steklov_spectrum_warped,
 )
-from steklovwarp import spectra
-from steklovwarp.spectra import CachedEntries, extend, iter_entries
+from steklovwarp import assembler, spectra
+from steklovwarp.spectra import extend
 
 TWO_PI = 2.0 * math.pi
 
 
-def cached(spec):
-    return CachedEntries(iter_entries(spec), spec.complete)
+def count_stream_steps(monkeypatch, kind):
+    """Count the entries that the `kind` stream of _STREAMS yields from now on."""
+    steps = [0]
+    original = spectra._STREAMS[kind]
+
+    def counting(*params):
+        for entry in original(*params):
+            steps[0] += 1
+            yield entry
+
+    monkeypatch.setitem(spectra._STREAMS, kind, counting)
+    return steps
+
+
+def spy_on_heads(monkeypatch):
+    """Record each call of flat_torus_spectrum or extend, in the modules that bind them."""
+    calls = []
+    for module, name in ((spectra, "flat_torus_spectrum"), (spectra, "extend"),
+                         (assembler, "extend")):
+        original = getattr(module, name)
+
+        def wrapped(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, wrapped)
+    return calls
 
 
 def brute_force_torus(l1, l2, count):
@@ -194,65 +226,106 @@ class TestTruncateAndIterate:
         assert point.complete
         assert extend(point, 2) is point
 
-    def test_iter_circle_unbounded(self):
-        it = iter_entries(circle_spectrum(TWO_PI, 2))
-        got = [next(it) for _ in range(7)]
+    def test_take_circle_unbounded(self):
+        got = circle_spectrum(TWO_PI, 2).take(0, 7)
         assert [v for v, _ in got] == [0.0, 1.0, 4.0, 9.0, 16.0, 25.0, 36.0]
 
-    def test_iter_point_completes(self):
-        assert list(iter_entries(point_spectrum())) == [(0.0, 1)]
+    def test_take_point_completes(self):
+        point = point_spectrum()
+        assert point.take(0, 4) == ((0.0, 1),) and point.complete
 
-    def test_iter_complete_explicit_ends(self):
+    def test_take_complete_explicit_ends(self):
         entries = [(0.0, 1), (3.0, 2), (5.0, 1)]
-        assert list(iter_entries(explicit_spectrum(entries, complete=True))) == entries
+        spec = explicit_spectrum(entries, complete=True)
+        assert list(spec.take(0, 10)) == entries
+        assert spec.take(3, 2) == ()
 
-    def test_iter_explicit_raises_on_exhaustion(self):
-        it = iter_entries(explicit_spectrum([(0.0, 1), (3.0, 2)]))
-        assert next(it) == (0.0, 1)
-        assert next(it) == (3.0, 2)
-        with pytest.raises(CompletenessError):
-            next(it)
+    def test_take_incomplete_explicit_says_so_at_its_end(self):
+        # the walk raises CompletenessError when a short read is not complete
+        spec = explicit_spectrum([(0.0, 1), (3.0, 2)])
+        assert spec.take(0, 3) == ((0.0, 1), (3.0, 2))
+        assert not spec.complete
 
-    def test_cached_entries_replay_one_stream(self):
-        cache = cached(circle_spectrum(TWO_PI, 2))
-        first = cache.take(0, 5)
-        again = cache.take(2, 3)
+    def test_take_replays_one_memo(self):
+        spec = circle_spectrum(TWO_PI, 2)
+        first = spec.take(0, 5)
+        again = spec.take(2, 3)
         assert len(first) == 5
         assert again == first[2:]
-        assert cache.take(0, 9) == list(circle_spectrum(TWO_PI, 9).entries)
+        assert spec.take(0, 9) == circle_spectrum(TWO_PI, 9).entries
 
-    def test_cached_entries_read_the_torus_stream_once(self, monkeypatch):
-        cache = cached(flat_torus_spectrum(1.0, 7.3, 4))
-        calls = []
-
-        def spy(name):
-            original = getattr(spectra, name)
-
-            def wrapped(*args):
-                calls.append(name)
-                return original(*args)
-
-            monkeypatch.setattr(spectra, name, wrapped)
-
-        spy("flat_torus_spectrum")
-        spy("extend")
-        heads = [cache.take(0, n) for n in (1, 3, 8, 64, 200)]
+    def test_take_reads_the_torus_stream_without_regenerating_heads(self, monkeypatch):
+        spec = flat_torus_spectrum(1.0, 7.3, 4)
+        calls = spy_on_heads(monkeypatch)
+        heads = [spec.take(0, n) for n in (1, 3, 8, 64, 200)]
         assert calls == []  # no head is regenerated to reach a longer one
         expected = brute_force_torus(1.0, 7.3, 200)
         assert [m for _, m in heads[-1]] == [m for _, m in expected]
         assert [v for v, _ in heads[-1]] == pytest.approx([v for v, _ in expected], abs=1e-8)
         for shorter, longer in zip(heads, heads[1:]):
             assert longer[: len(shorter)] == shorter
-        assert tuple(heads[2]) == flat_torus_spectrum(1.0, 7.3, 8).entries
+        assert heads[2] == flat_torus_spectrum(1.0, 7.3, 8).entries
 
-    def test_cached_entries_report_the_end(self):
-        # a short block marks the end; completeness says what the end means
-        point = cached(point_spectrum())
-        assert point.take(0, 4) == [(0.0, 1)] and point.complete
-        cache = cached(explicit_spectrum([(0.0, 1), (3.0, 2)]))
-        assert cache.take(0, 2) == [(0.0, 1), (3.0, 2)]
-        assert cache.take(1, 2) == [(3.0, 2)] and not cache.complete
-        assert cache.take(2, 2) == []
+    def test_take_reports_the_end(self):
+        # a short read marks the end; completeness says what the end means
+        point = point_spectrum()
+        assert point.take(0, 4) == ((0.0, 1),) and point.complete
+        spec = explicit_spectrum([(0.0, 1), (3.0, 2)])
+        assert spec.take(0, 2) == ((0.0, 1), (3.0, 2))
+        assert spec.take(1, 2) == ((3.0, 2),) and not spec.complete
+        assert spec.take(2, 2) == ()
+
+    @pytest.mark.parametrize("kind", ["circle", "flat_torus"])
+    @pytest.mark.parametrize("split", ["whole", "singles", "sevens", "prefixes"])
+    def test_take_costs_linear_stream_steps(self, monkeypatch, kind, split):
+        # reading the first n entries costs at most 4 n stream steps, since
+        # the memo at least doubles each time it is read from the stream
+        n = 300
+        spec = circle_spectrum(1.3, 2) if kind == "circle" else flat_torus_spectrum(1.0, 2.2, 2)
+        expected = spectra._head(kind, spec.params, n).entries
+        steps = count_stream_steps(monkeypatch, kind)
+        reads = {
+            "whole": [(0, n)],
+            "singles": [(i, 1) for i in range(n)],
+            "sevens": [(i, 7) for i in range(0, n, 7)],
+            "prefixes": [(0, i) for i in range(1, n + 1)],
+        }[split]
+        got = [entry for start, count in reads for entry in spec.take(start, count)]
+        assert tuple(got[-n:] if split == "prefixes" else got[:n]) == expected
+        assert 0 < steps[0] <= 4 * n
+
+    def test_two_spectrum_calls_regenerate_no_head(self, monkeypatch):
+        spec = WarpedMetricSpec(
+            base_dim=3,
+            fiber_dim=1,
+            warp=WarpProfile(0.05, 0.75, 1.0, True),
+            base=BaseGeometry(flat_torus_spectrum(2.0, 2.6, 8), 1.0, "both"),
+            fiber=circle_spectrum(TWO_PI, 8),
+            mode="volume_preserving",
+        )
+        calls = spy_on_heads(monkeypatch)
+        steps = count_stream_steps(monkeypatch, "flat_torus")
+        first = steklov_spectrum_warped(spec, 16.0, n_elements=200)
+        assert steps[0] > 8  # the walk read past the cached head
+        read = steps[0]
+        second = steklov_spectrum_warped(spec, 16.0, n_elements=200)
+        assert calls == []
+        assert steps[0] == read  # the second walk reads the memo
+        assert second.entries == first.entries
+
+    @pytest.mark.parametrize("make", [
+        lambda: circle_spectrum(TWO_PI, 8),
+        lambda: flat_torus_spectrum(1.0, 1.3, 8),
+        lambda: explicit_spectrum([(0.0, 1), (2.0, 2)], complete=True),
+    ], ids=["circle", "flat_torus", "explicit"])
+    def test_read_spectrum_pickles_copies_compares_and_hashes_by_fields(self, make):
+        spec = make()
+        spec.take(0, 100)
+        assert not any(isinstance(v, types.GeneratorType) for v in vars(spec).values())
+        for other in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec), copy.copy(spec),
+                      make()):
+            assert other == spec and hash(other) == hash(spec)
+            assert other.take(0, 100) == spec.take(0, 100)
 
 
 class TestExplicit:
