@@ -95,29 +95,38 @@ _START_TOP = 1.0
 _MAX_DOUBLINGS = 60
 
 
-def _discretize(spec: WarpedMetricSpec, n_elements: int) -> SturmProblem:
-    """The collar's 1D family: q is the fiber weight, so lambda is the fiber eigenvalue.
+def collar_mesh(spec: WarpedMetricSpec, n_elements: int) -> tuple[np.ndarray, tuple, bool]:
+    """The 1D problem's mesh and spans, and whether it is a mirrored collar's left half.
 
-    A symmetric WarpProfile on its own collar asks for a mirror (see sturm).
+    A symmetric WarpProfile on its own collar with both ends Steklov is mirrored (see
+    sturm): its half [0, L/2] gets half the elements, so each ramp gets the whole's count.
+    """
+    warp, length, spans = spec.warp, spec.base.collar_length, transition_spans(spec.warp)
+    if mirror := (isinstance(warp, profiles.WarpProfile) and warp.symmetric
+                  and warp.collar_length == length and spec.base.steklov_ends == "both"):
+        length, n_elements = 0.5 * length, 0.5 * n_elements
+        spans = tuple(span for span in spans if span[1] <= length)
+    return sturm.graded_mesh(length, n_elements, spans), spans, mirror
+
+
+def _discretize(spec: WarpedMetricSpec, n_elements: int) -> SturmProblem:
+    """The collar's 1D family on its collar_mesh; q is the fiber weight, lambda its eigenvalue.
+
     One power_fn call samples ln h once, at the nodes followed by the
     element midpoints, and refuses a power h^p there that would overflow.
-    q and w at the nodes, w at the midpoints and the boundary weights are
-    its rows, bit for bit what metric_recipes' closures give at the same
-    points (graded_mesh puts 0 and L exactly at the ends), so the problem
-    calls no closure.
+    Its rows, q and w at the nodes, w at the midpoints and the boundary
+    weights (a mirror's h(L) is h(0)), are bit for bit what metric_recipes'
+    closures give there, so the problem calls no closure.
     """
     warp, powers = spec.warp, _powers(spec)
-    spans = transition_spans(warp)
-    nodes = sturm.graded_mesh(spec.base.collar_length, n_elements, spans)
+    nodes, spans, mirror = collar_mesh(spec, n_elements)
     n = len(nodes)
     w, q, bw = power_fn(warp, powers)(np.concatenate((nodes, 0.5 * (nodes[:-1] + nodes[1:]))))
-    problem = sturm.collar_problem(
+    return sturm.collar_problem(
         spec.base, power_fn(warp, powers[0]), power_fn(warp, powers[1]), nodes=nodes,
-        boundary_weights=(bw[0], bw[n - 1]), transition_spans=spans,
-        mirror=isinstance(warp, profiles.WarpProfile) and warp.symmetric
-        and warp.collar_length == spec.base.collar_length,
-    )
-    return problem.prime(q[:n], w[:n], w[n:])
+        boundary_weights=(bw[0], bw[0] if mirror else bw[n - 1]), transition_spans=spans,
+        mirror=mirror,
+    ).prime(q[:n], w[:n], w[n:])
 
 
 def steklov_spectrum_warped(
@@ -141,14 +150,15 @@ def first_eigenvalues(spec: WarpedMetricSpec, count: int, *, n_elements: int = 4
     min(count + 1, size) eigenvalues are certified below it. The size of
     the discrete spectrum is infinite unless the fiber and cross-section
     spectra are complete, and then their multiplicity sums times the
-    Steklov ends; a larger count is refused before any walk. Each walk
+    Steklov ends; a larger count is refused before any walk, and after the
+    last doubling one walk at top = inf certifies all size. Each walk
     reads the same spectra and one row cache, so a (lambda, mu) row reduced
     below one cutoff is reused, not reduced again, above it.
     """
     if count < 1:
         raise DomainError("count must be positive")
     fibers, modes = spec.fiber, spec.base.cross_section
-    enough = count + 1
+    enough, tops = count + 1, [_START_TOP * 2.0**doubling for doubling in range(_MAX_DOUBLINGS)]
     if fibers.complete and modes.complete:
         ends = 2 if spec.base.steklov_ends == "both" else 1
         size = sum(m for _, m in fibers.entries) * sum(m for _, m in modes.entries) * ends
@@ -157,10 +167,10 @@ def first_eigenvalues(spec: WarpedMetricSpec, count: int, *, n_elements: int = 4
                 f"count={count} exceeds the {size} eigenvalues of the complete discrete spectrum"
             )
         enough = min(enough, size)
+        tops.append(math.inf)  # a walk of every pair, should the doubling end short
     problem = _discretize(spec, n_elements)
     rows: dict[int, list[list[float]]] = {}
-    for doubling in range(_MAX_DOUBLINGS):
-        top = _START_TOP * 2.0**doubling
+    for top in tops:
         spectrum = sturm.walk_below(problem, fibers, modes, top, rows)
         if spectrum.total_multiplicity >= enough:
             return spectrum.flatten()[:count], spectrum

@@ -14,7 +14,9 @@ from dataclasses import Field, dataclass, field, fields as dataclass_fields
 
 import numpy as np
 
-from .assembler import first_eigenvalues, lower_bound_C, sigma1_construction, surface_spec
+from .assembler import (
+    collar_mesh, first_eigenvalues, lower_bound_C, sigma1_construction, surface_spec
+)
 from .errors import ConfigError, DomainError, InfeasibleError, NumericError, SteklovError
 from .profiles import Warp, WarpedMetricSpec, WarpProfile, log_value
 from .provenance import SpectrumWithProvenance
@@ -26,7 +28,7 @@ from .spectra import (
     flat_torus_spectrum,
     point_spectrum,
 )
-from .sturm import BaseGeometry, graded_mesh
+from .sturm import BaseGeometry
 
 SPECTRUM_CSV_HEADER = "value,multiplicity,lambda_fiber,mu_mode,branch"
 SWEEP_CSV_HEADER = "epsilon,sigma1,active_branch,lower_bound_C,mesh_size,runtime_ms"
@@ -311,8 +313,8 @@ def run_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
             profile = WarpProfile(eps, cfg.delta, cfg.collar_length, symmetric=True)
             spec = metric_spec_from_config(cfg, profile, "volume_preserving")
             result = sigma1_construction(spec, n_elements=cfg.mesh)
-            mesh_size = len(graded_mesh(cfg.collar_length, cfg.mesh,
-                                        profile.transition_intervals())) - 1
+            nodes, _, mirror = collar_mesh(spec, cfg.mesh)  # a mirror solves twice its half
+            mesh_size = (len(nodes) - 1) * (2 if mirror else 1)
         except ConfigError:  # a refused descriptor, built before the first solve
             raise
         except SteklovError as exc:

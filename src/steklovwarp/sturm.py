@@ -28,12 +28,13 @@ PartitionedSystem. No eigenvalue path calls it: it serves the minimizing
 extension, the tests compare the reduction against it, and the
 benchmark's tracer hooks it by name.
 
-A mirrored problem is a collar whose coefficients and mesh are symmetric
-about its middle, with two Steklov ends of one weight. By Bartlett's
-bisection theorem (1927) its eigenvalues are those of its left half with
-the middle open (even mode) and grounded (odd mode): one reduction of the
-half gives each row as (sigma_even, sigma_odd). `assemble`,
-`rayleigh_quotient` and `minimizing_extension` serve whole ladders only.
+A mirrored problem is the left half [0, L/2] of a collar whose
+coefficients are symmetric about its middle, with two Steklov ends of one
+weight; a MirrorEnd marks the middle as its right end. By Bartlett's
+bisection theorem (1927) the collar's eigenvalues are the half's with the
+middle open (even mode) and grounded (odd mode): one reduction of the half
+gives each row as (sigma_even, sigma_odd). `assemble`, `rayleigh_quotient`
+and `minimizing_extension` serve whole ladders only.
 
 `walk_below` collects every eigenvalue <= top of a family, reading the
 spectra of fiber eigenvalues lambda and cross-section modes mu through
@@ -43,14 +44,14 @@ reads 8 modes, and each later one twice as many as the last, but never
 more than keep the fibers still live within one reduction of 64 rows. So
 a lone fiber reads 8, 16, 32 and then 64 modes, and a block of 8 fibers 8
 at a time. Each step reduces the (lambda, mu) pairs that no earlier step
-or walk reduced, fiber by fiber, in calls of at most 64 rows. Every
-eigenvalue is nondecreasing in lambda and in mu. So a fiber's walk stops
-at its first mode whose smallest eigenvalue exceeds top, and the whole
-walk stops at the first fiber whose mode 0 starts above top: the union
-collected so far is complete below top. Each eigenvalue <= top is tagged
-as a plain row (value, lambda, mu, branch, fiber multiplicity, mode
-multiplicity), with no object per value, and provenance.merge_tagged
-sorts the rows once into the merged spectrum.
+or walk reduced, in one call of at most 64 rows. Every eigenvalue is
+nondecreasing in lambda and in mu. So a fiber's walk stops at its first
+mode whose smallest eigenvalue exceeds top, and the whole walk stops at
+the first fiber whose mode 0 starts above top: the union collected so far
+is complete below top. Each eigenvalue <= top is tagged as a plain row
+(value, lambda, mu, branch, fiber multiplicity, mode multiplicity), with
+no object per value, and provenance.merge_tagged sorts the rows once into
+the merged spectrum.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, count, islice
+from itertools import count, islice
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -103,7 +104,12 @@ class NeumannEnd:
     """Natural endpoint, absorbed into the weak form."""
 
 
-BoundaryCondition = SteklovEnd | NeumannEnd
+@dataclass(frozen=True)
+class MirrorEnd:
+    """The middle of a mirrored collar, as the right end of its left half."""
+
+
+BoundaryCondition = SteklovEnd | NeumannEnd | MirrorEnd
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,17 +121,15 @@ class SturmProblem:
     lambda t: 0.0, is broadcast over the points. The ladder is sampled once
     per problem, on first use: w at the element midpoints `w_mid` for the
     edge conductances `cond`, the lumped masses `lump` and q `q_node` at the
-    `points`, and w there `w_node` only when some mu is nonzero. `prime`
+    nodes, and w there `w_node` only when some mu is nonzero. `prime`
     hands over all three samples instead, such as a collar's powers of one
     ln h sample, and then no coefficient function is called.
     dtn_eigenvalues reduces any (lambda, mu) pairs on it; lambda = 1,
     mu = 0 is the single problem -(w a')' + q a = 0.
     transition_spans lists intervals that the mesh must resolve with at
     least MIN_ELEMENTS_PER_SPAN elements each.
-    A `mirror`, which only collar_problem makes, keeps the whole mesh in
-    `nodes` but samples its left half: points up to the middle, half the
-    lumped mass of a node on it, and in w_mid and cond an element that
-    straddles it.
+    A MirrorEnd may only end it on the right: the problem is then the left
+    half of a mirrored collar (see collar_problem).
     """
 
     length: float
@@ -135,14 +139,13 @@ class SturmProblem:
     right_bc: BoundaryCondition
     nodes: np.ndarray
     transition_spans: tuple[tuple[float, float], ...] = field(default=())
-    mirror: bool = field(default=False, init=False)
 
     def __post_init__(self) -> None:
         if self.length <= 0.0:
             raise DomainError("interval length must be positive")
-        if not isinstance(self.left_bc, SteklovEnd) and not isinstance(
-            self.right_bc, SteklovEnd
-        ):
+        if isinstance(self.left_bc, MirrorEnd):
+            raise DomainError("a MirrorEnd marks the middle of a collar, on the right only")
+        if not any(isinstance(bc, SteklovEnd) for bc in (self.left_bc, self.right_bc)):
             raise DomainError("at least one endpoint must carry a Steklov condition")
         nodes = np.asarray(self.nodes, dtype=float)
         if nodes.ndim != 1 or len(nodes) < 2:
@@ -153,15 +156,6 @@ class SturmProblem:
         object.__setattr__(self, "nodes", nodes)
 
     @cached_property
-    def points(self) -> np.ndarray:
-        """The nodes that carry shunts: all, or a mirror's up to its middle."""
-        return self.nodes[: (len(self.nodes) + 1) // 2] if self.mirror else self.nodes
-
-    @cached_property
-    def _elements(self) -> np.ndarray:  # the nodes of cond's elements
-        return self.nodes[: len(self.nodes) // 2 + 1] if self.mirror else self.nodes
-
-    @cached_property
     def cond(self) -> np.ndarray:
         """Edge conductances w(t_mid)/dt, on a mesh checked first.
 
@@ -169,11 +163,8 @@ class SturmProblem:
         more is refused: the product would overflow to inf and the
         eigenvalues come out NaN.
         """
-        nodes, spans = self._elements, self.transition_spans
-        if self.mirror:  # the left half's spans; the right ones are their reflections
-            spans = tuple(s for s in spans if s[1] <= self.length / 2.0)
-        check_mesh(nodes, spans)
-        w_mid, dt = self.w_mid, nodes[1:] - nodes[:-1]
+        check_mesh(self.nodes, self.transition_spans)
+        w_mid, dt = self.w_mid, np.diff(self.nodes)
         if (w_mid * (1.0 / _MAX_COND) >= dt).any():  # w/dt >= _MAX_COND, with no w/dt to overflow
             raise NumericError(
                 "a conductance w/dt reaches 2^512: the ladder reduction would overflow"
@@ -182,32 +173,29 @@ class SturmProblem:
 
     @cached_property
     def w_mid(self) -> np.ndarray:
-        nodes = self._elements
-        mid = 0.5 * (nodes[:-1] + nodes[1:])
+        mid = 0.5 * (self.nodes[:-1] + self.nodes[1:])
         return _checked(self.grad_weight(mid), mid.shape, False)
 
     @cached_property
     def lump(self) -> np.ndarray:
-        return lumped_mass(self._elements)[: len(self.points)]
+        return lumped_mass(self.nodes)
 
     @cached_property
     def q_node(self) -> np.ndarray:
-        return _checked(self.potential(self.points), self.points.shape, True)
+        return _checked(self.potential(self.nodes), self.nodes.shape, True)
 
     @cached_property
     def w_node(self) -> np.ndarray:
-        return _checked(self.grad_weight(self.points), self.points.shape, False)
+        return _checked(self.grad_weight(self.nodes), self.nodes.shape, False)
 
     def prime(self, q_node: ArrayLike, w_node: ArrayLike, w_mid: ArrayLike) -> "SturmProblem":
-        """Take q and w at every node and w at every element midpoint, each checked whole.
+        """Take q and w at every node and w at every element midpoint, each checked.
 
-        They must be what potential and grad_weight give there; a mirror
-        keeps those of its left half.
+        They must be what potential and grad_weight give there.
         """
-        n, points, elements = len(self.nodes), len(self.points), len(self._elements) - 1
-        vars(self).update(q_node=_checked(q_node, (n,), True)[:points],
-                          w_node=_checked(w_node, (n,), False)[:points],
-                          w_mid=_checked(w_mid, (n - 1,), False)[:elements])
+        n = len(self.nodes)
+        vars(self).update(q_node=_checked(q_node, (n,), True), w_node=_checked(w_node, (n,), False),
+                          w_mid=_checked(w_mid, (n - 1,), False))
         return self
 
 
@@ -244,16 +232,18 @@ class BaseGeometry:
 
 
 def graded_mesh(
-    length: float, n_elements: int, spans: tuple[tuple[float, float], ...] = ()
+    length: float, n_elements: float, spans: tuple[tuple[float, float], ...] = ()
 ) -> np.ndarray:
     """Mesh of [0, length] refined so each span gets at least MIN_ELEMENTS_PER_SPAN elements.
 
     Elements are distributed across the segments cut by the span endpoints
     in proportion to segment length, with the per-span minimum enforced, and
-    are uniform within each segment. When the cuts are symmetric about the
-    middle, to 1e-12 length, a segment and its mirror image both get the
+    are uniform within each segment. n_elements may be a float, such as half
+    an odd count on half a collar, where each segment but the one at the
+    middle gets its count on the whole. When the cuts are symmetric about
+    the middle, to 1e-12 length, a segment and its mirror image both get the
     larger of their two counts, which their lengths may round apart; the
-    mesh is then symmetric by index, as a mirrored collar needs.
+    mesh is then symmetric by index, as the oracle's mirrored grids need.
     """
     if not 0.0 < length < math.inf:  # NaN fails both comparisons
         raise DomainError("length must be positive and finite")
@@ -318,16 +308,18 @@ def collar_problem(
 ) -> SturmProblem:
     """The 1D family of a collar base on a mesh of it; its Steklov ends carry the weights.
 
-    mirror vouches for w and q symmetric about the middle: the problem is a
-    mirror if its ends are too, and its mesh by index up to rounding."""
+    mirror vouches for w and q symmetric about the middle, and needs two
+    Steklov ends of one weight. The problem is then the left half: nodes
+    and transition_spans lie in [0, L/2], and its right end is a MirrorEnd.
+    """
     ends, length = geom.steklov_ends, geom.collar_length
     left = SteklovEnd(boundary_weights[0]) if ends in ("both", "left") else NeumannEnd()
     right = SteklovEnd(boundary_weights[1]) if ends in ("both", "right") else NeumannEnd()
-    p = SturmProblem(length, grad_weight, potential, left, right, nodes, transition_spans)
-    nodes = p.nodes
-    if mirror and left == right and abs(nodes + nodes[::-1] - length).max() <= 1e-12 * length:
-        object.__setattr__(p, "mirror", True)  # before any cached sample is taken
-    return p
+    if mirror:
+        if not (ends == "both" and left == right):
+            raise DomainError("a mirrored collar needs two Steklov ends of one weight")
+        length, right = 0.5 * length, MirrorEnd()
+    return SturmProblem(length, grad_weight, potential, left, right, nodes, transition_spans)
 
 
 def lumped_mass(nodes: np.ndarray) -> np.ndarray:
@@ -338,7 +330,7 @@ def lumped_mass(nodes: np.ndarray) -> np.ndarray:
 
 def _steklov_nodes(p: SturmProblem) -> tuple[list[int], list[float]]:
     """Indices and boundary weights of the Steklov end nodes of a whole ladder."""
-    if p.mirror:
+    if isinstance(p.right_bc, MirrorEnd):
         raise DomainError("a mirrored collar holds only its left half's ladder")
     ends = ((0, p.left_bc), (len(p.nodes) - 1, p.right_bc))
     spectral = [(i, bc.weight) for i, bc in ends if isinstance(bc, SteklovEnd)]
@@ -428,7 +420,7 @@ def _reduce_ladder(
 
 
 def _ladder_eigenvalues(cond: np.ndarray, shunt: np.ndarray, left: BoundaryCondition,
-                        right: BoundaryCondition, mirror: bool = False) -> np.ndarray:
+                        right: BoundaryCondition) -> np.ndarray:
     """Ascending Dirichlet-to-Neumann eigenvalues of each row's ladder, one column per Steklov end.
 
     With end admittances G1 = g1 + s_0 and G2 = g2 + s_N, both ends
@@ -437,23 +429,18 @@ def _ladder_eigenvalues(cond: np.ndarray, shunt: np.ndarray, left: BoundaryCondi
     det = G1 G2 + y (G1 + G2), so it keeps full relative precision down to
     an exact 0.0. One spectral end sees the other end through y in series.
 
-    A mirror's even mode sees G2 through y, as one spectral end does. Its
-    odd mode grounds node N on the middle, giving G1 + y, or through twice
-    an element c_mid that straddles it: G1 + y G2' / (y + G2') with
-    G2' = G2 + 2 c_mid, summed as sigma_even plus the nonnegative
-    y^2 / (y + G2) * 2 c_mid / (y + G2') so that the row stays ascending.
+    A MirrorEnd on the right makes node N the middle of a mirrored collar.
+    The even mode sees G2 through y, as one spectral end does; the odd mode
+    grounds node N, giving G1 + y, summed as sigma_even plus the
+    nonnegative y^2 / (y + G2) so that the row stays ascending.
     """
-    middle = math.inf  # the odd mode's admittance from node N to ground, beyond G2
-    if mirror and len(cond) == shunt.shape[1]:  # an element straddles the middle
-        cond, middle = cond[:-1], 2.0 * cond[-1]
     g1, y, g2 = _reduce_ladder(cond, shunt)
     end1 = g1 + shunt[:, 0]
     end2 = g2 + shunt[:, -1]
-    if mirror:
+    if isinstance(right, MirrorEnd):
         share = y / (y + end2)
         even = end1 + end2 * share
-        odd = even + y * share / (1.0 + (y + end2) / middle)
-        return np.stack((even, odd), axis=1) / left.weight
+        return np.stack((even, even + y * share), axis=1) / left.weight
     if not isinstance(right, SteklovEnd):
         return ((end1 + y * end2 / (y + end2)) / left.weight)[:, None]
     if not isinstance(left, SteklovEnd):
@@ -476,7 +463,7 @@ def dtn_eigenvalues(
     scalars, such as the defaults lambda = 1, mu = 0, give a single row.
     Both must be nonnegative and finite, as the potential is: a negative
     shunt gives a wrong eigenvalue, not an error, and an infinite one NaN.
-    A mirrored problem reduces only its left half, and its rows hold
+    The rows of a mirrored collar's half, ending in a MirrorEnd, hold
     (sigma_even, sigma_odd); mode (0, 0) still gives an exact 0.0.
     """
     lam, mu = np.asarray(fiber_value, float), np.asarray(mu, float)
@@ -489,9 +476,9 @@ def dtn_eigenvalues(
     shunt = lam[..., None] * p.q_node
     if mu.any():  # else mu w vanishes, and 0 + x is x exactly
         shunt = mu[..., None] * p.w_node + shunt
-    shunt = np.multiply(shunt, p.lump, out=np.empty(pairs + p.points.shape))
-    shunt = shunt.reshape(-1, len(p.points))
-    values = _ladder_eigenvalues(cond, shunt, p.left_bc, p.right_bc, p.mirror)
+    shunt = np.multiply(shunt, p.lump, out=np.empty(pairs + p.nodes.shape))
+    shunt = shunt.reshape(-1, len(p.nodes))
+    values = _ladder_eigenvalues(cond, shunt, p.left_bc, p.right_bc)
     return values.reshape(pairs + values.shape[1:])
 
 
@@ -570,10 +557,7 @@ def _walk_modes(problem: SturmProblem, live: list[tuple[list[list[float]], tuple
                    for known, (fiber_value, _) in live]
         lam = [fiber_value for _, fiber_value, new in missing for _ in new]
         mu = [value for *_, new in missing for value, _ in new]
-        reduced = chain.from_iterable(
-            dtn_eigenvalues(problem, lam[i : i + _MAX_BLOCK], mu[i : i + _MAX_BLOCK]).tolist()
-            for i in range(0, len(lam), _MAX_BLOCK)
-        )
+        reduced = iter(dtn_eigenvalues(problem, lam, mu).tolist() if lam else ())
         for known, _, new in missing:
             known += islice(reduced, len(new))
         walking = []
@@ -632,13 +616,9 @@ def base_dtn_spectrum(
     """
     check_top(top, geom.cross_section)
     problem = collar_problem(
-        geom,
-        grad_weight,
-        inv_sq_weight,
+        geom, grad_weight, inv_sq_weight, boundary_weights=boundary_weights,
         nodes=graded_mesh(geom.collar_length, n_elements, transition_spans),
-        boundary_weights=boundary_weights,
-        transition_spans=transition_spans,
-    )
+        transition_spans=transition_spans)
     tagged: list[Row] = []
     _walk_modes(problem, [([], (fiber_eigenvalue, 1))], geom.cross_section, top, tagged)
     return merge_tagged(tagged)

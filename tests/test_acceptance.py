@@ -1,17 +1,36 @@
 """The acceptance gate of `steklovwarp verify`, run under pytest."""
 
+import re
+from pathlib import Path
+
 import numpy as np
+import pytest
 
 from steklovwarp import WarpProfile, acceptance
 
+DATA = Path(__file__).resolve().parent / "data"
 
-def test_all_criteria_pass():
+
+@pytest.fixture(scope="module")
+def default_run():
     lines = []
     results = acceptance.run_all(seed=0, mesh=400, printer=lines.append)
+    return results, lines
+
+
+def test_all_criteria_pass(default_run):
+    results, lines = default_run
     assert [r.index for r in results] == list(range(1, 11))
     failed = [r.line() for r in results if not r.passed]
     assert not failed, "\n".join(failed)
     assert len(lines) == 10
+
+
+def test_lines_equal_the_pinned_transcript(default_run):
+    # the lines of `python -m steklovwarp verify` at seed 0, their runtime field left out
+    _, lines = default_run
+    untimed = [re.sub(r" \(\d+\.\ds\)", "", line, count=1) for line in lines]
+    assert untimed == (DATA / "verify_default.txt").read_text().splitlines()
 
 
 def oracle_with(monkeypatch, change):

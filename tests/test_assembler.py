@@ -245,19 +245,31 @@ class TestFirstEigenvalues:
         assert spectrum.total_multiplicity == 32
         assert tops == [1.0, 2.0, 4.0, 8.0]  # all 32 are certified at top 8, and it stops
 
-    def test_uncertified_count_names_the_last_walk(self, monkeypatch):
-        # a complete fiber holding 0 once and 1e30 twice: of the collar's 6
-        # eigenvalues only the lambda = 0 pair lies below the last of the 60
-        # cutoffs, 2^59
-        fiber = explicit_spectrum([(0.0, 1), (1e30, 2)], complete=True)
-        spec = WarpedMetricSpec(1, 1, lambda t: 1.0, BaseGeometry(point_spectrum(), 1.0, "both"),
+    @staticmethod
+    def _far_fiber_surface(complete):
+        # a fiber holding 0 once and 1e30 twice: of the collar's 6 eigenvalues
+        # only the lambda = 0 pair lies below the last of the 60 cutoffs, 2^59
+        fiber = explicit_spectrum([(0.0, 1), (1e30, 2)], complete=complete)
+        return WarpedMetricSpec(1, 1, lambda t: 1.0, BaseGeometry(point_spectrum(), 1.0, "both"),
                                 fiber)
+
+    def test_uncertified_count_names_the_last_walk(self, monkeypatch):
         tops = self._count_walks(monkeypatch)
         message = ("could not certify 3 eigenvalues: 2 certified at the last cutoff walked, "
                    f"top={2.0**59}")
         with pytest.raises(NumericError, match=f"^{re.escape(message)}$"):
-            first_eigenvalues(spec, 3, n_elements=64)
+            first_eigenvalues(self._far_fiber_surface(complete=False), 3, n_elements=64)
         assert tops == [2.0**d for d in range(60)]
+
+    def test_complete_spectra_past_the_last_cutoff_walk_once_at_inf(self, monkeypatch):
+        spec = self._far_fiber_surface(complete=True)
+        everything = steklov_spectrum_warped(spec, math.inf, n_elements=64).flatten()
+        assert everything.tolist() == [0.0, 2.0] + [7.8125e27] * 4
+        tops = self._count_walks(monkeypatch)
+        values, spectrum = first_eigenvalues(spec, 3, n_elements=64)
+        assert values.tolist() == [0.0, 2.0, 7.8125e27]
+        assert np.array_equal(spectrum.flatten(), everything)
+        assert tops == [2.0**d for d in range(60)] + [math.inf]
 
 
 def _fingerprint(result):
@@ -269,14 +281,28 @@ def _fingerprint(result):
     return repr([(e.value, e.multiplicity, e.sources) for e in result.entries])
 
 
-def collar_of(spec, n_elements, mirror=False):
+def collar_of(spec, n_elements, mirror=False, nodes=None):
+    """The collar problem built from metric_recipes' closures on graded_mesh, or on nodes.
+
+    A mirror is the left half [0, L/2] on half the elements, with the spans there.
+    """
     recipes = metric_recipes(spec)
+    length, spans = spec.base.collar_length, recipes.spans
+    if mirror:
+        length, n_elements = length / 2.0, n_elements / 2.0
+        spans = tuple(span for span in spans if span[1] <= length)
+    if nodes is None:
+        nodes = graded_mesh(length, n_elements, spans)
     return sturm.collar_problem(
-        spec.base, recipes.grad_weight, recipes.inv_sq_weight,
-        nodes=graded_mesh(spec.base.collar_length, n_elements, recipes.spans),
-        boundary_weights=recipes.boundary_weights, transition_spans=recipes.spans,
-        mirror=mirror,
+        spec.base, recipes.grad_weight, recipes.inv_sq_weight, nodes=nodes,
+        boundary_weights=recipes.boundary_weights, transition_spans=spans, mirror=mirror,
     )
+
+
+def reflected_nodes(problem):
+    """The whole mesh that a mirrored problem solves: its half and the reflection of it."""
+    half = problem.nodes
+    return np.concatenate((half, 2.0 * half[-1] - half[-2::-1]))
 
 
 class TestCollarSampling:
@@ -353,11 +379,12 @@ class TestCollarSampling:
     @pytest.mark.parametrize("mode", ["plain_warp", "volume_preserving"])
     @pytest.mark.parametrize("steklov_ends", ["both", "left", "right"])
     def test_samples_equal_closure_samples(self, warp, mode, steklov_ends):
-        # a mirrored collar samples its left half's points, the closures there
+        # a mirrored collar is its left half, and the closures are sampled there
         spec = self._spec(warp, mode, steklov_ends, n=3, k=2)
         got = assembler._discretize(spec, 400)
         mirror = steklov_ends == "both" and getattr(warp, "symmetric", False)
-        assert got.mirror == mirror
+        assert isinstance(got.right_bc, sturm.MirrorEnd) == mirror
+        assert got.nodes[-1] == (0.5 if mirror else 1.0)
         expected = collar_of(spec, 400, mirror)
         assert got.nodes.tobytes() == expected.nodes.tobytes()
         for name in ("cond", "q_node", "w_node", "lump"):
@@ -575,6 +602,27 @@ class TestBlockBoundaries:
         values, _ = first_eigenvalues(spec, size, n_elements=100)
         assert np.array_equal(values, got.flatten())
 
+    @pytest.mark.parametrize("steklov_ends", ["both", "left"])
+    @pytest.mark.parametrize("n_modes", [8, 64])
+    @pytest.mark.parametrize("n_fibers", [8, 16])
+    def test_each_step_is_one_call_of_at_most_64_rows(self, monkeypatch, n_fibers, n_modes,
+                                                      steklov_ends):
+        # every (lambda, mu) pair is reduced once, by calls of 1 to 64 rows
+        fiber = explicit_spectrum([(j * j, 1) for j in range(n_fibers)], complete=True)
+        cross = explicit_spectrum([(0.5 * j, 1) for j in range(n_modes)], complete=True)
+        spec = WarpedMetricSpec(2, 1, WarpProfile(0.1, 0.75, 1.0, True),
+                                BaseGeometry(cross, 1.0, steklov_ends), fiber, "volume_preserving")
+        sizes, reduce = [], sturm.dtn_eigenvalues
+
+        def spy(problem, lam, mu):
+            sizes.append(len(lam))
+            return reduce(problem, lam, mu)
+
+        monkeypatch.setattr(sturm, "dtn_eigenvalues", spy)
+        steklov_spectrum_warped(spec, math.inf, n_elements=100)
+        assert sum(sizes) == n_fibers * n_modes
+        assert 1 <= min(sizes) and max(sizes) <= 64
+
 
 class TestDecomposition:
     """The discrete spectrum is the union of the auxiliary base spectra over the fiber.
@@ -764,6 +812,18 @@ class TestSigma1Construction:
         result = sigma1_construction(self._mixed_spec(), n_elements=300)
         assert result.value == min(result.branch_lambda0, result.branch_lambda1)
 
+    @pytest.mark.parametrize("eps", [1e-15, 1e-16, 1e-17])
+    def test_answers_where_the_whole_collar_rounds_its_ramps_away(self, eps):
+        # L - eps rounds to L below eps ~ 1e-15, but a mirrored collar meshes
+        # only its left half; this checks the identity, not the accuracy
+        spec = assembler.surface_spec(WarpProfile(eps, 0.6, 1.0, symmetric=True), 1.0, TWO_PI,
+                                      "both", "volume_preserving")
+        result = sigma1_construction(spec)
+        rows = dtn_eigenvalues(assembler._discretize(spec, 400), [1.0, 0.0], 0.0)
+        assert (result.branch_lambda0, result.branch_lambda1) == (rows[1, 1], rows[0, 0])
+        assert result.value == min(rows[1, 1], rows[0, 0])
+        assert 0.0 < result.value < math.inf
+
     @pytest.mark.parametrize("symmetric", [True, False], ids=["plateau", "ramp"])
     @pytest.mark.parametrize("cross", ["point", "circle", "torus"])
     @pytest.mark.parametrize("steklov_ends", ["both", "left", "right"])
@@ -794,14 +854,11 @@ class TestSigma1Construction:
 def reflected_ladder(problem):
     """A mirrored problem's whole ladder, from its half's samples and their reflection.
 
-    Returns the conductances and the lumped q and w at each node. The middle
-    node keeps twice the half's shunt, and an element that straddles the
-    middle appears once.
+    Returns the conductances and the lumped q and w at each node. The half
+    ends on the middle node, which keeps twice the half's shunt.
     """
     cond = problem.cond
     shunts = np.stack((problem.q_node, problem.w_node)) * problem.lump
-    if len(cond) == shunts.shape[1]:  # an element straddles the middle
-        return np.concatenate((cond, cond[-2::-1])), np.concatenate((shunts, shunts[:, ::-1]), 1)
     return np.concatenate((cond, cond[::-1])), np.concatenate(
         (shunts[:, :-1], 2.0 * shunts[:, -1:], shunts[:, -2::-1]), 1)
 
@@ -810,27 +867,30 @@ def reflected_eigenvalues(problem, lam, mu):
     """A mirrored problem's rows as the whole path reduces its reflected ladder."""
     cond, (q_lump, w_lump) = reflected_ladder(problem)
     shunt = lam[:, None] * q_lump + mu[:, None] * w_lump
-    return sturm._ladder_eigenvalues(cond, shunt, problem.left_bc, problem.right_bc)
+    return sturm._ladder_eigenvalues(cond, shunt, problem.left_bc, problem.left_bc)
 
 
 class TestMirror:
-    """A symmetric profile with both ends Steklov reduces only the left half of its collar.
+    """A symmetric profile with both ends Steklov is the left half of its collar.
 
-    Its rows hold (sigma_even, sigma_odd): by Bartlett's bisection theorem
-    these are the two eigenvalues of the whole, symmetric two-port. Every
-    other warp or choice of ends keeps the whole ladder.
+    The half ends in a MirrorEnd at L/2, and its rows hold (sigma_even,
+    sigma_odd): by Bartlett's bisection theorem these are the two
+    eigenvalues of the whole, symmetric two-port. Every other warp or
+    choice of ends keeps the whole ladder.
     """
 
     EPSILONS = (0.1, 0.05, 0.025, 1e-2, 1e-3, 1e-4)
+    # down to where the whole collar's cuts L - c eps round together (eps <= 1e-15)
+    SMALL_EPSILONS = (1e-8, 1e-12, 1e-15, 1e-16, 1e-17)
     DIMS = ((1, 1), (2, 1), (3, 2))
     VALUES = (0.0, 1.0, 100.0, 1e4)
     LAM, MU = (np.ravel(a) for a in np.meshgrid(VALUES, VALUES))  # row 0 is mode (0, 0)
-    # 300, 301 and 302 elements give both parities of the graded mesh at every eps
+    # 300, 301 and 302 elements: an odd count gives the half a float count
     N_ELEMENTS = (300, 301, 302)
 
     @classmethod
-    def _problems(cls):
-        for eps in cls.EPSILONS:
+    def _problems(cls, epsilons=EPSILONS):
+        for eps in epsilons:
             for (n, k), mode, n_elements in itertools.product(
                 cls.DIMS, ("plain_warp", "volume_preserving"), cls.N_ELEMENTS
             ):
@@ -838,43 +898,59 @@ class TestMirror:
                 yield eps, spec, n_elements, assembler._discretize(spec, n_elements)
 
     def test_rows_are_the_reflected_ladders(self):
-        parities = {eps: set() for eps in self.EPSILONS}
-        for eps, _, _, problem in self._problems():
-            assert problem.mirror
-            parities[eps].add(len(problem.nodes) % 2)
+        # the whole ladder is built from the half's samples alone, with no t
+        for eps, _, _, problem in self._problems(self.EPSILONS + self.SMALL_EPSILONS):
+            assert isinstance(problem.right_bc, sturm.MirrorEnd)
+            assert problem.nodes[0] == 0.0 and problem.nodes[-1] == 0.5
             got = dtn_eigenvalues(problem, self.LAM, self.MU)
             assert got[0, 0] == 0.0
             assert np.all(got[:, 0] <= got[:, 1])
             expected = reflected_eigenvalues(problem, self.LAM, self.MU)
-            np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
-        assert all(found == {0, 1} for found in parities.values()), parities
+            np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0, err_msg=str(eps))
 
     def test_rows_match_the_whole_collar(self):
-        # The whole collar samples its right half at nodes t near L, which
-        # carry an absolute rounding of ulp(L) that its ramps read as
-        # s = L - t. On rows up to 1e4 that moved the whole collar's values
-        # by up to 7.3e-13 at eps = 1e-3 and 2.4e-12 at 1e-4
+        # The whole collar, on the half's mesh and its reflection, samples
+        # its right half at nodes t near L, which carry an absolute rounding
+        # of ulp(L) that its ramps read as s = L - t. On rows up to 1e4 that
+        # moved the whole collar's values by up to 7.3e-13 at eps = 1e-3 and
+        # 2.4e-12 at 1e-4
         # (test_whole_collar_departs_by_its_right_half_rounding); the
         # mirror reads no L - t (test_rows_are_the_reflected_ladders).
         for eps, spec, n_elements, problem in self._problems():
             got = dtn_eigenvalues(problem, self.LAM, self.MU)
-            whole = dtn_eigenvalues(collar_of(spec, n_elements), self.LAM, self.MU)
+            whole = collar_of(spec, n_elements, nodes=reflected_nodes(problem))
+            whole = dtn_eigenvalues(whole, self.LAM, self.MU)
             assert whole[0, 0] == 0.0
             rtol = 1e-13 if eps >= 1e-2 else 1e-11
             np.testing.assert_allclose(got, whole, rtol=rtol, atol=0.0, err_msg=str(eps))
 
+    def test_rows_near_the_whole_graded_mesh(self):
+        # graded_mesh(L, n) gives each ramp the half's counts; where its
+        # element count is even and untied it is the reflected half up to
+        # rounding, and where it is odd one element straddled the middle and
+        # only the plateau moves
+        for eps, spec, n_elements, problem in self._problems():
+            got = dtn_eigenvalues(problem, self.LAM, self.MU)
+            whole = collar_of(spec, n_elements)
+            same = len(whole.nodes) == len(reflected_nodes(problem))
+            assert same or len(whole.nodes) % 2 == 0  # an odd element count
+            rtol = 1e-9 if not same else 1e-13 if eps >= 1e-2 else 1e-11
+            np.testing.assert_allclose(got, dtn_eigenvalues(whole, self.LAM, self.MU),
+                                       rtol=rtol, atol=0.0, err_msg=str((eps, n_elements)))
+
     def test_whole_collar_departs_by_its_right_half_rounding(self):
-        # The whole collar's ladder and the mirror's reflected one share the
-        # left half bit for bit. On the right half, the whole collar's nodes
-        # sit off the reflected left nodes by at most ulp(L), so each
-        # conductance and lumped q and w is off by a relative r of at most
-        # ulp(L) times the ladder's sensitivity to a node shift. Scaling
-        # every conductance and shunt by a factor in [1 - r, 1 + r] keeps
-        # each Dirichlet-to-Neumann eigenvalue in that factor, which bounds
-        # how far the whole collar's rows may depart from the mirror's.
+        # The whole collar on the reflected mesh and the mirror's reflected
+        # ladder share the left half bit for bit. On the right half, the
+        # whole collar's nodes sit off the reflected left nodes by at most
+        # ulp(L), so each conductance and lumped q and w is off by a
+        # relative r of at most ulp(L) times the ladder's sensitivity to a
+        # node shift. Scaling every conductance and shunt by a factor in
+        # [1 - r, 1 + r] keeps each Dirichlet-to-Neumann eigenvalue in that
+        # factor, which bounds how far the whole collar's rows may depart
+        # from the mirror's.
         worst = dict.fromkeys(self.EPSILONS, 0.0)
         for eps, spec, n_elements, problem in self._problems():
-            whole = collar_of(spec, n_elements)
+            whole = collar_of(spec, n_elements, nodes=reflected_nodes(problem))
             cond, shunts = reflected_ladder(problem)
             left = len(problem.cond)
             assert whole.cond[:left].tobytes() == cond[:left].tobytes()
@@ -895,19 +971,16 @@ class TestMirror:
     def test_mode00_is_the_series_conductance(self, n, k):
         # no potential: the interior interpolates linearly between the ends,
         # and the odd mode's eigenvalue is 2 G / b0 for the series
-        # conductance G of the reflected half, in which an element that
-        # straddles the middle appears once
+        # conductance G of the reflected half, twice the half's resistance
         for eps in 10.0 ** -np.arange(1, 13):
             spec = sweep_spec(eps, n, k)
             problem = assembler._discretize(spec, 400)
-            nodes = problem.nodes[: len(problem.nodes) // 2 + 1]
-            weight = np.full(len(nodes) - 1, 2.0)
-            if len(problem.nodes) % 2 == 0:
-                weight[-1] = 1.0
+            nodes = problem.nodes
+            assert nodes[-1] == 0.5
             mid = 0.5 * (nodes[:-1] + nodes[1:])
             w_mid = power_fn(spec.warp, 2.0 * k / n)(mid)
             b0 = power_fn(spec.warp, k / n)(0.0)
-            expected = 2.0 / b0 / np.sum(weight * np.diff(nodes) / w_mid)
+            expected = 2.0 / b0 / np.sum(2.0 * np.diff(nodes) / w_mid)
             zero, value = dtn_eigenvalues(problem, 0.0, 0.0)
             assert zero == 0.0
             assert value == pytest.approx(expected, rel=1e-13, abs=0.0), eps
@@ -922,48 +995,29 @@ class TestMirror:
     def test_other_warps_keep_the_whole_ladder(self, warp, steklov_ends):
         spec = TestCollarSampling._spec(warp, steklov_ends=steklov_ends)
         problem = assembler._discretize(spec, 300)
-        assert not problem.mirror
-        assert problem.points is problem.nodes
+        assert not isinstance(problem.right_bc, sturm.MirrorEnd)
+        assert problem.nodes[-1] == 1.0
         assert len(problem.cond) == len(problem.nodes) - 1
         expected = dtn_eigenvalues(collar_of(spec, 300), self.LAM, self.MU)
         assert dtn_eigenvalues(problem, self.LAM, self.MU).tobytes() == expected.tobytes()
 
-    def test_asymmetric_mesh_keeps_the_whole_ladder(self):
-        # the 260-element mesh of the eps = 0.025 collar with [eps, 2 eps] cut
-        # into 6 elements, and [L - 2 eps, L - eps] into 7: no node of the
-        # mesh sits on the middle of the collar
-        spec = sweep_spec(0.025)
-        recipes = metric_recipes(spec)
-        nodes = graded_mesh(1.0, 260, recipes.spans)
-        a, b = 0.025, 0.05
-        assert np.count_nonzero((nodes > a) & (nodes < b)) == 6
-        nodes = np.concatenate((nodes[nodes <= a], np.linspace(a, b, 7)[1:-1], nodes[nodes >= b]))
-
-        def problem(mirror):
-            return sturm.collar_problem(
-                spec.base, recipes.grad_weight, recipes.inv_sq_weight, nodes=nodes,
-                boundary_weights=recipes.boundary_weights, transition_spans=recipes.spans,
-                mirror=mirror,
-            )
-
-        vouched = problem(True)
-        assert not vouched.mirror
-        expected = dtn_eigenvalues(problem(False), self.LAM, self.MU)
-        assert dtn_eigenvalues(vouched, self.LAM, self.MU).tobytes() == expected.tobytes()
-
     def test_tied_segment_counts_keep_the_mirror(self):
         # at 260 elements [eps, 2 eps] holds rint(6.5) = 6 elements' length and
         # [L - 2 eps, L - eps] rint(6.50000000000000577) = 7; graded_mesh gives
-        # both 7, so the collar stays symmetric by index and mirrors
+        # the whole mesh both 7, and the half, which has no mirror image to
+        # tie, keeps 6
         spec = sweep_spec(0.025)
         problem = assembler._discretize(spec, 260)
-        assert problem.mirror
+        assert isinstance(problem.right_bc, sturm.MirrorEnd)
+        nodes = problem.nodes
+        assert np.count_nonzero((nodes > 0.025) & (nodes < 0.05)) == 5  # 6 elements
         got = dtn_eigenvalues(problem, self.LAM, self.MU)
         assert got[0, 0] == 0.0
         np.testing.assert_allclose(got, reflected_eigenvalues(problem, self.LAM, self.MU),
                                    rtol=1e-13, atol=0.0)
-        whole = dtn_eigenvalues(collar_of(spec, 260), self.LAM, self.MU)
-        np.testing.assert_allclose(got, whole, rtol=1e-13, atol=0.0)
+        whole = collar_of(spec, 260, nodes=reflected_nodes(problem))
+        np.testing.assert_allclose(got, dtn_eigenvalues(whole, self.LAM, self.MU),
+                                   rtol=1e-13, atol=0.0)
 
     def test_profile_on_a_shorter_collar_refused(self):
         # its left half lies inside the profile's collar, the whole does not
@@ -1024,9 +1078,9 @@ class TestMirror:
         (1.0, 1.0, 0.0, "gradient weight"), (1.0, 1.0, np.inf, "gradient weight"),
     ])
     def test_primed_samples_checked(self, q, w, w_mid, match):
-        # each bad sample is the last one, in the right half that the mirror
-        # drops, and is refused all the same
+        # each bad sample is the half's last one, at or next to the middle
         problem = collar_of(sweep_spec(0.05), 300, mirror=True)
+        assert problem.nodes[-1] == 0.5
         n = len(problem.nodes)
         samples = np.ones(n), np.ones(n), np.ones(n - 1)
         for sample, value in zip(samples, (q, w, w_mid)):

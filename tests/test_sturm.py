@@ -39,6 +39,7 @@ from steklovwarp.profiles import power_fn
 from steklovwarp.provenance import merge_tagged
 from steklovwarp.sturm import (
     MIN_ELEMENTS_PER_SPAN,
+    MirrorEnd,
     _reduce_ladder,
     collar_problem,
     minimizing_extension,
@@ -706,25 +707,29 @@ class TestRayleighQuotient:
 
 
 class TestMirroredProblem:
-    """collar_problem mirrors a collar said to be symmetric when its ends and mesh are too.
+    """collar_problem makes a collar said to be symmetric its left half, ending in a MirrorEnd.
 
-    A mirrored problem reduces its left half; the whole-ladder helpers refuse it.
+    It needs two Steklov ends of one weight; the whole-ladder helpers refuse the half.
     """
 
     @staticmethod
-    def _collar(n_elements=64, ends="both", weights=(1.0, 1.0), nodes=None):
+    def _collar(n_elements=64, ends="both", weights=(1.0, 1.0)):
+        # the left half [0, 1] of a collar of length 2
         return collar_problem(
             BaseGeometry(point_spectrum(), 2.0, ends), lambda t: 1.0, lambda t: 1.0,
-            nodes=graded_mesh(2.0, n_elements) if nodes is None else nodes,
-            boundary_weights=weights, transition_spans=(), mirror=True,
+            nodes=graded_mesh(1.0, n_elements / 2.0), boundary_weights=weights,
+            transition_spans=(), mirror=True,
         )
 
     @pytest.mark.parametrize("n_elements", [64, 65])
     def test_closed_form(self, n_elements):
         # -a'' + mu a = 0 on [0, 2]: sqrt(mu) tanh(sqrt(mu)) and sqrt(mu) coth(sqrt(mu))
         mirrored = self._collar(n_elements)
-        assert mirrored.mirror
-        whole = uniform_problem(2.0, lambda t: 1.0, lambda t: 1.0, n_elements)
+        assert mirrored.length == 1.0 and mirrored.nodes[-1] == 1.0
+        assert mirrored.right_bc == MirrorEnd()
+        half = mirrored.nodes
+        whole = SturmProblem(2.0, lambda t: 1.0, lambda t: 1.0, SteklovEnd(), SteklovEnd(),
+                             np.concatenate((half, 2.0 - half[-2::-1])))
         mu = np.array([0.0, 1.0, 4.0])
         got = dtn_eigenvalues(mirrored, 0.0, mu)
         assert got[0, 0] == 0.0
@@ -733,21 +738,17 @@ class TestMirroredProblem:
         assert got[1:, 0] == pytest.approx(r * np.tanh(r), rel=1e-3)
         assert got[1:, 1] == pytest.approx(r / np.tanh(r), rel=1e-3)
 
-    @pytest.mark.parametrize("ends, weights, offset, mirrored", [
-        ("both", (1.0, 1.0), 1e-12, True),
-        ("both", (1.0, 1.0), 3e-12, False),
-        ("both", (1.0, 2.0), 0.0, False),
-        ("left", (1.0, 1.0), 0.0, False),
-        ("right", (1.0, 1.0), 0.0, False),
-    ], ids=["mesh-off-by-rounding", "mesh-off", "weights", "left", "right"])
-    def test_needs_two_steklov_ends_of_one_weight_and_a_symmetric_mesh(
-        self, ends, weights, offset, mirrored
-    ):
-        nodes = graded_mesh(2.0, 64)
-        nodes[40] += offset  # a node right of the middle, with no mirror image
-        problem = self._collar(ends=ends, weights=weights, nodes=nodes)
-        assert problem.mirror == mirrored
-        assert (problem.points is problem.nodes) != mirrored
+    @pytest.mark.parametrize("ends, weights", [
+        ("both", (1.0, 2.0)), ("left", (1.0, 1.0)), ("right", (1.0, 1.0)),
+    ], ids=["weights", "left", "right"])
+    def test_needs_two_steklov_ends_of_one_weight(self, ends, weights):
+        with pytest.raises(DomainError, match="two Steklov ends of one weight"):
+            self._collar(ends=ends, weights=weights)
+
+    def test_mirror_end_on_the_left_refused(self):
+        with pytest.raises(DomainError, match="on the right only"):
+            SturmProblem(1.0, lambda t: 1.0, lambda t: 1.0, MirrorEnd(), SteklovEnd(),
+                         graded_mesh(1.0, 32))
 
     def test_not_a_constructor_argument(self):
         with pytest.raises(TypeError, match="mirror"):
