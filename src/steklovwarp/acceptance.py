@@ -1,22 +1,25 @@
 """Acceptance gate: every shipped guarantee as an executable criterion.
 
-Each criterion returns a result record and run_all prints one pass/fail
-line per criterion, which is what the CLI `verify` subcommand and the
-acceptance test module both consume. Expected values are closed forms of
-the product cylinder (separation constants), never outputs of the solvers
-under test; criterion 2 pairs the decomposition with the tensor-grid oracle.
+Each criterion is a plain check that returns (passed, detail) on the path
+production runs. run_all times every check from one table and prints one
+pass/fail line per criterion, which is what the CLI `verify` subcommand and
+the acceptance test module both consume. Expected values are closed forms
+of the product cylinder (separation constants), never outputs of the
+solvers under test; criterion 2 pairs the decomposition with the tensor-grid
+oracle.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .assembler import first_eigenvalues, steklov_spectrum_warped, surface_spec
+from . import sturm
+from .assembler import _discretize, first_eigenvalues, metric_recipes, surface_spec
 from .experiments import (
     ExperimentConfig,
     normalize_volume,
@@ -26,11 +29,8 @@ from .experiments import (
     run_sweep,
 )
 from .oracle import make_grid, revolution_spectrum
-from .profiles import (
-    WarpedMetricSpec, WarpProfile, power_fn, transition_spans, volume_element_ratio
-)
-from .spectra import TWO_PI, circle_spectrum, discrete_circle_spectrum
-from .sturm import BaseGeometry, SteklovEnd, SturmProblem, dtn_eigenvalues, graded_mesh
+from .profiles import WarpedMetricSpec, WarpProfile, volume_element_ratio
+from .spectra import TWO_PI, circle_spectrum, discrete_circle_spectrum, point_spectrum
 
 # Default growth-sweep exponent. sigma1 grows like eps^-r with
 # r = min(1 - 2 delta k/n, 2 delta - 1) (see lower_bound_C); the two rates
@@ -78,12 +78,12 @@ class CriterionResult:
 
 
 def _timed(
-    index: int, name: str, body: Callable[[], tuple[bool, str]], limit_s: float = math.inf
+    index: int, name: str, check: Callable[[], tuple[bool, str]], limit_s: float = math.inf
 ) -> CriterionResult:
-    """Run body; a criterion that raises, or runs limit_s or longer, fails."""
+    """Run one check of run_all's table; one that raises, or runs limit_s or longer, fails."""
     started = time.perf_counter()
     try:
-        passed, detail = body()
+        passed, detail = check()
     except Exception as exc:  # a crash is a failure, not an abort of the gate
         passed, detail = False, f"raised {type(exc).__name__}: {exc}"
     seconds = time.perf_counter() - started
@@ -117,19 +117,22 @@ def cylinder_closed_spectrum(
     return np.sort(np.array(values))[:count]
 
 
+def _unit_cylinder(
+    steklov_ends: str, length: float, count: int, mesh: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The first `count` eigenvalues of the unit-warp cylinder and their closed forms."""
+    spec = surface_spec(lambda t: 1.0, length, TWO_PI, steklov_ends, "plain_warp")
+    computed, _ = first_eigenvalues(spec, count, n_elements=mesh)
+    return computed, cylinder_closed_spectrum(length, TWO_PI, steklov_ends, count)
+
+
 def _max_rel_dev(computed: np.ndarray, expected: np.ndarray) -> float:
     return float(np.max(np.abs(computed - expected) / np.maximum(np.abs(expected), 1.0)))
 
 
-def criterion_1_cylinder_closed_form() -> CriterionResult:
-    def body():
-        spec = surface_spec(lambda t: 1.0, 2.0, TWO_PI, "both", "plain_warp")
-        computed, _ = first_eigenvalues(spec, 9, n_elements=400)
-        expected = cylinder_closed_spectrum(2.0, TWO_PI, "both", 9)
-        dev = _max_rel_dev(computed, expected)
-        return dev <= 1e-3, f"max relative deviation {dev:.2e} over first 9 (tol 1e-3)"
-
-    return _timed(1, "cylinder closed form", body, limit_s=5.0)
+def criterion_1_cylinder_closed_form() -> tuple[bool, str]:
+    dev = _max_rel_dev(*_unit_cylinder("both", 2.0, 9, 400))
+    return dev <= 1e-3, f"max relative deviation {dev:.2e} over first 9 (tol 1e-3)"
 
 
 def _paired_deviations(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -142,240 +145,202 @@ def _paired_deviations(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
 
 
-def criterion_2_decomposition_vs_oracle() -> CriterionResult:
-    def body():
-        length = 1.0
-        bump = lambda t: 1.0 + t * (length - t)
-        # place the cutoff in a spectral gap past the 15th eigenvalue
-        spec = surface_spec(bump, length, TWO_PI, "both", "plain_warp")
-        _, spectrum = first_eigenvalues(spec, 16, n_elements=800)
-        cumulative = 0
-        top = None
-        values = spectrum.anchors
-        for value, nxt, mult in zip(values, values[1:], spectrum.multiplicities):
-            cumulative += mult
-            if cumulative >= 15 and nxt > value * 1.05:
-                top = math.sqrt(value * nxt)
-                break
-        if top is None:
-            return False, "no spectral gap found past the 15th eigenvalue"
-        # the spectrum is complete below its last cutoff, and top lies below a
-        # later entry, so it holds every assembled eigenvalue below top
-        assembled = spectrum.flatten()
-        assembled = assembled[assembled <= top]
-        grid = make_grid(length, TWO_PI, bump, n_axial=256, n_theta=64)
-        whole = revolution_spectrum(grid)
-        direct = whole[whole <= top]
-        tol = 1e-2
-        dev = _paired_deviations(direct, assembled)
-        n = len(dev)
-        a, b = direct[:n], assembled[:n]
-        max_dev = float(dev.max(initial=0.0))
-        matched = len(direct) == len(assembled) and max_dev <= tol
-        detail = (
-            f"{'pass' if matched else 'FAIL'}: {len(direct)} oracle vs {len(assembled)} "
-            f"assembler eigenvalues <= {top:.6g}, max relative deviation {max_dev:.3e} "
-            f"(tol {tol:.1e})"
+def criterion_2_decomposition_vs_oracle() -> tuple[bool, str]:
+    length = 1.0
+    bump = lambda t: 1.0 + t * (length - t)
+    # place the cutoff in a spectral gap past the 15th eigenvalue
+    spec = surface_spec(bump, length, TWO_PI, "both", "plain_warp")
+    _, spectrum = first_eigenvalues(spec, 16, n_elements=800)
+    cumulative = 0
+    top = None
+    values = spectrum.anchors
+    for value, nxt, mult in zip(values, values[1:], spectrum.multiplicities):
+        cumulative += mult
+        if cumulative >= 15 and nxt > value * 1.05:
+            top = math.sqrt(value * nxt)
+            break
+    if top is None:
+        return False, "no spectral gap found past the 15th eigenvalue"
+    # the spectrum is complete below its last cutoff, and top lies below a
+    # later entry, so it holds every assembled eigenvalue below top
+    assembled = spectrum.flatten()
+    assembled = assembled[assembled <= top]
+    grid = make_grid(length, TWO_PI, bump, n_axial=256, n_theta=64)
+    whole = revolution_spectrum(grid)
+    direct = whole[whole <= top]
+    tol = 1e-2
+    dev = _paired_deviations(direct, assembled)
+    n = len(dev)
+    a, b = direct[:n], assembled[:n]
+    max_dev = float(dev.max(initial=0.0))
+    matched = len(direct) == len(assembled) and max_dev <= tol
+    detail = (
+        f"{'pass' if matched else 'FAIL'}: {len(direct)} oracle vs {len(assembled)} "
+        f"assembler eigenvalues <= {top:.6g}, max relative deviation {max_dev:.3e} "
+        f"(tol {tol:.1e})"
+    )
+    if max_dev > tol:
+        i = int(np.argmax(dev > tol))
+        detail += f"; first mismatch: index {i}: oracle {a[i]:.8g} vs assembler {b[i]:.8g}"
+    elif len(direct) != len(assembled):
+        side, extra = ("oracle", direct) if len(direct) > n else ("assembler", assembled)
+        detail += (f"; first mismatch: count mismatch at index {n}: "
+                   f"unmatched {side} value {extra[n]:.8g}")
+    # on the grid's own discretization, its discrete circle as the fiber and
+    # its axial nodes, the decomposition gives the whole grid spectrum up to roundoff
+    recipes = metric_recipes(spec)
+    problem = sturm.collar_problem(
+        spec.base, recipes.grad_weight, recipes.inv_sq_weight, nodes=grid.axial_nodes,
+        boundary_weights=recipes.boundary_weights, transition_spans=recipes.spans,
+    )
+    fiber = discrete_circle_spectrum(TWO_PI, grid.n_theta)
+    same = sturm.walk_below(problem, fiber, spec.base.cross_section, math.inf, {}).flatten()
+    same_tol = 1e-9
+    same_dev = float(_paired_deviations(whole, same).max(initial=0.0))
+    same_matched = len(whole) == len(same) and same_dev <= same_tol
+    detail += (
+        f"; same grid {'pass' if same_matched else 'FAIL'}: {len(whole)} oracle vs "
+        f"{len(same)} assembler eigenvalues, max relative deviation {same_dev:.3e} "
+        f"(tol {same_tol:.1e})"
+    )
+    return matched and len(direct) >= 15 and same_matched, detail
+
+
+def criterion_3_mixed_closed_form() -> tuple[bool, str]:
+    dev = _max_rel_dev(*_unit_cylinder("left", 1.0, 6, 400))
+    return dev <= 1e-3, f"max relative deviation {dev:.2e} over first 6 (tol 1e-3)"
+
+
+def criterion_4_lambda_monotonicity() -> tuple[bool, str]:
+    # each symmetric profile's (n, k) = (2, 1) ladder on the mirrored half production solves
+    lambdas = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0]
+    profiles = [
+        WarpProfile(0.10, 0.75, 1.0, True),
+        WarpProfile(0.05, 0.60, 1.0, True),
+        WarpProfile(0.08, 0.90, 1.0, True),
+    ]
+    worst = 0.0
+    for profile in profiles:
+        spec = WarpedMetricSpec(2, 1, profile, sturm.BaseGeometry(point_spectrum(), 1.0, "both"),
+                                circle_spectrum(TWO_PI, 2), "volume_preserving")
+        sigma0 = sturm.dtn_eigenvalues(_discretize(spec, 400), lambdas)[:, 0]
+        worst = max(worst, float(np.max(sigma0[:-1] - sigma0[1:])))
+    return worst <= 1e-9, f"worst decrease {worst:.2e} (allowed 1e-9)"
+
+
+def criterion_5_volume_element() -> tuple[bool, str]:
+    worst = 0.0
+    for eps in DEFAULT_SWEEP_EPSILONS:
+        profile = WarpProfile(eps, DEFAULT_SWEEP_DELTA, 1.0, True)
+        spec = WarpedMetricSpec(
+            base_dim=2,
+            fiber_dim=1,
+            warp=profile,
+            base=sturm.BaseGeometry(circle_spectrum(TWO_PI, 4), 1.0, "both"),
+            fiber=circle_spectrum(TWO_PI, 4),
+            mode="volume_preserving",
         )
-        if max_dev > tol:
-            i = int(np.argmax(dev > tol))
-            detail += f"; first mismatch: index {i}: oracle {a[i]:.8g} vs assembler {b[i]:.8g}"
-        elif len(direct) != len(assembled):
-            side, extra = ("oracle", direct) if len(direct) > n else ("assembler", assembled)
-            detail += (f"; first mismatch: count mismatch at index {n}: "
-                       f"unmatched {side} value {extra[n]:.8g}")
-        # on the grid's own discretization, its discrete circle as the fiber and
-        # its axial nodes, the decomposition gives the whole grid spectrum up to
-        # roundoff, if the 1D mesh rebuilt from its element count is its own
-        nodes = graded_mesh(length, grid.n_axial - 1, transition_spans(bump))
-        if not np.array_equal(nodes, grid.axial_nodes):
-            first = np.argmax(np.append(nodes[: grid.n_axial] != grid.axial_nodes[: len(nodes)], 1))
-            return False, (f"{detail}; same grid FAIL: the 1D mesh of {grid.n_axial - 1} elements "
-                           f"({len(nodes)} nodes) leaves the grid's axial mesh "
-                           f"({grid.n_axial} nodes) at node {first}")
-        same_grid = replace(spec, fiber=discrete_circle_spectrum(TWO_PI, grid.n_theta))
-        same = steklov_spectrum_warped(same_grid, math.inf, n_elements=grid.n_axial - 1).flatten()
-        same_tol = 1e-9
-        same_dev = float(_paired_deviations(whole, same).max(initial=0.0))
-        same_matched = len(whole) == len(same) and same_dev <= same_tol
-        detail += (
-            f"; same grid {'pass' if same_matched else 'FAIL'}: {len(whole)} oracle vs "
-            f"{len(same)} assembler eigenvalues, max relative deviation {same_dev:.3e} "
-            f"(tol {same_tol:.1e})"
-        )
-        return matched and len(direct) >= 15 and same_matched, detail
-
-    return _timed(2, "decomposition theorem vs direct oracle", body, limit_s=60.0)
+        ratio = volume_element_ratio(spec, np.linspace(0.0, 1.0, 1000))
+        worst = max(worst, float(np.abs(ratio - 1.0).max()))
+        near = np.linspace(0.0, eps / 2.0, 64)
+        off = near[profile.log_eval(near) != 0.0]
+        if off.size:
+            return False, f"h not bit-exactly 1 at t={off[0]} for eps={eps}"
+    return worst <= 1e-12, f"max |ratio - 1| = {worst:.2e} at 1000 points per profile"
 
 
-def criterion_3_mixed_closed_form() -> CriterionResult:
-    def body():
-        spec = surface_spec(lambda t: 1.0, 1.0, TWO_PI, "left", "plain_warp")
-        computed, _ = first_eigenvalues(spec, 6, n_elements=400)
-        expected = cylinder_closed_spectrum(1.0, TWO_PI, "left", 6)
-        dev = _max_rel_dev(computed, expected)
-        return dev <= 1e-3, f"max relative deviation {dev:.2e} over first 6 (tol 1e-3)"
-
-    return _timed(3, "mixed Steklov-Neumann closed form", body)
-
-
-def criterion_4_lambda_monotonicity() -> CriterionResult:
-    def body():
-        lambdas = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0]
-        profiles = [
-            WarpProfile(0.10, 0.75, 1.0, True),
-            WarpProfile(0.05, 0.60, 1.0, True),
-            WarpProfile(0.08, 0.90, 1.0, True),
-        ]
-        worst = 0.0
-        for profile in profiles:
-            spans = profile.transition_intervals()
-            problem = SturmProblem(
-                length=1.0,
-                grad_weight=power_fn(profile, 1.0),  # 2k/n = 1 here
-                potential=power_fn(profile, -2.0),
-                left_bc=SteklovEnd(),
-                right_bc=SteklovEnd(),
-                nodes=graded_mesh(1.0, 400, spans),
-                transition_spans=spans,
-            )
-            sigma0 = dtn_eigenvalues(problem, lambdas)[:, 0]
-            worst = max(worst, float(np.max(sigma0[:-1] - sigma0[1:])))
-        return worst <= 1e-9, f"worst decrease {worst:.2e} (allowed 1e-9)"
-
-    return _timed(4, "sigma0 nondecreasing in the fiber eigenvalue", body)
+def criterion_6_growth_sweep(mesh: int = 400) -> tuple[bool, str]:
+    rows = run_sweep(default_sweep_config(mesh))
+    sigmas = [r.sigma1 for r in rows]
+    increasing = all(b > a for a, b in zip(sigmas, sigmas[1:]))
+    ratio = sigmas[-1] / sigmas[0]
+    positive = all(s > 0.0 for s in sigmas)
+    detail = (
+        f"sigma1 = {', '.join(f'{s:.4f}' for s in sigmas)}; "
+        f"ratio {ratio:.3f} (need >= 2), strictly increasing: {increasing}"
+    )
+    return increasing and ratio >= 2.0 and positive, detail
 
 
-def criterion_5_volume_element() -> CriterionResult:
-    def body():
-        worst = 0.0
-        for eps in DEFAULT_SWEEP_EPSILONS:
-            profile = WarpProfile(eps, DEFAULT_SWEEP_DELTA, 1.0, True)
-            spec = WarpedMetricSpec(
-                base_dim=2,
-                fiber_dim=1,
-                warp=profile,
-                base=BaseGeometry(circle_spectrum(TWO_PI, 4), 1.0, "both"),
-                fiber=circle_spectrum(TWO_PI, 4),
-                mode="volume_preserving",
-            )
-            ratio = volume_element_ratio(spec, np.linspace(0.0, 1.0, 1000))
-            worst = max(worst, float(np.abs(ratio - 1.0).max()))
-            near = np.linspace(0.0, eps / 2.0, 64)
-            off = near[profile.log_eval(near) != 0.0]
-            if off.size:
-                return False, f"h not bit-exactly 1 at t={off[0]} for eps={eps}"
-        return worst <= 1e-12, f"max |ratio - 1| = {worst:.2e} at 1000 points per profile"
-
-    return _timed(5, "volume element preserved and boundary metric fixed", body)
+def criterion_7_kokarev_dimension_necessity(mesh: int = 400) -> tuple[bool, str]:
+    rows = run_kokarev_sweep(default_kokarev_config(mesh))
+    worst = max(r.product for r in rows)
+    bound = rows[0].bound
+    all_pass = all(r.passed for r in rows)
+    return all_pass, (
+        f"max sigma1 * L(boundary) = {worst:.4f} <= 8 pi = {bound:.4f} "
+        f"over {len(rows)} epsilons"
+    )
 
 
-def criterion_6_growth_sweep(mesh: int = 400) -> CriterionResult:
-    def body():
-        rows = run_sweep(default_sweep_config(mesh))
-        sigmas = [r.sigma1 for r in rows]
-        increasing = all(b > a for a, b in zip(sigmas, sigmas[1:]))
-        ratio = sigmas[-1] / sigmas[0]
-        positive = all(s > 0.0 for s in sigmas)
-        detail = (
-            f"sigma1 = {', '.join(f'{s:.4f}' for s in sigmas)}; "
-            f"ratio {ratio:.3f} (need >= 2), strictly increasing: {increasing}"
-        )
-        return increasing and ratio >= 2.0 and positive, detail
-
-    return _timed(6, "growth of the spectral gap under the default sweep", body, limit_s=600.0)
+def criterion_8_quasi_isometry(seed: int = 0) -> tuple[bool, str]:
+    cfg = ExperimentConfig(experiment="quasi_iso", seed=seed, pairs=20, k_max=5, mesh=300)
+    results = run_quasi_iso(cfg)
+    failures = [f"pair {i}: {r.first_violation}" for i, r in enumerate(results) if not r.passed]
+    # the pair with the smallest bound is the one the check constrains most
+    tight = min(range(len(results)), key=lambda i: results[i].ratio_bound)
+    return not failures, (
+        (f"{cfg.pairs} random pairs within C^5 bounds" if not failures
+         else "; ".join(failures[:3]))
+        + f"; smallest bound {results[tight].ratio_bound:.4g} (pair {tight}), "
+        f"its largest ratio {results[tight].max_ratio:.4g}"
+    )
 
 
-def criterion_7_kokarev_dimension_necessity(mesh: int = 400) -> CriterionResult:
-    def body():
-        rows = run_kokarev_sweep(default_kokarev_config(mesh))
-        worst = max(r.product for r in rows)
-        bound = rows[0].bound
-        all_pass = all(r.passed for r in rows)
-        return all_pass, (
-            f"max sigma1 * L(boundary) = {worst:.4f} <= 8 pi = {bound:.4f} "
-            f"over {len(rows)} epsilons"
-        )
-
-    return _timed(7, "surface sweeps stay below the Kokarev bound", body)
-
-
-def criterion_8_quasi_isometry(seed: int = 0) -> CriterionResult:
-    def body():
-        cfg = ExperimentConfig(experiment="quasi_iso", seed=seed, pairs=20, k_max=5, mesh=300)
-        results = run_quasi_iso(cfg)
-        failures = [f"pair {i}: {r.first_violation}" for i, r in enumerate(results) if not r.passed]
-        # the pair with the smallest bound is the one the check constrains most
-        tight = min(range(len(results)), key=lambda i: results[i].ratio_bound)
-        return not failures, (
-            (f"{cfg.pairs} random pairs within C^5 bounds" if not failures
-             else "; ".join(failures[:3]))
-            + f"; smallest bound {results[tight].ratio_bound:.4g} (pair {tight}), "
-            f"its largest ratio {results[tight].max_ratio:.4g}"
-        )
-
-    return _timed(8, "quasi-isometric eigenvalue ratio bounds", body)
+def criterion_9_volume_normalization() -> tuple[bool, str]:
+    ones = np.ones(128)
+    w = np.full(128, 1.0 / 127)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    # closed form: total weight 1, phi = 1, dim 2 gives volume e^c, so
+    # the target e^2 must be matched by c = 2 exactly
+    c, _ = normalize_volume(ones, w, np.ones(128), dim=2, target=math.e**2)
+    err_closed = abs(c - 2.0)
+    integrand, weights, phi = ramp_phi_instance(512, 0.25)
+    base = float(np.sum(integrand * weights))
+    target = 1.5 * base
+    c2, _ = normalize_volume(integrand, weights, phi, dim=4, target=target)
+    achieved = float(np.sum(integrand * weights * np.exp(c2 * 4 * phi / 2.0)))
+    residual = abs(achieved - target) / target
+    ok = err_closed <= 1e-12 and residual <= 1e-12
+    return ok, f"closed-form |c - 2| = {err_closed:.2e}; sampled-phi residual {residual:.2e}"
 
 
-def criterion_9_volume_normalization() -> CriterionResult:
-    def body():
-        ones = np.ones(128)
-        w = np.full(128, 1.0 / 127)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        # closed form: total weight 1, phi = 1, dim 2 gives volume e^c, so
-        # the target e^2 must be matched by c = 2 exactly
-        c, _ = normalize_volume(ones, w, np.ones(128), dim=2, target=math.e**2)
-        err_closed = abs(c - 2.0)
-        integrand, weights, phi = ramp_phi_instance(512, 0.25)
-        base = float(np.sum(integrand * weights))
-        target = 1.5 * base
-        c2, _ = normalize_volume(integrand, weights, phi, dim=4, target=target)
-        achieved = float(np.sum(integrand * weights * np.exp(c2 * 4 * phi / 2.0)))
-        residual = abs(achieved - target) / target
-        ok = err_closed <= 1e-12 and residual <= 1e-12
-        return ok, (
-            f"closed-form |c - 2| = {err_closed:.2e}; sampled-phi residual {residual:.2e}"
-        )
-
-    return _timed(9, "volume normalization exponent recovery", body)
-
-
-def criterion_10_convergence_order() -> CriterionResult:
-    def body():
-        ratios = []
-        for steklov_ends, length, count in (("both", 2.0, 9), ("left", 1.0, 6)):
-            expected = cylinder_closed_spectrum(length, TWO_PI, steklov_ends, count)
+def criterion_10_convergence_order() -> tuple[bool, str]:
+    ratios = []
+    for steklov_ends, length, count in (("both", 2.0, 9), ("left", 1.0, 6)):
+        errs = []
+        for n_el in (100, 200):
+            computed, expected = _unit_cylinder(steklov_ends, length, count, n_el)
             keep = ~np.isin(expected, (0.0, 2.0 / length))  # linear modes are exact
-            errs = []
-            for n_el in (100, 200):
-                spec = surface_spec(lambda t: 1.0, length, TWO_PI, steklov_ends, "plain_warp")
-                computed, _ = first_eigenvalues(spec, count, n_elements=n_el)
-                errs.append(float(np.max(np.abs(computed[keep] - expected[keep]) / expected[keep])))
-            ratios.append(errs[0] / errs[1])
-        ok = all(r >= 3.0 for r in ratios)
-        return ok, f"halving ratios {', '.join(f'{r:.2f}' for r in ratios)} (need >= 3)"
-
-    return _timed(10, "second-order mesh convergence", body)
+            errs.append(float(np.max(np.abs(computed[keep] - expected[keep]) / expected[keep])))
+        ratios.append(errs[0] / errs[1])
+    ok = all(r >= 3.0 for r in ratios)
+    return ok, f"halving ratios {', '.join(f'{r:.2f}' for r in ratios)} (need >= 3)"
 
 
 def run_all(seed: int = 0, mesh: int = 400, printer=print) -> list[CriterionResult]:
-    """Run every acceptance criterion, printing one line per criterion."""
-    criteria = [
-        criterion_1_cylinder_closed_form,
-        criterion_2_decomposition_vs_oracle,
-        criterion_3_mixed_closed_form,
-        criterion_4_lambda_monotonicity,
-        criterion_5_volume_element,
-        lambda: criterion_6_growth_sweep(mesh),
-        lambda: criterion_7_kokarev_dimension_necessity(mesh),
-        lambda: criterion_8_quasi_isometry(seed),
-        criterion_9_volume_normalization,
-        criterion_10_convergence_order,
+    """Run every acceptance criterion, printing one line per criterion.
+
+    The table is built per call, so each criterion is looked up when the gate runs.
+    """
+    inf = math.inf
+    table = [
+        ("cylinder closed form", criterion_1_cylinder_closed_form, 5.0),
+        ("decomposition theorem vs direct oracle", criterion_2_decomposition_vs_oracle, 60.0),
+        ("mixed Steklov-Neumann closed form", criterion_3_mixed_closed_form, inf),
+        ("sigma0 nondecreasing in the fiber eigenvalue", criterion_4_lambda_monotonicity, inf),
+        ("volume element preserved and boundary metric fixed", criterion_5_volume_element, inf),
+        ("growth of the spectral gap under the default sweep",
+         lambda: criterion_6_growth_sweep(mesh), 600.0),
+        ("surface sweeps stay below the Kokarev bound",
+         lambda: criterion_7_kokarev_dimension_necessity(mesh), inf),
+        ("quasi-isometric eigenvalue ratio bounds", lambda: criterion_8_quasi_isometry(seed), inf),
+        ("volume normalization exponent recovery", criterion_9_volume_normalization, inf),
+        ("second-order mesh convergence", criterion_10_convergence_order, inf),
     ]
     results = []
-    for make in criteria:
-        result = make()
-        results.append(result)
-        printer(result.line())
+    for index, (name, check, limit_s) in enumerate(table, 1):
+        results.append(_timed(index, name, check, limit_s))
+        printer(results[-1].line())
     return results

@@ -14,6 +14,7 @@ cross-section multiplicity per source.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,8 +156,8 @@ def first_eigenvalues(spec: WarpedMetricSpec, count: int, *, n_elements: int = 4
     reads the same spectra and one row cache, so a (lambda, mu) row reduced
     below one cutoff is reused, not reduced again, above it.
     """
-    if count < 1:
-        raise DomainError("count must be positive")
+    if not (isinstance(count, numbers.Integral) and count >= 1):  # NaN, inf and 1.5 too
+        raise DomainError(f"count must be a positive integer, got {count}")
     fibers, modes = spec.fiber, spec.base.cross_section
     enough, tops = count + 1, [_START_TOP * 2.0**doubling for doubling in range(_MAX_DOUBLINGS)]
     if fibers.complete and modes.complete:
@@ -245,11 +246,11 @@ def lower_bound_C(
     The bound's exponents are those two rates; at n = 2k it is
     min(eps^(delta-1)/8, lambda1 * eps^(1-2 delta)/4).
     """
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:  # NaN too
         raise DomainError("epsilon must be positive")
     if not n > k >= 1:
         raise HypothesisViolationError(f"need n > k >= 1, got n={n}, k={k}")
-    if lambda1_fiber <= 0.0:
+    if not lambda1_fiber > 0.0:  # NaN too: min would drop its term
         raise DomainError("lambda1 of the fiber must be positive")
     if delta >= 1.0:
         raise DomainError("delta must be below 1")

@@ -247,8 +247,8 @@ def graded_mesh(
     """
     if not 0.0 < length < math.inf:  # NaN fails both comparisons
         raise DomainError("length must be positive and finite")
-    if n_elements < 1:
-        raise DomainError("element count must be positive")
+    if not 1 <= n_elements < math.inf:  # NaN fails both comparisons
+        raise DomainError("element count must be positive and finite")
     cuts = {0.0, length}
     for a, b in spans:
         if not 0.0 <= a < b <= length:

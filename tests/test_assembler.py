@@ -188,6 +188,12 @@ class TestSteklovSpectrumWarped:
         with pytest.raises(DomainError):
             steklov_spectrum_warped(cylinder_spec(), top=math.nan)
 
+    @pytest.mark.parametrize("n_elements", [math.nan, math.inf])
+    def test_non_finite_element_count_rejected(self, n_elements):
+        # a NaN count used to reach an int cast that warns
+        with pytest.raises(DomainError, match="element count must be positive and finite"):
+            steklov_spectrum_warped(cylinder_spec(), top=4.0, n_elements=n_elements)
+
     def test_infinite_top_rejected_on_a_generated_stream(self):
         # no branch starts above inf, so a circle fiber or cross-section
         # would be walked forever
@@ -233,6 +239,14 @@ class TestFirstEigenvalues:
         tops = self._count_walks(monkeypatch)
         with pytest.raises(DomainError, match="exceeds the 32 eigenvalues"):
             first_eigenvalues(self._discrete_surface(), 40, n_elements=64)
+        assert tops == []
+
+    @pytest.mark.parametrize("count", [math.nan, math.inf, 1.5])
+    def test_count_not_a_whole_number_refused_before_any_walk(self, monkeypatch, count):
+        # a NaN or infinite count used to pass count < 1 and walk all 60 cutoffs
+        tops = self._count_walks(monkeypatch)
+        with pytest.raises(DomainError, match="count must be a positive integer"):
+            first_eigenvalues(cylinder_spec(), count, n_elements=64)
         assert tops == []
 
     def test_count_equal_to_a_complete_size_returns_all(self, monkeypatch):
@@ -1145,6 +1159,13 @@ class TestLowerBoundC:
         values = [lower_bound_C(eps, 0.75, 2, 1, 1.0)
                   for eps in (0.1, 0.01, 0.001, 0.0001)]
         assert all(b > a for a, b in zip(values, values[1:]))
+
+    def test_nan_epsilon_or_lambda1_rejected(self):
+        # min would drop a NaN second term and return the first one
+        with pytest.raises(DomainError, match="epsilon must be positive"):
+            lower_bound_C(math.nan, 0.6, 2, 1, 1.0)
+        with pytest.raises(DomainError, match="lambda1 of the fiber must be positive"):
+            lower_bound_C(0.01, 0.6, 2, 1, math.nan)
 
     def test_delta_above_one_rejected(self):
         with pytest.raises(DomainError):

@@ -486,6 +486,13 @@ def test_grid_nodes_must_span_its_length(length):
         RevolutionGrid(np.linspace(0.0, 1.0, 65), 16, length, 2.0 * math.pi, WARPS["bump"])
 
 
+@pytest.mark.parametrize("n_axial", [math.nan, math.inf])
+def test_grid_ring_count_must_be_finite(n_axial):
+    # a NaN count used to reach an int cast that warns
+    with pytest.raises(DomainError, match="element count must be positive and finite"):
+        make_grid(1.0, 2.0 * math.pi, WARPS["bump"], n_axial, 16)
+
+
 @pytest.mark.parametrize("warp_name", ["plateau", "bump"])
 def test_ring_warp_is_the_ladders_h(warp_name):
     # one ln h sample on nodes and midpoints gives the bits of the 1D ladder's h
