@@ -26,7 +26,6 @@ from .errors import (
     SteklovError,
     UnsupportedModeError,
 )
-from .linalg import PartitionedSystem, dtn_matrix, sym_eig
 from .oracle import RevolutionGrid, make_grid
 from .profiles import WarpedMetricSpec, WarpProfile, volume_element_ratio
 from .provenance import EigenSource, SpectrumEntry, SpectrumWithProvenance
@@ -42,11 +41,9 @@ from .sturm import (
     NeumannEnd,
     SteklovEnd,
     SturmProblem,
-    assemble,
     base_dtn_spectrum,
     dtn_eigenvalues,
     graded_mesh,
-    rayleigh_quotient,
 )
 
 __all__ = [
@@ -61,7 +58,6 @@ __all__ = [
     "MeshResolutionError",
     "NeumannEnd",
     "NumericError",
-    "PartitionedSystem",
     "RevolutionGrid",
     "Sigma1Result",
     "SpectrumEntry",
@@ -72,11 +68,9 @@ __all__ = [
     "UnsupportedModeError",
     "WarpProfile",
     "WarpedMetricSpec",
-    "assemble",
     "base_dtn_spectrum",
     "circle_spectrum",
     "dtn_eigenvalues",
-    "dtn_matrix",
     "explicit_spectrum",
     "first_eigenvalues",
     "flat_torus_spectrum",
@@ -85,10 +79,8 @@ __all__ = [
     "make_grid",
     "metric_recipes",
     "point_spectrum",
-    "rayleigh_quotient",
     "sigma1_construction",
     "steklov_spectrum_warped",
-    "sym_eig",
     "volume_element_ratio",
 ]
 

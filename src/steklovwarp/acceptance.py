@@ -151,20 +151,14 @@ def criterion_2_decomposition_vs_oracle() -> tuple[bool, str]:
     # place the cutoff in a spectral gap past the 15th eigenvalue
     spec = surface_spec(bump, length, TWO_PI, "both", "plain_warp")
     _, spectrum = first_eigenvalues(spec, 16, n_elements=800)
-    cumulative = 0
-    top = None
-    values = spectrum.anchors
-    for value, nxt, mult in zip(values, values[1:], spectrum.multiplicities):
-        cumulative += mult
-        if cumulative >= 15 and nxt > value * 1.05:
-            top = math.sqrt(value * nxt)
-            break
-    if top is None:
+    v = spectrum.flatten()
+    gaps = np.flatnonzero(v[15:] > v[14:-1] * 1.05) + 14
+    if not gaps.size:
         return False, "no spectral gap found past the 15th eigenvalue"
+    top = math.sqrt(v[gaps[0]] * v[gaps[0] + 1])
     # the spectrum is complete below its last cutoff, and top lies below a
     # later entry, so it holds every assembled eigenvalue below top
-    assembled = spectrum.flatten()
-    assembled = assembled[assembled <= top]
+    assembled = v[v <= top]
     grid = make_grid(length, TWO_PI, bump, n_axial=256, n_theta=64)
     whole = revolution_spectrum(grid)
     direct = whole[whole <= top]
@@ -288,10 +282,7 @@ def criterion_8_quasi_isometry(seed: int = 0) -> tuple[bool, str]:
 
 
 def criterion_9_volume_normalization() -> tuple[bool, str]:
-    ones = np.ones(128)
-    w = np.full(128, 1.0 / 127)
-    w[0] *= 0.5
-    w[-1] *= 0.5
+    ones, w, _ = ramp_phi_instance(128, 0.25)  # trapezoid weights of total 1
     # closed form: total weight 1, phi = 1, dim 2 gives volume e^c, so
     # the target e^2 must be matched by c = 2 exactly
     c, _ = normalize_volume(ones, w, np.ones(128), dim=2, target=math.e**2)

@@ -24,7 +24,7 @@ from .errors import DomainError, HypothesisViolationError, NumericError
 from .profiles import CoefficientFn, Warp, WarpedMetricSpec, power_fn, transition_spans
 from .provenance import SpectrumWithProvenance
 from .spectra import circle_spectrum, extend, point_spectrum
-from .sturm import SturmProblem
+from .sturm import MirrorEnd, SteklovEnd, SturmProblem
 
 
 @dataclass(frozen=True)
@@ -96,38 +96,33 @@ _START_TOP = 1.0
 _MAX_DOUBLINGS = 60
 
 
-def collar_mesh(spec: WarpedMetricSpec, n_elements: int) -> tuple[np.ndarray, tuple, bool]:
-    """The 1D problem's mesh and spans, and whether it is a mirrored collar's left half.
+def _discretize(spec: WarpedMetricSpec, n_elements: int) -> SturmProblem:
+    """The collar's 1D family on a graded mesh; q is the fiber weight, lambda its eigenvalue.
 
-    A symmetric WarpProfile on its own collar with both ends Steklov is mirrored (see
-    sturm): its half [0, L/2] gets half the elements, so each ramp gets the whole's count.
+    Only here is a collar mirrored (see sturm): a symmetric WarpProfile on
+    its own collar with both ends Steklov is solved on its left half
+    [0, L/2], ending in a MirrorEnd, on half the elements, so each ramp gets
+    the whole's count. One power_fn call samples ln h once, at the nodes
+    followed by the element midpoints, and refuses a power h^p there that
+    would overflow. Its rows, q and w at the nodes, w at the midpoints and
+    the boundary weights, are bit for bit what metric_recipes' closures give
+    there, so the problem calls no closure.
     """
     warp, length, spans = spec.warp, spec.base.collar_length, transition_spans(spec.warp)
     if mirror := (isinstance(warp, profiles.WarpProfile) and warp.symmetric
                   and warp.collar_length == length and spec.base.steklov_ends == "both"):
         length, n_elements = 0.5 * length, 0.5 * n_elements
         spans = tuple(span for span in spans if span[1] <= length)
-    return sturm.graded_mesh(length, n_elements, spans), spans, mirror
-
-
-def _discretize(spec: WarpedMetricSpec, n_elements: int) -> SturmProblem:
-    """The collar's 1D family on its collar_mesh; q is the fiber weight, lambda its eigenvalue.
-
-    One power_fn call samples ln h once, at the nodes followed by the
-    element midpoints, and refuses a power h^p there that would overflow.
-    Its rows, q and w at the nodes, w at the midpoints and the boundary
-    weights (a mirror's h(L) is h(0)), are bit for bit what metric_recipes'
-    closures give there, so the problem calls no closure.
-    """
-    warp, powers = spec.warp, _powers(spec)
-    nodes, spans, mirror = collar_mesh(spec, n_elements)
-    n = len(nodes)
+    nodes = sturm.graded_mesh(length, n_elements, spans)
+    n, powers = len(nodes), _powers(spec)
     w, q, bw = power_fn(warp, powers)(np.concatenate((nodes, 0.5 * (nodes[:-1] + nodes[1:]))))
-    return sturm.collar_problem(
-        spec.base, power_fn(warp, powers[0]), power_fn(warp, powers[1]), nodes=nodes,
-        boundary_weights=(bw[0], bw[0] if mirror else bw[n - 1]), transition_spans=spans,
-        mirror=mirror,
-    ).prime(q[:n], w[:n], w[n:])
+    grad, pot = power_fn(warp, powers[0]), power_fn(warp, powers[1])
+    if mirror:
+        problem = SturmProblem(length, grad, pot, SteklovEnd(bw[0]), MirrorEnd(), nodes, spans)
+    else:
+        problem = sturm.collar_problem(spec.base, grad, pot, nodes=nodes,
+                                       boundary_weights=(bw[0], bw[n - 1]), transition_spans=spans)
+    return problem.prime(q[:n], w[:n], w[n:])
 
 
 def steklov_spectrum_warped(
@@ -189,6 +184,7 @@ class Sigma1Result:
     active_branch: str  # "lambda0" or "lambda1"
     branch_lambda0: float
     branch_lambda1: float
+    n_elements: int  # of the whole collar solved: a mirrored half's count twice
 
 
 def sigma1_construction(spec: WarpedMetricSpec, *, n_elements: int = 400) -> Sigma1Result:
@@ -222,9 +218,10 @@ def sigma1_construction(spec: WarpedMetricSpec, *, n_elements: int = 400) -> Sig
     branch_a = min(candidates, default=math.inf)
     branch_b = float(rows[0, 0])
 
+    n_solved = (len(problem.nodes) - 1) * (2 if isinstance(problem.right_bc, MirrorEnd) else 1)
     if branch_a <= branch_b:
-        return Sigma1Result(branch_a, "lambda0", branch_a, branch_b)
-    return Sigma1Result(branch_b, "lambda1", branch_a, branch_b)
+        return Sigma1Result(branch_a, "lambda0", branch_a, branch_b, n_solved)
+    return Sigma1Result(branch_b, "lambda1", branch_a, branch_b, n_solved)
 
 
 def lower_bound_C(

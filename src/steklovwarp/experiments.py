@@ -14,9 +14,7 @@ from dataclasses import Field, dataclass, field, fields as dataclass_fields
 
 import numpy as np
 
-from .assembler import (
-    collar_mesh, first_eigenvalues, lower_bound_C, sigma1_construction, surface_spec
-)
+from .assembler import first_eigenvalues, lower_bound_C, sigma1_construction, surface_spec
 from .errors import ConfigError, DomainError, InfeasibleError, NumericError, SteklovError
 from .profiles import Warp, WarpedMetricSpec, WarpProfile, log_value
 from .provenance import SpectrumWithProvenance
@@ -313,8 +311,6 @@ def run_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
             profile = WarpProfile(eps, cfg.delta, cfg.collar_length, symmetric=True)
             spec = metric_spec_from_config(cfg, profile, "volume_preserving")
             result = sigma1_construction(spec, n_elements=cfg.mesh)
-            nodes, _, mirror = collar_mesh(spec, cfg.mesh)  # a mirror solves twice its half
-            mesh_size = (len(nodes) - 1) * (2 if mirror else 1)
         except ConfigError:  # a refused descriptor, built before the first solve
             raise
         except SteklovError as exc:
@@ -325,7 +321,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
                 sigma1=result.value,
                 active_branch=result.active_branch,
                 lower_bound=bound,
-                mesh_size=mesh_size,
+                mesh_size=result.n_elements,
                 runtime_ms=1000.0 * (time.perf_counter() - started),
             )
         )

@@ -30,11 +30,13 @@ benchmark's tracer hooks it by name.
 
 A mirrored problem is the left half [0, L/2] of a collar whose
 coefficients are symmetric about its middle, with two Steklov ends of one
-weight; a MirrorEnd marks the middle as its right end. By Bartlett's
-bisection theorem (1927) the collar's eigenvalues are the half's with the
-middle open (even mode) and grounded (odd mode): one reduction of the half
-gives each row as (sigma_even, sigma_odd). `assemble`, `rayleigh_quotient`
-and `minimizing_extension` serve whole ladders only.
+weight; a MirrorEnd marks the middle as its right end. Only
+assembler._discretize decides that a collar is mirrored and builds its
+half; `collar_problem` builds whole collars. By Bartlett's bisection
+theorem (1927) the collar's eigenvalues are the half's with the middle
+open (even mode) and grounded (odd mode): one reduction of the half gives
+each row as (sigma_even, sigma_odd). `assemble`, `rayleigh_quotient` and
+`minimizing_extension` serve whole ladders only.
 
 `walk_below` collects every eigenvalue <= top of a family, reading the
 spectra of fiber eigenvalues lambda and cross-section modes mu through
@@ -129,7 +131,7 @@ class SturmProblem:
     transition_spans lists intervals that the mesh must resolve with at
     least MIN_ELEMENTS_PER_SPAN elements each.
     A MirrorEnd may only end it on the right: the problem is then the left
-    half of a mirrored collar (see collar_problem).
+    half of a mirrored collar (see assembler._discretize).
     """
 
     length: float
@@ -304,22 +306,16 @@ def collar_problem(
     nodes: np.ndarray,
     boundary_weights: tuple[float, float],
     transition_spans: tuple[tuple[float, float], ...],
-    mirror: bool = False,
 ) -> SturmProblem:
-    """The 1D family of a collar base on a mesh of it; its Steklov ends carry the weights.
+    """The 1D family of a whole collar base on a mesh of it; its Steklov ends carry the weights.
 
-    mirror vouches for w and q symmetric about the middle, and needs two
-    Steklov ends of one weight. The problem is then the left half: nodes
-    and transition_spans lie in [0, L/2], and its right end is a MirrorEnd.
+    A mirrored collar's left half is built by assembler._discretize alone.
     """
-    ends, length = geom.steklov_ends, geom.collar_length
+    ends = geom.steklov_ends
     left = SteklovEnd(boundary_weights[0]) if ends in ("both", "left") else NeumannEnd()
     right = SteklovEnd(boundary_weights[1]) if ends in ("both", "right") else NeumannEnd()
-    if mirror:
-        if not (ends == "both" and left == right):
-            raise DomainError("a mirrored collar needs two Steklov ends of one weight")
-        length, right = 0.5 * length, MirrorEnd()
-    return SturmProblem(length, grad_weight, potential, left, right, nodes, transition_spans)
+    return SturmProblem(geom.collar_length, grad_weight, potential, left, right, nodes,
+                        transition_spans)
 
 
 def lumped_mass(nodes: np.ndarray) -> np.ndarray:

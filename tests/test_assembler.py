@@ -298,7 +298,8 @@ def _fingerprint(result):
 def collar_of(spec, n_elements, mirror=False, nodes=None):
     """The collar problem built from metric_recipes' closures on graded_mesh, or on nodes.
 
-    A mirror is the left half [0, L/2] on half the elements, with the spans there.
+    A mirror is the left half [0, L/2] on half the elements, with the spans there,
+    ending in a MirrorEnd.
     """
     recipes = metric_recipes(spec)
     length, spans = spec.base.collar_length, recipes.spans
@@ -307,9 +308,14 @@ def collar_of(spec, n_elements, mirror=False, nodes=None):
         spans = tuple(span for span in spans if span[1] <= length)
     if nodes is None:
         nodes = graded_mesh(length, n_elements, spans)
+    if mirror:
+        return sturm.SturmProblem(
+            length, recipes.grad_weight, recipes.inv_sq_weight,
+            sturm.SteklovEnd(recipes.boundary_weights[0]), sturm.MirrorEnd(), nodes, spans,
+        )
     return sturm.collar_problem(
         spec.base, recipes.grad_weight, recipes.inv_sq_weight, nodes=nodes,
-        boundary_weights=recipes.boundary_weights, transition_spans=spans, mirror=mirror,
+        boundary_weights=recipes.boundary_weights, transition_spans=spans,
     )
 
 
@@ -1032,6 +1038,16 @@ class TestMirror:
         whole = collar_of(spec, 260, nodes=reflected_nodes(problem))
         np.testing.assert_allclose(got, dtn_eigenvalues(whole, self.LAM, self.MU),
                                    rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["mirror", "whole"])
+    @pytest.mark.parametrize("n_elements", [260, 301])
+    def test_sigma1_counts_the_whole_collars_elements(self, symmetric, n_elements):
+        # the sweep's mesh_size: a mirrored half stands for twice its elements
+        spec = TestCollarSampling._spec(WarpProfile(0.025, 2.0 / 3.0, 1.0, symmetric=symmetric))
+        problem = assembler._discretize(spec, n_elements)
+        assert isinstance(problem.right_bc, sturm.MirrorEnd) == symmetric
+        result = sigma1_construction(spec, n_elements=n_elements)
+        assert result.n_elements == (len(problem.nodes) - 1) * (2 if symmetric else 1)
 
     def test_profile_on_a_shorter_collar_refused(self):
         # its left half lies inside the profile's collar, the whole does not

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from steklovwarp import (
@@ -53,22 +54,35 @@ def test_default_spectrum_csv_is_pinned(capsys):
     ("sweep_default", acceptance.default_sweep_config),
     ("kokarev_default", acceptance.default_kokarev_config),
     ("sweep_small_eps", None),
+    ("oracle_count12", None),
+    ("quasi_iso_default", None),
 ])
 def test_sweep_csvs_are_pinned(capsys, name, default):
     # data/<name>.csv holds the output of `steklovwarp <experiment> --config
     # data/<name>.json`, the sweep's runtime_ms column dropped; the defaults
-    # are the configs of acceptance criteria 6 and 7, and sweep_small_eps
-    # takes eps down to 1e-4
+    # are the configs of acceptance criteria 6 and 7, sweep_small_eps takes
+    # eps down to 1e-4, and oracle_count12 and quasi_iso_default are
+    # `oracle --count 12` and `quasi-iso` at their defaults
     config = DATA / f"{name}.json"
     raw = json.loads(config.read_text())
     if default is not None:
         assert experiments.config_from_dict(raw) == default()
-    assert main([raw["experiment"], "--config", str(config)]) == 0
+    command = raw["experiment"].replace("_", "-")
+    assert main([command, "--config", str(config)]) == 0
     lines = capsys.readouterr().out.splitlines()
+    expected = (DATA / f"{name}.csv").read_text()
+    if raw["experiment"] == "oracle":
+        # the 12 digits carry the dense eigensolve's roundoff in the last
+        # one, as in the degenerate pair 0.461774006032, 0.461774006033
+        pinned = expected.splitlines()
+        assert lines[:2] == pinned[:2] == ["value", "0"]
+        np.testing.assert_allclose([float(v) for v in lines[1:]],
+                                   [float(v) for v in pinned[1:]], rtol=1e-10, atol=0.0)
+        return
     if raw["experiment"] == "sweep":
         assert lines[0].endswith(",runtime_ms")
         lines = [line.rpartition(",")[0] for line in lines]
-    assert "\n".join(lines) + "\n" == (DATA / f"{name}.csv").read_text()
+    assert "\n".join(lines) + "\n" == expected
 
 
 def test_small_oracle_run_succeeds(capsys):

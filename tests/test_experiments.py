@@ -95,7 +95,7 @@ def test_kokarev_bound_allows_only_its_slack(monkeypatch):
     bound = 8.0 * math.pi  # 8 pi (genus + 1) at the annulus's genus 0
     edge = bound * (1.0 + 1e-6)
     for sigma1, passed in ((edge, True), (math.nextafter(edge, math.inf), False)):
-        stub = Sigma1Result(sigma1, "lambda0", sigma1, sigma1)
+        stub = Sigma1Result(sigma1, "lambda0", sigma1, sigma1, 400)
         monkeypatch.setattr(experiments, "sigma1_construction", lambda spec, n_elements: stub)
         (row,) = run_kokarev_sweep(cfg)
         assert (row.boundary_length, row.product, row.bound) == (1.0, sigma1, bound)

@@ -5,17 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steklovwarp import (
-    DomainError,
-    NumericError,
-    PartitionedSystem,
-    SteklovEnd,
-    SturmProblem,
-    assemble,
-    dtn_matrix,
-    graded_mesh,
-    sym_eig,
-)
+from steklovwarp import DomainError, NumericError, SteklovEnd, SturmProblem, graded_mesh
+from steklovwarp.linalg import PartitionedSystem, dtn_matrix, sym_eig
+from steklovwarp.sturm import assemble
 
 
 def laplacian_1d_system(n_nodes, q=0.0, mass_scale=1.0):

@@ -16,12 +16,11 @@ from steklovwarp import (
     RevolutionGrid,
     WarpedMetricSpec,
     WarpProfile,
-    dtn_matrix,
     metric_recipes,
     point_spectrum,
-    sym_eig,
 )
 from steklovwarp import oracle, sturm
+from steklovwarp.linalg import dtn_matrix, sym_eig
 from steklovwarp.oracle import (
     _RUN_RTOL,
     _mirror_symmetric,

@@ -24,25 +24,23 @@ from steklovwarp import (
     SteklovEnd,
     SturmProblem,
     WarpProfile,
-    assemble,
     base_dtn_spectrum,
     circle_spectrum,
     dtn_eigenvalues,
-    dtn_matrix,
     explicit_spectrum,
     graded_mesh,
     point_spectrum,
-    rayleigh_quotient,
-    sym_eig,
 )
+from steklovwarp.linalg import dtn_matrix, sym_eig
 from steklovwarp.profiles import power_fn
 from steklovwarp.provenance import merge_tagged
 from steklovwarp.sturm import (
     MIN_ELEMENTS_PER_SPAN,
     MirrorEnd,
     _reduce_ladder,
-    collar_problem,
+    assemble,
     minimizing_extension,
+    rayleigh_quotient,
 )
 
 TANH1 = math.tanh(1.0)
@@ -707,19 +705,16 @@ class TestRayleighQuotient:
 
 
 class TestMirroredProblem:
-    """collar_problem makes a collar said to be symmetric its left half, ending in a MirrorEnd.
+    """A symmetric collar's left half, ending in a MirrorEnd, solves the whole collar.
 
-    It needs two Steklov ends of one weight; the whole-ladder helpers refuse the half.
+    The whole-ladder helpers refuse the half.
     """
 
     @staticmethod
-    def _collar(n_elements=64, ends="both", weights=(1.0, 1.0)):
+    def _collar(n_elements=64):
         # the left half [0, 1] of a collar of length 2
-        return collar_problem(
-            BaseGeometry(point_spectrum(), 2.0, ends), lambda t: 1.0, lambda t: 1.0,
-            nodes=graded_mesh(1.0, n_elements / 2.0), boundary_weights=weights,
-            transition_spans=(), mirror=True,
-        )
+        return SturmProblem(1.0, lambda t: 1.0, lambda t: 1.0, SteklovEnd(), MirrorEnd(),
+                            graded_mesh(1.0, n_elements / 2.0))
 
     @pytest.mark.parametrize("n_elements", [64, 65])
     def test_closed_form(self, n_elements):
@@ -737,13 +732,6 @@ class TestMirroredProblem:
         r = np.sqrt(mu[1:])
         assert got[1:, 0] == pytest.approx(r * np.tanh(r), rel=1e-3)
         assert got[1:, 1] == pytest.approx(r / np.tanh(r), rel=1e-3)
-
-    @pytest.mark.parametrize("ends, weights", [
-        ("both", (1.0, 2.0)), ("left", (1.0, 1.0)), ("right", (1.0, 1.0)),
-    ], ids=["weights", "left", "right"])
-    def test_needs_two_steklov_ends_of_one_weight(self, ends, weights):
-        with pytest.raises(DomainError, match="two Steklov ends of one weight"):
-            self._collar(ends=ends, weights=weights)
 
     def test_mirror_end_on_the_left_refused(self):
         with pytest.raises(DomainError, match="on the right only"):
