@@ -13,9 +13,11 @@ cross-section multiplicity per source.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -149,10 +151,43 @@ def first_eigenvalues(spec: WarpedMetricSpec, count: int, *, n_elements: int = 4
     Steklov ends; a larger count is refused before any walk, and after the
     last doubling one walk at top = inf certifies all size. Each walk
     reads the same spectra and one row cache, so a (lambda, mu) row reduced
-    below one cutoff is reused, not reduced again, above it.
+    below one cutoff is reused, not reduced again, above it. This is the
+    one-spec case of first_eigenvalues_each.
+    """
+    return next(first_eigenvalues_each([spec], count, n_elements=n_elements))
+
+
+def first_eigenvalues_each(
+    specs: Iterable[WarpedMetricSpec], count: int, *, n_elements: int = 400
+) -> Iterator[tuple[np.ndarray, SpectrumWithProvenance]]:
+    """first_eigenvalues of each spec in turn, with the first walk steps of many reduced together.
+
+    The specs are read lazily. Each is checked and discretized before any
+    solve of it, and sturm.first_steps reduces the first step of its first
+    walk together with those of the specs around it, in chunks whose size
+    is bounded whatever the number of specs. The doubling walks then start
+    from that row cache, so every value and row is what first_eigenvalues
+    of the spec alone gives, bit for bit.
     """
     if not (isinstance(count, numbers.Integral) and count >= 1):  # NaN, inf and 1.5 too
         raise DomainError(f"count must be a positive integer, got {count}")
+    plans, walks = itertools.tee(_doubling_plan(spec, count, n_elements) for spec in specs)
+    caches = sturm.first_steps(walk[:3] for walk in walks)
+    for (problem, fibers, modes, enough, tops), rows in zip(plans, caches):
+        for top in tops:
+            spectrum = sturm.walk_below(problem, fibers, modes, top, rows)
+            if spectrum.total_multiplicity >= enough:
+                break
+        else:
+            raise NumericError(
+                f"could not certify {count} eigenvalues: {spectrum.total_multiplicity} "
+                f"certified at the last cutoff walked, top={top}"
+            )
+        yield spectrum.flatten()[:count], spectrum
+
+
+def _doubling_plan(spec: WarpedMetricSpec, count: int, n_elements: int):
+    """The discretized collar, its spectra, how many eigenvalues certify count, and the cutoffs."""
     fibers, modes = spec.fiber, spec.base.cross_section
     enough, tops = count + 1, [_START_TOP * 2.0**doubling for doubling in range(_MAX_DOUBLINGS)]
     if fibers.complete and modes.complete:
@@ -164,16 +199,7 @@ def first_eigenvalues(spec: WarpedMetricSpec, count: int, *, n_elements: int = 4
             )
         enough = min(enough, size)
         tops.append(math.inf)  # a walk of every pair, should the doubling end short
-    problem = _discretize(spec, n_elements)
-    rows: dict[int, list[list[float]]] = {}
-    for top in tops:
-        spectrum = sturm.walk_below(problem, fibers, modes, top, rows)
-        if spectrum.total_multiplicity >= enough:
-            return spectrum.flatten()[:count], spectrum
-    raise NumericError(
-        f"could not certify {count} eigenvalues: {spectrum.total_multiplicity} certified "
-        f"at the last cutoff walked, top={top}"
-    )
+    return _discretize(spec, n_elements), fibers, modes, enough, tops
 
 
 @dataclass(frozen=True)

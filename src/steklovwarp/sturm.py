@@ -54,6 +54,14 @@ is complete below top. Each eigenvalue <= top is tagged as a plain row
 (value, lambda, mu, branch, fiber multiplicity, mode multiplicity), with
 no object per value, and provenance.merge_tagged sorts the rows once into
 the merged spectrum.
+
+Only `first_steps` reduces more than 64 of a walk's rows in one call. It
+reduces the first steps of many walks ahead of them, as
+assembler.first_eigenvalues_each does for many metrics: the rows of every
+problem with the same node count and ends go in one call of at most
+_MAX_GROUP_ROWS rows, each row with its own problem's conductances. The
+tree of merges depends only on the element count, so every row is the
+same bit for bit as when its walk reduces it.
 """
 
 from __future__ import annotations
@@ -62,6 +70,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count, islice
+from typing import Iterable, Iterator
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -80,6 +89,9 @@ _FIBER_BLOCK = 8
 # more than _MAX_BLOCK (lambda, mu) rows
 _SUB_BLOCK = 8
 _MAX_BLOCK = 64
+# first_steps reads walks in chunks whose first steps hold at most this many
+# (lambda, mu) rows together, so that no call of it reduces more
+_MAX_GROUP_ROWS = 512
 
 # elements that every transition span of a mesh must hold: coefficient
 # plateaus changing by orders of magnitude meet there
@@ -366,10 +378,11 @@ def _reduce_ladder(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pi-network (g1, y, g2) of each row's ladder between its end nodes.
 
-    cond has one entry per element; shunt has one row per ladder and one
-    column per node. Each element starts as (0, c_e, 0); neighbours A, B
-    are merged by eliminating their shared node, whose total shunt is
-    m = g2_A + s + g1_B, with d = y_A + y_B + m:
+    cond has one entry per element, shared by every row, or one row of them
+    per ladder; shunt has one row per ladder and one column per node. Each
+    element starts as (0, c_e, 0); neighbours A, B are merged by eliminating
+    their shared node, whose total shunt is m = g2_A + s + g1_B, with
+    d = y_A + y_B + m:
 
         y <- y_A y_B / d,  g1 <- g1_A + y_A m / d,  g2 <- g2_B + y_B m / d.
 
@@ -377,11 +390,14 @@ def _reduce_ladder(
     so it is built from cond and the odd nodes' shunts alone: m = s, and
     g1 = y_A share, g2 = y_B share with share = m / d, as the general step
     gives them exactly. Later levels update m and d in place and turn m
-    into the share. The end nodes' shunts are left out of g1 and g2.
+    into the share. The end nodes' shunts are left out of g1 and g2. Every
+    step is elementwise and the tree depends on the element count alone, so
+    a row comes out the same bit for bit whether its cond is shared or its
+    own, and whatever other rows the call holds.
     """
-    rows, n = shunt.shape[0], len(cond)
+    rows, n = shunt.shape[0], cond.shape[-1]
     paired = n - n % 2
-    ya, yb = cond[0:paired:2], cond[1:paired:2]
+    ya, yb = cond[..., 0:paired:2], cond[..., 1:paired:2]
     m = shunt[:, 1:paired:2]
     d = ya + yb + m
     share = m / d
@@ -389,7 +405,7 @@ def _reduce_ladder(
     if paired < n:  # odd count: the last element, (0, c_e, 0), waits for the next level
         g1, y, g2 = (
             np.concatenate((new, np.broadcast_to(old, (rows, 1))), axis=1)
-            for new, old in zip((g1, y, g2), (0.0, cond[-1], 0.0))
+            for new, old in zip((g1, y, g2), (0.0, cond[..., -1:], 0.0))
         )
     junction = shunt[:, 2:-1:2]
     while y.shape[1] > 1:
@@ -467,15 +483,18 @@ def dtn_eigenvalues(
             and lam.max(initial=0.0) < math.inf and mu.max(initial=0.0) < math.inf):
         raise DomainError("fiber eigenvalue lambda and mode eigenvalue mu "
                           "must be nonnegative and finite")
-    pairs = np.broadcast(lam, mu).shape
     cond = p.cond  # a lazily sampled problem checks its mesh before sampling the nodes
+    shunt = _shunts(p, lam, mu)
+    values = _ladder_eigenvalues(cond, shunt.reshape(-1, len(p.nodes)), p.left_bc, p.right_bc)
+    return values.reshape(shunt.shape[:-1] + values.shape[1:])
+
+
+def _shunts(p: SturmProblem, lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Node shunts (lambda q + mu w) lump, one row of nodes per pair of lam and mu broadcast."""
     shunt = lam[..., None] * p.q_node
     if mu.any():  # else mu w vanishes, and 0 + x is x exactly
         shunt = mu[..., None] * p.w_node + shunt
-    shunt = np.multiply(shunt, p.lump, out=np.empty(pairs + p.nodes.shape))
-    shunt = shunt.reshape(-1, len(p.nodes))
-    values = _ladder_eigenvalues(cond, shunt, p.left_bc, p.right_bc)
-    return values.reshape(pairs + values.shape[1:])
+    return np.multiply(shunt, p.lump, out=np.empty(np.broadcast(lam, mu).shape + p.nodes.shape))
 
 
 def rayleigh_quotient(p: SturmProblem, samples: np.ndarray) -> float:
@@ -579,6 +598,57 @@ def _walk_modes(problem: SturmProblem, live: list[tuple[list[list[float]], tuple
     if live and not modes.complete:
         raise CompletenessError(f"cross-section spectrum ends after {first + len(step)} entries, "
                                 f"before a mode exceeds top={top}")
+
+
+def first_steps(walks: Iterable[tuple[SturmProblem, ClosedSpectrum, ClosedSpectrum]]
+                ) -> Iterator[dict[int, list[list[float]]]]:
+    """The rows that the first step of each walk reduces, reduced together, as walk caches.
+
+    Each walk is walk_below's (problem, fibers, modes). Its first step
+    reduces fibers.take(0, _FIBER_BLOCK) x modes.take(0, _SUB_BLOCK)
+    whatever top is, and its cache maps each of those fibers' positions to
+    their rows, as walk_below's rows do: a walk_below given it reduces none
+    of them again. The walks are read in chunks whose first steps hold at
+    most _MAX_GROUP_ROWS rows together, and the caches of a chunk come out
+    in order once it is reduced.
+    """
+    chunk, held = [], 0
+    for problem, fibers, modes in walks:
+        lam = [value for value, _ in fibers.take(0, _FIBER_BLOCK)]
+        mu = [value for value, _ in modes.take(0, _SUB_BLOCK)]
+        if held + len(lam) * len(mu) > _MAX_GROUP_ROWS:
+            yield from _reduce_first_steps(chunk)
+            chunk, held = [], 0
+        chunk.append((problem, lam, mu))
+        held += len(lam) * len(mu)
+    yield from _reduce_first_steps(chunk)
+
+
+def _reduce_first_steps(chunk: list[tuple[SturmProblem, list[float], list[float]]]
+                        ) -> list[dict[int, list[list[float]]]]:
+    """The caches of first_steps for (problem, first step's fibers, its modes) walks.
+
+    The rows of every problem with the same node count and ends are reduced
+    in one call, each with its own problem's conductances: the shunts and
+    the tree of merges are those of dtn_eigenvalues on its rows alone, so
+    every row is the same bit for bit.
+    """
+    groups: dict[tuple, list[tuple[int, int, np.ndarray, np.ndarray]]] = {}
+    for index, (problem, lam, mu) in enumerate(chunk):
+        cond = problem.cond  # a lazily sampled problem checks its mesh before sampling the nodes
+        lam_rows = np.repeat(np.asarray(lam, float), len(mu))  # fiber by fiber, as a walk's step
+        shunt = _shunts(problem, lam_rows, np.tile(np.asarray(mu, float), len(lam)))
+        key = (len(problem.nodes), problem.left_bc, problem.right_bc)
+        groups.setdefault(key, []).append((index, len(mu), cond, shunt))
+    caches: list[dict[int, list[list[float]]]] = [{} for _ in chunk]
+    for (_, left, right), members in groups.items():
+        conds = [cond for _, _, cond, _ in members]
+        shunts = [shunt for *_, shunt in members]
+        cond = np.repeat(conds, [len(shunt) for shunt in shunts], axis=0)
+        values = iter(_ladder_eigenvalues(cond, np.concatenate(shunts), left, right).tolist())
+        for index, n_modes, _, shunt in members:
+            caches[index] = {i: list(islice(values, n_modes)) for i in range(len(shunt) // n_modes)}
+    return caches
 
 
 def check_top(top: float, *walked: ClosedSpectrum) -> None:

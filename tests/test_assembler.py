@@ -30,6 +30,7 @@ from steklovwarp import (
     steklov_spectrum_warped,
 )
 from steklovwarp import assembler, spectra, sturm
+from steklovwarp.assembler import first_eigenvalues_each
 from steklovwarp.experiments import SPECTRUM_CSV_HEADER, sig12, spectrum_csv_lines
 from steklovwarp.profiles import log_value, power_fn
 from steklovwarp.provenance import merge_tagged
@@ -236,10 +237,15 @@ class TestFirstEigenvalues:
                                 discrete_circle_spectrum(TWO_PI, 16))
 
     def test_count_above_a_complete_size_refused_before_any_walk(self, monkeypatch):
-        tops = self._count_walks(monkeypatch)
+        tops, reductions = self._count_walks(monkeypatch), []
+        monkeypatch.setattr(sturm, "_ladder_eigenvalues", lambda *a: reductions.append(a))
         with pytest.raises(DomainError, match="exceeds the 32 eigenvalues"):
             first_eigenvalues(self._discrete_surface(), 40, n_elements=64)
-        assert tops == []
+        # a refused spec stops its chunk before the first steps are reduced
+        with pytest.raises(DomainError, match="exceeds the 32 eigenvalues"):
+            list(first_eigenvalues_each([cylinder_spec(), self._discrete_surface()], 40,
+                                        n_elements=64))
+        assert tops == [] and reductions == []
 
     @pytest.mark.parametrize("count", [math.nan, math.inf, 1.5])
     def test_count_not_a_whole_number_refused_before_any_walk(self, monkeypatch, count):
@@ -284,6 +290,61 @@ class TestFirstEigenvalues:
         assert values.tolist() == [0.0, 2.0, 7.8125e27]
         assert np.array_equal(spectrum.flatten(), everything)
         assert tops == [2.0**d for d in range(60)] + [math.inf]
+
+
+class TestFirstEigenvaluesEach:
+    """first_eigenvalues_each gives each spec what first_eigenvalues gives it alone.
+
+    The first walk steps of many specs are reduced together, those with the
+    same node count and ends in one call with per-row conductances; every
+    value and spectrum row must come out the same bit for bit.
+    """
+
+    @staticmethod
+    def _mixed_specs():
+        # mirrored and whole collars, every steklov_ends, point and circle
+        # cross-sections, several node counts, and warps that share a mesh
+        # and ends but not their conductances: 18 circle specs of 64
+        # first-step rows fill more than one chunk of 512
+        specs = [cylinder_spec(), cylinder_spec(length=1.0, steklov_ends="left")]
+        for (eps, delta), ends, symmetric, cross in itertools.product(
+                ((0.1, 2.0 / 3.0), (0.1, 0.75), (0.13, 2.0 / 3.0)), ("both", "left", "right"),
+                (True, False), ("point", "circle")):
+            spec = sweep_spec(eps, delta=delta)
+            base = BaseGeometry(point_spectrum() if cross == "point" else spec.base.cross_section,
+                                1.0, ends)
+            specs.append(dataclasses.replace(
+                spec, base=base, warp=WarpProfile(eps, delta, 1.0, symmetric=symmetric)))
+        return specs
+
+    def test_equals_each_spec_alone(self, monkeypatch):
+        specs, count, n_elements = self._mixed_specs(), 7, 120
+        problems = [assembler._discretize(spec, n_elements) for spec in specs]
+        assert sum(isinstance(p.right_bc, sturm.MirrorEnd) for p in problems) == 6
+        assert len({len(p.nodes) for p in problems}) > 2
+        alone = [_fingerprint(first_eigenvalues(spec, count, n_elements=n_elements))
+                 for spec in specs]
+        chunks, reduce = [], sturm._reduce_first_steps
+
+        def spy(chunk):
+            chunks.append(sum(len(lam) * len(mu) for _, lam, mu in chunk))
+            return reduce(chunk)
+
+        monkeypatch.setattr(sturm, "_reduce_first_steps", spy)
+        together = first_eigenvalues_each(specs, count, n_elements=n_elements)
+        assert [_fingerprint(result) for result in together] == alone
+        assert len(chunks) > 1 and max(chunks) <= sturm._MAX_GROUP_ROWS
+
+    def test_first_step_rows_are_those_of_dtn_eigenvalues(self):
+        walks = [(assembler._discretize(spec, 120), spec.fiber, spec.base.cross_section)
+                 for spec in self._mixed_specs()]
+        for (problem, fibers, modes), cache in zip(walks, sturm.first_steps(walks)):
+            lam = [value for value, _ in fibers.take(0, 8)]
+            mu = [value for value, _ in modes.take(0, 8)]
+            expected = dtn_eigenvalues(problem, np.repeat(lam, len(mu)), np.tile(mu, len(lam)))
+            assert sorted(cache) == list(range(len(lam)))
+            got = np.array([row for i in range(len(lam)) for row in cache[i]])
+            assert got.tobytes() == expected.tobytes()
 
 
 def _fingerprint(result):
@@ -627,21 +688,28 @@ class TestBlockBoundaries:
     @pytest.mark.parametrize("n_fibers", [8, 16])
     def test_each_step_is_one_call_of_at_most_64_rows(self, monkeypatch, n_fibers, n_modes,
                                                       steklov_ends):
-        # every (lambda, mu) pair is reduced once, by calls of 1 to 64 rows
+        # every (lambda, mu) pair is reduced once, by walk calls of 1 to 64 rows;
+        # first_eigenvalues reduces its first step as one grouped call of its own
         fiber = explicit_spectrum([(j * j, 1) for j in range(n_fibers)], complete=True)
         cross = explicit_spectrum([(0.5 * j, 1) for j in range(n_modes)], complete=True)
         spec = WarpedMetricSpec(2, 1, WarpProfile(0.1, 0.75, 1.0, True),
                                 BaseGeometry(cross, 1.0, steklov_ends), fiber, "volume_preserving")
-        sizes, reduce = [], sturm.dtn_eigenvalues
+        calls, reduce = [], sturm._ladder_eigenvalues
 
-        def spy(problem, lam, mu):
-            sizes.append(len(lam))
-            return reduce(problem, lam, mu)
+        def spy(cond, shunt, left, right):
+            calls.append((cond.ndim == 2, len(shunt)))
+            return reduce(cond, shunt, left, right)
 
-        monkeypatch.setattr(sturm, "dtn_eigenvalues", spy)
+        monkeypatch.setattr(sturm, "_ladder_eigenvalues", spy)
         steklov_spectrum_warped(spec, math.inf, n_elements=100)
-        assert sum(sizes) == n_fibers * n_modes
-        assert 1 <= min(sizes) and max(sizes) <= 64
+        walked = calls.copy()
+        calls.clear()
+        first_eigenvalues(spec, n_fibers * n_modes * (2 if steklov_ends == "both" else 1),
+                          n_elements=100)
+        assert calls[0] == (True, 64) and not any(grouped for grouped, _ in walked + calls[1:])
+        for run in (walked, calls):
+            assert sum(rows for _, rows in run) == n_fibers * n_modes
+            assert 1 <= min(rows for _, rows in run) and max(rows for _, rows in run) <= 64
 
 
 class TestDecomposition:
@@ -690,26 +758,38 @@ class TestDecomposition:
 
 
 class TestRowReuse:
-    """Each (lambda, mu) pair is reduced once per call, in calls of at most 64 rows."""
+    """Each (lambda, mu) pair is reduced once per call, in walk calls of at most 64 rows.
+
+    The spy sees every reduction: each builds its rows' shunts with _shunts
+    and reduces them with _ladder_eigenvalues, a walk's step with a shared
+    1-D cond and the grouped first steps with one cond row per ladder.
+    """
 
     @staticmethod
     def _spy(monkeypatch):
-        calls = []
-        original = sturm.dtn_eigenvalues
+        pairs, calls = [], []
+        shunts, reduce = sturm._shunts, sturm._ladder_eigenvalues
 
-        def spy(p, fiber_value=1.0, mu=0.0):
-            lam, mu_b = np.broadcast_arrays(np.asarray(fiber_value, float), np.asarray(mu, float))
-            calls.append(list(zip(lam.ravel().tolist(), mu_b.ravel().tolist())))
-            return original(p, fiber_value, mu)
+        def shunt_spy(p, lam, mu):
+            lam_b, mu_b = np.broadcast_arrays(lam, mu)
+            pairs.extend(zip(lam_b.ravel().tolist(), mu_b.ravel().tolist()))
+            return shunts(p, lam, mu)
 
-        monkeypatch.setattr(sturm, "dtn_eigenvalues", spy)
-        return calls
+        def reduce_spy(cond, shunt, left, right):
+            calls.append((cond.ndim == 2, len(shunt)))
+            return reduce(cond, shunt, left, right)
+
+        monkeypatch.setattr(sturm, "_shunts", shunt_spy)
+        monkeypatch.setattr(sturm, "_ladder_eigenvalues", reduce_spy)
+        return pairs, calls
 
     @staticmethod
-    def _assert_each_pair_once(calls):
-        pairs = [pair for call in calls for pair in call]
-        assert len(pairs) == len(set(pairs))
-        assert max(len(call) for call in calls) <= 64
+    def _assert_each_pair_once(spied):
+        pairs, calls = spied
+        assert len(pairs) == len(set(pairs)) == sum(rows for _, rows in calls)
+        assert max(rows for grouped, rows in calls if not grouped) <= 64
+        grouped_rows = [rows for grouped, rows in calls if grouped]
+        assert max(grouped_rows, default=0) <= sturm._MAX_GROUP_ROWS
 
     def test_point_cross_section_across_doublings(self, monkeypatch):
         # the shape of the quasi-isometry criterion: interval base, circle fiber
@@ -721,9 +801,10 @@ class TestRowReuse:
             fiber=circle_spectrum(TWO_PI, 8),
             mode="volume_preserving",
         )
-        calls = self._spy(monkeypatch)
+        spied = self._spy(monkeypatch)
         _, spectrum = first_eigenvalues(spec, 40, n_elements=300)
-        self._assert_each_pair_once(calls)
+        self._assert_each_pair_once(spied)
+        assert spied[1][0] == (True, 8)  # the first step, grouped
         # fiber 9 (lambda = 81) is reached, past the first block of 8 fibers
         assert max(s.fiber_value for e in spectrum.entries for s in e.sources) > 64.0
 
@@ -732,12 +813,14 @@ class TestRowReuse:
         # cutoff to 32 to certify every eigenvalue below 30
         spec = sweep_spec(0.05)
         count = steklov_spectrum_warped(spec, 30.0).total_multiplicity
-        calls = self._spy(monkeypatch)
+        spied = self._spy(monkeypatch)
         steklov_spectrum_warped(spec, 30.0)
-        self._assert_each_pair_once(calls)
-        calls.clear()
+        self._assert_each_pair_once(spied)
+        assert not any(grouped for grouped, _ in spied[1])
+        for spy_list in spied:
+            spy_list.clear()
         _, spectrum = first_eigenvalues(spec, count)
-        self._assert_each_pair_once(calls)
+        self._assert_each_pair_once(spied)
         assert spectrum.total_multiplicity > count
 
     def test_spectrum_walk_reads_modes_in_sub_blocks(self, monkeypatch):
@@ -745,10 +828,10 @@ class TestRowReuse:
         # sub-blocks capped by the live fibers reduce 928 rows; blocks of
         # modes doubling from 8 to 64 whatever the live fibers reduced 1 296
         spec, top = sweep_spec(0.05), 30.0
-        calls = self._spy(monkeypatch)
+        spied = self._spy(monkeypatch)
         steklov_spectrum_warped(spec, top)
-        self._assert_each_pair_once(calls)
-        pairs = [pair for call in calls for pair in call]
+        self._assert_each_pair_once(spied)
+        pairs = spied[0]
         assert len(pairs) <= 1100
         problem = collar_of(spec, 400)
         modes = [value for value, _ in extend(spec.base.cross_section, 200).entries]

@@ -15,7 +15,7 @@ from steklovwarp import (
     circle_spectrum,
     point_spectrum,
 )
-from steklovwarp import experiments
+from steklovwarp import experiments, sturm
 from steklovwarp.errors import ConfigError, DomainError, InfeasibleError, NumericError
 from steklovwarp.experiments import (
     EXPERIMENTS,
@@ -26,7 +26,9 @@ from steklovwarp.experiments import (
     normalize_volume,
     quasi_iso_check,
     ramp_phi_instance,
+    random_profile_pairs,
     run_kokarev_sweep,
+    run_quasi_iso,
 )
 from steklovwarp.profiles import power_fn
 
@@ -103,8 +105,9 @@ def test_kokarev_bound_allows_only_its_slack(monkeypatch):
 
 
 def test_quasi_iso_check_compares_at_least_one_eigenvalue(monkeypatch):
+    # every reduction, a walk's or a grouped first step, is a _ladder_eigenvalues call
     solves = []
-    monkeypatch.setattr(experiments, "first_eigenvalues", lambda *a, **kw: solves.append(a))
+    monkeypatch.setattr(sturm, "_ladder_eigenvalues", lambda *a, **kw: solves.append(a))
     spec = spec_for(PLATEAU_A, "volume_preserving", 2, 1)
     with pytest.raises(DomainError, match="k_max must be at least 1"):
         quasi_iso_check(spec, spec, k_max=0)
@@ -117,6 +120,25 @@ def test_ratio_bound_is_C_to_twice_the_dimension_plus_one(n, k, power):
     spec1, spec2 = (spec_for(w, "volume_preserving", n, k) for w in (PLATEAU_A, PLATEAU_B))
     result = quasi_iso_check(spec1, spec2, k_max=2, n_elements=100)
     assert result.ratio_bound == result.coefficient_ratio**power
+
+
+def test_bound_past_the_largest_float_is_inf_and_passes():
+    # C = 1.58e49 and m = 4: C^9 ~ 6e445 would overflow the float power
+    spec1, spec2 = (spec_for(WarpProfile(eps, 0.6, 1.0, symmetric=True), "volume_preserving", 3, 1)
+                    for eps in (1e-12, 0.1))
+    result = quasi_iso_check(spec1, spec2, k_max=2, n_elements=100)
+    assert result.coefficient_ratio == pytest.approx(1.58e49, rel=1e-2)
+    assert result.ratio_bound == math.inf
+    assert result.passed and result.first_violation is None
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_run_quasi_iso_equals_the_check_of_each_pair(seed):
+    # the pairs' specs are solved in one call, 200 of them in several chunks
+    cfg = ExperimentConfig(experiment="quasi_iso", seed=seed, pairs=100)
+    expected = [quasi_iso_check(spec1, spec2, cfg.k_max, n_elements=cfg.mesh)
+                for spec1, spec2 in random_profile_pairs(cfg)]
+    assert run_quasi_iso(cfg) == expected
 
 
 def ramp_cases(count, seed):

@@ -448,7 +448,8 @@ class TestFirstLadderLevel:
     g2 = y_B share exactly, so the result must equal the generic tree bit
     for bit: on even and odd element counts, one to 64 rows, conductances
     and shunts over eight orders of magnitude, and shunts that are exactly
-    zero (the mode-0 row of a problem without potential).
+    zero (the mode-0 row of a problem without potential). A cond with one
+    row per ladder must give each row what it gives alone.
     """
 
     @pytest.mark.parametrize("n_elements", [16, 17, 31, 400, 401])
@@ -471,6 +472,23 @@ class TestFirstLadderLevel:
         if zeros != "none":  # no potential on row 0: g1 = g2 = 0 and y the series conductance
             assert got[0][0] == got[2][0] == 0.0
             assert got[1][0] == pytest.approx(1.0 / np.sum(1.0 / cond), rel=1e-12)
+
+    @pytest.mark.parametrize("n_elements", [16, 17, 400, 401])
+    def test_rows_with_their_own_cond_equal_each_row_alone(self, n_elements):
+        # the grouped first steps of several problems stack their conductances by row
+        rng = np.random.default_rng(n_elements)
+        cond = 10.0 ** rng.uniform(-4.0, 4.0, (5, n_elements))
+        shunt = 10.0 ** rng.uniform(-4.0, 4.0, (5, n_elements + 1))
+        shunt[1] = 0.0
+        got = _reduce_ladder(cond, shunt)
+        for row in range(5):
+            alone = _reduce_ladder(cond[row], shunt[row : row + 1])
+            for g, a in zip(got, alone):
+                assert g[row : row + 1].tobytes() == a.tobytes()
+        # a shared 1-D cond gives the bytes of the same cond given to every row
+        shared = _reduce_ladder(cond[0], shunt)
+        stacked = _reduce_ladder(np.repeat(cond[:1], 5, axis=0), shunt)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(shared, stacked))
 
 
 class TestModePairs:
