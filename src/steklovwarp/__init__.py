@@ -9,9 +9,9 @@ construction of fixed-volume-element metrics with large spectral gap.
 
 from .assembler import (
     Sigma1Result,
+    discretize,
     first_eigenvalues,
     lower_bound_C,
-    metric_recipes,
     sigma1_construction,
     steklov_spectrum_warped,
 )
@@ -70,6 +70,7 @@ __all__ = [
     "WarpedMetricSpec",
     "base_dtn_spectrum",
     "circle_spectrum",
+    "discretize",
     "dtn_eigenvalues",
     "explicit_spectrum",
     "first_eigenvalues",
@@ -77,7 +78,6 @@ __all__ = [
     "graded_mesh",
     "lower_bound_C",
     "make_grid",
-    "metric_recipes",
     "point_spectrum",
     "sigma1_construction",
     "steklov_spectrum_warped",

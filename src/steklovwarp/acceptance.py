@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import sturm
-from .assembler import _discretize, first_eigenvalues, metric_recipes, surface_spec
+from .assembler import discretize, first_eigenvalues, metric_recipes, surface_spec
 from .experiments import (
     ExperimentConfig,
     normalize_volume,
@@ -217,7 +217,7 @@ def criterion_4_lambda_monotonicity() -> tuple[bool, str]:
     for profile in profiles:
         spec = WarpedMetricSpec(2, 1, profile, sturm.BaseGeometry(point_spectrum(), 1.0, "both"),
                                 circle_spectrum(TWO_PI, 2), "volume_preserving")
-        sigma0 = sturm.dtn_eigenvalues(_discretize(spec, 400), lambdas)[:, 0]
+        sigma0 = sturm.dtn_eigenvalues(discretize(spec, 400), lambdas)[:, 0]
         worst = max(worst, float(np.max(sigma0[:-1] - sigma0[1:])))
     return worst <= 1e-9, f"worst decrease {worst:.2e} (allowed 1e-9)"
 

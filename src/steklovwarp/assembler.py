@@ -98,17 +98,17 @@ _START_TOP = 1.0
 _MAX_DOUBLINGS = 60
 
 
-def _discretize(spec: WarpedMetricSpec, n_elements: int) -> SturmProblem:
+def discretize(spec: WarpedMetricSpec, n_elements: int) -> SturmProblem:
     """The collar's 1D family on a graded mesh; q is the fiber weight, lambda its eigenvalue.
 
-    Only here is a collar mirrored (see sturm): a symmetric WarpProfile on
-    its own collar with both ends Steklov is solved on its left half
-    [0, L/2], ending in a MirrorEnd, on half the elements, so each ramp gets
-    the whole's count. One power_fn call samples ln h once, at the nodes
-    followed by the element midpoints, and refuses a power h^p there that
-    would overflow. Its rows, q and w at the nodes, w at the midpoints and
-    the boundary weights, are bit for bit what metric_recipes' closures give
-    there, so the problem calls no closure.
+    Every solver here solves what this returns, and references read it. Only
+    here is a collar mirrored (see sturm): a symmetric WarpProfile on its own
+    collar with both ends Steklov is solved on its left half [0, L/2], ending
+    in a MirrorEnd, on half the elements, so each ramp gets the whole's count.
+    One power_fn call samples ln h once, at the nodes and then the element
+    midpoints, and refuses a power h^p that would overflow. Its rows, q and w
+    at the nodes, w at the midpoints and the boundary weights, are bit for bit
+    what metric_recipes' closures give there: the problem calls no closure.
     """
     warp, length, spans = spec.warp, spec.base.collar_length, transition_spans(spec.warp)
     if mirror := (isinstance(warp, profiles.WarpProfile) and warp.symmetric
@@ -137,7 +137,7 @@ def steklov_spectrum_warped(
     """
     fibers, modes = spec.fiber, spec.base.cross_section
     sturm.check_top(top, fibers, modes)
-    return sturm.walk_below(_discretize(spec, n_elements), fibers, modes, top, {})
+    return sturm.walk_below(discretize(spec, n_elements), fibers, modes, top, {})
 
 
 def first_eigenvalues(spec: WarpedMetricSpec, count: int, *, n_elements: int = 400):
@@ -199,7 +199,7 @@ def _doubling_plan(spec: WarpedMetricSpec, count: int, n_elements: int):
             )
         enough = min(enough, size)
         tops.append(math.inf)  # a walk of every pair, should the doubling end short
-    return _discretize(spec, n_elements), fibers, modes, enough, tops
+    return discretize(spec, n_elements), fibers, modes, enough, tops
 
 
 @dataclass(frozen=True)
@@ -227,7 +227,7 @@ def sigma1_construction(spec: WarpedMetricSpec, *, n_elements: int = 400) -> Sig
     """
     if spec.mode != "volume_preserving":
         raise DomainError("sigma1_construction expects a volume_preserving metric")
-    problem = _discretize(spec, n_elements)
+    problem = discretize(spec, n_elements)
     fiber = extend(spec.fiber, 2).entries
     if len(fiber) < 2:
         raise DomainError("the fiber spectrum has no nonzero eigenvalue lambda1")

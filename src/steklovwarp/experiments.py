@@ -395,12 +395,17 @@ class QuasiIsoResult:
 # the points of [0, L] at which metric_coefficient_ratio compares the warps
 _RATIO_SAMPLES = 512
 
+# C and C^(2m+1) are raised only where their logarithm stays this far below
+# that of the largest float, a margin far above the roundoff of (2m+1) ln C
+_LOG_MAX_BOUND = math.log(sys.float_info.max) - 1e-9
+
 
 def metric_coefficient_ratio(spec1: WarpedMetricSpec, spec2: WarpedMetricSpec) -> float:
     """Max pointwise ratio of corresponding metric coefficients over _RATIO_SAMPLES points t.
 
     The coefficients are powers h^p (p = 2 on the fiber, -2k/n or 0 on the
-    base), so the ratio is exp(max |p| * max_t |ln h1 - ln h2|).
+    base), so the ratio is exp(max |p| * max_t |ln h1 - ln h2|), or inf where
+    that passes the largest float.
     """
     if spec1.base.collar_length != spec2.base.collar_length:
         raise DomainError("specs must live on the same base interval")
@@ -411,15 +416,12 @@ def metric_coefficient_ratio(spec1: WarpedMetricSpec, spec2: WarpedMetricSpec) -
     top_power = max(2.0, 2.0 * k / n) if spec1.mode == "volume_preserving" else 2.0
     ts = np.linspace(0.0, spec1.base.collar_length, _RATIO_SAMPLES)
     gap = np.abs(log_value(spec1.warp, ts) - log_value(spec2.warp, ts))
-    return float(np.exp(top_power * gap.max()))
+    log_ratio = top_power * gap.max()
+    return float(np.exp(log_ratio)) if log_ratio < _LOG_MAX_BOUND else math.inf
 
 
 # slack on the ratio bound of quasi_iso_check, for the roundoff of two solves
 _QUASI_ISO_SLACK = 1e-9
-
-# C^(2m+1) is raised only where its logarithm stays this far below that of
-# the largest float, a margin far above the roundoff of (2m+1) ln C
-_LOG_MAX_BOUND = math.log(sys.float_info.max) - 1e-9
 
 
 def quasi_iso_check(

@@ -31,7 +31,7 @@ benchmark's tracer hooks it by name.
 A mirrored problem is the left half [0, L/2] of a collar whose
 coefficients are symmetric about its middle, with two Steklov ends of one
 weight; a MirrorEnd marks the middle as its right end. Only
-assembler._discretize decides that a collar is mirrored and builds its
+assembler.discretize decides that a collar is mirrored and builds its
 half; `collar_problem` builds whole collars. By Bartlett's bisection
 theorem (1927) the collar's eigenvalues are the half's with the middle
 open (even mode) and grounded (odd mode): one reduction of the half gives
@@ -143,7 +143,7 @@ class SturmProblem:
     transition_spans lists intervals that the mesh must resolve with at
     least MIN_ELEMENTS_PER_SPAN elements each.
     A MirrorEnd may only end it on the right: the problem is then the left
-    half of a mirrored collar (see assembler._discretize).
+    half of a mirrored collar (see assembler.discretize).
     """
 
     length: float
@@ -165,8 +165,6 @@ class SturmProblem:
         if nodes.ndim != 1 or len(nodes) < 2:
             raise DomainError("mesh must contain at least two nodes")
         check_span(nodes, self.length)
-        if (nodes[1:] <= nodes[:-1]).any():
-            raise DomainError("mesh nodes must be strictly increasing")
         object.__setattr__(self, "nodes", nodes)
 
     @cached_property
@@ -289,10 +287,12 @@ def graded_mesh(
 
 
 def check_span(nodes: np.ndarray, length: float) -> None:
-    """Check that the mesh runs from 0 to a finite length, up to roundoff; a NaN fails."""
+    """Check that strictly increasing nodes run from 0 to a finite length, up to roundoff."""
     end = abs(nodes[-1] - length) <= 1e-12 * max(length, 1.0)
     if not (math.isfinite(length) and abs(nodes[0]) <= 1e-14 and end):
         raise DomainError("mesh must span exactly [0, length]")
+    if not (nodes[1:] > nodes[:-1]).all():  # NaN fails the comparison
+        raise DomainError("mesh nodes must be strictly increasing")
 
 
 def check_mesh(nodes: np.ndarray, spans: tuple[tuple[float, float], ...]) -> None:
@@ -321,7 +321,7 @@ def collar_problem(
 ) -> SturmProblem:
     """The 1D family of a whole collar base on a mesh of it; its Steklov ends carry the weights.
 
-    A mirrored collar's left half is built by assembler._discretize alone.
+    A mirrored collar's left half is built by assembler.discretize alone.
     """
     ends = geom.steklov_ends
     left = SteklovEnd(boundary_weights[0]) if ends in ("both", "left") else NeumannEnd()

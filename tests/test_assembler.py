@@ -18,19 +18,18 @@ from steklovwarp import (
     WarpProfile,
     base_dtn_spectrum,
     circle_spectrum,
+    discretize,
     dtn_eigenvalues,
     explicit_spectrum,
     first_eigenvalues,
     flat_torus_spectrum,
-    graded_mesh,
     lower_bound_C,
-    metric_recipes,
     point_spectrum,
     sigma1_construction,
     steklov_spectrum_warped,
 )
 from steklovwarp import assembler, spectra, sturm
-from steklovwarp.assembler import first_eigenvalues_each
+from steklovwarp.assembler import first_eigenvalues_each, metric_recipes
 from steklovwarp.experiments import SPECTRUM_CSV_HEADER, sig12, spectrum_csv_lines
 from steklovwarp.profiles import log_value, power_fn
 from steklovwarp.provenance import merge_tagged
@@ -42,34 +41,34 @@ COTH1 = 1.0 / math.tanh(1.0)
 TANH2X2 = 2.0 * math.tanh(2.0)
 
 
-def cylinder_spec(length=2.0, fiber_length=TWO_PI, steklov_ends="both", warp=None,
-                  mode="plain_warp"):
+def cylinder_spec(length=2.0, fiber_length=TWO_PI, steklov_ends="both", mode="plain_warp"):
+    return assembler.surface_spec(lambda t: 1.0, length, fiber_length, steklov_ends, mode)
+
+
+def circle_spec(warp, mode="volume_preserving", steklov_ends="both", n=2, k=1):
+    """A unit collar with unit circle fiber and cross-section (lambda1 = mu1 = 1).
+
+    The 1D problems see the cross-section only through its spectrum, so the
+    circle stands in for the (n - 1)-dimensional cross-section of any n.
+    """
+    circle = circle_spectrum(TWO_PI, 4)
     return WarpedMetricSpec(
-        base_dim=1,
-        fiber_dim=1,
-        warp=warp if warp is not None else (lambda t: 1.0),
-        base=BaseGeometry(point_spectrum(), length, steklov_ends),
-        fiber=circle_spectrum(fiber_length, 8),
-        mode=mode,
+        base_dim=n, fiber_dim=k, warp=warp,
+        base=BaseGeometry(circle, 1.0, steklov_ends), fiber=circle, mode=mode,
     )
 
 
 def sweep_spec(eps, n=2, k=1, delta=2.0 / 3.0):
-    """Volume-preserving metric with unit circle fiber and cross-section (lambda1 = mu1 = 1).
+    """The volume-preserving circle_spec of a symmetric plateau; the defaults are the sweep's."""
+    return circle_spec(WarpProfile(eps, delta, 1.0, symmetric=True), n=n, k=k)
 
-    The defaults are the (n, k) = (2, 1), delta = 2/3 sweep metric. The 1D
-    problems see the cross-section only through its spectrum, so the circle
-    stands in for the (n - 1)-dimensional cross-section of any n.
-    """
-    circle = circle_spectrum(TWO_PI, 4)
-    return WarpedMetricSpec(
-        base_dim=n,
-        fiber_dim=k,
-        warp=WarpProfile(eps, delta, 1.0, symmetric=True),
-        base=BaseGeometry(circle, 1.0, "both"),
-        fiber=circle,
-        mode="volume_preserving",
-    )
+
+def recipe_branch(spec, lam, top, n_elements):
+    """base_dtn_spectrum at fiber eigenvalue lam, on metric_recipes' closures for spec."""
+    recipes = metric_recipes(spec)
+    return base_dtn_spectrum(spec.base, recipes.grad_weight, lam, recipes.inv_sq_weight, top,
+                             n_elements=n_elements, boundary_weights=recipes.boundary_weights,
+                             transition_spans=recipes.spans)
 
 
 class TestSteklovSpectrumWarped:
@@ -106,13 +105,7 @@ class TestSteklovSpectrumWarped:
         zero = spectrum.entries[0]
         assert zero.value == 0.0
         assert [(s.fiber_value, s.cross_value, s.branch) for s in zero.sources] == [(0.0, 0.0, 0)]
-        recipes = metric_recipes(spec)
-        branch = base_dtn_spectrum(
-            spec.base, recipes.grad_weight, 0.0, recipes.inv_sq_weight, top=5.0,
-            n_elements=1600, boundary_weights=recipes.boundary_weights,
-            transition_spans=recipes.spans,
-        )
-        assert branch.entries[0].value == 0.0
+        assert recipe_branch(spec, 0.0, 5.0, 1600).entries[0].value == 0.0
 
     def test_provenance_multiplicity_identity(self):
         spectrum = steklov_spectrum_warped(cylinder_spec(), top=3.0, n_elements=200)
@@ -132,20 +125,9 @@ class TestSteklovSpectrumWarped:
     @staticmethod
     def _collar_branch(warp, fiber_dim, lam, n_elements):
         """Auxiliary plain-warp spectrum on a unit collar with Steklov at both ends."""
-        spec = WarpedMetricSpec(
-            base_dim=1,
-            fiber_dim=fiber_dim,
-            warp=warp,
-            base=BaseGeometry(point_spectrum(), 1.0, "both"),
-            fiber=circle_spectrum(TWO_PI, 8),
-            mode="plain_warp",
-        )
-        recipes = metric_recipes(spec)
-        return base_dtn_spectrum(
-            spec.base, recipes.grad_weight, lam, recipes.inv_sq_weight,
-            top=1e3, n_elements=n_elements,
-            boundary_weights=recipes.boundary_weights,
-        ).flatten()
+        spec = assembler.surface_spec(warp, 1.0, TWO_PI, "both", "plain_warp")
+        return recipe_branch(dataclasses.replace(spec, fiber_dim=fiber_dim), lam, 1e3,
+                             n_elements).flatten()
 
     def test_plain_warp_fiber_term_domination(self):
         # The auxiliary eigenvalues are the min-max values of
@@ -319,7 +301,7 @@ class TestFirstEigenvaluesEach:
 
     def test_equals_each_spec_alone(self, monkeypatch):
         specs, count, n_elements = self._mixed_specs(), 7, 120
-        problems = [assembler._discretize(spec, n_elements) for spec in specs]
+        problems = [discretize(spec, n_elements) for spec in specs]
         assert sum(isinstance(p.right_bc, sturm.MirrorEnd) for p in problems) == 6
         assert len({len(p.nodes) for p in problems}) > 2
         alone = [_fingerprint(first_eigenvalues(spec, count, n_elements=n_elements))
@@ -336,7 +318,7 @@ class TestFirstEigenvaluesEach:
         assert len(chunks) > 1 and max(chunks) <= sturm._MAX_GROUP_ROWS
 
     def test_first_step_rows_are_those_of_dtn_eigenvalues(self):
-        walks = [(assembler._discretize(spec, 120), spec.fiber, spec.base.cross_section)
+        walks = [(discretize(spec, 120), spec.fiber, spec.base.cross_section)
                  for spec in self._mixed_specs()]
         for (problem, fibers, modes), cache in zip(walks, sturm.first_steps(walks)):
             lam = [value for value, _ in fibers.take(0, 8)]
@@ -356,34 +338,23 @@ def _fingerprint(result):
     return repr([(e.value, e.multiplicity, e.sources) for e in result.entries])
 
 
-def collar_of(spec, n_elements, mirror=False, nodes=None):
-    """The collar problem built from metric_recipes' closures on graded_mesh, or on nodes.
+def collar_of(spec, problem, whole=False):
+    """The closure twin of a solved problem: metric_recipes' closures on its nodes and ends.
 
-    A mirror is the left half [0, L/2] on half the elements, with the spans there,
-    ending in a MirrorEnd.
+    Its Steklov ends carry the closures' boundary weights. With whole, it is
+    the whole collar, with two Steklov ends, on the mesh a mirrored problem
+    solves: its half and the reflection of it.
     """
     recipes = metric_recipes(spec)
-    length, spans = spec.base.collar_length, recipes.spans
-    if mirror:
-        length, n_elements = length / 2.0, n_elements / 2.0
-        spans = tuple(span for span in spans if span[1] <= length)
-    if nodes is None:
-        nodes = graded_mesh(length, n_elements, spans)
-    if mirror:
-        return sturm.SturmProblem(
-            length, recipes.grad_weight, recipes.inv_sq_weight,
-            sturm.SteklovEnd(recipes.boundary_weights[0]), sturm.MirrorEnd(), nodes, spans,
-        )
-    return sturm.collar_problem(
-        spec.base, recipes.grad_weight, recipes.inv_sq_weight, nodes=nodes,
-        boundary_weights=recipes.boundary_weights, transition_spans=spans,
-    )
-
-
-def reflected_nodes(problem):
-    """The whole mesh that a mirrored problem solves: its half and the reflection of it."""
-    half = problem.nodes
-    return np.concatenate((half, 2.0 * half[-1] - half[-2::-1]))
+    nodes, spans, left = problem.nodes, problem.transition_spans, problem.left_bc
+    ends = (left, problem.right_bc)
+    if whole:
+        nodes = np.concatenate((nodes, 2.0 * nodes[-1] - nodes[-2::-1]))
+        spans, ends = recipes.spans, (left, left)
+    left, right = (sturm.SteklovEnd(weight) if isinstance(bc, sturm.SteklovEnd) else bc
+                   for bc, weight in zip(ends, recipes.boundary_weights))
+    return sturm.SturmProblem(nodes[-1], recipes.grad_weight, recipes.inv_sq_weight, left, right,
+                              nodes, spans)
 
 
 class TestCollarSampling:
@@ -403,14 +374,6 @@ class TestCollarSampling:
 
         return warp, calls
 
-    @staticmethod
-    def _spec(warp, mode="volume_preserving", steklov_ends="both", n=2, k=1):
-        circle = circle_spectrum(TWO_PI, 4)
-        return WarpedMetricSpec(
-            base_dim=n, fiber_dim=k, warp=warp,
-            base=BaseGeometry(circle, 1.0, steklov_ends), fiber=circle, mode=mode,
-        )
-
     @pytest.mark.parametrize("solve", [
         lambda spec: sigma1_construction(spec, n_elements=120),
         lambda spec: first_eigenvalues(spec, 12, n_elements=120),
@@ -418,9 +381,10 @@ class TestCollarSampling:
     ], ids=["sigma1", "first", "spectrum"])
     def test_one_evaluation_per_collar(self, solve):
         warp, calls = self._counted_bump()
-        solve(self._spec(warp))
-        nodes = graded_mesh(1.0, 120)
+        spec = circle_spec(warp)
+        solve(spec)
         assert len(calls) == 1
+        nodes = discretize(spec, 120).nodes
         points = np.concatenate((nodes, 0.5 * (nodes[:-1] + nodes[1:])))
         assert calls[0].tobytes() == points.tobytes()
 
@@ -434,7 +398,7 @@ class TestCollarSampling:
     def test_collar_calls_one_closure(self, monkeypatch, solve, warp):
         # the closures of a single power describe the problem, but its samples
         # all come from one call of power_fn's closure with every power
-        spec = self._spec(warp)
+        spec = circle_spec(warp)
         expected = solve(spec)
         calls = []
 
@@ -461,13 +425,12 @@ class TestCollarSampling:
     @pytest.mark.parametrize("steklov_ends", ["both", "left", "right"])
     def test_samples_equal_closure_samples(self, warp, mode, steklov_ends):
         # a mirrored collar is its left half, and the closures are sampled there
-        spec = self._spec(warp, mode, steklov_ends, n=3, k=2)
-        got = assembler._discretize(spec, 400)
+        spec = circle_spec(warp, mode, steklov_ends, n=3, k=2)
+        got = discretize(spec, 400)
         mirror = steklov_ends == "both" and getattr(warp, "symmetric", False)
         assert isinstance(got.right_bc, sturm.MirrorEnd) == mirror
         assert got.nodes[-1] == (0.5 if mirror else 1.0)
-        expected = collar_of(spec, 400, mirror)
-        assert got.nodes.tobytes() == expected.nodes.tobytes()
+        expected = collar_of(spec, got)
         for name in ("cond", "q_node", "w_node", "lump"):
             assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
         assert (got.left_bc, got.right_bc) == (expected.left_bc, expected.right_bc)
@@ -500,7 +463,7 @@ def per_pair_walk(spec, top, n_elements):
     the number of fiber branches below top and the last mode position read
     below top.
     """
-    problem = assembler._discretize(spec, n_elements)
+    problem = discretize(spec, n_elements)
     tagged, branches, last_mode = [], 0, 0
     for fiber_value, fiber_mult in entries_of(spec.fiber):
         branch = []
@@ -571,7 +534,7 @@ class TestBlockedWalk:
         if cross != "point":
             fiber_5 = extend(spec.fiber, 6).entries[5][0]
             mode_24 = extend(spec.base.cross_section, 25).entries[24][0]
-            problem = assembler._discretize(spec, self.N_ELEMENTS)
+            problem = discretize(spec, self.N_ELEMENTS)
             edge = dtn_eigenvalues(problem, fiber_5, mode_24)[0]
             tops.append(float(np.nextafter(edge, 0.0)))
         walks = {}
@@ -733,14 +696,9 @@ class TestDecomposition:
                 by_fiber.setdefault((s.fiber_value, s.fiber_mult), []).append(
                     (s.cross_value, s.branch, s.multiplicity, entry.value)
                 )
-        recipes = metric_recipes(spec)
         walked = 0
         for lam, fiber_mult in entries_of(spec.fiber):
-            branch = base_dtn_spectrum(
-                spec.base, recipes.grad_weight, lam, recipes.inv_sq_weight, top,
-                n_elements=n_elements, boundary_weights=recipes.boundary_weights,
-                transition_spans=recipes.spans,
-            )
+            branch = recipe_branch(spec, lam, top, n_elements)
             expected = sorted(
                 (s.cross_value, s.branch, s.multiplicity * fiber_mult, entry.value)
                 for entry in branch.entries
@@ -833,7 +791,7 @@ class TestRowReuse:
         self._assert_each_pair_once(spied)
         pairs = spied[0]
         assert len(pairs) <= 1100
-        problem = collar_of(spec, 400)
+        problem = discretize(spec, 400)
         modes = [value for value, _ in extend(spec.base.cross_section, 200).entries]
         position = {mu: j for j, mu in enumerate(modes)}
         read = {}
@@ -922,7 +880,7 @@ class TestSigma1Construction:
         spec = assembler.surface_spec(WarpProfile(eps, 0.6, 1.0, symmetric=True), 1.0, TWO_PI,
                                       "both", "volume_preserving")
         result = sigma1_construction(spec)
-        rows = dtn_eigenvalues(assembler._discretize(spec, 400), [1.0, 0.0], 0.0)
+        rows = dtn_eigenvalues(discretize(spec, 400), [1.0, 0.0], 0.0)
         assert (result.branch_lambda0, result.branch_lambda1) == (rows[1, 1], rows[0, 0])
         assert result.value == min(rows[1, 1], rows[0, 0])
         assert 0.0 < result.value < math.inf
@@ -930,15 +888,21 @@ class TestSigma1Construction:
     @pytest.mark.parametrize("symmetric", [True, False], ids=["plateau", "ramp"])
     @pytest.mark.parametrize("cross", ["point", "circle", "torus"])
     @pytest.mark.parametrize("steklov_ends", ["both", "left", "right"])
-    def test_equals_first_nonzero_eigenvalue_of_the_spectrum(self, steklov_ends, cross, symmetric):
-        # sigma1_construction reduces three (lambda, mu) pairs; the spectrum
-        # walks every pair below its top, and must find the same value
-        # behind the exact zero
+    def test_equals_first_nonzero_eigenvalue_of_the_spectrum(self, monkeypatch, steklov_ends,
+                                                             cross, symmetric):
+        # sigma1_construction reduces three (lambda, mu) pairs of discretize's
+        # problem, mirrored or whole, bit for bit; the spectrum walks every
+        # pair below its top, and must find the same value behind the exact zero
         n, cross_section = {
             "point": (1, point_spectrum()),
             "circle": (2, circle_spectrum(TWO_PI, 8)),
             "torus": (3, flat_torus_spectrum(1.0, 1.3, 8)),
         }[cross]
+        modes = extend(cross_section, 2).entries
+        mu1 = modes[1][0] if len(modes) > 1 else 0.0
+        reduced, reduce = [], sturm.dtn_eigenvalues
+        monkeypatch.setattr(sturm, "dtn_eigenvalues",
+                            lambda *args: reduced.append(reduce(*args)) or reduced[-1])
         for eps in (5e-2, 1e-2, 1e-3):
             spec = WarpedMetricSpec(
                 base_dim=n,
@@ -948,10 +912,29 @@ class TestSigma1Construction:
                 fiber=circle_spectrum(TWO_PI, 8),
                 mode="volume_preserving",
             )
+            problem = discretize(spec, 400)
+            assert isinstance(problem.right_bc, sturm.MirrorEnd) == (symmetric
+                                                                     and steklov_ends == "both")
+            reduced.clear()
             sigma1 = sigma1_construction(spec).value
+            (rows,) = reduced  # lambda1 = 1 on the unit circle fiber
+            assert rows.tobytes() == reduce(problem, [1.0, 0.0, 0.0], [0.0, 0.0, mu1]).tobytes()
             entries = steklov_spectrum_warped(spec, 1.5 * sigma1).entries
             assert entries[0].value == 0.0
             assert entries[1].value == sigma1, eps
+
+
+def mode00_value(spec, problem):
+    """Nonzero eigenvalue 2 G / b0 of mode (0, 0) on a mirrored half of a volume_preserving metric.
+
+    G is the series conductance of the half and its reflection, w = h^(2k/n) at
+    the element midpoints, and b0 = h^(k/n) the weight of each end.
+    """
+    nodes, k_over_n = problem.nodes, spec.fiber_dim / spec.base_dim
+    assert isinstance(problem.right_bc, sturm.MirrorEnd)
+    w_mid = power_fn(spec.warp, 2.0 * k_over_n)(0.5 * (nodes[:-1] + nodes[1:]))
+    b0 = power_fn(spec.warp, k_over_n)(0.0)
+    return 2.0 / b0 / np.sum(2.0 * np.diff(nodes) / w_mid)
 
 
 def reflected_ladder(problem):
@@ -988,8 +971,9 @@ class TestMirror:
     DIMS = ((1, 1), (2, 1), (3, 2))
     VALUES = (0.0, 1.0, 100.0, 1e4)
     LAM, MU = (np.ravel(a) for a in np.meshgrid(VALUES, VALUES))  # row 0 is mode (0, 0)
-    # 300, 301 and 302 elements: an odd count gives the half a float count
-    N_ELEMENTS = (300, 301, 302)
+    # 300, 301 and 302 elements: an odd count gives the half a float count;
+    # 260 ties two segment counts at eps = 0.025 (test_tied_segment_counts_keep_the_mirror)
+    N_ELEMENTS = (260, 300, 301, 302)
 
     @classmethod
     def _problems(cls, epsilons=EPSILONS):
@@ -998,11 +982,11 @@ class TestMirror:
                 cls.DIMS, ("plain_warp", "volume_preserving"), cls.N_ELEMENTS
             ):
                 spec = dataclasses.replace(sweep_spec(eps, n, k), mode=mode)
-                yield eps, spec, n_elements, assembler._discretize(spec, n_elements)
+                yield eps, spec, discretize(spec, n_elements)
 
     def test_rows_are_the_reflected_ladders(self):
         # the whole ladder is built from the half's samples alone, with no t
-        for eps, _, _, problem in self._problems(self.EPSILONS + self.SMALL_EPSILONS):
+        for eps, _, problem in self._problems(self.EPSILONS + self.SMALL_EPSILONS):
             assert isinstance(problem.right_bc, sturm.MirrorEnd)
             assert problem.nodes[0] == 0.0 and problem.nodes[-1] == 0.5
             got = dtn_eigenvalues(problem, self.LAM, self.MU)
@@ -1019,27 +1003,12 @@ class TestMirror:
         # 2.4e-12 at 1e-4
         # (test_whole_collar_departs_by_its_right_half_rounding); the
         # mirror reads no L - t (test_rows_are_the_reflected_ladders).
-        for eps, spec, n_elements, problem in self._problems():
+        for eps, spec, problem in self._problems():
             got = dtn_eigenvalues(problem, self.LAM, self.MU)
-            whole = collar_of(spec, n_elements, nodes=reflected_nodes(problem))
-            whole = dtn_eigenvalues(whole, self.LAM, self.MU)
+            whole = dtn_eigenvalues(collar_of(spec, problem, whole=True), self.LAM, self.MU)
             assert whole[0, 0] == 0.0
             rtol = 1e-13 if eps >= 1e-2 else 1e-11
             np.testing.assert_allclose(got, whole, rtol=rtol, atol=0.0, err_msg=str(eps))
-
-    def test_rows_near_the_whole_graded_mesh(self):
-        # graded_mesh(L, n) gives each ramp the half's counts; where its
-        # element count is even and untied it is the reflected half up to
-        # rounding, and where it is odd one element straddled the middle and
-        # only the plateau moves
-        for eps, spec, n_elements, problem in self._problems():
-            got = dtn_eigenvalues(problem, self.LAM, self.MU)
-            whole = collar_of(spec, n_elements)
-            same = len(whole.nodes) == len(reflected_nodes(problem))
-            assert same or len(whole.nodes) % 2 == 0  # an odd element count
-            rtol = 1e-9 if not same else 1e-13 if eps >= 1e-2 else 1e-11
-            np.testing.assert_allclose(got, dtn_eigenvalues(whole, self.LAM, self.MU),
-                                       rtol=rtol, atol=0.0, err_msg=str((eps, n_elements)))
 
     def test_whole_collar_departs_by_its_right_half_rounding(self):
         # The whole collar on the reflected mesh and the mirror's reflected
@@ -1052,8 +1021,8 @@ class TestMirror:
         # factor, which bounds how far the whole collar's rows may depart
         # from the mirror's.
         worst = dict.fromkeys(self.EPSILONS, 0.0)
-        for eps, spec, n_elements, problem in self._problems():
-            whole = collar_of(spec, n_elements, nodes=reflected_nodes(problem))
+        for eps, spec, problem in self._problems():
+            whole = collar_of(spec, problem, whole=True)
             cond, shunts = reflected_ladder(problem)
             left = len(problem.cond)
             assert whole.cond[:left].tobytes() == cond[:left].tobytes()
@@ -1077,16 +1046,11 @@ class TestMirror:
         # conductance G of the reflected half, twice the half's resistance
         for eps in 10.0 ** -np.arange(1, 13):
             spec = sweep_spec(eps, n, k)
-            problem = assembler._discretize(spec, 400)
-            nodes = problem.nodes
-            assert nodes[-1] == 0.5
-            mid = 0.5 * (nodes[:-1] + nodes[1:])
-            w_mid = power_fn(spec.warp, 2.0 * k / n)(mid)
-            b0 = power_fn(spec.warp, k / n)(0.0)
-            expected = 2.0 / b0 / np.sum(2.0 * np.diff(nodes) / w_mid)
+            problem = discretize(spec, 400)
+            assert problem.nodes[-1] == 0.5
             zero, value = dtn_eigenvalues(problem, 0.0, 0.0)
             assert zero == 0.0
-            assert value == pytest.approx(expected, rel=1e-13, abs=0.0), eps
+            assert value == pytest.approx(mode00_value(spec, problem), rel=1e-13, abs=0.0), eps
 
     @pytest.mark.parametrize("warp, steklov_ends", [
         (WarpProfile(0.05, 2.0 / 3.0, 1.0, symmetric=True), "left"),
@@ -1096,47 +1060,39 @@ class TestMirror:
         (lambda t: 1.0, "both"),
     ], ids=["left", "right", "one-sided", "bump", "unit"])
     def test_other_warps_keep_the_whole_ladder(self, warp, steklov_ends):
-        spec = TestCollarSampling._spec(warp, steklov_ends=steklov_ends)
-        problem = assembler._discretize(spec, 300)
+        spec = circle_spec(warp, steklov_ends=steklov_ends)
+        problem = discretize(spec, 300)
         assert not isinstance(problem.right_bc, sturm.MirrorEnd)
         assert problem.nodes[-1] == 1.0
         assert len(problem.cond) == len(problem.nodes) - 1
-        expected = dtn_eigenvalues(collar_of(spec, 300), self.LAM, self.MU)
+        expected = dtn_eigenvalues(collar_of(spec, problem), self.LAM, self.MU)
         assert dtn_eigenvalues(problem, self.LAM, self.MU).tobytes() == expected.tobytes()
 
     def test_tied_segment_counts_keep_the_mirror(self):
         # at 260 elements [eps, 2 eps] holds rint(6.5) = 6 elements' length and
         # [L - 2 eps, L - eps] rint(6.50000000000000577) = 7; graded_mesh gives
-        # the whole mesh both 7, and the half, which has no mirror image to
-        # tie, keeps 6
-        spec = sweep_spec(0.025)
-        problem = assembler._discretize(spec, 260)
+        # the whole mesh both 7, and the half, with no mirror image to tie,
+        # keeps 6; the tests over _problems check its rows
+        problem = discretize(sweep_spec(0.025), 260)
         assert isinstance(problem.right_bc, sturm.MirrorEnd)
         nodes = problem.nodes
         assert np.count_nonzero((nodes > 0.025) & (nodes < 0.05)) == 5  # 6 elements
-        got = dtn_eigenvalues(problem, self.LAM, self.MU)
-        assert got[0, 0] == 0.0
-        np.testing.assert_allclose(got, reflected_eigenvalues(problem, self.LAM, self.MU),
-                                   rtol=1e-13, atol=0.0)
-        whole = collar_of(spec, 260, nodes=reflected_nodes(problem))
-        np.testing.assert_allclose(got, dtn_eigenvalues(whole, self.LAM, self.MU),
-                                   rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("symmetric", [True, False], ids=["mirror", "whole"])
     @pytest.mark.parametrize("n_elements", [260, 301])
     def test_sigma1_counts_the_whole_collars_elements(self, symmetric, n_elements):
         # the sweep's mesh_size: a mirrored half stands for twice its elements
-        spec = TestCollarSampling._spec(WarpProfile(0.025, 2.0 / 3.0, 1.0, symmetric=symmetric))
-        problem = assembler._discretize(spec, n_elements)
+        spec = circle_spec(WarpProfile(0.025, 2.0 / 3.0, 1.0, symmetric=symmetric))
+        problem = discretize(spec, n_elements)
         assert isinstance(problem.right_bc, sturm.MirrorEnd) == symmetric
         result = sigma1_construction(spec, n_elements=n_elements)
         assert result.n_elements == (len(problem.nodes) - 1) * (2 if symmetric else 1)
 
     def test_profile_on_a_shorter_collar_refused(self):
         # its left half lies inside the profile's collar, the whole does not
-        spec = TestCollarSampling._spec(WarpProfile(0.05, 2.0 / 3.0, 0.8, symmetric=True))
+        spec = circle_spec(WarpProfile(0.05, 2.0 / 3.0, 0.8, symmetric=True))
         with pytest.raises(DomainError, match="outside the collar"):
-            assembler._discretize(spec, 300)
+            discretize(spec, 300)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("eps", [1e-100, 1e-160, 1e-200])
@@ -1152,7 +1108,8 @@ class TestMirror:
     def test_overflowing_midpoint_power_refused(self):
         # h = 1e200 at one element midpoint only: the nodes' ln h is 0, and
         # h^2 overflowed in w_mid, with a warning, before the test saw it
-        nodes = graded_mesh(1.0, 64)
+        unit = assembler.surface_spec(lambda t: 1.0, 1.0, TWO_PI, "both", "volume_preserving")
+        nodes = discretize(unit, 64).nodes  # the spiked warp's mesh too: neither has spans
         spike = 0.5 * (nodes[20] + nodes[21])
         spec = assembler.surface_spec(lambda t: np.where(t == spike, 1e200, 1.0), 1.0, TWO_PI,
                                       "both", "volume_preserving")
@@ -1163,11 +1120,11 @@ class TestMirror:
     def test_underflowing_power_answered(self):
         # (n, k) = (6, 1): h^-2 underflows to q = 0 on the far plateau, where
         # ln h = -2 ln eps = 391, while w = h^(1/3) and h^(1/6) stay finite
-        spec = TestCollarSampling._spec(WarpProfile(1e-85, 0.5, 1.0, symmetric=False),
+        spec = circle_spec(WarpProfile(1e-85, 0.5, 1.0, symmetric=False),
                                         steklov_ends="left", n=6, k=1)
-        problem = assembler._discretize(spec, 64)
+        problem = discretize(spec, 64)
         assert problem.q_node.min() == 0.0
-        expected = dtn_eigenvalues(collar_of(spec, 64), self.LAM, self.MU)
+        expected = dtn_eigenvalues(collar_of(spec, problem), self.LAM, self.MU)
         assert dtn_eigenvalues(problem, self.LAM, self.MU).tobytes() == expected.tobytes()
         assert sigma1_construction(spec, n_elements=64).value == pytest.approx(1.0964504873, 1e-9)
 
@@ -1179,7 +1136,7 @@ class TestMirror:
         # (3.7e180 at n = 2, eps = 1e-60), where a product of two conductances
         # in the reduction overflowed and sigma1 came out NaN; at n = 2,
         # eps = 1e-150 w/dt itself overflowed
-        spec = TestCollarSampling._spec(WarpProfile(eps, 0.5, 1.0, symmetric=False),
+        spec = circle_spec(WarpProfile(eps, 0.5, 1.0, symmetric=False),
                                         steklov_ends="left", n=n, k=1)
         with pytest.raises(NumericError, match="conductance"):
             sigma1_construction(spec, n_elements=64)
@@ -1192,7 +1149,7 @@ class TestMirror:
     ])
     def test_primed_samples_checked(self, q, w, w_mid, match):
         # each bad sample is the half's last one, at or next to the middle
-        problem = collar_of(sweep_spec(0.05), 300, mirror=True)
+        problem = discretize(sweep_spec(0.05), 300)
         assert problem.nodes[-1] == 0.5
         n = len(problem.nodes)
         samples = np.ones(n), np.ones(n), np.ones(n - 1)
@@ -1207,22 +1164,13 @@ class TestSmallEpsilonGate:
 
     It must lie above the paper's divergent constant lower_bound_C and below
     the nonzero eigenvalue G (1/b0 + 1/b1) of mode (0, 0), which is a
-    candidate of branch (a); G = 1 / sum(dt / w_mid) on the mesh, w = h and
-    b = h^(1/2) = 1 at the ends. The upper bound is hit exactly when that
-    mode is the minimizer, so it allows the roundoff of the reduction.
+    candidate of branch (a), on the solver's mesh (mode00_value): G = 1 /
+    sum(dt / w_mid), w = h and b = h^(1/2) = 1 at the ends. The upper bound
+    is hit exactly when that mode is the minimizer, so it allows the
+    roundoff of the reduction.
     """
 
     EPSILONS = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
-
-    @staticmethod
-    def _mode00_value(spec, n_elements):
-        warp = spec.warp
-        nodes = graded_mesh(1.0, n_elements, warp.transition_intervals())
-        mid = 0.5 * (nodes[:-1] + nodes[1:])
-        w_mid = power_fn(warp, 1.0)(mid)
-        conductance = 1.0 / np.sum(np.diff(nodes) / w_mid)
-        b0, b1 = power_fn(warp, 0.5)(np.array([0.0, 1.0]))
-        return conductance * (1.0 / b0 + 1.0 / b1)
 
     @pytest.mark.parametrize("n_elements", [400, 1600, 6400])
     def test_gap_bounded_and_rising(self, n_elements):
@@ -1231,7 +1179,7 @@ class TestSmallEpsilonGate:
             spec = sweep_spec(eps)
             sigma1 = sigma1_construction(spec, n_elements=n_elements).value
             low = lower_bound_C(eps, 2.0 / 3.0, 2, 1, 1.0)
-            high = self._mode00_value(spec, n_elements) * (1.0 + 1e-12)
+            high = mode00_value(spec, discretize(spec, n_elements)) * (1.0 + 1e-12)
             assert low <= sigma1 <= high, (eps, sigma1, low, high)
             sigmas.append(sigma1)
         assert all(b > a for a, b in zip(sigmas, sigmas[1:])), sigmas
@@ -1292,34 +1240,26 @@ class TestLowerBoundC:
     @pytest.mark.parametrize("n, k, delta", FAMILIES)
     def test_rayleigh_upper_bounds_and_their_rates(self, n, k, delta):
         # The two test functions of lower_bound_C's docstring, evaluated here
-        # from the mesh and the warp: the (0, 0) mode gives
+        # from the solver's mesh and the warp: the (0, 0) mode gives
         #   U_a = (1/b0 + 1/b1) / sum_e dt_e / h(t_mid)^(2k/n),
-        # the nonzero eigenvalue of that mode on the discrete ladder, and the
-        # fiber-lambda1 mode, constant along the base, has the quotient
+        # the nonzero eigenvalue of that mode on the discrete ladder
+        # (mode00_value), and the fiber-lambda1 mode, constant along the
+        # base, has the quotient
         #   U_b = lambda1 sum_i h(t_i)^-2 lump_i / (b0 + b1),
         # with b = h^(k/n) at the ends and lambda1 = 1. Their rates in eps
         # are the exponents of lower_bound_C. The symmetric collar's ladder
-        # is its left half and that half's reflection, so the sums run over
-        # the left half, doubled: a node or element on the middle counts once.
+        # is its left half and that half's reflection, so U_b's sum is twice
+        # the half's, on which the middle node keeps half its lump.
         epsilons = 10.0 ** -np.arange(4, 11)
         bounds = []
         for eps in epsilons:
             spec = sweep_spec(eps, n, k, delta)
-            warp = spec.warp
-            nodes = graded_mesh(1.0, 400, warp.transition_intervals())
-            middle = (len(nodes) - 1) / 2.0  # in node positions
-
-            def twice(positions):
-                return np.select([positions < middle, positions == middle], [2.0, 1.0])
-
-            dt = np.diff(nodes)
+            problem = discretize(spec, 400)
+            nodes, dt = problem.nodes, np.diff(problem.nodes)
             lump = np.concatenate((dt / 2.0, [0.0])) + np.concatenate(([0.0], dt / 2.0))
-            b0 = b1 = power_fn(warp, k / n)(0.0)
-            h_mid = power_fn(warp, 1.0)(0.5 * (nodes[:-1] + nodes[1:]))
-            series = twice(np.arange(len(dt)) + 0.5) * dt / h_mid ** (2.0 * k / n)
-            u_a = (1.0 / b0 + 1.0 / b1) / np.sum(series)
-            fiber_term = twice(np.arange(len(nodes))) * power_fn(warp, -2.0)(nodes) * lump
-            u_b = np.sum(fiber_term) / (b0 + b1)
+            b0 = b1 = power_fn(spec.warp, k / n)(0.0)
+            u_a = mode00_value(spec, problem)
+            u_b = 2.0 * np.sum(power_fn(spec.warp, -2.0)(nodes) * lump) / (b0 + b1)
             sigma1 = sigma1_construction(spec, n_elements=400).value
             assert sigma1 <= u_a * (1.0 + 1e-12), eps
             assert sigma1 <= u_b * (1.0 + 1e-12), eps

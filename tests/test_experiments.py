@@ -132,6 +132,16 @@ def test_bound_past_the_largest_float_is_inf_and_passes():
     assert result.passed and result.first_violation is None
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ratio_past_the_largest_float_is_inf():
+    # ln h apart by about 740: exp(2 * 740) overflowed, with a warning, before the solve's check
+    spec1, spec2 = (spec_for(WarpProfile(eps, 0.6, 1.0, symmetric=True), "volume_preserving", 3, 1)
+                    for eps in (1e-160, 0.1))
+    assert metric_coefficient_ratio(spec1, spec2) == math.inf
+    with pytest.raises(NumericError, match=r"a conductance w/dt reaches 2\^512"):
+        quasi_iso_check(spec1, spec2, k_max=2)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_run_quasi_iso_equals_the_check_of_each_pair(seed):
     # the pairs' specs are solved in one call, 200 of them in several chunks

@@ -16,10 +16,10 @@ from steklovwarp import (
     RevolutionGrid,
     WarpedMetricSpec,
     WarpProfile,
-    metric_recipes,
     point_spectrum,
 )
 from steklovwarp import oracle, sturm
+from steklovwarp.assembler import metric_recipes
 from steklovwarp.linalg import dtn_matrix, sym_eig
 from steklovwarp.oracle import (
     _RUN_RTOL,

@@ -21,11 +21,14 @@ from steklovwarp import (
     DomainError,
     MeshResolutionError,
     NeumannEnd,
+    RevolutionGrid,
     SteklovEnd,
     SturmProblem,
+    WarpedMetricSpec,
     WarpProfile,
     base_dtn_spectrum,
     circle_spectrum,
+    discretize,
     dtn_eigenvalues,
     explicit_spectrum,
     graded_mesh,
@@ -126,6 +129,23 @@ class TestGradedMesh:
         assert np.count_nonzero((nodes > 0.95) & (nodes < 0.975)) == 6
         assert np.abs(nodes + nodes[::-1] - 1.0).max() <= 1e-12
 
+    def test_half_of_symmetric_cuts_gives_each_ramp_the_whole_count(self):
+        # n/2 elements on the left half of symmetric cuts, reflected, are
+        # graded_mesh(L, n) up to rounding, but for the middle segment's nodes
+        # where the whole count is odd and one element straddles the middle
+        for eps in (0.1, 0.05, 0.025, 1e-2, 1e-3, 1e-4):
+            spans = WarpProfile(eps, 2.0 / 3.0, 1.0, symmetric=True).transition_intervals()
+            for n_elements in (300, 301, 302):
+                half = graded_mesh(0.5, n_elements / 2.0, spans[:2])
+                reflected = np.concatenate((half, 1.0 - half[-2::-1]))
+                whole = graded_mesh(1.0, n_elements, spans)
+                if len(whole) != len(reflected):
+                    assert len(whole) % 2 == 0  # an odd element count
+                    ramps = np.count_nonzero(half <= 3.0 * eps)  # the nodes before the middle
+                    whole, reflected = (np.concatenate((x[:ramps], x[-ramps:]))
+                                        for x in (whole, reflected))
+                assert np.abs(whole - reflected).max() <= np.spacing(1.0), (eps, n_elements)
+
 
 def segment_loop_mesh(length, n_elements, spans):
     """graded_mesh as a loop over the segments cut by the span ends: the reference."""
@@ -204,6 +224,21 @@ class TestAssemble:
         with pytest.raises(DomainError, match=r"mesh must span exactly \[0, length\]"):
             SturmProblem(length, lambda t: 1.0, lambda t: 0.0, SteklovEnd(), SteklovEnd(),
                          graded_mesh(1.0, 32))
+
+    @pytest.mark.parametrize("spoil", ["nan", "swapped"])
+    def test_mesh_nodes_must_increase(self, spoil):
+        # one check for the 1D problem and the oracle's grid, before any solve:
+        # a NaN node gave the problem [nan, nan] and the grid a spectrum, with
+        # no warning; a swapped pair made the ring elimination raise NumericError
+        nodes = graded_mesh(1.0, 40)
+        if spoil == "nan":
+            nodes[5] = math.nan
+        else:
+            nodes[[5, 6]] = nodes[[6, 5]]
+        with pytest.raises(DomainError, match="mesh nodes must be strictly increasing"):
+            SturmProblem(1.0, lambda t: 1.0, lambda t: 1.0, SteklovEnd(), SteklovEnd(), nodes)
+        with pytest.raises(DomainError, match="mesh nodes must be strictly increasing"):
+            RevolutionGrid(nodes, 16, 1.0, 2.0 * math.pi, lambda t: 1.5)
 
     @pytest.mark.parametrize("weight", [0.0, math.nan, math.inf])
     def test_steklov_weight_must_be_positive_and_finite(self, weight):
@@ -374,6 +409,11 @@ class TestLadderReduction:
 
         w = power_fn(profile, 1.0)
         v = power_fn(profile, -2.0)
+        # the whole collar's mesh, as discretize builds it for these (n, k) =
+        # (2, 1) coefficients; one Steklov end keeps it from mirroring
+        whole = WarpedMetricSpec(2, 1, profile, dataclasses.replace(geom, steklov_ends="left"),
+                                 geom.cross_section, "volume_preserving")
+        nodes = discretize(whole, 400).nodes
 
         spectrum = base_dtn_spectrum(
             geom, w, lam, v, top, n_elements=400, transition_spans=spans
@@ -387,7 +427,7 @@ class TestLadderReduction:
                     potential=lambda t, mu=mu: mu * w(t) + lam * v(t),
                     left_bc=SteklovEnd(),
                     right_bc=SteklovEnd(),
-                    nodes=graded_mesh(1.0, 400, spans),
+                    nodes=nodes,
                     transition_spans=spans,
                 )
             )
