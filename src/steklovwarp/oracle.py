@@ -14,7 +14,10 @@ Gaussian elimination, one interior ring at a time (Golub & Van Loan,
 Matrix Computations, 4.5), and then only the eigenvalues of the dense
 boundary eigenproblem. A ring costs one Cholesky factor of its frontier
 block, the factor's triangular inverse and triangular BLAS-3 updates, in
-place on a few n_theta x n_theta blocks, 4 n_theta^3 flops.
+place on a few n_theta x n_theta blocks, 4 n_theta^3 flops. From 128 rows
+on, a block is factored and inverted as 2 x 2 blocks, with tiny entries
+flushed between the pieces: on the decayed blocks of a folded plateau,
+LAPACK's factor and inverse compute subnormal numbers and slow down.
 
 On a plateau warp most axial sections agree to about 1e-13. A
 run of m sections that agree with its first to a relative 1e-12 is
@@ -22,20 +25,26 @@ folded instead: its two-port is built from one section by repeated
 doubling, as cyclic reduction does for constant-coefficient block
 systems (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 1970), and
 joined to the state in one block elimination of 9.7 n_theta^3 flops
-instead of m ring steps. The doubling costs about log2(m) + popcount(m)
-eliminations, and a run is folded only when that is fewer than its
-ring steps. Folding moves each conductance of the run by at most 1e-12
-relative, and so each eigenvalue by at most that factor (see _ring_schur).
+instead of m ring steps. The section is taken mirror-symmetric, so every
+power is too and is kept by half its blocks: a squaring costs 5.7
+n_theta^3 flops and a join of two powers 7.7. The doubling costs about
+log2(m) + popcount(m) eliminations, and a run is folded only when that
+is fewer than its ring steps. Folding moves each conductance of the run
+by at most 1e-12 relative, and so each eigenvalue by at most that factor
+(see _ring_schur).
 
 The collar warp is a function of the distance to the boundary, so a grid
 is most often mirror-symmetric about its middle, whichever ends are
 Steklov. When each conductance lies within the same 1e-12 of its mirror
-image, only the left half is eliminated, and its two-port is joined to
-its own reflection through the middle (a symmetric two-port is fixed by
-its half, Bartlett's bisection theorem): half the ring steps plus one
-join, and with one end Neumann one more join that eliminates that end
-ring. This moves each right-half conductance by at most 1e-12 relative,
-and so each eigenvalue by at most that factor.
+image, only the left half is eliminated (a symmetric two-port is fixed
+by its half, Bartlett's bisection theorem, Phil. Mag. 4, 1927). With both
+ends Steklov the half gives two n_theta x n_theta blocks whose
+eigenvalues together are the boundary eigenproblem's: the odd block, the
+half with its middle grounded, and the even block, with its middle free.
+With one end Steklov the half's two-port is joined to its own reflection
+through the middle, and one more join eliminates the Neumann end ring.
+This moves each right-half conductance by at most 1e-12 relative, and so
+each eigenvalue by at most that factor.
 
 Each K_j is treated as a general SPD block.
 Its circulant structure is deliberately left unused: separating Fourier
@@ -52,6 +61,7 @@ elimination against it, and the benchmark's tracer hooks it by name.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,9 +85,10 @@ class RevolutionGrid:
 
     def __post_init__(self) -> None:
         nodes = np.asarray(self.axial_nodes, dtype=float)
-        if len(nodes) < 32:
-            raise DomainError(f"need at least 32 axial nodes, got {len(nodes)}")
-        if self.n_theta < 16 or self.n_theta % 2 != 0:
+        if nodes.size < 32:
+            raise DomainError(f"need at least 32 axial nodes, got {nodes.size}")
+        n_theta = self.n_theta
+        if not (isinstance(n_theta, numbers.Integral) and n_theta >= 16 and n_theta % 2 == 0):
             raise DomainError("n_theta must be an even integer of at least 16")
         if not 0.0 < self.fiber_length < math.inf:  # NaN fails both comparisons
             raise DomainError("circle length must be positive and finite")
@@ -178,6 +189,8 @@ _RUN_SPLIT = 2.5 * _RUN_RTOL
 # it is never subnormal, and subnormal operands or results take a slow path
 # in the floating-point unit, up to 100 times slower per operation
 _FLUSH_BELOW = np.sqrt(np.finfo(float).tiny)  # 1.5e-154
+# a block of this many rows or more is inverse-factored as 2 x 2 blocks
+_SPLIT_FROM = 128
 
 
 def _uniform_runs(cax: np.ndarray, cfib: np.ndarray) -> dict[int, int]:
@@ -190,7 +203,9 @@ def _uniform_runs(cax: np.ndarray, cfib: np.ndarray) -> dict[int, int]:
     replaces m ring steps (m - 1 from ring 0, whose first section costs
     none) by floor(log2 m) squarings, popcount(m) - 1 joins and one fold
     (none from ring 0); it is kept only when that is fewer, which holds
-    exactly when m >= 4.
+    exactly when m >= 4. The rule counts eliminations, not flops: a ring
+    step costs 4 n_theta^3 flops, a squaring 5.7, a join of two powers
+    7.7 and the fold 9.7 (see _ring_schur).
 
     Two neighbouring sections of one run both lie within _RUN_RTOL of its
     first, so they differ by at most about 2 _RUN_RTOL: no run crosses a
@@ -220,8 +235,141 @@ def _mirror_symmetric(cax: np.ndarray, cfib: np.ndarray) -> bool:
     )
 
 
-def _ring_schur(cax: np.ndarray, cfib: np.ndarray, n_theta: int, both: bool) -> np.ndarray:
+def _add_ring(block: np.ndarray, diag: float, fib: float) -> np.ndarray:
+    """Add diag I - fib N to the lower triangle of a Fortran-order block, in place."""
+    n_theta = len(block)
+    flat = block.ravel(order="F")  # a view: LAPACK returns Fortran-order arrays
+    flat[:: n_theta + 1] += diag
+    flat[1 :: n_theta + 1] -= fib
+    flat[n_theta - 1] -= fib  # the wrap pair (n_theta - 1, 0)
+    return block
+
+
+def _flush(block: np.ndarray) -> np.ndarray:
+    """Set the entries below _FLUSH_BELOW to zero, in place."""
+    block[np.abs(block) < _FLUSH_BELOW] = 0.0
+    return block
+
+
+# The block operations below import scipy where they run, so that the
+# package imports without it.
+
+
+def _inverse_factor(block: np.ndarray, ring: float) -> np.ndarray:
+    """M = L^-1 for block = L L^T, read from the lower triangle and written over it.
+
+    A block of _SPLIT_FROM rows or more is split into 2 x 2 blocks:
+    M11 = L11^-1, L21 = S21 M11^T, S22' = S22 - L21 L21^T, M22 = L22^-1
+    of S22' = L22 L22^T, and M21 = -M22 L21 M11, each flushed below
+    _FLUSH_BELOW. The flop count is that of dpotrf + dtrtri, n^3 / 3 each.
+    """
+    from scipy.linalg import blas, lapack
+
+    size = len(block)
+    if size >= _SPLIT_FROM:
+        k = size // 2
+        m11 = _flush(_inverse_factor(block[:k, :k], ring))
+        l21 = _flush(blas.dtrmm(1.0, m11, block[k:, :k], side=1, lower=1, trans_a=1))
+        s22 = blas.dsyrk(-1.0, l21, beta=1.0, c=block[k:, k:], lower=1)
+        m22 = _flush(_inverse_factor(_flush(s22), ring))
+        block[:k, :k], block[k:, k:] = m11, m22
+        m22_l21 = _flush(blas.dtrmm(-1.0, m22, l21, lower=1))
+        block[k:, :k] = _flush(blas.dtrmm(1.0, m11, m22_l21, side=1, lower=1))
+        return block
+    factor, info = lapack.dpotrf(block, lower=1, clean=0, overwrite_a=1)
+    if info != 0:
+        raise NumericError(
+            f"interior block is not positive definite: ring {ring}, LAPACK info {info}"
+        )
+    m, info = lapack.dtrtri(factor, lower=1, overwrite_c=1)
+    if info != 0:
+        raise NumericError(f"inverse of ring block {ring} failed, LAPACK info {info}")
+    return m
+
+
+def _close(x: np.ndarray, b: np.ndarray, z: np.ndarray, s: np.ndarray, ring: float) -> tuple:
+    """X - B S^-1 Z, with W = B M^T, U = M Z and M = L^-1 for S = L L^T.
+
+    One factor, two dtrmm and one dgemm: 4 2/3 n^3 flops. S is overwritten.
+    """
+    from scipy.linalg import blas
+
+    m = _flush(_inverse_factor(s, ring))
+    w = _flush(blas.dtrmm(1.0, m, b, side=1, lower=1, trans_a=1))
+    u = _flush(blas.dtrmm(1.0, m, z, lower=1))
+    return _flush(blas.dgemm(-1.0, w, u, beta=1.0, c=x)), w, u, m
+
+
+def _join(first: tuple, second: tuple, ring: float) -> tuple:
+    """Eliminate `ring`, shared by the two-ports (X1, B1, Y1) and (X2, B2, Y2)."""
+    from scipy.linalg import blas
+
+    x1, b1, y1 = first
+    x2, b2, y2 = second
+    z = y1 + x2
+    x, w1, u, m = _close(x1, b1, z, z - b1.T - b2, ring)
+    w2 = _flush(blas.dtrmm(1.0, m, b2.T, side=1, lower=1, trans_a=1))
+    return (
+        x,
+        _flush(blas.dgemm(-1.0, w1, w2, trans_b=1)),
+        _flush(blas.dgemm(-1.0, w2, u, beta=1.0, c=y2)),
+    )
+
+
+def _square(power: tuple, ring: int) -> tuple:
+    """A symmetric two-port (X, B), Y = X and B = B^T, joined to itself."""
+    from scipy.linalg import blas
+
+    x, b = power
+    z = 2.0 * x
+    x, w, _, _ = _close(x, b, z, z - 2.0 * b, ring)
+    b = blas.dsyrk(-1.0, w, lower=1)
+    b += np.tril(b, -1).T
+    return x, _flush(b)
+
+
+def _join_powers(first: tuple, second: tuple, ring: int) -> tuple:
+    """Two symmetric two-ports of one uniform chain joined: a symmetric one again."""
+    from scipy.linalg import blas
+
+    (x1, b1), (x2, b2) = first, second
+    z = x1 + x2
+    x, w1, _, m = _close(x1, b1, z, z - b1 - b2, ring)
+    w2 = _flush(blas.dtrmm(1.0, m, b2, side=1, lower=1, trans_a=1))
+    return x, _flush(blas.dgemm(-1.0, w1, w2, trans_b=1))
+
+
+def _run_two_port(c: float, f: float, n_theta: int, start: int, length: int) -> tuple:
+    """(X, B, Y) of `length` uniform sections from ring `start`, by symmetric powering.
+
+    The powers are of the symmetric section (H, -c I, H), with
+    H = ((d - 2c) / 2) I - (f / 2) N; the run is returned in the
+    convention of _ring_schur, (X - H, B, X + H), all fiber energy of
+    its first ring left out and all of its last ring's taken in.
+    """
+    h = np.zeros((n_theta, n_theta), order="F")
+    _add_ring(h, 0.5 * ((2.0 * c + 2.0 * f) - 2.0 * c), 0.5 * f)
+    h += np.tril(h, -1).T
+    power, run, covered = (h, -c * np.eye(n_theta, order="F")), None, 0
+    for i in range(length.bit_length()):  # power spans 2^i sections
+        if i > 0:
+            power = _square(power, start + 2 ** (i - 1))
+        if length >> i & 1:
+            run = power if run is None else _join_powers(run, power, start + covered)
+            covered += 2**i
+    x, b = run
+    return x - h, b, x + h
+
+
+def _ring_schur(
+    cax: np.ndarray, cfib: np.ndarray, n_theta: int, both: bool
+) -> tuple[np.ndarray, ...]:
     """Schur complement of the grid energy onto ring 0, and onto the last ring if `both`.
+
+    Returns it as diagonal blocks whose eigenvalues together are its own:
+    the whole complement as one block, or for a mirrored grid with both
+    ends Steklov its even and odd blocks on ring 0 (see below). The first
+    block holds the constants' kernel; every block is symmetric.
 
     Eliminates rings 1, 2, ... one at a time. The state is the two-port
     [[P, Q], [Q^T, R]] on ring 0 and the frontier ring; eliminating the
@@ -235,6 +383,17 @@ def _ring_schur(cax: np.ndarray, cfib: np.ndarray, n_theta: int, both: bool) -> 
     4 n_theta^3 flops per ring, in place. P and R are kept as lower
     triangles in Fortran order and mirrored once, at the end.
 
+    A block of _SPLIT_FROM = 128 rows or more is inverse-factored as 2 x 2
+    blocks of dpotrf + dtrtri, flushed between the pieces (_inverse_factor),
+    at the same flop count. On the blocks that fold a decayed plateau,
+    dpotrf + dtrtri compute subnormal numbers in L^-1 and slow down. On
+    the 14 blocks that build the far plateau's run of the (512, 128) grid
+    at seed 1, L^-1 held 66-299 subnormal entries, and dpotrf + dtrtri took
+    190-600 us (over 370 us on 13 of them) where the split took 170-280 us.
+    On a block without decay the split takes as long at 128 rows (176 us
+    each) and longer at 64 (49 against 31 us), hence the threshold. (Best
+    of 30, OpenBLAS 0.3.31 with one thread, 2-CPU Xeon host.)
+
     A run of uniform sections (see _uniform_runs) is folded instead, with
     the conductances c = cax[s], f = cfib[s + 1] of its first section s.
     Two-ports are joined in the form (X, B, Y), X = A + B and Y = C + B^T:
@@ -247,45 +406,59 @@ def _ring_schur(cax: np.ndarray, cfib: np.ndarray, n_theta: int, both: bool) -> 
     S = Z - B1^T - B2 = C1 + A2 = L L^T and M = L^-1 (dtrtri), the result
     is (X1 - B1 S^-1 Z, -B1 S^-1 B2, Y2 - B2^T S^-1 Z), no difference of
     large terms, in 9.7 n_theta^3 flops (three dtrmm by M, three dgemm).
-    One section is (0, -c I, (d - 2c) I - f N), where d = 2c + 2f is
-    rounded as diag_ring rounds it, so that the rings of a run keep the
-    rounding of the grid's own ring diagonals. Binary powering builds a
-    run of m sections: it squares (joins a power with itself)
-    floor(log2 m) times and joins the popcount(m) powers that m's binary
-    digits select. One more join folds the run into the state, turned
-    into (X, B, Y) and back. So the fold costs about
-    (log2 m + popcount m) 9.7 n_theta^3 flops, against 4 m n_theta^3 for
-    the ring steps of the run. So that no edge is added to a block and
-    taken away again, a frontier ring where a run starts holds only the
-    half of its block it owns, the fiber energy and the edge on its left;
-    the run brings the edge on its right. The blocks stay general SPD; their
-    Fourier structure is not used. Rings outside runs take the ring step
-    above.
+
+    The run is built by binary powering of the mirror-symmetric section
+    (H, -c I, H), H = ((d - 2c) / 2) I - (f / 2) N, where d = 2c + 2f is
+    rounded as diag_ring rounds it and halving is exact, so that the rings
+    of a run keep the rounding of the grid's own ring diagonals. Every
+    power is a uniform chain, reflection-symmetric, and is kept as (X, B)
+    with Y = X and B = B^T. A squaring, with Z = 2X and S = Z - 2B,
+    returns X - W U and -W W^T (dsyrk), W = B M^T and U = M Z: 5.7
+    n_theta^3 flops. A join of two different powers forms X' and B' only,
+    7.7 n_theta^3 flops. A run of m sections takes floor(log2 m) squarings
+    and popcount(m) - 1 such joins, and goes back to the general form as
+    (X - H, B, X + H), which one general join folds into the state, turned
+    into (X, B, Y) and back. So the fold costs at most about
+    (5.7 log2 m + 7.7 popcount m + 9.7) n_theta^3 flops, against
+    4 m n_theta^3 for the ring steps of the run. So that no edge is added
+    to a block and taken away again, a frontier ring where a run starts
+    holds only the half of its block it owns, the fiber energy and the
+    edge on its left; the run brings the edge on its right. The blocks
+    stay general SPD; their Fourier structure is not used. Rings outside
+    runs take the ring step above.
 
     Every section of a run is within _RUN_RTOL = 1e-12 of its first
     section s, so folding moves each conductance by at most that
     factor. The grid energy is a sum of conductance-weighted squared
     differences, and the boundary mass does not change, so each
     eigenvalue of the Schur complement, and each Steklov eigenvalue,
-    moves by at most a factor 1e-12. A join also sets entries below
-    _FLUSH_BELOW = 1.5e-154 to zero, far below the roundoff of any entry
-    they would be added to.
+    moves by at most a factor 1e-12. Block operations also set entries
+    below _FLUSH_BELOW = 1.5e-154 to zero, far below the roundoff of any
+    entry they would be added to.
 
     When each cax[j] lies within _RUN_RTOL of cax[N - 1 - j] and each
     cfib[j] of cfib[N - j] (N = len(cax)), the steps above run on the
-    left half only, with the ring diagonals of the cut arrays, and its
-    two-port (X, B, Y) is joined to its reflection (Y, B^T, X), which
-    eliminates the middle: about half the ring steps and half the runs,
-    plus one join of 9.7 n_theta^3 flops. With an odd ring count the
-    middle ring ends the half and keeps half its fiber energy (cfib scaled
-    by 0.5, exactly). With an even ring count the middle edge c becomes
-    two edges 2c in series through a ring with no fiber energy, which the
-    join eliminates. Without `both`, the last ring, a Neumann end, is then
-    eliminated by one more join, against the empty two-port (0, 0, 0):
-    X - B C^-1 Y with C = Y - B^T, again no difference of large terms.
-    Taking the right half as the reflection of the left moves each of its
+    left half only, with the ring diagonals of the cut arrays: about half
+    the ring steps and half the runs. With an odd ring count the middle
+    ring ends the half and keeps half its fiber energy (cfib scaled by
+    0.5, exactly). With an even ring count the middle edge c becomes two
+    edges 2c in series through a ring with no fiber energy. Taking the
+    right half as the reflection of the left moves each of its
     conductances by at most _RUN_RTOL = 1e-12 relative, and so, as for a
     run, each eigenvalue by at most that factor.
+
+    With both ends Steklov, the half's state (P, Q, R) between ring 0 and
+    the middle gives the whole complement's eigenvalues by Bartlett's
+    bisection theorem: its vectors are even, equal on the two end rings,
+    or odd, opposite on them. The odd block is P, the half with its middle
+    grounded. The even block leaves the middle free: X - B R^-1 Y, with
+    X = P + Q, B = Q and Y = R + Q^T, one closing in the (X, B, Y) form
+    (one factor, two dtrmm, one dgemm), which annihilates constants up to
+    roundoff. With one end Steklov, the half (X, B, Y) is joined to its
+    reflection (Y, B^T, X), which eliminates the middle, and the last
+    ring, a Neumann end, then by one more join against the empty two-port
+    (0, 0, 0): X - B C^-1 Y with C = Y - B^T, again no difference of large
+    terms.
     """
     from scipy.linalg import blas, lapack  # here, so the package imports without it
 
@@ -303,60 +476,8 @@ def _ring_schur(cax: np.ndarray, cfib: np.ndarray, n_theta: int, both: bool) -> 
         n_t = len(cfib)
     diag_ring = _ring_diagonals(cax, cfib)
 
-    def add_ring(block: np.ndarray, diag: float, fib: float) -> np.ndarray:
-        # adds diag I - fib N to the lower triangle, in place
-        flat = block.ravel(order="F")  # a view: LAPACK returns Fortran-order arrays
-        flat[:: n_theta + 1] += diag
-        flat[1 :: n_theta + 1] -= fib
-        flat[n_theta - 1] -= fib  # the wrap pair (n_theta - 1, 0)
-        return block
-
     def new_ring(diag: float, fib: float) -> np.ndarray:
-        return add_ring(np.zeros((n_theta, n_theta), order="F"), diag, fib)
-
-    def inverse_factor(block: np.ndarray, ring: float) -> np.ndarray:
-        # M = L^-1 for block = L L^T, in place
-        factor, info = lapack.dpotrf(block, lower=1, clean=0, overwrite_a=1)
-        if info != 0:
-            raise NumericError(
-                f"interior block is not positive definite: ring {ring}, LAPACK info {info}"
-            )
-        m, info = lapack.dtrtri(factor, lower=1, overwrite_c=1)
-        if info != 0:
-            raise NumericError(f"inverse of ring block {ring} failed, LAPACK info {info}")
-        return m
-
-    def flush(block: np.ndarray) -> np.ndarray:
-        block[np.abs(block) < _FLUSH_BELOW] = 0.0
-        return block
-
-    def join(first, second, ring: float):
-        # eliminates `ring`, shared by two-ports (X1, B1, Y1) and (X2, B2, Y2)
-        x1, b1, y1 = first
-        x2, b2, y2 = second
-        z = y1 + x2
-        m = flush(inverse_factor(z - b1.T - b2, ring))
-        w1 = flush(blas.dtrmm(1.0, m, b1, side=1, lower=1, trans_a=1))
-        w2 = flush(blas.dtrmm(1.0, m, b2.T, side=1, lower=1, trans_a=1))
-        u = flush(blas.dtrmm(1.0, m, z, lower=1))  # L^-1 Z
-        return (
-            flush(blas.dgemm(-1.0, w1, u, beta=1.0, c=x1)),
-            flush(blas.dgemm(-1.0, w1, w2, trans_b=1)),
-            flush(blas.dgemm(-1.0, w2, u, beta=1.0, c=y2)),
-        )
-
-    def run_two_port(start: int, length: int) -> tuple:
-        c, f = cax[start], cfib[start + 1]
-        y = new_ring((2.0 * c + 2.0 * f) - 2.0 * c, f)
-        y += np.tril(y, -1).T
-        power, run, covered = (np.zeros_like(y), -c * np.eye(n_theta, order="F"), y), None, 0
-        for i in range(length.bit_length()):  # power spans 2^i sections
-            if i > 0:
-                power = join(power, power, start + 2 ** (i - 1))
-            if length >> i & 1:
-                run = power if run is None else join(run, power, start + covered)
-                covered += 2**i
-        return run
+        return _add_ring(np.zeros((n_theta, n_theta), order="F"), diag, fib)
 
     def frontier_diag(ring: int) -> float:
         # diagonal of K_ring, or of only the half it owns if a run starts there
@@ -373,42 +494,45 @@ def _ring_schur(cax: np.ndarray, cfib: np.ndarray, n_theta: int, both: bool) -> 
         j = 1
     while j <= last_eliminated:
         if j in runs:
-            run = run_two_port(j, runs[j])
+            run = _run_two_port(cax[j], cfib[j + 1], n_theta, j, runs[j])
             if j > 0:  # the state as (X, B, Y), from P and R mirrored
                 p += np.tril(p, -1).T
                 r += np.tril(r, -1).T
-                run = join((p + q, q, r + q.T), run, j)
+                run = _join((p + q, q, r + q.T), run, j)
             x, q, y = run
             p, r = np.subtract(x, q, order="F"), np.subtract(y, q.T, order="F")
             p[upper], r[upper] = 0.0, 0.0  # lower triangles again
             if j == 0:
-                add_ring(p, 2.0 * cfib[0], cfib[0])  # ring 0's own fiber energy
+                _add_ring(p, 2.0 * cfib[0], cfib[0])  # ring 0's own fiber energy
             j += runs[j]
             if j < n_t - 1 and j not in runs:
                 r.ravel(order="F")[:: n_theta + 1] += cax[j]  # the edge on its right
             continue
-        m = inverse_factor(r, j)
+        m = _inverse_factor(r, j)
         w = blas.dtrmm(1.0, m, q, side=1, lower=1, trans_a=1, overwrite_b=1)
         p = blas.dsyrk(-1.0, w, beta=1.0, c=p, lower=1, overwrite_c=1)
         if j < n_t - 1:
             q = blas.dtrmm(cax[j], m, w, side=1, lower=1, overwrite_b=1)
             r, _ = lapack.dlauum(m, lower=1, overwrite_c=1)
             r *= -cax[j] ** 2
-            add_ring(r, frontier_diag(j + 1), cfib[j + 1])
+            _add_ring(r, frontier_diag(j + 1), cfib[j + 1])
         j += 1
     p += np.tril(p, -1).T  # the upper triangles were never written, so they hold 0
     if not (both or mirrored):
-        return p
+        return (p,)
     r += np.tril(r, -1).T
-    if mirrored:  # the half (X, B, Y) joined to its reflection (Y, B^T, X)
-        x, y = p + q, r + q.T
-        x, q, y = join((x, q, y), (y, q.T, x), middle)
-        if not both:  # the Neumann end ring, joined to nothing
-            x, q, y = join((x, q, y), (np.zeros_like(x),) * 3, end)
-        p, r = np.tril(x - q), np.tril(y - q.T)
-        p += np.tril(p, -1).T
-        r += np.tril(r, -1).T
-    return np.block([[p, q], [q.T, r]]) if both else p
+    if not mirrored:
+        return (np.block([[p, q], [q.T, r]]),)
+    x, y = p + q, r + q.T
+    if both:
+        even = np.tril(_close(x, q, y, r, middle)[0])
+        even += np.tril(even, -1).T
+        return even, p
+    x, q, y = _join((x, q, y), (y, q.T, x), middle)
+    x, _, _ = _join((x, q, y), (np.zeros_like(x),) * 3, end)
+    p = np.tril(x)
+    p += np.tril(p, -1).T
+    return (p,)
 
 
 def revolution_spectrum(grid: RevolutionGrid) -> np.ndarray:
@@ -416,24 +540,32 @@ def revolution_spectrum(grid: RevolutionGrid) -> np.ndarray:
 
     The rings are eliminated from the left; with only the right end
     Steklov they are numbered from the right instead. A mirror-symmetric
-    grid, at any ends, eliminates only its left half (see _ring_schur).
+    grid, at any ends, eliminates only its left half, and with both ends
+    Steklov it ends in an even and an odd block on ring 0 (see
+    _ring_schur). Each block is solved against the mass of the rings it
+    is on: an even or odd block against ring 0's, equal to the last
+    ring's to the mirror tolerance.
     """
     hv, cax, cfib, dth = _ring_coefficients(grid)
     if grid.steklov_ends == "right":
         hv, cax, cfib = hv[::-1], cax[::-1], cfib[::-1]
-    both = grid.steklov_ends == "both"
-    schur = _ring_schur(cax, cfib, grid.n_theta, both)
-    ends = hv[[0, -1]] if both else hv[:1]
-    sqrt_mass = np.sqrt(np.repeat(ends * dth, grid.n_theta))
-    d = schur / np.outer(sqrt_mass, sqrt_mass)  # as symmetric as the Schur complement
-    # B^(1/2) 1 spans the kernel of d, as the constants span that of the Schur
-    # complement; a Householder reflection H = I - v v^T / v[0] onto the first
+    first, *others = _ring_schur(cax, cfib, grid.n_theta, grid.steklov_ends == "both")
+    sqrt_mass = np.sqrt(np.repeat(hv[[0, -1]] * dth, grid.n_theta))  # ring 0, then the last
+
+    def scaled(block: np.ndarray) -> np.ndarray:
+        root = sqrt_mass[: len(block)]
+        return block / np.outer(root, root)  # as symmetric as the block
+
+    d = scaled(first)
+    # B^(1/2) 1 spans the kernel of d, as the constants span that of the first
+    # block; a Householder reflection H = I - v v^T / v[0] onto the first
     # axis splits it off. H d H = d - v w^T - w v^T, with p = d v / v[0] and
     # w = p - (v^T p / 2 v[0]) v (Golub & Van Loan, 5.1.4); only the block
     # that the kernel's axis leaves is formed
-    v = sqrt_mass / np.linalg.norm(sqrt_mass)
+    v = sqrt_mass[: len(d)] / np.linalg.norm(sqrt_mass[: len(d)])
     v[0] += 1.0
     p = d @ v / v[0]
     w = p - (v @ p / (2.0 * v[0])) * v
     deflated = d[1:, 1:] - np.outer(v[1:], w[1:]) - np.outer(w[1:], v[1:])
-    return np.concatenate(([0.0], sym_eig(deflated)))
+    values = [sym_eig(deflated), *(sym_eig(scaled(block)) for block in others)]
+    return np.concatenate(([0.0], np.sort(np.concatenate(values))))

@@ -162,8 +162,6 @@ class SturmProblem:
         if not any(isinstance(bc, SteklovEnd) for bc in (self.left_bc, self.right_bc)):
             raise DomainError("at least one endpoint must carry a Steklov condition")
         nodes = np.asarray(self.nodes, dtype=float)
-        if nodes.ndim != 1 or len(nodes) < 2:
-            raise DomainError("mesh must contain at least two nodes")
         check_span(nodes, self.length)
         object.__setattr__(self, "nodes", nodes)
 
@@ -287,7 +285,12 @@ def graded_mesh(
 
 
 def check_span(nodes: np.ndarray, length: float) -> None:
-    """Check that strictly increasing nodes run from 0 to a finite length, up to roundoff."""
+    """Check that a 1-D array of strictly increasing nodes runs from 0 to a finite length.
+
+    Both ends are checked up to roundoff.
+    """
+    if nodes.ndim != 1 or len(nodes) < 2:
+        raise DomainError("mesh must be a 1-D array of at least two nodes")
     end = abs(nodes[-1] - length) <= 1e-12 * max(length, 1.0)
     if not (math.isfinite(length) and abs(nodes[0]) <= 1e-14 and end):
         raise DomainError("mesh must span exactly [0, length]")

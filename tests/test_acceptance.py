@@ -27,6 +27,26 @@ def test_all_criteria_pass(default_run):
     assert len(lines) == 10
 
 
+# criterion 2's same-grid deviation is roundoff, and its digits follow the
+# BLAS thread count: 6.253e-13 with two threads, as pinned, and 8.676e-13
+# with one. It is held to a bound ten times above every value seen, far
+# inside the criterion's own 1e-9, instead of to its digits
+SAME_GRID_FIGURE = re.compile(r"same grid pass: .* max relative deviation (\S+) \(tol")
+SAME_GRID_BOUND = 1e-11
+
+
+def roundoff_apart(lines):
+    """The lines with the same-grid figure blanked, and the figures taken out."""
+    blanked, figures = [], []
+    for line in lines:
+        found = SAME_GRID_FIGURE.search(line)
+        if found:
+            figures.append(float(found[1]))
+            line = line[: found.start(1)] + "*" + line[found.end(1) :]
+        blanked.append(line)
+    return blanked, figures
+
+
 @pytest.mark.parametrize("seed, pinned", [(0, "verify_default.txt"), (1, "verify_seed1.txt")])
 def test_lines_equal_the_pinned_transcript(seed, pinned):
     # the lines of `python -m steklovwarp verify --seed N`, their runtime field
@@ -34,7 +54,11 @@ def test_lines_equal_the_pinned_transcript(seed, pinned):
     lines = []
     acceptance.run_all(seed=seed, mesh=400, printer=lines.append)
     untimed = [re.sub(r" \(\d+\.\ds\)", "", line, count=1) for line in lines]
-    assert untimed == (DATA / pinned).read_text().splitlines()
+    blanked, figures = roundoff_apart(untimed)
+    expected, pinned_figures = roundoff_apart((DATA / pinned).read_text().splitlines())
+    assert blanked == expected
+    assert len(figures) == len(pinned_figures) == 1
+    assert figures[0] <= SAME_GRID_BOUND
 
 
 def oracle_with(monkeypatch, change):

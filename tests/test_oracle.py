@@ -22,11 +22,17 @@ from steklovwarp import oracle, sturm
 from steklovwarp.assembler import metric_recipes
 from steklovwarp.linalg import dtn_matrix, sym_eig
 from steklovwarp.oracle import (
+    _FLUSH_BELOW,
     _RUN_RTOL,
+    _SPLIT_FROM,
+    _add_ring,
+    _inverse_factor,
+    _join,
     _mirror_symmetric,
     _ring_coefficients,
     _ring_diagonals,
     _ring_schur,
+    _run_two_port,
     _uniform_runs,
     assemble_revolution,
     make_grid,
@@ -88,27 +94,32 @@ def test_benchmark_ring_width_matches_banded_reference(ends):
 @pytest.mark.parametrize("shape", GRIDS + [(256, 64)])
 @pytest.mark.parametrize("warp_name", sorted(WARPS))
 def test_ring_schur_is_symmetric_and_annihilates_constants(warp_name, shape, both):
+    # the first block is the whole complement, or a mirrored grid's even block
     grid = grid_for(warp_name, shape, "both" if both else "left")
     _, cax, cfib, _ = _ring_coefficients(grid)
-    schur = _ring_schur(cax, cfib, grid.n_theta, both)
-    assert np.array_equal(schur, schur.T)
-    assert np.abs(schur.sum(axis=1)).max() <= 1e-9 * np.abs(schur).max()
+    blocks = _ring_schur(cax, cfib, grid.n_theta, both)
+    assert all(np.array_equal(block, block.T) for block in blocks)
+    first = blocks[0]
+    assert np.abs(first.sum(axis=1)).max() <= 1e-9 * np.abs(first).max()
 
 
+@pytest.mark.parametrize("n_theta", [16, 128])
 @pytest.mark.parametrize("both", [True, False])
 @pytest.mark.parametrize("bad_ring", [1, 2])
-def test_indefinite_ring_block_is_named(bad_ring, both):
+def test_indefinite_ring_block_is_named(bad_ring, both, n_theta):
     # with cax = 1, K_j = (2 + 2 cfib[j]) I - cfib[j] N, and N has the
     # eigenvalues 2 cos(theta): cfib[j] = -2 makes K_j indefinite, and so the
     # frontier block K_j - R^-1 of ring j; cfib = 1 keeps the other rings
-    # definite, and no run of uniform sections is long enough to fold
+    # definite, and no run of uniform sections is long enough to fold. At
+    # n_theta = 128 the block is factored in halves, and the first is
+    # indefinite too
     n_t = 5
     cax = np.ones(n_t - 1)
     cfib = np.ones(n_t)
     cfib[bad_ring] = -2.0
     assert _uniform_runs(cax, cfib) == {}
     with pytest.raises(NumericError, match=f"not positive definite: ring {bad_ring},"):
-        _ring_schur(cax, cfib, 16, both)
+        _ring_schur(cax, cfib, n_theta, both)
 
 
 def test_indefinite_block_in_a_folded_run_is_named():
@@ -174,7 +185,7 @@ def test_grid_without_runs_is_eliminated_ring_by_ring(shape, ends):
     cax, cfib, diag_ring = ring_arrays(grid)
     assert _uniform_runs(cax, cfib) == {}
     both = ends == "both"
-    schur = _ring_schur(cax, cfib, grid.n_theta, both)
+    (schur,) = _ring_schur(cax, cfib, grid.n_theta, both)
     assert np.array_equal(schur, per_ring_schur(cax, cfib, diag_ring, grid.n_theta, both))
 
 
@@ -182,7 +193,13 @@ def whole_axis_schur(monkeypatch, cax, cfib, n_theta, both):
     """_ring_schur with the mirror check switched off: every ring of the axis is eliminated."""
     with monkeypatch.context() as patch:
         patch.setattr(oracle, "_mirror_symmetric", lambda cax, cfib: False)
-        return _ring_schur(cax, cfib, n_theta, both)
+        (schur,) = _ring_schur(cax, cfib, n_theta, both)
+        return schur
+
+
+def block_eigenvalues(blocks):
+    """The eigenvalues of the blocks together, ascending: those of the complement they split."""
+    return np.sort(np.concatenate([np.linalg.eigvalsh(block) for block in blocks]))
 
 
 def deviation(values, expected):
@@ -204,21 +221,23 @@ MIRRORED = [
 @pytest.mark.parametrize("ends", ENDS)
 @pytest.mark.parametrize("warp_name, n_axial, n_rings", MIRRORED)
 def test_mirrored_grid_matches_the_whole_axis(monkeypatch, warp_name, n_axial, n_rings, ends):
-    # with one end Steklov, the join to the reflection leaves the far
-    # (Neumann) end ring, which one more join eliminates
+    # with both ends Steklov, the half gives the even and odd blocks; with
+    # one, the join to the reflection leaves the far (Neumann) end ring,
+    # which one more join eliminates
     grid = make_grid(1.0, 2.0 * math.pi, WARPS[warp_name], n_axial, 16, ends)
     assert grid.n_axial == n_rings
     cax, cfib, diag_ring = ring_arrays(grid)
     assert _mirror_symmetric(cax, cfib)
     both = ends == "both"
-    schur = _ring_schur(cax, cfib, grid.n_theta, both)
-    assert np.array_equal(schur, schur.T)
+    blocks = _ring_schur(cax, cfib, grid.n_theta, both)
+    assert len(blocks) == (2 if both else 1)
+    assert all(np.array_equal(block, block.T) for block in blocks)
     expected = np.linalg.eigvalsh(per_ring_schur(cax, cfib, diag_ring, grid.n_theta, both))
-    assert deviation(np.linalg.eigvalsh(schur), expected) <= 1e-10
+    assert deviation(block_eigenvalues(blocks), expected) <= 1e-10
     values = revolution_spectrum(grid)
     assert values[0] == 0.0
     whole = whole_axis_schur(monkeypatch, cax, cfib, grid.n_theta, both)
-    assert deviation(np.linalg.eigvalsh(schur), np.linalg.eigvalsh(whole)) <= 1e-10
+    assert deviation(block_eigenvalues(blocks), np.linalg.eigvalsh(whole)) <= 1e-10
     # the banded reference rounds the plateau's ring diagonals its own way and
     # lies up to 6.5e-10 from the ring elimination on either path, so the
     # plateau is held to the module's 1e-8 against it
@@ -272,11 +291,12 @@ def test_mirror_check_holds_each_section_to_the_run_tolerance(
     diag_ring = _ring_diagonals(cax, cfib)
     assert _mirror_symmetric(cax, cfib) == mirrored
     both = ends == "both"
-    schur = _ring_schur(cax, cfib, grid.n_theta, both)
+    blocks = _ring_schur(cax, cfib, grid.n_theta, both)
     whole = whole_axis_schur(monkeypatch, cax, cfib, grid.n_theta, both)
     if mirrored:
-        assert deviation(np.linalg.eigvalsh(schur), np.linalg.eigvalsh(whole)) <= 1e-10
+        assert deviation(block_eigenvalues(blocks), np.linalg.eigvalsh(whole)) <= 1e-10
         return
+    (schur,) = blocks
     assert np.array_equal(schur, whole)
     if warp_name == "bump":  # no runs: the whole axis takes one step per ring
         assert np.array_equal(schur, per_ring_schur(cax, cfib, diag_ring, grid.n_theta, both))
@@ -312,6 +332,68 @@ def test_plateau_grid_folds_its_plateaus():
     for start, length in runs.items():
         run = sections[start : start + length]
         assert np.all(np.abs(run - run[0]) <= 1e-12 * run[0])
+
+
+def general_run_two_port(c, f, n_theta, start, length):
+    """A run as general two-ports: binary powering of the section (0, -c I, (d - 2c) I - f N)."""
+    y = _add_ring(np.zeros((n_theta, n_theta), order="F"), (2.0 * c + 2.0 * f) - 2.0 * c, f)
+    y += np.tril(y, -1).T
+    power, run, covered = (np.zeros_like(y), -c * np.eye(n_theta, order="F"), y), None, 0
+    for i in range(length.bit_length()):
+        if i > 0:
+            power = _join(power, power, start + 2 ** (i - 1))
+        if length >> i & 1:
+            run = power if run is None else _join(run, power, start + covered)
+            covered += 2**i
+    return run
+
+
+@pytest.mark.parametrize("shape", GRIDS + [(64, 128)])
+@pytest.mark.parametrize("warp_name", ["constant", "plateau"])
+def test_symmetric_powers_equal_general_powering(warp_name, shape):
+    # each run of the grid, built from the mirror-symmetric section, against
+    # the same run powered as general two-ports, block by block
+    grid = grid_for(warp_name, shape, "both")
+    _, cax, cfib, _ = _ring_coefficients(grid)
+    runs = _uniform_runs(cax, cfib)
+    assert runs
+    for start, length in runs.items():
+        args = (cax[start], cfib[start + 1], grid.n_theta, start, length)
+        for block, expected in zip(_run_two_port(*args), general_run_two_port(*args)):
+            assert np.abs(block - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def far_plateau_block():
+    """The block that joins the far plateau's run of the (512, 128) grid to its copy: C + A."""
+    grid = make_grid(1.0, 2.0 * math.pi, WARPS["plateau"], 512, 128)
+    _, cax, cfib, _ = _ring_coefficients(grid)
+    start, length = max(_uniform_runs(cax, cfib).items(), key=lambda run: run[1])
+    x, b, y = _run_two_port(cax[start], cfib[start + 1], grid.n_theta, start, length)
+    return np.asfortranarray(y + x - b.T - b)
+
+
+@pytest.mark.parametrize("kind", ["benign", "plateau"])
+def test_split_inverse_factor_matches_lapack(kind):
+    # a block of _SPLIT_FROM rows is factored in halves: the same L^-1 up to
+    # rounding, with no entry left below _FLUSH_BELOW; on the plateau block
+    # dpotrf + dtrtri leave such entries, whose products are subnormal
+    from scipy.linalg import lapack
+
+    if kind == "benign":
+        block = _add_ring(np.zeros((_SPLIT_FROM, _SPLIT_FROM), order="F"), 4.0, 1.0)
+    else:
+        block = far_plateau_block()
+    assert len(block) == _SPLIT_FROM
+    factor, info = lapack.dpotrf(block, lower=1, clean=1)
+    assert info == 0
+    expected, info = lapack.dtrtri(factor, lower=1)
+    assert info == 0
+    expected = np.tril(expected)
+    small = (expected != 0.0) & (np.abs(expected) < _FLUSH_BELOW)
+    assert small.any() == (kind == "plateau")
+    split = np.tril(_inverse_factor(block.copy(order="F"), 0))
+    assert np.abs(split - expected).max() <= 1e-14 * np.abs(expected).max()
+    assert not np.any((split != 0.0) & (np.abs(split) < _FLUSH_BELOW))
 
 
 def greedy_uniform_runs(cax, cfib):
@@ -483,6 +565,27 @@ def test_grid_fiber_must_be_a_positive_finite_circle(fiber_length):
 def test_grid_nodes_must_span_its_length(length):
     with pytest.raises(DomainError, match=r"mesh must span exactly \[0, length\]"):
         RevolutionGrid(np.linspace(0.0, 1.0, 65), 16, length, 2.0 * math.pi, WARPS["bump"])
+
+
+@pytest.mark.parametrize(
+    "nodes, message",
+    [
+        (np.stack((np.linspace(0.0, 1.0, 65),) * 2, axis=1), "mesh must be a 1-D array"),
+        (0.5, "need at least 32 axial nodes, got 1"),
+    ],
+)
+def test_grid_nodes_must_be_a_vector(nodes, message):
+    # a 2-D array used to raise numpy's ValueError from the span check, and a
+    # scalar a TypeError from len()
+    with pytest.raises(DomainError, match=message):
+        RevolutionGrid(nodes, 16, 1.0, 2.0 * math.pi, WARPS["bump"])
+
+
+@pytest.mark.parametrize("n_theta", [16.0, np.float64(16.0), 15, 14, True])
+def test_grid_ring_width_must_be_an_even_integer(n_theta):
+    # a float width used to build and then raise TypeError in the elimination
+    with pytest.raises(DomainError, match="n_theta must be an even integer of at least 16"):
+        RevolutionGrid(np.linspace(0.0, 1.0, 65), n_theta, 1.0, 2.0 * math.pi, WARPS["bump"])
 
 
 @pytest.mark.parametrize("n_axial", [math.nan, math.inf])
