@@ -67,6 +67,7 @@ same bit for bit as when its walk reduces it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count, islice
@@ -155,7 +156,7 @@ class SturmProblem:
     transition_spans: tuple[tuple[float, float], ...] = field(default=())
 
     def __post_init__(self) -> None:
-        if self.length <= 0.0:
+        if is_real(self.length) and self.length <= 0.0:  # check_span refuses the rest
             raise DomainError("interval length must be positive")
         if isinstance(self.left_bc, MirrorEnd):
             raise DomainError("a MirrorEnd marks the middle of a collar, on the right only")
@@ -284,11 +285,20 @@ def graded_mesh(
     return np.concatenate(([0.0], nodes))
 
 
+def is_real(value: object) -> bool:
+    """Whether value is a real scalar, a Python or numpy int or float; a bool is not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def check_span(nodes: np.ndarray, length: float) -> None:
     """Check that a 1-D array of strictly increasing nodes runs from 0 to a finite length.
 
     Both ends are checked up to roundoff.
     """
+    if not is_real(length):
+        raise DomainError(
+            f"mesh must span exactly [0, length], a real number, not {type(length).__name__}"
+        )
     if nodes.ndim != 1 or len(nodes) < 2:
         raise DomainError("mesh must be a 1-D array of at least two nodes")
     end = abs(nodes[-1] - length) <= 1e-12 * max(length, 1.0)

@@ -28,7 +28,7 @@ def test_all_criteria_pass(default_run):
 
 
 # criterion 2's same-grid deviation is roundoff, and its digits follow the
-# BLAS thread count: 6.253e-13 with two threads, as pinned, and 8.676e-13
+# BLAS thread count: 4.019e-13 with two threads, as pinned, and 4.347e-13
 # with one. It is held to a bound ten times above every value seen, far
 # inside the criterion's own 1e-9, instead of to its digits
 SAME_GRID_FIGURE = re.compile(r"same grid pass: .* max relative deviation (\S+) \(tol")

@@ -1,6 +1,7 @@
 """Tensor-grid oracle: ring-by-ring elimination against the banded Schur reference,
 and against the decomposition given the grid's own discrete fiber."""
 
+import itertools
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from steklovwarp.oracle import (
     _RUN_RTOL,
     _SPLIT_FROM,
     _add_ring,
+    _chains,
     _inverse_factor,
     _join,
     _mirror_symmetric,
@@ -78,11 +80,29 @@ class TestRingElimination:
         assert values[0] == 0.0
         assert np.all(values[1:] > 1e-8 * values.max())
 
+    def test_odd_chain_values_pair_with_even_ones(self, warp_name, shape, ends):
+        # the grid is invariant under rotations, so each Fourier mode k of
+        # 0 < k < n_theta / 2 gives its values once as cos(k theta), in the
+        # even chain, and once as sin(k theta), in the odd one; the even chain
+        # alone holds modes 0 and n_theta / 2. The elimination never uses this
+        cax, cfib, _ = ring_arrays(grid_for(warp_name, shape, ends))
+        even, odd = map(block_eigenvalues, _ring_schur(cax, cfib, shape[1], ends == "both"))
+        rings = len(even) // (shape[1] // 2 + 1)
+        assert len(even) - len(odd) == 2 * rings
+        unmatched = list(even)
+        for value in odd:
+            dev = np.abs(np.array(unmatched) - value) / value
+            assert dev.min() <= 1e-10
+            del unmatched[int(np.argmin(dev))]
+
 
 @pytest.mark.parametrize("ends", ENDS)
-def test_benchmark_ring_width_matches_banded_reference(ends):
-    # n_theta = 128, the ring width of the benchmark's oracle grid, on few rings
-    grid = grid_for("plateau", (64, 128), ends)
+@pytest.mark.parametrize("n_theta", [16, 128, 256])
+def test_benchmark_ring_width_matches_banded_reference(n_theta, ends):
+    # on few rings: n_theta = 128, the ring width of the benchmark's oracle
+    # grid, with chains of 65 and 63 rows; 16, with chains of 9 and 7; and
+    # 256, whose even chain of 129 rows is inverse-factored in halves
+    grid = grid_for("plateau", (64, n_theta), ends)
     values = revolution_spectrum(grid)
     reference = np.sort(sym_eig(dtn_matrix(assemble_revolution(grid))))
     assert values[0] == 0.0
@@ -94,25 +114,33 @@ def test_benchmark_ring_width_matches_banded_reference(ends):
 @pytest.mark.parametrize("shape", GRIDS + [(256, 64)])
 @pytest.mark.parametrize("warp_name", sorted(WARPS))
 def test_ring_schur_is_symmetric_and_annihilates_constants(warp_name, shape, both):
-    # the first block is the whole complement, or a mirrored grid's even block
+    # the even chain's first block is its whole complement, or a mirrored
+    # grid's axially even block; the constant ring is (1, sqrt 2, ..., sqrt 2, 1)
+    # in the even basis, and the odd basis holds no constant
     grid = grid_for(warp_name, shape, "both" if both else "left")
     _, cax, cfib, _ = _ring_coefficients(grid)
-    blocks = _ring_schur(cax, cfib, grid.n_theta, both)
-    assert all(np.array_equal(block, block.T) for block in blocks)
-    first = blocks[0]
-    assert np.abs(first.sum(axis=1)).max() <= 1e-9 * np.abs(first).max()
+    even, odd = _ring_schur(cax, cfib, grid.n_theta, both)
+    assert all(np.array_equal(block, block.T) for block in even + odd)
+    first = even[0]
+    half = grid.n_theta // 2
+    constant = np.r_[1.0, np.full(half - 1, math.sqrt(2.0)), 1.0]
+    constant = np.tile(constant, len(first) // (half + 1))
+    assert np.abs(first @ constant).max() <= 1e-9 * np.abs(first).max()
+    for block in odd:  # positive definite: no kernel
+        values = np.linalg.eigvalsh(block)
+        assert values[0] > 1e-9 * values[-1]
 
 
-@pytest.mark.parametrize("n_theta", [16, 128])
+@pytest.mark.parametrize("n_theta", [16, 256])
 @pytest.mark.parametrize("both", [True, False])
 @pytest.mark.parametrize("bad_ring", [1, 2])
 def test_indefinite_ring_block_is_named(bad_ring, both, n_theta):
-    # with cax = 1, K_j = (2 + 2 cfib[j]) I - cfib[j] N, and N has the
-    # eigenvalues 2 cos(theta): cfib[j] = -2 makes K_j indefinite, and so the
-    # frontier block K_j - R^-1 of ring j; cfib = 1 keeps the other rings
-    # definite, and no run of uniform sections is long enough to fold. At
-    # n_theta = 128 the block is factored in halves, and the first is
-    # indefinite too
+    # with cax = 1, K_j = (2 + 2 cfib[j]) I - cfib[j] N, and each chain's N
+    # has eigenvalues 2 cos(theta) near 2 and -2: cfib[j] = -2 makes K_j
+    # indefinite, and so the frontier block K_j - R^-1 of ring j; cfib = 1
+    # keeps the other rings definite, and no run of uniform sections is long
+    # enough to fold. At n_theta = 256 the even chain's block of 129 rows is
+    # factored in halves, and the first is indefinite too
     n_t = 5
     cax = np.ones(n_t - 1)
     cfib = np.ones(n_t)
@@ -133,20 +161,32 @@ def test_indefinite_block_in_a_folded_run_is_named():
         _ring_schur(cax, cfib, 16, True)
 
 
-def per_ring_schur(cax, cfib, diag_ring, n_theta, both):
-    """The ring elimination without folding: every interior ring takes one step."""
+def periodic_lower(n_theta):
+    """The periodic neighbour matrix of a ring below its diagonal, the wrap pair included."""
+    lower = np.eye(n_theta, k=-1)
+    lower[-1, 0] = 1.0
+    return lower
+
+
+def per_ring_schur(cax, cfib, diag_ring, lower, both):
+    """The ring elimination without folding: every interior ring takes one step.
+
+    Each ring block is diag_ring[j] I - cfib[j] N, with `lower` the part
+    of N below its diagonal: periodic, or one chain's (np.diag(links, -1)).
+    """
     from scipy.linalg import blas, lapack
 
+    n_theta = len(lower)
+    eye = np.eye(n_theta)
+
     def add_ring(block, j):
-        flat = block.ravel(order="F")
-        flat[:: n_theta + 1] += diag_ring[j]
-        flat[1 :: n_theta + 1] -= cfib[j]
-        flat[n_theta - 1] -= cfib[j]
+        block += diag_ring[j] * eye
+        block -= cfib[j] * lower
         return block
 
     n_t = len(diag_ring)
     p = add_ring(np.zeros((n_theta, n_theta), order="F"), 0)
-    q = np.asfortranarray(-cax[0] * np.eye(n_theta))
+    q = np.asfortranarray(-cax[0] * eye)
     r = add_ring(np.zeros((n_theta, n_theta), order="F"), 1)
     for j in range(1, n_t - 1 if both else n_t):
         factor, info = lapack.dpotrf(r, lower=1, clean=0, overwrite_a=1)
@@ -185,16 +225,21 @@ def test_grid_without_runs_is_eliminated_ring_by_ring(shape, ends):
     cax, cfib, diag_ring = ring_arrays(grid)
     assert _uniform_runs(cax, cfib) == {}
     both = ends == "both"
-    (schur,) = _ring_schur(cax, cfib, grid.n_theta, both)
-    assert np.array_equal(schur, per_ring_schur(cax, cfib, diag_ring, grid.n_theta, both))
+    chains = _ring_schur(cax, cfib, grid.n_theta, both)
+    for (schur,), links in zip(chains, _chains(grid.n_theta)):
+        expected = per_ring_schur(cax, cfib, diag_ring, np.diag(links, -1), both)
+        assert np.array_equal(schur, expected)
 
 
 def whole_axis_schur(monkeypatch, cax, cfib, n_theta, both):
-    """_ring_schur with the mirror check switched off: every ring of the axis is eliminated."""
+    """_ring_schur with the mirror check switched off: every ring of the axis is eliminated.
+
+    Returns each chain's one block, the even chain's first.
+    """
     with monkeypatch.context() as patch:
         patch.setattr(oracle, "_mirror_symmetric", lambda cax, cfib: False)
-        (schur,) = _ring_schur(cax, cfib, n_theta, both)
-        return schur
+        (even,), (odd,) = _ring_schur(cax, cfib, n_theta, both)
+        return even, odd
 
 
 def block_eigenvalues(blocks):
@@ -229,15 +274,19 @@ def test_mirrored_grid_matches_the_whole_axis(monkeypatch, warp_name, n_axial, n
     cax, cfib, diag_ring = ring_arrays(grid)
     assert _mirror_symmetric(cax, cfib)
     both = ends == "both"
-    blocks = _ring_schur(cax, cfib, grid.n_theta, both)
-    assert len(blocks) == (2 if both else 1)
+    chains = _ring_schur(cax, cfib, grid.n_theta, both)
+    assert [len(blocks) for blocks in chains] == [2 if both else 1] * 2
+    blocks = chains[0] + chains[1]
     assert all(np.array_equal(block, block.T) for block in blocks)
-    expected = np.linalg.eigvalsh(per_ring_schur(cax, cfib, diag_ring, grid.n_theta, both))
-    assert deviation(block_eigenvalues(blocks), expected) <= 1e-10
+    # the periodic rings unsplit, every ring stepped: the reflection and the mirror at once
+    periodic = per_ring_schur(cax, cfib, diag_ring, periodic_lower(grid.n_theta), both)
+    assert deviation(block_eigenvalues(blocks), np.linalg.eigvalsh(periodic)) <= 1e-10
     values = revolution_spectrum(grid)
     assert values[0] == 0.0
     whole = whole_axis_schur(monkeypatch, cax, cfib, grid.n_theta, both)
-    assert deviation(block_eigenvalues(blocks), np.linalg.eigvalsh(whole)) <= 1e-10
+    for half_blocks, whole_block in zip(chains, whole):
+        expected = np.linalg.eigvalsh(whole_block)
+        assert deviation(block_eigenvalues(half_blocks), expected) <= 1e-10
     # the banded reference rounds the plateau's ring diagonals its own way and
     # lies up to 6.5e-10 from the ring elimination on either path, so the
     # plateau is held to the module's 1e-8 against it
@@ -258,9 +307,10 @@ def count_factors(monkeypatch):
 @pytest.mark.parametrize("ends", ENDS)
 @pytest.mark.parametrize("n_axial", [256, 255])
 def test_mirrored_bump_factors_half_its_rings(monkeypatch, n_axial, ends):
-    # the whole axis takes a ring step for each ring but the Steklov ends;
-    # the mirrored path takes those of the left half, one join through the
-    # middle and, with one end Steklov, one join that eliminates the other
+    # in each of the two chains, the whole axis takes a ring step for each
+    # ring but the Steklov ends; the mirrored path takes those of the left
+    # half, one join through the middle and, with one end Steklov, one join
+    # that eliminates the other
     grid = grid_for("bump", (n_axial, 64), ends)
     cax, cfib, _ = ring_arrays(grid)
     both = ends == "both"
@@ -269,11 +319,11 @@ def test_mirrored_bump_factors_half_its_rings(monkeypatch, n_axial, ends):
     mirrored = factors()
     whole_axis_schur(monkeypatch, cax, cfib, grid.n_theta, both)
     if both:
-        assert mirrored <= n_axial // 2 + 2
-        assert factors() - mirrored == n_axial - 2
+        assert mirrored <= 2 * (n_axial // 2 + 2)
+        assert factors() - mirrored == 2 * (n_axial - 2)
     else:
-        assert mirrored <= n_axial // 2 + 3
-        assert factors() - mirrored == n_axial - 1
+        assert mirrored <= 2 * (n_axial // 2 + 3)
+        assert factors() - mirrored == 2 * (n_axial - 1)
 
 
 @pytest.mark.parametrize("ends", ENDS)
@@ -291,27 +341,31 @@ def test_mirror_check_holds_each_section_to_the_run_tolerance(
     diag_ring = _ring_diagonals(cax, cfib)
     assert _mirror_symmetric(cax, cfib) == mirrored
     both = ends == "both"
-    blocks = _ring_schur(cax, cfib, grid.n_theta, both)
+    chains = _ring_schur(cax, cfib, grid.n_theta, both)
     whole = whole_axis_schur(monkeypatch, cax, cfib, grid.n_theta, both)
-    if mirrored:
-        assert deviation(block_eigenvalues(blocks), np.linalg.eigvalsh(whole)) <= 1e-10
-        return
-    (schur,) = blocks
-    assert np.array_equal(schur, whole)
-    if warp_name == "bump":  # no runs: the whole axis takes one step per ring
-        assert np.array_equal(schur, per_ring_schur(cax, cfib, diag_ring, grid.n_theta, both))
+    for blocks, whole_block, links in zip(chains, whole, _chains(grid.n_theta)):
+        if mirrored:
+            expected = np.linalg.eigvalsh(whole_block)
+            assert deviation(block_eigenvalues(blocks), expected) <= 1e-10
+            continue
+        (schur,) = blocks
+        assert np.array_equal(schur, whole_block)
+        if warp_name == "bump":  # no runs: the whole axis takes one step per ring
+            expected = per_ring_schur(cax, cfib, diag_ring, np.diag(links, -1), both)
+            assert np.array_equal(schur, expected)
 
 
 @pytest.mark.parametrize("ends", ENDS)
 def test_asymmetric_ramp_never_mirrors(monkeypatch, ends):
     # the ramp has no runs, so without the mirror each ring but the
-    # Steklov ends takes one ring step, and nothing else factors a block
+    # Steklov ends takes one ring step in each chain, and nothing else
+    # factors a block
     grid = grid_for("ramp", (128, 32), ends)
     cax, cfib, _ = ring_arrays(grid)
     assert not _mirror_symmetric(cax, cfib)
     factors = count_factors(monkeypatch)
     assert revolution_spectrum(grid)[0] == 0.0
-    assert factors() == grid.n_axial - (2 if ends == "both" else 1)
+    assert factors() == 2 * (grid.n_axial - (2 if ends == "both" else 1))
 
 
 @pytest.mark.parametrize("shape", GRIDS + [(256, 64)])
@@ -334,11 +388,13 @@ def test_plateau_grid_folds_its_plateaus():
         assert np.all(np.abs(run - run[0]) <= 1e-12 * run[0])
 
 
-def general_run_two_port(c, f, n_theta, start, length):
+def general_run_two_port(c, f, links, start, length):
     """A run as general two-ports: binary powering of the section (0, -c I, (d - 2c) I - f N)."""
-    y = _add_ring(np.zeros((n_theta, n_theta), order="F"), (2.0 * c + 2.0 * f) - 2.0 * c, f)
+    width = len(links) + 1
+    y = np.zeros((width, width), order="F")
+    _add_ring(y, (2.0 * c + 2.0 * f) - 2.0 * c, f, links)
     y += np.tril(y, -1).T
-    power, run, covered = (np.zeros_like(y), -c * np.eye(n_theta, order="F"), y), None, 0
+    power, run, covered = (np.zeros_like(y), -c * np.eye(width, order="F"), y), None, 0
     for i in range(length.bit_length()):
         if i > 0:
             power = _join(power, power, start + 2 ** (i - 1))
@@ -357,33 +413,37 @@ def test_symmetric_powers_equal_general_powering(warp_name, shape):
     _, cax, cfib, _ = _ring_coefficients(grid)
     runs = _uniform_runs(cax, cfib)
     assert runs
-    for start, length in runs.items():
-        args = (cax[start], cfib[start + 1], grid.n_theta, start, length)
+    for (start, length), links in itertools.product(runs.items(), _chains(grid.n_theta)):
+        args = (cax[start], cfib[start + 1], links, start, length)
         for block, expected in zip(_run_two_port(*args), general_run_two_port(*args)):
             assert np.abs(block - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def far_plateau_block():
-    """The block that joins the far plateau's run of the (512, 128) grid to its copy: C + A."""
-    grid = make_grid(1.0, 2.0 * math.pi, WARPS["plateau"], 512, 128)
+    """The block that joins the far plateau's run of the (512, 256) grid's even chain
+    to its copy: C + A, of 129 rows."""
+    grid = make_grid(1.0, 2.0 * math.pi, WARPS["plateau"], 512, 256)
     _, cax, cfib, _ = _ring_coefficients(grid)
     start, length = max(_uniform_runs(cax, cfib).items(), key=lambda run: run[1])
-    x, b, y = _run_two_port(cax[start], cfib[start + 1], grid.n_theta, start, length)
+    even, _ = _chains(grid.n_theta)
+    x, b, y = _run_two_port(cax[start], cfib[start + 1], even, start, length)
     return np.asfortranarray(y + x - b.T - b)
 
 
 @pytest.mark.parametrize("kind", ["benign", "plateau"])
 def test_split_inverse_factor_matches_lapack(kind):
-    # a block of _SPLIT_FROM rows is factored in halves: the same L^-1 up to
-    # rounding, with no entry left below _FLUSH_BELOW; on the plateau block
-    # dpotrf + dtrtri leave such entries, whose products are subnormal
+    # a block of _SPLIT_FROM rows or more is factored in halves: the same
+    # L^-1 up to rounding, with no entry left below _FLUSH_BELOW; on the
+    # plateau block dpotrf + dtrtri leave such entries, whose products are
+    # subnormal
     from scipy.linalg import lapack
 
-    if kind == "benign":
-        block = _add_ring(np.zeros((_SPLIT_FROM, _SPLIT_FROM), order="F"), 4.0, 1.0)
+    if kind == "benign":  # the even chain of 2 _SPLIT_FROM - 2 nodes has _SPLIT_FROM rows
+        even, _ = _chains(2 * _SPLIT_FROM - 2)
+        block = _add_ring(np.zeros((_SPLIT_FROM, _SPLIT_FROM), order="F"), 4.0, 1.0, even)
     else:
         block = far_plateau_block()
-    assert len(block) == _SPLIT_FROM
+    assert len(block) >= _SPLIT_FROM
     factor, info = lapack.dpotrf(block, lower=1, clean=1)
     assert info == 0
     expected, info = lapack.dtrtri(factor, lower=1)
@@ -555,13 +615,18 @@ def test_directly_built_grid_must_resolve_transitions():
         RevolutionGrid(np.linspace(0.0, 1.0, 41), 16, 1.0, 2.0 * math.pi, WARPS["plateau"])
 
 
-@pytest.mark.parametrize("fiber_length", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize(
+    "fiber_length", [0.0, -1.0, math.inf, math.nan, np.array([1.0, 2.0]), "6.28", None, True]
+)
 def test_grid_fiber_must_be_a_positive_finite_circle(fiber_length):
+    # an array used to raise numpy's ValueError, a string or None a TypeError
     with pytest.raises(DomainError, match="circle length must be positive and finite"):
         RevolutionGrid(np.linspace(0.0, 1.0, 65), 16, 1.0, fiber_length, WARPS["bump"])
 
 
-@pytest.mark.parametrize("length", [7.0, 0.5, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "length", [7.0, 0.5, math.nan, math.inf, np.array([1.0, 2.0]), "1.0", None, True]
+)
 def test_grid_nodes_must_span_its_length(length):
     with pytest.raises(DomainError, match=r"mesh must span exactly \[0, length\]"):
         RevolutionGrid(np.linspace(0.0, 1.0, 65), 16, length, 2.0 * math.pi, WARPS["bump"])

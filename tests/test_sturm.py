@@ -219,7 +219,9 @@ class TestAssemble:
         with pytest.raises(MeshResolutionError, match="0.05"):
             assemble(p)
 
-    @pytest.mark.parametrize("length", [2.0, math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "length", [2.0, math.nan, math.inf, np.array([1.0, 2.0]), "1.0", None, True]
+    )
     def test_mesh_must_span_the_length(self, length):
         with pytest.raises(DomainError, match=r"mesh must span exactly \[0, length\]"):
             SturmProblem(length, lambda t: 1.0, lambda t: 0.0, SteklovEnd(), SteklovEnd(),
