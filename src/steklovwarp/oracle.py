@@ -33,7 +33,9 @@ down.
 
 On a plateau warp most axial sections agree to about 1e-13. A
 run of m sections that agree with its first to a relative 1e-12 is
-folded instead: its two-port is built from one section by repeated
+folded instead. sturm.uniform_runs finds the runs, the one finder by
+which the 1D ladder folds its uniform elements too (see _sections).
+A run's two-port is built from one section by repeated
 doubling, as cyclic reduction does for constant-coefficient block
 systems (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 1970), and
 joined to the state in one block elimination of 9.7 w^3 flops
@@ -87,7 +89,8 @@ import numpy as np
 from .errors import DomainError, NumericError
 from .linalg import PartitionedSystem, sym_eig
 from .profiles import Warp, log_value, transition_spans
-from .sturm import check_mesh, check_span, graded_mesh, is_real, lumped_mass
+from .sturm import (RUN_RTOL, check_mesh, check_span, graded_mesh, is_real, lumped_mass,
+                    uniform_runs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,6 +140,8 @@ def make_grid(
     steklov_ends: str = "both",
 ) -> RevolutionGrid:
     """Build a grid whose axial mesh resolves the warp's transition intervals."""
+    if not is_real(n_axial):  # graded_mesh refuses a length that is not a real number
+        raise DomainError(f"axial node count must be a real number, not {type(n_axial).__name__}")
     nodes = graded_mesh(length, max(n_axial - 1, 1), transition_spans(warp))
     return RevolutionGrid(nodes, n_theta, length, fiber_length, warp, steklov_ends)
 
@@ -201,11 +206,6 @@ def assemble_revolution(grid: RevolutionGrid) -> PartitionedSystem:
     return PartitionedSystem(ab, a_ib, a_bb, b_bb)
 
 
-# relative tolerance within which the sections of a run agree with its first
-_RUN_RTOL = 1e-12
-# relative step between neighbouring sections that no run crosses: 2 _RUN_RTOL
-# and a slack far above the roundoff of the comparisons
-_RUN_SPLIT = 2.5 * _RUN_RTOL
 # a join sets entries below this to zero: a product of two entries at or above
 # it is never subnormal, and subnormal operands or results take a slow path
 # in the floating-point unit, up to 100 times slower per operation
@@ -216,45 +216,25 @@ _FLUSH_BELOW = np.sqrt(np.finfo(float).tiny)  # 1.5e-154
 _SPLIT_FROM = 128
 
 
-def _uniform_runs(cax: np.ndarray, cfib: np.ndarray) -> dict[int, int]:
-    """Start -> length of each run of uniform sections worth folding.
+def _sections(cax: np.ndarray, cfib: np.ndarray) -> np.ndarray:
+    """The axial sections as rows for sturm.uniform_runs: (cax[j], cfib[j + 1]).
 
-    Section j is the axial edge from ring j to ring j+1, of conductance
-    cax[j], with the fiber conductance cfib[j+1] of ring j+1. A run is a
-    maximal stretch of sections that agree with its first section to a
-    relative _RUN_RTOL, taken greedily from the left. A run of m sections
-    replaces m ring steps (m - 1 from ring 0, whose first section costs
-    none) by floor(log2 m) squarings, popcount(m) - 1 joins and one fold
-    (none from ring 0); it is kept only when that is fewer, which holds
-    exactly when m >= 4. The rule counts eliminations, not flops: on a
-    chain of w rows a ring step costs 4 w^3 flops, a squaring 5.7 w^3, a
-    join of two powers 7.7 w^3 and the fold 9.7 w^3 (see _ring_schur).
-
-    Two neighbouring sections of one run both lie within _RUN_RTOL of its
-    first, so they differ by at most about 2 _RUN_RTOL: no run crosses a
-    step of more than _RUN_SPLIT. The greedy scan runs only inside the
-    stretches between such steps that are long enough to hold a kept run,
-    which gives the same runs as one scan along the whole axis.
+    Section j is the axial edge from ring j to ring j+1 with the fiber
+    conductance of ring j+1. A run of m sections replaces m ring steps
+    (m - 1 from ring 0, whose first section costs none) by floor(log2 m)
+    squarings, popcount(m) - 1 joins and one fold (none from ring 0); that
+    is fewer exactly when m >= 4, the finder's shortest run. The rule
+    counts eliminations, not flops: on a chain of w rows a ring step costs
+    4 w^3 flops, a squaring 5.7 w^3, a join of two powers 7.7 w^3 and the
+    fold 9.7 w^3 (see _ring_schur).
     """
-    sections = np.column_stack([cax, cfib[1:]])
-    steps = np.abs(np.diff(sections, axis=0)) > _RUN_SPLIT * np.abs(sections[:-1])
-    bounds = [0, *(np.flatnonzero(steps.any(axis=1)) + 1).tolist(), len(sections)]
-    runs = {}
-    for start, end in zip(bounds, bounds[1:]):
-        while end - start >= 4:
-            first = sections[start]
-            off = np.any(np.abs(sections[start:end] - first) > _RUN_RTOL * np.abs(first), axis=1)
-            length = int(np.argmax(off)) if off.any() else len(off)
-            if length >= 4:
-                runs[start] = length
-            start += length
-    return runs
+    return np.column_stack([cax, cfib[1:]])
 
 
 def _mirror_symmetric(cax: np.ndarray, cfib: np.ndarray) -> bool:
-    """Whether each conductance lies within _RUN_RTOL of its mirror image about the middle."""
+    """Whether each conductance lies within RUN_RTOL of its mirror image about the middle."""
     return all(
-        np.all(np.abs(c - c[::-1]) <= _RUN_RTOL * np.abs(c)) for c in (cax, cfib)
+        np.all(np.abs(c - c[::-1]) <= RUN_RTOL * np.abs(c)) for c in (cax, cfib)
     )
 
 
@@ -452,7 +432,7 @@ def _ring_schur(
     per pass, 15 at n_theta = 256, OpenBLAS 0.3.31 with one thread, 2-CPU
     Xeon host.)
 
-    A run of uniform sections (see _uniform_runs) is folded instead, with
+    A run of uniform sections (see _sections) is folded instead, with
     the conductances c = cax[s], f = cfib[s + 1] of its first section s.
     Two-ports are joined in the form (X, B, Y), X = A + B and Y = C + B^T:
     the parts of the energy that vanish on constant rings. They are small
@@ -485,7 +465,7 @@ def _ring_schur(
     stay general SPD; their Fourier structure is not used. Rings outside
     runs take the ring step above.
 
-    Every section of a run is within _RUN_RTOL = 1e-12 of its first
+    Every section of a run is within RUN_RTOL = 1e-12 of its first
     section s, so folding moves each conductance by at most that
     factor. The grid energy is a sum of conductance-weighted squared
     differences, and the boundary mass does not change, so each
@@ -494,7 +474,7 @@ def _ring_schur(
     below _FLUSH_BELOW = 1.5e-154 to zero, far below the roundoff of any
     entry they would be added to.
 
-    When each cax[j] lies within _RUN_RTOL of cax[N - 1 - j] and each
+    When each cax[j] lies within RUN_RTOL of cax[N - 1 - j] and each
     cfib[j] of cfib[N - j] (N = len(cax)), the steps above run on the
     left half only, with the ring diagonals of the cut arrays: about half
     the ring steps and half the runs. With an odd ring count the middle
@@ -502,7 +482,7 @@ def _ring_schur(
     0.5, exactly). With an even ring count the middle edge c becomes two
     edges 2c in series through a ring with no fiber energy. Taking the
     right half as the reflection of the left moves each of its
-    conductances by at most _RUN_RTOL = 1e-12 relative, and so, as for a
+    conductances by at most RUN_RTOL = 1e-12 relative, and so, as for a
     run, each eigenvalue by at most that factor.
 
     With both ends Steklov, the half's state (P, Q, R) between ring 0 and
@@ -534,7 +514,7 @@ def _ring_schur(
         n_t = len(cfib)
     diag_ring = _ring_diagonals(cax, cfib)
     last_eliminated = n_t - 2 if both or mirrored else n_t - 1
-    runs = _uniform_runs(cax, cfib)
+    runs = uniform_runs(_sections(cax, cfib))
 
     def frontier_diag(ring: int) -> float:
         # diagonal of K_ring, or of only the half it owns if a run starts there

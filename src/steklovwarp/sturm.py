@@ -28,6 +28,27 @@ PartitionedSystem. No eigenvalue path calls it: it serves the minimizing
 extension, the tests compare the reduction against it, and the
 benchmark's tracer hooks it by name.
 
+On a plateau warp most of the ladder is uniform, and every reduction
+folds it first. A uniform run is a stretch of at least four elements
+whose conductances, and the q, w and lumped mass of whose nodes after
+the first, agree with its first element and node to a relative 1e-12
+(RUN_RTOL). uniform_runs finds the runs, by the rule by which the oracle
+folds its axial sections too, and a SturmProblem finds its own once; two
+runs share at most an end node, never an element. A run of m elements
+of conductance c with interior shunts s is replaced by one element, its
+exact pi-network: with x = sinh(theta / 2) = sqrt(s / 4c),
+y = c sinh(theta) / sinh(m theta) in series and
+g = 2 c x sinh((m - 1) theta / 2) / cosh(m theta / 2) to ground at each
+end (_run_pi). The run's g joins its end nodes' shunts and its y becomes
+the run's column of a per-row cond, so the folded ladder goes through
+the same tree; shunts are formed only at the nodes it keeps. The closed
+form is exact for the discrete ladder, so a ladder moves only by
+replacing each run's conductances and shunts by its first's, within
+1e-12. The longest runs give back the elements at their tails until the
+folded width is canonical, 2^j or, above 32, 3 * 2^(j - 1), so that
+ladders whose runs differ by a few elements share a tree. A ladder
+without runs reduces as it is.
+
 A mirrored problem is the left half [0, L/2] of a collar whose
 coefficients are symmetric about its middle, with two Steklov ends of one
 weight; a MirrorEnd marks the middle as its right end. Only
@@ -58,20 +79,22 @@ the merged spectrum.
 Only `first_steps` reduces more than 64 of a walk's rows in one call. It
 reduces the first steps of many walks ahead of them, as
 assembler.first_eigenvalues_each does for many metrics: the rows of every
-problem with the same node count and ends go in one call of at most
+problem with the same folded width and ends go in one call of at most
 _MAX_GROUP_ROWS rows, each row with its own problem's conductances. The
-tree of merges depends only on the element count, so every row is the
-same bit for bit as when its walk reduces it.
+tree of merges depends only on the folded width, and the runs' closed
+forms are computed entry by entry, so every row is the same bit for bit
+as when its walk reduces it.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count, islice
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -101,6 +124,13 @@ MIN_ELEMENTS_PER_SPAN = 8
 # about the square root of the largest float, and a power of two, so that
 # w * (1 / _MAX_COND) is exact: a product of two smaller conductances is finite
 _MAX_COND = 2.0**512
+
+# relative tolerance within which the sections of a uniform run agree with its
+# first; the oracle's mirror check uses it too
+RUN_RTOL = 1e-12
+# relative step between neighbouring sections that no run crosses: 2 RUN_RTOL
+# and a slack far above the roundoff of the comparisons
+_RUN_SPLIT = 2.5 * RUN_RTOL
 
 
 @dataclass(frozen=True)
@@ -209,6 +239,34 @@ class SturmProblem:
                           w_mid=_checked(w_mid, (n - 1,), False))
         return self
 
+    def folded(self, with_mu: bool) -> "_Fold":
+        """The ladder with its uniform runs folded, made once for rows without mu and once with.
+
+        Along a run, rows with a nonzero mu need w uniform as well, and only
+        they sample w at the nodes.
+        """
+        if _FOLDED[with_mu] not in vars(self):
+            _fold_all([(self, with_mu)])
+        return vars(self)[_FOLDED[with_mu]]
+
+
+class _Fold(NamedTuple):
+    """A ladder whose uniform runs are columns of their own, as dtn_eigenvalues reduces it.
+
+    cond holds the conductance of each column: an element's, or the first
+    of a run's elements. q, w and lump hold the samples at the folded
+    ladder's nodes and then at the first interior node of each run; w is
+    None for rows without mu. The columns `runs` are runs of elements whose
+    constants for _run_pi are `terms`.
+    """
+
+    cond: np.ndarray
+    q: np.ndarray
+    w: np.ndarray | None
+    lump: np.ndarray
+    runs: np.ndarray
+    terms: np.ndarray
+
 
 def _checked(values: ArrayLike, shape: tuple[int, ...], potential: bool) -> np.ndarray:
     """Samples over shape; a potential must be nonnegative, a gradient weight positive."""
@@ -234,7 +292,8 @@ class BaseGeometry:
     steklov_ends: str = "both"
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.collar_length < math.inf:  # NaN fails both comparisons
+        length = self.collar_length
+        if not (is_real(length) and 0.0 < length < math.inf):  # NaN fails both comparisons
             raise DomainError("collar length must be positive and finite")
         if self.steklov_ends not in ("both", "left", "right"):
             raise DomainError(
@@ -256,9 +315,9 @@ def graded_mesh(
     larger of their two counts, which their lengths may round apart; the
     mesh is then symmetric by index, as the oracle's mirrored grids need.
     """
-    if not 0.0 < length < math.inf:  # NaN fails both comparisons
+    if not (is_real(length) and 0.0 < length < math.inf):  # NaN fails both comparisons
         raise DomainError("length must be positive and finite")
-    if not 1 <= n_elements < math.inf:  # NaN fails both comparisons
+    if not (is_real(n_elements) and 1 <= n_elements < math.inf):  # NaN fails both comparisons
         raise DomainError("element count must be positive and finite")
     cuts = {0.0, length}
     for a, b in spans:
@@ -347,6 +406,156 @@ def lumped_mass(nodes: np.ndarray) -> np.ndarray:
     """Trapezoidal node weights: half of each adjacent element's length."""
     half = 0.5 * (nodes[1:] - nodes[:-1])
     return np.concatenate((half[:1], half[:-1] + half[1:], half[-1:]))
+
+
+def uniform_runs(sections: np.ndarray) -> dict[int, int]:
+    """Start -> length of each run of uniform rows of a (sections x quantities) array.
+
+    A run is a maximal stretch of at least 4 rows that agree with its first
+    row, in every quantity, to a relative RUN_RTOL, taken greedily from the
+    left. It is the one rule by which both solvers fold: the oracle's rows
+    are its axial sections (see oracle._sections), a ladder's are its
+    elements, each with its right node (see _fold_all).
+
+    Two neighbouring rows of one run both lie within RUN_RTOL of its first,
+    so they differ by at most about 2 RUN_RTOL: no run crosses a step of
+    more than _RUN_SPLIT. The greedy scan runs only inside the stretches
+    between such steps that are long enough to hold a run, which gives the
+    same runs as one scan along the whole array.
+    """
+    size = np.abs(sections)
+    step = np.subtract(sections[1:], sections[:-1])
+    steps = (np.abs(step, out=step) > _RUN_SPLIT * size[:-1]).any(axis=1)
+    bounds = np.concatenate(([0], steps.nonzero()[0] + 1, [len(sections)]))
+    long = (bounds[1:] - bounds[:-1] >= 4).nonzero()[0]
+    runs = {}
+    for start, end in zip(bounds[long].tolist(), bounds[long + 1].tolist()):
+        while end - start >= 4:
+            off = (np.abs(sections[start:end] - sections[start]) > RUN_RTOL * size[start]).any(1)
+            length = int(off.argmax()) or end - start  # the first row off; the first is never
+            if length >= 4:
+                runs[start] = length
+            start += length
+    return runs
+
+
+# where a SturmProblem keeps its folded ladder for rows without mu, and with it
+_FOLDED = {False: "_folded", True: "_folded_mu"}
+
+
+def _fold_all(problems: list[tuple[SturmProblem, bool]]) -> None:
+    """Fold the ladder of each (problem, with_mu) not folded yet, for rows without or with mu.
+
+    Row e of a ladder's sections is element e with its right node e + 1,
+    for e < n - 1: the element's conductance, and q, the lumped mass and,
+    with mu, w at the node. So a run of k rows from row e is the run of the
+    k elements e ... e + k - 1, whose conductances and interior nodes agree
+    with its first to RUN_RTOL, and so does its right end node; two runs
+    share no element. The sections of every ladder of one kind are
+    stacked, each followed by a row of zeros, and searched by one
+    uniform_runs call. Each row holds a positive conductance, so a zero row
+    is a step on both its sides, and each ladder gets the runs it gets
+    alone.
+    """
+    for with_mu in {flag for _, flag in problems}:
+        todo = list({id(p): p for p, flag in problems
+                     if flag == with_mu and _FOLDED[with_mu] not in vars(p)}.values())
+        if not todo:
+            continue
+        zero = np.zeros((3 + with_mu, 1))
+        blocks, offsets = [], [0]  # offsets: each ladder's first row
+        for p in todo:  # a lazily sampled problem checks its mesh, in cond, first
+            quantities = [p.cond[:-1], p.q_node[1:-1], p.lump[1:-1]]
+            if with_mu:
+                quantities.append(p.w_node[1:-1])
+            blocks += [np.array(quantities), zero]
+            offsets.append(offsets[-1] + len(p.cond))
+        runs: list[dict[int, int]] = [{} for _ in todo]
+        # stored quantity by quantity, the sections compare fastest across a row
+        for start, k in uniform_runs(np.concatenate(blocks, axis=1).T).items():
+            i = bisect_right(offsets, start) - 1
+            runs[i][start - offsets[i]] = k
+        for p, own in zip(todo, runs):
+            vars(p)[_FOLDED[with_mu]] = _fold(p, with_mu, own)
+
+
+def _fold(p: SturmProblem, with_mu: bool, runs: dict[int, int]) -> _Fold:
+    """The ladder of p with the runs of _fold_all, start -> elements, folded to _canonical_width.
+
+    A run of k elements saves k - 1 columns. The longest runs give back the
+    elements at their tails, each a column again, until the folded width
+    is canonical; a run left with one element is none.
+    """
+    cond = p.cond
+    n = len(cond)
+    width = n - sum(runs.values()) + len(runs)
+    extra = min(n, _canonical_width(width)) - width
+    for start in sorted(runs, key=runs.get, reverse=True):
+        unfolded = min(extra, runs[start] - 1)
+        runs[start] -= unfolded
+        extra -= unfolded
+    starts = [start for start in sorted(runs) if runs[start] > 1]
+    keep, columns, removed = np.ones(n + 1, bool), [], 0  # the nodes kept, each run's column
+    for start in starts:
+        keep[start + 1 : start + runs[start]] = False
+        columns.append(start - removed)
+        removed += runs[start] - 1
+    at = np.concatenate((keep.nonzero()[0], np.array(starts, int) + 1))
+    terms = _run_terms([float(cond[start]) for start in starts], [runs[start] for start in starts])
+    return _Fold(cond[at[: n - removed]], p.q_node[at], p.w_node[at] if with_mu else None,
+                 p.lump[at], np.array(columns, int), terms)
+
+
+def _canonical_width(width: int) -> int:
+    """The least 2^j, or 3 * 2^(j - 1) above 32, that is at least width.
+
+    A folded ladder is widened to it, so that problems whose runs differ by
+    a few elements still share one tree of merges. The tree keeps the level
+    count of the next power of two, on fewer than half again as many
+    columns as the folded ladder has. A width of 3 * 2^(j - 1) leaves an
+    odd segment over at the tree's last levels; below 32 columns that
+    costs the few rows of a small ladder's reductions more than the columns
+    it saves (the sweep's half collars of 200 elements fold to 19-24).
+    """
+    power = 1 << (width - 1).bit_length()
+    return 3 * power // 4 if power > 32 and 4 * width <= 3 * power else power
+
+
+def _run_terms(c: Iterable[float], m: Iterable[float]) -> np.ndarray:
+    """The constants of _run_pi for runs of m elements of conductance c, one column per run."""
+    return np.array([(0.25 / ci, -2.0 * mi, 2.0 - 2.0 * mi, -4.0 * ci, ci / mi, -2.0 * ci)
+                     for ci, mi in zip(c, m)]).reshape(-1, 6).T
+
+
+def _run_pi(s: np.ndarray, terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pi-network (g, y, g) of each uniform run, with interior shunts s, one row of runs per ladder.
+
+    The node values of a run of m elements of conductance c are
+    combinations of cosh(i theta) and sinh(i theta), with
+    cosh theta = 1 + s / 2c; with x = sinh(theta / 2) = sqrt(s / 4c) its
+    exact two-port is
+
+        y = c sinh(theta) / sinh(m theta),
+        g = 2 c x sinh((m - 1) theta / 2) / cosh(m theta / 2).
+
+    Both are written with e = exp(-m theta), expm1 and
+    exp(theta / 2) = x + sqrt(1 + x^2), so that every term is nonnegative
+    and none overflows: y = 4 c x sqrt(1 + x^2) e / (1 - e^2) and
+    g = 2 c x (1 - exp(-(m - 1) theta)) / (exp(theta / 2) (1 + e)). s = 0
+    gives g = 0 and y = c / m exactly. terms holds _run_terms(c, m).
+    """
+    quarter, minus_2m, minus_2m_2, minus_4c, c_m, minus_2c = terms
+    x = np.sqrt(s * quarter)
+    root = np.hypot(1.0, x)
+    half = np.arcsinh(x)  # theta / 2
+    power = half * minus_2m  # -m theta
+    decay = np.exp(power)
+    # expm1 of a negative argument is negative, as are the constants it meets; y keeps
+    # c / m where s = 0, and nothing divides 0 by 0
+    y = x * 0.0 + c_m
+    np.divide(x * root * decay * minus_4c, np.expm1(power + power), out=y, where=x > 0.0)
+    g = x * np.expm1(half * minus_2m_2) * minus_2c / ((x + root) * (1.0 + decay))
+    return g, y
 
 
 def _steklov_nodes(p: SturmProblem) -> tuple[list[int], list[float]]:
@@ -464,8 +673,11 @@ def _ladder_eigenvalues(cond: np.ndarray, shunt: np.ndarray, left: BoundaryCondi
     end2 = g2 + shunt[:, -1]
     if isinstance(right, MirrorEnd):
         share = y / (y + end2)
-        even = end1 + end2 * share
-        return np.stack((even, even + y * share), axis=1) / left.weight
+        rows = np.empty((len(y), 2))
+        rows[:, 0] = end1 + end2 * share  # sigma_even
+        rows[:, 1] = rows[:, 0] + y * share
+        rows /= left.weight
+        return rows
     if not isinstance(right, SteklovEnd):
         return ((end1 + y * end2 / (y + end2)) / left.weight)[:, None]
     if not isinstance(left, SteklovEnd):
@@ -496,18 +708,39 @@ def dtn_eigenvalues(
             and lam.max(initial=0.0) < math.inf and mu.max(initial=0.0) < math.inf):
         raise DomainError("fiber eigenvalue lambda and mode eigenvalue mu "
                           "must be nonnegative and finite")
-    cond = p.cond  # a lazily sampled problem checks its mesh before sampling the nodes
-    shunt = _shunts(p, lam, mu)
-    values = _ladder_eigenvalues(cond, shunt.reshape(-1, len(p.nodes)), p.left_bc, p.right_bc)
-    return values.reshape(shunt.shape[:-1] + values.shape[1:])
+    fold = p.folded(bool(mu.any()))  # a lazily sampled problem checks its mesh first
+    shunt = _shunts(fold, lam, mu)
+    cond, shunt = _folded_ladder(fold, shunt.reshape(-1, shunt.shape[-1]))
+    values = _ladder_eigenvalues(cond, shunt, p.left_bc, p.right_bc)
+    return values.reshape(np.broadcast(lam, mu).shape + values.shape[1:])
 
 
-def _shunts(p: SturmProblem, lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Node shunts (lambda q + mu w) lump, one row of nodes per pair of lam and mu broadcast."""
-    shunt = lam[..., None] * p.q_node
+def _folded_ladder(fold: _Fold, shunt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Conductances and node shunts of a folded ladder, from its shunt rows at the fold's nodes.
+
+    Each run's column takes the y of its pi-network (_run_pi), and the
+    run's two end nodes its g. A ladder without runs keeps one cond shared
+    by every row.
+    """
+    if not len(fold.runs):
+        return fold.cond, shunt
+    width = len(fold.cond)
+    g, y = _run_pi(shunt[:, width + 1 :], fold.terms)
+    cond = np.empty((len(shunt), width))
+    cond[:] = fold.cond
+    cond[:, fold.runs] = y
+    shunt = shunt[:, : width + 1]
+    shunt[:, fold.runs] += g  # a node between two runs takes both g
+    shunt[:, fold.runs + 1] += g
+    return cond, shunt
+
+
+def _shunts(fold: _Fold, lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Shunts (lambda q + mu w) lump at the fold's nodes, a row per pair of lam and mu broadcast."""
+    shunt = lam[..., None] * fold.q
     if mu.any():  # else mu w vanishes, and 0 + x is x exactly
-        shunt = mu[..., None] * p.w_node + shunt
-    return np.multiply(shunt, p.lump, out=np.empty(np.broadcast(lam, mu).shape + p.nodes.shape))
+        shunt = mu[..., None] * fold.w + shunt
+    return np.multiply(shunt, fold.lump, out=np.empty(np.broadcast(lam, mu).shape + fold.q.shape))
 
 
 def rayleigh_quotient(p: SturmProblem, samples: np.ndarray) -> float:
@@ -641,23 +874,26 @@ def _reduce_first_steps(chunk: list[tuple[SturmProblem, list[float], list[float]
                         ) -> list[dict[int, list[list[float]]]]:
     """The caches of first_steps for (problem, first step's fibers, its modes) walks.
 
-    The rows of every problem with the same node count and ends are reduced
-    in one call, each with its own problem's conductances: the shunts and
-    the tree of merges are those of dtn_eigenvalues on its rows alone, so
-    every row is the same bit for bit.
+    The rows of every problem with the same folded width and ends are
+    reduced in one call, each with its own problem's conductances: the
+    shunts, the runs' pi-networks and the tree of merges are those of
+    dtn_eigenvalues on its rows alone, so every row is the same bit for
+    bit. The runs of all the chunk's problems are found together.
     """
     groups: dict[tuple, list[tuple[int, int, np.ndarray, np.ndarray]]] = {}
+    _fold_all([(problem, any(mu)) for problem, _, mu in chunk])
     for index, (problem, lam, mu) in enumerate(chunk):
-        cond = problem.cond  # a lazily sampled problem checks its mesh before sampling the nodes
+        fold = problem.folded(any(mu))
         lam_rows = np.repeat(np.asarray(lam, float), len(mu))  # fiber by fiber, as a walk's step
-        shunt = _shunts(problem, lam_rows, np.tile(np.asarray(mu, float), len(lam)))
-        key = (len(problem.nodes), problem.left_bc, problem.right_bc)
+        shunt = _shunts(fold, lam_rows, np.tile(np.asarray(mu, float), len(lam)))
+        cond, shunt = _folded_ladder(fold, shunt)
+        key = (cond.shape[-1], problem.left_bc, problem.right_bc)
         groups.setdefault(key, []).append((index, len(mu), cond, shunt))
     caches: list[dict[int, list[list[float]]]] = [{} for _ in chunk]
-    for (_, left, right), members in groups.items():
-        conds = [cond for _, _, cond, _ in members]
+    for (width, left, right), members in groups.items():
         shunts = [shunt for *_, shunt in members]
-        cond = np.repeat(conds, [len(shunt) for shunt in shunts], axis=0)
+        cond = np.concatenate([np.broadcast_to(cond, (len(shunt), width))
+                               for _, _, cond, shunt in members])
         values = iter(_ladder_eigenvalues(cond, np.concatenate(shunts), left, right).tolist())
         for index, n_modes, _, shunt in members:
             caches[index] = {i: list(islice(values, n_modes)) for i in range(len(shunt) // n_modes)}

@@ -30,7 +30,13 @@ from steklovwarp import (
 )
 from steklovwarp import assembler, spectra, sturm
 from steklovwarp.assembler import first_eigenvalues_each, metric_recipes
-from steklovwarp.experiments import SPECTRUM_CSV_HEADER, sig12, spectrum_csv_lines
+from steklovwarp.experiments import (
+    SPECTRUM_CSV_HEADER,
+    ExperimentConfig,
+    random_profile_pairs,
+    sig12,
+    spectrum_csv_lines,
+)
 from steklovwarp.profiles import log_value, power_fn
 from steklovwarp.provenance import merge_tagged
 from steklovwarp.spectra import discrete_circle_spectrum, extend
@@ -317,16 +323,67 @@ class TestFirstEigenvaluesEach:
         assert [_fingerprint(result) for result in together] == alone
         assert len(chunks) > 1 and max(chunks) <= sturm._MAX_GROUP_ROWS
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_criterion_8_draws_equal_each_spec_alone(self, monkeypatch, seed):
+        # criterion 8's 40 collars fold to some 20 widths between 40 and 70;
+        # widened to a canonical width, their first steps reduce in a few calls
+        cfg = ExperimentConfig(experiment="quasi_iso", seed=seed, pairs=20, k_max=5, mesh=300)
+        specs = [spec for pair in random_profile_pairs(cfg) for spec in pair]
+        count, n_elements = cfg.k_max + 1, cfg.mesh
+        alone = [_fingerprint(first_eigenvalues(spec, count, n_elements=n_elements))
+                 for spec in specs]
+        problems = [discretize(spec, n_elements) for spec in specs]
+        widths = {len(p.folded(False).cond) for p in problems}
+        assert len(widths) <= 3 and max(widths) < min(len(p.cond) for p in problems)
+        calls, reduce = [], sturm._ladder_eigenvalues
+
+        def spy(cond, shunt, left, right):
+            calls.append(len(shunt))
+            return reduce(cond, shunt, left, right)
+
+        monkeypatch.setattr(sturm, "_ladder_eigenvalues", spy)
+        together = first_eigenvalues_each(specs, count, n_elements=n_elements)
+        assert [_fingerprint(result) for result in together] == alone
+        assert 1 <= len(calls) <= 3
+
     def test_first_step_rows_are_those_of_dtn_eigenvalues(self):
         walks = [(discretize(spec, 120), spec.fiber, spec.base.cross_section)
                  for spec in self._mixed_specs()]
-        for (problem, fibers, modes), cache in zip(walks, sturm.first_steps(walks)):
+        caches = list(sturm.first_steps(walks))
+        # the problems are folded now, and their runs are not found again
+        assert list(sturm.first_steps(walks)) == caches
+        for (problem, fibers, modes), cache in zip(walks, caches):
             lam = [value for value, _ in fibers.take(0, 8)]
             mu = [value for value, _ in modes.take(0, 8)]
             expected = dtn_eigenvalues(problem, np.repeat(lam, len(mu)), np.tile(mu, len(lam)))
             assert sorted(cache) == list(range(len(lam)))
             got = np.array([row for i in range(len(lam)) for row in cache[i]])
             assert got.tobytes() == expected.tobytes()
+
+
+def spy_reductions(monkeypatch):
+    """(grouped, rows) of every _ladder_eigenvalues call, grouped when first_steps makes it.
+
+    A folded ladder gives every call one cond row per ladder, so only where
+    a call is made tells a grouped first step from a walk's step.
+    """
+    calls, grouping = [], []
+    reduce, group = sturm._ladder_eigenvalues, sturm._reduce_first_steps
+
+    def group_spy(chunk):
+        grouping.append(chunk)
+        try:
+            return group(chunk)
+        finally:
+            grouping.pop()
+
+    def reduce_spy(cond, shunt, left, right):
+        calls.append((bool(grouping), len(shunt)))
+        return reduce(cond, shunt, left, right)
+
+    monkeypatch.setattr(sturm, "_reduce_first_steps", group_spy)
+    monkeypatch.setattr(sturm, "_ladder_eigenvalues", reduce_spy)
+    return calls
 
 
 def _fingerprint(result):
@@ -657,13 +714,7 @@ class TestBlockBoundaries:
         cross = explicit_spectrum([(0.5 * j, 1) for j in range(n_modes)], complete=True)
         spec = WarpedMetricSpec(2, 1, WarpProfile(0.1, 0.75, 1.0, True),
                                 BaseGeometry(cross, 1.0, steklov_ends), fiber, "volume_preserving")
-        calls, reduce = [], sturm._ladder_eigenvalues
-
-        def spy(cond, shunt, left, right):
-            calls.append((cond.ndim == 2, len(shunt)))
-            return reduce(cond, shunt, left, right)
-
-        monkeypatch.setattr(sturm, "_ladder_eigenvalues", spy)
+        calls = spy_reductions(monkeypatch)
         steklov_spectrum_warped(spec, math.inf, n_elements=100)
         walked = calls.copy()
         calls.clear()
@@ -719,27 +770,21 @@ class TestRowReuse:
     """Each (lambda, mu) pair is reduced once per call, in walk calls of at most 64 rows.
 
     The spy sees every reduction: each builds its rows' shunts with _shunts
-    and reduces them with _ladder_eigenvalues, a walk's step with a shared
-    1-D cond and the grouped first steps with one cond row per ladder.
+    and reduces them with _ladder_eigenvalues, a walk's step alone and the
+    first steps of first_steps grouped.
     """
 
     @staticmethod
     def _spy(monkeypatch):
-        pairs, calls = [], []
-        shunts, reduce = sturm._shunts, sturm._ladder_eigenvalues
+        pairs, shunts = [], sturm._shunts
 
-        def shunt_spy(p, lam, mu):
+        def shunt_spy(fold, lam, mu):
             lam_b, mu_b = np.broadcast_arrays(lam, mu)
             pairs.extend(zip(lam_b.ravel().tolist(), mu_b.ravel().tolist()))
-            return shunts(p, lam, mu)
-
-        def reduce_spy(cond, shunt, left, right):
-            calls.append((cond.ndim == 2, len(shunt)))
-            return reduce(cond, shunt, left, right)
+            return shunts(fold, lam, mu)
 
         monkeypatch.setattr(sturm, "_shunts", shunt_spy)
-        monkeypatch.setattr(sturm, "_ladder_eigenvalues", reduce_spy)
-        return pairs, calls
+        return pairs, spy_reductions(monkeypatch)
 
     @staticmethod
     def _assert_each_pair_once(spied):

@@ -24,7 +24,6 @@ from steklovwarp.assembler import metric_recipes
 from steklovwarp.linalg import dtn_matrix, sym_eig
 from steklovwarp.oracle import (
     _FLUSH_BELOW,
-    _RUN_RTOL,
     _SPLIT_FROM,
     _add_ring,
     _chains,
@@ -35,12 +34,13 @@ from steklovwarp.oracle import (
     _ring_diagonals,
     _ring_schur,
     _run_two_port,
-    _uniform_runs,
+    _sections,
     assemble_revolution,
     make_grid,
     revolution_spectrum,
 )
 from steklovwarp.profiles import power_fn
+from steklovwarp.sturm import RUN_RTOL, uniform_runs
 from steklovwarp.spectra import discrete_circle_spectrum
 
 # plateau, bump and constant are mirror-symmetric, so at any ends only their
@@ -145,7 +145,7 @@ def test_indefinite_ring_block_is_named(bad_ring, both, n_theta):
     cax = np.ones(n_t - 1)
     cfib = np.ones(n_t)
     cfib[bad_ring] = -2.0
-    assert _uniform_runs(cax, cfib) == {}
+    assert uniform_runs(_sections(cax, cfib)) == {}
     with pytest.raises(NumericError, match=f"not positive definite: ring {bad_ring},"):
         _ring_schur(cax, cfib, n_theta, both)
 
@@ -156,7 +156,7 @@ def test_indefinite_block_in_a_folded_run_is_named():
     n_t = 12
     cax = np.ones(n_t - 1)
     cfib = np.full(n_t, -2.0)
-    assert _uniform_runs(cax, cfib) == {0: n_t - 1}
+    assert uniform_runs(_sections(cax, cfib)) == {0: n_t - 1}
     with pytest.raises(NumericError, match="not positive definite: ring 1,"):
         _ring_schur(cax, cfib, 16, True)
 
@@ -223,7 +223,7 @@ def test_grid_without_runs_is_eliminated_ring_by_ring(shape, ends):
     # mirrored path; see test_mirrored_grid_matches_the_whole_axis
     grid = grid_for("ramp", shape, ends)
     cax, cfib, diag_ring = ring_arrays(grid)
-    assert _uniform_runs(cax, cfib) == {}
+    assert uniform_runs(_sections(cax, cfib)) == {}
     both = ends == "both"
     chains = _ring_schur(cax, cfib, grid.n_theta, both)
     for (schur,), links in zip(chains, _chains(grid.n_theta)):
@@ -332,7 +332,7 @@ def test_mirrored_bump_factors_half_its_rings(monkeypatch, n_axial, ends):
 def test_mirror_check_holds_each_section_to_the_run_tolerance(
     monkeypatch, warp_name, offset, mirrored, ends
 ):
-    # one right-half axial conductance moved by twice _RUN_RTOL makes the grid
+    # one right-half axial conductance moved by twice RUN_RTOL makes the grid
     # asymmetric, and the whole axis is eliminated as before
     grid = grid_for(warp_name, (128, 32), ends)
     cax, cfib, _ = ring_arrays(grid)
@@ -373,14 +373,14 @@ def test_constant_warp_folds_one_run_along_the_axis(shape):
     # the end ring's half mass ends the run one section before the last ring
     grid = grid_for("constant", shape, "both")
     _, cax, cfib, _ = _ring_coefficients(grid)
-    runs = _uniform_runs(cax, cfib)
+    runs = uniform_runs(_sections(cax, cfib))
     assert runs == {0: grid.n_axial - 2}
 
 
 def test_plateau_grid_folds_its_plateaus():
     grid = grid_for("plateau", (256, 64), "both")
     _, cax, cfib, _ = _ring_coefficients(grid)
-    runs = _uniform_runs(cax, cfib)
+    runs = uniform_runs(_sections(cax, cfib))
     assert sum(runs.values()) >= 0.8 * (grid.n_axial - 1)
     sections = np.column_stack([cax, cfib[1:]])
     for start, length in runs.items():
@@ -411,7 +411,7 @@ def test_symmetric_powers_equal_general_powering(warp_name, shape):
     # the same run powered as general two-ports, block by block
     grid = grid_for(warp_name, shape, "both")
     _, cax, cfib, _ = _ring_coefficients(grid)
-    runs = _uniform_runs(cax, cfib)
+    runs = uniform_runs(_sections(cax, cfib))
     assert runs
     for (start, length), links in itertools.product(runs.items(), _chains(grid.n_theta)):
         args = (cax[start], cfib[start + 1], links, start, length)
@@ -424,7 +424,7 @@ def far_plateau_block():
     to its copy: C + A, of 129 rows."""
     grid = make_grid(1.0, 2.0 * math.pi, WARPS["plateau"], 512, 256)
     _, cax, cfib, _ = _ring_coefficients(grid)
-    start, length = max(_uniform_runs(cax, cfib).items(), key=lambda run: run[1])
+    start, length = max(uniform_runs(_sections(cax, cfib)).items(), key=lambda run: run[1])
     even, _ = _chains(grid.n_theta)
     x, b, y = _run_two_port(cax[start], cfib[start + 1], even, start, length)
     return np.asfortranarray(y + x - b.T - b)
@@ -457,13 +457,13 @@ def test_split_inverse_factor_matches_lapack(kind):
 
 
 def greedy_uniform_runs(cax, cfib):
-    """_uniform_runs as one greedy scan along the whole axis, a numpy pass per run."""
+    """uniform_runs of the sections as one greedy scan along the axis, a numpy pass per run."""
     sections = np.column_stack([cax, cfib[1:]])
     runs = {}
     start = 0
     while start < len(sections):
         first = sections[start]
-        off = np.any(np.abs(sections[start:] - first) > _RUN_RTOL * np.abs(first), axis=1)
+        off = np.any(np.abs(sections[start:] - first) > RUN_RTOL * np.abs(first), axis=1)
         length = int(np.argmax(off)) if off.any() else len(off)
         if length.bit_length() - 1 + length.bit_count() < length:
             runs[start] = length
@@ -472,8 +472,8 @@ def greedy_uniform_runs(cax, cfib):
 
 
 def random_sections(rng, count):
-    """Sections in stretches: planted runs with offsets up to 1.5 _RUN_RTOL, some
-    exactly at it, slow drifts of 0.9 _RUN_RTOL a step, and scattered values."""
+    """Sections in stretches: planted runs with offsets up to 1.5 RUN_RTOL, some
+    exactly at it, slow drifts of 0.9 RUN_RTOL a step, and scattered values."""
     rows = []
     while len(rows) < count:
         kind = rng.integers(3)
@@ -486,9 +486,9 @@ def random_sections(rng, count):
             at_tolerance = rng.random((length, 2)) < 0.2
             offsets[at_tolerance] = rng.choice([-1.0, 1.0], at_tolerance.sum())
             offsets *= rng.random((length, 1)) < 0.7  # some sections leave both in place
-            rows.extend(first * (1.0 + _RUN_RTOL * offsets))
+            rows.extend(first * (1.0 + RUN_RTOL * offsets))
         elif kind == 1:
-            steps = np.cumsum(np.full((length, 2), 0.9 * _RUN_RTOL), axis=0)
+            steps = np.cumsum(np.full((length, 2), 0.9 * RUN_RTOL), axis=0)
             rows.extend(first * (1.0 + steps * rng.choice([-1.0, 1.0], 2)))
         else:
             signs = rng.choice([-1.0, 1.0], (length, 2))
@@ -501,14 +501,14 @@ def random_sections(rng, count):
 @settings(max_examples=300, deadline=None)
 def test_uniform_runs_match_one_greedy_scan(seed, count):
     cax, cfib = random_sections(np.random.default_rng(seed), count)
-    assert _uniform_runs(cax, cfib) == greedy_uniform_runs(cax, cfib)
+    assert uniform_runs(_sections(cax, cfib)) == greedy_uniform_runs(cax, cfib)
 
 
 @pytest.mark.parametrize("warp_name", sorted(WARPS))
 def test_uniform_runs_of_the_grids_match_one_greedy_scan(warp_name):
     grid = grid_for(warp_name, (256, 64), "both")
     _, cax, cfib, _ = _ring_coefficients(grid)
-    assert _uniform_runs(cax, cfib) == greedy_uniform_runs(cax, cfib)
+    assert uniform_runs(_sections(cax, cfib)) == greedy_uniform_runs(cax, cfib)
 
 
 def longdouble_cholesky(a):
@@ -557,7 +557,7 @@ def test_ring_elimination_matches_extended_precision(epsilon, ends):
     cax, cfib, diag_ring = ring_arrays(grid)
     if ends == "right":
         hv = hv[::-1]
-    assert _uniform_runs(cax, cfib)
+    assert uniform_runs(_sections(cax, cfib))
     schur = longdouble_schur(cax, cfib, diag_ring, grid.n_theta, ends == "both").astype(float)
     ends_h = hv[[0, -1]] if ends == "both" else hv[:1]
     sqrt_mass = np.sqrt(np.repeat(ends_h * dth, grid.n_theta))
@@ -630,6 +630,22 @@ def test_grid_fiber_must_be_a_positive_finite_circle(fiber_length):
 def test_grid_nodes_must_span_its_length(length):
     with pytest.raises(DomainError, match=r"mesh must span exactly \[0, length\]"):
         RevolutionGrid(np.linspace(0.0, 1.0, 65), 16, length, 2.0 * math.pi, WARPS["bump"])
+
+
+@pytest.mark.parametrize(
+    "length, n_axial, message",
+    [
+        ("1.0", 64, "length must be positive and finite"),
+        (None, 64, "length must be positive and finite"),
+        (np.array([1.0, 2.0]), 64, "length must be positive and finite"),
+        (1.0, "64", "axial node count must be a real number, not str"),
+    ],
+)
+def test_make_grid_refuses_a_length_or_count_that_is_not_a_real_number(length, n_axial, message):
+    # the first two used to raise a TypeError from graded_mesh, the array
+    # numpy's ValueError, and the string count a TypeError from n_axial - 1
+    with pytest.raises(DomainError, match=message):
+        make_grid(length, 2.0 * math.pi, WARPS["plateau"], n_axial, 16)
 
 
 @pytest.mark.parametrize(

@@ -31,9 +31,11 @@ from steklovwarp import (
     discretize,
     dtn_eigenvalues,
     explicit_spectrum,
+    flat_torus_spectrum,
     graded_mesh,
     point_spectrum,
 )
+from steklovwarp import sturm
 from steklovwarp.linalg import dtn_matrix, sym_eig
 from steklovwarp.profiles import power_fn
 from steklovwarp.provenance import merge_tagged
@@ -41,6 +43,8 @@ from steklovwarp.sturm import (
     MIN_ELEMENTS_PER_SPAN,
     MirrorEnd,
     _reduce_ladder,
+    _run_pi,
+    _run_terms,
     assemble,
     minimizing_extension,
     rayleigh_quotient,
@@ -84,6 +88,17 @@ class TestGradedMesh:
             graded_mesh(length, 20)
         with pytest.raises(DomainError, match="collar length must be positive and finite"):
             BaseGeometry(point_spectrum(), length)
+
+    @pytest.mark.parametrize("length, n_elements", [("1.0", 10)])
+    def test_length_that_is_not_a_real_number_refused(self, length, n_elements):
+        # a string used to raise a TypeError from the comparison 0.0 < length
+        with pytest.raises(DomainError, match="length must be positive and finite"):
+            graded_mesh(length, n_elements)
+
+    @pytest.mark.parametrize("collar_length", ["1.0"])
+    def test_base_geometry_refuses_a_length_that_is_not_a_real_number(self, collar_length):
+        with pytest.raises(DomainError, match="collar length must be positive and finite"):
+            BaseGeometry(circle_spectrum(2.0 * math.pi, 2), collar_length)
 
     @given(
         length=st.floats(0.1, 10.0),
@@ -811,3 +826,120 @@ class TestMirroredProblem:
     def test_whole_ladder_helpers_refuse(self, helper):
         with pytest.raises(DomainError, match="mirrored collar"):
             helper(self._collar())
+
+
+def reduced_uniform_ladder(c, s, m):
+    """(g1, y, g2) of m elements of conductance c with interior shunts s, one row per s.
+
+    The explicit ladder, reduced by _reduce_ladder in np.longdouble.
+    """
+    cond = np.full(m, np.longdouble(c))
+    shunt = np.zeros((len(s), m + 1), np.longdouble)
+    shunt[:, 1:-1] = np.asarray(s, np.longdouble)[:, None]
+    return _reduce_ladder(cond, shunt)
+
+
+class TestRunPiNetwork:
+    """_run_pi, the closed-form pi-network of a uniform run, against the explicit ladder.
+
+    The reference is the ladder of m elements itself, reduced in
+    np.longdouble. The end admittances g + y (far end grounded) and
+    g + y g / (y + g) (far end open) must lie within END_RTOL of it, a
+    bound fixed from the roundoff of the closed form's dozen operations
+    before it was written. g and y are never negative, and a run without
+    shunts gives g = 0 and y = c / m exactly. Warnings are errors in the
+    suite, so no term may overflow or divide zero by zero.
+    """
+
+    END_RTOL = 1e-14
+    RATIOS = np.array([0.0, 1e-300, 1e-20, 1e-8, 1.0, 1e4, 1e8])  # s / c
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 64, 149, 1_000, 100_000])
+    def test_matches_the_reduced_ladder(self, m):
+        c = np.array([1e-3, 1.0, 7e5])
+        s = self.RATIOS[:, None] * c
+        g, y = _run_pi(s, _run_terms(c, np.full(3, float(m))))
+        assert (g >= 0.0).all() and (y >= 0.0).all()
+        assert (g[0] == 0.0).all() and (y[0] == c / m).all()
+        for j, cj in enumerate(c):
+            ref_g1, ref_y, ref_g2 = reduced_uniform_ladder(cj, s[:, j], m)
+            some = self.RATIOS > 0.0  # without shunts the open end admittance is 0 on both sides
+            open_end = g[some, j] + y[some, j] * g[some, j] / (y[some, j] + g[some, j])
+            for near, far in ((ref_g1, ref_g2), (ref_g2, ref_g1)):  # seen from either end
+                grounded = near + ref_y
+                assert np.all(np.abs(g[:, j] + y[:, j] - grounded) <= self.END_RTOL * grounded)
+                ref_open = (near + ref_y * far / (ref_y + far))[some]
+                assert np.all(np.abs(open_end - ref_open) <= self.END_RTOL * ref_open)
+
+
+# (n, k, delta) of the warps whose sweeps the fold is checked on
+FOLD_FAMILIES = [(1, 1, 0.6), (2, 1, 2.0 / 3.0), (3, 2, 0.8)]
+
+
+class TestFold:
+    """A folded reduction against _reduce_ladder on the same problem's unfolded arrays.
+
+    Each uniform run is replaced by its exact pi-network, with the
+    conductance and shunts of its first element; the run's own agree with
+    them to RUN_RTOL = 1e-12, so each row moves by at most about that much.
+    The rows are the first 8 fibers times the first 8 cross-section modes
+    of the sweep's volume-preserving metrics, at every decade of epsilon
+    from 1e-1 to 1e-14, on the 400-element collar that discretize builds.
+    """
+
+    @staticmethod
+    def _spec(n, k, delta, eps, steklov_ends):
+        closed = (flat_torus_spectrum(2.0 * math.pi, 2.0 * math.pi, 4) if k == 2
+                  else circle_spectrum(2.0 * math.pi, 4))
+        cross = point_spectrum() if n == 1 else closed
+        return WarpedMetricSpec(n, k, WarpProfile(eps, delta, 1.0, symmetric=True),
+                                BaseGeometry(cross, 1.0, steklov_ends), closed,
+                                "volume_preserving")
+
+    @pytest.mark.parametrize("steklov_ends", ["both", "left", "right"])
+    @pytest.mark.parametrize("n, k, delta", FOLD_FAMILIES)
+    @pytest.mark.parametrize("eps", [10.0**-j for j in range(1, 15)])
+    def test_rows_within_1e_12_of_the_unfolded_reduction(self, n, k, delta, eps, steklov_ends):
+        spec = self._spec(n, k, delta, eps, steklov_ends)
+        p = discretize(spec, 400)
+        lam = np.repeat([value for value, _ in spec.fiber.take(0, 8)], 8)
+        mu = np.tile(np.resize([value for value, _ in spec.base.cross_section.take(0, 8)], 8), 8)
+        folded = dtn_eigenvalues(p, lam, mu)
+        assert len(p.folded(bool(mu.any())).runs) > 0
+        shunt = (lam[:, None] * p.q_node + mu[:, None] * p.w_node) * p.lump
+        whole = sturm._ladder_eigenvalues(p.cond, shunt, p.left_bc, p.right_bc)
+        assert folded[0, 0] == whole[0, 0] == 0.0  # mode (0, 0)
+        assert np.all(np.abs(folded - whole) <= 1e-12 * np.abs(whole))
+
+    @staticmethod
+    def _assert_folded_rows_match(p, lam):
+        """dtn_eigenvalues at lam, mu = 0, within 1e-12 of the unfolded ladder; returns the rows."""
+        folded = dtn_eigenvalues(p, lam)
+        shunt = np.multiply.outer(lam, p.q_node * p.lump)
+        whole = sturm._ladder_eigenvalues(p.cond, shunt, p.left_bc, p.right_bc)
+        assert np.all(np.abs(folded - whole) <= 1e-12 * np.abs(whole))
+        return folded
+
+    def test_a_step_in_q_alone_ends_one_run_where_the_next_begins(self):
+        # every element is uniform, and q steps at node 10 of 20: the runs
+        # hold elements 0-8 and 9-18, 9-17 once widened to 4 columns, and
+        # share node 9 but no element
+        nodes = np.linspace(0.0, 1.0, 21)
+        p = SturmProblem(1.0, lambda t: 1.0, lambda t: np.where(t < 0.5, 1.0, 2.0),
+                         SteklovEnd(), SteklovEnd(), nodes)
+        fold = p.folded(False)
+        assert fold.runs.tolist() == [0, 1] and len(fold.cond) == 4
+        rows = self._assert_folded_rows_match(p, np.array([0.0, 1.0, 10.0]))
+        # at lambda = 0 the ladder is the series conductance 1 of its 20 elements
+        assert rows[0, 0] == 0.0 and abs(rows[0, 1] - 2.0) <= 1e-14
+
+    def test_conductances_drifting_below_the_split_fold_in_runs_that_share_no_element(self):
+        # neighbouring elements differ by 3e-13, below _RUN_SPLIT, so no step
+        # splits the ladder, but each run ends where the drift from its
+        # first passes RUN_RTOL
+        dt = 1.0 + 3e-13 * np.arange(40)
+        nodes = np.concatenate(([0.0], np.cumsum(dt) / dt.sum()))
+        nodes[-1] = 1.0
+        p = SturmProblem(1.0, lambda t: 1.0, lambda t: 1.0, SteklovEnd(), SteklovEnd(), nodes)
+        assert len(p.folded(False).runs) >= 2
+        self._assert_folded_rows_match(p, np.array([0.0, 1e-3, 1.0, 10.0, 1e4]))
