@@ -109,6 +109,10 @@ def discretize(spec: WarpedMetricSpec, n_elements: int) -> SturmProblem:
     midpoints, and refuses a power h^p that would overflow. Its rows, q and w
     at the nodes, w at the midpoints and the boundary weights, are bit for bit
     what metric_recipes' closures give there: the problem calls no closure.
+    A WarpProfile is an exact constant off its transition spans, so each
+    mesh segment of at least 4 elements that is not a span is declared one
+    of the problem's runs; its cuts are exact nodes. A callable warp
+    declares none.
     """
     warp, length, spans = spec.warp, spec.base.collar_length, transition_spans(spec.warp)
     if mirror := (isinstance(warp, profiles.WarpProfile) and warp.symmetric
@@ -116,14 +120,22 @@ def discretize(spec: WarpedMetricSpec, n_elements: int) -> SturmProblem:
         length, n_elements = 0.5 * length, 0.5 * n_elements
         spans = tuple(span for span in spans if span[1] <= length)
     nodes = sturm.graded_mesh(length, n_elements, spans)
+    runs = ()
+    if isinstance(warp, profiles.WarpProfile):
+        cuts = sorted({0.0, length, *itertools.chain.from_iterable(spans)})  # graded_mesh's
+        at = nodes.searchsorted(cuts).tolist()
+        runs = tuple((i, j - i) for a, b, i, j in zip(cuts, cuts[1:], at, at[1:])
+                     if j - i >= 4 and (a, b) not in spans)
     n, powers = len(nodes), _powers(spec)
     w, q, bw = power_fn(warp, powers)(np.concatenate((nodes, 0.5 * (nodes[:-1] + nodes[1:]))))
     grad, pot = power_fn(warp, powers[0]), power_fn(warp, powers[1])
     if mirror:
-        problem = SturmProblem(length, grad, pot, SteklovEnd(bw[0]), MirrorEnd(), nodes, spans)
+        problem = SturmProblem(length, grad, pot, SteklovEnd(bw[0]), MirrorEnd(), nodes, spans,
+                               runs)
     else:
         problem = sturm.collar_problem(spec.base, grad, pot, nodes=nodes,
-                                       boundary_weights=(bw[0], bw[n - 1]), transition_spans=spans)
+                                       boundary_weights=(bw[0], bw[n - 1]), transition_spans=spans,
+                                       runs=runs)
     return problem.prime(q[:n], w[:n], w[n:])
 
 

@@ -25,27 +25,23 @@ Matrix Computations, 4.5), and then only the eigenvalues of the dense
 boundary eigenproblems. A ring costs one Cholesky factor of its frontier
 block, the factor's triangular inverse and triangular BLAS-3 updates, in
 place on a few blocks of w rows, 4 w^3 flops: about n_theta^3 for the two
-chains together, a quarter of a periodic ring's 4 n_theta^3. From 128
-rows on, a block is factored and inverted as 2 x 2 blocks, with tiny
-entries flushed between the pieces: on the decayed blocks of a folded
-plateau, LAPACK's factor and inverse compute subnormal numbers and slow
-down.
+chains together, a quarter of a periodic ring's 4 n_theta^3.
 
-On a plateau warp most axial sections agree to about 1e-13. A
-run of m sections that agree with its first to a relative 1e-12 is
-folded instead. sturm.uniform_runs finds the runs, the one finder by
-which the 1D ladder folds its uniform elements too (see _sections).
-A run's two-port is built from one section by repeated
-doubling, as cyclic reduction does for constant-coefficient block
-systems (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 1970), and
-joined to the state in one block elimination of 9.7 w^3 flops
-instead of m ring steps. The section is taken mirror-symmetric, so every
-power is too and is kept by half its blocks: a squaring costs 5.7
-w^3 flops and a join of two powers 7.7. The doubling costs about
-log2(m) + popcount(m) eliminations, and a run is folded only when that
-is fewer than its ring steps. Folding moves each conductance of the run
-by at most 1e-12 relative, and so each eigenvalue by at most that factor
-(see _ring_schur).
+On a plateau warp most axial sections agree to about 1e-13. A run of m
+sections that agree with its first to a relative 1e-12 is folded
+instead. uniform_runs finds the runs from the sections alone (see
+_sections), so a callable warp's grid folds too; the 1D ladder folds
+only the runs that assembler.discretize declares. A run's two-port is
+built from one section by repeated doubling, as cyclic reduction does
+for constant-coefficient block systems (Buzbee, Golub & Nielson, SIAM J.
+Numer. Anal. 7, 1970), and joined to the state in one block elimination
+of 9.7 w^3 flops instead of m ring steps. The section is taken
+mirror-symmetric, so every power is too and is kept by half its blocks:
+a squaring costs 5.7 w^3 flops and a join of two powers 7.7. The
+doubling costs about log2(m) + popcount(m) eliminations, and a run is
+folded only when that is fewer than its ring steps. Folding moves each
+conductance of the run by at most 1e-12 relative, and so each eigenvalue
+by at most that factor (see _ring_schur).
 
 The collar warp is a function of the distance to the boundary, so a grid
 is most often mirror-symmetric about its middle, whichever ends are
@@ -89,8 +85,14 @@ import numpy as np
 from .errors import DomainError, NumericError
 from .linalg import PartitionedSystem, sym_eig
 from .profiles import Warp, log_value, transition_spans
-from .sturm import (RUN_RTOL, check_mesh, check_span, graded_mesh, is_real, lumped_mass,
-                    uniform_runs)
+from .sturm import check_mesh, check_span, graded_mesh, is_real, lumped_mass
+
+# relative tolerance within which the sections of a uniform run agree with its
+# first; the mirror check uses it too
+RUN_RTOL = 1e-12
+# relative step between neighbouring sections that no run crosses: 2 RUN_RTOL
+# and a slack far above the roundoff of the comparisons
+_RUN_SPLIT = 2.5 * RUN_RTOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,14 +212,39 @@ def assemble_revolution(grid: RevolutionGrid) -> PartitionedSystem:
 # it is never subnormal, and subnormal operands or results take a slow path
 # in the floating-point unit, up to 100 times slower per operation
 _FLUSH_BELOW = np.sqrt(np.finfo(float).tiny)  # 1.5e-154
-# a block of this many rows or more is inverse-factored as 2 x 2 blocks: the
-# even chain from n_theta = 254 on, wider than any benchmark grid's (see
-# _ring_schur)
-_SPLIT_FROM = 128
+
+
+def uniform_runs(sections: np.ndarray) -> dict[int, int]:
+    """Start -> length of each run of uniform rows of a (sections x quantities) array.
+
+    A run is a maximal stretch of at least 4 rows that agree with its first
+    row, in every quantity, to a relative RUN_RTOL, taken greedily from the
+    left. The rows are the grid's axial sections (see _sections).
+
+    Two neighbouring rows of one run both lie within RUN_RTOL of its first,
+    so they differ by at most about 2 RUN_RTOL: no run crosses a step of
+    more than _RUN_SPLIT. The greedy scan runs only inside the stretches
+    between such steps that are long enough to hold a run, which gives the
+    same runs as one scan along the whole array.
+    """
+    size = np.abs(sections)
+    step = np.subtract(sections[1:], sections[:-1])
+    steps = (np.abs(step, out=step) > _RUN_SPLIT * size[:-1]).any(axis=1)
+    bounds = np.concatenate(([0], steps.nonzero()[0] + 1, [len(sections)]))
+    long = (bounds[1:] - bounds[:-1] >= 4).nonzero()[0]
+    runs = {}
+    for start, end in zip(bounds[long].tolist(), bounds[long + 1].tolist()):
+        while end - start >= 4:
+            off = (np.abs(sections[start:end] - sections[start]) > RUN_RTOL * size[start]).any(1)
+            length = int(off.argmax()) or end - start  # the first row off; the first is never
+            if length >= 4:
+                runs[start] = length
+            start += length
+    return runs
 
 
 def _sections(cax: np.ndarray, cfib: np.ndarray) -> np.ndarray:
-    """The axial sections as rows for sturm.uniform_runs: (cax[j], cfib[j + 1]).
+    """The axial sections as rows for uniform_runs: (cax[j], cfib[j + 1]).
 
     Section j is the axial edge from ring j to ring j+1 with the fiber
     conductance of ring j+1. A run of m sections replaces m ring steps
@@ -278,26 +305,9 @@ def _flush(block: np.ndarray) -> np.ndarray:
 
 
 def _inverse_factor(block: np.ndarray, ring: float) -> np.ndarray:
-    """M = L^-1 for block = L L^T, read from the lower triangle and written over it.
+    """M = L^-1 for block = L L^T, read from the lower triangle and written over it."""
+    from scipy.linalg import lapack
 
-    A block of _SPLIT_FROM rows or more is split into 2 x 2 blocks:
-    M11 = L11^-1, L21 = S21 M11^T, S22' = S22 - L21 L21^T, M22 = L22^-1
-    of S22' = L22 L22^T, and M21 = -M22 L21 M11, each flushed below
-    _FLUSH_BELOW. The flop count is that of dpotrf + dtrtri, n^3 / 3 each.
-    """
-    from scipy.linalg import blas, lapack
-
-    size = len(block)
-    if size >= _SPLIT_FROM:
-        k = size // 2
-        m11 = _flush(_inverse_factor(block[:k, :k], ring))
-        l21 = _flush(blas.dtrmm(1.0, m11, block[k:, :k], side=1, lower=1, trans_a=1))
-        s22 = blas.dsyrk(-1.0, l21, beta=1.0, c=block[k:, k:], lower=1)
-        m22 = _flush(_inverse_factor(_flush(s22), ring))
-        block[:k, :k], block[k:, k:] = m11, m22
-        m22_l21 = _flush(blas.dtrmm(-1.0, m22, l21, lower=1))
-        block[k:, :k] = _flush(blas.dtrmm(1.0, m11, m22_l21, side=1, lower=1))
-        return block
     factor, info = lapack.dpotrf(block, lower=1, clean=0, overwrite_a=1)
     if info != 0:
         raise NumericError(
@@ -411,26 +421,6 @@ def _ring_schur(
     4 w^3 flops per ring on a chain of w rows, in place, and about
     n_theta^3 for both chains. P and R are kept as lower triangles in
     Fortran order and mirrored once, at the end.
-
-    A block of _SPLIT_FROM = 128 rows or more is inverse-factored as 2 x 2
-    blocks of dpotrf + dtrtri, flushed between the pieces (_inverse_factor),
-    at the same flop count. On the blocks that fold a decayed plateau,
-    dpotrf + dtrtri compute subnormal numbers in L^-1, which slows them
-    down on wide blocks. The (512, 128) grid's chains have 65 and 63 rows.
-    At seed 1, L^-1 held 9-69 subnormal entries on 11 of its 60 factored
-    65-row blocks. dpotrf + dtrtri took 44-79 us on those, where the split
-    took 55-57 us. On the other 49 the split took 57 us against 38 us
-    (medians). Splitting from 64 rows made _ring_schur slower, 18.0 ms
-    against 16.7 ms, and from 32 rows 23.8 ms, hence the threshold of 128.
-    The even chain reaches it from n_theta = 254 on; neither the benchmark's
-    oracle grid nor criterion 2's does. On the (512, 256) grid at seed 1,
-    L^-1 held 21-237 subnormal entries on 13 of the 60 factored 129-row
-    blocks; dpotrf + dtrtri took 209-413 us on those, the split 182-283 us,
-    and on the other 47 the split took 183 us against 203 us (medians).
-    _ring_schur took 76.6 ms with the split against 78.4 ms without it
-    (85.0 against 86.9 ms at seed 2). (Best of 30 per block and of 20
-    per pass, 15 at n_theta = 256, OpenBLAS 0.3.31 with one thread, 2-CPU
-    Xeon host.)
 
     A run of uniform sections (see _sections) is folded instead, with
     the conductances c = cax[s], f = cfib[s + 1] of its first section s.

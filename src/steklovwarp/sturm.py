@@ -29,24 +29,26 @@ extension, the tests compare the reduction against it, and the
 benchmark's tracer hooks it by name.
 
 On a plateau warp most of the ladder is uniform, and every reduction
-folds it first. A uniform run is a stretch of at least four elements
-whose conductances, and the q, w and lumped mass of whose nodes after
-the first, agree with its first element and node to a relative 1e-12
-(RUN_RTOL). uniform_runs finds the runs, by the rule by which the oracle
-folds its axial sections too, and a SturmProblem finds its own once; two
-runs share at most an end node, never an element. A run of m elements
-of conductance c with interior shunts s is replaced by one element, its
-exact pi-network: with x = sinh(theta / 2) = sqrt(s / 4c),
+folds it first. A problem's `runs` declare its uniform runs: stretches of
+evenly spaced elements on which w and q are constant.
+assembler.discretize declares each plateau segment of graded_mesh as one,
+and a problem built from callables declares none. Two runs share at most
+an end node, never an element. A run of m elements is replaced by one
+element, its exact pi-network: with the run's own step
+step = (nodes[start + m] - nodes[start]) / m, conductance c = w / step
+and interior shunts s = (lambda q + mu w) step,
+x = sinh(theta / 2) = sqrt(s / 4c),
 y = c sinh(theta) / sinh(m theta) in series and
 g = 2 c x sinh((m - 1) theta / 2) / cosh(m theta / 2) to ground at each
 end (_run_pi). The run's g joins its end nodes' shunts and its y becomes
 the run's column of a per-row cond, so the folded ladder goes through
 the same tree; shunts are formed only at the nodes it keeps. The closed
-form is exact for the discrete ladder, so a ladder moves only by
-replacing each run's conductances and shunts by its first's, within
-1e-12. The longest runs give back the elements at their tails until the
-folded width is canonical, 2^j or, above 32, 3 * 2^(j - 1), so that
-ladders whose runs differ by a few elements share a tree. A ladder
+form is exact for the discrete ladder, so a ladder moves only by taking
+the step for each of its run's element lengths, which the nodes round
+apart: the run keeps its length, and however the nodes round, a plateau
+stays one run. The longest runs give back the elements at their tails
+until the folded width is canonical, 2^j or, above 32, 3 * 2^(j - 1), so
+that ladders whose runs differ by a few elements share a tree. A ladder
 without runs reduces as it is.
 
 A mirrored problem is the left half [0, L/2] of a collar whose
@@ -90,7 +92,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count, islice
@@ -124,13 +125,6 @@ MIN_ELEMENTS_PER_SPAN = 8
 # about the square root of the largest float, and a power of two, so that
 # w * (1 / _MAX_COND) is exact: a product of two smaller conductances is finite
 _MAX_COND = 2.0**512
-
-# relative tolerance within which the sections of a uniform run agree with its
-# first; the oracle's mirror check uses it too
-RUN_RTOL = 1e-12
-# relative step between neighbouring sections that no run crosses: 2 RUN_RTOL
-# and a slack far above the roundoff of the comparisons
-_RUN_SPLIT = 2.5 * RUN_RTOL
 
 
 @dataclass(frozen=True)
@@ -173,6 +167,12 @@ class SturmProblem:
     mu = 0 is the single problem -(w a')' + q a = 0.
     transition_spans lists intervals that the mesh must resolve with at
     least MIN_ELEMENTS_PER_SPAN elements each.
+    runs declares the ladder's uniform runs as (first element, element
+    count): stretches of at least 2 elements, evenly spaced as graded_mesh
+    spaces a segment, on which w and q are constant, such as the plateau
+    segments that assembler.discretize declares. No two share an element.
+    Every reduction folds them (see the module docstring); the default ()
+    folds nothing.
     A MirrorEnd may only end it on the right: the problem is then the left
     half of a mirrored collar (see assembler.discretize).
     """
@@ -184,6 +184,7 @@ class SturmProblem:
     right_bc: BoundaryCondition
     nodes: np.ndarray
     transition_spans: tuple[tuple[float, float], ...] = field(default=())
+    runs: tuple[tuple[int, int], ...] = field(default=())
 
     def __post_init__(self) -> None:
         if is_real(self.length) and self.length <= 0.0:  # check_span refuses the rest
@@ -195,6 +196,14 @@ class SturmProblem:
         nodes = np.asarray(self.nodes, dtype=float)
         check_span(nodes, self.length)
         object.__setattr__(self, "nodes", nodes)
+        last = 0  # one past the last element of the runs before
+        for start, n_run in sorted(self.runs):
+            if not (type(start) is type(n_run) is int and last <= start and 2 <= n_run
+                    and start + n_run < len(nodes)):
+                raise DomainError(
+                    f"run ({start}, {n_run}) is no pair of ints, shares an element with another, "
+                    f"leaves the {len(nodes) - 1} elements of the mesh or holds fewer than 2")
+            last = start + n_run
 
     @cached_property
     def cond(self) -> np.ndarray:
@@ -239,31 +248,27 @@ class SturmProblem:
                           w_mid=_checked(w_mid, (n - 1,), False))
         return self
 
-    def folded(self, with_mu: bool) -> "_Fold":
-        """The ladder with its uniform runs folded, made once for rows without mu and once with.
-
-        Along a run, rows with a nonzero mu need w uniform as well, and only
-        they sample w at the nodes.
-        """
-        if _FOLDED[with_mu] not in vars(self):
-            _fold_all([(self, with_mu)])
-        return vars(self)[_FOLDED[with_mu]]
+    @cached_property
+    def folded(self) -> "_Fold":
+        """The ladder with its runs folded, made on first use (see _fold)."""
+        return _fold(self)
 
 
 class _Fold(NamedTuple):
-    """A ladder whose uniform runs are columns of their own, as dtn_eigenvalues reduces it.
+    """A ladder whose runs are columns of their own, as dtn_eigenvalues reduces it.
 
     cond holds the conductance of each column: an element's, or the first
-    of a run's elements. q, w and lump hold the samples at the folded
-    ladder's nodes and then at the first interior node of each run; w is
-    None for rows without mu. The columns `runs` are runs of elements whose
-    constants for _run_pi are `terms`.
+    of a run's elements. q holds the samples at the folded ladder's nodes
+    and then at the first interior node of each run, whose node indices
+    are `at`; lump holds the lumped masses at those nodes and then each
+    run's step, the lumped mass of its interior nodes. The columns `runs`
+    are runs of elements whose constants for _run_pi are `terms`.
     """
 
     cond: np.ndarray
     q: np.ndarray
-    w: np.ndarray | None
     lump: np.ndarray
+    at: np.ndarray
     runs: np.ndarray
     terms: np.ndarray
 
@@ -390,6 +395,7 @@ def collar_problem(
     nodes: np.ndarray,
     boundary_weights: tuple[float, float],
     transition_spans: tuple[tuple[float, float], ...],
+    runs: tuple[tuple[int, int], ...] = (),
 ) -> SturmProblem:
     """The 1D family of a whole collar base on a mesh of it; its Steklov ends carry the weights.
 
@@ -399,7 +405,7 @@ def collar_problem(
     left = SteklovEnd(boundary_weights[0]) if ends in ("both", "left") else NeumannEnd()
     right = SteklovEnd(boundary_weights[1]) if ends in ("both", "right") else NeumannEnd()
     return SturmProblem(geom.collar_length, grad_weight, potential, left, right, nodes,
-                        transition_spans)
+                        transition_spans, runs)
 
 
 def lumped_mass(nodes: np.ndarray) -> np.ndarray:
@@ -408,86 +414,20 @@ def lumped_mass(nodes: np.ndarray) -> np.ndarray:
     return np.concatenate((half[:1], half[:-1] + half[1:], half[-1:]))
 
 
-def uniform_runs(sections: np.ndarray) -> dict[int, int]:
-    """Start -> length of each run of uniform rows of a (sections x quantities) array.
+def _fold(p: SturmProblem) -> _Fold:
+    """The ladder of p with its declared runs folded, widened to _canonical_width.
 
-    A run is a maximal stretch of at least 4 rows that agree with its first
-    row, in every quantity, to a relative RUN_RTOL, taken greedily from the
-    left. It is the one rule by which both solvers fold: the oracle's rows
-    are its axial sections (see oracle._sections), a ladder's are its
-    elements, each with its right node (see _fold_all).
-
-    Two neighbouring rows of one run both lie within RUN_RTOL of its first,
-    so they differ by at most about 2 RUN_RTOL: no run crosses a step of
-    more than _RUN_SPLIT. The greedy scan runs only inside the stretches
-    between such steps that are long enough to hold a run, which gives the
-    same runs as one scan along the whole array.
-    """
-    size = np.abs(sections)
-    step = np.subtract(sections[1:], sections[:-1])
-    steps = (np.abs(step, out=step) > _RUN_SPLIT * size[:-1]).any(axis=1)
-    bounds = np.concatenate(([0], steps.nonzero()[0] + 1, [len(sections)]))
-    long = (bounds[1:] - bounds[:-1] >= 4).nonzero()[0]
-    runs = {}
-    for start, end in zip(bounds[long].tolist(), bounds[long + 1].tolist()):
-        while end - start >= 4:
-            off = (np.abs(sections[start:end] - sections[start]) > RUN_RTOL * size[start]).any(1)
-            length = int(off.argmax()) or end - start  # the first row off; the first is never
-            if length >= 4:
-                runs[start] = length
-            start += length
-    return runs
-
-
-# where a SturmProblem keeps its folded ladder for rows without mu, and with it
-_FOLDED = {False: "_folded", True: "_folded_mu"}
-
-
-def _fold_all(problems: list[tuple[SturmProblem, bool]]) -> None:
-    """Fold the ladder of each (problem, with_mu) not folded yet, for rows without or with mu.
-
-    Row e of a ladder's sections is element e with its right node e + 1,
-    for e < n - 1: the element's conductance, and q, the lumped mass and,
-    with mu, w at the node. So a run of k rows from row e is the run of the
-    k elements e ... e + k - 1, whose conductances and interior nodes agree
-    with its first to RUN_RTOL, and so does its right end node; two runs
-    share no element. The sections of every ladder of one kind are
-    stacked, each followed by a row of zeros, and searched by one
-    uniform_runs call. Each row holds a positive conductance, so a zero row
-    is a step on both its sides, and each ladder gets the runs it gets
-    alone.
-    """
-    for with_mu in {flag for _, flag in problems}:
-        todo = list({id(p): p for p, flag in problems
-                     if flag == with_mu and _FOLDED[with_mu] not in vars(p)}.values())
-        if not todo:
-            continue
-        zero = np.zeros((3 + with_mu, 1))
-        blocks, offsets = [], [0]  # offsets: each ladder's first row
-        for p in todo:  # a lazily sampled problem checks its mesh, in cond, first
-            quantities = [p.cond[:-1], p.q_node[1:-1], p.lump[1:-1]]
-            if with_mu:
-                quantities.append(p.w_node[1:-1])
-            blocks += [np.array(quantities), zero]
-            offsets.append(offsets[-1] + len(p.cond))
-        runs: list[dict[int, int]] = [{} for _ in todo]
-        # stored quantity by quantity, the sections compare fastest across a row
-        for start, k in uniform_runs(np.concatenate(blocks, axis=1).T).items():
-            i = bisect_right(offsets, start) - 1
-            runs[i][start - offsets[i]] = k
-        for p, own in zip(todo, runs):
-            vars(p)[_FOLDED[with_mu]] = _fold(p, with_mu, own)
-
-
-def _fold(p: SturmProblem, with_mu: bool, runs: dict[int, int]) -> _Fold:
-    """The ladder of p with the runs of _fold_all, start -> elements, folded to _canonical_width.
-
-    A run of k elements saves k - 1 columns. The longest runs give back the
+    A run of m elements saves m - 1 columns. The longest runs give back the
     elements at their tails, each a column again, until the folded width
-    is canonical; a run left with one element is none.
+    is canonical; a run left with one element is none. A run's conductance
+    w_mid / step and its interior nodes' lumped mass step come from the
+    declared run's step, (nodes[start + m] - nodes[start]) / m, bit for bit
+    graded_mesh's step of the segment.
     """
-    cond = p.cond
-    n = len(cond)
+    cond = p.cond  # a lazily sampled problem checks its mesh first
+    nodes, n = p.nodes, len(cond)
+    runs = dict(p.runs)
+    steps = {start: (nodes[start + m] - nodes[start]) / m for start, m in runs.items()}
     width = n - sum(runs.values()) + len(runs)
     extra = min(n, _canonical_width(width)) - width
     for start in sorted(runs, key=runs.get, reverse=True):
@@ -501,9 +441,10 @@ def _fold(p: SturmProblem, with_mu: bool, runs: dict[int, int]) -> _Fold:
         columns.append(start - removed)
         removed += runs[start] - 1
     at = np.concatenate((keep.nonzero()[0], np.array(starts, int) + 1))
-    terms = _run_terms([float(cond[start]) for start in starts], [runs[start] for start in starts])
-    return _Fold(cond[at[: n - removed]], p.q_node[at], p.w_node[at] if with_mu else None,
-                 p.lump[at], np.array(columns, int), terms)
+    step = np.array([steps[start] for start in starts])
+    terms = _run_terms(p.w_mid[starts] / step, [runs[start] for start in starts])
+    return _Fold(cond[at[: n - removed]], p.q_node[at], np.concatenate((p.lump[keep], step)), at,
+                 np.array(columns, int), terms)
 
 
 def _canonical_width(width: int) -> int:
@@ -515,7 +456,8 @@ def _canonical_width(width: int) -> int:
     columns as the folded ladder has. A width of 3 * 2^(j - 1) leaves an
     odd segment over at the tree's last levels; below 32 columns that
     costs the few rows of a small ladder's reductions more than the columns
-    it saves (the sweep's half collars of 200 elements fold to 19-24).
+    it saves (the sweep workload's half collars of 200-218 elements fold
+    to 19-24 columns at eps <= 10^-1.5, and to 63 at eps = 0.1).
     """
     power = 1 << (width - 1).bit_length()
     return 3 * power // 4 if power > 32 and 4 * width <= 3 * power else power
@@ -708,9 +650,8 @@ def dtn_eigenvalues(
             and lam.max(initial=0.0) < math.inf and mu.max(initial=0.0) < math.inf):
         raise DomainError("fiber eigenvalue lambda and mode eigenvalue mu "
                           "must be nonnegative and finite")
-    fold = p.folded(bool(mu.any()))  # a lazily sampled problem checks its mesh first
-    shunt = _shunts(fold, lam, mu)
-    cond, shunt = _folded_ladder(fold, shunt.reshape(-1, shunt.shape[-1]))
+    shunt = _shunts(p, lam, mu)
+    cond, shunt = _folded_ladder(p.folded, shunt.reshape(-1, shunt.shape[-1]))
     values = _ladder_eigenvalues(cond, shunt, p.left_bc, p.right_bc)
     return values.reshape(np.broadcast(lam, mu).shape + values.shape[1:])
 
@@ -735,11 +676,15 @@ def _folded_ladder(fold: _Fold, shunt: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return cond, shunt
 
 
-def _shunts(fold: _Fold, lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Shunts (lambda q + mu w) lump at the fold's nodes, a row per pair of lam and mu broadcast."""
+def _shunts(p: SturmProblem, lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Shunts (lambda q + mu w) lump at p's folded nodes, a row per pair of lam and mu broadcast.
+
+    Only rows with a nonzero mu sample w at the nodes.
+    """
+    fold = p.folded
     shunt = lam[..., None] * fold.q
     if mu.any():  # else mu w vanishes, and 0 + x is x exactly
-        shunt = mu[..., None] * fold.w + shunt
+        shunt = mu[..., None] * p.w_node[fold.at] + shunt
     return np.multiply(shunt, fold.lump, out=np.empty(np.broadcast(lam, mu).shape + fold.q.shape))
 
 
@@ -878,15 +823,13 @@ def _reduce_first_steps(chunk: list[tuple[SturmProblem, list[float], list[float]
     reduced in one call, each with its own problem's conductances: the
     shunts, the runs' pi-networks and the tree of merges are those of
     dtn_eigenvalues on its rows alone, so every row is the same bit for
-    bit. The runs of all the chunk's problems are found together.
+    bit.
     """
     groups: dict[tuple, list[tuple[int, int, np.ndarray, np.ndarray]]] = {}
-    _fold_all([(problem, any(mu)) for problem, _, mu in chunk])
     for index, (problem, lam, mu) in enumerate(chunk):
-        fold = problem.folded(any(mu))
         lam_rows = np.repeat(np.asarray(lam, float), len(mu))  # fiber by fiber, as a walk's step
-        shunt = _shunts(fold, lam_rows, np.tile(np.asarray(mu, float), len(lam)))
-        cond, shunt = _folded_ladder(fold, shunt)
+        shunt = _shunts(problem, lam_rows, np.tile(np.asarray(mu, float), len(lam)))
+        cond, shunt = _folded_ladder(problem.folded, shunt)
         key = (cond.shape[-1], problem.left_bc, problem.right_bc)
         groups.setdefault(key, []).append((index, len(mu), cond, shunt))
     caches: list[dict[int, list[list[float]]]] = [{} for _ in chunk]

@@ -333,7 +333,7 @@ class TestFirstEigenvaluesEach:
         alone = [_fingerprint(first_eigenvalues(spec, count, n_elements=n_elements))
                  for spec in specs]
         problems = [discretize(spec, n_elements) for spec in specs]
-        widths = {len(p.folded(False).cond) for p in problems}
+        widths = {len(p.folded.cond) for p in problems}
         assert len(widths) <= 3 and max(widths) < min(len(p.cond) for p in problems)
         calls, reduce = [], sturm._ladder_eigenvalues
 
@@ -350,7 +350,7 @@ class TestFirstEigenvaluesEach:
         walks = [(discretize(spec, 120), spec.fiber, spec.base.cross_section)
                  for spec in self._mixed_specs()]
         caches = list(sturm.first_steps(walks))
-        # the problems are folded now, and their runs are not found again
+        # the problems are folded now, and are not folded again
         assert list(sturm.first_steps(walks)) == caches
         for (problem, fibers, modes), cache in zip(walks, caches):
             lam = [value for value, _ in fibers.take(0, 8)]
@@ -398,9 +398,10 @@ def _fingerprint(result):
 def collar_of(spec, problem, whole=False):
     """The closure twin of a solved problem: metric_recipes' closures on its nodes and ends.
 
-    Its Steklov ends carry the closures' boundary weights. With whole, it is
-    the whole collar, with two Steklov ends, on the mesh a mirrored problem
-    solves: its half and the reflection of it.
+    Its Steklov ends carry the closures' boundary weights, and it declares
+    the problem's runs. With whole, it is the whole collar, with two
+    Steklov ends, on the mesh a mirrored problem solves: its half and the
+    reflection of it, with the half's runs.
     """
     recipes = metric_recipes(spec)
     nodes, spans, left = problem.nodes, problem.transition_spans, problem.left_bc
@@ -411,7 +412,7 @@ def collar_of(spec, problem, whole=False):
     left, right = (sturm.SteklovEnd(weight) if isinstance(bc, sturm.SteklovEnd) else bc
                    for bc, weight in zip(ends, recipes.boundary_weights))
     return sturm.SturmProblem(nodes[-1], recipes.grad_weight, recipes.inv_sq_weight, left, right,
-                              nodes, spans)
+                              nodes, spans, problem.runs)
 
 
 class TestCollarSampling:
@@ -494,6 +495,36 @@ class TestCollarSampling:
         for bc in (got.left_bc, got.right_bc):
             if isinstance(bc, sturm.SteklovEnd):
                 assert isinstance(bc.weight, float)
+
+
+class TestDeclaredRuns:
+    """discretize declares a WarpProfile's plateau segments as runs, and a callable's none."""
+
+    @pytest.mark.parametrize("symmetric, steklov_ends, runs", [
+        # 400 elements at eps = 0.05: 10 on [0, eps/2], 20 on [eps, 2 eps], and
+        # the far plateau to the end, or to the middle of a mirrored half
+        (False, "left", ((0, 10), (20, 20), (60, 340))),
+        (True, "both", ((0, 10), (20, 20), (60, 140))),
+        (True, "left", ((0, 10), (20, 20), (60, 280), (360, 20), (390, 10))),
+    ], ids=["one-sided", "mirrored", "symmetric"])
+    def test_a_profile_declares_its_plateau_segments(self, symmetric, steklov_ends, runs):
+        spec = circle_spec(WarpProfile(0.05, 2.0 / 3.0, 1.0, symmetric=symmetric),
+                           steklov_ends=steklov_ends)
+        problem = discretize(spec, 400)
+        assert problem.runs == runs
+        for start, m in runs:  # w and q are one constant on each run
+            inside = slice(start + 1, start + m)
+            for values in (problem.w_mid[start : start + m], problem.q_node[inside],
+                           problem.w_node[inside]):
+                assert (values == values[0]).all()
+
+    @pytest.mark.parametrize("warp", [lambda t: 1.0 + t * (1.0 - t), lambda t: 1.0],
+                             ids=["bump", "unit"])
+    def test_a_callable_warp_declares_no_runs(self, warp):
+        problem = discretize(circle_spec(warp), 400)
+        assert problem.runs == ()
+        assert len(problem.folded.runs) == 0
+        assert problem.folded.cond.tobytes() == problem.cond.tobytes()
 
 
 def entries_of(spectrum):

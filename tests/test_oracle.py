@@ -23,11 +23,9 @@ from steklovwarp import oracle, sturm
 from steklovwarp.assembler import metric_recipes
 from steklovwarp.linalg import dtn_matrix, sym_eig
 from steklovwarp.oracle import (
-    _FLUSH_BELOW,
-    _SPLIT_FROM,
+    RUN_RTOL,
     _add_ring,
     _chains,
-    _inverse_factor,
     _join,
     _mirror_symmetric,
     _ring_coefficients,
@@ -38,9 +36,9 @@ from steklovwarp.oracle import (
     assemble_revolution,
     make_grid,
     revolution_spectrum,
+    uniform_runs,
 )
 from steklovwarp.profiles import power_fn
-from steklovwarp.sturm import RUN_RTOL, uniform_runs
 from steklovwarp.spectra import discrete_circle_spectrum
 
 # plateau, bump and constant are mirror-symmetric, so at any ends only their
@@ -417,43 +415,6 @@ def test_symmetric_powers_equal_general_powering(warp_name, shape):
         args = (cax[start], cfib[start + 1], links, start, length)
         for block, expected in zip(_run_two_port(*args), general_run_two_port(*args)):
             assert np.abs(block - expected).max() <= 1e-12 * np.abs(expected).max()
-
-
-def far_plateau_block():
-    """The block that joins the far plateau's run of the (512, 256) grid's even chain
-    to its copy: C + A, of 129 rows."""
-    grid = make_grid(1.0, 2.0 * math.pi, WARPS["plateau"], 512, 256)
-    _, cax, cfib, _ = _ring_coefficients(grid)
-    start, length = max(uniform_runs(_sections(cax, cfib)).items(), key=lambda run: run[1])
-    even, _ = _chains(grid.n_theta)
-    x, b, y = _run_two_port(cax[start], cfib[start + 1], even, start, length)
-    return np.asfortranarray(y + x - b.T - b)
-
-
-@pytest.mark.parametrize("kind", ["benign", "plateau"])
-def test_split_inverse_factor_matches_lapack(kind):
-    # a block of _SPLIT_FROM rows or more is factored in halves: the same
-    # L^-1 up to rounding, with no entry left below _FLUSH_BELOW; on the
-    # plateau block dpotrf + dtrtri leave such entries, whose products are
-    # subnormal
-    from scipy.linalg import lapack
-
-    if kind == "benign":  # the even chain of 2 _SPLIT_FROM - 2 nodes has _SPLIT_FROM rows
-        even, _ = _chains(2 * _SPLIT_FROM - 2)
-        block = _add_ring(np.zeros((_SPLIT_FROM, _SPLIT_FROM), order="F"), 4.0, 1.0, even)
-    else:
-        block = far_plateau_block()
-    assert len(block) >= _SPLIT_FROM
-    factor, info = lapack.dpotrf(block, lower=1, clean=1)
-    assert info == 0
-    expected, info = lapack.dtrtri(factor, lower=1)
-    assert info == 0
-    expected = np.tril(expected)
-    small = (expected != 0.0) & (np.abs(expected) < _FLUSH_BELOW)
-    assert small.any() == (kind == "plateau")
-    split = np.tril(_inverse_factor(block.copy(order="F"), 0))
-    assert np.abs(split - expected).max() <= 1e-14 * np.abs(expected).max()
-    assert not np.any((split != 0.0) & (np.abs(split) < _FLUSH_BELOW))
 
 
 def greedy_uniform_runs(cax, cfib):

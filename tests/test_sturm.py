@@ -257,6 +257,25 @@ class TestAssemble:
         with pytest.raises(DomainError, match="mesh nodes must be strictly increasing"):
             RevolutionGrid(nodes, 16, 1.0, 2.0 * math.pi, lambda t: 1.5)
 
+    @pytest.mark.parametrize("runs", [
+        ((0, 10), (9, 10)),  # share element 9
+        ((4, 8), (0, 5)),  # share element 4, declared out of order
+        ((-1, 4),),
+        ((30, 3),),  # elements 30-32 of 32
+        ((5, 1),),
+        ((5, 0),),
+        ((5.0, 4),),
+    ], ids=["shared-element", "shared-unsorted", "before-the-mesh", "past-the-mesh",
+            "one-element", "empty", "float-start"])
+    def test_malformed_runs_refused(self, runs):
+        nodes = graded_mesh(1.0, 32)
+        # two runs that share only an end node are legal
+        SturmProblem(1.0, lambda t: 1.0, lambda t: 1.0, SteklovEnd(), SteklovEnd(), nodes,
+                     runs=((0, 10), (10, 22)))
+        with pytest.raises(DomainError, match=r"run \("):
+            SturmProblem(1.0, lambda t: 1.0, lambda t: 1.0, SteklovEnd(), SteklovEnd(), nodes,
+                         runs=runs)
+
     @pytest.mark.parametrize("weight", [0.0, math.nan, math.inf])
     def test_steklov_weight_must_be_positive_and_finite(self, weight):
         # an infinite weight used to give sigma = 0, a NaN one NaN eigenvalues
@@ -879,12 +898,13 @@ FOLD_FAMILIES = [(1, 1, 0.6), (2, 1, 2.0 / 3.0), (3, 2, 0.8)]
 class TestFold:
     """A folded reduction against _reduce_ladder on the same problem's unfolded arrays.
 
-    Each uniform run is replaced by its exact pi-network, with the
-    conductance and shunts of its first element; the run's own agree with
-    them to RUN_RTOL = 1e-12, so each row moves by at most about that much.
-    The rows are the first 8 fibers times the first 8 cross-section modes
-    of the sweep's volume-preserving metrics, at every decade of epsilon
-    from 1e-1 to 1e-14, on the 400-element collar that discretize builds.
+    Each declared run is replaced by its exact pi-network, with elements of
+    its segment's step; the run's own lengths differ from it only by the
+    rounding of its nodes, and their sum is the run's length, so each row
+    moves by far less than 1e-12. The rows are the first 8 fibers times the
+    first 8 cross-section modes of the sweep's volume-preserving metrics, at
+    every decade of epsilon from 1e-1 to 1e-14, on the 400-element collar
+    that discretize builds.
     """
 
     @staticmethod
@@ -896,50 +916,58 @@ class TestFold:
                                 BaseGeometry(cross, 1.0, steklov_ends), closed,
                                 "volume_preserving")
 
+    @staticmethod
+    def _rows(spec):
+        """(lam, mu) of the first 8 fibers times the first 8 cross-section modes."""
+        lam = np.repeat([value for value, _ in spec.fiber.take(0, 8)], 8)
+        mu = np.tile(np.resize([value for value, _ in spec.base.cross_section.take(0, 8)], 8), 8)
+        return lam, mu
+
+    @staticmethod
+    def _assert_folded_rows_match(p, lam, mu):
+        """dtn_eigenvalues, checked within 1e-12 of the unfolded ladder 8 rows at a time."""
+        folded = dtn_eigenvalues(p, lam, mu)
+        for i in range(0, len(lam), 8):
+            shunt = (np.multiply.outer(lam[i : i + 8], p.q_node)
+                     + np.multiply.outer(mu[i : i + 8], p.w_node)) * p.lump
+            whole = sturm._ladder_eigenvalues(p.cond, shunt, p.left_bc, p.right_bc)
+            assert np.all(np.abs(folded[i : i + 8] - whole) <= 1e-12 * np.abs(whole))
+        return folded
+
     @pytest.mark.parametrize("steklov_ends", ["both", "left", "right"])
     @pytest.mark.parametrize("n, k, delta", FOLD_FAMILIES)
     @pytest.mark.parametrize("eps", [10.0**-j for j in range(1, 15)])
     def test_rows_within_1e_12_of_the_unfolded_reduction(self, n, k, delta, eps, steklov_ends):
         spec = self._spec(n, k, delta, eps, steklov_ends)
         p = discretize(spec, 400)
-        lam = np.repeat([value for value, _ in spec.fiber.take(0, 8)], 8)
-        mu = np.tile(np.resize([value for value, _ in spec.base.cross_section.take(0, 8)], 8), 8)
-        folded = dtn_eigenvalues(p, lam, mu)
-        assert len(p.folded(bool(mu.any())).runs) > 0
-        shunt = (lam[:, None] * p.q_node + mu[:, None] * p.w_node) * p.lump
-        whole = sturm._ladder_eigenvalues(p.cond, shunt, p.left_bc, p.right_bc)
-        assert folded[0, 0] == whole[0, 0] == 0.0  # mode (0, 0)
-        assert np.all(np.abs(folded - whole) <= 1e-12 * np.abs(whole))
-
-    @staticmethod
-    def _assert_folded_rows_match(p, lam):
-        """dtn_eigenvalues at lam, mu = 0, within 1e-12 of the unfolded ladder; returns the rows."""
-        folded = dtn_eigenvalues(p, lam)
-        shunt = np.multiply.outer(lam, p.q_node * p.lump)
-        whole = sturm._ladder_eigenvalues(p.cond, shunt, p.left_bc, p.right_bc)
-        assert np.all(np.abs(folded - whole) <= 1e-12 * np.abs(whole))
-        return folded
+        assert len(p.folded.runs) > 0
+        rows = self._assert_folded_rows_match(p, *self._rows(spec))
+        assert rows[0, 0] == 0.0  # mode (0, 0)
 
     def test_a_step_in_q_alone_ends_one_run_where_the_next_begins(self):
-        # every element is uniform, and q steps at node 10 of 20: the runs
-        # hold elements 0-8 and 9-18, 9-17 once widened to 4 columns, and
-        # share node 9 but no element
+        # every element is uniform, and q steps at node 10 of 20: the
+        # declared runs hold elements 0-9 and 10-19 and share node 10
         nodes = np.linspace(0.0, 1.0, 21)
         p = SturmProblem(1.0, lambda t: 1.0, lambda t: np.where(t < 0.5, 1.0, 2.0),
-                         SteklovEnd(), SteklovEnd(), nodes)
-        fold = p.folded(False)
-        assert fold.runs.tolist() == [0, 1] and len(fold.cond) == 4
-        rows = self._assert_folded_rows_match(p, np.array([0.0, 1.0, 10.0]))
+                         SteklovEnd(), SteklovEnd(), nodes, runs=((0, 10), (10, 10)))
+        assert p.folded.runs.tolist() == [0, 1]
+        rows = self._assert_folded_rows_match(p, np.array([0.0, 1.0, 10.0]), np.zeros(3))
         # at lambda = 0 the ladder is the series conductance 1 of its 20 elements
         assert rows[0, 0] == 0.0 and abs(rows[0, 1] - 2.0) <= 1e-14
 
-    def test_conductances_drifting_below_the_split_fold_in_runs_that_share_no_element(self):
-        # neighbouring elements differ by 3e-13, below _RUN_SPLIT, so no step
-        # splits the ladder, but each run ends where the drift from its
-        # first passes RUN_RTOL
-        dt = 1.0 + 3e-13 * np.arange(40)
-        nodes = np.concatenate(([0.0], np.cumsum(dt) / dt.sum()))
-        nodes[-1] = 1.0
-        p = SturmProblem(1.0, lambda t: 1.0, lambda t: 1.0, SteklovEnd(), SteklovEnd(), nodes)
-        assert len(p.folded(False).runs) >= 2
-        self._assert_folded_rows_match(p, np.array([0.0, 1e-3, 1.0, 10.0, 1e4]))
+    @pytest.mark.parametrize("steklov_ends", ["both", "left"])
+    def test_a_fine_mesh_folds_each_plateau_segment_to_one_run(self, steklov_ends):
+        # at 102 400 elements the nodes round the far plateau's element
+        # lengths apart by up to 9e-12 relative; its run still folds whole,
+        # as one column, and the near plateaus hold 1 element each
+        eps = 1e-6
+        spec = self._spec(2, 1, 0.6, eps, steklov_ends)
+        p = discretize(spec, 102_400)
+        # the far plateau runs from 3 eps to the middle, or to L - 3 eps
+        end = 0.5 if steklov_ends == "both" else 1.0 - 3.0 * eps
+        start, end = p.nodes.searchsorted([3.0 * eps, end])
+        assert p.runs == ((start, end - start),)
+        fold = p.folded
+        assert len(fold.runs) == 1 and len(fold.cond) <= 64
+        rows = self._assert_folded_rows_match(p, *self._rows(spec))
+        assert rows[0, 0] == 0.0  # mode (0, 0)
