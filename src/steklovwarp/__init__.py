@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedModeError,
 )
 from .oracle import RevolutionGrid, make_grid
-from .profiles import WarpedMetricSpec, WarpProfile, volume_element_ratio
+from .profiles import FunctionWarp, WarpedMetricSpec, WarpProfile, volume_element_ratio
 from .provenance import EigenSource, SpectrumEntry, SpectrumWithProvenance
 from .spectra import (
     ClosedSpectrum,
@@ -53,6 +53,7 @@ __all__ = [
     "ConfigError",
     "DomainError",
     "EigenSource",
+    "FunctionWarp",
     "HypothesisViolationError",
     "InfeasibleError",
     "MeshResolutionError",

@@ -29,7 +29,7 @@ from .experiments import (
     run_sweep,
 )
 from .oracle import make_grid, revolution_spectrum
-from .profiles import WarpedMetricSpec, WarpProfile, volume_element_ratio
+from .profiles import FunctionWarp, WarpedMetricSpec, WarpProfile, volume_element_ratio
 from .spectra import TWO_PI, circle_spectrum, discrete_circle_spectrum, point_spectrum
 
 # Default growth-sweep exponent. sigma1 grows like eps^-r with
@@ -121,7 +121,8 @@ def _unit_cylinder(
     steklov_ends: str, length: float, count: int, mesh: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The first `count` eigenvalues of the unit-warp cylinder and their closed forms."""
-    spec = surface_spec(lambda t: 1.0, length, TWO_PI, steklov_ends, "plain_warp")
+    unit = FunctionWarp(lambda t: 1.0, length, symmetric=True, constant=True)
+    spec = surface_spec(unit, length, TWO_PI, steklov_ends, "plain_warp")
     computed, _ = first_eigenvalues(spec, count, n_elements=mesh)
     return computed, cylinder_closed_spectrum(length, TWO_PI, steklov_ends, count)
 
@@ -147,7 +148,7 @@ def _paired_deviations(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def criterion_2_decomposition_vs_oracle() -> tuple[bool, str]:
     length = 1.0
-    bump = lambda t: 1.0 + t * (length - t)
+    bump = FunctionWarp(lambda t: 1.0 + t * (length - t), length, symmetric=True)
     # place the cutoff in a spectral gap past the 15th eigenvalue
     spec = surface_spec(bump, length, TWO_PI, "both", "plain_warp")
     _, spectrum = first_eigenvalues(spec, 16, n_elements=800)

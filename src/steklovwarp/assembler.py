@@ -21,9 +21,9 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from . import profiles, sturm
+from . import sturm
 from .errors import DomainError, HypothesisViolationError, NumericError
-from .profiles import CoefficientFn, Warp, WarpedMetricSpec, power_fn, transition_spans
+from .profiles import CoefficientFn, Warp, WarpedMetricSpec, power_fn
 from .provenance import SpectrumWithProvenance
 from .spectra import circle_spectrum, extend, point_spectrum
 from .sturm import MirrorEnd, SteklovEnd, SturmProblem
@@ -66,7 +66,7 @@ def metric_recipes(spec: WarpedMetricSpec) -> MetricRecipes:
         grad_weight=power_fn(spec.warp, grad_p),
         inv_sq_weight=power_fn(spec.warp, inv_p),
         boundary_weights=tuple(power_fn(spec.warp, bw_p)(ends)),
-        spans=transition_spans(spec.warp),
+        spans=spec.warp.transition_intervals(),
     )
 
 
@@ -101,37 +101,26 @@ _MAX_DOUBLINGS = 60
 def discretize(spec: WarpedMetricSpec, n_elements: int) -> SturmProblem:
     """The collar's 1D family on a graded mesh; q is the fiber weight, lambda its eigenvalue.
 
-    Every solver here solves what this returns, and references read it. Only
-    here is a collar mirrored (see sturm): a symmetric WarpProfile on its own
-    collar with both ends Steklov is solved on its left half [0, L/2], ending
-    in a MirrorEnd, on half the elements, so each ramp gets the whole's count.
-    One power_fn call samples ln h once, at the nodes and then the element
-    midpoints, and refuses a power h^p that would overflow. Its rows, q and w
-    at the nodes, w at the midpoints and the boundary weights, are bit for bit
-    what metric_recipes' closures give there: the problem calls no closure.
-    A WarpProfile is an exact constant off its transition spans, so each
-    mesh segment of at least 4 elements that is not a span is declared one
-    of the problem's runs; its cuts are exact nodes. A callable warp
-    declares none.
+    Every solver here solves what this returns, and references read it. The
+    mesh, its spans and its plateau runs are sturm.warp_mesh's. Only here
+    is a collar mirrored (see sturm): a warp declared symmetric on its own
+    collar with both ends Steklov is solved on its left half [0, L/2],
+    ending in a MirrorEnd, on half the elements, so each ramp gets the
+    whole's count. One power_fn call samples ln h once, at the nodes and
+    then the element midpoints, and refuses a power h^p that would overflow.
+    Its rows, q and w at the nodes, w at the midpoints and the boundary
+    weights, are bit for bit what metric_recipes' closures give there: the
+    problem calls no closure.
     """
-    warp, length, spans = spec.warp, spec.base.collar_length, transition_spans(spec.warp)
-    if mirror := (isinstance(warp, profiles.WarpProfile) and warp.symmetric
-                  and warp.collar_length == length and spec.base.steklov_ends == "both"):
-        length, n_elements = 0.5 * length, 0.5 * n_elements
-        spans = tuple(span for span in spans if span[1] <= length)
-    nodes = sturm.graded_mesh(length, n_elements, spans)
-    runs = ()
-    if isinstance(warp, profiles.WarpProfile):
-        cuts = sorted({0.0, length, *itertools.chain.from_iterable(spans)})  # graded_mesh's
-        at = nodes.searchsorted(cuts).tolist()
-        runs = tuple((i, j - i) for a, b, i, j in zip(cuts, cuts[1:], at, at[1:])
-                     if j - i >= 4 and (a, b) not in spans)
+    warp, length = spec.warp, spec.base.collar_length
+    mirror = warp.symmetric and warp.collar_length == length and spec.base.steklov_ends == "both"
+    nodes, spans, runs = sturm.warp_mesh(warp, length, n_elements, mirror)
     n, powers = len(nodes), _powers(spec)
     w, q, bw = power_fn(warp, powers)(np.concatenate((nodes, 0.5 * (nodes[:-1] + nodes[1:]))))
     grad, pot = power_fn(warp, powers[0]), power_fn(warp, powers[1])
     if mirror:
-        problem = SturmProblem(length, grad, pot, SteklovEnd(bw[0]), MirrorEnd(), nodes, spans,
-                               runs)
+        problem = SturmProblem(0.5 * length, grad, pot, SteklovEnd(bw[0]), MirrorEnd(), nodes,
+                               spans, runs)
     else:
         problem = sturm.collar_problem(spec.base, grad, pot, nodes=nodes,
                                        boundary_weights=(bw[0], bw[n - 1]), transition_spans=spans,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .assembler import first_eigenvalues_each, lower_bound_C, sigma1_construction, surface_spec
 from .errors import ConfigError, DomainError, InfeasibleError, NumericError, SteklovError
-from .profiles import Warp, WarpedMetricSpec, WarpProfile, log_value
+from .profiles import FunctionWarp, Warp, WarpedMetricSpec, WarpProfile
 from .provenance import SpectrumWithProvenance
 from .spectra import (
     TWO_PI,
@@ -243,9 +243,9 @@ def build_warp(desc: dict, collar_length: float) -> Warp:
         raise ConfigError("coefficient: expected an object with a 'kind' field")
     kind = desc["kind"]
     if kind == "unit":
-        return lambda t: 1.0
+        return FunctionWarp(lambda t: 1.0, collar_length, symmetric=True, constant=True)
     if kind == "bump":
-        return lambda t: 1.0 + t * (collar_length - t)
+        return FunctionWarp(lambda t: 1.0 + t * (collar_length - t), collar_length, symmetric=True)
     if kind == "plateau":
         symmetric = desc.get("symmetric", True)
         if not isinstance(symmetric, bool):  # a string such as "false" is truthy
@@ -415,7 +415,7 @@ def metric_coefficient_ratio(spec1: WarpedMetricSpec, spec2: WarpedMetricSpec) -
     n, k = spec1.base_dim, spec1.fiber_dim
     top_power = max(2.0, 2.0 * k / n) if spec1.mode == "volume_preserving" else 2.0
     ts = np.linspace(0.0, spec1.base.collar_length, _RATIO_SAMPLES)
-    gap = np.abs(log_value(spec1.warp, ts) - log_value(spec2.warp, ts))
+    gap = np.abs(spec1.warp.log_eval(ts) - spec2.warp.log_eval(ts))
     log_ratio = top_power * gap.max()
     return float(np.exp(log_ratio)) if log_ratio < _LOG_MAX_BOUND else math.inf
 

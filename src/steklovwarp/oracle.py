@@ -21,41 +21,22 @@ chains of blocks, and each is reduced by itself.
 
 revolution_spectrum computes each chain's boundary Schur complement by
 block Gaussian elimination, one interior ring at a time (Golub & Van Loan,
-Matrix Computations, 4.5), and then only the eigenvalues of the dense
-boundary eigenproblems. A ring costs one Cholesky factor of its frontier
-block, the factor's triangular inverse and triangular BLAS-3 updates, in
-place on a few blocks of w rows, 4 w^3 flops: about n_theta^3 for the two
-chains together, a quarter of a periodic ring's 4 n_theta^3.
+Matrix Computations, 4.5; see _ring_schur), and then only the eigenvalues
+of the dense boundary eigenproblems. A ring step costs about n_theta^3
+flops for the two chains together, a quarter of a periodic ring's.
 
-On a plateau warp most axial sections agree to about 1e-13. A run of m
-sections that agree with its first to a relative 1e-12 is folded
-instead. uniform_runs finds the runs from the sections alone (see
-_sections), so a callable warp's grid folds too; the 1D ladder folds
-only the runs that assembler.discretize declares. A run's two-port is
-built from one section by repeated doubling, as cyclic reduction does
-for constant-coefficient block systems (Buzbee, Golub & Nielson, SIAM J.
-Numer. Anal. 7, 1970), and joined to the state in one block elimination
-of 9.7 w^3 flops instead of m ring steps. The section is taken
-mirror-symmetric, so every power is too and is kept by half its blocks:
-a squaring costs 5.7 w^3 flops and a join of two powers 7.7. The
-doubling costs about log2(m) + popcount(m) eliminations, and a run is
-folded only when that is fewer than its ring steps. Folding moves each
-conductance of the run by at most 1e-12 relative, and so each eigenvalue
-by at most that factor (see _ring_schur).
-
-The collar warp is a function of the distance to the boundary, so a grid
-is most often mirror-symmetric about its middle, whichever ends are
-Steklov. When each conductance lies within the same 1e-12 of its mirror
-image, only the left half is eliminated (a symmetric two-port is fixed
-by its half, Bartlett's bisection theorem, Phil. Mag. 4, 1927). With both
-ends Steklov the half gives each chain two blocks on ring 0 whose
-eigenvalues together are the chain's boundary eigenproblem's: the
-axially odd block, the half with its middle grounded, and the axially
-even block, with its middle free. With one end Steklov the half's
-two-port is joined to its own reflection through the middle, and one
-more join eliminates the Neumann end ring. This moves each right-half
-conductance by at most 1e-12 relative, and so each eigenvalue by at
-most that factor.
+make_grid declares the grid's runs from the warp, as
+assembler.discretize declares the 1D ladder's (sturm.warp_mesh): each
+plateau segment of the mesh, where ln h is an exact constant and the
+nodes are evenly spaced, is a run of uniform axial sections. A warp
+declared symmetric on the grid's collar, with nodes symmetric about its
+middle, mirrors the grid. A run is folded
+into one two-port by repeated doubling, as cyclic reduction does for
+constant-coefficient block systems (Buzbee, Golub & Nielson, SIAM J.
+Numer. Anal. 7, 1970), and a mirrored grid is eliminated on its left
+half only, whichever ends are Steklov (a symmetric two-port is fixed by
+its half, Bartlett's bisection theorem, Phil. Mag. 4, 1927). Both move
+conductances only by the rounding of the nodes (see _ring_schur).
 
 Each chain's block is treated as a general SPD block. The meridian
 reflection is the one symmetry of the ring that is used, and the
@@ -79,25 +60,24 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, NumericError
 from .linalg import PartitionedSystem, sym_eig
-from .profiles import Warp, log_value, transition_spans
-from .sturm import check_mesh, check_span, graded_mesh, is_real, lumped_mass
-
-# relative tolerance within which the sections of a uniform run agree with its
-# first; the mirror check uses it too
-RUN_RTOL = 1e-12
-# relative step between neighbouring sections that no run crosses: 2 RUN_RTOL
-# and a slack far above the roundoff of the comparisons
-_RUN_SPLIT = 2.5 * RUN_RTOL
+from .profiles import Warp
+from .sturm import check_mesh, check_runs, check_span, is_real, lumped_mass, warp_mesh
 
 
 @dataclass(frozen=True, eq=False)
 class RevolutionGrid:
-    """Tensor grid for the warped cylinder: graded axial nodes, uniform fiber angle."""
+    """Tensor grid for the warped cylinder: graded axial nodes, uniform fiber angle.
+
+    runs declares its plateau runs, as SturmProblem.runs: make_grid's, or
+    none for bare nodes. It is mirrored when the warp is declared symmetric
+    on a collar of the grid's length and the nodes are symmetric.
+    """
 
     axial_nodes: np.ndarray
     n_theta: int
@@ -105,6 +85,7 @@ class RevolutionGrid:
     fiber_length: float
     warp: Warp
     steklov_ends: str = "both"
+    runs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
         nodes = np.asarray(self.axial_nodes, dtype=float)
@@ -121,8 +102,16 @@ class RevolutionGrid:
         if self.steklov_ends not in ("both", "left", "right"):
             raise DomainError(f"bad steklov_ends {self.steklov_ends!r}")
         check_span(nodes, self.length)
-        check_mesh(nodes, transition_spans(self.warp))
+        check_mesh(nodes, self.warp.transition_intervals())
+        check_runs(self.runs, len(nodes) - 1)
         object.__setattr__(self, "axial_nodes", nodes)
+
+    @cached_property
+    def mirrored(self) -> bool:
+        """Whether the warp and the nodes are symmetric about the middle, the nodes to 1e-12 L."""
+        nodes, length = self.axial_nodes, self.length
+        return (self.warp.symmetric and self.warp.collar_length == length
+                and np.allclose(nodes[::-1], length - nodes, rtol=0.0, atol=1e-12 * length))
 
     @property
     def n_axial(self) -> int:
@@ -141,11 +130,11 @@ def make_grid(
     n_theta: int,
     steklov_ends: str = "both",
 ) -> RevolutionGrid:
-    """Build a grid whose axial mesh resolves the warp's transition intervals."""
+    """A grid on sturm.warp_mesh's mesh, declaring its plateau runs."""
     if not is_real(n_axial):  # graded_mesh refuses a length that is not a real number
         raise DomainError(f"axial node count must be a real number, not {type(n_axial).__name__}")
-    nodes = graded_mesh(length, max(n_axial - 1, 1), transition_spans(warp))
-    return RevolutionGrid(nodes, n_theta, length, fiber_length, warp, steklov_ends)
+    nodes, _, runs = warp_mesh(warp, length, max(n_axial - 1, 1))
+    return RevolutionGrid(nodes, n_theta, length, fiber_length, warp, steklov_ends, runs)
 
 
 def _ring_coefficients(grid: RevolutionGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -158,7 +147,7 @@ def _ring_coefficients(grid: RevolutionGrid) -> tuple[np.ndarray, np.ndarray, np
     """
     t = grid.axial_nodes
     dth = grid.fiber_length / grid.n_theta
-    h = np.exp(log_value(grid.warp, np.concatenate((t, 0.5 * (t[:-1] + t[1:])))))
+    h = np.exp(grid.warp.log_eval(np.concatenate((t, 0.5 * (t[:-1] + t[1:])))))
     hv, hm = h[: len(t)], h[len(t) :]
 
     # axial conductance between rings i and i+1, fiber conductance within ring i
@@ -214,55 +203,19 @@ def assemble_revolution(grid: RevolutionGrid) -> PartitionedSystem:
 _FLUSH_BELOW = np.sqrt(np.finfo(float).tiny)  # 1.5e-154
 
 
-def uniform_runs(sections: np.ndarray) -> dict[int, int]:
-    """Start -> length of each run of uniform rows of a (sections x quantities) array.
+def _section_runs(grid: RevolutionGrid, hv: np.ndarray, dth: float) -> dict:
+    """The grid's runs as _ring_schur folds them, start -> (m, c, f), in elimination order.
 
-    A run is a maximal stretch of at least 4 rows that agree with its first
-    row, in every quantity, to a relative RUN_RTOL, taken greedily from the
-    left. The rows are the grid's axial sections (see _sections).
-
-    Two neighbouring rows of one run both lie within RUN_RTOL of its first,
-    so they differ by at most about 2 RUN_RTOL: no run crosses a step of
-    more than _RUN_SPLIT. The greedy scan runs only inside the stretches
-    between such steps that are long enough to hold a run, which gives the
-    same runs as one scan along the whole array.
+    k elements from node i are m = k sections from ring i, whose c and f
+    are _ring_coefficients' with the step (nodes[i + k] - nodes[i]) / k.
     """
-    size = np.abs(sections)
-    step = np.subtract(sections[1:], sections[:-1])
-    steps = (np.abs(step, out=step) > _RUN_SPLIT * size[:-1]).any(axis=1)
-    bounds = np.concatenate(([0], steps.nonzero()[0] + 1, [len(sections)]))
-    long = (bounds[1:] - bounds[:-1] >= 4).nonzero()[0]
+    t, n_elements = grid.axial_nodes, grid.n_axial - 1
     runs = {}
-    for start, end in zip(bounds[long].tolist(), bounds[long + 1].tolist()):
-        while end - start >= 4:
-            off = (np.abs(sections[start:end] - sections[start]) > RUN_RTOL * size[start]).any(1)
-            length = int(off.argmax()) or end - start  # the first row off; the first is never
-            if length >= 4:
-                runs[start] = length
-            start += length
+    for first, k in grid.runs:
+        step, h = (t[first + k] - t[first]) / k, hv[first + 1]
+        start = n_elements - first - k if grid.steklov_ends == "right" else first
+        runs[start] = (k, h * dth / step, step / (h * dth))
     return runs
-
-
-def _sections(cax: np.ndarray, cfib: np.ndarray) -> np.ndarray:
-    """The axial sections as rows for uniform_runs: (cax[j], cfib[j + 1]).
-
-    Section j is the axial edge from ring j to ring j+1 with the fiber
-    conductance of ring j+1. A run of m sections replaces m ring steps
-    (m - 1 from ring 0, whose first section costs none) by floor(log2 m)
-    squarings, popcount(m) - 1 joins and one fold (none from ring 0); that
-    is fewer exactly when m >= 4, the finder's shortest run. The rule
-    counts eliminations, not flops: on a chain of w rows a ring step costs
-    4 w^3 flops, a squaring 5.7 w^3, a join of two powers 7.7 w^3 and the
-    fold 9.7 w^3 (see _ring_schur).
-    """
-    return np.column_stack([cax, cfib[1:]])
-
-
-def _mirror_symmetric(cax: np.ndarray, cfib: np.ndarray) -> bool:
-    """Whether each conductance lies within RUN_RTOL of its mirror image about the middle."""
-    return all(
-        np.all(np.abs(c - c[::-1]) <= RUN_RTOL * np.abs(c)) for c in (cax, cfib)
-    )
 
 
 def _chains(n_theta: int) -> tuple[np.ndarray, np.ndarray]:
@@ -395,7 +348,8 @@ def _run_two_port(c: float, f: float, links: np.ndarray, start: int, length: int
 
 
 def _ring_schur(
-    cax: np.ndarray, cfib: np.ndarray, n_theta: int, both: bool
+    cax: np.ndarray, cfib: np.ndarray, n_theta: int, both: bool,
+    runs: dict[int, tuple[int, float, float]], mirrored: bool,
 ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
     """Schur complement of the grid energy onto ring 0, and onto the last ring if `both`.
 
@@ -405,9 +359,9 @@ def _ring_schur(
     Steklov its axially even and odd blocks on ring 0 (see below). The
     even chain's first block holds the constants' kernel, spanned by
     (1, sqrt 2, ..., sqrt 2, 1) on each ring; every block is symmetric.
-    The runs and the axial mirror are decided once, and each chain is
-    then eliminated the same way, with its own blocks
-    K_j = diag_ring[j] I - cfib[j] N.
+    The runs and the axial mirror are the grid's declaration (see
+    _section_runs), and each chain is eliminated the same way, with its
+    own blocks K_j = diag_ring[j] I - cfib[j] N.
 
     Eliminates rings 1, 2, ... one at a time. The state is the two-port
     [[P, Q], [Q^T, R]] on ring 0 and the frontier ring; eliminating the
@@ -422,17 +376,20 @@ def _ring_schur(
     n_theta^3 for both chains. P and R are kept as lower triangles in
     Fortran order and mirrored once, at the end.
 
-    A run of uniform sections (see _sections) is folded instead, with
-    the conductances c = cax[s], f = cfib[s + 1] of its first section s.
-    Two-ports are joined in the form (X, B, Y), X = A + B and Y = C + B^T:
-    the parts of the energy that vanish on constant rings. They are small
-    where the axial conductance dwarfs the fiber one (1e8 times on the
-    (512, 128) grid's plateau at epsilon = 0.05, 6e10 times on (128, 32) at
-    0.01); as parts of A and C they would drown in the roundoff of the
-    large terms, the same in every copy of a power. Joining (X1, B1, Y1)
-    and (X2, B2, Y2), which share a ring, eliminates it: with Z = Y1 + X2,
-    S = Z - B1^T - B2 = C1 + A2 = L L^T and M = L^-1 (dtrtri), the result
-    is (X1 - B1 S^-1 Z, -B1 S^-1 B2, Y2 - B2^T S^-1 Z), no difference of
+    Each run start -> (m, c, f) of `runs` with m >= 4 is folded instead:
+    m sections from ring `start`, each an axial edge c up to a ring of
+    fiber conductance f. The run's last ring then takes the difference to
+    its own fiber conductance, as ring 0 takes its own when a run starts
+    there. Two-ports are joined in the form (X, B, Y), X = A + B and
+    Y = C + B^T: the parts of the energy that vanish on constant rings.
+    They are small where the axial conductance dwarfs the fiber one (1e8
+    times on the (512, 128) grid's plateau at epsilon = 0.05, 6e10 times
+    on (128, 32) at 0.01); as parts of A and C they would drown in the
+    roundoff of the large terms, the same in every copy of a power.
+    Joining (X1, B1, Y1) and (X2, B2, Y2), which share a ring, eliminates
+    it: with Z = Y1 + X2, S = Z - B1^T - B2 = C1 + A2 = L L^T and
+    M = L^-1 (dtrtri), the result is
+    (X1 - B1 S^-1 Z, -B1 S^-1 B2, Y2 - B2^T S^-1 Z), no difference of
     large terms, in 9.7 w^3 flops (three dtrmm by M, three dgemm).
 
     The run is built by binary powering of the mirror-symmetric section
@@ -446,34 +403,27 @@ def _ring_schur(
     7.7 w^3 flops. A run of m sections takes floor(log2 m) squarings
     and popcount(m) - 1 such joins, and goes back to the general form as
     (X - H, B, X + H), which one general join folds into the state, turned
-    into (X, B, Y) and back. So the fold costs at most about
-    (5.7 log2 m + 7.7 popcount m + 9.7) w^3 flops, against
-    4 m w^3 for the ring steps of the run. So that no edge is added
-    to a block and taken away again, a frontier ring where a run starts
-    holds only the half of its block it owns, the fiber energy and the
-    edge on its left; the run brings the edge on its right. The blocks
-    stay general SPD; their Fourier structure is not used. Rings outside
-    runs take the ring step above.
+    into (X, B, Y) and back: at most about
+    (5.7 log2 m + 7.7 popcount m + 9.7) w^3 flops against 4 m w^3 for its
+    ring steps, and fewer eliminations than those m steps (m - 1 from
+    ring 0, where no join is needed) exactly when m >= 4. So that no edge
+    is added to a block and taken away again, a frontier ring where a run
+    starts holds only the half of its block it owns, the fiber energy and
+    the edge on its left; the run brings the edge on its right.
 
-    Every section of a run is within RUN_RTOL = 1e-12 of its first
-    section s, so folding moves each conductance by at most that
-    factor. The grid energy is a sum of conductance-weighted squared
-    differences, and the boundary mass does not change, so each
-    eigenvalue of the Schur complement, and each Steklov eigenvalue,
-    moves by at most a factor 1e-12. Block operations also set entries
-    below _FLUSH_BELOW = 1.5e-154 to zero, far below the roundoff of any
-    entry they would be added to.
+    A run's c and f come from its segment's step, the grid's own
+    conductances from each element's length, so folding moves each
+    conductance, and each eigenvalue, by the rounding of the nodes only.
+    Block operations also set entries below _FLUSH_BELOW = 1.5e-154 to
+    zero, far below the roundoff of any entry they would be added to.
 
-    When each cax[j] lies within RUN_RTOL of cax[N - 1 - j] and each
-    cfib[j] of cfib[N - j] (N = len(cax)), the steps above run on the
-    left half only, with the ring diagonals of the cut arrays: about half
-    the ring steps and half the runs. With an odd ring count the middle
+    When `mirrored`, cax[j] and cax[N - 1 - j], and cfib[j] and cfib[N - j]
+    (N = len(cax)), are equal but for node rounding, and the steps above
+    run on the left half only, with the ring diagonals of the cut arrays,
+    and each run cut before the middle. With an odd ring count the middle
     ring ends the half and keeps half its fiber energy (cfib scaled by
     0.5, exactly). With an even ring count the middle edge c becomes two
-    edges 2c in series through a ring with no fiber energy. Taking the
-    right half as the reflection of the left moves each of its
-    conductances by at most RUN_RTOL = 1e-12 relative, and so, as for a
-    run, each eigenvalue by at most that factor.
+    edges 2c in series through a ring with no fiber energy.
 
     With both ends Steklov, the half's state (P, Q, R) between ring 0 and
     the middle gives the whole complement's eigenvalues by Bartlett's
@@ -491,9 +441,11 @@ def _ring_schur(
     from scipy.linalg import blas, lapack  # here, so the package imports without it
 
     n_t = len(cfib)
-    mirrored = n_t >= 3 and _mirror_symmetric(cax, cfib)
     if mirrored:  # from here on, the arrays describe the left half only
         end, half = n_t - 1, n_t // 2
+        # the half's last section, onto the middle or the new ring, is no run's
+        runs = {start: (min(length, half - 1 - start), c, f)
+                for start, (length, c, f) in runs.items()}
         if n_t % 2:  # ring `half` is the middle: it keeps half its fiber energy
             middle = half
             cax, cfib = cax[:half], np.append(cfib[:half], 0.5 * cfib[half])
@@ -504,7 +456,7 @@ def _ring_schur(
         n_t = len(cfib)
     diag_ring = _ring_diagonals(cax, cfib)
     last_eliminated = n_t - 2 if both or mirrored else n_t - 1
-    runs = uniform_runs(_sections(cax, cfib))
+    runs = {start: run for start, run in runs.items() if run[0] >= 4}
 
     def frontier_diag(ring: int) -> float:
         # diagonal of K_ring, or of only the half it owns if a run starts there
@@ -525,7 +477,8 @@ def _ring_schur(
             j = 1
         while j <= last_eliminated:
             if j in runs:
-                run = _run_two_port(cax[j], cfib[j + 1], links, j, runs[j])
+                length, c, f = runs[j]
+                run = _run_two_port(c, f, links, j, length)
                 if j > 0:  # the state as (X, B, Y), from P and R mirrored
                     p += np.tril(p, -1).T
                     r += np.tril(r, -1).T
@@ -535,7 +488,9 @@ def _ring_schur(
                 p[upper], r[upper] = 0.0, 0.0  # lower triangles again
                 if j == 0:
                     _add_ring(p, 2.0 * cfib[0], cfib[0], links)  # ring 0's own fiber energy
-                j += runs[j]
+                j += length
+                # the run's last ring, where its segment ends, has a fiber conductance of its own
+                _add_ring(r, 2.0 * (cfib[j] - f), cfib[j] - f, links)
                 if j < n_t - 1 and j not in runs:
                     r.ravel(order="F")[:: width + 1] += cax[j]  # the edge on its right
                 continue
@@ -574,18 +529,18 @@ def revolution_spectrum(grid: RevolutionGrid) -> np.ndarray:
 
     The even and odd chains of the meridian reflection are eliminated
     apart, their rings from the left; with only the right end Steklov the
-    rings are numbered from the right instead. A mirror-symmetric grid, at
-    any ends, eliminates only its left half, and with both ends Steklov
-    each chain ends in an axially even and an axially odd block on ring 0
-    (see _ring_schur). Each block is solved against the mass of the rings
-    it is on: an axially even or odd block against ring 0's, equal to the
-    last ring's to the mirror tolerance. The eigenvalues of all blocks of
-    both chains together are the grid's.
+    rings are numbered from the right instead. Each block of _ring_schur
+    is solved against the mass of the rings it is on: an axially even or
+    odd block against ring 0's, equal to the last ring's for a symmetric
+    warp. The eigenvalues of all blocks of both chains together are the
+    grid's.
     """
     hv, cax, cfib, dth = _ring_coefficients(grid)
+    runs = _section_runs(grid, hv, dth)
     if grid.steklov_ends == "right":
         hv, cax, cfib = hv[::-1], cax[::-1], cfib[::-1]
-    even, odd = _ring_schur(cax, cfib, grid.n_theta, grid.steklov_ends == "both")
+    even, odd = _ring_schur(cax, cfib, grid.n_theta, grid.steklov_ends == "both", runs,
+                            grid.mirrored)
     half = grid.n_theta // 2
     sqrt_mass = np.sqrt(hv[[0, -1]] * dth)  # ring 0, then the last ring
 

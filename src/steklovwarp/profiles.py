@@ -8,18 +8,15 @@ boundary, so both collar ends look the same.
 
 Coefficients are array functions, so a whole mesh costs one call: an
 ndarray of points in, the values there out, and a float in, a float out.
-A profile finds each point's piece by two binary searches against its
-piece ends and computes the quintic ramp on ramp points only. Solvers
-accept a WarpProfile or any positive, finite callable h(t) of that kind;
-a scalar return, as from lambda t: 1.0, is broadcast over the points.
 
-ln h is the one evaluator: every coefficient of the auxiliary problems is
-a power h^p = exp(p ln h), so WarpProfile.log_eval and log_value, which
-reads either kind of warp, are the only ways to sample a warp, and every
-h anywhere, the oracle's and the boundary circles' included, is exp of
-ln h. A collar problem samples ln h once, at its nodes and its element
-midpoints together, through one power_fn call that returns every power
-h^p it needs.
+Every warp, a WarpProfile or a FunctionWarp, declares its collar_length,
+whether it is symmetric, h(t) = h(L - t), its transition_intervals(), off
+which ln h is an exact constant, and log_eval(t), ln h at the points t:
+meshes and solvers read the declaration and never test h numerically.
+log_eval is the one evaluator: every coefficient of the auxiliary problems
+is a power h^p = exp(p ln h), one power_fn call gives every power a
+collar needs, and every h anywhere, the oracle's and the boundary
+circles' included, is exp of ln h.
 """
 
 from __future__ import annotations
@@ -36,6 +33,16 @@ from .spectra import ClosedSpectrum
 
 # ndarray of points -> ndarray of values; a scalar return is broadcast
 CoefficientFn = Callable[[np.ndarray], np.ndarray]
+
+
+def _on_collar(t, collar_length: float) -> np.ndarray:
+    """t as a float array, refused unless every point lies on the collar [0, collar_length]."""
+    t = np.asarray(t, dtype=float)
+    flat = t.reshape(-1)
+    if flat.size and not (flat.min() >= 0.0 and flat.max() <= collar_length):  # NaN fails too
+        bad = np.extract(~((flat >= 0.0) & (flat <= collar_length)), flat)[0]
+        raise DomainError(f"t={bad} outside the collar [0, {collar_length}]")
+    return t
 
 
 def _smoothstep(x: np.ndarray) -> np.ndarray:
@@ -93,11 +100,8 @@ class WarpProfile:
 
     def log_eval(self, t):
         """ln h(t); plateau values are exact constants, transitions quintic in log."""
-        t = np.asarray(t, dtype=float)
+        t = _on_collar(t, self.collar_length)
         flat, ell = t.reshape(-1), self.collar_length
-        if flat.size and not (flat.min() >= 0.0 and flat.max() <= ell):  # NaN fails too
-            bad = np.extract(~((flat >= 0.0) & (flat <= ell)), flat)[0]
-            raise DomainError(f"t={bad} outside the collar [0, {ell}]")
         left, right, levels, ramps = self._pieces
         piece = np.searchsorted(left, flat)
         if self.symmetric:
@@ -121,18 +125,39 @@ class WarpProfile:
         return tuple(spans)
 
 
-Warp = Union[WarpProfile, CoefficientFn]
+@dataclass(frozen=True)
+class FunctionWarp:
+    """A warp given by a positive, finite array function h(t) on [0, collar_length].
+
+    A scalar return, as from lambda t: 1.0, is broadcast over the points.
+    Unless declared constant, the whole collar is one transition interval.
+    """
+
+    h: CoefficientFn
+    collar_length: float
+    symmetric: bool = False
+    constant: bool = False
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.collar_length < math.inf:  # NaN fails both comparisons
+            raise DomainError("collar_length must be positive and finite")
+
+    def log_eval(self, t):
+        """ln h at the points t, all on the collar: h declares nothing past it."""
+        t = _on_collar(t, self.collar_length)
+        value = np.broadcast_to(self.h(t), t.shape)
+        low, high = value.min(initial=math.inf), value.max(initial=0.0)
+        if not (low > 0.0 and high < math.inf):  # NaN fails both comparisons
+            bad = np.extract(~((value > 0.0) & (value < math.inf)), value)[0]
+            raise DomainError(f"warp function must be positive and finite, got {bad}")
+        return np.log(value)[()]
+
+    def transition_intervals(self) -> tuple[tuple[float, float], ...]:
+        """No interval if h is constant, else the whole collar."""
+        return () if self.constant else ((0.0, self.collar_length),)
 
 
-def log_value(warp: Warp, t):
-    """ln h at the points t; a callable's scalar return is broadcast over them."""
-    if isinstance(warp, WarpProfile):
-        return warp.log_eval(t)
-    value = np.broadcast_to(warp(np.asarray(t, dtype=float)), np.shape(t))
-    if not (value.min(initial=math.inf) > 0.0 and value.max(initial=0.0) < math.inf):  # NaN fails
-        bad = np.extract(~((value > 0.0) & (value < math.inf)), value)[0]
-        raise DomainError(f"warp function must be positive and finite, got {bad}")
-    return np.log(value)[()]
+Warp = Union[WarpProfile, FunctionWarp]
 
 
 # ln of the largest float: exp of more overflows, while one below -745 only underflows to 0
@@ -148,19 +173,13 @@ def power_fn(warp: Warp, p: float | tuple[float, ...]) -> CoefficientFn:
     powers = np.asarray(p, dtype=float)
 
     def power(t):
-        log_h = log_value(warp, t)
+        log_h = warp.log_eval(t)
         extremes = (np.min(log_h, initial=0.0), np.max(log_h, initial=0.0))
         if np.multiply.outer(powers, extremes).max() > _LOG_MAX:
             raise DomainError("a power h^p of the warp overflows a float")
         return np.exp(np.multiply.outer(powers, log_h))
 
     return power
-
-
-def transition_spans(warp: Warp) -> tuple[tuple[float, float], ...]:
-    if isinstance(warp, WarpProfile):
-        return warp.transition_intervals()
-    return ()
 
 
 @dataclass(frozen=True)

@@ -30,10 +30,9 @@ benchmark's tracer hooks it by name.
 
 On a plateau warp most of the ladder is uniform, and every reduction
 folds it first. A problem's `runs` declare its uniform runs: stretches of
-evenly spaced elements on which w and q are constant.
-assembler.discretize declares each plateau segment of graded_mesh as one,
-and a problem built from callables declares none. Two runs share at most
-an end node, never an element. A run of m elements is replaced by one
+evenly spaced elements on which w and q are constant, such as warp_mesh's
+plateau segments. Two runs share at most an end node, never an element.
+A run of m elements is replaced by one
 element, its exact pi-network: with the run's own step
 step = (nodes[start + m] - nodes[start]) / m, conductance c = w / step
 and interior shunts s = (lambda q + mu w) step,
@@ -45,11 +44,9 @@ the run's column of a per-row cond, so the folded ladder goes through
 the same tree; shunts are formed only at the nodes it keeps. The closed
 form is exact for the discrete ladder, so a ladder moves only by taking
 the step for each of its run's element lengths, which the nodes round
-apart: the run keeps its length, and however the nodes round, a plateau
-stays one run. The longest runs give back the elements at their tails
-until the folded width is canonical, 2^j or, above 32, 3 * 2^(j - 1), so
-that ladders whose runs differ by a few elements share a tree. A ladder
-without runs reduces as it is.
+apart. The longest runs give back the elements at their tails until the
+folded width is canonical, 2^j or, above 32, 3 * 2^(j - 1), so that
+ladders whose runs differ by a few elements share a tree.
 
 A mirrored problem is the left half [0, L/2] of a collar whose
 coefficients are symmetric about its middle, with two Steklov ends of one
@@ -168,11 +165,9 @@ class SturmProblem:
     transition_spans lists intervals that the mesh must resolve with at
     least MIN_ELEMENTS_PER_SPAN elements each.
     runs declares the ladder's uniform runs as (first element, element
-    count): stretches of at least 2 elements, evenly spaced as graded_mesh
-    spaces a segment, on which w and q are constant, such as the plateau
-    segments that assembler.discretize declares. No two share an element.
-    Every reduction folds them (see the module docstring); the default ()
-    folds nothing.
+    count): stretches of at least 2 evenly spaced elements on which w and
+    q are constant, no two sharing an element, such as warp_mesh's. Every
+    reduction folds them (see the module docstring); () folds nothing.
     A MirrorEnd may only end it on the right: the problem is then the left
     half of a mirrored collar (see assembler.discretize).
     """
@@ -196,14 +191,7 @@ class SturmProblem:
         nodes = np.asarray(self.nodes, dtype=float)
         check_span(nodes, self.length)
         object.__setattr__(self, "nodes", nodes)
-        last = 0  # one past the last element of the runs before
-        for start, n_run in sorted(self.runs):
-            if not (type(start) is type(n_run) is int and last <= start and 2 <= n_run
-                    and start + n_run < len(nodes)):
-                raise DomainError(
-                    f"run ({start}, {n_run}) is no pair of ints, shares an element with another, "
-                    f"leaves the {len(nodes) - 1} elements of the mesh or holds fewer than 2")
-            last = start + n_run
+        check_runs(self.runs, len(nodes) - 1)
 
     @cached_property
     def cond(self) -> np.ndarray:
@@ -213,7 +201,7 @@ class SturmProblem:
         more is refused: the product would overflow to inf and the
         eigenvalues come out NaN.
         """
-        check_mesh(self.nodes, self.transition_spans)
+        check_mesh(self.nodes, self.transition_spans, isinstance(self.right_bc, MirrorEnd))
         w_mid, dt = self.w_mid, np.diff(self.nodes)
         if (w_mid * (1.0 / _MAX_COND) >= dt).any():  # w/dt >= _MAX_COND, with no w/dt to overflow
             raise NumericError(
@@ -349,6 +337,24 @@ def graded_mesh(
     return np.concatenate(([0.0], nodes))
 
 
+def warp_mesh(warp, length: float, n_elements: float, half: bool = False) -> tuple:
+    """graded_mesh of a warp on [0, length], or on its left half; its spans and plateau runs.
+
+    The spans are the warp's transition intervals; a half takes half the
+    elements and cuts a span at the middle. Each segment between the exact
+    cut nodes that lies in no span and holds at least 4 elements is a run.
+    """
+    spans = warp.transition_intervals()
+    if half:
+        length, n_elements = 0.5 * length, 0.5 * n_elements
+        spans = tuple((a, min(b, length)) for a, b in spans if a < length)
+    nodes = graded_mesh(length, n_elements, spans)
+    cuts = sorted({0.0, length}.union(*spans))
+    at = nodes.searchsorted(cuts).tolist()
+    return nodes, spans, tuple((i, j - i) for a, b, i, j in zip(cuts, cuts[1:], at, at[1:])
+                               if j - i >= 4 and all(b <= lo or hi <= a for lo, hi in spans))
+
+
 def is_real(value: object) -> bool:
     """Whether value is a real scalar, a Python or numpy int or float; a bool is not."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
@@ -372,9 +378,21 @@ def check_span(nodes: np.ndarray, length: float) -> None:
         raise DomainError("mesh nodes must be strictly increasing")
 
 
-def check_mesh(nodes: np.ndarray, spans: tuple[tuple[float, float], ...]) -> None:
-    """Check that the mesh has at least 16 elements, and MIN_ELEMENTS_PER_SPAN in every span."""
-    n_elements = len(nodes) - 1
+def check_runs(runs: tuple[tuple[int, int], ...], n_elements: int) -> None:
+    """Check (first element, count) runs: int pairs on the mesh, disjoint, each of at least 2."""
+    last = 0  # one past the last element of the runs before
+    for start, n_run in sorted(runs):
+        if not (type(start) is type(n_run) is int and last <= start and 2 <= n_run
+                and start + n_run <= n_elements):
+            raise DomainError(
+                f"run ({start}, {n_run}) is no pair of ints, shares an element with another, "
+                f"leaves the {n_elements} elements of the mesh or holds fewer than 2")
+        last = start + n_run
+
+
+def check_mesh(nodes: np.ndarray, spans: tuple[tuple[float, float], ...], mirrored=False) -> None:
+    """Check for 16 elements, a mirrored half's twice, and MIN_ELEMENTS_PER_SPAN in each span."""
+    n_elements = (len(nodes) - 1) * (2 if mirrored else 1)
     if n_elements < 16:
         raise DomainError(f"mesh must have at least 16 elements, got {n_elements}")
     tol = 1e-12 * max(nodes[-1], 1.0)
@@ -397,10 +415,7 @@ def collar_problem(
     transition_spans: tuple[tuple[float, float], ...],
     runs: tuple[tuple[int, int], ...] = (),
 ) -> SturmProblem:
-    """The 1D family of a whole collar base on a mesh of it; its Steklov ends carry the weights.
-
-    A mirrored collar's left half is built by assembler.discretize alone.
-    """
+    """The 1D family of a whole collar base on a mesh of it; its Steklov ends carry the weights."""
     ends = geom.steklov_ends
     left = SteklovEnd(boundary_weights[0]) if ends in ("both", "left") else NeumannEnd()
     right = SteklovEnd(boundary_weights[1]) if ends in ("both", "right") else NeumannEnd()
@@ -420,9 +435,7 @@ def _fold(p: SturmProblem) -> _Fold:
     A run of m elements saves m - 1 columns. The longest runs give back the
     elements at their tails, each a column again, until the folded width
     is canonical; a run left with one element is none. A run's conductance
-    w_mid / step and its interior nodes' lumped mass step come from the
-    declared run's step, (nodes[start + m] - nodes[start]) / m, bit for bit
-    graded_mesh's step of the segment.
+    w_mid / step and its interior nodes' lumped mass come from its step.
     """
     cond = p.cond  # a lazily sampled problem checks its mesh first
     nodes, n = p.nodes, len(cond)

@@ -12,6 +12,7 @@ from steklovwarp import (
     BaseGeometry,
     CompletenessError,
     DomainError,
+    FunctionWarp,
     HypothesisViolationError,
     NumericError,
     WarpedMetricSpec,
@@ -37,7 +38,7 @@ from steklovwarp.experiments import (
     sig12,
     spectrum_csv_lines,
 )
-from steklovwarp.profiles import log_value, power_fn
+from steklovwarp.profiles import power_fn
 from steklovwarp.provenance import merge_tagged
 from steklovwarp.spectra import discrete_circle_spectrum, extend
 
@@ -47,8 +48,18 @@ COTH1 = 1.0 / math.tanh(1.0)
 TANH2X2 = 2.0 * math.tanh(2.0)
 
 
+def unit_warp(length=1.0):
+    """h = 1 on [0, length], declared as the CLI's unit warp is: symmetric and constant."""
+    return FunctionWarp(lambda t: 1.0, length, symmetric=True, constant=True)
+
+
+def bump_warp():
+    """h = 1 + t (1 - t) on the unit collar, declared symmetric as the CLI's bump is."""
+    return FunctionWarp(lambda t: 1.0 + t * (1.0 - t), 1.0, symmetric=True)
+
+
 def cylinder_spec(length=2.0, fiber_length=TWO_PI, steklov_ends="both", mode="plain_warp"):
-    return assembler.surface_spec(lambda t: 1.0, length, fiber_length, steklov_ends, mode)
+    return assembler.surface_spec(unit_warp(length), length, fiber_length, steklov_ends, mode)
 
 
 def circle_spec(warp, mode="volume_preserving", steklov_ends="both", n=2, k=1):
@@ -131,7 +142,7 @@ class TestSteklovSpectrumWarped:
     @staticmethod
     def _collar_branch(warp, fiber_dim, lam, n_elements):
         """Auxiliary plain-warp spectrum on a unit collar with Steklov at both ends."""
-        spec = assembler.surface_spec(warp, 1.0, TWO_PI, "both", "plain_warp")
+        spec = assembler.surface_spec(FunctionWarp(warp, 1.0), 1.0, TWO_PI, "both", "plain_warp")
         return recipe_branch(dataclasses.replace(spec, fiber_dim=fiber_dim), lam, 1e3,
                              n_elements).flatten()
 
@@ -221,7 +232,7 @@ class TestFirstEigenvalues:
     @staticmethod
     def _discrete_surface():
         # 16 fiber values and two Steklov ends: the collar has 32 eigenvalues
-        return WarpedMetricSpec(1, 1, lambda t: 1.0, BaseGeometry(point_spectrum(), 1.0, "both"),
+        return WarpedMetricSpec(1, 1, unit_warp(), BaseGeometry(point_spectrum(), 1.0, "both"),
                                 discrete_circle_spectrum(TWO_PI, 16))
 
     def test_count_above_a_complete_size_refused_before_any_walk(self, monkeypatch):
@@ -258,7 +269,7 @@ class TestFirstEigenvalues:
         # a fiber holding 0 once and 1e30 twice: of the collar's 6 eigenvalues
         # only the lambda = 0 pair lies below the last of the 60 cutoffs, 2^59
         fiber = explicit_spectrum([(0.0, 1), (1e30, 2)], complete=complete)
-        return WarpedMetricSpec(1, 1, lambda t: 1.0, BaseGeometry(point_spectrum(), 1.0, "both"),
+        return WarpedMetricSpec(1, 1, unit_warp(), BaseGeometry(point_spectrum(), 1.0, "both"),
                                 fiber)
 
     def test_uncertified_count_names_the_last_walk(self, monkeypatch):
@@ -308,7 +319,8 @@ class TestFirstEigenvaluesEach:
     def test_equals_each_spec_alone(self, monkeypatch):
         specs, count, n_elements = self._mixed_specs(), 7, 120
         problems = [discretize(spec, n_elements) for spec in specs]
-        assert sum(isinstance(p.right_bc, sturm.MirrorEnd) for p in problems) == 6
+        # the unit cylinder and the 6 symmetric profiles with both ends Steklov
+        assert sum(isinstance(p.right_bc, sturm.MirrorEnd) for p in problems) == 7
         assert len({len(p.nodes) for p in problems}) > 2
         alone = [_fingerprint(first_eigenvalues(spec, count, n_elements=n_elements))
                  for spec in specs]
@@ -439,7 +451,7 @@ class TestCollarSampling:
     ], ids=["sigma1", "first", "spectrum"])
     def test_one_evaluation_per_collar(self, solve):
         warp, calls = self._counted_bump()
-        spec = circle_spec(warp)
+        spec = circle_spec(FunctionWarp(warp, 1.0, symmetric=True))
         solve(spec)
         assert len(calls) == 1
         nodes = discretize(spec, 120).nodes
@@ -451,8 +463,7 @@ class TestCollarSampling:
         lambda spec: first_eigenvalues(spec, 12, n_elements=400),
         lambda spec: steklov_spectrum_warped(spec, 6.0, n_elements=400),
     ], ids=["sigma1", "first", "spectrum"])
-    @pytest.mark.parametrize("warp", [sweep_spec(1e-3).warp, lambda t: 1.0 + t * (1.0 - t)],
-                             ids=["profile", "bump"])
+    @pytest.mark.parametrize("warp", [sweep_spec(1e-3).warp, bump_warp()], ids=["profile", "bump"])
     def test_collar_calls_one_closure(self, monkeypatch, solve, warp):
         # the closures of a single power describe the problem, but its samples
         # all come from one call of power_fn's closure with every power
@@ -476,8 +487,8 @@ class TestCollarSampling:
     @pytest.mark.parametrize("warp", [
         WarpProfile(0.05, 2.0 / 3.0, 1.0, symmetric=True),
         WarpProfile(0.01, 0.8, 1.0, symmetric=False),
-        lambda t: 1.0 + t * (1.0 - t),
-        lambda t: 1.0,
+        bump_warp(),
+        unit_warp(),
     ], ids=["symmetric", "one-sided", "bump", "unit"])
     @pytest.mark.parametrize("mode", ["plain_warp", "volume_preserving"])
     @pytest.mark.parametrize("steklov_ends", ["both", "left", "right"])
@@ -485,7 +496,7 @@ class TestCollarSampling:
         # a mirrored collar is its left half, and the closures are sampled there
         spec = circle_spec(warp, mode, steklov_ends, n=3, k=2)
         got = discretize(spec, 400)
-        mirror = steklov_ends == "both" and getattr(warp, "symmetric", False)
+        mirror = steklov_ends == "both" and warp.symmetric
         assert isinstance(got.right_bc, sturm.MirrorEnd) == mirror
         assert got.nodes[-1] == (0.5 if mirror else 1.0)
         expected = collar_of(spec, got)
@@ -518,13 +529,32 @@ class TestDeclaredRuns:
                            problem.w_node[inside]):
                 assert (values == values[0]).all()
 
-    @pytest.mark.parametrize("warp", [lambda t: 1.0 + t * (1.0 - t), lambda t: 1.0],
-                             ids=["bump", "unit"])
-    def test_a_callable_warp_declares_no_runs(self, warp):
-        problem = discretize(circle_spec(warp), 400)
+    @pytest.mark.parametrize("steklov_ends", ["both", "left"])
+    @pytest.mark.parametrize("warp", [bump_warp(), FunctionWarp(lambda t: 1.0 + 0.5 * t, 1.0)],
+                             ids=["bump", "ramp"])
+    def test_a_varying_function_warp_declares_no_runs(self, warp, steklov_ends):
+        # its whole collar is one transition interval; the bump's mirrored
+        # half cuts it at the middle, where dropping it would leave one run
+        problem = discretize(circle_spec(warp, steklov_ends=steklov_ends), 400)
+        mirrored = warp.symmetric and steklov_ends == "both"
+        assert isinstance(problem.right_bc, sturm.MirrorEnd) == mirrored
+        assert problem.transition_spans == ((0.0, 0.5 if mirrored else 1.0),)
         assert problem.runs == ()
         assert len(problem.folded.runs) == 0
         assert problem.folded.cond.tobytes() == problem.cond.tobytes()
+
+    @pytest.mark.parametrize("steklov_ends", ["both", "left"], ids=["mirrored", "whole"])
+    @pytest.mark.parametrize("h", [1.0, 1.5], ids=["unit", "1.5"])
+    def test_a_constant_function_warp_declares_one_run(self, h, steklov_ends):
+        warp = FunctionWarp(lambda t: h, 1.0, symmetric=True, constant=True)
+        problem = discretize(circle_spec(warp, steklov_ends=steklov_ends), 400)
+        assert problem.runs == ((0, len(problem.nodes) - 1),)
+        assert len(problem.folded.cond) == 1
+        lam, mu = (np.ravel(a) for a in np.meshgrid([0.0, 1.0, 4.0, 25.0], [0.0, 1.0, 9.0]))
+        folded = dtn_eigenvalues(problem, lam, mu)
+        unfolded = dtn_eigenvalues(dataclasses.replace(problem, runs=()), lam, mu)
+        assert folded[0, 0] == unfolded[0, 0] == 0.0
+        np.testing.assert_allclose(folded, unfolded, rtol=1e-12, atol=0.0)
 
 
 def entries_of(spectrum):
@@ -906,7 +936,7 @@ class TestSigma1Construction:
         return WarpedMetricSpec(
             base_dim=2,
             fiber_dim=1,
-            warp=warp if warp is not None else (lambda t: 1.0),
+            warp=warp if warp is not None else unit_warp(),
             base=BaseGeometry(circle_spectrum(TWO_PI, 8), 1.0, "left"),
             fiber=circle_spectrum(TWO_PI, 8),
             mode="volume_preserving",
@@ -935,8 +965,8 @@ class TestSigma1Construction:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_warp_rejected(self, bad):
         # it used to give value = nan; the spectrum walks on it never stopped
-        spec = assembler.surface_spec(lambda t: np.where(t > 0.5, bad, 1.0), 1.0, TWO_PI,
-                                      "both", "volume_preserving")
+        spec = assembler.surface_spec(FunctionWarp(lambda t: np.where(t > 0.5, bad, 1.0), 1.0),
+                                      1.0, TWO_PI, "both", "volume_preserving")
         with pytest.raises(DomainError, match="warp function must be positive and finite"):
             sigma1_construction(spec, n_elements=64)
 
@@ -1106,7 +1136,7 @@ class TestMirror:
             r = max(np.abs(whole.cond / cond - 1.0).max(),
                     np.abs(np.stack((whole.q_node, whole.w_node)) * whole.lump / shunts - 1.0).max())
             dt = np.diff(whole.nodes)
-            slope = np.abs(np.diff(log_value(spec.warp, whole.nodes)) / dt).max()
+            slope = np.abs(np.diff(spec.warp.log_eval(whole.nodes)) / dt).max()
             slope *= np.abs(assembler._powers(spec)).max()
             assert r <= np.spacing(1.0) * (slope + 1.0 / dt.min()), eps
             got = dtn_eigenvalues(problem, self.LAM, self.MU)
@@ -1132,10 +1162,11 @@ class TestMirror:
         (WarpProfile(0.05, 2.0 / 3.0, 1.0, symmetric=True), "left"),
         (WarpProfile(0.05, 2.0 / 3.0, 1.0, symmetric=True), "right"),
         (WarpProfile(0.05, 2.0 / 3.0, 1.0, symmetric=False), "both"),
-        (lambda t: 1.0 + t * (1.0 - t), "both"),
-        (lambda t: 1.0, "both"),
+        (FunctionWarp(lambda t: 1.0 + t * (1.0 - t), 1.0), "both"),
+        (FunctionWarp(lambda t: 1.0, 1.0), "both"),
     ], ids=["left", "right", "one-sided", "bump", "unit"])
     def test_other_warps_keep_the_whole_ladder(self, warp, steklov_ends):
+        # the bump and the unit warp declared neither symmetric nor constant
         spec = circle_spec(warp, steklov_ends=steklov_ends)
         problem = discretize(spec, 300)
         assert not isinstance(problem.right_bc, sturm.MirrorEnd)
@@ -1170,6 +1201,15 @@ class TestMirror:
         with pytest.raises(DomainError, match="outside the collar"):
             discretize(spec, 300)
 
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["mirror", "whole"])
+    def test_function_warp_on_a_longer_collar_refused(self, symmetric):
+        # the bump declares its one transition interval on [0, 1] only, so the
+        # mesh would take [1, 2] for a plateau run and fold it
+        bump = FunctionWarp(lambda t: 1.0 + t * (1.0 - t), 1.0, symmetric=symmetric)
+        spec = assembler.surface_spec(bump, 2.0, TWO_PI, "both", "plain_warp")
+        with pytest.raises(DomainError, match="outside the collar"):
+            discretize(spec, 300)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("eps", [1e-100, 1e-160, 1e-200])
     def test_overflowing_power_refused(self, eps):
@@ -1184,11 +1224,12 @@ class TestMirror:
     def test_overflowing_midpoint_power_refused(self):
         # h = 1e200 at one element midpoint only: the nodes' ln h is 0, and
         # h^2 overflowed in w_mid, with a warning, before the test saw it
-        unit = assembler.surface_spec(lambda t: 1.0, 1.0, TWO_PI, "both", "volume_preserving")
-        nodes = discretize(unit, 64).nodes  # the spiked warp's mesh too: neither has spans
+        unit = assembler.surface_spec(FunctionWarp(lambda t: 1.0, 1.0), 1.0, TWO_PI, "both",
+                                      "volume_preserving")
+        nodes = discretize(unit, 64).nodes  # the spiked warp's mesh too: one span, the collar
         spike = 0.5 * (nodes[20] + nodes[21])
-        spec = assembler.surface_spec(lambda t: np.where(t == spike, 1e200, 1.0), 1.0, TWO_PI,
-                                      "both", "volume_preserving")
+        spec = assembler.surface_spec(FunctionWarp(lambda t: np.where(t == spike, 1e200, 1.0), 1.0),
+                                      1.0, TWO_PI, "both", "volume_preserving")
         with pytest.raises(DomainError, match="overflows a float"):
             sigma1_construction(spec, n_elements=64)
 

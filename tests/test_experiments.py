@@ -9,6 +9,7 @@ import pytest
 
 from steklovwarp import (
     BaseGeometry,
+    FunctionWarp,
     Sigma1Result,
     WarpedMetricSpec,
     WarpProfile,
@@ -63,8 +64,8 @@ PLATEAU_A = WarpProfile(0.10, 0.75, 1.0, symmetric=True)
 PLATEAU_B = WarpProfile(0.13, 0.60, 1.0, symmetric=True)
 
 
-def bump(t):
-    return 1.0 + 2.0 * t * (1.0 - t)
+BUMP = FunctionWarp(lambda t: 1.0 + 2.0 * t * (1.0 - t), 1.0, symmetric=True)
+UNIT = FunctionWarp(lambda t: 1.0, 1.0, symmetric=True, constant=True)
 
 
 @pytest.mark.parametrize(
@@ -73,7 +74,7 @@ def bump(t):
 )
 @pytest.mark.parametrize(
     "warps",
-    [(PLATEAU_A, PLATEAU_B), (PLATEAU_A, bump), (bump, lambda t: 1.0)],
+    [(PLATEAU_A, PLATEAU_B), (PLATEAU_A, BUMP), (BUMP, UNIT)],
     ids=["plateaus", "plateau-bump", "bump-unit"],
 )
 def test_matches_pointwise_ratio(mode, n, k, warps):

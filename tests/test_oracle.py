@@ -1,56 +1,57 @@
 """Tensor-grid oracle: ring-by-ring elimination against the banded Schur reference,
 and against the decomposition given the grid's own discrete fiber."""
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from steklovwarp import (
     BaseGeometry,
     DomainError,
+    FunctionWarp,
     MeshResolutionError,
     NumericError,
     RevolutionGrid,
     WarpedMetricSpec,
     WarpProfile,
+    graded_mesh,
     point_spectrum,
 )
 from steklovwarp import oracle, sturm
 from steklovwarp.assembler import metric_recipes
 from steklovwarp.linalg import dtn_matrix, sym_eig
 from steklovwarp.oracle import (
-    RUN_RTOL,
     _add_ring,
     _chains,
     _join,
-    _mirror_symmetric,
     _ring_coefficients,
     _ring_diagonals,
     _ring_schur,
     _run_two_port,
-    _sections,
+    _section_runs,
     assemble_revolution,
     make_grid,
     revolution_spectrum,
-    uniform_runs,
 )
 from steklovwarp.profiles import power_fn
 from steklovwarp.spectra import discrete_circle_spectrum
 
-# plateau, bump and constant are mirror-symmetric, so at any ends only their
-# left half is eliminated; the ramp is not, so "left" and "right" differ and
-# the reversed elimination of "right" is checked. The ring elimination folds
-# runs of uniform sections on the plateau and constant grids, and none on
-# the bump and ramp grids.
+# plateau, bump and constant are declared mirror-symmetric, so at any ends
+# only their left half is eliminated; the ramp and the one-sided plateau are
+# not, so "left" and "right" differ and the reversed elimination of "right"
+# is checked. The plateaus and the constant warp declare runs of uniform
+# sections, which the ring elimination folds; the one-sided plateau's far run
+# ends on the last ring. The bump and the ramp vary on their whole collar and
+# declare none.
 WARPS = {
     "plateau": WarpProfile(0.05, 2.0 / 3.0, 1.0, symmetric=True),
-    "bump": lambda t: 1.0 + t * (1.0 - t),
-    "ramp": lambda t: 1.0 + 0.5 * t,
-    "constant": lambda t: 1.5,
+    "one-sided": WarpProfile(0.05, 2.0 / 3.0, 1.0, symmetric=False),
+    "bump": FunctionWarp(lambda t: 1.0 + t * (1.0 - t), 1.0, symmetric=True),
+    "ramp": FunctionWarp(lambda t: 1.0 + 0.5 * t, 1.0),
+    "constant": FunctionWarp(lambda t: 1.5, 1.0, symmetric=True, constant=True),
 }
 GRIDS = [(64, 16), (128, 32)]
 ENDS = ["both", "left", "right"]
@@ -83,8 +84,10 @@ class TestRingElimination:
         # 0 < k < n_theta / 2 gives its values once as cos(k theta), in the
         # even chain, and once as sin(k theta), in the odd one; the even chain
         # alone holds modes 0 and n_theta / 2. The elimination never uses this
-        cax, cfib, _ = ring_arrays(grid_for(warp_name, shape, ends))
-        even, odd = map(block_eigenvalues, _ring_schur(cax, cfib, shape[1], ends == "both"))
+        grid = grid_for(warp_name, shape, ends)
+        cax, cfib, _, runs = ring_arrays(grid)
+        chains = _ring_schur(cax, cfib, shape[1], ends == "both", runs, grid.mirrored)
+        even, odd = map(block_eigenvalues, chains)
         rings = len(even) // (shape[1] // 2 + 1)
         assert len(even) - len(odd) == 2 * rings
         unmatched = list(even)
@@ -116,8 +119,8 @@ def test_ring_schur_is_symmetric_and_annihilates_constants(warp_name, shape, bot
     # grid's axially even block; the constant ring is (1, sqrt 2, ..., sqrt 2, 1)
     # in the even basis, and the odd basis holds no constant
     grid = grid_for(warp_name, shape, "both" if both else "left")
-    _, cax, cfib, _ = _ring_coefficients(grid)
-    even, odd = _ring_schur(cax, cfib, grid.n_theta, both)
+    cax, cfib, _, runs = ring_arrays(grid)
+    even, odd = _ring_schur(cax, cfib, grid.n_theta, both, runs, grid.mirrored)
     assert all(np.array_equal(block, block.T) for block in even + odd)
     first = even[0]
     half = grid.n_theta // 2
@@ -136,16 +139,15 @@ def test_indefinite_ring_block_is_named(bad_ring, both, n_theta):
     # with cax = 1, K_j = (2 + 2 cfib[j]) I - cfib[j] N, and each chain's N
     # has eigenvalues 2 cos(theta) near 2 and -2: cfib[j] = -2 makes K_j
     # indefinite, and so the frontier block K_j - R^-1 of ring j; cfib = 1
-    # keeps the other rings definite, and no run of uniform sections is long
-    # enough to fold. At n_theta = 256 the even chain's block of 129 rows is
-    # factored in halves, and the first is indefinite too
+    # keeps the other rings definite, and no run is declared. At n_theta =
+    # 256 the even chain's block of 129 rows is factored in halves, and the
+    # first is indefinite too
     n_t = 5
     cax = np.ones(n_t - 1)
     cfib = np.ones(n_t)
     cfib[bad_ring] = -2.0
-    assert uniform_runs(_sections(cax, cfib)) == {}
     with pytest.raises(NumericError, match=f"not positive definite: ring {bad_ring},"):
-        _ring_schur(cax, cfib, n_theta, both)
+        _ring_schur(cax, cfib, n_theta, both, {}, False)
 
 
 def test_indefinite_block_in_a_folded_run_is_named():
@@ -154,9 +156,8 @@ def test_indefinite_block_in_a_folded_run_is_named():
     n_t = 12
     cax = np.ones(n_t - 1)
     cfib = np.full(n_t, -2.0)
-    assert uniform_runs(_sections(cax, cfib)) == {0: n_t - 1}
     with pytest.raises(NumericError, match="not positive definite: ring 1,"):
-        _ring_schur(cax, cfib, 16, True)
+        _ring_schur(cax, cfib, 16, True, {0: (n_t - 1, 1.0, -2.0)}, False)
 
 
 def periodic_lower(n_theta):
@@ -206,38 +207,37 @@ def per_ring_schur(cax, cfib, diag_ring, lower, both):
 
 
 def ring_arrays(grid):
-    """cax, cfib and diag_ring in the order revolution_spectrum eliminates the rings in."""
-    _, cax, cfib, _ = _ring_coefficients(grid)
+    """cax, cfib, diag_ring and the declared runs, in the order revolution_spectrum eliminates."""
+    hv, cax, cfib, dth = _ring_coefficients(grid)
+    runs = _section_runs(grid, hv, dth)
     diag_ring = _ring_diagonals(cax, cfib)
     if grid.steklov_ends == "right":
-        return cax[::-1], cfib[::-1], diag_ring[::-1]
-    return cax, cfib, diag_ring
+        return cax[::-1], cfib[::-1], diag_ring[::-1], runs
+    return cax, cfib, diag_ring, runs
 
 
 @pytest.mark.parametrize("ends", ENDS)
 @pytest.mark.parametrize("shape", GRIDS + [(256, 64)])
 def test_grid_without_runs_is_eliminated_ring_by_ring(shape, ends):
-    # the bump has no runs either, but it is mirror-symmetric and takes the
+    # the bump has no runs either, but it is declared symmetric and takes the
     # mirrored path; see test_mirrored_grid_matches_the_whole_axis
     grid = grid_for("ramp", shape, ends)
-    cax, cfib, diag_ring = ring_arrays(grid)
-    assert uniform_runs(_sections(cax, cfib)) == {}
+    cax, cfib, diag_ring, runs = ring_arrays(grid)
+    assert grid.runs == () and runs == {} and not grid.mirrored
     both = ends == "both"
-    chains = _ring_schur(cax, cfib, grid.n_theta, both)
+    chains = _ring_schur(cax, cfib, grid.n_theta, both, runs, grid.mirrored)
     for (schur,), links in zip(chains, _chains(grid.n_theta)):
         expected = per_ring_schur(cax, cfib, diag_ring, np.diag(links, -1), both)
         assert np.array_equal(schur, expected)
 
 
-def whole_axis_schur(monkeypatch, cax, cfib, n_theta, both):
-    """_ring_schur with the mirror check switched off: every ring of the axis is eliminated.
+def whole_axis_schur(cax, cfib, n_theta, both, runs):
+    """_ring_schur with the runs declared and no mirror: every ring of the axis is eliminated.
 
     Returns each chain's one block, the even chain's first.
     """
-    with monkeypatch.context() as patch:
-        patch.setattr(oracle, "_mirror_symmetric", lambda cax, cfib: False)
-        (even,), (odd,) = _ring_schur(cax, cfib, n_theta, both)
-        return even, odd
+    (even,), (odd,) = _ring_schur(cax, cfib, n_theta, both, runs, False)
+    return even, odd
 
 
 def block_eigenvalues(blocks):
@@ -263,16 +263,16 @@ MIRRORED = [
 
 @pytest.mark.parametrize("ends", ENDS)
 @pytest.mark.parametrize("warp_name, n_axial, n_rings", MIRRORED)
-def test_mirrored_grid_matches_the_whole_axis(monkeypatch, warp_name, n_axial, n_rings, ends):
+def test_mirrored_grid_matches_the_whole_axis(warp_name, n_axial, n_rings, ends):
     # with both ends Steklov, the half gives the even and odd blocks; with
     # one, the join to the reflection leaves the far (Neumann) end ring,
     # which one more join eliminates
     grid = make_grid(1.0, 2.0 * math.pi, WARPS[warp_name], n_axial, 16, ends)
     assert grid.n_axial == n_rings
-    cax, cfib, diag_ring = ring_arrays(grid)
-    assert _mirror_symmetric(cax, cfib)
+    cax, cfib, diag_ring, runs = ring_arrays(grid)
+    assert grid.mirrored
     both = ends == "both"
-    chains = _ring_schur(cax, cfib, grid.n_theta, both)
+    chains = _ring_schur(cax, cfib, grid.n_theta, both, runs, True)
     assert [len(blocks) for blocks in chains] == [2 if both else 1] * 2
     blocks = chains[0] + chains[1]
     assert all(np.array_equal(block, block.T) for block in blocks)
@@ -281,7 +281,7 @@ def test_mirrored_grid_matches_the_whole_axis(monkeypatch, warp_name, n_axial, n
     assert deviation(block_eigenvalues(blocks), np.linalg.eigvalsh(periodic)) <= 1e-10
     values = revolution_spectrum(grid)
     assert values[0] == 0.0
-    whole = whole_axis_schur(monkeypatch, cax, cfib, grid.n_theta, both)
+    whole = whole_axis_schur(cax, cfib, grid.n_theta, both, runs)
     for half_blocks, whole_block in zip(chains, whole):
         expected = np.linalg.eigvalsh(whole_block)
         assert deviation(block_eigenvalues(half_blocks), expected) <= 1e-10
@@ -310,12 +310,12 @@ def test_mirrored_bump_factors_half_its_rings(monkeypatch, n_axial, ends):
     # half, one join through the middle and, with one end Steklov, one join
     # that eliminates the other
     grid = grid_for("bump", (n_axial, 64), ends)
-    cax, cfib, _ = ring_arrays(grid)
+    cax, cfib, _, runs = ring_arrays(grid)
     both = ends == "both"
     factors = count_factors(monkeypatch)
-    _ring_schur(cax, cfib, grid.n_theta, both)
+    _ring_schur(cax, cfib, grid.n_theta, both, runs, grid.mirrored)
     mirrored = factors()
-    whole_axis_schur(monkeypatch, cax, cfib, grid.n_theta, both)
+    whole_axis_schur(cax, cfib, grid.n_theta, both, runs)
     if both:
         assert mirrored <= 2 * (n_axial // 2 + 2)
         assert factors() - mirrored == 2 * (n_axial - 2)
@@ -325,65 +325,96 @@ def test_mirrored_bump_factors_half_its_rings(monkeypatch, n_axial, ends):
 
 
 @pytest.mark.parametrize("ends", ENDS)
-@pytest.mark.parametrize("warp_name", ["bump", "plateau", "constant"])
-@pytest.mark.parametrize("offset, mirrored", [(0.5e-12, True), (2e-12, False)])
-def test_mirror_check_holds_each_section_to_the_run_tolerance(
-    monkeypatch, warp_name, offset, mirrored, ends
-):
-    # one right-half axial conductance moved by twice RUN_RTOL makes the grid
-    # asymmetric, and the whole axis is eliminated as before
-    grid = grid_for(warp_name, (128, 32), ends)
-    cax, cfib, _ = ring_arrays(grid)
-    cax = cax.copy()
-    cax[len(cax) - 10] *= 1.0 + offset
-    diag_ring = _ring_diagonals(cax, cfib)
-    assert _mirror_symmetric(cax, cfib) == mirrored
-    both = ends == "both"
-    chains = _ring_schur(cax, cfib, grid.n_theta, both)
-    whole = whole_axis_schur(monkeypatch, cax, cfib, grid.n_theta, both)
-    for blocks, whole_block, links in zip(chains, whole, _chains(grid.n_theta)):
-        if mirrored:
-            expected = np.linalg.eigvalsh(whole_block)
-            assert deviation(block_eigenvalues(blocks), expected) <= 1e-10
-            continue
-        (schur,) = blocks
-        assert np.array_equal(schur, whole_block)
-        if warp_name == "bump":  # no runs: the whole axis takes one step per ring
-            expected = per_ring_schur(cax, cfib, diag_ring, np.diag(links, -1), both)
-            assert np.array_equal(schur, expected)
-
-
-@pytest.mark.parametrize("ends", ENDS)
 def test_asymmetric_ramp_never_mirrors(monkeypatch, ends):
     # the ramp has no runs, so without the mirror each ring but the
     # Steklov ends takes one ring step in each chain, and nothing else
     # factors a block
     grid = grid_for("ramp", (128, 32), ends)
-    cax, cfib, _ = ring_arrays(grid)
-    assert not _mirror_symmetric(cax, cfib)
+    assert not grid.mirrored
     factors = count_factors(monkeypatch)
     assert revolution_spectrum(grid)[0] == 0.0
     assert factors() == 2 * (grid.n_axial - (2 if ends == "both" else 1))
 
 
+def folded_runs(monkeypatch, grid):
+    """(start, sections) of each run that revolution_spectrum folds in one chain."""
+    calls, fold = [], oracle._run_two_port
+
+    def counted(c, f, links, start, length):
+        calls.append((start, length))
+        return fold(c, f, links, start, length)
+
+    monkeypatch.setattr(oracle, "_run_two_port", counted)
+    revolution_spectrum(grid)
+    return calls[: len(calls) // 2]  # the even chain's; the odd chain folds the same
+
+
+@pytest.mark.parametrize("ends", ENDS)
 @pytest.mark.parametrize("shape", GRIDS + [(256, 64)])
-def test_constant_warp_folds_one_run_along_the_axis(shape):
-    # the end ring's half mass ends the run one section before the last ring
-    grid = grid_for("constant", shape, "both")
-    _, cax, cfib, _ = _ring_coefficients(grid)
-    runs = uniform_runs(_sections(cax, cfib))
-    assert runs == {0: grid.n_axial - 2}
+def test_constant_warp_folds_one_run_along_the_axis(monkeypatch, shape, ends):
+    # the whole axis is one declared run; the mirrored half folds it up to
+    # the section onto the middle
+    grid = grid_for("constant", shape, ends)
+    assert grid.runs == ((0, grid.n_axial - 1),) and grid.mirrored
+    assert folded_runs(monkeypatch, grid) == [(0, grid.n_axial // 2 - 1)]
 
 
-def test_plateau_grid_folds_its_plateaus():
-    grid = grid_for("plateau", (256, 64), "both")
-    _, cax, cfib, _ = _ring_coefficients(grid)
-    runs = uniform_runs(_sections(cax, cfib))
-    assert sum(runs.values()) >= 0.8 * (grid.n_axial - 1)
-    sections = np.column_stack([cax, cfib[1:]])
-    for start, length in runs.items():
-        run = sections[start : start + length]
-        assert np.all(np.abs(run - run[0]) <= 1e-12 * run[0])
+@pytest.mark.parametrize("ends", ["left", "right"])
+@pytest.mark.parametrize("warp_name, n_runs", [("plateau", 5), ("one-sided", 3)])
+def test_plateau_grid_folds_its_plateaus(warp_name, n_runs, ends):
+    # each run's conductances, from its segment's step, are the grid's own
+    # but for the rounding of the nodes, in either order of the rings
+    grid = grid_for(warp_name, (256, 64), ends)
+    cax, cfib, _, runs = ring_arrays(grid)
+    assert sum(k for _, k in grid.runs) >= 0.8 * (grid.n_axial - 1)
+    assert len(runs) == len(grid.runs) == n_runs
+    for start, (length, c, f) in runs.items():
+        assert np.all(np.abs(cax[start : start + length] - c) <= 1e-12 * c)
+        assert np.all(np.abs(cfib[start + 1 : start + length] - f) <= 1e-12 * f)
+
+
+@pytest.mark.parametrize("shape, folded", [
+    # the oracle workload's grid: the numeric finder that the declaration
+    # replaced folded the same 217 sections
+    ((512, 128), [(0, 13), (26, 26), (78, 178)]),
+    # the finder split these plateaus into 203 runs and found no mirror
+    ((8192, 16), [(0, 205), (410, 410), (1230, 2866)]),
+])
+def test_plateau_grid_folds_each_plateau_of_its_half_once(monkeypatch, shape, folded):
+    grid = grid_for("plateau", shape, "both")
+    assert grid.mirrored
+    assert folded_runs(monkeypatch, grid) == folded
+
+
+def test_fine_plateau_grid_matches_the_decomposition_on_its_nodes():
+    # the fiber modes' 1D problems on the grid's own 8 192 nodes; the
+    # oracle's rounded ring diagonals part it from them by about 1.2e-7
+    grid = grid_for("plateau", (8192, 16), "both")
+    direct = revolution_spectrum(grid)
+    assembled = same_grid_decomposition(grid)
+    assert assembled.shape == direct.shape
+    assert deviation(direct, assembled) <= 1e-6
+
+
+def test_bare_nodes_declare_no_run():
+    # the same nodes with and without make_grid's declaration: the half ring
+    # by ring against the folded half
+    declared = grid_for("constant", (64, 16), "both")
+    grid = RevolutionGrid(declared.axial_nodes, 16, 1.0, 2.0 * math.pi, WARPS["constant"])
+    assert grid.runs == () and grid.mirrored
+    assert deviation(revolution_spectrum(grid), revolution_spectrum(declared)) <= 1e-10
+
+
+@pytest.mark.parametrize("change", [
+    {"axial_nodes": graded_mesh(1.0, 63, ((0.1, 0.2),))},  # nodes not symmetric
+    {"warp": WARPS["ramp"]},  # a warp not declared symmetric
+    # symmetric about 1, not about the grid's middle 0.5
+    {"warp": FunctionWarp(lambda t: 1.0 + t * (2.0 - t), 2.0, symmetric=True)},
+])
+def test_grid_with_an_asymmetric_warp_or_nodes_is_not_mirrored(change):
+    grid = grid_for("bump", (64, 16), "both")
+    assert grid.mirrored
+    assert not dataclasses.replace(grid, **change).mirrored
 
 
 def general_run_two_port(c, f, links, start, length):
@@ -403,73 +434,17 @@ def general_run_two_port(c, f, links, start, length):
 
 
 @pytest.mark.parametrize("shape", GRIDS + [(64, 128)])
-@pytest.mark.parametrize("warp_name", ["constant", "plateau"])
+@pytest.mark.parametrize("warp_name", ["constant", "one-sided", "plateau"])
 def test_symmetric_powers_equal_general_powering(warp_name, shape):
     # each run of the grid, built from the mirror-symmetric section, against
     # the same run powered as general two-ports, block by block
     grid = grid_for(warp_name, shape, "both")
-    _, cax, cfib, _ = _ring_coefficients(grid)
-    runs = uniform_runs(_sections(cax, cfib))
+    _, _, _, runs = ring_arrays(grid)
     assert runs
-    for (start, length), links in itertools.product(runs.items(), _chains(grid.n_theta)):
-        args = (cax[start], cfib[start + 1], links, start, length)
+    for (start, (length, c, f)), links in itertools.product(runs.items(), _chains(grid.n_theta)):
+        args = (c, f, links, start, length)
         for block, expected in zip(_run_two_port(*args), general_run_two_port(*args)):
             assert np.abs(block - expected).max() <= 1e-12 * np.abs(expected).max()
-
-
-def greedy_uniform_runs(cax, cfib):
-    """uniform_runs of the sections as one greedy scan along the axis, a numpy pass per run."""
-    sections = np.column_stack([cax, cfib[1:]])
-    runs = {}
-    start = 0
-    while start < len(sections):
-        first = sections[start]
-        off = np.any(np.abs(sections[start:] - first) > RUN_RTOL * np.abs(first), axis=1)
-        length = int(np.argmax(off)) if off.any() else len(off)
-        if length.bit_length() - 1 + length.bit_count() < length:
-            runs[start] = length
-        start += length
-    return runs
-
-
-def random_sections(rng, count):
-    """Sections in stretches: planted runs with offsets up to 1.5 RUN_RTOL, some
-    exactly at it, slow drifts of 0.9 RUN_RTOL a step, and scattered values."""
-    rows = []
-    while len(rows) < count:
-        kind = rng.integers(3)
-        first = rng.choice([-1.0, 1.0], 2) * 10.0 ** rng.uniform(-3.0, 3.0, 2)
-        if rng.random() < 0.1:
-            first[rng.integers(2)] = 0.0
-        length = int(rng.integers(1, 40))
-        if kind == 0:
-            offsets = rng.uniform(-1.5, 1.5, (length, 2))
-            at_tolerance = rng.random((length, 2)) < 0.2
-            offsets[at_tolerance] = rng.choice([-1.0, 1.0], at_tolerance.sum())
-            offsets *= rng.random((length, 1)) < 0.7  # some sections leave both in place
-            rows.extend(first * (1.0 + RUN_RTOL * offsets))
-        elif kind == 1:
-            steps = np.cumsum(np.full((length, 2), 0.9 * RUN_RTOL), axis=0)
-            rows.extend(first * (1.0 + steps * rng.choice([-1.0, 1.0], 2)))
-        else:
-            signs = rng.choice([-1.0, 1.0], (length, 2))
-            rows.extend(signs * 10.0 ** rng.uniform(-3.0, 3.0, (length, 2)))
-    sections = np.array(rows[:count])
-    return sections[:, 0], np.concatenate(([1.0], sections[:, 1]))
-
-
-@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 300))
-@settings(max_examples=300, deadline=None)
-def test_uniform_runs_match_one_greedy_scan(seed, count):
-    cax, cfib = random_sections(np.random.default_rng(seed), count)
-    assert uniform_runs(_sections(cax, cfib)) == greedy_uniform_runs(cax, cfib)
-
-
-@pytest.mark.parametrize("warp_name", sorted(WARPS))
-def test_uniform_runs_of_the_grids_match_one_greedy_scan(warp_name):
-    grid = grid_for(warp_name, (256, 64), "both")
-    _, cax, cfib, _ = _ring_coefficients(grid)
-    assert uniform_runs(_sections(cax, cfib)) == greedy_uniform_runs(cax, cfib)
 
 
 def longdouble_cholesky(a):
@@ -515,10 +490,10 @@ def test_ring_elimination_matches_extended_precision(epsilon, ends):
     warp = WarpProfile(epsilon, 2.0 / 3.0, 1.0, symmetric=True)
     grid = make_grid(1.0, 2.0 * math.pi, warp, 128, 32, ends)
     hv, _, _, dth = _ring_coefficients(grid)
-    cax, cfib, diag_ring = ring_arrays(grid)
+    cax, cfib, diag_ring, _ = ring_arrays(grid)
     if ends == "right":
         hv = hv[::-1]
-    assert uniform_runs(_sections(cax, cfib))
+    assert grid.runs
     schur = longdouble_schur(cax, cfib, diag_ring, grid.n_theta, ends == "both").astype(float)
     ends_h = hv[[0, -1]] if ends == "both" else hv[:1]
     sqrt_mass = np.sqrt(np.repeat(ends_h * dth, grid.n_theta))
@@ -533,23 +508,13 @@ def test_ring_elimination_matches_extended_precision(epsilon, ends):
     assert dev.max() <= 1e-8
 
 
-@pytest.mark.parametrize("ends", ENDS)
-@pytest.mark.parametrize("shape", GRIDS + [(256, 64)])
-@pytest.mark.parametrize("warp_name", sorted(WARPS))
-def test_decomposition_matches_grid_with_its_discrete_fiber(warp_name, shape, ends):
-    # Given the grid's fiber spectrum and axial nodes, each fiber mode's 1D
-    # problem is the grid problem restricted to one Fourier mode, so the
-    # assembled union is the whole grid spectrum up to roundoff. The 1D
-    # collar is built on the grid's own nodes: a graded mesh rebuilt from
-    # n_axial - 1 elements is another mesh when the warp has transitions.
-    # The plateau's conductances span about 1e8, and it is held to the
-    # module's 1e-8.
-    grid = grid_for(warp_name, shape, ends)
+def same_grid_decomposition(grid):
+    """The union of the fiber modes' 1D spectra on the grid's own axial nodes and discrete fiber."""
     spec = WarpedMetricSpec(
         base_dim=1,
         fiber_dim=1,
         warp=grid.warp,
-        base=BaseGeometry(point_spectrum(), grid.length, ends),
+        base=BaseGeometry(point_spectrum(), grid.length, grid.steklov_ends),
         fiber=discrete_circle_spectrum(grid.fiber_length, grid.n_theta),
         mode="plain_warp",
     )
@@ -563,11 +528,26 @@ def test_decomposition_matches_grid_with_its_discrete_fiber(warp_name, shape, en
         transition_spans=recipes.spans,
     )
     walked = sturm.walk_below(collar, spec.fiber, spec.base.cross_section, math.inf, {})
-    assembled = walked.flatten()
+    return walked.flatten()
+
+
+@pytest.mark.parametrize("ends", ENDS)
+@pytest.mark.parametrize("shape", GRIDS + [(256, 64)])
+@pytest.mark.parametrize("warp_name", sorted(WARPS))
+def test_decomposition_matches_grid_with_its_discrete_fiber(warp_name, shape, ends):
+    # Given the grid's fiber spectrum and axial nodes, each fiber mode's 1D
+    # problem is the grid problem restricted to one Fourier mode, so the
+    # assembled union is the whole grid spectrum up to roundoff. The 1D
+    # collar is built on the grid's own nodes: a graded mesh rebuilt from
+    # n_axial - 1 elements is another mesh when the warp has transitions.
+    # The plateaus' conductances span about 1e8, and they are held to the
+    # module's 1e-8.
+    grid = grid_for(warp_name, shape, ends)
+    assembled = same_grid_decomposition(grid)
     direct = revolution_spectrum(grid)
     assert assembled.shape == direct.shape
     dev = np.abs(assembled - direct) / np.maximum(np.abs(direct), 1.0)
-    assert dev.max() <= (1e-8 if warp_name == "plateau" else 1e-9)
+    assert dev.max() <= (1e-8 if warp_name in ("plateau", "one-sided") else 1e-9)
 
 
 def test_directly_built_grid_must_resolve_transitions():
@@ -648,6 +628,7 @@ def test_ring_warp_is_the_ladders_h(warp_name):
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
 def test_warp_not_positive_and_finite_is_refused(bad):
     # a NaN or infinite warp used to reach the eigensolve and fail there to converge
-    grid = make_grid(1.0, 2.0 * math.pi, lambda t: np.where(t > 0.5, bad, 1.0), 64, 16)
+    warp = FunctionWarp(lambda t: np.where(t > 0.5, bad, 1.0), 1.0)
+    grid = make_grid(1.0, 2.0 * math.pi, warp, 64, 16)
     with pytest.raises(DomainError, match="warp function must be positive and finite"):
         revolution_spectrum(grid)

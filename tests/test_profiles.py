@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from steklovwarp import (
     BaseGeometry,
     DomainError,
+    FunctionWarp,
     HypothesisViolationError,
     UnsupportedModeError,
     WarpedMetricSpec,
@@ -19,7 +20,7 @@ from steklovwarp import (
     point_spectrum,
     volume_element_ratio,
 )
-from steklovwarp.profiles import log_value, power_fn
+from steklovwarp.profiles import power_fn
 
 profile_params = st.tuples(
     st.floats(0.01, 0.15),   # epsilon
@@ -30,6 +31,11 @@ profile_params = st.tuples(
 
 def make(eps, delta, symmetric, ell=1.0):
     return WarpProfile(eps, delta, ell, symmetric)
+
+
+def fn(h, **declared):
+    """A FunctionWarp of h on the unit collar."""
+    return FunctionWarp(h, 1.0, **declared)
 
 
 class TestConstruction:
@@ -168,19 +174,20 @@ class TestArrayEvaluation:
 
     @pytest.mark.parametrize("outside", [-1e-12, 1.0 + 1e-12])
     def test_array_outside_collar_rejected(self, outside):
-        p = make(0.05, 0.7, True)
+        # a FunctionWarp declares nothing past its collar either
         t = np.array([0.0, 0.5, outside, 1.0])
-        for fn in (p.log_eval, power_fn(p, 1.0), power_fn(p, 2.0)):
-            with pytest.raises(DomainError):
-                fn(t)
+        for p in (make(0.05, 0.7, True), FunctionWarp(lambda t: 1.0, 1.0, constant=True)):
+            for fn in (p.log_eval, power_fn(p, 1.0), power_fn(p, 2.0)):
+                with pytest.raises(DomainError, match="outside the collar"):
+                    fn(t)
 
     def test_constant_callable_is_broadcast(self):
         t = np.linspace(0.0, 1.0, 5)
-        assert power_fn(lambda t: 4.0, 0.5)(t).tolist() == [2.0] * 5
+        assert power_fn(fn(lambda t: 4.0), 0.5)(t).tolist() == [2.0] * 5
         with pytest.raises(DomainError):
-            power_fn(lambda t: 0.0, 1.0)(t)
+            power_fn(fn(lambda t: 0.0), 1.0)(t)
 
-    @pytest.mark.parametrize("warp", [make(0.05, 0.7, True), lambda t: 1.0 + t * (1.0 - t)],
+    @pytest.mark.parametrize("warp", [make(0.05, 0.7, True), fn(lambda t: 1.0 + t * (1.0 - t))],
                              ids=["profile", "bump"])
     def test_powers_are_rows_of_one_sample(self, warp):
         t = np.linspace(0.0, 1.0, 33)
@@ -195,23 +202,47 @@ class TestArrayEvaluation:
     def test_overflowing_power_refused(self, spike, p):
         # h^p at the spike is past the largest float; exp warned on it before
         t = np.linspace(0.0, 1.0, 9)
-        fn = power_fn(lambda t: np.where(t == 0.5, spike, 1.0), p)
+        power = power_fn(fn(lambda t: np.where(t == 0.5, spike, 1.0)), p)
         with pytest.raises(DomainError, match="overflows a float"):
-            fn(t)
+            power(t)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_underflowing_power_answered(self):
         t = np.linspace(0.0, 1.0, 9)
-        values = power_fn(lambda t: np.where(t == 0.5, 1e200, 1.0), -2.0)(t)
+        values = power_fn(fn(lambda t: np.where(t == 0.5, 1e200, 1.0)), -2.0)(t)
         assert values.tolist() == [1.0] * 4 + [0.0] + [1.0] * 4
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     def test_callable_sample_not_positive_and_finite_rejected(self, bad):
         t = np.linspace(0.0, 1.0, 9)
         with pytest.raises(DomainError, match=f"positive and finite, got {bad}"):
-            log_value(lambda t: np.where(t > 0.5, bad, 1.0), t)
+            fn(lambda t: np.where(t > 0.5, bad, 1.0)).log_eval(t)
         with pytest.raises(DomainError, match="positive and finite"):
-            log_value(lambda t: bad, 0.5)
+            fn(lambda t: bad).log_eval(0.5)
+
+
+class TestFunctionWarp:
+    """A FunctionWarp declares its symmetry and whether it is constant; ln h is np.log of h."""
+
+    def test_log_eval_is_the_log_of_h(self):
+        t = np.linspace(0.0, 1.0, 17)
+        warp = fn(lambda t: 1.0 + t * (1.0 - t))
+        assert warp.log_eval(t).tobytes() == np.log(1.0 + t * (1.0 - t)).tobytes()
+        assert warp.log_eval(0.25) == np.log(1.1875)
+        assert fn(lambda t: 1.5, constant=True).log_eval(t).tolist() == [np.log(1.5)] * 17
+
+    def test_only_a_constant_warp_has_no_transition_interval(self):
+        # a warp that is not declared constant may vary anywhere, so its whole
+        # collar is one interval and no mesh folds any of it
+        assert FunctionWarp(lambda t: 1.0, 2.0, constant=True).transition_intervals() == ()
+        assert FunctionWarp(lambda t: 1.0, 2.0).transition_intervals() == ((0.0, 2.0),)
+        bump = FunctionWarp(lambda t: 1.0 + t * (2.0 - t), 2.0, symmetric=True)
+        assert bump.transition_intervals() == ((0.0, 2.0),)
+
+    @pytest.mark.parametrize("length", [0.0, -1.0, math.inf, math.nan])
+    def test_collar_must_be_positive_and_finite(self, length):
+        with pytest.raises(DomainError, match="collar_length must be positive and finite"):
+            FunctionWarp(lambda t: 1.0, length)
 
 
 def reference_log_eval(p, t):
@@ -330,12 +361,12 @@ class TestVolumeElement:
 class TestMetricSpec:
     def test_dimension_validation(self):
         with pytest.raises(DomainError):
-            WarpedMetricSpec(0, 1, lambda t: 1.0,
+            WarpedMetricSpec(0, 1, fn(lambda t: 1.0),
                              BaseGeometry(point_spectrum(), 1.0, "both"),
                              circle_spectrum(2 * math.pi, 4), "plain_warp")
 
     def test_mode_validation(self):
         with pytest.raises(DomainError):
-            WarpedMetricSpec(1, 1, lambda t: 1.0,
+            WarpedMetricSpec(1, 1, fn(lambda t: 1.0),
                              BaseGeometry(point_spectrum(), 1.0, "both"),
                              circle_spectrum(2 * math.pi, 4), "conformal")

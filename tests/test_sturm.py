@@ -19,6 +19,7 @@ from steklovwarp import (
     BaseGeometry,
     CompletenessError,
     DomainError,
+    FunctionWarp,
     MeshResolutionError,
     NeumannEnd,
     RevolutionGrid,
@@ -255,7 +256,7 @@ class TestAssemble:
         with pytest.raises(DomainError, match="mesh nodes must be strictly increasing"):
             SturmProblem(1.0, lambda t: 1.0, lambda t: 1.0, SteklovEnd(), SteklovEnd(), nodes)
         with pytest.raises(DomainError, match="mesh nodes must be strictly increasing"):
-            RevolutionGrid(nodes, 16, 1.0, 2.0 * math.pi, lambda t: 1.5)
+            RevolutionGrid(nodes, 16, 1.0, 2.0 * math.pi, FunctionWarp(lambda t: 1.5, 1.0))
 
     @pytest.mark.parametrize("runs", [
         ((0, 10), (9, 10)),  # share element 9
@@ -269,12 +270,16 @@ class TestAssemble:
             "one-element", "empty", "float-start"])
     def test_malformed_runs_refused(self, runs):
         nodes = graded_mesh(1.0, 32)
-        # two runs that share only an end node are legal
+        unit = FunctionWarp(lambda t: 1.0, 1.0, constant=True)
+        # two runs that share only an end node are legal, on the ladder and on a grid
         SturmProblem(1.0, lambda t: 1.0, lambda t: 1.0, SteklovEnd(), SteklovEnd(), nodes,
                      runs=((0, 10), (10, 22)))
+        RevolutionGrid(nodes, 16, 1.0, 2.0 * math.pi, unit, runs=((0, 10), (10, 22)))
         with pytest.raises(DomainError, match=r"run \("):
             SturmProblem(1.0, lambda t: 1.0, lambda t: 1.0, SteklovEnd(), SteklovEnd(), nodes,
                          runs=runs)
+        with pytest.raises(DomainError, match=r"run \("):
+            RevolutionGrid(nodes, 16, 1.0, 2.0 * math.pi, unit, runs=runs)
 
     @pytest.mark.parametrize("weight", [0.0, math.nan, math.inf])
     def test_steklov_weight_must_be_positive_and_finite(self, weight):
@@ -826,6 +831,16 @@ class TestMirroredProblem:
         r = np.sqrt(mu[1:])
         assert got[1:, 0] == pytest.approx(r * np.tanh(r), rel=1e-3)
         assert got[1:, 1] == pytest.approx(r / np.tanh(r), rel=1e-3)
+
+    def test_half_elements_count_twice_against_the_mesh_floor(self):
+        # the half of 8 elements solves a collar of 16; a whole ladder of 8 is refused
+        assert dtn_eigenvalues(self._collar(16), 0.0, 0.0)[0] == 0.0
+        with pytest.raises(DomainError, match="at least 16 elements, got 14"):
+            dtn_eigenvalues(self._collar(14))
+        whole = SturmProblem(1.0, lambda t: 1.0, lambda t: 1.0, SteklovEnd(), SteklovEnd(),
+                             graded_mesh(1.0, 8))
+        with pytest.raises(DomainError, match="at least 16 elements, got 8"):
+            dtn_eigenvalues(whole)
 
     def test_mirror_end_on_the_left_refused(self):
         with pytest.raises(DomainError, match="on the right only"):
